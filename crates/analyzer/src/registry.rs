@@ -28,7 +28,7 @@ pub const SECRET_TYPES: &[&str] = &[
     "PoolJob",
     "PendingBatch",
     // crates/simd: IfmaCtx is deliberately absent — it precomputes only
-    // public modulus constants (n, R' mod n, R'^2 mod n, -n^-1 mod 2^52)
+    // public modulus constants (n, R'^2 mod n, -n^-1 mod 2^52)
     // and touches group elements/ciphertexts; the secret window schedule
     // (FixedExponentPlan, above) never leaves crates/bignum, which
     // drives the vector ladder step by step. Revisit if the SIMD crate

@@ -1,8 +1,10 @@
 //! Emits `BENCH_protocols.json`: the committed throughput numbers for the
 //! perf acceptance criteria — 512-bit fixed-exponent exponentiation
 //! (fixed-4-bit reference vs. scalar sliding windows vs. the multi-lane
-//! interleaved kernel), §6.2 `EncryptPool` scaling, and serial vs.
-//! chunk-pipelined end-to-end wall time for all four protocols.
+//! interleaved kernel), the three `Ce` tiers at the 1024-bit group the
+//! daemon serves (generic ladder, portable lanes, IFMA lanes), §6.2
+//! `EncryptPool` scaling, and serial vs. chunk-pipelined end-to-end wall
+//! time for all four protocols.
 //!
 //! All numbers are wall-clock medians on the current host; the host's
 //! logical core count is recorded alongside so a single-core CI box's
@@ -28,6 +30,7 @@ use minshare::prelude::*;
 use minshare_bench::{bench_group, overlapping_sets};
 use minshare_bignum::montgomery::MontgomeryCtx;
 use minshare_bignum::random::random_below;
+use minshare_bignum::safe_prime::well_known_safe_prime;
 use minshare_bignum::UBig;
 use minshare_costmodel::reconcile::{self, MeasuredRun, Reconciliation};
 use minshare_costmodel::section6::Protocol;
@@ -38,14 +41,27 @@ use minshare_trace::{TraceSink, Tracer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// Minimum pool speedup at 4 threads a multicore snapshot must commit;
-/// `--check` fails if a committed multicore BENCH_protocols.json falls
-/// below it (single-core snapshots are exempt — there is nothing to scale).
+/// Minimum pool speedup at 4 threads a snapshot from a host with at least
+/// 4 cores must commit; `--check` fails if such a BENCH_protocols.json
+/// falls below it. Narrower hosts are exempt: `EncryptPool::new` clamps
+/// workers to `cores − 1`, so their 4-thread row measures the clamp (no
+/// worker on 1 core, one on 2), not the pool's scaling.
 const POOL_SCALING_FLOOR: f64 = 1.5;
 
 /// Minimum SIMD-vs-scalar-`pow_multi` speedup at 512-bit when the IFMA
 /// backend is active on both the committed snapshot and the current host.
 const SIMD_SPEEDUP_FLOOR: f64 = 1.2;
+
+/// Minimum IFMA-vs-portable-lanes speedup at the 1024-bit well-known group
+/// (the width real sessions run at) when the IFMA backend is active on both
+/// the committed snapshot and the current host.
+const SIMD_1024_SPEEDUP_FLOOR: f64 = 2.0;
+
+/// The portable 4-lane tier must not lose to the generic ladder at 1024
+/// bits. Not the 1.1 the tier was first sized at: the ladder now squares
+/// through the same fixed-width kernel (one lane), which took most of the
+/// gap with it — the lanes keep ≈ 1.06x here and ≈ 1.2x at 2048 bits.
+const LANES_1024_SPEEDUP_FLOOR: f64 = 1.0;
 
 /// On a multicore host the sharded intersection engine (buckets streamed
 /// through the spill sorter, encryption on the pool) must stay within
@@ -74,17 +90,73 @@ fn vm_hwm_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// Median of a non-empty sample.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Wall time of one run of `f`, in seconds.
+fn secs<F: FnMut()>(mut f: F) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
+}
+
 /// Median wall time of `samples` runs of `f`, in seconds.
 fn median_secs<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
+    median((0..samples.max(1)).map(|_| secs(&mut f)).collect())
+}
+
+/// Per-batch wall time of each `Ce` tier at the 1024-bit well-known group,
+/// 32 bases under one fixed exponent: the generic ladder (`pow_batch`),
+/// the portable lanes (`pow_batch_scalar`) and the default dispatch
+/// (`pow_multi_ctx`: IFMA lanes when `simd_active`). The three are timed
+/// round-robin and reduced to medians, so a slow stretch of a shared host
+/// lands on all of them alike and the ratios survive it.
+struct Tiers1024 {
+    batch: usize,
+    ladder_s: f64,
+    lanes_s: f64,
+    auto_s: f64,
+    simd_active: bool,
+}
+
+impl Tiers1024 {
+    fn lanes_vs_ladder(&self) -> f64 {
+        self.ladder_s / self.lanes_s
+    }
+
+    fn simd_vs_lanes(&self) -> f64 {
+        self.lanes_s / self.auto_s
+    }
+}
+
+fn measure_tiers_1024(samples: usize) -> Tiers1024 {
+    let p = well_known_safe_prime(1024).expect("bundled group");
+    let ctx = MontgomeryCtx::new(&p).expect("odd modulus");
+    let mut rng = StdRng::seed_from_u64(5);
+    let exp = random_below(&mut rng, &p);
+    let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, &p)).collect();
+    let (mut ladder, mut lanes, mut auto) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..samples.max(1) {
+        ladder.push(secs(|| {
+            std::hint::black_box(ctx.pow_batch(&bases, &exp));
+        }));
+        lanes.push(secs(|| {
+            std::hint::black_box(ctx.pow_batch_scalar(&bases, &exp));
+        }));
+        auto.push(secs(|| {
+            std::hint::black_box(ctx.pow_multi_ctx(&bases, &exp));
+        }));
+    }
+    Tiers1024 {
+        batch: bases.len(),
+        ladder_s: median(ladder),
+        lanes_s: median(lanes),
+        auto_s: median(auto),
+        simd_active: ctx.simd_active(),
+    }
 }
 
 fn odd_modulus(bits: usize, seed: u64) -> UBig {
@@ -293,7 +365,7 @@ fn measure_telemetry_overhead(samples: usize) -> TelemetryOverhead {
     let set_n = 48usize;
     let (vs, vr) = overlapping_sets(set_n, set_n, set_n / 2);
     let run = |registry: Option<&Arc<MetricsRegistry>>| {
-        median_secs(samples, || {
+        secs(|| {
             run_two_party(
                 |t| {
                     let _trace = registry.map(|m| {
@@ -317,11 +389,17 @@ fn measure_telemetry_overhead(samples: usize) -> TelemetryOverhead {
             .expect("telemetry overhead run");
         })
     };
-    let plain_s = run(None);
     let registry = Arc::new(MetricsRegistry::new());
     registry.register_histogram("protocol", "intersection", "ce_per_sec");
-    let traced_s = run(Some(&registry));
-    TelemetryOverhead { plain_s, traced_s }
+    // Plain and traced runs alternate, so a slow stretch of a shared host
+    // lands on both medians instead of on one phase.
+    let (plain, traced): (Vec<f64>, Vec<f64>) = (0..samples.max(1))
+        .map(|_| (run(None), run(Some(&registry))))
+        .unzip();
+    TelemetryOverhead {
+        plain_s: median(plain),
+        traced_s: median(traced),
+    }
 }
 
 /// `--check`: re-measure the e2e rows and compare each optimized/serial
@@ -419,11 +497,11 @@ fn run_check(snapshot_path: &str) -> i32 {
         }
     }
 
-    // Pool-scaling floor: a committed snapshot taken on a multicore host
-    // must show the pool actually scaling; a single-core snapshot has
-    // nothing to scale and is exempt (the documented fallback).
+    // Pool-scaling floor: a committed snapshot taken on a host wide enough
+    // to run the 4-thread row must show the pool actually scaling; a
+    // narrower snapshot has nothing to scale and is exempt.
     let committed_cores = json_number(&committed, "host_cores").unwrap_or(1.0);
-    if committed_cores > 1.0 {
+    if committed_cores >= 4.0 {
         match pool_speedup_at(&committed, 4) {
             Some(speedup) if speedup >= POOL_SCALING_FLOOR => {
                 eprintln!(
@@ -445,8 +523,8 @@ fn run_check(snapshot_path: &str) -> i32 {
         }
     } else {
         eprintln!(
-            "bench --check: committed snapshot is single-core (host_cores={committed_cores}); \
-             pool-scaling floor not applicable"
+            "bench --check: committed snapshot has fewer than 4 cores \
+             (host_cores={committed_cores}); pool-scaling floor not applicable"
         );
     }
 
@@ -488,11 +566,47 @@ fn run_check(snapshot_path: &str) -> i32 {
         }
     }
 
+    // The tiers at the width sessions actually run: the portable lanes
+    // must hold their ground against the ladder on any host, and the IFMA
+    // lanes must clear their floor over the portable lanes wherever both
+    // the snapshot and this build/host have them.
+    if committed.contains("\"modexp_1024_fixed_exponent\"") {
+        let tiers = measure_tiers_1024(9);
+        let mut floor = |what: &str, speedup: f64, min: f64| {
+            if speedup < min {
+                eprintln!("bench --check: 1024-bit {what} speedup {speedup:.3} fell below the {min} floor");
+                failed = true;
+            } else {
+                eprintln!("bench --check: 1024-bit {what} speedup {speedup:.3} >= floor {min}");
+            }
+        };
+        floor(
+            "lanes-vs-ladder",
+            tiers.lanes_vs_ladder(),
+            LANES_1024_SPEEDUP_FLOOR,
+        );
+        if committed.contains("\"simd_active\": true") && tiers.simd_active {
+            floor(
+                "IFMA-vs-lanes",
+                tiers.simd_vs_lanes(),
+                SIMD_1024_SPEEDUP_FLOOR,
+            );
+        } else {
+            eprintln!(
+                "bench --check: 1024-bit IFMA floor not applicable (snapshot or this \
+                 build/host runs the portable lanes)"
+            );
+        }
+    } else {
+        eprintln!("bench --check: {snapshot_path} has no modexp_1024_fixed_exponent block");
+        failed = true;
+    }
+
     // Telemetry ceiling: the daemon's metrics registry rides along on
     // every protocol run, so its cost is re-measured live (not read from
     // the snapshot) and held to the hard ceiling. A ratio at or below
     // 1.0 is measurement noise in the registry's favor and always passes.
-    let overhead = measure_telemetry_overhead(9);
+    let overhead = measure_telemetry_overhead(101);
     let ratio = overhead.traced_s / overhead.plain_s;
     if ratio > TELEMETRY_OVERHEAD_CEILING {
         eprintln!(
@@ -712,6 +826,9 @@ fn main() {
     let multi_speedup = sliding_s / multi_s;
     let simd_speedup = scalar_multi_s / multi_s;
 
+    // --- the three Ce tiers at the served 1024-bit group ---------------
+    let tiers = measure_tiers_1024(15);
+
     // --- EncryptPool scaling (§6.2) ------------------------------------
     let g = bench_group(256);
     let mut rng = StdRng::seed_from_u64(7);
@@ -732,7 +849,7 @@ fn main() {
     let e2e = measure_e2e(7);
 
     // --- live-telemetry overhead (registry attached vs. untraced) ------
-    let overhead = measure_telemetry_overhead(9);
+    let overhead = measure_telemetry_overhead(101);
 
     // --- hand-rolled JSON (no serde in the workspace) ------------------
     let us = |s: f64| s * 1e6;
@@ -748,6 +865,21 @@ fn main() {
     println!("    \"sliding_speedup_vs_fixed4\": {sliding_speedup:.3},");
     println!("    \"pow_multi_speedup_vs_sliding\": {multi_speedup:.3},");
     println!("    \"simd_speedup_vs_scalar_multi\": {simd_speedup:.3}");
+    println!("  }},");
+    println!("  \"modexp_1024_fixed_exponent\": {{");
+    println!("    \"batch_size\": {},", tiers.batch);
+    println!("    \"ladder_us\": {:.1},", us(tiers.ladder_s));
+    println!("    \"scalar_lanes_us\": {:.1},", us(tiers.lanes_s));
+    println!("    \"pow_multi_us\": {:.1},", us(tiers.auto_s));
+    println!("    \"simd_active\": {},", tiers.simd_active);
+    println!(
+        "    \"lanes_speedup_vs_ladder\": {:.3},",
+        tiers.lanes_vs_ladder()
+    );
+    println!(
+        "    \"simd_speedup_vs_scalar_lanes\": {:.3}",
+        tiers.simd_vs_lanes()
+    );
     println!("  }},");
     println!("  \"pool_scaling_encrypt64_qr256\": [");
     let base_t = pool_runs[0].1;

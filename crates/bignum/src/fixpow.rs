@@ -18,10 +18,15 @@
 //!    This is a single-core ILP win: it needs no threads, so it holds on
 //!    the 1-core bench host where thread pools lose.
 //!
-//! The interleaved kernels are monomorphized per limb count (4-limb
-//! demo groups and the paper's 8-limb/512-bit working size) with all
-//! scratch on the stack; other widths fall back to the scalar
-//! sliding-window ladder, so results are identical for every modulus.
+//! Three tiers, one dispatch ([`MontgomeryCtx::pow_batch_planned`]), see
+//! [`KernelTier`]: the AVX-512 IFMA lanes of `minshare-simd` (`simd`
+//! feature, runtime-detected), the portable interleaved lanes of this
+//! module, and the generic `Vec`-based sliding-window ladder. The lane
+//! kernels are const-generic over the limb count and monomorphized for the
+//! widths in `with_lane_width!` — the 4/8-limb demo groups and every
+//! well-known group the daemon serves (12/16/24/32 limbs) — with all
+//! scratch on the stack; any other width (Paillier `n²`, SRA, test moduli)
+//! takes the ladder, so results are identical for every modulus.
 
 use std::fmt;
 use std::sync::Arc;
@@ -32,34 +37,69 @@ use crate::UBig;
 
 /// Number of independent Montgomery lanes the interleaved kernels
 /// advance per window step. Four 64-bit carry chains are enough to cover
-/// the multiply latency on current cores without spilling the per-lane
-/// state out of registers.
+/// the multiply latency on current cores.
 pub const LANES: usize = 4;
 
-/// Widest limb count with a dedicated interleaved kernel (8 limbs = the
-/// paper's 512-bit working modulus). Lane state is padded to this width
-/// so every specialization shares one stack layout.
-const MAX_FIXED_LIMBS: usize = 8;
+/// Runs `$body` with `$S` bound to the limb count `$limbs` and `$W` to the
+/// matching squaring-scratch width `2·S + 1` as constants, for the widths
+/// that have monomorphized lane kernels; any other width evaluates
+/// `$fallback`. The one list of dispatched widths: the portable lane tier,
+/// the single-lane squaring of the ladder and [`KernelTier`] all go
+/// through it.
+macro_rules! with_lane_width {
+    ($limbs:expr, |$S:ident, $W:ident| $body:expr, _ => $fallback:expr) => {
+        with_lane_width!(@arms $limbs, $S, $W, $body, $fallback,
+            4 9, 8 17, 12 25, 16 33, 24 49, 32 65)
+    };
+    (@arms $limbs:expr, $S:ident, $W:ident, $body:expr, $fallback:expr,
+     $($s:literal $w:literal),*) => {
+        match $limbs {
+            $($s => {
+                const $S: usize = $s;
+                const $W: usize = $w;
+                $body
+            })*
+            _ => $fallback,
+        }
+    };
+}
+pub(crate) use with_lane_width;
 
-/// One lane's value, padded to [`MAX_FIXED_LIMBS`]; only the low `S`
-/// limbs are meaningful for an `S`-limb modulus.
-type LaneVal = [Limb; MAX_FIXED_LIMBS];
+/// Which kernel [`MontgomeryCtx::pow_batch_planned`] runs batches on.
+/// A function of the build (`simd` feature), the CPU and the modulus
+/// width only — public information.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KernelTier {
+    /// Eight radix-2^52 lanes on AVX-512 IFMA (`minshare-simd`).
+    Ifma52x8,
+    /// [`LANES`] interleaved 64-bit lanes, portable.
+    Lanes4,
+    /// The generic single-lane sliding-window ladder.
+    Ladder,
+}
 
-/// Zero-initialized lane block.
-const ZERO_BLOCK: [LaneVal; LANES] = [[0; MAX_FIXED_LIMBS]; LANES];
+impl KernelTier {
+    /// Stable name for logs: `ifma52x8`, `lanes4` or `ladder`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            KernelTier::Ifma52x8 => "ifma52x8",
+            KernelTier::Lanes4 => "lanes4",
+            KernelTier::Ladder => "ladder",
+        }
+    }
+}
 
-/// The modulus limbs padded to the fixed kernel width.
-fn padded_modulus<const S: usize>(ctx: &MontgomeryCtx) -> LaneVal {
-    let mut n = [0 as Limb; MAX_FIXED_LIMBS];
-    n[..S].copy_from_slice(&ctx.n[..S]);
-    n
+impl fmt::Display for KernelTier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
 }
 
 /// Final CIOS cleanup for one lane: copy the low `S` limbs out of the
 /// row buffer and apply the single conditional subtract (`t < 2n`).
-fn finish_lane<const S: usize>(t: &[Limb], top: Limb, n: &LaneVal, out: &mut LaneVal) {
-    out[..S].copy_from_slice(&t[..S]);
-    if top != 0 || geq(&out[..S], &n[..S]) {
+fn finish_lane<const S: usize>(t: &[Limb], top: Limb, n: &[Limb; S], out: &mut [Limb; S]) {
+    out.copy_from_slice(&t[..S]);
+    if top != 0 || geq(out, n) {
         let mut borrow: Limb = 0;
         for i in 0..S {
             out[i] = sbb(out[i], n[i], &mut borrow);
@@ -68,82 +108,93 @@ fn finish_lane<const S: usize>(t: &[Limb], top: Limb, n: &LaneVal, out: &mut Lan
     }
 }
 
-/// [`LANES`]-lane CIOS Montgomery multiplication: `out[l] = a[l]·b[l]·R⁻¹
-/// mod n` for all lanes. The inner loops run lane-innermost so the four
+/// `L`-lane CIOS Montgomery multiplication: `out[l] = a[l]·b[l]·R⁻¹
+/// mod n` for all lanes. The inner loops run lane-innermost so the
 /// independent carry chains interleave in the instruction stream; all
 /// scratch lives on the stack and the loop bodies are allocation-free.
-fn mul_multi<const S: usize>(
-    ctx: &MontgomeryCtx,
-    a: &[LaneVal; LANES],
-    b: &[LaneVal; LANES],
-    out: &mut [LaneVal; LANES],
+fn mul_lanes<const S: usize, const L: usize>(
+    n: &[Limb; S],
+    n0_inv: Limb,
+    a: &[[Limb; S]; L],
+    b: &[[Limb; S]; L],
+    out: &mut [[Limb; S]; L],
 ) {
-    let n = padded_modulus::<S>(ctx);
-    let n0_inv = ctx.n0_inv;
-    let mut t = [[0 as Limb; MAX_FIXED_LIMBS + 2]; LANES];
+    // Row buffer t[l][0..S] plus the two limbs above it.
+    let mut t = [[0 as Limb; S]; L];
+    let mut hi = [0 as Limb; L];
+    let mut hi2 = [0 as Limb; L];
+    #[allow(clippy::needless_range_loop)] // lockstep limb walk across lanes
     for i in 0..S {
         // t[l] += a[l][i] * b[l]
-        let mut carry = [0 as Limb; LANES];
+        let mut carry = [0 as Limb; L];
         for j in 0..S {
-            for l in 0..LANES {
+            for l in 0..L {
                 t[l][j] = mac(t[l][j], a[l][i], b[l][j], &mut carry[l]);
             }
         }
-        for l in 0..LANES {
+        for l in 0..L {
             let mut c2: Limb = 0;
-            t[l][S] = adc(t[l][S], carry[l], &mut c2);
-            t[l][S + 1] = c2;
+            hi[l] = adc(hi[l], carry[l], &mut c2);
+            hi2[l] = c2;
         }
         // m[l] = t[l][0] * n0_inv; t[l] = (t[l] + m[l]*n) / 2^64
-        let mut m = [0 as Limb; LANES];
-        let mut carry = [0 as Limb; LANES];
-        for l in 0..LANES {
+        let mut m = [0 as Limb; L];
+        let mut carry = [0 as Limb; L];
+        for l in 0..L {
             m[l] = t[l][0].wrapping_mul(n0_inv);
             // First step: low limb becomes zero by construction.
             let _ = mac(t[l][0], m[l], n[0], &mut carry[l]);
         }
         for j in 1..S {
-            for l in 0..LANES {
+            for l in 0..L {
                 t[l][j - 1] = mac(t[l][j], m[l], n[j], &mut carry[l]);
             }
         }
-        for l in 0..LANES {
+        for l in 0..L {
             let mut c2: Limb = 0;
-            t[l][S - 1] = adc(t[l][S], carry[l], &mut c2);
-            t[l][S] = t[l][S + 1] + c2; // cannot overflow: t < 2n·R
-            t[l][S + 1] = 0;
+            t[l][S - 1] = adc(hi[l], carry[l], &mut c2);
+            hi[l] = hi2[l] + c2; // cannot overflow: t < 2n·R
         }
     }
-    for l in 0..LANES {
-        finish_lane::<S>(&t[l][..S], t[l][S], &n, &mut out[l]);
+    for l in 0..L {
+        finish_lane(&t[l], hi[l], n, &mut out[l]);
     }
 }
 
-/// [`LANES`]-lane Montgomery squaring: the fused
-/// triangle + double + diagonal pass of the scalar kernel (see
-/// `MontgomeryCtx::mont_sqr_to`), with the rows of all lanes interleaved
-/// limb-by-limb, followed by a lane-interleaved deferred-carry REDC.
-fn sqr_multi<const S: usize>(
-    ctx: &MontgomeryCtx,
-    a: &[LaneVal; LANES],
-    out: &mut [LaneVal; LANES],
+/// `L`-lane Montgomery squaring (`W` must be `2·S + 1`): the fused
+/// triangle + double + diagonal pass, with the rows of all lanes
+/// interleaved limb-by-limb, followed by a lane-interleaved deferred-carry
+/// REDC. The strict upper triangle of the partial products is computed
+/// once and doubled — `~1.5·S² + S` limb multiplies against the
+/// multiplier's `2·S²`. With `L = 1` this is the ladder's squaring kernel
+/// for the dispatched widths (`MontgomeryCtx::mont_sqr_to`): the constant
+/// trip counts let the compiler unroll the short triangle rows, which is
+/// where the multiply advantage materializes on real hardware.
+pub(crate) fn sqr_lanes<const S: usize, const W: usize, const L: usize>(
+    n: &[Limb; S],
+    n0_inv: Limb,
+    a: &[[Limb; S]; L],
+    out: &mut [[Limb; S]; L],
 ) {
-    let n = padded_modulus::<S>(ctx);
-    let n0_inv = ctx.n0_inv;
-    let mut t = [[0 as Limb; 2 * MAX_FIXED_LIMBS + 1]; LANES];
-    // Strict upper triangle with doubling + diagonal fused per row (the
-    // invariant is documented on the scalar kernel: once row i's macs
-    // finish, positions 2i and 2i+1 are final).
-    let mut shift_in = [0 as Limb; LANES];
-    let mut dcarry = [0 as Limb; LANES];
+    const { assert!(W == 2 * S + 1) };
+    let mut t = [[0 as Limb; W]; L];
+    // Strict upper triangle t += Σ_{i<j} a_i·a_j·2^{64(i+j)} with doubling
+    // and the diagonal fused per row. Once row i's macs finish, positions
+    // 2i and 2i+1 hold their final off-diagonal sums (no later row reaches
+    // below 2i+3), so they are doubled (1-bit shift) and the diagonal a_i²
+    // added immediately, while still register-hot. The total is a² <
+    // 2^(128·S), so nothing spills past limb 2S-1.
+    let mut shift_in = [0 as Limb; L];
+    let mut dcarry = [0 as Limb; L];
     for i in 0..S {
-        let mut carry = [0 as Limb; LANES];
+        let mut carry = [0 as Limb; L];
         for j in i + 1..S {
-            for l in 0..LANES {
+            for l in 0..L {
                 t[l][i + j] = mac(t[l][i + j], a[l][i], a[l][j], &mut carry[l]);
             }
         }
-        for l in 0..LANES {
+        for l in 0..L {
+            // Never written by an earlier row (rows reach index i+S-1).
             t[l][i + S] = carry[l];
             let (lo, hi) = mul_wide(a[l][i], a[l][i]);
             let even = t[l][2 * i];
@@ -155,20 +206,21 @@ fn sqr_multi<const S: usize>(
             t[l][2 * i + 1] = adc(d1, hi, &mut dcarry[l]);
         }
     }
+    debug_assert!(shift_in.iter().chain(&dcarry).all(|&c| c == 0));
     // REDC with branchless deferred row carries (see `redc_to`).
-    let mut deferred = [0 as Limb; LANES];
+    let mut deferred = [0 as Limb; L];
     for i in 0..S {
-        let mut m = [0 as Limb; LANES];
-        for l in 0..LANES {
+        let mut m = [0 as Limb; L];
+        for l in 0..L {
             m[l] = t[l][i].wrapping_mul(n0_inv);
         }
-        let mut carry = [0 as Limb; LANES];
+        let mut carry = [0 as Limb; L];
         for j in 0..S {
-            for l in 0..LANES {
+            for l in 0..L {
                 t[l][i + j] = mac(t[l][i + j], m[l], n[j], &mut carry[l]);
             }
         }
-        for l in 0..LANES {
+        for l in 0..L {
             let mut c1: Limb = 0;
             let top = adc(t[l][i + S], carry[l], &mut c1);
             let mut c2: Limb = 0;
@@ -176,56 +228,67 @@ fn sqr_multi<const S: usize>(
             deferred[l] = c1 + c2;
         }
     }
-    for l in 0..LANES {
+    for l in 0..L {
         let mut c: Limb = 0;
         t[l][2 * S] = adc(t[l][2 * S], deferred[l], &mut c);
         debug_assert_eq!(c, 0);
-        finish_lane::<S>(&t[l][S..2 * S], t[l][2 * S], &n, &mut out[l]);
+        finish_lane(&t[l][S..2 * S], t[l][2 * S], n, &mut out[l]);
     }
 }
 
 impl MontgomeryCtx {
+    /// The modulus limbs as a fixed-width array (`S` is the dispatched
+    /// limb count, so the conversion cannot fail).
+    pub(crate) fn modulus_limbs<const S: usize>(&self) -> &[Limb; S] {
+        self.n
+            .as_slice()
+            .try_into()
+            .expect("dispatch checked width")
+    }
+
     /// Executes a recoded exponent against one block of [`LANES`]
     /// Montgomery-form bases, advancing all lanes through the shared
     /// window schedule. Identical ladder shape to the scalar
     /// `pow_planned`; only the kernels are lane-blocked.
-    fn pow_block<const S: usize>(&self, bases: &[LaneVal; LANES], plan: &PowPlan) -> [LaneVal; LANES] {
+    fn pow_block<const S: usize, const W: usize>(
+        &self,
+        bases: &[[Limb; S]; LANES],
+        plan: &PowPlan,
+    ) -> [[Limb; S]; LANES] {
+        let n = self.modulus_limbs::<S>();
+        let n0_inv = self.n0_inv;
         let init_idx = match plan.init_idx {
             // Zero exponent: empty ladder, every lane is 1 in Montgomery form.
             None => {
-                let mut ones = ZERO_BLOCK;
-                for lane in ones.iter_mut() {
-                    lane[..S].copy_from_slice(&self.one_mont);
-                }
-                return ones;
+                let one: [Limb; S] = self.one_mont.as_slice().try_into().expect("ctx width");
+                return [one; LANES];
             }
             Some(idx) => idx,
         };
         // Odd powers only: table[i][l] = base_l^(2i+1) in Montgomery form.
         let table_len = plan.max_idx + 1;
-        let mut table: Vec<[LaneVal; LANES]> = Vec::with_capacity(table_len);
+        let mut table: Vec<[[Limb; S]; LANES]> = Vec::with_capacity(table_len);
         table.push(*bases);
+        let mut tmp = [[0 as Limb; S]; LANES];
         if table_len > 1 {
-            let mut base_sq = ZERO_BLOCK;
-            sqr_multi::<S>(self, bases, &mut base_sq);
+            let mut base_sq = tmp;
+            sqr_lanes::<S, W, LANES>(n, n0_inv, bases, &mut base_sq);
             for i in 1..table_len {
-                let mut next = ZERO_BLOCK;
-                mul_multi::<S>(self, &table[i - 1], &base_sq, &mut next);
-                table.push(next);
+                mul_lanes(n, n0_inv, &table[i - 1], &base_sq, &mut tmp);
+                table.push(tmp);
             }
         }
         let mut acc = table[init_idx];
-        let mut tmp = ZERO_BLOCK;
         for step in &plan.steps {
             for _ in 0..step.squarings {
-                sqr_multi::<S>(self, &acc, &mut tmp);
+                sqr_lanes::<S, W, LANES>(n, n0_inv, &acc, &mut tmp);
                 std::mem::swap(&mut acc, &mut tmp);
             }
-            mul_multi::<S>(self, &acc, &table[step.table_idx], &mut tmp);
+            mul_lanes(n, n0_inv, &acc, &table[step.table_idx], &mut tmp);
             std::mem::swap(&mut acc, &mut tmp);
         }
         for _ in 0..plan.tail_squarings {
-            sqr_multi::<S>(self, &acc, &mut tmp);
+            sqr_lanes::<S, W, LANES>(n, n0_inv, &acc, &mut tmp);
             std::mem::swap(&mut acc, &mut tmp);
         }
         acc
@@ -235,30 +298,34 @@ impl MontgomeryCtx {
     /// kernels, [`LANES`] at a time. A ragged tail replays lane 0 in the
     /// unused lanes and discards their results — same wall time as a
     /// full block, but correctness never depends on the batch shape.
-    fn pow_batch_fixed<const S: usize>(&self, bases: &[UBig], plan: &PowPlan) -> Vec<UBig> {
+    fn pow_batch_fixed<const S: usize, const W: usize>(
+        &self,
+        bases: &[UBig],
+        plan: &PowPlan,
+    ) -> Vec<UBig> {
         let mut out = Vec::with_capacity(bases.len());
         for block in bases.chunks(LANES) {
-            let mut lanes = ZERO_BLOCK;
+            let mut lanes = [[0 as Limb; S]; LANES];
             for (lane, base) in lanes.iter_mut().zip(block) {
-                lane[..S].copy_from_slice(&self.to_mont(base));
+                lane.copy_from_slice(&self.to_mont(base));
             }
             for l in block.len()..LANES {
                 lanes[l] = lanes[0];
             }
-            let res = self.pow_block::<S>(&lanes, plan);
+            let res = self.pow_block::<S, W>(&lanes, plan);
             for lane in res.iter().take(block.len()) {
-                out.push(self.from_mont(&lane[..S]));
+                out.push(self.from_mont(lane));
             }
         }
         out
     }
 
-    /// Replays one recoded plan over a batch of bases, choosing the best
-    /// kernel available: the AVX-512 IFMA lane backend when the `simd`
-    /// feature is on, the CPU supports it and the batch is large enough
-    /// to fill its wider lanes; otherwise the interleaved fixed-width
-    /// scalar kernel (4/8-limb moduli) or the scalar sliding-window
-    /// ladder. All paths are proptest-differentialed to identical results.
+    /// Replays one recoded plan over a batch of bases on the best
+    /// [`KernelTier`] available: the AVX-512 IFMA lane backend when the
+    /// `simd` feature is on, the CPU supports it, the modulus fits its
+    /// digit budget and the batch is large enough to fill its wider lanes;
+    /// otherwise the portable tiers. All paths are proptest-differentialed
+    /// to identical results.
     pub(crate) fn pow_batch_planned(&self, bases: &[UBig], plan: &PowPlan) -> Vec<UBig> {
         #[cfg(feature = "simd")]
         if bases.len() >= simd_path::MIN_SIMD_BATCH {
@@ -269,23 +336,25 @@ impl MontgomeryCtx {
         self.pow_batch_scalar_planned(bases, plan)
     }
 
-    /// The scalar kernel dispatch: interleaved fixed-width kernels for the
-    /// protocol-standard 4/8-limb moduli, sliding-window ladder otherwise.
+    /// The portable dispatch: interleaved fixed-width lanes for the
+    /// protocol-standard moduli, sliding-window ladder otherwise.
     fn pow_batch_scalar_planned(&self, bases: &[UBig], plan: &PowPlan) -> Vec<UBig> {
-        match self.limbs() {
-            4 => self.pow_batch_fixed::<4>(bases, plan),
-            8 => self.pow_batch_fixed::<8>(bases, plan),
+        with_lane_width!(
+            self.limbs(),
+            |S, W| self.pow_batch_fixed::<S, W>(bases, plan),
             _ => bases
                 .iter()
                 .map(|b| self.from_mont(&self.pow_planned(&self.to_mont(b), plan)))
-                .collect(),
-        }
+                .collect()
+        )
     }
 
-    /// [`Self::pow_multi_ctx`] pinned to the scalar kernels, bypassing any
-    /// SIMD backend. This is the differential oracle for the `simd`
-    /// feature's proptests and the honest "scalar `pow_multi`" side of the
-    /// kernel benchmarks; in a default build it is exactly `pow_multi_ctx`.
+    /// [`Self::pow_multi_ctx`] pinned to the portable kernels, bypassing any
+    /// SIMD backend: what a host without AVX-512 IFMA (or a build without
+    /// the `simd` feature) runs. This is the differential oracle for the
+    /// `simd` feature's proptests and the honest "scalar `pow_multi`" side
+    /// of the kernel benchmarks; in a default build it is exactly
+    /// `pow_multi_ctx`.
     pub fn pow_batch_scalar(&self, bases: &[UBig], exponent: &UBig) -> Vec<UBig> {
         let plan = recode_exponent(exponent, window_for_bits(exponent.bit_len()));
         self.pow_batch_scalar_planned(bases, &plan)
@@ -295,23 +364,25 @@ impl MontgomeryCtx {
     /// backend: the `simd` feature is compiled in, the CPU passes runtime
     /// detection, and the modulus fits the lane kernel's digit budget.
     pub fn simd_active(&self) -> bool {
+        self.kernel_tier() == KernelTier::Ifma52x8
+    }
+
+    /// The tier full batches under this context run on.
+    pub fn kernel_tier(&self) -> KernelTier {
         #[cfg(feature = "simd")]
-        {
-            self.ifma_ctx().is_some()
+        if self.ifma_ctx().is_some() {
+            return KernelTier::Ifma52x8;
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            false
-        }
+        with_lane_width!(self.limbs(), |_S, _W| KernelTier::Lanes4, _ => KernelTier::Ladder)
     }
 
     /// Exponentiates every base in `bases` to the same `exponent`
-    /// through the [`LANES`]-lane interleaved kernel: the exponent is
-    /// recoded once, then each block of [`LANES`] bases walks the shared
-    /// window schedule together so their Montgomery carry chains overlap
-    /// on a single core. Returns exactly [`MontgomeryCtx::pow_batch`]'s
-    /// results, faster. For an exponent reused across calls, build a
-    /// [`FixedExponentPlan`] instead to amortize the recoding too.
+    /// through the lane kernels: the exponent is recoded once, then each
+    /// block of bases walks the shared window schedule together so their
+    /// Montgomery carry chains overlap on a single core. Returns exactly
+    /// [`MontgomeryCtx::pow_batch`]'s results, faster. For an exponent
+    /// reused across calls, build a [`FixedExponentPlan`] instead to
+    /// amortize the recoding too.
     pub fn pow_multi_ctx(&self, bases: &[UBig], exponent: &UBig) -> Vec<UBig> {
         let plan = recode_exponent(exponent, window_for_bits(exponent.bit_len()));
         self.pow_batch_planned(bases, &plan)
@@ -326,17 +397,12 @@ impl MontgomeryCtx {
 #[cfg(feature = "simd")]
 mod simd_path {
     use super::*;
-    use minshare_simd::{IfmaCtx, LaneBlock, DIGIT_BITS, DIGIT_MASK, LANES as SIMD_LANES};
+    use minshare_simd::{IfmaCtx, DIGIT_BITS, DIGIT_MASK, LANES as SIMD_LANES};
 
-    /// Below this batch size the 8-wide lane kernel runs mostly empty and
-    /// the scalar interleaved kernel is faster; the protocol hot path
-    /// (whole codeword sets per round) is always far above it.
+    /// Below this batch size the 8-wide lane kernel runs mostly empty, so
+    /// the batch stays on the portable tiers; the protocol hot path (whole
+    /// codeword sets per round) is always far above it.
     pub(super) const MIN_SIMD_BATCH: usize = 4;
-
-    /// Radix-2^52 digit count covering an `limbs`-limb modulus.
-    fn digit_count(limbs: usize) -> usize {
-        (limbs * LIMB_BITS as usize).div_ceil(DIGIT_BITS as usize)
-    }
 
     /// Canonical radix-2^52 digits of a little-endian limb slice (which
     /// may be shorter than the digits cover — high digits read as zero).
@@ -373,8 +439,12 @@ mod simd_path {
     impl MontgomeryCtx {
         /// The cached IFMA lane context for this modulus, built on first
         /// use: `None` (once probed) when the CPU lacks AVX-512 IFMA or
-        /// the modulus exceeds the lane kernel's digit budget. Only public
-        /// constants (n, R' mod n, R'² mod n, -n⁻¹ mod 2^52) cross into
+        /// the modulus exceeds the lane kernel's digit budget. The digit
+        /// count comes from the modulus *bit length*
+        /// (`minshare_simd::digits_for_bits`: `bit_len + 2 <= 52k`), which
+        /// is what gives the almost-Montgomery kernel its headroom —
+        /// `ceil(64·limbs/52)` would leave a full 13-limb modulus none.
+        /// Only public constants (n, R'² mod n, -n⁻¹ mod 2^52) cross into
         /// the SIMD crate.
         pub(crate) fn ifma_ctx(&self) -> Option<&Arc<IfmaCtx>> {
             self.ifma
@@ -382,91 +452,82 @@ mod simd_path {
                     if !minshare_simd::available() {
                         return None;
                     }
-                    let k = digit_count(self.limbs());
-                    if k == 0 || k > minshare_simd::MAX_DIGITS {
-                        return None;
-                    }
+                    let k = minshare_simd::digits_for_bits(self.modulus().bit_len())?;
                     let r_bits = (k as u64) * DIGIT_BITS as u64;
-                    let one = UBig::one().shl_bits(r_bits).rem_ref(self.modulus()).ok()?;
                     let rr = UBig::one()
                         .shl_bits(2 * r_bits)
                         .rem_ref(self.modulus())
                         .ok()?;
                     let mut n52 = vec![0u64; k];
                     let mut rr52 = vec![0u64; k];
-                    let mut one52 = vec![0u64; k];
                     limbs_to_digits(&self.n, &mut n52);
                     limbs_to_digits(rr.limbs(), &mut rr52);
-                    limbs_to_digits(one.limbs(), &mut one52);
                     let n0_inv52 = self.n0_inv & DIGIT_MASK;
-                    IfmaCtx::new(k, &n52, n0_inv52, &rr52, &one52).map(Arc::new)
+                    IfmaCtx::new(&n52, n0_inv52, &rr52).map(Arc::new)
                 })
                 .as_ref()
         }
 
-        /// The shared window ladder over one 8-wide lane block — the same
-        /// shape as [`MontgomeryCtx::pow_block`], with the lane kernels
-        /// swapped for the IFMA backend.
-        fn pow_block_ifma(&self, ictx: &IfmaCtx, bases: &LaneBlock, plan: &PowPlan) -> LaneBlock {
-            let init_idx = match plan.init_idx {
-                // Zero exponent: every lane is 1 in Montgomery form.
-                None => return ictx.one_block(),
-                Some(idx) => idx,
-            };
-            let table_len = plan.max_idx + 1;
-            let mut table: Vec<LaneBlock> = Vec::with_capacity(table_len);
-            table.push(*bases);
-            if table_len > 1 {
-                let base_sq = ictx.mont_sqr(bases);
-                for i in 1..table_len {
-                    table.push(ictx.mont_mul(&table[i - 1], &base_sq));
-                }
-            }
-            let mut acc = table[init_idx];
-            for step in &plan.steps {
-                for _ in 0..step.squarings {
-                    acc = ictx.mont_sqr(&acc);
-                }
-                acc = ictx.mont_mul(&acc, &table[step.table_idx]);
-            }
-            for _ in 0..plan.tail_squarings {
-                acc = ictx.mont_sqr(&acc);
-            }
-            acc
-        }
-
         /// Batch driver for the IFMA path: blocks of 8 bases walk the
-        /// shared window schedule together. Ragged tails replay lane 0 in
-        /// the unused lanes (uniform kernel math, discarded results),
-        /// mirroring the scalar kernel's tail policy.
+        /// shared window schedule together — the same ladder shape as
+        /// [`MontgomeryCtx::pow_block`] with the lane kernels swapped for
+        /// the IFMA backend. Every lane buffer (odd-powers table,
+        /// accumulator pair) is allocated once per batch and reused by
+        /// every block. Ragged tails replay lane 0 in the unused lanes
+        /// (uniform kernel math, discarded results), mirroring the scalar
+        /// kernel's tail policy.
         pub(super) fn pow_batch_ifma(
             &self,
             ictx: &IfmaCtx,
             bases: &[UBig],
             plan: &PowPlan,
         ) -> Vec<UBig> {
+            let Some(init_idx) = plan.init_idx else {
+                // Zero exponent: empty ladder, every result is 1 (n > 1).
+                return vec![UBig::one(); bases.len()];
+            };
             let k = ictx.k();
             let mut out = Vec::with_capacity(bases.len());
             let mut digits = vec![0u64; k];
+            let mut lanes = ictx.zero_block();
+            // Odd powers only: table[i] = base^(2i+1) in Montgomery form.
+            let mut table = vec![ictx.zero_block(); plan.max_idx + 1];
+            let mut base_sq = ictx.zero_block();
+            let mut acc = ictx.zero_block();
+            let mut tmp = ictx.zero_block();
             for block in bases.chunks(SIMD_LANES) {
-                let mut lanes = LaneBlock::zero();
                 for (lane, base) in block.iter().enumerate() {
                     let reduced = base.rem_ref(self.modulus()).expect("modulus nonzero");
                     limbs_to_digits(reduced.limbs(), &mut digits);
                     lanes.set_lane(lane, &digits);
                 }
-                if block.len() < SIMD_LANES {
-                    let mut lane0 = vec![0u64; k];
-                    lanes.lane(0, &mut lane0);
-                    for l in block.len()..SIMD_LANES {
-                        lanes.set_lane(l, &lane0);
+                for lane in block.len()..SIMD_LANES {
+                    lanes.copy_lane(0, lane);
+                }
+                ictx.to_mont(&lanes, &mut table[0]);
+                if table.len() > 1 {
+                    ictx.mont_sqr(&table[0], &mut base_sq);
+                    for i in 1..table.len() {
+                        let (built, rest) = table.split_at_mut(i);
+                        ictx.mont_mul(&built[i - 1], &base_sq, &mut rest[0]);
                     }
                 }
-                let bases_m = ictx.to_mont(&lanes);
-                let res_m = self.pow_block_ifma(ictx, &bases_m, plan);
-                let res = ictx.from_mont(&res_m);
+                acc.clone_from(&table[init_idx]);
+                for step in &plan.steps {
+                    for _ in 0..step.squarings {
+                        ictx.mont_sqr(&acc, &mut tmp);
+                        std::mem::swap(&mut acc, &mut tmp);
+                    }
+                    ictx.mont_mul(&acc, &table[step.table_idx], &mut tmp);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+                for _ in 0..plan.tail_squarings {
+                    ictx.mont_sqr(&acc, &mut tmp);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+                ictx.from_mont(&acc, &mut tmp);
                 for lane in 0..block.len() {
-                    res.lane(lane, &mut digits);
+                    tmp.lane(lane, &mut digits);
                     // from_mont leaves values <= n; one rem finishes the
                     // conditional subtract in the integer domain.
                     out.push(
@@ -549,7 +610,7 @@ mod tests {
     }
 
     fn ctx_3_limbs() -> MontgomeryCtx {
-        // 192-bit modulus: no fixed kernel, exercises the scalar fallback.
+        // 192-bit modulus: no lane kernel, exercises the ladder fallback.
         let m = UBig::from_hex_str(
             "f37fa8e5afa15b9d4b2f7c8d6e5a4b3c2d1e0f9a8b7c6d5f",
         )
@@ -618,6 +679,30 @@ mod tests {
             .map(|b| b.modpow_binary(&exp, ctx.modulus()))
             .collect();
         assert_eq!(ctx.pow_multi_ctx(&bases, &exp), want);
+    }
+
+    #[cfg(feature = "simd")]
+    #[test]
+    fn ifma_digit_count_follows_the_modulus_bit_length() {
+        let full_width = |limbs: u64| {
+            let m = UBig::one().shl_bits(64 * limbs).sub_small(0x1235).unwrap();
+            MontgomeryCtx::new(&m).unwrap()
+        };
+        // On a host without IFMA every context is declined.
+        let digits = |ctx: &MontgomeryCtx| ctx.ifma_ctx().map(|ictx| ictx.k());
+        let on_ifma = |k: usize| minshare_simd::available().then_some(k);
+        // A full 13-limb modulus has 832 = 52·16 bits: sixteen digits would
+        // leave the almost-Montgomery kernel zero headroom, so it must get
+        // a seventeenth — never run as ceil(64·13/52) = 16.
+        assert_eq!(digits(&full_width(13)), on_ifma(17));
+        for (limbs, k) in [(8, 10), (12, 15), (16, 20), (24, 30), (32, 40)] {
+            assert_eq!(digits(&full_width(limbs)), on_ifma(k), "{limbs} limbs");
+        }
+        // Past the 40-digit cap the IFMA tier declines and the portable
+        // tiers serve the modulus.
+        let wide = full_width(33);
+        assert_eq!(digits(&wide), None);
+        assert_eq!(wide.kernel_tier(), KernelTier::Ladder);
     }
 
     #[test]

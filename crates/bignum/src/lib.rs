@@ -58,5 +58,5 @@ pub mod random;
 pub mod safe_prime;
 
 pub use error::BigNumError;
-pub use fixpow::FixedExponentPlan;
+pub use fixpow::{FixedExponentPlan, KernelTier};
 pub use ubig::UBig;

@@ -6,6 +6,8 @@
 //! residues, i.e. membership in `DomF`.
 
 use crate::error::BigNumError;
+use crate::limb::{sbb, Limb, LIMB_BITS};
+use crate::montgomery::geq;
 use crate::UBig;
 
 /// Sign-magnitude helper used by the extended Euclidean algorithm.
@@ -151,37 +153,83 @@ impl UBig {
 
     /// Jacobi symbol `(self / n)` for odd `n > 0`. For prime `n` this is
     /// the Legendre symbol, so `Jacobi::One` identifies quadratic residues.
+    ///
+    /// Binary algorithm over two fixed-width limb buffers: no division and
+    /// no allocation inside the loop. This is the per-codeword membership
+    /// test of the decode layer (`QrGroup::is_member`), so it runs once for
+    /// every group element a peer sends.
     pub fn jacobi(&self, n: &UBig) -> Result<Jacobi, BigNumError> {
         if n.is_zero() || n.is_even() {
             return Err(BigNumError::EvenModulus);
         }
-        let mut a = self.rem_ref(n)?;
-        let mut n = n.clone();
-        let mut result = 1i32;
-        while !a.is_zero() {
-            while a.is_even() {
-                a = a.shr_bits(1);
-                let n_mod_8 = n.limbs()[0] & 7;
-                if n_mod_8 == 3 || n_mod_8 == 5 {
-                    result = -result;
-                }
-            }
-            std::mem::swap(&mut a, &mut n);
-            if a.limbs()[0] & 3 == 3 && n.limbs()[0] & 3 == 3 {
-                result = -result;
-            }
-            a = a.rem_ref(&n)?;
-        }
-        if n.is_one() {
-            Ok(if result == 1 {
-                Jacobi::One
-            } else {
-                Jacobi::MinusOne
-            })
+        let mut b = n.limbs().to_vec();
+        let mut a = if self < n {
+            self.limbs().to_vec()
         } else {
-            Ok(Jacobi::Zero)
-        }
+            self.rem_ref(n)?.limbs().to_vec()
+        };
+        a.resize(b.len(), 0);
+        Ok(jacobi_binary(&mut a, &mut b))
     }
+}
+
+/// `(a / b)` for `a < b`, `b` odd, as equal-length little-endian limb
+/// buffers (both are consumed as scratch). Each round strips the factors of
+/// two from `a` (a sign flip per odd power when `b ≡ 3, 5 mod 8`), swaps so
+/// that `a ≥ b` (quadratic reciprocity: a flip when both are `≡ 3 mod 4`)
+/// and subtracts, which leaves `a` even again; `b` ends as `gcd(a, b)`.
+fn jacobi_binary<'a>(mut a: &'a mut [Limb], mut b: &'a mut [Limb]) -> Jacobi {
+    debug_assert!(a.len() == b.len() && b[0] & 1 == 1);
+    // Limbs at `len..` are zero in both buffers.
+    let mut len = a.len();
+    let mut negative = false;
+    loop {
+        while len > 1 && a[len - 1] == 0 && b[len - 1] == 0 {
+            len -= 1;
+        }
+        let Some(low) = a[..len].iter().position(|&limb| limb != 0) else {
+            break; // a = 0: b is the gcd
+        };
+        let shift = low as u64 * LIMB_BITS as u64 + a[low].trailing_zeros() as u64;
+        shr_in_place(&mut a[..len], shift);
+        if shift & 1 == 1 && matches!(b[0] & 7, 3 | 5) {
+            negative = !negative;
+        }
+        if !geq(&a[..len], &b[..len]) {
+            std::mem::swap(&mut a, &mut b);
+            if a[0] & b[0] & 3 == 3 {
+                negative = !negative;
+            }
+        }
+        let mut borrow: Limb = 0;
+        for (x, &y) in a[..len].iter_mut().zip(&b[..len]) {
+            *x = sbb(*x, y, &mut borrow);
+        }
+        debug_assert_eq!(borrow, 0);
+    }
+    if b[0] != 1 || b[1..len].iter().any(|&limb| limb != 0) {
+        Jacobi::Zero
+    } else if negative {
+        Jacobi::MinusOne
+    } else {
+        Jacobi::One
+    }
+}
+
+/// `x >>= bits` in place (`bits` below the buffer's width).
+fn shr_in_place(x: &mut [Limb], bits: u64) {
+    let limbs = (bits / LIMB_BITS as u64) as usize;
+    let sh = (bits % LIMB_BITS as u64) as u32;
+    let len = x.len();
+    for i in 0..len - limbs {
+        let lo = x[i + limbs] >> sh;
+        let hi = match x.get(i + limbs + 1) {
+            Some(&next) if sh != 0 => next << (LIMB_BITS - sh),
+            _ => 0,
+        };
+        x[i] = lo | hi;
+    }
+    x[len - limbs..].fill(0);
 }
 
 #[cfg(test)]
@@ -292,5 +340,109 @@ mod tests {
     fn jacobi_rejects_even_modulus() {
         assert!(UBig::from(3u64).jacobi(&UBig::from(8u64)).is_err());
         assert!(UBig::from(3u64).jacobi(&UBig::zero()).is_err());
+    }
+
+    /// The retired implementation — Euclid by `rem_ref`, a quotient
+    /// allocated per step — kept as the oracle for the binary algorithm.
+    fn jacobi_euclid_oracle(a: &UBig, n: &UBig) -> Jacobi {
+        let mut a = a.rem_ref(n).unwrap();
+        let mut n = n.clone();
+        let mut result = 1i32;
+        while !a.is_zero() {
+            while a.is_even() {
+                a = a.shr_bits(1);
+                let n_mod_8 = n.limbs()[0] & 7;
+                if n_mod_8 == 3 || n_mod_8 == 5 {
+                    result = -result;
+                }
+            }
+            std::mem::swap(&mut a, &mut n);
+            if a.limbs()[0] & 3 == 3 && n.limbs()[0] & 3 == 3 {
+                result = -result;
+            }
+            a = a.rem_ref(&n).unwrap();
+        }
+        match (n.is_one(), result) {
+            (false, _) => Jacobi::Zero,
+            (true, 1) => Jacobi::One,
+            (true, _) => Jacobi::MinusOne,
+        }
+    }
+
+    #[test]
+    fn jacobi_matches_retired_euclid_implementation() {
+        use crate::random::random_below;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x4a43);
+        for round in 0..2000u32 {
+            // Odd moduli of 1..=1100 bits, prime or composite; arguments
+            // below, equal to, above and sharing factors with them.
+            let bits = rng.random_range(1u64..=1100);
+            let mut n = random_below(&mut rng, &UBig::one().shl_bits(bits));
+            if n.is_even() {
+                n = n.add_small(1);
+            }
+            let a = match round % 5 {
+                0 => random_below(&mut rng, &n),
+                1 => random_below(&mut rng, &UBig::one().shl_bits(bits + 70)),
+                2 => n.mul_ref(&UBig::from(round as u64)),
+                3 => UBig::from(rng.random_range(0u64..64)).shl_bits(rng.random_range(0u64..200)),
+                _ => {
+                    // A multiple of a small odd factor of a composite n.
+                    n = n.mul_ref(&UBig::from(15u64));
+                    random_below(&mut rng, &n).mul_ref(&UBig::from(3u64))
+                }
+            };
+            assert_eq!(
+                a.jacobi(&n).unwrap(),
+                jacobi_euclid_oracle(&a, &n),
+                "round {round}: a={a:?} n={n:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn jacobi_matches_euler_criterion_on_the_well_known_groups() {
+        use crate::random::random_below;
+        use crate::safe_prime::well_known_safe_prime;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(0x6575);
+        for bits in [768u64, 1024, 1536, 2048] {
+            let p = well_known_safe_prime(bits).unwrap();
+            let q = p.sub_small(1).unwrap().shr_bits(1);
+            assert_eq!(UBig::zero().jacobi(&p).unwrap(), Jacobi::Zero);
+            assert_eq!(p.jacobi(&p).unwrap(), Jacobi::Zero);
+            assert_eq!(UBig::one().jacobi(&p).unwrap(), Jacobi::One);
+            // p ≡ 7 mod 8 for these groups, so -1 is a non-residue.
+            assert_eq!(
+                p.sub_small(1).unwrap().jacobi(&p).unwrap(),
+                Jacobi::MinusOne
+            );
+            for _ in 0..6 {
+                let x = random_below(&mut rng, &p);
+                // Euler: x^q mod p is 1 for members of QR_p, p - 1 otherwise.
+                let euler = x.modpow(&q, &p);
+                let want = if x.is_zero() {
+                    Jacobi::Zero
+                } else if euler.is_one() {
+                    Jacobi::One
+                } else {
+                    assert_eq!(euler, p.sub_small(1).unwrap());
+                    Jacobi::MinusOne
+                };
+                assert_eq!(x.jacobi(&p).unwrap(), want, "{bits}-bit group");
+                // A square is always a member; its negation never is.
+                let sq = x.mod_mul(&x, &p).unwrap();
+                if !sq.is_zero() {
+                    assert_eq!(sq.jacobi(&p).unwrap(), Jacobi::One);
+                    assert_eq!(
+                        p.checked_sub(&sq).unwrap().jacobi(&p).unwrap(),
+                        Jacobi::MinusOne
+                    );
+                }
+            }
+        }
     }
 }

@@ -19,6 +19,7 @@
 //! trajectory can regress the speedup forever.
 
 use crate::error::BigNumError;
+use crate::fixpow::{sqr_lanes, with_lane_width};
 use crate::limb::{adc, mul_wide, Limb, LIMB_BITS};
 use crate::UBig;
 
@@ -134,79 +135,6 @@ pub(crate) fn recode_exponent(exponent: &UBig, window: u32) -> PowPlan {
     plan
 }
 
-/// Generates a fixed-width Montgomery squaring kernel (square + REDC +
-/// conditional subtract) for a compile-time limb count. The literal trip
-/// counts let the compiler fully unroll every loop, drop all bounds
-/// checks, and keep the scratch on the stack — this is where the
-/// squaring kernel's `~1.5s² + s` vs `2s²` multiply advantage over
-/// [`MontgomeryCtx::mont_mul`] actually materializes on real hardware;
-/// with runtime-length rows the short triangle loops pay more in loop
-/// overhead than they save in multiplies.
-macro_rules! mont_sqr_fixed {
-    ($name:ident, $s:literal) => {
-        fn $name(&self, a: &[Limb], out: &mut Vec<Limb>) {
-            const S: usize = $s;
-            debug_assert_eq!(a.len(), S);
-            debug_assert_eq!(self.n.len(), S);
-            let a: &[Limb; S] = a.try_into().expect("dispatch checked width");
-            let n: &[Limb; S] = self.n.as_slice().try_into().expect("ctx width");
-            let mut t = [0 as Limb; 2 * $s + 1];
-            // Fused square: strict upper triangle, doubling + diagonal
-            // applied as soon as each limb pair is final (see
-            // `mont_sqr_to` for the invariant).
-            let mut shift_in: Limb = 0;
-            let mut dcarry: Limb = 0;
-            for i in 0..S {
-                let ai = a[i];
-                let mut carry: Limb = 0;
-                for j in i + 1..S {
-                    t[i + j] = crate::limb::mac(t[i + j], ai, a[j], &mut carry);
-                }
-                t[i + S] = carry;
-                let (lo, hi) = mul_wide(ai, ai);
-                let even = t[2 * i];
-                let odd = t[2 * i + 1];
-                let d0 = (even << 1) | shift_in;
-                let d1 = (odd << 1) | (even >> (LIMB_BITS - 1));
-                shift_in = odd >> (LIMB_BITS - 1);
-                t[2 * i] = adc(d0, lo, &mut dcarry);
-                t[2 * i + 1] = adc(d1, hi, &mut dcarry);
-            }
-            debug_assert_eq!(shift_in, 0);
-            debug_assert_eq!(dcarry, 0);
-            // REDC with branchless deferred row carries (see `redc_to`).
-            let mut deferred: Limb = 0;
-            for i in 0..S {
-                let m = t[i].wrapping_mul(self.n0_inv);
-                let mut carry: Limb = 0;
-                for j in 0..S {
-                    t[i + j] = crate::limb::mac(t[i + j], m, n[j], &mut carry);
-                }
-                let mut c1: Limb = 0;
-                let top = adc(t[i + S], carry, &mut c1);
-                let mut c2: Limb = 0;
-                t[i + S] = adc(top, deferred, &mut c2);
-                deferred = c1 + c2;
-            }
-            {
-                let mut c: Limb = 0;
-                t[2 * S] = adc(t[2 * S], deferred, &mut c);
-                debug_assert_eq!(c, 0);
-            }
-            out.clear();
-            out.extend_from_slice(&t[S..2 * S]);
-            let top = t[2 * S];
-            if top != 0 || geq(out, n) {
-                let mut borrow: Limb = 0;
-                for i in 0..S {
-                    out[i] = crate::limb::sbb(out[i], n[i], &mut borrow);
-                }
-                debug_assert_eq!(top.wrapping_sub(borrow), 0);
-            }
-        }
-    };
-}
-
 /// Precomputed context for repeated arithmetic modulo a fixed odd modulus.
 ///
 /// Construction costs two divisions (for `R mod n` and `R² mod n`); each
@@ -261,9 +189,6 @@ pub(crate) fn geq(a: &[Limb], b: &[Limb]) -> bool {
 }
 
 impl MontgomeryCtx {
-    mont_sqr_fixed!(mont_sqr4_to, 4);
-    mont_sqr_fixed!(mont_sqr8_to, 8);
-
     /// Creates a context for an odd modulus greater than one.
     pub fn new(modulus: &UBig) -> Result<Self, BigNumError> {
         if modulus.is_even() || modulus.is_one() || modulus.is_zero() {
@@ -379,14 +304,21 @@ impl MontgomeryCtx {
     fn mont_sqr_to(&self, a: &[Limb], t: &mut Vec<Limb>, out: &mut Vec<Limb>) {
         let s = self.limbs();
         debug_assert_eq!(a.len(), s);
-        // Protocol-standard widths go through fully unrolled kernels:
-        // 4 limbs (256-bit demo groups) and 8 limbs (the paper's 512-bit
-        // working size).
-        match s {
-            4 => return self.mont_sqr4_to(a, out),
-            8 => return self.mont_sqr8_to(a, out),
+        // Protocol-standard widths go through the const-generic lane
+        // kernel at one lane: literal trip counts, stack scratch.
+        with_lane_width!(
+            s,
+            |S, W| {
+                let a: &[Limb; S] = a.try_into().expect("dispatch checked width");
+                let mut sq = [[0 as Limb; S]; 1];
+                let n = self.modulus_limbs::<S>();
+                sqr_lanes::<S, W, 1>(n, self.n0_inv, std::array::from_ref(a), &mut sq);
+                out.clear();
+                out.extend_from_slice(&sq[0]);
+                return;
+            },
             _ => {}
-        }
+        );
         // Wide square into 2s+1 limbs (the extra limb is headroom for the
         // reduction's carries).
         t.clear();

@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use minshare_bignum::modular::Jacobi;
 use minshare_bignum::montgomery::MontgomeryCtx;
-use minshare_bignum::{FixedExponentPlan, UBig};
+use minshare_bignum::safe_prime::well_known_safe_prime;
+use minshare_bignum::{FixedExponentPlan, KernelTier, UBig};
 use proptest::prelude::*;
 
 /// Strategy: arbitrary-width UBig from raw bytes (0 to ~96 bytes ≈ 768 bits).
@@ -53,8 +54,9 @@ fn adversarial_exponent() -> impl Strategy<Value = UBig> {
 }
 
 /// Strategy: a full-width odd modulus of exactly 4 or 8 limbs (256 or
-/// 512 bits) — the widths the interleaved multi-lane kernel dispatches
-/// on. Other widths take the scalar fallback, covered separately below.
+/// 512 bits) — the demo widths the interleaved multi-lane kernel
+/// dispatches on (the served 12/16/24/32-limb widths have their own suite
+/// below). Other widths take the scalar fallback, covered separately.
 fn kernel_modulus() -> impl Strategy<Value = UBig> {
     (
         prop_oneof![Just(32usize), Just(64)],
@@ -77,18 +79,101 @@ fn ragged_bases() -> impl Strategy<Value = Vec<UBig>> {
         .prop_map(|raw| raw.iter().map(|b| UBig::from_be_bytes(b)).collect())
 }
 
-/// Strategy: full-width odd moduli of 1..=8 limbs — the whole width range
-/// the SIMD (AVX-512 IFMA) backend accepts. Widths outside the scalar
-/// kernel's 4/8-limb specializations matter here: the SIMD path covers
-/// them all, so the differential must too.
+/// Strategy: full-width odd moduli of 1..=14 limbs. The SIMD (AVX-512
+/// IFMA) backend accepts every width up to 2048 bits, so the differential
+/// sweeps widths with and without a portable lane kernel — including the
+/// full 13-limb modulus (832 = 52·16 bits) whose digit count must come
+/// from the bit length, not the limb count. The served widths (12/16/24/32
+/// limbs) have their own suite below.
 fn simd_modulus() -> impl Strategy<Value = UBig> {
-    (1usize..=8, proptest::collection::vec(any::<u8>(), 64..65)).prop_map(|(limbs, mut b)| {
-        b.truncate(limbs * 8);
-        b[0] |= 0x80; // full width: exactly `limbs` limbs
-        let last = b.len() - 1;
-        b[last] |= 1; // odd
-        UBig::from_be_bytes(&b)
-    })
+    (
+        1usize..=14,
+        proptest::collection::vec(any::<u8>(), 112..113),
+    )
+        .prop_map(|(limbs, mut b)| {
+            b.truncate(limbs * 8);
+            b[0] |= 0x80; // full width: exactly `limbs` limbs
+            let last = b.len() - 1;
+            b[last] |= 1; // odd
+            UBig::from_be_bytes(&b)
+        })
+}
+
+/// Strategy: the wide moduli the daemon's sessions actually use — 12, 16,
+/// 24 or 32 limbs (768/1024/1536/2048 bits) — either the well-known
+/// safe prime of that size or a random full-width odd number.
+fn wide_modulus() -> impl Strategy<Value = UBig> {
+    (
+        prop_oneof![Just(12usize), Just(16), Just(24), Just(32)],
+        any::<bool>(),
+        proptest::collection::vec(any::<u8>(), 256..257),
+    )
+        .prop_map(|(limbs, well_known, mut b)| {
+            if well_known {
+                return well_known_safe_prime(limbs as u64 * 64).expect("bundled group");
+            }
+            b.truncate(limbs * 8);
+            b[0] |= 0x80; // full width: exactly `limbs` limbs
+            let last = b.len() - 1;
+            b[last] |= 1; // odd
+            UBig::from_be_bytes(&b)
+        })
+}
+
+/// Which adversarial exponent to derive from the modulus `p` (written for
+/// safe primes `p = 2q + 1`, but every shape is valid for any odd `p`).
+#[derive(Clone, Copy, Debug)]
+enum WideExponent {
+    Zero,
+    One,
+    SingleBit(u64),
+    AllOnes(u64),
+    /// `q - 1`, the largest key of `KeyF = {1, …, q-1}`.
+    QMinusOne,
+    /// `p - 2`, the Fermat-inversion shape.
+    PMinusTwo,
+    Random(u64),
+}
+
+fn wide_exponent() -> impl Strategy<Value = WideExponent> {
+    prop_oneof![
+        Just(WideExponent::Zero),
+        Just(WideExponent::One),
+        (0u64..2048).prop_map(WideExponent::SingleBit),
+        (1u64..=2048).prop_map(WideExponent::AllOnes),
+        Just(WideExponent::QMinusOne),
+        Just(WideExponent::PMinusTwo),
+        any::<u64>().prop_map(WideExponent::Random),
+    ]
+}
+
+impl WideExponent {
+    fn for_modulus(self, p: &UBig) -> UBig {
+        let bits = p.bit_len();
+        match self {
+            WideExponent::Zero => UBig::zero(),
+            WideExponent::One => UBig::one(),
+            WideExponent::SingleBit(b) => UBig::one().shl_bits(b % bits),
+            WideExponent::AllOnes(b) => UBig::one()
+                .shl_bits(b % bits + 1)
+                .sub_small(1)
+                .expect("2^b >= 1"),
+            WideExponent::QMinusOne => p.shr_bits(1).sub_small(1).expect("p >= 3"),
+            WideExponent::PMinusTwo => p.sub_small(2).expect("p >= 3"),
+            WideExponent::Random(seed) => {
+                use rand::SeedableRng;
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                minshare_bignum::random::random_below(&mut rng, p)
+            }
+        }
+    }
+}
+
+/// Strategy: 1..=17 bases — every ragged tail of both lane kernels (batch
+/// 1..=2·lanes+1 for the 8-lane tier covers 1..=9 for the 4-lane one) and
+/// both sides of the IFMA tier's minimum batch.
+fn wide_bases() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(any::<u64>(), 1..18)
 }
 
 proptest! {
@@ -337,9 +422,9 @@ proptest! {
         exp in adversarial_exponent(),
         m in odd_modulus(),
     ) {
-        // Arbitrary-width moduli (usually not 4 or 8 limbs) take the
-        // scalar fallback inside `pow_multi_ctx`; the contract is the
-        // same either way.
+        // Arbitrary-width moduli (usually not a dispatched limb count)
+        // take the scalar fallback inside `pow_multi_ctx`; the contract
+        // is the same either way.
         let ctx = MontgomeryCtx::new(&m).unwrap();
         let multi = ctx.pow_multi_ctx(&bases, &exp);
         for (b, got) in bases.iter().zip(&multi) {
@@ -367,10 +452,10 @@ proptest! {
     // the forced-scalar kernel, bitwise. In a default (scalar) build
     // both sides run the same code and the test degenerates to a
     // determinism check; with `--features simd` on an IFMA host it is
-    // the real vector-vs-scalar differential. Moduli sweep every width
-    // the vector backend accepts (1..=8 limbs), batches sweep every
-    // lane-occupancy shape (0..=10 over 8 lanes), and exponents take
-    // the adversarial shapes (0, 1, single-bit, all-ones, random).
+    // the real vector-vs-scalar differential. Moduli sweep 1..=14 limbs,
+    // batches sweep every lane-occupancy shape (0..=10 over 8 lanes), and
+    // exponents take the adversarial shapes (0, 1, single-bit, all-ones,
+    // random).
     // -----------------------------------------------------------------
 
     #[test]
@@ -416,6 +501,152 @@ proptest! {
             prop_assert_eq!(got, &b.modpow_binary(&exp, &m));
             prop_assert_eq!(&plan.pow(b), got);
         }
+    }
+}
+
+proptest! {
+    // Wide moduli make the bit-at-a-time oracle expensive; the strategies
+    // are small enumerations, so a few cases per width class cover them.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // -----------------------------------------------------------------
+    // The three `Ce` tiers at the widths real sessions use (12/16/24/32
+    // limbs): the generic ladder (`pow_batch`), the portable lanes
+    // (`pow_batch_scalar`, what a host without AVX-512 IFMA — or the
+    // benchmark's feature-less client — runs) and the default dispatch
+    // (`FixedExponentPlan::pow_batch`: IFMA lanes when compiled in and
+    // detected, otherwise the portable lanes again), each against the
+    // square-and-multiply oracle, bit for bit.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn all_tiers_match_oracle_at_served_widths(
+        m in wide_modulus(),
+        exp in wide_exponent(),
+        seeds in wide_bases(),
+    ) {
+        let exp = exp.for_modulus(&m);
+        // Bases spread over the whole residue range (and one above it).
+        let bases: Vec<UBig> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| {
+                let x = UBig::from(s | 1).modpow(&UBig::from(65537u64), &m);
+                if i == 0 { x.add_ref(&m) } else { x }
+            })
+            .collect();
+        let ctx = Arc::new(MontgomeryCtx::new(&m).unwrap());
+        let want: Vec<UBig> = bases.iter().map(|b| b.modpow_binary(&exp, &m)).collect();
+        prop_assert_eq!(&ctx.pow_batch(&bases, &exp), &want, "ladder");
+        prop_assert_eq!(&ctx.pow_batch_scalar(&bases, &exp), &want, "portable lanes");
+        let plan = FixedExponentPlan::new(Arc::clone(&ctx), &exp);
+        prop_assert_eq!(&plan.pow_batch(&bases), &want, "default dispatch");
+        prop_assert_eq!(&plan.pow(&bases[0]), &want[0], "single pow");
+    }
+}
+
+/// The three tiers against the oracle for one modulus, exponent and batch.
+fn assert_all_tiers_match_oracle(ctx: &Arc<MontgomeryCtx>, exp: &UBig, bases: &[UBig]) {
+    let m = ctx.modulus();
+    let want: Vec<UBig> = bases.iter().map(|b| b.modpow_binary(exp, m)).collect();
+    let what = format!(
+        "{} bits, exponent bits {}, batch {}",
+        m.bit_len(),
+        exp.bit_len(),
+        bases.len()
+    );
+    assert_eq!(ctx.pow_batch(bases, exp), want, "ladder: {what}");
+    assert_eq!(
+        ctx.pow_batch_scalar(bases, exp),
+        want,
+        "portable lanes: {what}"
+    );
+    let plan = FixedExponentPlan::new(Arc::clone(ctx), exp);
+    assert_eq!(plan.pow_batch(bases), want, "default dispatch: {what}");
+}
+
+#[test]
+fn well_known_groups_adversarial_exponents_and_every_ragged_tail() {
+    for bits in [768u64, 1024, 1536, 2048] {
+        let p = well_known_safe_prime(bits).unwrap();
+        let ctx = Arc::new(MontgomeryCtx::new(&p).unwrap());
+        // Group elements (squares) spread over the residue range.
+        let bases: Vec<UBig> = (0..17u64)
+            .map(|i| {
+                let t = p
+                    .shr_bits(7)
+                    .mul_ref(&UBig::from(2 * i + 3))
+                    .rem_ref(&p)
+                    .unwrap();
+                t.mod_mul(&t, &p).unwrap()
+            })
+            .collect();
+        // Full-size shapes: the largest key q-1, the inversion exponent
+        // p-2, all ones, a single top bit — on a ragged IFMA block (one
+        // lane block plus one). The oracle is slow here, hence five bases.
+        let q = p.shr_bits(1);
+        for exp in [
+            q.sub_small(1).unwrap(),
+            p.sub_small(2).unwrap(),
+            UBig::one().shl_bits(bits - 1).sub_small(1).unwrap(),
+            UBig::one().shl_bits(bits - 2),
+        ] {
+            assert_all_tiers_match_oracle(&ctx, &exp, &bases[..5]);
+        }
+        // Every batch shape 1..=2·8+1 (every tail of the 4- and 8-lane
+        // blocks, both sides of the IFMA tier's minimum batch) on short
+        // exponents: 0, 1, one bit, all ones.
+        for exp in [
+            UBig::zero(),
+            UBig::one(),
+            UBig::from(1u64 << 9),
+            UBig::from(0x3ffu64),
+        ] {
+            for batch in 1..=bases.len() {
+                assert_all_tiers_match_oracle(&ctx, &exp, &bases[..batch]);
+            }
+        }
+    }
+}
+
+#[test]
+fn served_widths_run_on_a_lane_tier() {
+    // Every group `minshare serve` accepts gets a lane kernel; widths
+    // outside the dispatch list keep the ladder (or IFMA where it fits).
+    for bits in [768u64, 1024, 1536, 2048] {
+        let ctx = MontgomeryCtx::new(&well_known_safe_prime(bits).unwrap()).unwrap();
+        let tier = ctx.kernel_tier();
+        assert_ne!(tier, KernelTier::Ladder, "{bits}-bit group");
+        assert_eq!(ctx.simd_active(), tier == KernelTier::Ifma52x8);
+    }
+    // 13 limbs is not a dispatched width: never the portable lanes.
+    let odd13 = UBig::one().shl_bits(13 * 64).sub_small(1).unwrap();
+    let tier = MontgomeryCtx::new(&odd13).unwrap().kernel_tier();
+    assert_ne!(tier, KernelTier::Lanes4);
+    assert_eq!(KernelTier::Ifma52x8.to_string(), "ifma52x8");
+    assert_eq!(KernelTier::Lanes4.as_str(), "lanes4");
+    assert_eq!(KernelTier::Ladder.as_str(), "ladder");
+}
+
+#[test]
+fn thirteen_limb_full_width_modulus_matches_oracle() {
+    // 832 = 52·16 bits: `ceil(64·13/52)` digits would leave the IFMA
+    // kernel no headroom, so its context must take a 17th digit (or
+    // decline). Either way the answers are the oracle's.
+    let m = UBig::one().shl_bits(832).sub_small(0x1235).unwrap();
+    assert_eq!((m.limb_len(), m.bit_len()), (13, 832));
+    let ctx = MontgomeryCtx::new(&m).unwrap();
+    let bases: Vec<UBig> = (1..=9u64)
+        .map(|i| m.sub_small(i * 0x9e37_79b9).unwrap())
+        .collect();
+    for exp in [
+        m.sub_small(2).unwrap(),
+        UBig::one().shl_bits(831),
+        UBig::from(3u64),
+    ] {
+        let want: Vec<UBig> = bases.iter().map(|b| b.modpow_binary(&exp, &m)).collect();
+        assert_eq!(ctx.pow_multi_ctx(&bases, &exp), want);
+        assert_eq!(ctx.pow_batch_scalar(&bases, &exp), want);
     }
 }
 

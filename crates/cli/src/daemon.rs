@@ -91,8 +91,9 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
     let group = well_known_group(group_bits)?;
     let file = File::open(&values_path).map_err(|e| format!("cannot open {values_path}: {e}"))?;
     let entries = input::read_value_payloads(BufReader::new(file))?;
+    let tier = group.kernel_tier();
     eprintln!(
-        "serving {} entries ({group_bits}-bit group, {max_sessions} session slots)",
+        "serving {} entries ({group_bits}-bit group, {max_sessions} session slots) kernel={tier}",
         entries.len()
     );
 
@@ -130,6 +131,18 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
         ProtocolKind::EquijoinSize,
     ] {
         metrics.register_histogram("protocol", kind.name(), "ce_per_sec");
+    }
+    // Which `Ce` kernel this daemon's sessions run on (a property of the
+    // build, the CPU and the group width), so a STATS scrape explains the
+    // per-protocol `ce_per_sec` it sits beside.
+    metrics.register_gauge("crypto", "kernel_tier", tier.as_str());
+    {
+        let _trace = minshare_trace::install(Tracer::to_sink(Arc::new(RegistrySink::new(
+            Arc::clone(&metrics),
+        ))));
+        minshare_trace::emit("crypto", "kernel_tier", false, || {
+            vec![minshare_trace::flag(tier.as_str(), true)]
+        });
     }
     let stats_provider: StatsProvider = {
         let metrics = Arc::clone(&metrics);
@@ -307,9 +320,10 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
     };
     let sid = session.session_id();
     eprintln!(
-        "session {sid} open: {} with {} values",
+        "session {sid} open: {} with {} values kernel={}",
         protocol.name(),
-        values.len()
+        values.len(),
+        group.kernel_tier()
     );
 
     let pool = EncryptPool::new(0);

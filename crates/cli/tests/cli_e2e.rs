@@ -1,29 +1,38 @@
 //! Two-process end-to-end tests: spawn the real `minshare` binary twice
 //! and let the processes talk over localhost TCP.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
 fn binary() -> &'static str {
     env!("CARGO_BIN_EXE_minshare")
 }
 
-fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("minshare-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
-    let mut f = std::fs::File::create(&path).expect("temp file");
-    f.write_all(content.as_bytes()).expect("write");
-    path
+/// A temp directory owned by one test (tests run on parallel threads, so
+/// they must not share input files), removed when the test ends.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(test: &str) -> TestDir {
+        let dir =
+            std::env::temp_dir().join(format!("minshare-cli-test-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        TestDir(dir)
+    }
+
+    fn write(&self, name: &str, content: &str) -> PathBuf {
+        let path = self.0.join(name);
+        let mut f = std::fs::File::create(&path).expect("temp file");
+        f.write_all(content.as_bytes()).expect("write");
+        path
+    }
 }
 
-/// Picks a free localhost port by binding port 0 and dropping the socket.
-fn free_port() -> u16 {
-    std::net::TcpListener::bind("127.0.0.1:0")
-        .expect("bind")
-        .local_addr()
-        .expect("addr")
-        .port()
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn spawn(args: &[&str]) -> Child {
@@ -35,43 +44,60 @@ fn spawn(args: &[&str]) -> Child {
         .expect("spawn minshare")
 }
 
-fn finish(child: Child, who: &str) -> String {
+/// Waits for `child`, asserts it succeeded and returns its stdout. When
+/// the caller took the child's stderr to watch it, `stderr_read` is what it
+/// has read so far and `stderr_rest` the reader to drain for the remainder.
+fn finish(child: Child, stderr_read: String, mut stderr_rest: impl Read, who: &str) -> String {
     let out = child.wait_with_output().expect("wait");
+    let mut stderr = stderr_read;
+    let _ = stderr_rest.read_to_string(&mut stderr);
+    stderr.push_str(&String::from_utf8_lossy(&out.stderr));
     assert!(
         out.status.success(),
-        "{who} failed:\nstdout: {}\nstderr: {}",
+        "{who} failed:\nstdout: {}\nstderr: {stderr}",
         String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// Runs sender+receiver as two processes and returns the receiver stdout.
+/// Runs sender+receiver as two processes and returns both stdouts. The
+/// sender binds an ephemeral port (`:0`) and the receiver is started only
+/// once the sender has reported the bound address on stderr — no port
+/// picked in advance and given away, no sleep standing in for the bind.
 fn run_pair(
+    test: &str,
     command: &str,
     sender_file: &str,
     receiver_file: &str,
     extra: &[&str],
 ) -> (String, String) {
-    let port = free_port();
-    let addr = format!("127.0.0.1:{port}");
-    let s_path = write_temp(&format!("{command}-s.txt"), sender_file);
-    let r_path = write_temp(&format!("{command}-r.txt"), receiver_file);
+    let dir = TestDir::new(test);
+    let s_path = dir.write("s.txt", sender_file);
+    let r_path = dir.write("r.txt", receiver_file);
 
     let mut s_args = vec![
         command,
         "--listen",
-        &addr,
+        "127.0.0.1:0",
         "--values",
         s_path.to_str().unwrap(),
         "--seed",
         "1",
     ];
     s_args.extend_from_slice(extra);
-    let sender = spawn(&s_args);
-    // Give the listener a moment to bind before connecting; retry loop on
-    // the client side is handled by spawning after a short wait.
-    std::thread::sleep(std::time::Duration::from_millis(300));
+    let mut sender = spawn(&s_args);
+    let mut s_stderr = BufReader::new(sender.stderr.take().expect("piped stderr"));
+    let mut s_log = String::new();
+    let addr = loop {
+        let mut line = String::new();
+        let n = s_stderr.read_line(&mut line).expect("read sender stderr");
+        s_log.push_str(&line);
+        assert!(n > 0, "sender exited before listening:\n{s_log}");
+        if let Some(addr) = line.strip_prefix("listening on ") {
+            break addr.trim_end().trim_end_matches('…').to_string();
+        }
+    };
+
     let mut r_args = vec![
         command,
         "--connect",
@@ -84,14 +110,20 @@ fn run_pair(
     r_args.extend_from_slice(extra);
     let receiver = spawn(&r_args);
 
-    let r_out = finish(receiver, "receiver");
-    let s_out = finish(sender, "sender");
+    let r_out = finish(receiver, String::new(), std::io::empty(), "receiver");
+    let s_out = finish(sender, s_log, s_stderr, "sender");
     (s_out, r_out)
 }
 
 #[test]
 fn intersect_between_processes() {
-    let (_, r_out) = run_pair("intersect", "ana\nbob\ncarol\n", "bob\ncarol\ndave\n", &[]);
+    let (_, r_out) = run_pair(
+        "intersect",
+        "intersect",
+        "ana\nbob\ncarol\n",
+        "bob\ncarol\ndave\n",
+        &[],
+    );
     let mut lines: Vec<&str> = r_out.lines().collect();
     lines.sort();
     assert_eq!(lines, vec!["bob", "carol"]);
@@ -99,13 +131,20 @@ fn intersect_between_processes() {
 
 #[test]
 fn intersect_size_between_processes() {
-    let (_, r_out) = run_pair("intersect-size", "a\nb\nc\nd\n", "c\nd\ne\n", &[]);
+    let (_, r_out) = run_pair(
+        "intersect-size",
+        "intersect-size",
+        "a\nb\nc\nd\n",
+        "c\nd\ne\n",
+        &[],
+    );
     assert_eq!(r_out.trim(), "2");
 }
 
 #[test]
 fn join_between_processes() {
     let (_, r_out) = run_pair(
+        "join",
         "join",
         "sku1\tprice=10\nsku2\tprice=20\nsku3\tprice=30\n",
         "sku2\nsku3\nsku9\n",
@@ -118,7 +157,7 @@ fn join_between_processes() {
 
 #[test]
 fn join_size_between_processes() {
-    let (_, r_out) = run_pair("join-size", "x\nx\ny\n", "x\ny\ny\n", &[]);
+    let (_, r_out) = run_pair("join-size", "join-size", "x\nx\ny\n", "x\ny\ny\n", &[]);
     // x: 2·1 + y: 1·2 = 4.
     assert_eq!(r_out.trim(), "4");
 }
@@ -126,6 +165,7 @@ fn join_size_between_processes() {
 #[test]
 fn sum_between_processes() {
     let (s_out, r_out) = run_pair(
+        "sum",
         "sum",
         "a\t100\nb\t250\nc\t7\n",
         "b\nc\nz\n",
@@ -139,7 +179,13 @@ fn sum_between_processes() {
 
 #[test]
 fn intersect_over_secure_channel() {
-    let (_, r_out) = run_pair("intersect", "k1\nk2\n", "k2\nk3\n", &["--secure"]);
+    let (_, r_out) = run_pair(
+        "intersect-secure",
+        "intersect",
+        "k1\nk2\n",
+        "k2\nk3\n",
+        &["--secure"],
+    );
     assert_eq!(r_out.trim(), "k2");
 }
 
@@ -161,8 +207,9 @@ fn bad_args_exit_nonzero() {
 
 #[test]
 fn local_query_mode_runs_the_papers_sql() {
-    let tr = write_temp("q-tr.csv", "personid,pattern\n1,true\n2,false\n3,true\n");
-    let ts = write_temp(
+    let dir = TestDir::new("query");
+    let tr = dir.write("q-tr.csv", "personid,pattern\n1,true\n2,false\n3,true\n");
+    let ts = dir.write(
         "q-ts.csv",
         "personid,drug,reaction\n1,true,true\n2,true,false\n3,false,false\n",
     );

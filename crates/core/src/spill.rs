@@ -25,8 +25,16 @@ use std::collections::BinaryHeap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::ProtocolError;
+
+/// Run-file sequence number, shared by every [`ExtSorter`] in the process:
+/// concurrent sorters spilling into one directory (two sharded daemon
+/// sessions, parallel tests) must never pick the same name in the window
+/// between `create_new` and the unlink. A plain unique-id counter, so
+/// `Relaxed` suffices.
+static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
 
 /// Counters describing what one [`ExtSorter`] actually did — the
 /// bounded-memory smoke test asserts `runs_spilled > 0` to prove the
@@ -61,7 +69,6 @@ pub struct ExtSorter {
     runs: Vec<File>,
     dir: PathBuf,
     stats: SpillStats,
-    next_run: u64,
 }
 
 impl ExtSorter {
@@ -80,7 +87,6 @@ impl ExtSorter {
             runs: Vec::new(),
             dir: dir.to_path_buf(),
             stats: SpillStats::default(),
-            next_run: 0,
         })
     }
 
@@ -119,9 +125,8 @@ impl ExtSorter {
         let path = self.dir.join(format!(
             "minshare-spill-{}-{}.run",
             std::process::id(),
-            self.next_run
+            NEXT_RUN.fetch_add(1, Ordering::Relaxed)
         ));
-        self.next_run += 1;
         let file = OpenOptions::new()
             .create_new(true)
             .read(true)
@@ -326,22 +331,66 @@ mod tests {
         ));
     }
 
+    /// A directory of this test's own, so "nothing lingers" is a claim
+    /// about this test's sorters and not about its neighbours'.
+    fn private_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("minshare-spill-test-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn entries(dir: &Path) -> usize {
+        std::fs::read_dir(dir).unwrap().count()
+    }
+
     #[test]
     fn spill_files_do_not_linger() {
-        // Runs are unlinked at creation; nothing with our prefix should
-        // remain visible in the spill dir even mid-sort.
-        let dir = std::env::temp_dir();
+        // Runs are unlinked at creation; nothing should remain visible in
+        // the spill dir even mid-sort.
+        let dir = private_dir("linger");
         let mut sorter = ExtSorter::new(8, 16, &dir).unwrap();
         for r in random_records(64, 8, 4) {
             sorter.push_record(&r).unwrap();
         }
         assert!(sorter.stats().runs_spilled > 0);
-        let prefix = format!("minshare-spill-{}-", std::process::id());
-        let lingering = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
-            .count();
-        assert_eq!(lingering, 0);
+        assert_eq!(entries(&dir), 0);
+        drop(sorter);
+        std::fs::remove_dir(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_sorters_share_a_spill_dir() {
+        // Regression: run names were `pid + per-sorter counter`, so two
+        // sorters in one process raced on `create_new` ("File exists").
+        // Every thread starts spilling at the same moment, into one dir.
+        const THREADS: usize = 8;
+        let dir = private_dir("shared");
+        let barrier = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (dir, barrier) = (&dir, &barrier);
+                    scope.spawn(move || {
+                        let records = random_records(200, 8, 100 + t as u64);
+                        let mut sorter = ExtSorter::new(8, 16, dir).unwrap();
+                        barrier.wait();
+                        for r in &records {
+                            sorter.push_record(r).unwrap();
+                        }
+                        let (stream, stats) = sorter.finish().unwrap();
+                        assert_eq!(stats.runs_spilled, 99);
+                        let mut expect = records;
+                        expect.sort();
+                        assert_eq!(drain(stream), expect);
+                    })
+                })
+                .collect();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+        });
+        assert_eq!(entries(&dir), 0);
+        std::fs::remove_dir(&dir).unwrap();
     }
 }

@@ -8,7 +8,7 @@ use minshare_bignum::modular::Jacobi;
 use minshare_bignum::montgomery::MontgomeryCtx;
 use minshare_bignum::random::random_range;
 use minshare_bignum::safe_prime::{generate_safe_prime, is_safe_prime, well_known_safe_prime};
-use minshare_bignum::UBig;
+use minshare_bignum::{KernelTier, UBig};
 use minshare_hash::RandomOracle;
 use rand::Rng;
 
@@ -180,6 +180,12 @@ impl QrGroup {
     /// paper's `Ce` cost unit.
     pub fn pow(&self, base: &UBig, exp: &UBig) -> UBig {
         self.ctx.pow(base, exp)
+    }
+
+    /// The kernel tier batch encryptions under this group run on — a
+    /// function of the build, the CPU and the modulus width, so public.
+    pub fn kernel_tier(&self) -> KernelTier {
+        self.ctx.kernel_tier()
     }
 
     /// The shared Montgomery context for `mod p`, for building

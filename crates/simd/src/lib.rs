@@ -8,10 +8,22 @@
 //! batched modexp. Runtime CPU detection gates construction — on hosts (or
 //! architectures) without AVX-512 IFMA, [`IfmaCtx::new`] returns `None` and
 //! callers fall back to the scalar interleaved kernel, so a `--features simd`
-//! build is safe to ship anywhere.
+//! build is safe to ship anywhere (the `minshare` binary is built that way).
+//!
+//! Width: a context works in `k` digits, `1 <= k <= MAX_DIGITS = 40`, which
+//! covers every well-known group the daemon serves — k = 15 / 20 / 30 / 40
+//! for 768 / 1024 / 1536 / 2048 bits — as well as the 256/512-bit demo
+//! groups. Lane blocks are sized by the context's `k` (a `k`-row digit-major
+//! buffer), so a narrow modulus never pays for the widest one. `k` is chosen
+//! by the caller from the modulus **bit length**, not its limb count: the
+//! almost-Montgomery bound needs `4n <= R' = 2^(52k)`, i.e.
+//! `bit_len(n) + 2 <= 52k`, and `ceil(64*S/52)` digits do not always give
+//! that (a full 13-limb modulus has 832 = 52*16 bits: zero headroom).
+//! [`IfmaCtx::new`] re-checks the bound on the digits it is handed and
+//! declines a modulus without headroom; [`digits_for_bits`] is the rule.
 //!
 //! Security posture: this crate never sees key material. It operates on
-//! public modulus constants (n, R^2 mod n, R mod n, -n^-1 mod 2^52) and on
+//! public modulus constants (n, R'^2 mod n, -n^-1 mod 2^52) and on
 //! group elements that are already hashed values or ciphertexts. Exponents —
 //! the secret half of a commutative key — stay in `minshare-bignum`, which
 //! drives the square/multiply schedule and only hands this crate individual
@@ -30,9 +42,18 @@ pub const DIGIT_BITS: u32 = 52;
 /// Low-52-bit mask for canonical digits.
 pub const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
 
-/// Largest supported digit count: an 8-limb (512-bit) modulus needs
-/// ceil(512/52) = 10 radix-2^52 digits.
-pub const MAX_DIGITS: usize = 10;
+/// Largest supported digit count: a 2048-bit modulus needs
+/// ceil((2048 + 2)/52) = 40 radix-2^52 digits. The kernel's accumulator
+/// bound (see [`ifma`]) is proven for every `k` up to this cap.
+pub const MAX_DIGITS: usize = 40;
+
+/// Digit count `k` giving a `bits`-bit modulus the two bits of headroom the
+/// almost-Montgomery kernel needs (`4n <= 2^(52k)`); `None` when that
+/// exceeds [`MAX_DIGITS`] or `bits` is zero.
+pub fn digits_for_bits(bits: u64) -> Option<usize> {
+    let k = usize::try_from(bits.checked_add(2)?.div_ceil(u64::from(DIGIT_BITS))).ok()?;
+    (bits > 0 && k <= MAX_DIGITS).then_some(k)
+}
 
 /// Returns true when the running CPU supports the AVX-512 IFMA path
 /// (detected once and cached). Always false off x86_64.
@@ -52,45 +73,64 @@ pub fn available() -> bool {
     }
 }
 
-/// Eight residues in digit-major ("lanes of limbs") layout: `d[j][lane]` is
-/// digit `j` of lane `lane`, so one unaligned 512-bit load fetches digit `j`
-/// of all eight lanes at once. Digits are canonical radix-2^52 (< 2^52).
-#[derive(Clone, Copy)]
+/// Digit `j` of all eight lanes: one unaligned 512-bit load.
+pub type DigitRow = [u64; LANES];
+
+/// Eight residues in digit-major ("lanes of limbs") layout: row `j` holds
+/// digit `j` of every lane. A block has exactly as many rows as the context
+/// it is used with has digits. Digits are canonical radix-2^52 (< 2^52).
 pub struct LaneBlock {
-    pub d: [[u64; LANES]; MAX_DIGITS],
+    d: Vec<DigitRow>,
+}
+
+impl Clone for LaneBlock {
+    fn clone(&self) -> Self {
+        LaneBlock { d: self.d.clone() }
+    }
+
+    /// Reuses the destination's buffer: the exponentiation ladder reloads
+    /// its accumulator once per block without touching the allocator.
+    fn clone_from(&mut self, source: &Self) {
+        self.d.clone_from(&source.d);
+    }
 }
 
 impl LaneBlock {
-    /// All-zero block (the additive identity in every lane).
-    pub fn zero() -> Self {
+    /// All-zero block of `k` digits (the additive identity in every lane).
+    pub fn zero(k: usize) -> Self {
         LaneBlock {
-            d: [[0u64; LANES]; MAX_DIGITS],
+            d: vec![[0u64; LANES]; k],
         }
     }
 
     /// Block with the same `digits` value in every lane.
     pub fn broadcast(digits: &[u64]) -> Self {
-        let mut b = Self::zero();
-        for lane in 0..LANES {
-            b.set_lane(lane, digits);
+        LaneBlock {
+            d: digits.iter().map(|&x| [x; LANES]).collect(),
         }
-        b
     }
 
-    /// Writes `digits` (length <= MAX_DIGITS, canonical radix-2^52) into one
-    /// lane, zero-padding the high digits.
+    /// Writes `digits` (canonical radix-2^52, no longer than the block)
+    /// into one lane, zero-padding the high digits.
     pub fn set_lane(&mut self, lane: usize, digits: &[u64]) {
-        debug_assert!(lane < LANES && digits.len() <= MAX_DIGITS);
-        for j in 0..MAX_DIGITS {
-            self.d[j][lane] = digits.get(j).copied().unwrap_or(0);
+        assert!(lane < LANES && digits.len() <= self.d.len());
+        for (j, row) in self.d.iter_mut().enumerate() {
+            row[lane] = digits.get(j).copied().unwrap_or(0);
+        }
+    }
+
+    /// Copies lane `from` over lane `to`.
+    pub fn copy_lane(&mut self, from: usize, to: usize) {
+        for row in self.d.iter_mut() {
+            row[to] = row[from];
         }
     }
 
     /// Reads the first `out.len()` digits of one lane.
     pub fn lane(&self, lane: usize, out: &mut [u64]) {
-        debug_assert!(lane < LANES && out.len() <= MAX_DIGITS);
-        for (j, slot) in out.iter_mut().enumerate() {
-            *slot = self.d[j][lane];
+        assert!(lane < LANES && out.len() <= self.d.len());
+        for (slot, row) in out.iter_mut().zip(&self.d) {
+            *slot = row[lane];
         }
     }
 }
@@ -101,18 +141,18 @@ impl LaneBlock {
 /// the intrinsics are safe to execute.
 #[derive(Clone)]
 pub struct IfmaCtx {
-    k: usize,
-    n: [u64; MAX_DIGITS],
+    n: Vec<u64>,
     n0_inv: u64,
-    rr: [u64; MAX_DIGITS],
-    one: [u64; MAX_DIGITS],
+    /// R'^2 mod n and the integer 1, broadcast to every lane once.
+    rr: LaneBlock,
+    unit: LaneBlock,
 }
 
 impl std::fmt::Debug for IfmaCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // The modulus is public, but a one-line summary keeps logs readable.
         f.debug_struct("IfmaCtx")
-            .field("digits", &self.k)
+            .field("digits", &self.n.len())
             .field("backend", &"avx512-ifma")
             .finish()
     }
@@ -120,92 +160,85 @@ impl std::fmt::Debug for IfmaCtx {
 
 impl IfmaCtx {
     /// Builds the lane context from caller-computed public constants:
-    /// `n` = modulus digits, `n0_inv` = -n^-1 mod 2^52, `rr` = R'^2 mod n,
-    /// `one` = R' mod n (the Montgomery representation of 1), all canonical
-    /// radix-2^52 of length `k`. Returns `None` when the CPU lacks AVX-512
-    /// IFMA, `k` is out of range, or any input is non-canonical.
-    pub fn new(k: usize, n: &[u64], n0_inv: u64, rr: &[u64], one: &[u64]) -> Option<Self> {
-        if !available() || k == 0 || k > MAX_DIGITS {
+    /// `n` = modulus digits (their count is `k`), `n0_inv` = -n^-1 mod 2^52,
+    /// `rr` = R'^2 mod n, all canonical radix-2^52 of length `k`. Returns
+    /// `None` when the CPU lacks AVX-512 IFMA, `k` is out of range, any
+    /// input is non-canonical, or the modulus leaves no headroom
+    /// (`4n > 2^(52k)`, i.e. top digit >= 2^50) — the kernel is never run
+    /// on a modulus its output bound does not cover.
+    pub fn new(n: &[u64], n0_inv: u64, rr: &[u64]) -> Option<Self> {
+        let k = n.len();
+        if !available() || k == 0 || k > MAX_DIGITS || rr.len() != k {
             return None;
         }
-        if n.len() != k || rr.len() != k || one.len() != k {
-            return None;
-        }
-        let canonical =
-            |d: &[u64]| d.iter().all(|&x| x <= DIGIT_MASK);
-        if !canonical(n) || !canonical(rr) || !canonical(one) || n0_inv > DIGIT_MASK {
+        let canonical = |d: &[u64]| d.iter().all(|&x| x <= DIGIT_MASK);
+        if !canonical(n) || !canonical(rr) || n0_inv > DIGIT_MASK {
             return None;
         }
         if n[0] & 1 == 0 {
             return None; // Montgomery needs an odd modulus
         }
-        let pad = |d: &[u64]| {
-            let mut a = [0u64; MAX_DIGITS];
-            a[..k].copy_from_slice(d);
-            a
-        };
+        if n[k - 1] >> (DIGIT_BITS - 2) != 0 {
+            return None; // 4n > R': the caller must take one more digit
+        }
+        let mut unit = vec![0u64; k];
+        unit[0] = 1;
         Some(IfmaCtx {
-            k,
-            n: pad(n),
+            n: n.to_vec(),
             n0_inv,
-            rr: pad(rr),
-            one: pad(one),
+            rr: LaneBlock::broadcast(rr),
+            unit: LaneBlock::broadcast(&unit),
         })
     }
 
     /// Digit count k (R' = 2^(52k)).
     pub fn k(&self) -> usize {
-        self.k
+        self.n.len()
     }
 
-    /// The Montgomery representation of 1 broadcast to all lanes — the
-    /// starting accumulator for an exponentiation ladder.
-    pub fn one_block(&self) -> LaneBlock {
-        LaneBlock::broadcast(&self.one[..self.k])
+    /// A zeroed block of this context's width, for use as an output.
+    pub fn zero_block(&self) -> LaneBlock {
+        LaneBlock::zero(self.k())
     }
 
-    /// Lane-parallel almost-Montgomery multiplication: each lane computes
-    /// a*b*R'^-1 with the relaxed bound `< 2n`. Inputs must be canonical
-    /// digits representing values `< 2n`; the output satisfies the same
-    /// invariant, so products chain without intermediate reductions.
-    pub fn mont_mul(&self, a: &LaneBlock, b: &LaneBlock) -> LaneBlock {
-        let mut out = LaneBlock::zero();
+    /// Lane-parallel almost-Montgomery multiplication: each lane of `out`
+    /// becomes a*b*R'^-1 with the relaxed bound `< 2n`. Inputs must be
+    /// canonical digits representing values `< 2n`; the output satisfies the
+    /// same invariant, so products chain without intermediate reductions.
+    /// Panics unless all three blocks have this context's width.
+    pub fn mont_mul(&self, a: &LaneBlock, b: &LaneBlock, out: &mut LaneBlock) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `IfmaCtx::new` returns `Some` only after runtime detection
         // of avx512f + avx512ifma on this CPU, so the target-feature gated
         // kernel is safe to call here.
         unsafe {
-            ifma::mont_mul(self.k, &self.n, self.n0_inv, a, b, &mut out);
+            ifma::mont_mul(&self.n, self.n0_inv, &a.d, &b.d, &mut out.d);
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (a, b);
+            let _ = (a, b, out);
             unreachable!("IfmaCtx cannot be constructed off x86_64");
         }
-        out
     }
 
-    /// Lane-parallel Montgomery squaring (currently mont_mul(a, a); the
-    /// IFMA port is the bottleneck either way).
-    pub fn mont_sqr(&self, a: &LaneBlock) -> LaneBlock {
-        self.mont_mul(a, a)
+    /// Lane-parallel almost-Montgomery squaring, `out = a*a*R'^-1 < 2n`
+    /// (`mont_mul(a, a)`: see the [`ifma`] docs for why there is no
+    /// dedicated squaring kernel).
+    pub fn mont_sqr(&self, a: &LaneBlock, out: &mut LaneBlock) {
+        self.mont_mul(a, a, out);
     }
 
     /// Converts residues (< n) into the Montgomery domain by multiplying
     /// with R'^2 mod n.
-    pub fn to_mont(&self, x: &LaneBlock) -> LaneBlock {
-        let rr = LaneBlock::broadcast(&self.rr[..self.k]);
-        self.mont_mul(x, &rr)
+    pub fn to_mont(&self, x: &LaneBlock, out: &mut LaneBlock) {
+        self.mont_mul(x, &self.rr, out);
     }
 
     /// Leaves the Montgomery domain (multiply by 1). The result is `<= n`;
     /// callers perform the final conditional subtract in their own integer
     /// domain.
-    pub fn from_mont(&self, x: &LaneBlock) -> LaneBlock {
-        let mut one_digits = [0u64; MAX_DIGITS];
-        one_digits[0] = 1;
-        let one = LaneBlock::broadcast(&one_digits[..self.k]);
-        self.mont_mul(x, &one)
+    pub fn from_mont(&self, x: &LaneBlock, out: &mut LaneBlock) {
+        self.mont_mul(x, &self.unit, out);
     }
 }
 
@@ -215,7 +248,7 @@ mod tests {
 
     #[test]
     fn lane_roundtrip() {
-        let mut b = LaneBlock::zero();
+        let mut b = LaneBlock::zero(5);
         let digits = [1u64, 2, 3, 4, 5];
         b.set_lane(3, &digits);
         let mut out = [0u64; 5];
@@ -224,17 +257,49 @@ mod tests {
         let mut other = [0u64; 5];
         b.lane(0, &mut other);
         assert_eq!(other, [0u64; 5]);
+        b.copy_lane(3, 0);
+        b.lane(0, &mut other);
+        assert_eq!(other, digits);
+        // A short write zero-pads the high digits.
+        b.set_lane(3, &[9]);
+        b.lane(3, &mut out);
+        assert_eq!(out, [9, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn digit_rule_leaves_two_bits_of_headroom() {
+        // The four well-known groups and the 512-bit demo width.
+        for (bits, k) in [(512, 10), (768, 15), (1024, 20), (1536, 30), (2048, 40)] {
+            assert_eq!(digits_for_bits(bits), Some(k), "{bits} bits");
+        }
+        // A full 13-limb modulus fills ceil(832/52) = 16 digits exactly:
+        // the rule must take the 17th.
+        assert_eq!(digits_for_bits(832), Some(17));
+        assert_eq!(digits_for_bits(830), Some(16));
+        assert_eq!(digits_for_bits(0), None);
+        assert_eq!(digits_for_bits(2079), None);
+        assert_eq!(digits_for_bits(u64::MAX), None);
+        for bits in 1..=2078u64 {
+            let k = digits_for_bits(bits).expect("within the cap") as u64;
+            assert!(bits + 2 <= 52 * k && 52 * (k - 1) < bits + 2, "{bits} bits");
+        }
     }
 
     #[test]
     fn ctx_rejects_bad_inputs() {
         // Whatever the host supports, these must all be rejected.
         let n = [3u64, 1];
-        assert!(IfmaCtx::new(0, &[], 0, &[], &[]).is_none());
-        assert!(IfmaCtx::new(2, &n, 1 << 52, &n, &n).is_none()); // n0_inv too wide
-        assert!(IfmaCtx::new(2, &[4, 1], 1, &n, &n).is_none()); // even modulus
-        assert!(IfmaCtx::new(2, &n, 1, &n[..1], &n).is_none()); // length mismatch
-        assert!(IfmaCtx::new(MAX_DIGITS + 1, &[0; 11], 1, &[0; 11], &[0; 11]).is_none());
+        assert!(IfmaCtx::new(&[], 0, &[]).is_none());
+        assert!(IfmaCtx::new(&n, 1 << 52, &n).is_none()); // n0_inv too wide
+        assert!(IfmaCtx::new(&[4, 1], 1, &n).is_none()); // even modulus
+        assert!(IfmaCtx::new(&n, 1, &n[..1]).is_none()); // length mismatch
+        assert!(IfmaCtx::new(&n, 1, &[1 << 52, 0]).is_none()); // non-canonical
+        let wide = [1u64; MAX_DIGITS + 1];
+        assert!(IfmaCtx::new(&wide, 1, &wide).is_none()); // past the digit cap
+        // No headroom: top digit uses bit 50 (4n > 2^(52k)). Declined on
+        // every host, so the kernel never runs outside its output bound.
+        let tight = [3u64, 1 << 50];
+        assert!(IfmaCtx::new(&tight, 1, &n).is_none());
     }
 
     #[test]
@@ -242,79 +307,174 @@ mod tests {
         assert_eq!(available(), available());
     }
 
-    // A tiny self-contained correctness check (k = 2, modulus 2^52 + 1 digit
-    // arithmetic) so the crate has a reference test that does not depend on
-    // minshare-bignum. Full differentials against the scalar oracle live in
-    // the bignum proptest suite.
+    /// `(x + y) mod n` for `x, y < n` on little-endian radix-2^52 digits.
+    fn add_mod(x: &[u64], y: &[u64], n: &[u64]) -> Vec<u64> {
+        let k = n.len();
+        let mut sum = vec![0u64; k + 1];
+        let mut carry = 0u64;
+        for i in 0..k {
+            let s = x[i] + y[i] + carry;
+            sum[i] = s & DIGIT_MASK;
+            carry = s >> 52;
+        }
+        sum[k] = carry;
+        let geq = (0..k)
+            .rev()
+            .find(|&i| sum[i] != n[i])
+            .is_none_or(|i| sum[i] > n[i]);
+        if sum[k] != 0 || geq {
+            let mut borrow = 0u64;
+            for i in 0..k {
+                let s = sum[i].wrapping_sub(n[i]).wrapping_sub(borrow);
+                borrow = s >> 63;
+                sum[i] = s & DIGIT_MASK;
+            }
+        }
+        sum.truncate(k);
+        sum
+    }
+
+    /// Schoolbook `a*b mod n` (shift-and-add over the bits of `b`), the
+    /// crate-local oracle: the full differentials against `modpow_binary`
+    /// live in the bignum proptest suite, this keeps the crate testable on
+    /// its own.
+    fn mulmod_ref(a: &[u64], b: &[u64], n: &[u64]) -> Vec<u64> {
+        let mut acc = vec![0u64; n.len()];
+        let mut addend = a.to_vec();
+        for bit in 0..52 * n.len() {
+            if (b[bit / 52] >> (bit % 52)) & 1 == 1 {
+                acc = add_mod(&acc, &addend, n);
+            }
+            addend = add_mod(&addend, &addend, n);
+        }
+        acc
+    }
+
+    /// Deterministic pseudo-random canonical digits.
+    fn digits(seed: u64, k: usize) -> Vec<u64> {
+        let mut s = seed;
+        (0..k)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (s >> 11) & DIGIT_MASK
+            })
+            .collect()
+    }
+
+    /// Full-headroom-boundary modulus of `k` digits: odd, top digit just
+    /// below 2^50, so `4n` is as close to `R'` as the contract allows.
+    fn tight_modulus(seed: u64, k: usize) -> Vec<u64> {
+        let mut n = digits(seed, k);
+        n[k - 1] = (1 << 50) - 1 - (seed & 0xff);
+        n[0] |= 1;
+        n
+    }
+
     #[test]
-    fn mont_mul_small_reference() {
+    fn mont_mul_and_sqr_match_reference_at_every_width_class() {
         if !available() {
             eprintln!("skipping: AVX-512 IFMA not available on this host");
             return;
         }
-        // n = 0x0009_3afb_0000_0001_0003 (arbitrary odd < 2^80), k = 2 digits.
-        let n_val: u128 = (0x93afbu128 << 52) | 0x0000_0001_0003;
-        let k = 2usize;
-        let rbits = 52 * k as u32;
-        let r = 1u128 << rbits;
-        let n_lo = (n_val & DIGIT_MASK as u128) as u64;
-        let n_hi = ((n_val >> 52) & DIGIT_MASK as u128) as u64;
-        // -n^-1 mod 2^52 by Newton iteration on 64-bit then masking.
-        let mut inv: u64 = 1;
-        let n0 = n_lo;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        let n0_inv = inv.wrapping_neg() & DIGIT_MASK;
-        let rr_val = {
-            // R^2 mod n via u128 math: square by repeated doubling of R mod n.
-            let rm = r % n_val;
-            let mut acc = 0u128;
-            let mut add = rm;
-            let mut bits = rm;
-            while bits > 0 {
-                if bits & 1 == 1 {
-                    acc = (acc + add) % n_val;
+        // k = 1 and 2 (degenerate loops), the old cap, and the four
+        // well-known group widths up to the new cap.
+        for &k in &[1usize, 2, 3, 10, 15, 17, 20, 30, 40] {
+            let n = tight_modulus(k as u64, k);
+            // R' mod n = 2^(52k) mod n by doubling 1, then R'^2 mod n.
+            let mut r_mod = vec![0u64; k];
+            r_mod[0] = 1;
+            for _ in 0..52 * k {
+                r_mod = add_mod(&r_mod, &r_mod, &n);
+            }
+            let rr = mulmod_ref(&r_mod, &r_mod, &n);
+            let mut inv: u64 = 1;
+            for _ in 0..6 {
+                inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
+            }
+            let n0_inv = inv.wrapping_neg() & DIGIT_MASK;
+            let ctx = IfmaCtx::new(&n, n0_inv, &rr).expect("host supports IFMA");
+            assert_eq!(ctx.k(), k);
+
+            let mut a = ctx.zero_block();
+            let mut b = ctx.zero_block();
+            let mut want_mul = Vec::new();
+            let mut want_sqr = Vec::new();
+            for lane in 0..LANES {
+                // Reduce the random digits below n by clearing the top bits.
+                let mut av = digits(100 + lane as u64 + k as u64, k);
+                let mut bv = digits(200 + lane as u64 + k as u64, k);
+                av[k - 1] &= (1 << 49) - 1;
+                bv[k - 1] &= (1 << 49) - 1;
+                if lane == 0 {
+                    // n - 1 in lane 0: the largest canonical residue.
+                    av = n.clone();
+                    av[0] -= 1;
                 }
-                add = (add + add) % n_val;
-                bits >>= 1;
+                a.set_lane(lane, &av);
+                b.set_lane(lane, &bv);
+                want_mul.push(mulmod_ref(&av, &bv, &n));
+                want_sqr.push(mulmod_ref(&av, &av, &n));
             }
-            acc
-        };
-        let one_val = r % n_val;
-        let digits = |v: u128| [ (v & DIGIT_MASK as u128) as u64, ((v >> 52) & DIGIT_MASK as u128) as u64 ];
-        let ctx = IfmaCtx::new(k, &[n_lo, n_hi], n0_inv, &digits(rr_val), &digits(one_val))
-            .expect("host supports IFMA");
-        // Check a * b mod n for a few values in every lane.
-        let a_val: u128 = 0x1234_5678_9abc_def0_1234 % n_val;
-        let b_val: u128 = 0x0fed_cba9_8765_4321_0fed % n_val;
-        let expect = {
-            let mut acc = 0u128;
-            let mut add = a_val;
-            let mut bits = b_val;
-            while bits > 0 {
-                if bits & 1 == 1 {
-                    acc = (acc + add) % n_val;
+            let (mut am, mut bm) = (ctx.zero_block(), ctx.zero_block());
+            ctx.to_mont(&a, &mut am);
+            ctx.to_mont(&b, &mut bm);
+            let (mut prod, mut sq, mut norm) =
+                (ctx.zero_block(), ctx.zero_block(), ctx.zero_block());
+            ctx.mont_mul(&am, &bm, &mut prod);
+            ctx.mont_sqr(&am, &mut sq);
+            let check = |got: &LaneBlock, want: &[Vec<u64>], what: &str| {
+                for (lane, want) in want.iter().enumerate() {
+                    let mut out = vec![0u64; k];
+                    got.lane(lane, &mut out);
+                    if out == n {
+                        out = vec![0u64; k]; // from_mont may return exactly n
+                    }
+                    assert_eq!(&out, want, "{what} k={k} lane {lane}");
                 }
-                add = (add + add) % n_val;
-                bits >>= 1;
+            };
+            ctx.from_mont(&prod, &mut norm);
+            check(&norm, &want_mul, "mul");
+            ctx.from_mont(&sq, &mut norm);
+            check(&norm, &want_sqr, "sqr");
+            // Squaring chains stay inside the almost-Montgomery bound:
+            // 12 squarings of a value that starts at n - 1 in lane 0.
+            let mut x = am.clone();
+            let mut y = ctx.zero_block();
+            let mut want: Vec<Vec<u64>> = (0..LANES)
+                .map(|lane| {
+                    let mut v = vec![0u64; k];
+                    a.lane(lane, &mut v);
+                    v
+                })
+                .collect();
+            for _ in 0..12 {
+                ctx.mont_sqr(&x, &mut y);
+                std::mem::swap(&mut x, &mut y);
+                for w in want.iter_mut() {
+                    *w = mulmod_ref(w, w, &n);
+                }
             }
-            acc
-        };
-        let a = LaneBlock::broadcast(&digits(a_val));
-        let b = LaneBlock::broadcast(&digits(b_val));
-        let am = ctx.to_mont(&a);
-        let bm = ctx.to_mont(&b);
-        let prod = ctx.mont_mul(&am, &bm);
-        let norm = ctx.from_mont(&prod);
-        for lane in 0..LANES {
-            let mut out = [0u64; 2];
-            norm.lane(lane, &mut out);
-            let mut got = (out[0] as u128) | ((out[1] as u128) << 52);
-            if got >= n_val {
-                got -= n_val; // from_mont may return exactly n
-            }
-            assert_eq!(got, expect, "lane {lane}");
+            ctx.from_mont(&x, &mut norm);
+            check(&norm, &want, "sqr chain");
         }
+    }
+
+    #[test]
+    fn mismatched_block_width_panics() {
+        // A block of another context's width is a caller bug: the kernel
+        // refuses it instead of computing on a prefix.
+        let n = [3u64, 1];
+        let Some(ctx) = IfmaCtx::new(&n, 1, &n) else {
+            eprintln!("skipping: AVX-512 IFMA not available on this host");
+            return;
+        };
+        let wrong = LaneBlock::zero(3);
+        let mut out = ctx.zero_block();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.mont_mul(&wrong, &wrong, &mut out)
+        }));
+        assert!(result.is_err());
     }
 }

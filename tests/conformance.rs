@@ -498,7 +498,9 @@ fn equijoin_serial_fallback_is_wire_identical_to_serial() {
 #[test]
 fn calibrated_config_on_workerless_pool_always_falls_back() {
     let g = group();
-    let solo = EncryptPool::new(1); // clamps to zero workers on any host
+    // `EncryptPool::new(1)` clamps to zero workers only on a 1-core host;
+    // ask for the workerless pool outright so the claim holds anywhere.
+    let solo = EncryptPool::with_workers(0);
     assert_eq!(solo.threads(), 0);
     let cfg = PipelineConfig::calibrated(g, &solo);
     assert_eq!(cfg.serial_below, usize::MAX);

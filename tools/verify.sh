@@ -9,12 +9,21 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$repo_root"
 
 cargo build --release
+# The whole suite twice: on parallel test threads (cargo's default) and
+# on one. Tests must not share files, ports or counters, and must not
+# depend on how many cores the pool finds — a test that only passes in
+# one of the two modes is a bug in the test or in the code under it.
 cargo test -q
-# SIMD feature matrix: the AVX-512 IFMA backend must build and its
-# differential suites pass alongside the default (scalar) configuration
-# just tested above. On a host without the CPU feature the runtime
-# detection keeps the scalar fallback active, so this still exercises
-# the dispatch seam.
+cargo test -q -- --test-threads=1
+# Feature matrix for the `Ce` kernel. `minshare-cli` enables
+# `minshare-bignum/simd`, so the workspace-level build and tests above
+# already run with the AVX-512 IFMA backend compiled in (runtime
+# detection keeps the portable lanes active on a host without the CPU
+# feature, so the dispatch seam is exercised either way). The
+# configuration that needs naming is the one *without* the feature — what
+# the repo benchmark's in-process client builds (benchmark/Cargo.toml asks
+# for no features) and what any library user gets by default.
+cargo test -q -p minshare-bignum -p minshare-crypto
 cargo build --release -p minshare-bench --features simd
 cargo test -q -p minshare-simd
 cargo test -q -p minshare-bignum --features simd
