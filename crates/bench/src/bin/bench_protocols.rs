@@ -2,9 +2,9 @@
 //! perf acceptance criteria — 512-bit fixed-exponent exponentiation
 //! (fixed-4-bit reference vs. scalar sliding windows vs. the multi-lane
 //! interleaved kernel), the three `Ce` tiers at the 1024-bit group the
-//! daemon serves (generic ladder, portable lanes, IFMA lanes), §6.2
-//! `EncryptPool` scaling, and serial vs. chunk-pipelined end-to-end wall
-//! time for all four protocols.
+//! daemon serves and at its other well-known groups (generic ladder,
+//! portable lanes, IFMA lanes), §6.2 `EncryptPool` scaling, and serial vs.
+//! chunk-pipelined end-to-end wall time for all four protocols.
 //!
 //! All numbers are wall-clock medians on the current host; the host's
 //! logical core count is recorded alongside so a single-core CI box's
@@ -41,12 +41,24 @@ use minshare_trace::{TraceSink, Tracer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// Minimum pool speedup at 4 threads a snapshot from a host with at least
-/// 4 cores must commit; `--check` fails if such a BENCH_protocols.json
-/// falls below it. Narrower hosts are exempt: `EncryptPool::new` clamps
-/// workers to `cores − 1`, so their 4-thread row measures the clamp (no
-/// worker on 1 core, one on 2), not the pool's scaling.
+/// Minimum pool speedup at 4 threads a multicore snapshot must commit on a
+/// host with at least 4 cores; `--check` fails if a committed multicore
+/// BENCH_protocols.json falls below [`pool_scaling_floor`] for its core
+/// count (single-core snapshots are exempt — there is nothing to scale).
 const POOL_SCALING_FLOOR: f64 = 1.5;
+
+/// The pool-scaling floor for a snapshot taken on `cores` cores. The row
+/// compares `EncryptPool::new(4)` with `EncryptPool::new(1)`, and `new`
+/// clamps workers to `cores − 1` beside the helping caller, so the best a
+/// host can show is `parties(4) / parties(1)`: 2/2 on 2 cores, 3/2 on 3,
+/// 4/2 on 4. The floor asks for the same 75% of that ideal the 1.5 floor
+/// asks of a 4-core host, capped at 1.5 — on 2 cores it reads 0.75: the
+/// 4-thread pool is the 1-thread pool there and must not lose to it.
+fn pool_scaling_floor(cores: usize) -> f64 {
+    let parties = |threads: usize| 1 + threads.min(cores.saturating_sub(1));
+    let ideal = parties(4) as f64 / parties(1) as f64;
+    (0.5 * POOL_SCALING_FLOOR * ideal).min(POOL_SCALING_FLOOR)
+}
 
 /// Minimum SIMD-vs-scalar-`pow_multi` speedup at 512-bit when the IFMA
 /// backend is active on both the committed snapshot and the current host.
@@ -57,10 +69,12 @@ const SIMD_SPEEDUP_FLOOR: f64 = 1.2;
 /// the committed snapshot and the current host.
 const SIMD_1024_SPEEDUP_FLOOR: f64 = 2.0;
 
-/// The portable 4-lane tier must not lose to the generic ladder at 1024
-/// bits. Not the 1.1 the tier was first sized at: the ladder now squares
-/// through the same fixed-width kernel (one lane), which took most of the
-/// gap with it — the lanes keep ≈ 1.06x here and ≈ 1.2x at 2048 bits.
+/// The portable 4-lane tier must not lose to the ladder at 1024 bits — a
+/// no-loss guard, not the 1.1 floor the tier was sized at, which this
+/// host does not hold with a margin: the ladder squares through the same
+/// fixed-width kernel (at one lane), so the lanes measure 1.10–1.17x over
+/// it. The tier's case at this width is the end-to-end one in
+/// EXPERIMENTS.md E22 (client on lanes against client on the ladder).
 const LANES_1024_SPEEDUP_FLOOR: f64 = 1.0;
 
 /// On a multicore host the sharded intersection engine (buckets streamed
@@ -90,31 +104,25 @@ fn vm_hwm_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Median of a non-empty sample.
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Wall time of one run of `f`, in seconds.
-fn secs<F: FnMut()>(mut f: F) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64()
-}
-
 /// Median wall time of `samples` runs of `f`, in seconds.
 fn median_secs<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    median((0..samples.max(1)).map(|_| secs(&mut f)).collect())
+    let mut times: Vec<f64> = (0..samples.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
 }
 
-/// Per-batch wall time of each `Ce` tier at the 1024-bit well-known group,
-/// 32 bases under one fixed exponent: the generic ladder (`pow_batch`),
-/// the portable lanes (`pow_batch_scalar`) and the default dispatch
-/// (`pow_multi_ctx`: IFMA lanes when `simd_active`). The three are timed
-/// round-robin and reduced to medians, so a slow stretch of a shared host
-/// lands on all of them alike and the ratios survive it.
-struct Tiers1024 {
+/// Per-batch wall time of each `Ce` tier at one well-known group, 32 bases
+/// under one fixed exponent: the generic ladder (`pow_batch`), the
+/// portable lanes (`pow_batch_scalar`) and the default dispatch
+/// (`pow_multi_ctx`: IFMA lanes when `simd_active`).
+struct Tiers {
+    bits: u64,
     batch: usize,
     ladder_s: f64,
     lanes_s: f64,
@@ -122,7 +130,7 @@ struct Tiers1024 {
     simd_active: bool,
 }
 
-impl Tiers1024 {
+impl Tiers {
     fn lanes_vs_ladder(&self) -> f64 {
         self.ladder_s / self.lanes_s
     }
@@ -132,25 +140,32 @@ impl Tiers1024 {
     }
 }
 
-fn measure_tiers_1024(samples: usize) -> Tiers1024 {
-    let p = well_known_safe_prime(1024).expect("bundled group");
+/// The three tiers are timed round-robin and reduced to medians, so a slow
+/// stretch of a shared host lands on all of them alike and the ratios
+/// survive it.
+fn measure_tiers(bits: u64, samples: usize) -> Tiers {
+    let p = well_known_safe_prime(bits).expect("bundled group");
     let ctx = MontgomeryCtx::new(&p).expect("odd modulus");
     let mut rng = StdRng::seed_from_u64(5);
     let exp = random_below(&mut rng, &p);
     let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, &p)).collect();
+    let secs = |f: &dyn Fn() -> Vec<UBig>| {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        start.elapsed().as_secs_f64()
+    };
+    let median = |mut times: Vec<f64>| {
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    };
     let (mut ladder, mut lanes, mut auto) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..samples.max(1) {
-        ladder.push(secs(|| {
-            std::hint::black_box(ctx.pow_batch(&bases, &exp));
-        }));
-        lanes.push(secs(|| {
-            std::hint::black_box(ctx.pow_batch_scalar(&bases, &exp));
-        }));
-        auto.push(secs(|| {
-            std::hint::black_box(ctx.pow_multi_ctx(&bases, &exp));
-        }));
+        ladder.push(secs(&|| ctx.pow_batch(&bases, &exp)));
+        lanes.push(secs(&|| ctx.pow_batch_scalar(&bases, &exp)));
+        auto.push(secs(&|| ctx.pow_multi_ctx(&bases, &exp)));
     }
-    Tiers1024 {
+    Tiers {
+        bits,
         batch: bases.len(),
         ladder_s: median(ladder),
         lanes_s: median(lanes),
@@ -365,7 +380,7 @@ fn measure_telemetry_overhead(samples: usize) -> TelemetryOverhead {
     let set_n = 48usize;
     let (vs, vr) = overlapping_sets(set_n, set_n, set_n / 2);
     let run = |registry: Option<&Arc<MetricsRegistry>>| {
-        secs(|| {
+        median_secs(samples, || {
             run_two_party(
                 |t| {
                     let _trace = registry.map(|m| {
@@ -389,17 +404,11 @@ fn measure_telemetry_overhead(samples: usize) -> TelemetryOverhead {
             .expect("telemetry overhead run");
         })
     };
+    let plain_s = run(None);
     let registry = Arc::new(MetricsRegistry::new());
     registry.register_histogram("protocol", "intersection", "ce_per_sec");
-    // Plain and traced runs alternate, so a slow stretch of a shared host
-    // lands on both medians instead of on one phase.
-    let (plain, traced): (Vec<f64>, Vec<f64>) = (0..samples.max(1))
-        .map(|_| (run(None), run(Some(&registry))))
-        .unzip();
-    TelemetryOverhead {
-        plain_s: median(plain),
-        traced_s: median(traced),
-    }
+    let traced_s = run(Some(&registry));
+    TelemetryOverhead { plain_s, traced_s }
 }
 
 /// `--check`: re-measure the e2e rows and compare each optimized/serial
@@ -497,22 +506,23 @@ fn run_check(snapshot_path: &str) -> i32 {
         }
     }
 
-    // Pool-scaling floor: a committed snapshot taken on a host wide enough
-    // to run the 4-thread row must show the pool actually scaling; a
-    // narrower snapshot has nothing to scale and is exempt.
+    // Pool-scaling floor: a committed snapshot taken on a multicore host
+    // must show the pool scaling as far as that host lets it; a single-core
+    // snapshot has nothing to scale and is exempt (the documented fallback).
     let committed_cores = json_number(&committed, "host_cores").unwrap_or(1.0);
-    if committed_cores >= 4.0 {
+    if committed_cores > 1.0 {
+        let floor = pool_scaling_floor(committed_cores as usize);
         match pool_speedup_at(&committed, 4) {
-            Some(speedup) if speedup >= POOL_SCALING_FLOOR => {
+            Some(speedup) if speedup >= floor => {
                 eprintln!(
                     "bench --check: committed pool scaling at 4 threads {speedup:.3} >= \
-                     floor {POOL_SCALING_FLOOR}"
+                     floor {floor} (snapshot host_cores={committed_cores})"
                 );
             }
             Some(speedup) => {
                 eprintln!(
                     "bench --check: committed pool scaling at 4 threads {speedup:.3} is \
-                     below the {POOL_SCALING_FLOOR} floor (snapshot host_cores={committed_cores})"
+                     below the {floor} floor (snapshot host_cores={committed_cores})"
                 );
                 failed = true;
             }
@@ -523,8 +533,8 @@ fn run_check(snapshot_path: &str) -> i32 {
         }
     } else {
         eprintln!(
-            "bench --check: committed snapshot has fewer than 4 cores \
-             (host_cores={committed_cores}); pool-scaling floor not applicable"
+            "bench --check: committed snapshot is single-core (host_cores={committed_cores}); \
+             pool-scaling floor not applicable"
         );
     }
 
@@ -571,7 +581,7 @@ fn run_check(snapshot_path: &str) -> i32 {
     // lanes must clear their floor over the portable lanes wherever both
     // the snapshot and this build/host have them.
     if committed.contains("\"modexp_1024_fixed_exponent\"") {
-        let tiers = measure_tiers_1024(9);
+        let tiers = measure_tiers(1024, 9);
         let mut floor = |what: &str, speedup: f64, min: f64| {
             if speedup < min {
                 eprintln!("bench --check: 1024-bit {what} speedup {speedup:.3} fell below the {min} floor");
@@ -606,7 +616,7 @@ fn run_check(snapshot_path: &str) -> i32 {
     // every protocol run, so its cost is re-measured live (not read from
     // the snapshot) and held to the hard ceiling. A ratio at or below
     // 1.0 is measurement noise in the registry's favor and always passes.
-    let overhead = measure_telemetry_overhead(101);
+    let overhead = measure_telemetry_overhead(9);
     let ratio = overhead.traced_s / overhead.plain_s;
     if ratio > TELEMETRY_OVERHEAD_CEILING {
         eprintln!(
@@ -826,8 +836,10 @@ fn main() {
     let multi_speedup = sliding_s / multi_s;
     let simd_speedup = scalar_multi_s / multi_s;
 
-    // --- the three Ce tiers at the served 1024-bit group ---------------
-    let tiers = measure_tiers_1024(15);
+    // --- the three Ce tiers at the served 1024-bit group, then at the
+    // other well-known groups (12/24/32-limb lane kernels) --------------
+    let tiers = measure_tiers(1024, 15);
+    let other_tiers = [768, 1536, 2048].map(|bits| measure_tiers(bits, 9));
 
     // --- EncryptPool scaling (§6.2) ------------------------------------
     let g = bench_group(256);
@@ -849,7 +861,7 @@ fn main() {
     let e2e = measure_e2e(7);
 
     // --- live-telemetry overhead (registry attached vs. untraced) ------
-    let overhead = measure_telemetry_overhead(101);
+    let overhead = measure_telemetry_overhead(9);
 
     // --- hand-rolled JSON (no serde in the workspace) ------------------
     let us = |s: f64| s * 1e6;
@@ -881,6 +893,22 @@ fn main() {
         tiers.simd_vs_lanes()
     );
     println!("  }},");
+    println!("  \"modexp_tiers_other_groups\": [");
+    for (i, t) in other_tiers.iter().enumerate() {
+        let comma = if i + 1 < other_tiers.len() { "," } else { "" };
+        println!(
+            "    {{ \"group_bits\": {}, \"ladder_us\": {:.1}, \"scalar_lanes_us\": {:.1}, \
+             \"pow_multi_us\": {:.1}, \"lanes_speedup_vs_ladder\": {:.3}, \
+             \"simd_speedup_vs_scalar_lanes\": {:.3} }}{comma}",
+            t.bits,
+            us(t.ladder_s),
+            us(t.lanes_s),
+            us(t.auto_s),
+            t.lanes_vs_ladder(),
+            t.simd_vs_lanes()
+        );
+    }
+    println!("  ],");
     println!("  \"pool_scaling_encrypt64_qr256\": [");
     let base_t = pool_runs[0].1;
     for (i, (threads, t)) in pool_runs.iter().enumerate() {
