@@ -137,11 +137,6 @@ pub const ENC_SANITIZER_FNS: &[&str] = &[
     "submit_hash_encrypt",
     "encrypt_batch",
     "wait",
-    // crates/core/src/pipeline.rs: accessor extracting the ciphertext
-    // half of the sorted `(codeword, value)` pairing the receivers keep
-    // for local matching; its output is exactly the pool-encrypted
-    // codewords.
-    "sorted_codewords",
     // crates/crypto/src/chacha20.rs: the secure-channel stream cipher.
     "apply_keystream",
     // crates/crypto/src/kcipher.rs: K(κ, ext(v)) payload encryption.

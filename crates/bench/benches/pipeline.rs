@@ -5,7 +5,6 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use minshare::pipeline::{self, PipelineConfig};
 use minshare::prelude::*;
 use minshare_bench::{bench_group, overlapping_sets};
 use minshare_bignum::montgomery::MontgomeryCtx;
@@ -143,8 +142,8 @@ fn pool_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end wall time: serial vs. chunk-pipelined engines over the
-/// in-memory duplex link.
+/// End-to-end wall time: the serial reference vs. the chunked engine (one
+/// bucket) over the in-memory duplex link.
 fn e2e_serial_vs_pipelined(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2e");
     group.sample_size(10);
@@ -153,6 +152,7 @@ fn e2e_serial_vs_pipelined(c: &mut Criterion) {
     let (vs, vr) = overlapping_sets(n, n, n / 2);
     let pool = EncryptPool::new(4);
     let cfg = PipelineConfig::chunked(8);
+    let one_bucket = ShardConfig::default();
 
     group.bench_function("intersection_serial", |b| {
         b.iter(|| {
@@ -174,21 +174,21 @@ fn e2e_serial_vs_pipelined(c: &mut Criterion) {
             run_two_party(
                 |t| {
                     let mut rng = StdRng::seed_from_u64(1);
-                    pipeline::run_intersection_sender(t, &g, &vs, &mut rng, &pool, cfg)
+                    let shape = ProtocolShape::INTERSECTION;
+                    engine::run_sender(t, &g, shape, &vs, &[], &mut rng, &pool, cfg, &one_bucket)
                 },
                 |t| {
                     let mut rng = StdRng::seed_from_u64(2);
-                    pipeline::run_intersection_receiver(t, &g, &vr, &mut rng, &pool, cfg)
+                    let shape = ProtocolShape::INTERSECTION;
+                    engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, cfg, &one_bucket)
                 },
             )
             .expect("run")
         })
     });
 
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = vs
-        .iter()
-        .map(|v| (v.clone(), b"record-payload".to_vec()))
-        .collect();
+    let ext = vec![b"record-payload".to_vec(); vs.len()];
+    let entries: Vec<(Vec<u8>, Vec<u8>)> = vs.iter().cloned().zip(ext.iter().cloned()).collect();
     let cipher = HybridCipher::new(g.clone(), 32);
     group.bench_function("equijoin_serial", |b| {
         b.iter(|| {
@@ -211,12 +211,13 @@ fn e2e_serial_vs_pipelined(c: &mut Criterion) {
             run_two_party(
                 |t| {
                     let mut rng = StdRng::seed_from_u64(1);
-                    pipeline::run_equijoin_sender(t, &g, &cipher, &entries, &mut rng, &pool, cfg)
+                    let shape = ProtocolShape::equijoin(&cipher);
+                    engine::run_sender(t, &g, shape, &vs, &ext, &mut rng, &pool, cfg, &one_bucket)
                 },
                 |t| {
-                    let cipher = HybridCipher::new(g.clone(), 32);
                     let mut rng = StdRng::seed_from_u64(2);
-                    pipeline::run_equijoin_receiver(t, &g, &cipher, &vr, &mut rng, &pool, cfg)
+                    let shape = ProtocolShape::equijoin(&cipher);
+                    engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, cfg, &one_bucket)
                 },
             )
             .expect("run")

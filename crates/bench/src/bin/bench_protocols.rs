@@ -25,7 +25,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use minshare::pipeline::{self, PipelineConfig};
 use minshare::prelude::*;
 use minshare_bench::{bench_group, overlapping_sets};
 use minshare_bignum::montgomery::MontgomeryCtx;
@@ -36,7 +35,6 @@ use minshare_costmodel::reconcile::{self, MeasuredRun, Reconciliation};
 use minshare_costmodel::section6::Protocol;
 use minshare_crypto::pool::EncryptPool;
 use minshare_trace::metrics::{MetricsRegistry, RegistrySink};
-use minshare_trace::sink::MetricsSink;
 use minshare_trace::{TraceSink, Tracer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -224,9 +222,11 @@ fn measure_e2e(samples: usize) -> E2e {
     let set_n = 48usize;
     let (vs, vr) = overlapping_sets(set_n, set_n, set_n / 2);
     let pool = EncryptPool::new(4);
-    // The adaptive config the protocol apps would pick on this host: on a
-    // worker-less (single-core) pool it degenerates to the serial path.
-    let cfg = PipelineConfig::calibrated(&g, &pool);
+    // What `serve`, `client` and the one-shot verbs run: the engine at
+    // its default chunking. The "pipelined" rows are one bucket, the
+    // "sharded4" row four.
+    let cfg = PipelineConfig::default();
+    let one_bucket = ShardConfig::default();
     let mut peak_rss_kb: Vec<(&'static str, u64)> = Vec::new();
     let rss_row = |rows: &mut Vec<(&'static str, u64)>, label: &'static str| {
         if let Some(kb) = vm_hwm_kb() {
@@ -252,18 +252,20 @@ fn measure_e2e(samples: usize) -> E2e {
         run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(1);
-                pipeline::run_intersection_sender(t, &g, &vs, &mut rng, &pool, cfg)
+                let shape = ProtocolShape::INTERSECTION;
+                engine::run_sender(t, &g, shape, &vs, &[], &mut rng, &pool, cfg, &one_bucket)
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(2);
-                pipeline::run_intersection_receiver(t, &g, &vr, &mut rng, &pool, cfg)
+                let shape = ProtocolShape::INTERSECTION;
+                engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, cfg, &one_bucket)
             },
         )
         .expect("pipelined intersection");
     });
     rss_row(&mut peak_rss_kb, "intersection_pipelined");
 
-    // The sharded bounded-memory engine: 4 buckets and a deliberately
+    // Bounded memory: 4 buckets and a deliberately
     // tiny spill budget, so the external sorter genuinely hits disk and
     // the row prices the full spill-merge-stream path, not a cached
     // in-memory sort.
@@ -276,21 +278,21 @@ fn measure_e2e(samples: usize) -> E2e {
         run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(1);
-                shard::run_intersection_sender(t, &g, &vs, &mut rng, &pool, cfg, &shard_cfg)
+                let shape = ProtocolShape::INTERSECTION;
+                engine::run_sender(t, &g, shape, &vs, &[], &mut rng, &pool, cfg, &shard_cfg)
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(2);
-                shard::run_intersection_receiver(t, &g, &vr, &mut rng, &pool, cfg, &shard_cfg)
+                let shape = ProtocolShape::INTERSECTION;
+                engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, cfg, &shard_cfg)
             },
         )
         .expect("sharded intersection");
     });
     rss_row(&mut peak_rss_kb, "intersection_sharded4");
 
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = vs
-        .iter()
-        .map(|v| (v.clone(), b"record-payload".to_vec()))
-        .collect();
+    let ext = vec![b"record-payload".to_vec(); vs.len()];
+    let entries: Vec<(Vec<u8>, Vec<u8>)> = vs.iter().cloned().zip(ext.iter().cloned()).collect();
     let cipher = HybridCipher::new(g.clone(), 32);
     let join_serial_s = median_secs(samples, || {
         run_two_party(
@@ -311,12 +313,13 @@ fn measure_e2e(samples: usize) -> E2e {
         run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(1);
-                pipeline::run_equijoin_sender(t, &g, &cipher, &entries, &mut rng, &pool, cfg)
+                let shape = ProtocolShape::equijoin(&cipher);
+                engine::run_sender(t, &g, shape, &vs, &ext, &mut rng, &pool, cfg, &one_bucket)
             },
             |t| {
-                let cipher = HybridCipher::new(g.clone(), 32);
                 let mut rng = StdRng::seed_from_u64(2);
-                pipeline::run_equijoin_receiver(t, &g, &cipher, &vr, &mut rng, &pool, cfg)
+                let shape = ProtocolShape::equijoin(&cipher);
+                engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, cfg, &one_bucket)
             },
         )
         .expect("pipelined equijoin");
@@ -459,10 +462,9 @@ fn run_check(snapshot_path: &str) -> i32 {
         }
     }
 
-    // On a multicore host the pipelined engines must genuinely beat
-    // serial (speedup = serial/pipelined > 1); a single-core host runs
-    // the serial-fallback path, where only the ratio ratchet above
-    // applies.
+    // On a multicore host the engine must genuinely beat the serial
+    // reference (speedup = serial/pipelined > 1); on a single-core host
+    // only the ratio ratchet above applies.
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -641,28 +643,30 @@ fn run_check(snapshot_path: &str) -> i32 {
     }
 }
 
-/// One protocol run under the aggregating metrics sink: both parties
-/// share a [`MetricsSink`], and the reconciliation pulls everything from
+/// One protocol run under the metrics registry: both parties feed one
+/// [`MetricsRegistry`], and the reconciliation pulls everything from
 /// the recorded events — `Ce` from the engines' `*_done` events, bytes
 /// and frames from the counting transport's `frame_sent` events, set
 /// sizes from the events' `own_values` fields.
 fn profile_protocol(
     protocol: Protocol,
-    sink: &MetricsSink,
+    sink: &MetricsRegistry,
     k_bits: u64,
     k_prime_bits: u64,
 ) -> Reconciliation {
     let scope = reconcile::protocol_slug(protocol);
-    let ce = |name: &str| sink.sum(scope, name, "encryptions") + sink.sum(scope, name, "decryptions");
+    let ce = |name: &str| {
+        sink.counter(scope, name, "encryptions") + sink.counter(scope, name, "decryptions")
+    };
     let run = MeasuredRun {
         protocol,
-        vs: sink.sum(scope, "sender_done", "own_values"),
-        vr: sink.sum(scope, "receiver_done", "own_values"),
+        vs: sink.counter(scope, "sender_done", "own_values"),
+        vr: sink.counter(scope, "receiver_done", "own_values"),
         k_bits,
         k_prime_bits,
         measured_ce: ce("sender_done") + ce("receiver_done"),
-        measured_bytes: sink.sum("net", "frame_sent", "bytes"),
-        frames: sink.sum("net", "frame_sent", "frames"),
+        measured_bytes: sink.counter("net", "frame_sent", "bytes"),
+        frames: sink.counter("net", "frame_sent", "frames"),
     };
     reconcile::reconcile(run)
 }
@@ -685,9 +689,9 @@ fn run_profile(smoke: bool) -> i32 {
 
     let mut reconciliations: Vec<Reconciliation> = Vec::new();
     for protocol in Protocol::all() {
-        let sink = Arc::new(MetricsSink::new());
-        let traced = |sink: &Arc<MetricsSink>| {
-            Tracer::to_sink(Arc::clone(sink) as Arc<dyn TraceSink>)
+        let sink = Arc::new(MetricsRegistry::new());
+        let traced = |sink: &Arc<MetricsRegistry>| {
+            Tracer::to_sink(Arc::new(RegistrySink::new(Arc::clone(sink))) as Arc<dyn TraceSink>)
         };
         let (s_sink, r_sink) = (Arc::clone(&sink), Arc::clone(&sink));
         let run = match protocol {

@@ -27,7 +27,7 @@ use minshare::prelude::*;
 use minshare::simrun::{run_two_party_sim, SimOutcome, SimRunConfig, SimTwoPartyRun};
 use minshare_bench::bench_group;
 use minshare_net::FaultPlan;
-use minshare_trace::sink::MetricsSink;
+use minshare_trace::metrics::{MetricsRegistry, RegistrySink};
 use minshare_trace::{TraceSink, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,11 +56,11 @@ fn chunked() -> PipelineConfig {
     PipelineConfig::chunked(3)
 }
 
-/// A tracer feeding the shared per-run metrics sink; installed inside
-/// each party closure so the thread-local trace context exists on the
-/// party threads that `run_two_party_sim` spawns.
-fn metrics_tracer(sink: &Arc<MetricsSink>) -> Tracer {
-    Tracer::to_sink(Arc::clone(sink) as Arc<dyn TraceSink>)
+/// A tracer feeding the shared per-run metrics registry; installed
+/// inside each party closure so the thread-local trace context exists on
+/// the party threads that `run_two_party_sim` spawns.
+fn metrics_tracer(sink: &Arc<MetricsRegistry>) -> Tracer {
+    Tracer::to_sink(Arc::new(RegistrySink::new(Arc::clone(sink))) as Arc<dyn TraceSink>)
 }
 
 /// Per-protocol sweep tally.
@@ -149,14 +149,14 @@ fn seed_row_json(
     wall: Duration,
     violations: u32,
     violation_latency: Option<Duration>,
-    sink: &MetricsSink,
+    sink: &MetricsRegistry,
 ) -> String {
-    let ce_ops = sink.sum(scope, "sender_done", "encryptions")
-        + sink.sum(scope, "sender_done", "decryptions")
-        + sink.sum(scope, "receiver_done", "encryptions")
-        + sink.sum(scope, "receiver_done", "decryptions");
-    let frames = sink.sum("net", "frame_sent", "frames");
-    let bytes = sink.sum("net", "frame_sent", "bytes");
+    let ce_ops = sink.counter(scope, "sender_done", "encryptions")
+        + sink.counter(scope, "sender_done", "decryptions")
+        + sink.counter(scope, "receiver_done", "encryptions")
+        + sink.counter(scope, "receiver_done", "decryptions");
+    let frames = sink.counter("net", "frame_sent", "frames");
+    let bytes = sink.counter("net", "frame_sent", "bytes");
     let latency = match violation_latency {
         Some(d) => format!("{:.3}", millis(d)),
         None => "null".to_string(),
@@ -185,14 +185,14 @@ fn sweep_protocol<SO, RO>(
     scope: &str,
     schedules: u64,
     base_seed: u64,
-    run: impl Fn(&FaultPlan, &Arc<MetricsSink>) -> SimTwoPartyRun<SO, RO>,
+    run: impl Fn(&FaultPlan, &Arc<MetricsRegistry>) -> SimTwoPartyRun<SO, RO>,
 ) -> Tally
 where
     SO: PartialEq + std::fmt::Debug,
     RO: PartialEq + std::fmt::Debug,
 {
     let mut tally = Tally::default();
-    let baseline = run(&FaultPlan::perfect(), &Arc::new(MetricsSink::new()));
+    let baseline = run(&FaultPlan::perfect(), &Arc::new(MetricsRegistry::new()));
     if baseline.outcome() != SimOutcome::Complete {
         tally.violations += 1;
         eprintln!(
@@ -203,7 +203,7 @@ where
     }
     for i in 0..schedules {
         let seed = base_seed.wrapping_add(i);
-        let sink = Arc::new(MetricsSink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         let started = Instant::now();
         let faulty = run(&FaultPlan::from_seed(seed), &sink);
         let wall = started.elapsed();
@@ -229,7 +229,7 @@ where
     // Reproducibility spot check: replaying the first schedule must give
     // a byte-identical fault trace and the same outcome.
     let plan = FaultPlan::from_seed(base_seed);
-    let fresh = || Arc::new(MetricsSink::new());
+    let fresh = || Arc::new(MetricsRegistry::new());
     let (r1, r2) = (run(&plan, &fresh()), run(&plan, &fresh()));
     if r1.trace.digest() != r2.trace.digest() || r1.outcome() != r2.outcome() {
         tally.violations += 1;
@@ -280,106 +280,63 @@ fn main() -> ExitCode {
 
     let g = &group;
     let p = &pool;
-    let intersection = sweep_protocol(
-        "intersection",
-        "intersection",
-        schedules,
-        base_seed,
-        |plan, sink| {
-            let (s_vals, r_vals) = (vs(), vr());
-            let (s_sink, r_sink) = (Arc::clone(sink), Arc::clone(sink));
-            run_two_party_sim(
-                sim,
-                plan,
-                move |t| {
-                    let _trace = minshare_trace::install(metrics_tracer(&s_sink));
-                    let mut rng = StdRng::seed_from_u64(7);
-                    pipeline::run_intersection_sender(t, g, &s_vals, &mut rng, p, chunked())
-                },
-                move |t| {
-                    let _trace = minshare_trace::install(metrics_tracer(&r_sink));
-                    let mut rng = StdRng::seed_from_u64(8);
-                    pipeline::run_intersection_receiver(t, g, &r_vals, &mut rng, p, chunked())
-                },
-            )
-        },
-    );
-    let equijoin = sweep_protocol("equijoin", "equijoin", schedules, base_seed, |plan, sink| {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = vs()
-            .into_iter()
-            .map(|v| {
-                let mut ext = b"ext:".to_vec();
-                ext.extend_from_slice(&v);
-                (v, ext)
-            })
-            .collect();
-        let r_vals = vr();
-        let (s_sink, r_sink) = (Arc::clone(sink), Arc::clone(sink));
-        run_two_party_sim(
-            sim,
-            plan,
-            move |t| {
-                let _trace = minshare_trace::install(metrics_tracer(&s_sink));
-                let cipher = HybridCipher::new(g.clone(), 16);
-                let mut rng = StdRng::seed_from_u64(9);
-                pipeline::run_equijoin_sender(t, g, &cipher, &entries, &mut rng, p, chunked())
-            },
-            move |t| {
-                let _trace = minshare_trace::install(metrics_tracer(&r_sink));
-                let cipher = HybridCipher::new(g.clone(), 16);
-                let mut rng = StdRng::seed_from_u64(10);
-                pipeline::run_equijoin_receiver(t, g, &cipher, &r_vals, &mut rng, p, chunked())
-            },
-        )
-    });
-    let intersection_size = sweep_protocol(
-        "intersection-size",
-        "intersection_size",
-        schedules,
-        base_seed,
-        |plan, sink| {
-            let (s_vals, r_vals) = (vs(), vr());
-            let (s_sink, r_sink) = (Arc::clone(sink), Arc::clone(sink));
-            run_two_party_sim(
-                sim,
-                plan,
-                move |t| {
-                    let _trace = minshare_trace::install(metrics_tracer(&s_sink));
-                    let mut rng = StdRng::seed_from_u64(11);
-                    intersection_size::run_sender(t, g, &s_vals, &mut rng)
-                },
-                move |t| {
-                    let _trace = minshare_trace::install(metrics_tracer(&r_sink));
-                    let mut rng = StdRng::seed_from_u64(12);
-                    intersection_size::run_receiver(t, g, &r_vals, &mut rng)
-                },
-            )
-        },
-    );
-    let equijoin_size = sweep_protocol(
-        "equijoin-size",
-        "equijoin_size",
-        schedules,
-        base_seed,
-        |plan, sink| {
-            let (s_vals, r_vals) = (ms(), mr());
-            let (s_sink, r_sink) = (Arc::clone(sink), Arc::clone(sink));
-            run_two_party_sim(
-                sim,
-                plan,
-                move |t| {
-                    let _trace = minshare_trace::install(metrics_tracer(&s_sink));
-                    let mut rng = StdRng::seed_from_u64(13);
-                    equijoin_size::run_sender(t, g, &s_vals, &mut rng)
-                },
-                move |t| {
-                    let _trace = minshare_trace::install(metrics_tracer(&r_sink));
-                    let mut rng = StdRng::seed_from_u64(14);
-                    equijoin_size::run_receiver(t, g, &r_vals, &mut rng)
-                },
-            )
-        },
-    );
+    let cipher = HybridCipher::new(group.clone(), 16);
+    let ext: Vec<Vec<u8>> = vs().iter().map(|v| [&b"ext:"[..], v].concat()).collect();
+    // tag, trace scope, shape, (V_S, ext, V_R), RNG seeds.
+    let protocols = [
+        (
+            "intersection",
+            "intersection",
+            ProtocolShape::INTERSECTION,
+            (vs(), vec![], vr()),
+            (7, 8),
+        ),
+        (
+            "equijoin",
+            "equijoin",
+            ProtocolShape::equijoin(&cipher),
+            (vs(), ext, vr()),
+            (9, 10),
+        ),
+        (
+            "intersection-size",
+            "intersection_size",
+            ProtocolShape::INTERSECTION_SIZE,
+            (vs(), vec![], vr()),
+            (11, 12),
+        ),
+        (
+            "equijoin-size",
+            "equijoin_size",
+            ProtocolShape::EQUIJOIN_SIZE,
+            (ms(), vec![], mr()),
+            (13, 14),
+        ),
+    ];
+    let one_bucket = ShardConfig::default();
+    let tallies: Vec<(&str, Tally)> = protocols
+        .iter()
+        .map(|(tag, scope, shape, (s_vals, ext, r_vals), seeds)| {
+            let tally = sweep_protocol(tag, scope, schedules, base_seed, |plan, sink| {
+                let (s_sink, r_sink, cfg) = (Arc::clone(sink), Arc::clone(sink), &one_bucket);
+                run_two_party_sim(
+                    sim,
+                    plan,
+                    move |t| {
+                        let _trace = minshare_trace::install(metrics_tracer(&s_sink));
+                        let mut rng = StdRng::seed_from_u64(seeds.0);
+                        engine::run_sender(t, g, *shape, s_vals, ext, &mut rng, p, chunked(), cfg)
+                    },
+                    move |t| {
+                        let _trace = minshare_trace::install(metrics_tracer(&r_sink));
+                        let mut rng = StdRng::seed_from_u64(seeds.1);
+                        engine::run_receiver(t, g, *shape, r_vals, &mut rng, p, chunked(), cfg)
+                    },
+                )
+            });
+            (*tag, tally)
+        })
+        .collect();
 
     // Sanity-check the baselines against the clear-text reference once,
     // so "complete" above really means "correct", not just "consistent".
@@ -391,26 +348,29 @@ fn main() -> ExitCode {
             &FaultPlan::perfect(),
             |t| {
                 let mut rng = StdRng::seed_from_u64(7);
-                pipeline::run_intersection_sender(t, g, &vs(), &mut rng, p, chunked())
+                let shape = ProtocolShape::INTERSECTION;
+                engine::run_sender(t, g, shape, &vs(), &[], &mut rng, p, chunked(), &one_bucket)
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(8);
-                pipeline::run_intersection_receiver(t, g, &vr(), &mut rng, p, chunked())
+                let shape = ProtocolShape::INTERSECTION;
+                engine::run_receiver(t, g, shape, &vr(), &mut rng, p, chunked(), &one_bucket)
             },
         );
         match run.receiver {
-            Ok(out) => out.intersection.into_iter().collect::<BTreeSet<_>>() == clear_set,
+            Ok(out) => {
+                out.matches
+                    .into_iter()
+                    .map(|(v, _)| v)
+                    .collect::<BTreeSet<_>>()
+                    == clear_set
+            }
             Err(_) => false,
         }
     };
 
     let mut violations = 0;
-    for (tag, tally) in [
-        ("intersection", &intersection),
-        ("equijoin", &equijoin),
-        ("intersection-size", &intersection_size),
-        ("equijoin-size", &equijoin_size),
-    ] {
+    for (tag, tally) in &tallies {
         eprintln!(
             "  {tag:<18} complete {:>4}  typed-failure {:>4}  violations {}",
             tally.complete, tally.typed_failure, tally.violations

@@ -27,7 +27,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use minshare::pipeline::PipelineConfig;
 use minshare::prelude::*;
 use minshare_bench::{bench_group, overlapping_sets};
 use minshare_costmodel::reconcile::{reconcile_sharded, BucketTrace};
@@ -123,12 +122,11 @@ fn run(opts: &Opts) -> i32 {
     let overlap = n / 2;
     let (vs, vr) = overlapping_sets(n, n, overlap);
     let pool = EncryptPool::new(4);
-    let pipe = PipelineConfig::calibrated(&group, &pool);
+    let pipe = PipelineConfig::default();
     let shard_cfg = ShardConfig {
         shards: opts.shards,
         mem_budget: opts.mem_budget,
         spill_dir: opts.spill_dir.clone(),
-        ..ShardConfig::default()
     };
 
     // One ring per party: per-thread tracer installation means streams
@@ -145,13 +143,26 @@ fn run(opts: &Opts) -> i32 {
             let _trace =
                 minshare_trace::install(Tracer::to_sink(Arc::clone(&s_ring) as Arc<dyn TraceSink>));
             let mut rng = StdRng::seed_from_u64(7);
-            shard::run_intersection_sender(t, &group, &vs, &mut rng, &pool, pipe, &shard_cfg)
+            let shape = ProtocolShape::INTERSECTION;
+            engine::run_sender(
+                t,
+                &group,
+                shape,
+                &vs,
+                &[],
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )
         },
         |t| {
             let _trace =
                 minshare_trace::install(Tracer::to_sink(Arc::clone(&r_ring) as Arc<dyn TraceSink>));
             let mut rng = StdRng::seed_from_u64(8);
-            shard::run_intersection_receiver(t, &group, &vr, &mut rng, &pool, pipe, &shard_cfg)
+            let shape = ProtocolShape::INTERSECTION;
+            engine::run_receiver(t, &group, shape, &vr, &mut rng, &pool, pipe, &shard_cfg)
+                .map(minshare::intersection::IntersectionReceiverOutput::from)
         },
     );
     let wall_s = start.elapsed().as_secs_f64();

@@ -72,11 +72,10 @@ pub struct Args {
     /// Write a JSON-lines trace of the run to this file, followed by a
     /// final §6.1 reconciliation line.
     pub trace_path: Option<String>,
-    /// Bucket count for the sharded bounded-memory engines; `1` runs the
-    /// classic engines byte-identically. Receiver-side: the receiver
-    /// announces the count and the sender adopts it.
+    /// Bucket count of the engine; `1` sends no hello. Receiver-side:
+    /// the receiver announces the count and the sender adopts it.
     pub shards: u32,
-    /// In-memory byte budget of the sharded engines' spill sorters.
+    /// In-memory byte budget of the engine's spill sorter.
     pub mem_budget: usize,
     /// Directory for spill run files (default: the OS temp dir).
     pub spill_dir: Option<String>,
@@ -114,11 +113,11 @@ options:
                          durations only — never values or keys), ending
                          with a measured-vs-predicted cost reconciliation
   --shards B             receiver-side: split the run into B hash buckets
-                         streamed through the bounded-memory engines
-                         (default 1 = classic, byte-identical protocol);
-                         the sender side adopts B automatically
-  --mem-budget BYTES     in-memory budget per spill sorter before sorted
-                         runs go to disk (default 67108864)
+                         exchanged one after another (default 1 = one
+                         bucket, no hello frame); the sender side adopts
+                         B automatically
+  --mem-budget BYTES     in-memory budget of the sort before sorted runs
+                         go to disk (default 67108864)
   --spill-dir DIR        where spill runs live while in flight (default:
                          OS temp dir; files are unlinked at creation)
 ";

@@ -97,8 +97,8 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
         entries.len()
     );
 
-    // Spill knobs used when a client elects sharding; the client's hello
-    // chooses the bucket count.
+    // Sort budget and spill directory of every session; the client's
+    // hello chooses the bucket count.
     let shard_cfg = ShardConfig {
         mem_budget: mem_budget.unwrap_or_else(|| ShardConfig::default().mem_budget),
         spill_dir: spill_dir.map(std::path::PathBuf::from),
@@ -332,7 +332,6 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         shards,
         mem_budget: mem_budget.unwrap_or_else(|| ShardConfig::default().mem_budget),
         spill_dir: spill_dir.map(std::path::PathBuf::from),
-        ..ShardConfig::default()
     };
     let traffic = match protocol {
         ProtocolKind::Intersection => {

@@ -238,15 +238,12 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|e| format!("cannot open {}: {e}", args.values_path))?;
     let reader = BufReader::new(file);
 
-    // Sharded-engine knobs. The receiver elects sharding with
-    // `--shards B > 1`; the sender always peeks the first frame and
-    // adopts the peer's choice, falling back byte-identically to the
-    // classic engines when no hello arrives.
+    // Engine knobs. The receiver elects sharding with `--shards B > 1`;
+    // the sender adopts whatever bucket count the peer announces.
     let shard_cfg = ShardConfig {
         shards: args.shards,
         mem_budget: args.mem_budget,
         spill_dir: args.spill_dir.as_ref().map(std::path::PathBuf::from),
-        ..ShardConfig::default()
     };
     let pool = EncryptPool::new(pool_workers());
     let pipe = PipelineConfig::default();
@@ -259,32 +256,24 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         (Command::Intersect, Side::Sender) => {
             let values = input::read_values(reader)?;
             eprintln!("running intersection as S with {} values…", values.len());
-            let out = match shard::recv_hello_or_pushback(&mut transport)? {
-                Ok(shards) => {
-                    eprintln!("peer elected {shards} shards");
-                    shard::run_intersection_sender_sharded(
-                        &mut transport,
-                        &group,
-                        &values,
-                        &mut rng,
-                        &pool,
-                        pipe,
-                        &shard_cfg,
-                        shards,
-                    )?
-                }
-                Err(frame) => {
-                    let mut t = shard::PushbackTransport::new(frame, &mut transport);
-                    intersection::run_sender(&mut t, &group, &values, &mut rng)?
-                }
-            };
-            eprintln!("done: peer set size |V_R| = {}", out.peer_set_size);
+            let out = engine::run_sender(
+                &mut transport,
+                &group,
+                ProtocolShape::INTERSECTION,
+                &values,
+                &[],
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )?;
+            eprintln!("done: peer set size |V_R| = {}", out.peer_size);
             eprintln!("cost: {} Ce, {} Ch", out.ops.total_ce(), out.ops.hashes);
             summary = Some(RunSummary {
                 protocol: Protocol::Intersection,
                 party: Party::Sender,
                 own_values: unique_count(&values),
-                peer_values: out.peer_set_size as u64,
+                peer_values: out.peer_size as u64,
                 measured_ce: out.ops.total_ce(),
                 k_prime_bits: 0,
             });
@@ -292,75 +281,75 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         (Command::Intersect, Side::Receiver) => {
             let values = input::read_values(reader)?;
             eprintln!("running intersection as R with {} values…", values.len());
-            let out = if args.shards > 1 {
-                shard::run_intersection_receiver(
-                    &mut transport,
-                    &group,
-                    &values,
-                    &mut rng,
-                    &pool,
-                    pipe,
-                    &shard_cfg,
-                )?
-            } else {
-                intersection::run_receiver(&mut transport, &group, &values, &mut rng)?
-            };
-            for v in &out.intersection {
+            let out = engine::run_receiver(
+                &mut transport,
+                &group,
+                ProtocolShape::INTERSECTION,
+                &values,
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )?;
+            for (v, _) in &out.matches {
                 println!("{}", String::from_utf8_lossy(v));
             }
             eprintln!(
                 "done: |V_S| = {}, intersection = {} values",
-                out.peer_set_size,
-                out.intersection.len()
+                out.peer_size,
+                out.matches.len()
             );
             summary = Some(RunSummary {
                 protocol: Protocol::Intersection,
                 party: Party::Receiver,
                 own_values: unique_count(&values),
-                peer_values: out.peer_set_size as u64,
+                peer_values: out.peer_size as u64,
                 measured_ce: out.ops.total_ce(),
                 k_prime_bits: 0,
             });
         }
         (Command::IntersectSize, Side::Sender) => {
             let values = input::read_values(reader)?;
-            let out = shard::run_intersection_size_sender(
+            let out = engine::run_sender(
                 &mut transport,
                 &group,
+                ProtocolShape::INTERSECTION_SIZE,
                 &values,
+                &[],
                 &mut rng,
                 &pool,
                 pipe,
                 &shard_cfg,
             )?;
-            eprintln!("done: |V_R| = {}", out.peer_set_size);
+            eprintln!("done: |V_R| = {}", out.peer_size);
             summary = Some(RunSummary {
                 protocol: Protocol::IntersectionSize,
                 party: Party::Sender,
                 own_values: unique_count(&values),
-                peer_values: out.peer_set_size as u64,
+                peer_values: out.peer_size as u64,
                 measured_ce: out.ops.total_ce(),
                 k_prime_bits: 0,
             });
         }
         (Command::IntersectSize, Side::Receiver) => {
             let values = input::read_values(reader)?;
-            let out = shard::run_intersection_size_receiver(
+            let out = engine::run_receiver(
                 &mut transport,
                 &group,
+                ProtocolShape::INTERSECTION_SIZE,
                 &values,
                 &mut rng,
                 &pool,
                 pipe,
                 &shard_cfg,
             )?;
-            println!("{}", out.intersection_size);
-            eprintln!("done: |V_S| = {}", out.peer_set_size);
+            println!("{}", out.match_count);
+            eprintln!("done: |V_S| = {}", out.peer_size);
             summary = Some(RunSummary {
                 protocol: Protocol::IntersectionSize,
                 party: Party::Receiver,
                 own_values: unique_count(&values),
-                peer_values: out.peer_set_size as u64,
+                peer_values: out.peer_size as u64,
                 measured_ce: out.ops.total_ce(),
                 k_prime_bits: 0,
             });
@@ -373,33 +362,24 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             // record length first as a tiny header frame.
             transport.send(&(cipher.max_plaintext_len() as u32).to_be_bytes())?;
             eprintln!("running equijoin as S with {} entries…", entries.len());
-            let out = match shard::recv_hello_or_pushback(&mut transport)? {
-                Ok(shards) => {
-                    eprintln!("peer elected {shards} shards");
-                    shard::run_equijoin_sender_sharded(
-                        &mut transport,
-                        &group,
-                        &cipher,
-                        &entries,
-                        &mut rng,
-                        &pool,
-                        pipe,
-                        &shard_cfg,
-                        shards,
-                    )?
-                }
-                Err(frame) => {
-                    let mut t = shard::PushbackTransport::new(frame, &mut transport);
-                    equijoin::run_sender(&mut t, &group, &cipher, &entries, &mut rng)?
-                }
-            };
-            eprintln!("done: |V_R| = {}", out.peer_set_size);
-            let keys: Vec<Vec<u8>> = entries.iter().map(|(v, _)| v.clone()).collect();
+            let (keys, ext): (Vec<Vec<u8>>, Vec<Vec<u8>>) = entries.into_iter().unzip();
+            let out = engine::run_sender(
+                &mut transport,
+                &group,
+                ProtocolShape::equijoin(&cipher),
+                &keys,
+                &ext,
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )?;
+            eprintln!("done: |V_R| = {}", out.peer_size);
             summary = Some(RunSummary {
                 protocol: Protocol::Equijoin,
                 party: Party::Sender,
                 own_values: unique_count(&keys),
-                peer_values: out.peer_set_size as u64,
+                peer_values: out.peer_size as u64,
                 measured_ce: out.ops.total_ce(),
                 k_prime_bits: 8 * (4 + cipher.ciphertext_len()) as u64,
             });
@@ -414,20 +394,16 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
                 u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
             let cipher = HybridCipher::new(group.clone(), record_len);
             eprintln!("running equijoin as R with {} values…", values.len());
-            let out = if args.shards > 1 {
-                shard::run_equijoin_receiver(
-                    &mut transport,
-                    &group,
-                    &cipher,
-                    &values,
-                    &mut rng,
-                    &pool,
-                    pipe,
-                    &shard_cfg,
-                )?
-            } else {
-                equijoin::run_receiver(&mut transport, &group, &cipher, &values, &mut rng)?
-            };
+            let out = engine::run_receiver(
+                &mut transport,
+                &group,
+                ProtocolShape::equijoin(&cipher),
+                &values,
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )?;
             for (v, payload) in &out.matches {
                 println!(
                     "{}\t{}",
@@ -437,24 +413,26 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             }
             eprintln!(
                 "done: |V_S| = {}, matches = {}",
-                out.peer_set_size,
+                out.peer_size,
                 out.matches.len()
             );
             summary = Some(RunSummary {
                 protocol: Protocol::Equijoin,
                 party: Party::Receiver,
                 own_values: unique_count(&values),
-                peer_values: out.peer_set_size as u64,
+                peer_values: out.peer_size as u64,
                 measured_ce: out.ops.total_ce(),
                 k_prime_bits: 8 * (4 + cipher.ciphertext_len()) as u64,
             });
         }
         (Command::JoinSize, Side::Sender) => {
             let values = input::read_values(reader)?;
-            let out = shard::run_equijoin_size_sender(
+            let out = engine::run_sender(
                 &mut transport,
                 &group,
+                ProtocolShape::EQUIJOIN_SIZE,
                 &values,
+                &[],
                 &mut rng,
                 &pool,
                 pipe,
@@ -462,39 +440,40 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             )?;
             eprintln!(
                 "done: |V_R| = {} (duplicate distribution learned: {:?})",
-                out.peer_multiset_size, out.peer_duplicate_distribution
+                out.peer_size, out.peer_duplicate_distribution
             );
             summary = Some(RunSummary {
                 protocol: Protocol::EquijoinSize,
                 party: Party::Sender,
                 // Multiset protocol: duplicates are kept and priced.
                 own_values: values.len() as u64,
-                peer_values: out.peer_multiset_size as u64,
+                peer_values: out.peer_size as u64,
                 measured_ce: out.ops.total_ce(),
                 k_prime_bits: 0,
             });
         }
         (Command::JoinSize, Side::Receiver) => {
             let values = input::read_values(reader)?;
-            let out = shard::run_equijoin_size_receiver(
+            let out = engine::run_receiver(
                 &mut transport,
                 &group,
+                ProtocolShape::EQUIJOIN_SIZE,
                 &values,
                 &mut rng,
                 &pool,
                 pipe,
                 &shard_cfg,
             )?;
-            println!("{}", out.join_size);
+            println!("{}", out.match_count);
             eprintln!(
                 "done: |V_S| = {}, S's duplicate distribution: {:?}",
-                out.peer_multiset_size, out.peer_duplicate_distribution
+                out.peer_size, out.peer_duplicate_distribution
             );
             summary = Some(RunSummary {
                 protocol: Protocol::EquijoinSize,
                 party: Party::Receiver,
                 own_values: values.len() as u64,
-                peer_values: out.peer_multiset_size as u64,
+                peer_values: out.peer_size as u64,
                 measured_ce: out.ops.total_ce(),
                 k_prime_bits: 0,
             });

@@ -7,7 +7,7 @@
 //! quantity directly from the inputs, so tests and the E13 experiment can
 //! verify the protocol leaks **exactly** this much — no more, no less.
 //!
-//! The sharded engines ([`crate::shard`]) add one further disclosure,
+//! Sharding ([`crate::shard`], `B > 1`) adds one further disclosure,
 //! characterized here the same way: each party learns the *per-bucket*
 //! sizes of the other's set (`B` numbers summing to the total the
 //! unsharded protocol already reveals), and for the -size variants each

@@ -15,6 +15,21 @@
 //! | [`intersection_size`] | §5.1 | `\|V_S ∩ V_R\|`, `\|V_S\|` | `\|V_R\|` |
 //! | [`equijoin_size`] | §5.2 | `\|T_S ⋈ T_R\|` + duplicate-class leak | dup. distribution of `V_R` |
 //!
+//! The four modules above are the paper-literal reference, generic over
+//! any [`minshare_crypto::CommutativeScheme`]. What the daemon, the CLI
+//! and the benchmarks run is [`engine`]: one chunked, bucketed
+//! sender/receiver pair that takes a [`engine::ProtocolShape`] — the
+//! three bits the four protocols differ in — and is frame-identical to
+//! the reference at one bucket and one chunk.
+//!
+//! | Module | Role |
+//! |---|---|
+//! | [`engine`] | `run_sender` / `run_receiver` for any shape, `PipelineConfig` |
+//! | [`shard`] | bucket assignment, `ShardConfig`, spill-record plumbing |
+//! | [`spill`] | bounded-memory external merge sort |
+//! | [`wire`] | message codec, chunked envelope, shard hello |
+//! | [`service`] | daemon session dispatch and the typed client entry points |
+//!
 //! Every engine counts its operations in the paper's §6.1 cost units
 //! ([`stats::OpCounters`]) and all traffic is byte-accounted, so the cost
 //! analysis is verified *exactly*, not approximately.
@@ -62,6 +77,7 @@
 
 pub mod apps;
 pub mod audit;
+pub mod engine;
 pub mod equijoin;
 pub mod equijoin_size;
 pub mod error;
@@ -70,7 +86,6 @@ pub mod intersection_size;
 pub mod leakage;
 pub mod multiparty;
 pub mod naive;
-pub mod pipeline;
 pub mod prepare;
 pub mod runner;
 pub mod service;
@@ -88,18 +103,16 @@ pub use stats::OpCounters;
 
 /// Convenient glob import for applications.
 pub mod prelude {
+    pub use crate::engine::{self, PipelineConfig, ProtocolShape};
     pub use crate::equijoin;
     pub use crate::equijoin_size;
     pub use crate::intersection;
     pub use crate::intersection_size;
-    pub use crate::pipeline::{self, PipelineConfig};
     pub use crate::runner::{run_two_party, TwoPartyRun};
     pub use crate::service::{
-        run_client_equijoin, run_client_equijoin_sharded, run_client_equijoin_size,
-        run_client_equijoin_size_sharded, run_client_intersection,
-        run_client_intersection_sharded, run_client_intersection_size,
-        run_client_intersection_size_sharded, ProtocolKind, Service, SessionReport,
-        SessionRequest,
+        run_client_equijoin_sharded, run_client_equijoin_size_sharded,
+        run_client_intersection_sharded, run_client_intersection_size_sharded, ProtocolKind,
+        Service, SessionReport, SessionRequest,
     };
     pub use crate::shard::{self, ShardConfig};
     pub use crate::simrun::{run_two_party_sim, SimOutcome, SimRunConfig, SimTwoPartyRun};

@@ -27,13 +27,13 @@ use minshare_net::{CountingTransport, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::engine::{self, PipelineConfig, ProtocolShape};
 use crate::equijoin::EquijoinReceiverOutput;
 use crate::equijoin_size::EquijoinSizeReceiverOutput;
 use crate::error::ProtocolError;
 use crate::intersection::IntersectionReceiverOutput;
 use crate::intersection_size::IntersectionSizeReceiverOutput;
-use crate::pipeline::{self, PipelineConfig};
-use crate::shard::{self, ShardConfig};
+use crate::shard::ShardConfig;
 use crate::stats::OpCounters;
 
 /// Leading bytes of every session request, so a daemon never mistakes a
@@ -104,6 +104,17 @@ impl ProtocolKind {
     /// disclosure is occurrence counts rather than distinct values.
     pub fn discloses_multiset(self) -> bool {
         matches!(self, ProtocolKind::EquijoinSize)
+    }
+
+    /// The engine's description of this protocol; `cipher` is the
+    /// equijoin's payload cipher (unused by the other three).
+    pub fn shape(self, cipher: &HybridCipher) -> ProtocolShape<'_> {
+        match self {
+            ProtocolKind::Intersection => ProtocolShape::INTERSECTION,
+            ProtocolKind::Equijoin => ProtocolShape::equijoin(cipher),
+            ProtocolKind::IntersectionSize => ProtocolShape::INTERSECTION_SIZE,
+            ProtocolKind::EquijoinSize => ProtocolShape::EQUIJOIN_SIZE,
+        }
     }
 }
 
@@ -180,20 +191,19 @@ pub struct SessionReport {
 /// session handler threads at once.
 pub struct Service {
     group: QrGroup,
-    /// `(v, ext(v))` — the value set serves intersections, the pairs
-    /// serve equijoins.
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Values only, precomputed for the intersection path.
+    /// `V_S`, and beside it `ext(v)` for each value (read by equijoin
+    /// sessions only).
     values: Vec<Vec<u8>>,
+    ext: Vec<Vec<u8>>,
     pool: EncryptPool,
     config: PipelineConfig,
-    /// Equijoin `ext` record length for the hybrid payload cipher.
-    record_len: usize,
+    /// The equijoin's payload cipher, sized to the `ext` record length.
+    cipher: HybridCipher,
     /// Base seed; per-session key material derives from this and the
     /// session id.
     seed: u64,
-    /// Spill/memory knobs for sessions whose client elects sharding;
-    /// `shards` here is ignored (the client's hello chooses `B`).
+    /// Sort budget and spill directory of every session; `shards` here
+    /// is ignored (the client's hello chooses `B`).
     shard_cfg: ShardConfig,
     /// `|distinct(V_S)|` — the size every non-multiset session disclosed
     /// to its peer (leakage model: `leakage::bucket_size_disclosure`
@@ -216,7 +226,7 @@ impl Service {
         record_len: usize,
         seed: u64,
     ) -> Self {
-        let values: Vec<Vec<u8>> = entries.iter().map(|(v, _)| v.clone()).collect();
+        let (values, ext): (Vec<Vec<u8>>, Vec<Vec<u8>>) = entries.into_iter().unzip();
         // Disclosure totals straight from the §5.2 leakage model; a
         // single bucket makes the per-bucket sums the plain totals.
         let disclosed_distinct = crate::leakage::bucket_size_disclosure(&values, 1, &|_| 0)
@@ -226,12 +236,12 @@ impl Service {
             .iter()
             .sum();
         Service {
+            cipher: HybridCipher::new(group.clone(), record_len),
             group,
-            entries,
             values,
+            ext,
             pool,
             config,
-            record_len,
             seed,
             shard_cfg: ShardConfig::default(),
             disclosed_distinct,
@@ -251,8 +261,8 @@ impl Service {
         }
     }
 
-    /// Sets the spill/memory knobs used when a client's session opens
-    /// with a shard hello (the client still chooses the bucket count).
+    /// Sets the sort budget and spill directory of the sessions (the
+    /// client still chooses the bucket count).
     pub fn with_shard_config(mut self, cfg: ShardConfig) -> Self {
         self.shard_cfg = cfg;
         self
@@ -276,15 +286,14 @@ impl Service {
     }
 
     /// Runs one daemon session to completion: decode the request, then
-    /// drive the matching sender engine over `transport` inside this
-    /// session's fair-scheduling pool scope. Errors are per-session — the
-    /// caller (the mux server handler) reports them without touching any
-    /// other session.
+    /// drive the engine's sender over `transport` inside this session's
+    /// fair-scheduling pool scope. Errors are per-session — the caller
+    /// (the mux server handler) reports them without touching any other
+    /// session.
     ///
-    /// Sharding is client-elected: the sender engines peek the session's
-    /// first protocol frame and adopt the client's bucket count when it
-    /// is a shard hello, falling back byte-identically to the pipelined
-    /// engines otherwise — one service serves both kinds of client.
+    /// Sharding is client-elected: the sender adopts the bucket count of
+    /// a client that opens with a shard hello and runs one bucket
+    /// otherwise — one service serves both kinds of client.
     pub fn handle<T: Transport>(
         &self,
         session: u32,
@@ -312,60 +321,27 @@ impl Service {
         let mut rng = StdRng::seed_from_u64(self.session_seed(session));
         let pool_session = self.pool.session(1);
         let started = std::time::Instant::now();
-        let (peer_set_size, ops) = pool_session.scope(|| match request.protocol {
-            ProtocolKind::Intersection => shard::run_intersection_sender(
+        let out = pool_session.scope(|| {
+            engine::run_sender(
                 &mut counted,
                 &self.group,
+                request.protocol.shape(&self.cipher),
                 &self.values,
+                &self.ext,
                 &mut rng,
                 &self.pool,
                 self.config,
                 &self.shard_cfg,
             )
-            .map(|out| (out.peer_set_size, out.ops)),
-            ProtocolKind::Equijoin => {
-                let cipher = HybridCipher::new(self.group.clone(), self.record_len);
-                shard::run_equijoin_sender(
-                    &mut counted,
-                    &self.group,
-                    &cipher,
-                    &self.entries,
-                    &mut rng,
-                    &self.pool,
-                    self.config,
-                    &self.shard_cfg,
-                )
-                .map(|out| (out.peer_set_size, out.ops))
-            }
-            ProtocolKind::IntersectionSize => shard::run_intersection_size_sender(
-                &mut counted,
-                &self.group,
-                &self.values,
-                &mut rng,
-                &self.pool,
-                self.config,
-                &self.shard_cfg,
-            )
-            .map(|out| (out.peer_set_size, out.ops)),
-            ProtocolKind::EquijoinSize => shard::run_equijoin_size_sender(
-                &mut counted,
-                &self.group,
-                &self.values,
-                &mut rng,
-                &self.pool,
-                self.config,
-                &self.shard_cfg,
-            )
-            .map(|out| (out.peer_multiset_size, out.ops)),
         })?;
         let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let report = SessionReport {
             session,
             protocol: request.protocol,
-            peer_set_size,
+            peer_set_size: out.peer_size,
             bytes_sent: traffic.bytes_sent(),
             bytes_received: traffic.bytes_received(),
-            ops,
+            ops: out.ops,
         };
         // Deterministic per-session completion event: everything in it is
         // a pure function of the protocol inputs (no session id — the
@@ -409,47 +385,29 @@ impl Service {
     }
 }
 
+/// Runs the engine's receiver over a byte-counted `transport`.
+#[allow(clippy::too_many_arguments)]
+fn run_client<T: Transport, R: Rng + ?Sized>(
+    transport: T,
+    group: &QrGroup,
+    shape: ProtocolShape<'_>,
+    values: &[Vec<u8>],
+    rng: &mut R,
+    pool: &EncryptPool,
+    config: PipelineConfig,
+    cfg: &ShardConfig,
+) -> Result<(engine::ReceiverOutput, ClientTraffic), ProtocolError> {
+    let (mut counted, traffic) = CountingTransport::new(transport);
+    let out = engine::run_receiver(&mut counted, group, shape, values, rng, pool, config, cfg)?;
+    Ok((out, ClientTraffic::from(&traffic)))
+}
+
 /// Client side of a daemon intersection session. `transport` is the
 /// already-open session (the OPEN payload must have been
 /// `SessionRequest::new(ProtocolKind::Intersection).encode()`); returns
 /// the receiver output plus the session's byte counts for
-/// reconciliation against the daemon's [`SessionReport`].
-pub fn run_client_intersection<T: Transport, R: Rng + ?Sized>(
-    transport: T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    config: PipelineConfig,
-) -> Result<(IntersectionReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out = pipeline::run_intersection_receiver(&mut counted, group, values, rng, pool, config)?;
-    Ok((out, ClientTraffic::from(&traffic)))
-}
-
-/// Client side of a daemon equijoin session; see
-/// [`run_client_intersection`]. `record_len` must match the daemon's.
-pub fn run_client_equijoin<T: Transport, R: Rng + ?Sized>(
-    transport: T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    config: PipelineConfig,
-    record_len: usize,
-) -> Result<(EquijoinReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let cipher = HybridCipher::new(group.clone(), record_len);
-    let out =
-        pipeline::run_equijoin_receiver(&mut counted, group, &cipher, values, rng, pool, config)?;
-    Ok((out, ClientTraffic::from(&traffic)))
-}
-
-/// Sharded client side of a daemon intersection session: announces
-/// `cfg.shards` buckets and runs the bounded-memory receiver engine
-/// (`cfg.shards <= 1` degenerates byte-identically to
-/// [`run_client_intersection`]). The daemon adopts the bucket count
-/// automatically.
+/// reconciliation against the daemon's [`SessionReport`]. Announces
+/// `cfg.shards` buckets when more than one; the daemon adopts the count.
 pub fn run_client_intersection_sharded<T: Transport, R: Rng + ?Sized>(
     transport: T,
     group: &QrGroup,
@@ -459,14 +417,14 @@ pub fn run_client_intersection_sharded<T: Transport, R: Rng + ?Sized>(
     config: PipelineConfig,
     cfg: &ShardConfig,
 ) -> Result<(IntersectionReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out =
-        shard::run_intersection_receiver(&mut counted, group, values, rng, pool, config, cfg)?;
-    Ok((out, ClientTraffic::from(&traffic)))
+    let shape = ProtocolShape::INTERSECTION;
+    let (out, traffic) = run_client(transport, group, shape, values, rng, pool, config, cfg)?;
+    Ok((out.into(), traffic))
 }
 
-/// Sharded client side of a daemon equijoin session; see
-/// [`run_client_intersection_sharded`].
+/// Client side of a daemon equijoin session; see
+/// [`run_client_intersection_sharded`]. `record_len` must match the
+/// daemon's.
 #[allow(clippy::too_many_arguments)]
 pub fn run_client_equijoin_sharded<T: Transport, R: Rng + ?Sized>(
     transport: T,
@@ -478,38 +436,14 @@ pub fn run_client_equijoin_sharded<T: Transport, R: Rng + ?Sized>(
     record_len: usize,
     cfg: &ShardConfig,
 ) -> Result<(EquijoinReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
     let cipher = HybridCipher::new(group.clone(), record_len);
-    let out = shard::run_equijoin_receiver(
-        &mut counted,
-        group,
-        &cipher,
-        values,
-        rng,
-        pool,
-        config,
-        cfg,
-    )?;
-    Ok((out, ClientTraffic::from(&traffic)))
+    let shape = ProtocolShape::equijoin(&cipher);
+    let (out, traffic) = run_client(transport, group, shape, values, rng, pool, config, cfg)?;
+    Ok((out.into(), traffic))
 }
 
 /// Client side of a daemon intersection-size session: learns
 /// `|V_S ∩ V_R|` and `|V_S|`, never which values matched.
-pub fn run_client_intersection_size<T: Transport, R: Rng + ?Sized>(
-    transport: T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-) -> Result<(IntersectionSizeReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out = crate::intersection_size::run_receiver(&mut counted, group, values, rng)?;
-    Ok((out, ClientTraffic::from(&traffic)))
-}
-
-/// Sharded client side of a daemon intersection-size session: announces
-/// `cfg.shards` buckets and runs the bounded-memory engine
-/// (`cfg.shards <= 1` degenerates to the serial receiver). The daemon
-/// adopts the bucket count automatically.
 pub fn run_client_intersection_size_sharded<T: Transport, R: Rng + ?Sized>(
     transport: T,
     group: &QrGroup,
@@ -519,27 +453,13 @@ pub fn run_client_intersection_size_sharded<T: Transport, R: Rng + ?Sized>(
     config: PipelineConfig,
     cfg: &ShardConfig,
 ) -> Result<(IntersectionSizeReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out =
-        shard::run_intersection_size_receiver(&mut counted, group, values, rng, pool, config, cfg)?;
-    Ok((out, ClientTraffic::from(&traffic)))
+    let shape = ProtocolShape::INTERSECTION_SIZE;
+    let (out, traffic) = run_client(transport, group, shape, values, rng, pool, config, cfg)?;
+    Ok((out.into(), traffic))
 }
 
 /// Client side of a daemon equijoin-size session: learns the join size
 /// and the §5.2 duplicate-class matrix.
-pub fn run_client_equijoin_size<T: Transport, R: Rng + ?Sized>(
-    transport: T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-) -> Result<(EquijoinSizeReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out = crate::equijoin_size::run_receiver(&mut counted, group, values, rng)?;
-    Ok((out, ClientTraffic::from(&traffic)))
-}
-
-/// Sharded client side of a daemon equijoin-size session; see
-/// [`run_client_intersection_size_sharded`].
 pub fn run_client_equijoin_size_sharded<T: Transport, R: Rng + ?Sized>(
     transport: T,
     group: &QrGroup,
@@ -549,10 +469,9 @@ pub fn run_client_equijoin_size_sharded<T: Transport, R: Rng + ?Sized>(
     config: PipelineConfig,
     cfg: &ShardConfig,
 ) -> Result<(EquijoinSizeReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out =
-        shard::run_equijoin_size_receiver(&mut counted, group, values, rng, pool, config, cfg)?;
-    Ok((out, ClientTraffic::from(&traffic)))
+    let shape = ProtocolShape::EQUIJOIN_SIZE;
+    let (out, traffic) = run_client(transport, group, shape, values, rng, pool, config, cfg)?;
+    Ok((out.into(), traffic))
 }
 
 /// A client session's byte counts, mirror image of the daemon's
@@ -638,13 +557,14 @@ mod tests {
         let client_pool = EncryptPool::new(2);
         let client = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(99);
-            run_client_intersection(
+            run_client_intersection_sharded(
                 client_t,
                 &group(),
                 &to_values(&["grape", "melon", "pear"]),
                 &mut rng,
                 &client_pool,
                 PipelineConfig::default(),
+                &ShardConfig::default(),
             )
             .unwrap()
         });
@@ -679,7 +599,7 @@ mod tests {
         let client_pool = EncryptPool::new(2);
         let client = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(3);
-            run_client_equijoin(
+            run_client_equijoin_sharded(
                 client_t,
                 &group(),
                 &to_values(&["grape", "kiwi"]),
@@ -687,6 +607,7 @@ mod tests {
                 &client_pool,
                 PipelineConfig::default(),
                 64,
+                &ShardConfig::default(),
             )
             .unwrap()
         });
@@ -804,8 +725,16 @@ mod tests {
         let request = SessionRequest::new(ProtocolKind::EquijoinSize).encode();
         let client = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(5);
-            run_client_equijoin_size(client_t, &group(), &to_values(&["grape", "kiwi"]), &mut rng)
-                .unwrap()
+            run_client_equijoin_size_sharded(
+                client_t,
+                &group(),
+                &to_values(&["grape", "kiwi"]),
+                &mut rng,
+                &EncryptPool::new(0),
+                PipelineConfig::default(),
+                &ShardConfig::default(),
+            )
+            .unwrap()
         });
         let report = service.handle(4, &request, server_t).unwrap();
         let (out, traffic) = client.join().unwrap();

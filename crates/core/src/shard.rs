@@ -1,19 +1,15 @@
-//! Sharded, bounded-memory protocol engines.
+//! Bucket layout and bounded-memory plumbing of [`crate::engine`].
 //!
 //! §6.2 of the paper observes that the `Ce` work is embarrassingly
 //! parallel; this module adds the data-layout half of that observation.
 //! Both parties bucket their values on a prefix of `h(v)`'s fixed-width
 //! codeword into `B` shards (the assignment is a pure function of the
-//! public scheme, so it is common knowledge), then run `B` independent
+//! public scheme, so it is common knowledge), and the engine runs `B`
 //! per-bucket instances of the chosen protocol back to back over one
-//! transport. Each bucket's lists travel under the existing chunked
-//! envelope; encryption batches go to the shared
-//! [`minshare_crypto::EncryptPool`] inside whatever fair-queuing session
-//! scope the caller established, so one giant sharded join cannot starve
-//! concurrent daemon sessions.
+//! transport. `B = 1` is the same flow with one bucket.
 //!
 //! **Memory stays O(bucket)**: every "collect all codewords, then sort"
-//! step of the unsharded engines becomes a push into the spill-to-disk
+//! step of the paper's protocols is a push into the spill-to-disk
 //! [`crate::spill::ExtSorter`], keyed by `bucket_id ‖ codeword`, and the
 //! wire phase walks the merged stream one bucket at a time. Spill files
 //! hold only post-`h`-post-`enc` bytes — the analyzer's WIRE01 pass
@@ -21,15 +17,13 @@
 //!
 //! ## Wire format
 //!
-//! A sharded receiver opens with the 6-byte hello
-//! `[TAG_SHARDED, 1, B:u32be]`, then for each bucket `b = 0..B` the
-//! parties exchange exactly the unsharded message sequence restricted to
-//! bucket `b`. With `B = 1` no hello is sent and the engines delegate to
-//! the unsharded paths, so single-shard runs are byte-identical to
-//! today's protocols. Senders adopt sharding automatically by peeking at
-//! the first frame ([`recv_hello_or_pushback`]): a hello announces `B`,
-//! anything else is pushed back ([`PushbackTransport`]) and handled by
-//! the unsharded engine.
+//! A receiver that wants `B > 1` buckets opens with the 6-byte hello
+//! `[TAG_SHARDED, 1, B:u32be]`; then for each bucket `b = 0..B` the
+//! parties exchange exactly the one-bucket message sequence restricted
+//! to bucket `b`. With `B = 1` no hello is sent. Senders adopt the
+//! peer's choice by looking at the first frame: a hello announces `B`,
+//! anything else is bucket 0's first message, replayed to the same
+//! engine through [`PushbackTransport`].
 //!
 //! ## Leakage delta
 //!
@@ -41,36 +35,27 @@
 //! cost totals are unchanged because every formula is linear in
 //! `|V_S|`/`|V_R|` (see `minshare-costmodel`'s `reconcile_sharded`).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 
 use minshare_bignum::UBig;
-use minshare_crypto::kcipher::ExtCipher;
-use minshare_crypto::{CommutativeScheme, EncryptPool, PendingBatch, QrGroup};
+use minshare_crypto::{CommutativeKey, CommutativeScheme, EncryptPool, PendingBatch, QrGroup};
 use minshare_net::{FrameBatch, NetError, Transport};
-use rand::Rng;
 
-use crate::equijoin_size::{EquijoinSizeReceiverOutput, EquijoinSizeSenderOutput};
-use crate::equijoin::{EquijoinReceiverOutput, EquijoinSenderOutput};
 use crate::error::ProtocolError;
-use crate::intersection::{IntersectionReceiverOutput, IntersectionSenderOutput};
-use crate::intersection_size::{IntersectionSizeReceiverOutput, IntersectionSizeSenderOutput};
-use crate::pipeline::{self, into_codewords, require_chunk_strictly_sorted, PipelineConfig};
-use crate::prepare::{prepare_multiset, prepare_set};
 use crate::spill::{ExtSorter, SortedStream, SpillStats};
 use crate::stats::OpCounters;
-use crate::wire::{
-    decode_shard_hello, encode_shard_hello, send_codewords_chunked, send_payload_pairs_chunked,
-    ChunkedReader, ChunkedWriter, Message, MAX_SHARDS, TAG_CODEWORDS, TAG_CODEWORD_PAIRS,
-    TAG_PAYLOAD_PAIRS,
-};
+use crate::wire::MAX_SHARDS;
 
-/// Knobs for the sharded engines.
+/// How many buckets' encryption jobs may be in flight at once during the
+/// spill phase; bounds peak codeword memory to this many buckets.
+const SPILL_WINDOW: usize = 4;
+
+/// Bucketing and memory knobs of the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Bucket count `B` chosen by the receiver. `1` (the default) means
-    /// unsharded: no hello frame, byte-identical delegation to the
-    /// plain engines.
+    /// Bucket count `B` chosen by the receiver (senders adopt the
+    /// peer's). `1` (the default) sends no hello frame.
     pub shards: u32,
     /// In-memory byte budget of each spill sorter; codeword records
     /// beyond it go to sorted run files on disk.
@@ -78,9 +63,6 @@ pub struct ShardConfig {
     /// Directory for spill run files (`None` = the OS temp dir). Runs
     /// are unlinked at creation, so nothing lingers after the process.
     pub spill_dir: Option<PathBuf>,
-    /// How many buckets' encryption jobs may be in flight at once during
-    /// the spill phase; bounds peak codeword memory to `window` buckets.
-    pub window: usize,
 }
 
 impl Default for ShardConfig {
@@ -89,7 +71,6 @@ impl Default for ShardConfig {
             shards: 1,
             mem_budget: 64 << 20,
             spill_dir: None,
-            window: 4,
         }
     }
 }
@@ -103,14 +84,10 @@ impl ShardConfig {
         }
     }
 
-    fn dir(&self) -> PathBuf {
+    pub(crate) fn dir(&self) -> PathBuf {
         self.spill_dir
             .clone()
             .unwrap_or_else(std::env::temp_dir)
-    }
-
-    fn window(&self) -> usize {
-        self.window.max(1)
     }
 
     /// Shard count clamped to the wire-format bounds.
@@ -120,20 +97,17 @@ impl ShardConfig {
 }
 
 /// A transport wrapper that re-delivers one already-received frame
-/// before reading from the underlying link — how a sender hands a
-/// peeked non-hello first frame to the unsharded engine.
+/// before reading from the underlying link — how a sender that looked at
+/// the first frame for a hello hands a non-hello back to itself.
 pub struct PushbackTransport<'a, T: Transport + ?Sized> {
     first: Option<Vec<u8>>,
     inner: &'a mut T,
 }
 
 impl<'a, T: Transport + ?Sized> PushbackTransport<'a, T> {
-    /// Wraps `inner`, making `first` the next received frame.
-    pub fn new(first: Vec<u8>, inner: &'a mut T) -> Self {
-        PushbackTransport {
-            first: Some(first),
-            inner,
-        }
+    /// Wraps `inner`, making `first` (if any) the next received frame.
+    pub fn new(first: Option<Vec<u8>>, inner: &'a mut T) -> Self {
+        PushbackTransport { first, inner }
     }
 }
 
@@ -151,20 +125,6 @@ impl<T: Transport + ?Sized> Transport for PushbackTransport<'_, T> {
             Some(frame) => Ok(frame),
             None => self.inner.recv(),
         }
-    }
-}
-
-/// Receives the first frame of a session on the sender side:
-/// `Ok(shards)` when the peer opened with a shard hello, `Err(frame)`
-/// when it is an ordinary first message to push back into an unsharded
-/// engine via [`PushbackTransport`].
-pub fn recv_hello_or_pushback<T: Transport + ?Sized>(
-    transport: &mut T,
-) -> Result<Result<u32, Vec<u8>>, ProtocolError> {
-    let frame = transport.recv()?;
-    match decode_shard_hello(&frame)? {
-        Some(shards) => Ok(Ok(shards)),
-        None => Ok(Err(frame)),
     }
 }
 
@@ -192,7 +152,7 @@ pub fn value_bucket<S: CommutativeScheme>(
     Ok(bucket_of(&scheme.encode_elem(&h)?, shards))
 }
 
-fn shard_err(detail: impl std::fmt::Display) -> ProtocolError {
+pub(crate) fn shard_err(detail: impl std::fmt::Display) -> ProtocolError {
     ProtocolError::Spill {
         detail: detail.to_string(),
     }
@@ -200,7 +160,7 @@ fn shard_err(detail: impl std::fmt::Display) -> ProtocolError {
 
 /// Per-bucket entry indices: `plan[b]` lists the positions (in the
 /// prepared entry list) whose hash falls in bucket `b`.
-fn plan_buckets(
+pub(crate) fn plan_buckets(
     group: &QrGroup,
     hashes: &[UBig],
     shards: u32,
@@ -217,91 +177,136 @@ fn plan_buckets(
     Ok(plan)
 }
 
-/// One in-flight spill-phase encryption batch: the bucket it belongs
-/// to, the entry indices it covers, and the pool job.
-struct SpillJob {
-    bucket: u32,
-    idxs: Vec<u32>,
-    job: PendingBatch,
+/// A party's exponents: `e` alone, or `(e_S, e'_S)` for the sender of
+/// the protocol whose elements are `(tag, κ)` pairs (§4.3 step 1).
+pub(crate) struct Keys {
+    pub(crate) e: CommutativeKey,
+    pub(crate) e_prime: Option<CommutativeKey>,
 }
 
-/// Waits one spill job and pushes its codewords into the sorter as
-/// `bucket ‖ codeword [‖ idx]` records.
+impl Keys {
+    /// `Ce` spent per element encrypted under these keys: 1 or 2.
+    pub(crate) fn per_item(&self) -> u64 {
+        1 + u64::from(self.e_prime.is_some())
+    }
+
+    /// Starts `f_e(items)` — and `f_e'(items)` when there is a second
+    /// key — on the pool.
+    pub(crate) fn submit(&self, pool: &EncryptPool, group: &QrGroup, items: &[UBig]) -> Batches {
+        Batches {
+            first: pool.submit_encrypt(group, &self.e, items),
+            second: self
+                .e_prime
+                .as_ref()
+                .map(|e_prime| pool.submit_encrypt(group, e_prime, items)),
+        }
+    }
+}
+
+/// The pool jobs of one [`Keys::submit`], in key order.
+pub(crate) struct Batches {
+    pub(crate) first: PendingBatch,
+    pub(crate) second: Option<PendingBatch>,
+}
+
+/// The fixed-width spill record `bucket ‖ codeword [‖ idx] [‖ κ]`: `idx`
+/// is the element's position in the prepared entry list (kept by a party
+/// that must map a sorted codeword back to its value), `κ` the second
+/// codeword of a two-key sender. Sorting by the `bucket ‖ codeword`
+/// prefix is the per-bucket lexicographic order the paper asks for.
+#[derive(Clone, Copy)]
+pub(crate) struct RecordLayout {
+    pub(crate) width: usize,
+    pub(crate) with_idx: bool,
+    pub(crate) with_kappa: bool,
+}
+
+impl RecordLayout {
+    pub(crate) fn len(&self) -> usize {
+        4 + self.width + self.idx_len() + if self.with_kappa { self.width } else { 0 }
+    }
+
+    fn idx_len(&self) -> usize {
+        if self.with_idx {
+            4
+        } else {
+            0
+        }
+    }
+
+    /// The record's sort codeword (`Y`, or the tag).
+    pub(crate) fn codeword(&self, rec: &[u8]) -> Result<UBig, ProtocolError> {
+        rec_codeword(rec, 4, self.width)
+    }
+
+    /// The record's entry index.
+    pub(crate) fn idx(&self, rec: &[u8]) -> Result<u32, ProtocolError> {
+        rec_u32(rec, 4 + self.width)
+    }
+
+    /// The record's second codeword.
+    pub(crate) fn kappa(&self, rec: &[u8]) -> Result<UBig, ProtocolError> {
+        rec_codeword(rec, 4 + self.width + self.idx_len(), self.width)
+    }
+}
+
+/// One in-flight spill-phase encryption: the bucket it belongs to, the
+/// entry indices it covers, and the pool jobs.
+struct SpillJob<'a> {
+    bucket: u32,
+    idxs: &'a [u32],
+    jobs: Batches,
+}
+
+/// Waits one spill job and pushes its codewords into the sorter.
 fn drain_spill_job(
     group: &QrGroup,
     sorter: &mut ExtSorter,
-    job: SpillJob,
-    with_idx: bool,
+    layout: RecordLayout,
+    job: SpillJob<'_>,
 ) -> Result<(), ProtocolError> {
-    let codewords = job.job.wait();
+    let codewords = job.jobs.first.wait();
+    let kappas = job.jobs.second.map(PendingBatch::wait);
     for (k, y) in codewords.iter().enumerate() {
-        let mut rec = Vec::with_capacity(sorter.record_len());
+        let mut rec = Vec::with_capacity(layout.len());
         rec.extend_from_slice(&job.bucket.to_be_bytes());
         rec.extend_from_slice(&group.encode_elem(y)?);
-        if with_idx {
+        if layout.with_idx {
             let idx = job
                 .idxs
                 .get(k)
-                .copied()
                 .ok_or_else(|| shard_err("spill job shorter than its index list"))?;
             rec.extend_from_slice(&idx.to_be_bytes());
+        }
+        if layout.with_kappa {
+            let kappa = kappas
+                .as_ref()
+                .and_then(|list| list.get(k))
+                .ok_or_else(|| shard_err("spill job without its second codeword"))?;
+            rec.extend_from_slice(&group.encode_elem(kappa)?);
         }
         sorter.push_record(&rec)?;
     }
     Ok(())
 }
 
-/// The equijoin sender's two-key analogue of [`SpillJob`]: one batch
-/// per exponent (`e_s` tags, `e'_s` κ seeds) over the same entries.
-struct PairSpillJob {
-    bucket: u32,
-    idxs: Vec<u32>,
-    tags: PendingBatch,
-    kappas: PendingBatch,
-}
-
-/// Waits one equijoin spill job and pushes its
-/// `bucket ‖ tag ‖ idx ‖ κ` records — tag-sorted within the bucket by
-/// the merge, which is exactly the payload-table order.
-fn drain_pair_spill_job(
-    group: &QrGroup,
-    sorter: &mut ExtSorter,
-    job: PairSpillJob,
-) -> Result<(), ProtocolError> {
-    let tags = job.tags.wait();
-    let kappas = job.kappas.wait();
-    for (k, (tag, kappa)) in tags.iter().zip(&kappas).enumerate() {
-        let mut rec = Vec::with_capacity(sorter.record_len());
-        rec.extend_from_slice(&job.bucket.to_be_bytes());
-        rec.extend_from_slice(&group.encode_elem(tag)?);
-        let idx = job
-            .idxs
-            .get(k)
-            .copied()
-            .ok_or_else(|| shard_err("spill job shorter than its index list"))?;
-        rec.extend_from_slice(&idx.to_be_bytes());
-        rec.extend_from_slice(&group.encode_elem(kappa)?);
-        sorter.push_record(&rec)?;
-    }
-    Ok(())
-}
-
-/// Spill phase shared by every single-key engine: encrypt each bucket's
-/// hashes on the pool (at most `window` buckets in flight) and spill the
-/// codewords. Counts one `Ce` per hash.
+/// The spill phase of both roles: encrypt each bucket's hashes on the
+/// pool (at most [`SPILL_WINDOW`] buckets in flight) and push the
+/// codewords into a sorter. Counts one `Ce` per hash per key. Returns
+/// the merged stream and what the sorter did.
 #[allow(clippy::too_many_arguments)]
-fn encrypt_buckets_to_sorter(
+pub(crate) fn encrypt_buckets(
     group: &QrGroup,
     pool: &EncryptPool,
-    key: &minshare_crypto::CommutativeKey,
+    keys: &Keys,
     hashes: &[UBig],
     plan: &[Vec<u32>],
-    sorter: &mut ExtSorter,
-    with_idx: bool,
-    window: usize,
+    layout: RecordLayout,
+    cfg: &ShardConfig,
     ops: &mut OpCounters,
-) -> Result<(), ProtocolError> {
-    let mut in_flight: VecDeque<SpillJob> = VecDeque::new();
+) -> Result<(BucketStream, SpillStats), ProtocolError> {
+    let mut sorter = ExtSorter::new(layout.len(), cfg.mem_budget, &cfg.dir())?;
+    let mut in_flight: VecDeque<SpillJob<'_>> = VecDeque::new();
     for (b, idxs) in plan.iter().enumerate() {
         let batch: Vec<UBig> = idxs
             .iter()
@@ -312,27 +317,28 @@ fn encrypt_buckets_to_sorter(
                     .ok_or_else(|| shard_err("bucket plan index out of range"))
             })
             .collect::<Result<_, _>>()?;
-        ops.encryptions += batch.len() as u64;
+        ops.encryptions += keys.per_item() * batch.len() as u64;
         in_flight.push_back(SpillJob {
             bucket: b as u32,
-            idxs: idxs.clone(),
-            job: pool.submit_encrypt(group, key, &batch),
+            idxs,
+            jobs: keys.submit(pool, group, &batch),
         });
-        while in_flight.len() >= window {
+        while in_flight.len() >= SPILL_WINDOW {
             if let Some(job) = in_flight.pop_front() {
-                drain_spill_job(group, sorter, job, with_idx)?;
+                drain_spill_job(group, &mut sorter, layout, job)?;
             }
         }
     }
     while let Some(job) = in_flight.pop_front() {
-        drain_spill_job(group, sorter, job, with_idx)?;
+        drain_spill_job(group, &mut sorter, layout, job)?;
     }
-    Ok(())
+    let (stream, stats) = sorter.finish()?;
+    Ok((BucketStream::new(stream), stats))
 }
 
 /// Walks a merged spill stream one bucket at a time (records are sorted
 /// by their `bucket ‖ codeword` prefix, so each bucket is contiguous).
-struct BucketStream {
+pub(crate) struct BucketStream {
     stream: SortedStream,
     lookahead: Option<Vec<u8>>,
 }
@@ -347,7 +353,7 @@ impl BucketStream {
 
     /// Every record of bucket `b`, in codeword order. Must be called
     /// with strictly increasing `b`.
-    fn take_bucket(&mut self, b: u32) -> Result<Vec<Vec<u8>>, ProtocolError> {
+    pub(crate) fn take_bucket(&mut self, b: u32) -> Result<Vec<Vec<u8>>, ProtocolError> {
         let mut out = Vec::new();
         loop {
             let rec = match self.lookahead.take() {
@@ -378,7 +384,7 @@ fn rec_u32(rec: &[u8], at: usize) -> Result<u32, ProtocolError> {
     Ok(u32::from_be_bytes(bytes))
 }
 
-/// Decodes the codeword field of a spill record. The bytes are our own
+/// Decodes a codeword field of a spill record. The bytes are our own
 /// prior `encode_elem` output, so plain big-endian reconstruction
 /// suffices (no domain re-validation).
 fn rec_codeword(rec: &[u8], at: usize, width: usize) -> Result<UBig, ProtocolError> {
@@ -388,29 +394,11 @@ fn rec_codeword(rec: &[u8], at: usize, width: usize) -> Result<UBig, ProtocolErr
     Ok(UBig::from_be_bytes(bytes))
 }
 
-/// Non-strict chunk-boundary sortedness check (multiset lists, where
-/// duplicates are legitimate).
-fn require_chunk_sorted(
-    last: &mut Option<UBig>,
-    chunk: &[UBig],
-    what: &'static str,
-) -> Result<(), ProtocolError> {
-    for x in chunk {
-        if let Some(prev) = last.as_ref() {
-            if prev > x {
-                return Err(ProtocolError::NotSorted { what });
-            }
-        }
-        *last = Some(x.clone());
-    }
-    Ok(())
-}
-
 /// One deterministic per-bucket completion event. `ce` is the bucket's
 /// exact §6.1 `Ce` expenditure on this party; `minshare-costmodel`'s
 /// `reconcile_sharded` checks these per-bucket figures still sum to the
 /// paper's formulas.
-fn emit_bucket_done(
+pub(crate) fn emit_bucket_done(
     name: &'static str,
     protocol: &'static str,
     bucket: u32,
@@ -432,7 +420,7 @@ fn emit_bucket_done(
 /// Deterministic spill summary for one engine's sort phase: run/byte/
 /// record counters only (sizes, never content). `runs_spilled == 0`
 /// means the whole set fit in the memory budget.
-fn emit_spill_done(stats: &SpillStats) {
+pub(crate) fn emit_spill_done(stats: &SpillStats) {
     let (runs, bytes, records) = (stats.runs_spilled, stats.bytes_spilled, stats.records);
     minshare_trace::emit("shard", "spill_done", true, move || {
         vec![
@@ -443,1125 +431,40 @@ fn emit_spill_done(stats: &SpillStats) {
     });
 }
 
-// ---------------------------------------------------------------------------
-// Intersection
-// ---------------------------------------------------------------------------
-
-/// Sharded intersection receiver. With `cfg.shards <= 1` this delegates
-/// to [`pipeline::run_intersection_receiver`] (no hello frame, byte-
-/// identical); otherwise it announces `B` and runs the per-bucket flow.
-pub fn run_intersection_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-) -> Result<IntersectionReceiverOutput, ProtocolError> {
-    let shards = cfg.effective_shards();
-    if shards <= 1 {
-        return pipeline::run_intersection_receiver(transport, group, values, rng, pool, pipe);
-    }
-    let mut ops = OpCounters::default();
-    transport.send(&encode_shard_hello(shards))?;
-
-    let prepared = prepare_set(group, values, &mut ops)?;
-    let key = group.gen_key(rng);
-    let (own_values, hashes): (Vec<Vec<u8>>, Vec<UBig>) = prepared.entries.into_iter().unzip();
-    let plan = plan_buckets(group, &hashes, shards)?;
-
-    let width = group.codeword_len();
-    let mut sorter = ExtSorter::new(4 + width + 4, cfg.mem_budget, &cfg.dir())?;
-    encrypt_buckets_to_sorter(
-        group,
-        pool,
-        &key,
-        &hashes,
-        &plan,
-        &mut sorter,
-        true,
-        cfg.window(),
-        &mut ops,
-    )?;
-    drop(hashes);
-    let (stream, spill_stats) = sorter.finish()?;
-    emit_spill_done(&spill_stats);
-    let mut buckets = BucketStream::new(stream);
-
-    let mut peer_set_size = 0usize;
-    let mut matched_idx: Vec<u32> = Vec::new();
-    for b in 0..shards {
-        let recs = buckets.take_bucket(b)?;
-        let mut yr_b: Vec<UBig> = Vec::with_capacity(recs.len());
-        let mut idx_b: Vec<u32> = Vec::with_capacity(recs.len());
-        for rec in &recs {
-            yr_b.push(rec_codeword(rec, 4, width)?);
-            idx_b.push(rec_u32(rec, 4 + width)?);
-        }
-        send_codewords_chunked(transport, group, &yr_b, pipe.effective_chunk(yr_b.len()))?;
-
-        // Y_S^b, overlapping Z_S^b = f_eR(Y_S^b) with the receive.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut zs_jobs: Vec<PendingBatch> = Vec::new();
-        let mut peer_b = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_strictly_sorted(&mut last, &chunk, "Y_S")?;
-            peer_b += chunk.len();
-            ops.encryptions += chunk.len() as u64;
-            zs_jobs.push(pool.submit_encrypt(group, &key, &chunk));
-        }
-        peer_set_size += peer_b;
-
-        // f_eS(Y_R^b), aligned with this bucket's Y_R order.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut reencrypted: Vec<UBig> = Vec::with_capacity(reader.total_items().min(1 << 22));
-        while let Some(msg) = reader.next(transport, group)? {
-            reencrypted.extend(into_codewords(msg)?);
-        }
-        if reencrypted.len() != yr_b.len() {
-            return Err(ProtocolError::LengthMismatch {
-                expected: yr_b.len(),
-                got: reencrypted.len(),
-            });
-        }
-
-        let zs: BTreeSet<UBig> = zs_jobs.into_iter().flat_map(PendingBatch::wait).collect();
-        for (i, fes_y) in idx_b.iter().zip(&reencrypted) {
-            if zs.contains(fes_y) {
-                matched_idx.push(*i);
-            }
-        }
-        emit_bucket_done(
-            "receiver_bucket_done",
-            "intersection",
-            b,
-            yr_b.len(),
-            peer_b,
-            (yr_b.len() + peer_b) as u64,
-        );
-    }
-
-    let mut intersection: Vec<Vec<u8>> = matched_idx
-        .into_iter()
-        .map(|i| {
-            own_values
-                .get(i as usize)
-                .cloned()
-                .ok_or_else(|| shard_err("matched index out of range"))
-        })
-        .collect::<Result<_, _>>()?;
-    intersection.sort();
-
-    crate::stats::emit_ops(
-        "intersection",
-        "receiver_done",
-        &ops,
-        own_values.len(),
-        peer_set_size,
-    );
-    Ok(IntersectionReceiverOutput {
-        intersection,
-        peer_set_size,
-        ops,
-    })
-}
-
-/// Sharded intersection sender for a peer that announced `shards`
-/// buckets (see [`recv_hello_or_pushback`]; the hello frame must already
-/// have been consumed).
-pub fn run_intersection_sender_sharded<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-    shards: u32,
-) -> Result<IntersectionSenderOutput, ProtocolError> {
-    let shards = shards.clamp(1, MAX_SHARDS);
-    let mut ops = OpCounters::default();
-    let prepared = prepare_set(group, values, &mut ops)?;
-    let key = group.gen_key(rng);
-    let hashes: Vec<UBig> = prepared.entries.iter().map(|(_, h)| h.clone()).collect();
-    let own_set_size = hashes.len();
-    let plan = plan_buckets(group, &hashes, shards)?;
-
-    let width = group.codeword_len();
-    let mut sorter = ExtSorter::new(4 + width, cfg.mem_budget, &cfg.dir())?;
-    encrypt_buckets_to_sorter(
-        group,
-        pool,
-        &key,
-        &hashes,
-        &plan,
-        &mut sorter,
-        false,
-        cfg.window(),
-        &mut ops,
-    )?;
-    drop(hashes);
-    let (stream, spill_stats) = sorter.finish()?;
-    emit_spill_done(&spill_stats);
-    let mut buckets = BucketStream::new(stream);
-
-    let mut peer_set_size = 0usize;
-    for b in 0..shards {
-        // Y_R^b in, re-encryption jobs per chunk.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut pending: Vec<PendingBatch> = Vec::new();
-        let mut peer_b = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_strictly_sorted(&mut last, &chunk, "Y_R")?;
-            peer_b += chunk.len();
-            ops.encryptions += chunk.len() as u64;
-            pending.push(pool.submit_encrypt(group, &key, &chunk));
-        }
-        peer_set_size += peer_b;
-
-        // Y_S^b out (already sorted by the merge).
-        let recs = buckets.take_bucket(b)?;
-        let mut ys_b: Vec<UBig> = Vec::with_capacity(recs.len());
-        for rec in &recs {
-            ys_b.push(rec_codeword(rec, 4, width)?);
-        }
-        send_codewords_chunked(transport, group, &ys_b, pipe.effective_chunk(ys_b.len()))?;
-
-        // f_eS(Y_R^b), answered chunk-for-chunk.
-        let mut writer =
-            ChunkedWriter::begin_with_chunks(transport, TAG_CODEWORDS, peer_b, pending.len())?;
-        for job in pending {
-            writer.send(transport, group, &Message::Codewords(job.wait()))?;
-        }
-        writer.finish()?;
-        emit_bucket_done(
-            "sender_bucket_done",
-            "intersection",
-            b,
-            ys_b.len(),
-            peer_b,
-            (ys_b.len() + peer_b) as u64,
-        );
-    }
-
-    crate::stats::emit_ops(
-        "intersection",
-        "sender_done",
-        &ops,
-        own_set_size,
-        peer_set_size,
-    );
-    Ok(IntersectionSenderOutput { peer_set_size, ops })
-}
-
-/// Auto-adopting intersection sender: peeks the first frame and runs the
-/// sharded flow when the peer sent a hello, else pushes the frame back
-/// into the pipelined engine. This is what the daemon [`crate::service`]
-/// dispatches to, so one service serves sharded and unsharded clients
-/// alike.
-pub fn run_intersection_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-) -> Result<IntersectionSenderOutput, ProtocolError> {
-    match recv_hello_or_pushback(transport)? {
-        Ok(shards) => run_intersection_sender_sharded(
-            transport, group, values, rng, pool, pipe, cfg, shards,
-        ),
-        Err(frame) => {
-            let mut t = PushbackTransport::new(frame, transport);
-            pipeline::run_intersection_sender(&mut t, group, values, rng, pool, pipe)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Equijoin
-// ---------------------------------------------------------------------------
-
-/// Sharded equijoin receiver; delegates to the pipelined engine when
-/// `cfg.shards <= 1`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_equijoin_receiver<T: Transport + ?Sized, C: ExtCipher + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    cipher: &C,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-) -> Result<EquijoinReceiverOutput, ProtocolError> {
-    let shards = cfg.effective_shards();
-    if shards <= 1 {
-        return pipeline::run_equijoin_receiver(transport, group, cipher, values, rng, pool, pipe);
-    }
-    let mut ops = OpCounters::default();
-    transport.send(&encode_shard_hello(shards))?;
-
-    let prepared = prepare_set(group, values, &mut ops)?;
-    let e_r = group.gen_key(rng);
-    let (own_values, hashes): (Vec<Vec<u8>>, Vec<UBig>) = prepared.entries.into_iter().unzip();
-    let plan = plan_buckets(group, &hashes, shards)?;
-
-    let width = group.codeword_len();
-    let mut sorter = ExtSorter::new(4 + width + 4, cfg.mem_budget, &cfg.dir())?;
-    encrypt_buckets_to_sorter(
-        group,
-        pool,
-        &e_r,
-        &hashes,
-        &plan,
-        &mut sorter,
-        true,
-        cfg.window(),
-        &mut ops,
-    )?;
-    drop(hashes);
-    let (stream, spill_stats) = sorter.finish()?;
-    emit_spill_done(&spill_stats);
-    let mut buckets = BucketStream::new(stream);
-
-    let mut peer_set_size = 0usize;
-    let mut matches: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    for b in 0..shards {
-        let recs = buckets.take_bucket(b)?;
-        let mut yr_b: Vec<UBig> = Vec::with_capacity(recs.len());
-        let mut idx_b: Vec<u32> = Vec::with_capacity(recs.len());
-        for rec in &recs {
-            yr_b.push(rec_codeword(rec, 4, width)?);
-            idx_b.push(rec_u32(rec, 4 + width)?);
-        }
-        send_codewords_chunked(transport, group, &yr_b, pipe.effective_chunk(yr_b.len()))?;
-
-        // (f_eS(y), f_e'S(y)) aligned with Y_R^b; strip our layer per
-        // chunk on the pool.
-        let mut reader =
-            ChunkedReader::begin(transport, group, TAG_CODEWORD_PAIRS, "codeword-pairs")?;
-        let mut strip_jobs: Vec<(PendingBatch, PendingBatch)> = Vec::new();
-        let mut pair_count = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let pairs = match msg {
-                Message::CodewordPairs(p) => p,
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        expected: "codeword-pairs",
-                        got: other.kind(),
-                    })
-                }
-            };
-            pair_count += pairs.len();
-            ops.decryptions += 2 * pairs.len() as u64;
-            let (fes, fesp): (Vec<UBig>, Vec<UBig>) = pairs.into_iter().unzip();
-            strip_jobs.push((
-                pool.submit_decrypt(group, &e_r, &fes),
-                pool.submit_decrypt(group, &e_r, &fesp),
-            ));
-        }
-        if pair_count != yr_b.len() {
-            return Err(ProtocolError::LengthMismatch {
-                expected: yr_b.len(),
-                got: pair_count,
-            });
-        }
-
-        // The bucket's payload table, strictly sorted within the bucket.
-        let mut reader =
-            ChunkedReader::begin(transport, group, TAG_PAYLOAD_PAIRS, "payload-pairs")?;
-        let mut last: Option<UBig> = None;
-        let mut table: BTreeMap<UBig, Vec<u8>> = BTreeMap::new();
-        let mut peer_b = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let pairs = match msg {
-                Message::PayloadPairs(p) => p,
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        expected: "payload-pairs",
-                        got: other.kind(),
-                    })
-                }
-            };
-            peer_b += pairs.len();
-            for (tag, ct) in pairs {
-                if let Some(prev) = last.as_ref() {
-                    if prev >= &tag {
-                        return Err(ProtocolError::NotSorted {
-                            what: "payload table",
-                        });
-                    }
-                }
-                last = Some(tag.clone());
-                table.insert(tag, ct);
-            }
-        }
-        peer_set_size += peer_b;
-
-        let mut stripped: Vec<(UBig, UBig)> = Vec::with_capacity(pair_count);
-        for (a_job, b_job) in strip_jobs {
-            stripped.extend(a_job.wait().into_iter().zip(b_job.wait()));
-        }
-        // Equal tags imply equal hashes, which land in the same bucket —
-        // so the per-bucket duplicate check covers the whole run.
-        let mut seen_tags = BTreeSet::new();
-        for (i, (tag, kappa)) in idx_b.iter().zip(stripped) {
-            if !seen_tags.insert(tag.clone()) {
-                return Err(ProtocolError::HashCollision);
-            }
-            if let Some(ct) = table.get(&tag) {
-                ops.payload_decryptions += 1;
-                let ext = cipher.decrypt(&kappa, ct)?;
-                let v = own_values
-                    .get(*i as usize)
-                    .cloned()
-                    .ok_or_else(|| shard_err("matched index out of range"))?;
-                matches.push((v, ext));
-            }
-        }
-        emit_bucket_done(
-            "receiver_bucket_done",
-            "equijoin",
-            b,
-            yr_b.len(),
-            peer_b,
-            3 * yr_b.len() as u64,
-        );
-    }
-    matches.sort();
-
-    crate::stats::emit_ops(
-        "equijoin",
-        "receiver_done",
-        &ops,
-        own_values.len(),
-        peer_set_size,
-    );
-    Ok(EquijoinReceiverOutput {
-        matches,
-        peer_set_size,
-        ops,
-    })
-}
-
-/// Sharded equijoin sender for a peer that announced `shards` buckets.
-#[allow(clippy::too_many_arguments)]
-pub fn run_equijoin_sender_sharded<T, C, R>(
-    transport: &mut T,
-    group: &QrGroup,
-    cipher: &C,
-    entries: &[(Vec<u8>, Vec<u8>)],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-    shards: u32,
-) -> Result<EquijoinSenderOutput, ProtocolError>
-where
-    T: Transport + ?Sized,
-    C: ExtCipher + ?Sized,
-    R: Rng + ?Sized,
-{
-    let shards = shards.clamp(1, MAX_SHARDS);
-    let mut ops = OpCounters::default();
-    let values: Vec<Vec<u8>> = entries.iter().map(|(v, _)| v.clone()).collect();
-    let payloads: BTreeMap<&Vec<u8>, &Vec<u8>> = entries.iter().map(|(v, p)| (v, p)).collect();
-    let prepared = prepare_set(group, &values, &mut ops)?;
-    let e_s = group.gen_key(rng);
-    let e_s_prime = group.gen_key(rng);
-    let plan = plan_buckets(
-        group,
-        &prepared
-            .entries
-            .iter()
-            .map(|(_, h)| h.clone())
-            .collect::<Vec<_>>(),
-        shards,
-    )?;
-    let own_set_size = prepared.entries.len();
-
-    // Spill phase: per bucket, both exponentiations of every member —
-    // records are `bucket ‖ tag ‖ idx ‖ κ`, sorted by tag within the
-    // bucket, which is exactly the payload-table order.
-    let width = group.codeword_len();
-    let mut sorter = ExtSorter::new(4 + width + 4 + width, cfg.mem_budget, &cfg.dir())?;
-    let mut in_flight: VecDeque<PairSpillJob> = VecDeque::new();
-    for (b, idxs) in plan.iter().enumerate() {
-        let batch: Vec<UBig> = idxs
-            .iter()
-            .map(|&i| {
-                prepared
-                    .entries
-                    .get(i as usize)
-                    .map(|(_, h)| h.clone())
-                    .ok_or_else(|| shard_err("bucket plan index out of range"))
-            })
-            .collect::<Result<_, _>>()?;
-        ops.encryptions += 2 * batch.len() as u64;
-        in_flight.push_back(PairSpillJob {
-            bucket: b as u32,
-            idxs: idxs.clone(),
-            tags: pool.submit_encrypt(group, &e_s, &batch),
-            kappas: pool.submit_encrypt(group, &e_s_prime, &batch),
-        });
-        while in_flight.len() >= cfg.window() {
-            if let Some(job) = in_flight.pop_front() {
-                drain_pair_spill_job(group, &mut sorter, job)?;
-            }
-        }
-    }
-    while let Some(job) = in_flight.pop_front() {
-        drain_pair_spill_job(group, &mut sorter, job)?;
-    }
-    let (stream, spill_stats) = sorter.finish()?;
-    emit_spill_done(&spill_stats);
-    let mut buckets = BucketStream::new(stream);
-
-    let mut peer_set_size = 0usize;
-    for b in 0..shards {
-        // Y_R^b in, both re-encryptions per chunk.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut pair_jobs: Vec<(PendingBatch, PendingBatch)> = Vec::new();
-        let mut peer_b = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_strictly_sorted(&mut last, &chunk, "Y_R")?;
-            peer_b += chunk.len();
-            ops.encryptions += 2 * chunk.len() as u64;
-            pair_jobs.push((
-                pool.submit_encrypt(group, &e_s, &chunk),
-                pool.submit_encrypt(group, &e_s_prime, &chunk),
-            ));
-        }
-        peer_set_size += peer_b;
-
-        // (f_eS(y), f_e'S(y)) chunk-for-chunk.
-        let mut writer = ChunkedWriter::begin_with_chunks(
-            transport,
-            TAG_CODEWORD_PAIRS,
-            peer_b,
-            pair_jobs.len(),
-        )?;
-        for (a_job, b_job) in pair_jobs {
-            let pairs: Vec<(UBig, UBig)> = a_job.wait().into_iter().zip(b_job.wait()).collect();
-            writer.send(transport, group, &Message::CodewordPairs(pairs))?;
-        }
-        writer.finish()?;
-
-        // The bucket's payload table: encrypt each member's ext record
-        // under its κ, in the (sorted) spill order.
-        let recs = buckets.take_bucket(b)?;
-        let mut payload_pairs: Vec<(UBig, Vec<u8>)> = Vec::with_capacity(recs.len());
-        for rec in &recs {
-            let tag = rec_codeword(rec, 4, width)?;
-            let idx = rec_u32(rec, 4 + width)? as usize;
-            let kappa = rec_codeword(rec, 4 + width + 4, width)?;
-            let (v, _) = prepared
-                .entries
-                .get(idx)
-                .ok_or_else(|| shard_err("spill record index out of range"))?;
-            ops.payload_encryptions += 1;
-            let ext = payloads.get(v).copied().cloned().unwrap_or_default();
-            let ct = cipher.encrypt(&kappa, &ext)?;
-            payload_pairs.push((tag, ct));
-        }
-        send_payload_pairs_chunked(
-            transport,
-            group,
-            &payload_pairs,
-            pipe.effective_chunk(payload_pairs.len()),
-        )?;
-        emit_bucket_done(
-            "sender_bucket_done",
-            "equijoin",
-            b,
-            recs.len(),
-            peer_b,
-            2 * (recs.len() + peer_b) as u64,
-        );
-    }
-
-    crate::stats::emit_ops(
-        "equijoin",
-        "sender_done",
-        &ops,
-        own_set_size,
-        peer_set_size,
-    );
-    Ok(EquijoinSenderOutput { peer_set_size, ops })
-}
-
-/// Auto-adopting equijoin sender (pipelined fallback), the service-side
-/// entry point; see [`run_intersection_sender`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_equijoin_sender<T, C, R>(
-    transport: &mut T,
-    group: &QrGroup,
-    cipher: &C,
-    entries: &[(Vec<u8>, Vec<u8>)],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-) -> Result<EquijoinSenderOutput, ProtocolError>
-where
-    T: Transport + ?Sized,
-    C: ExtCipher + ?Sized,
-    R: Rng + ?Sized,
-{
-    match recv_hello_or_pushback(transport)? {
-        Ok(shards) => run_equijoin_sender_sharded(
-            transport, group, cipher, entries, rng, pool, pipe, cfg, shards,
-        ),
-        Err(frame) => {
-            let mut t = PushbackTransport::new(frame, transport);
-            pipeline::run_equijoin_sender(&mut t, group, cipher, entries, rng, pool, pipe)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Intersection size
-// ---------------------------------------------------------------------------
-
-/// Sharded intersection-size receiver; delegates to the serial engine
-/// when `cfg.shards <= 1`. The sharded variant additionally learns which
-/// *bucket* each of the counted matches fell in — the per-bucket leak
-/// documented in [`crate::leakage`].
-pub fn run_intersection_size_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-) -> Result<IntersectionSizeReceiverOutput, ProtocolError> {
-    let shards = cfg.effective_shards();
-    if shards <= 1 {
-        return crate::intersection_size::run_receiver(transport, group, values, rng);
-    }
-    let mut ops = OpCounters::default();
-    transport.send(&encode_shard_hello(shards))?;
-
-    let prepared = prepare_set(group, values, &mut ops)?;
-    let key = group.gen_key(rng);
-    let hashes: Vec<UBig> = prepared.entries.iter().map(|(_, h)| h.clone()).collect();
-    let own_size = hashes.len();
-    let plan = plan_buckets(group, &hashes, shards)?;
-
-    let width = group.codeword_len();
-    let mut sorter = ExtSorter::new(4 + width, cfg.mem_budget, &cfg.dir())?;
-    encrypt_buckets_to_sorter(
-        group,
-        pool,
-        &key,
-        &hashes,
-        &plan,
-        &mut sorter,
-        false,
-        cfg.window(),
-        &mut ops,
-    )?;
-    drop(hashes);
-    let (stream, spill_stats) = sorter.finish()?;
-    emit_spill_done(&spill_stats);
-    let mut buckets = BucketStream::new(stream);
-
-    let mut peer_set_size = 0usize;
-    let mut intersection_size = 0usize;
-    for b in 0..shards {
-        let recs = buckets.take_bucket(b)?;
-        let mut yr_b: Vec<UBig> = Vec::with_capacity(recs.len());
-        for rec in &recs {
-            yr_b.push(rec_codeword(rec, 4, width)?);
-        }
-        send_codewords_chunked(transport, group, &yr_b, pipe.effective_chunk(yr_b.len()))?;
-
-        // Y_S^b, with Z_S^b jobs per chunk.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut zs_jobs: Vec<PendingBatch> = Vec::new();
-        let mut peer_b = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_strictly_sorted(&mut last, &chunk, "Y_S")?;
-            peer_b += chunk.len();
-            ops.encryptions += chunk.len() as u64;
-            zs_jobs.push(pool.submit_encrypt(group, &key, &chunk));
-        }
-        peer_set_size += peer_b;
-
-        // Z_R^b: sorted within the bucket, pairing destroyed per bucket.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut zr_b: Vec<UBig> = Vec::with_capacity(reader.total_items().min(1 << 22));
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_strictly_sorted(&mut last, &chunk, "Z_R")?;
-            zr_b.extend(chunk);
-        }
-        if zr_b.len() != yr_b.len() {
-            return Err(ProtocolError::LengthMismatch {
-                expected: yr_b.len(),
-                got: zr_b.len(),
-            });
-        }
-
-        let zs: BTreeSet<UBig> = zs_jobs.into_iter().flat_map(PendingBatch::wait).collect();
-        intersection_size += zr_b.iter().filter(|z| zs.contains(z)).count();
-        emit_bucket_done(
-            "receiver_bucket_done",
-            "intersection_size",
-            b,
-            yr_b.len(),
-            peer_b,
-            (yr_b.len() + peer_b) as u64,
-        );
-    }
-
-    crate::stats::emit_ops(
-        "intersection_size",
-        "receiver_done",
-        &ops,
-        own_size,
-        peer_set_size,
-    );
-    Ok(IntersectionSizeReceiverOutput {
-        intersection_size,
-        peer_set_size,
-        ops,
-    })
-}
-
-/// Sharded intersection-size sender for a peer that announced `shards`.
-pub fn run_intersection_size_sender_sharded<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-    shards: u32,
-) -> Result<IntersectionSizeSenderOutput, ProtocolError> {
-    let shards = shards.clamp(1, MAX_SHARDS);
-    let mut ops = OpCounters::default();
-    let prepared = prepare_set(group, values, &mut ops)?;
-    let key = group.gen_key(rng);
-    let hashes: Vec<UBig> = prepared.entries.iter().map(|(_, h)| h.clone()).collect();
-    let own_size = hashes.len();
-    let plan = plan_buckets(group, &hashes, shards)?;
-
-    let width = group.codeword_len();
-    let mut sorter = ExtSorter::new(4 + width, cfg.mem_budget, &cfg.dir())?;
-    encrypt_buckets_to_sorter(
-        group,
-        pool,
-        &key,
-        &hashes,
-        &plan,
-        &mut sorter,
-        false,
-        cfg.window(),
-        &mut ops,
-    )?;
-    drop(hashes);
-    let (stream, spill_stats) = sorter.finish()?;
-    emit_spill_done(&spill_stats);
-    let mut buckets = BucketStream::new(stream);
-
-    let mut peer_set_size = 0usize;
-    for b in 0..shards {
-        // Y_R^b in, re-encryption jobs per chunk.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut pending: Vec<PendingBatch> = Vec::new();
-        let mut peer_b = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_strictly_sorted(&mut last, &chunk, "Y_R")?;
-            peer_b += chunk.len();
-            ops.encryptions += chunk.len() as u64;
-            pending.push(pool.submit_encrypt(group, &key, &chunk));
-        }
-        peer_set_size += peer_b;
-
-        // Y_S^b out.
-        let recs = buckets.take_bucket(b)?;
-        let mut ys_b: Vec<UBig> = Vec::with_capacity(recs.len());
-        for rec in &recs {
-            ys_b.push(rec_codeword(rec, 4, width)?);
-        }
-        send_codewords_chunked(transport, group, &ys_b, pipe.effective_chunk(ys_b.len()))?;
-
-        // Z_R^b: reorder lexicographically *within the bucket* — the
-        // §5.1 unlinking step, applied per bucket.
-        let mut zr_b: Vec<UBig> = Vec::with_capacity(peer_b);
-        for job in pending {
-            zr_b.extend(job.wait());
-        }
-        zr_b.sort();
-        send_codewords_chunked(transport, group, &zr_b, pipe.effective_chunk(zr_b.len()))?;
-        emit_bucket_done(
-            "sender_bucket_done",
-            "intersection_size",
-            b,
-            ys_b.len(),
-            peer_b,
-            (ys_b.len() + peer_b) as u64,
-        );
-    }
-
-    crate::stats::emit_ops(
-        "intersection_size",
-        "sender_done",
-        &ops,
-        own_size,
-        peer_set_size,
-    );
-    Ok(IntersectionSizeSenderOutput { peer_set_size, ops })
-}
-
-/// Auto-adopting intersection-size sender (serial fallback — there is no
-/// pipelined -size engine).
-pub fn run_intersection_size_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-) -> Result<IntersectionSizeSenderOutput, ProtocolError> {
-    match recv_hello_or_pushback(transport)? {
-        Ok(shards) => run_intersection_size_sender_sharded(
-            transport, group, values, rng, pool, pipe, cfg, shards,
-        ),
-        Err(frame) => {
-            let mut t = PushbackTransport::new(frame, transport);
-            crate::intersection_size::run_sender(&mut t, group, values, rng)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Equijoin size (multisets)
-// ---------------------------------------------------------------------------
-
-/// Merges a per-bucket codeword count map into a duplicate distribution
-/// accumulator. Distinct codewords are bucket-local (equal codewords ⇒
-/// equal hashes ⇒ same bucket), so summing per-bucket class counts
-/// reproduces the global distribution exactly.
-fn merge_distribution(counts: &BTreeMap<UBig, u64>, dist: &mut BTreeMap<u64, u64>) {
-    for d in counts.values() {
-        *dist.entry(*d).or_insert(0) += 1;
-    }
-}
-
-fn count_map(items: &[UBig]) -> BTreeMap<UBig, u64> {
-    let mut counts: BTreeMap<UBig, u64> = BTreeMap::new();
-    for item in items {
-        *counts.entry(item.clone()).or_insert(0) += 1;
-    }
-    counts
-}
-
-/// Sharded equijoin-size receiver; delegates to the serial engine when
-/// `cfg.shards <= 1`. Multiset variant: duplicates ride along, and all
-/// per-bucket leak matrices sum to the global §5.2 matrix.
-pub fn run_equijoin_size_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-) -> Result<EquijoinSizeReceiverOutput, ProtocolError> {
-    let shards = cfg.effective_shards();
-    if shards <= 1 {
-        return crate::equijoin_size::run_receiver(transport, group, values, rng);
-    }
-    let mut ops = OpCounters::default();
-    transport.send(&encode_shard_hello(shards))?;
-
-    let prepared = prepare_multiset(group, values, &mut ops)?;
-    let key = group.gen_key(rng);
-    let hashes: Vec<UBig> = prepared.iter().map(|(_, h)| h.clone()).collect();
-    let own_size = hashes.len();
-    let plan = plan_buckets(group, &hashes, shards)?;
-
-    let width = group.codeword_len();
-    let mut sorter = ExtSorter::new(4 + width, cfg.mem_budget, &cfg.dir())?;
-    encrypt_buckets_to_sorter(
-        group,
-        pool,
-        &key,
-        &hashes,
-        &plan,
-        &mut sorter,
-        false,
-        cfg.window(),
-        &mut ops,
-    )?;
-    drop(hashes);
-    let (stream, spill_stats) = sorter.finish()?;
-    emit_spill_done(&spill_stats);
-    let mut buckets = BucketStream::new(stream);
-
-    let mut peer_multiset_size = 0usize;
-    let mut peer_duplicate_distribution: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut join_size = 0u64;
-    let mut class_intersections: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    for b in 0..shards {
-        let recs = buckets.take_bucket(b)?;
-        let mut yr_b: Vec<UBig> = Vec::with_capacity(recs.len());
-        for rec in &recs {
-            yr_b.push(rec_codeword(rec, 4, width)?);
-        }
-        send_codewords_chunked(transport, group, &yr_b, pipe.effective_chunk(yr_b.len()))?;
-
-        // Y_S^b (multiset): non-strict order, Z_S^b jobs per chunk.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut zs_jobs: Vec<PendingBatch> = Vec::new();
-        let mut ys_counts: BTreeMap<UBig, u64> = BTreeMap::new();
-        let mut peer_b = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_sorted(&mut last, &chunk, "Y_S")?;
-            peer_b += chunk.len();
-            for y in &chunk {
-                *ys_counts.entry(y.clone()).or_insert(0) += 1;
-            }
-            ops.encryptions += chunk.len() as u64;
-            zs_jobs.push(pool.submit_encrypt(group, &key, &chunk));
-        }
-        peer_multiset_size += peer_b;
-        merge_distribution(&ys_counts, &mut peer_duplicate_distribution);
-        drop(ys_counts);
-
-        // Z_R^b (multiset, sorted within the bucket).
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut zr_b: Vec<UBig> = Vec::with_capacity(reader.total_items().min(1 << 22));
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_sorted(&mut last, &chunk, "Z_R")?;
-            zr_b.extend(chunk);
-        }
-        if zr_b.len() != yr_b.len() {
-            return Err(ProtocolError::LengthMismatch {
-                expected: yr_b.len(),
-                got: zr_b.len(),
-            });
-        }
-
-        // Per-bucket join contribution and leak-matrix cells; common
-        // codewords are bucket-local, so the sums are exact.
-        let zs_flat: Vec<UBig> = zs_jobs.into_iter().flat_map(PendingBatch::wait).collect();
-        let zs_counts = count_map(&zs_flat);
-        let zr_counts = count_map(&zr_b);
-        for (z, d_r) in &zr_counts {
-            if let Some(d_s) = zs_counts.get(z) {
-                join_size += d_r * d_s;
-                *class_intersections.entry((*d_r, *d_s)).or_insert(0) += 1;
-            }
-        }
-        emit_bucket_done(
-            "receiver_bucket_done",
-            "equijoin_size",
-            b,
-            yr_b.len(),
-            peer_b,
-            (yr_b.len() + peer_b) as u64,
-        );
-    }
-
-    crate::stats::emit_ops(
-        "equijoin_size",
-        "receiver_done",
-        &ops,
-        own_size,
-        peer_multiset_size,
-    );
-    Ok(EquijoinSizeReceiverOutput {
-        join_size,
-        peer_multiset_size,
-        peer_duplicate_distribution,
-        class_intersections,
-        ops,
-    })
-}
-
-/// Sharded equijoin-size sender for a peer that announced `shards`.
-pub fn run_equijoin_size_sender_sharded<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-    shards: u32,
-) -> Result<EquijoinSizeSenderOutput, ProtocolError> {
-    let shards = shards.clamp(1, MAX_SHARDS);
-    let mut ops = OpCounters::default();
-    let prepared = prepare_multiset(group, values, &mut ops)?;
-    let key = group.gen_key(rng);
-    let hashes: Vec<UBig> = prepared.iter().map(|(_, h)| h.clone()).collect();
-    let own_size = hashes.len();
-    let plan = plan_buckets(group, &hashes, shards)?;
-
-    let width = group.codeword_len();
-    let mut sorter = ExtSorter::new(4 + width, cfg.mem_budget, &cfg.dir())?;
-    encrypt_buckets_to_sorter(
-        group,
-        pool,
-        &key,
-        &hashes,
-        &plan,
-        &mut sorter,
-        false,
-        cfg.window(),
-        &mut ops,
-    )?;
-    drop(hashes);
-    let (stream, spill_stats) = sorter.finish()?;
-    emit_spill_done(&spill_stats);
-    let mut buckets = BucketStream::new(stream);
-
-    let mut peer_multiset_size = 0usize;
-    let mut peer_duplicate_distribution: BTreeMap<u64, u64> = BTreeMap::new();
-    for b in 0..shards {
-        // Y_R^b (multiset) in, re-encryption jobs per chunk.
-        let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-        let mut last: Option<UBig> = None;
-        let mut pending: Vec<PendingBatch> = Vec::new();
-        let mut yr_counts: BTreeMap<UBig, u64> = BTreeMap::new();
-        let mut peer_b = 0usize;
-        while let Some(msg) = reader.next(transport, group)? {
-            let chunk = into_codewords(msg)?;
-            require_chunk_sorted(&mut last, &chunk, "Y_R")?;
-            peer_b += chunk.len();
-            for y in &chunk {
-                *yr_counts.entry(y.clone()).or_insert(0) += 1;
-            }
-            ops.encryptions += chunk.len() as u64;
-            pending.push(pool.submit_encrypt(group, &key, &chunk));
-        }
-        peer_multiset_size += peer_b;
-        merge_distribution(&yr_counts, &mut peer_duplicate_distribution);
-        drop(yr_counts);
-
-        // Y_S^b out (multiset; duplicates preserved by the merge).
-        let recs = buckets.take_bucket(b)?;
-        let mut ys_b: Vec<UBig> = Vec::with_capacity(recs.len());
-        for rec in &recs {
-            ys_b.push(rec_codeword(rec, 4, width)?);
-        }
-        send_codewords_chunked(transport, group, &ys_b, pipe.effective_chunk(ys_b.len()))?;
-
-        // Z_R^b, sorted within the bucket.
-        let mut zr_b: Vec<UBig> = Vec::with_capacity(peer_b);
-        for job in pending {
-            zr_b.extend(job.wait());
-        }
-        zr_b.sort();
-        send_codewords_chunked(transport, group, &zr_b, pipe.effective_chunk(zr_b.len()))?;
-        emit_bucket_done(
-            "sender_bucket_done",
-            "equijoin_size",
-            b,
-            ys_b.len(),
-            peer_b,
-            (ys_b.len() + peer_b) as u64,
-        );
-    }
-
-    crate::stats::emit_ops(
-        "equijoin_size",
-        "sender_done",
-        &ops,
-        own_size,
-        peer_multiset_size,
-    );
-    Ok(EquijoinSizeSenderOutput {
-        peer_multiset_size,
-        peer_duplicate_distribution,
-        ops,
-    })
-}
-
-/// Auto-adopting equijoin-size sender (serial fallback).
-pub fn run_equijoin_size_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    pipe: PipelineConfig,
-    cfg: &ShardConfig,
-) -> Result<EquijoinSizeSenderOutput, ProtocolError> {
-    match recv_hello_or_pushback(transport)? {
-        Ok(shards) => run_equijoin_size_sender_sharded(
-            transport, group, values, rng, pool, pipe, cfg, shards,
-        ),
-        Err(frame) => {
-            let mut t = PushbackTransport::new(frame, transport);
-            crate::equijoin_size::run_sender(&mut t, group, values, rng)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_two_party;
+    use crate::engine::tests::{entries, ext_of, group, run_pair, values, Inputs};
+    use crate::engine::{ProtocolShape, ReceiverOutput, SenderOutput};
+    use crate::runner::{run_two_party, TwoPartyRun};
     use crate::{equijoin, equijoin_size, intersection, intersection_size};
     use minshare_crypto::kcipher::HybridCipher;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn group() -> QrGroup {
-        let mut rng = StdRng::seed_from_u64(21);
-        QrGroup::generate(&mut rng, 64).unwrap()
-    }
-
-    fn values(n: usize, offset: usize) -> Vec<Vec<u8>> {
-        (0..n)
-            .map(|i| format!("value-{:04}", i + offset).into_bytes())
-            .collect()
-    }
-
-    fn entry_list(n: usize, offset: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        (0..n)
-            .map(|i| {
-                (
-                    format!("value-{:04}", i + offset).into_bytes(),
-                    format!("ext-{:04}", i + offset).into_bytes(),
-                )
-            })
-            .collect()
-    }
 
     /// A tiny budget so even small test sets exercise the spill path.
     fn tiny_cfg(shards: u32) -> ShardConfig {
         ShardConfig {
             shards,
             mem_budget: 64,
-            window: 2,
             ..ShardConfig::default()
         }
+    }
+
+    /// Both roles of `shape` at chunk size 4 under `cfg`.
+    fn run<SO, RO>(
+        g: &QrGroup,
+        pool: &EncryptPool,
+        shape: ProtocolShape<'_>,
+        inputs: Inputs<'_>,
+        seeds: (u64, u64),
+        cfg: &ShardConfig,
+    ) -> TwoPartyRun<SO, RO>
+    where
+        SO: From<SenderOutput> + Send,
+        RO: From<ReceiverOutput> + Send,
+    {
+        run_pair(g, pool, shape, inputs, seeds, 4, cfg).unwrap()
     }
 
     #[test]
@@ -1579,41 +482,16 @@ mod tests {
             },
         )
         .unwrap();
-        for shards in [2u32, 3, 8] {
+        for shards in [1u32, 2, 3, 8] {
             let pool = EncryptPool::new(2);
+            let shape = ProtocolShape::INTERSECTION;
             let cfg = tiny_cfg(shards);
-            let run = run_two_party(
-                |t| {
-                    let mut rng = StdRng::seed_from_u64(500);
-                    run_intersection_sender(
-                        t,
-                        &g,
-                        &vs,
-                        &mut rng,
-                        &pool,
-                        PipelineConfig::chunked(4),
-                        &cfg,
-                    )
-                },
-                |t| {
-                    let mut rng = StdRng::seed_from_u64(600);
-                    run_intersection_receiver(
-                        t,
-                        &g,
-                        &vr,
-                        &mut rng,
-                        &pool,
-                        PipelineConfig::chunked(4),
-                        &cfg,
-                    )
-                },
-            )
-            .unwrap();
-            assert_eq!(run.receiver.intersection, serial.receiver.intersection);
-            assert_eq!(run.receiver.peer_set_size, serial.receiver.peer_set_size);
-            assert_eq!(run.receiver.ops, serial.receiver.ops, "B={shards}");
-            assert_eq!(run.sender.peer_set_size, serial.sender.peer_set_size);
-            assert_eq!(run.sender.ops, serial.sender.ops, "B={shards}");
+            let run: TwoPartyRun<
+                intersection::IntersectionSenderOutput,
+                intersection::IntersectionReceiverOutput,
+            > = run(&g, &pool, shape, (&vs, &[], &vr), (500, 600), &cfg);
+            assert_eq!(run.receiver, serial.receiver, "B={shards}");
+            assert_eq!(run.sender, serial.sender, "B={shards}");
         }
     }
 
@@ -1621,55 +499,27 @@ mod tests {
     fn sharded_equijoin_matches_serial() {
         let g = group();
         let cipher = HybridCipher::new(g.clone(), 64);
-        let (vs, vr) = (entry_list(19, 0), values(13, 9));
+        let (vs, vr) = (values(19, 0), values(13, 9));
+        let entries = entries(&vs);
         let serial = run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(500);
-                equijoin::run_sender(t, &g, &cipher, &vs, &mut rng)
+                equijoin::run_sender(t, &g, &cipher, &entries, &mut rng)
             },
             |t| {
-                let cipher = HybridCipher::new(g.clone(), 64);
                 let mut rng = StdRng::seed_from_u64(600);
                 equijoin::run_receiver(t, &g, &cipher, &vr, &mut rng)
             },
         )
         .unwrap();
-        for shards in [2u32, 5] {
+        for shards in [1u32, 2, 5] {
             let pool = EncryptPool::new(2);
+            let shape = ProtocolShape::equijoin(&cipher);
             let cfg = tiny_cfg(shards);
-            let run = run_two_party(
-                |t| {
-                    let mut rng = StdRng::seed_from_u64(500);
-                    run_equijoin_sender(
-                        t,
-                        &g,
-                        &cipher,
-                        &vs,
-                        &mut rng,
-                        &pool,
-                        PipelineConfig::chunked(4),
-                        &cfg,
-                    )
-                },
-                |t| {
-                    let cipher = HybridCipher::new(g.clone(), 64);
-                    let mut rng = StdRng::seed_from_u64(600);
-                    run_equijoin_receiver(
-                        t,
-                        &g,
-                        &cipher,
-                        &vr,
-                        &mut rng,
-                        &pool,
-                        PipelineConfig::chunked(4),
-                        &cfg,
-                    )
-                },
-            )
-            .unwrap();
-            assert_eq!(run.receiver.matches, serial.receiver.matches, "B={shards}");
-            assert_eq!(run.receiver.ops, serial.receiver.ops);
-            assert_eq!(run.sender.ops, serial.sender.ops);
+            let run: TwoPartyRun<equijoin::EquijoinSenderOutput, equijoin::EquijoinReceiverOutput> =
+                run(&g, &pool, shape, (&vs, &ext_of(&vs), &vr), (500, 600), &cfg);
+            assert_eq!(run.receiver, serial.receiver, "B={shards}");
+            assert_eq!(run.sender, serial.sender, "B={shards}");
         }
     }
 
@@ -1689,40 +539,22 @@ mod tests {
         )
         .unwrap();
         let pool = EncryptPool::new(2);
-        let cfg = tiny_cfg(4);
-        let run = run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(300);
-                run_intersection_size_sender(
-                    t,
-                    &g,
-                    &vs,
-                    &mut rng,
-                    &pool,
-                    PipelineConfig::chunked(4),
-                    &cfg,
-                )
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(400);
-                run_intersection_size_receiver(
-                    t,
-                    &g,
-                    &vr,
-                    &mut rng,
-                    &pool,
-                    PipelineConfig::chunked(4),
-                    &cfg,
-                )
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            run.receiver.intersection_size,
-            serial.receiver.intersection_size
-        );
-        assert_eq!(run.receiver.ops, serial.receiver.ops);
-        assert_eq!(run.sender.ops, serial.sender.ops);
+        let shape = ProtocolShape::INTERSECTION_SIZE;
+        for shards in [1u32, 4] {
+            let run: TwoPartyRun<
+                intersection_size::IntersectionSizeSenderOutput,
+                intersection_size::IntersectionSizeReceiverOutput,
+            > = run(
+                &g,
+                &pool,
+                shape,
+                (&vs, &[], &vr),
+                (300, 400),
+                &tiny_cfg(shards),
+            );
+            assert_eq!(run.receiver, serial.receiver, "B={shards}");
+            assert_eq!(run.sender, serial.sender, "B={shards}");
+        }
     }
 
     #[test]
@@ -1744,83 +576,40 @@ mod tests {
         )
         .unwrap();
         let pool = EncryptPool::new(0);
-        let cfg = tiny_cfg(3);
-        let run = run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(700);
-                run_equijoin_size_sender(
-                    t,
-                    &g,
-                    &vs,
-                    &mut rng,
-                    &pool,
-                    PipelineConfig::chunked(4),
-                    &cfg,
-                )
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(800);
-                run_equijoin_size_receiver(
-                    t,
-                    &g,
-                    &vr,
-                    &mut rng,
-                    &pool,
-                    PipelineConfig::chunked(4),
-                    &cfg,
-                )
-            },
-        )
-        .unwrap();
-        assert_eq!(run.receiver.join_size, serial.receiver.join_size);
-        assert_eq!(
-            run.receiver.peer_duplicate_distribution,
-            serial.receiver.peer_duplicate_distribution
-        );
-        assert_eq!(
-            run.receiver.class_intersections,
-            serial.receiver.class_intersections
-        );
-        assert_eq!(
-            run.sender.peer_duplicate_distribution,
-            serial.sender.peer_duplicate_distribution
-        );
-        assert_eq!(run.receiver.ops, serial.receiver.ops);
-        assert_eq!(run.sender.ops, serial.sender.ops);
+        let shape = ProtocolShape::EQUIJOIN_SIZE;
+        for shards in [1u32, 3] {
+            let run: TwoPartyRun<
+                equijoin_size::EquijoinSizeSenderOutput,
+                equijoin_size::EquijoinSizeReceiverOutput,
+            > = run(
+                &g,
+                &pool,
+                shape,
+                (&vs, &[], &vr),
+                (700, 800),
+                &tiny_cfg(shards),
+            );
+            assert_eq!(run.receiver, serial.receiver, "B={shards}");
+            assert_eq!(run.sender, serial.sender, "B={shards}");
+        }
     }
 
     #[test]
     fn empty_and_disjoint_sets_shard_cleanly() {
         let g = group();
         let pool = EncryptPool::new(1);
-        let cfg = tiny_cfg(4);
-        let run = run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(1);
-                run_intersection_sender(
-                    t,
-                    &g,
-                    &[],
-                    &mut rng,
-                    &pool,
-                    PipelineConfig::default(),
-                    &cfg,
-                )
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(2);
-                run_intersection_receiver(
-                    t,
-                    &g,
-                    &values(5, 0),
-                    &mut rng,
-                    &pool,
-                    PipelineConfig::default(),
-                    &cfg,
-                )
-            },
-        )
-        .unwrap();
+        let shape = ProtocolShape::INTERSECTION;
+        let run: TwoPartyRun<
+            intersection::IntersectionSenderOutput,
+            intersection::IntersectionReceiverOutput,
+        > = run(
+            &g,
+            &pool,
+            shape,
+            (&[], &[], &values(5, 0)),
+            (1, 2),
+            &tiny_cfg(4),
+        );
         assert!(run.receiver.intersection.is_empty());
         assert_eq!(run.receiver.peer_set_size, 0);
         assert_eq!(run.sender.peer_set_size, 5);
@@ -1844,7 +633,7 @@ mod tests {
         a.send(b"first").unwrap();
         a.send(b"second").unwrap();
         let frame = b.recv().unwrap();
-        let mut pb = PushbackTransport::new(frame, &mut b);
+        let mut pb = PushbackTransport::new(Some(frame), &mut b);
         assert_eq!(pb.recv().unwrap(), b"first");
         assert_eq!(pb.recv().unwrap(), b"second");
     }

@@ -1,7 +1,7 @@
 //! Bounded-memory external merge sort over encrypted codeword records.
 //!
-//! The sharded engines in [`crate::shard`] replace every in-memory
-//! "collect, then sort" of encrypted codewords with an [`ExtSorter`]: a
+//! [`crate::engine`] replaces every in-memory "collect, then sort" of
+//! encrypted codewords with an [`ExtSorter`] (see [`crate::shard`]): a
 //! classic external merge sort over *fixed-width* byte records. Records
 //! accumulate in a buffer of at most `mem_budget` bytes; when the buffer
 //! fills, it is sorted and written out as one run file, and at the end

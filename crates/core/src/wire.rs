@@ -37,7 +37,7 @@ pub(crate) const TAG_CHUNKED: u8 = 4;
 /// Hello frame opening a *sharded* run (see [`crate::shard`]): the
 /// receiver announces the bucket count before any codeword flows. Never
 /// sent for single-shard runs, which therefore stay byte-identical to
-/// the unsharded engines.
+/// the serial protocols.
 pub(crate) const TAG_SHARDED: u8 = 5;
 
 /// Bytes of the shard hello frame:
@@ -259,7 +259,7 @@ pub fn require_sorted(list: &[UBig], what: &'static str) -> Result<(), ProtocolE
     Ok(())
 }
 
-/// Default number of codewords per chunk for the pipelined engines: small
+/// Default number of codewords per chunk for [`crate::engine`]: small
 /// enough that encryption of one chunk overlaps the wire time of another,
 /// large enough that the 5-byte frame header is noise.
 pub const DEFAULT_CHUNK_SIZE: usize = 32;

@@ -174,3 +174,47 @@ fn intersection_size_receiver_rejects_garbage_response() {
         "got {err:?}"
     );
 }
+
+#[test]
+fn receiver_refuses_an_inflated_reply_header() {
+    // Every peer-chosen size is bounded before allocation: `S`'s answer
+    // to `Y_R` is exactly as long as `Y_R`, so a 10-byte chunked header
+    // claiming 2^32 - 1 codewords is refused on the header alone. The
+    // scripted peer hangs up right after it — any other error means the
+    // receiver had sized a buffer from the claim and gone on to wait for
+    // the elements.
+    let g = group();
+    let err = run_two_party(
+        |t| {
+            let _yr = t.recv()?;
+            t.send(&Message::Codewords(vec![]).encode(&g)?)?; // Y_S = ∅
+                                                              // [TAG_CHUNKED, TAG_CODEWORDS, total_items, chunk_count]
+            let mut header = vec![4u8, 1];
+            header.extend_from_slice(&u32::MAX.to_be_bytes());
+            header.extend_from_slice(&1u32.to_be_bytes());
+            t.send(&header)?;
+            Ok(())
+        },
+        |t| {
+            let mut rng = StdRng::seed_from_u64(7);
+            engine::run_receiver(
+                t,
+                &g,
+                ProtocolShape::INTERSECTION,
+                &values(&["a", "b"]),
+                &mut rng,
+                &EncryptPool::new(0),
+                PipelineConfig::default(),
+                &ShardConfig::default(),
+            )
+        },
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        ProtocolError::LengthMismatch {
+            expected: 2,
+            got: u32::MAX as usize
+        }
+    );
+}

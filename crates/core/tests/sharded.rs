@@ -1,10 +1,12 @@
 //! Sharded-engine conformance: what the sharding layer promises beyond
 //! "same answer".
 //!
-//! * **Wire identity at `--shards 1`** — a single-shard config must put
-//!   *byte-identical frames* on the wire as the engine it delegates to,
-//!   frame for frame, on both sides, for all four protocols. The shard
-//!   layer at `B = 1` is a zero-cost wrapper, not a near-miss.
+//! * **Wire identity at `--shards 1`** — the engine's one-bucket flow
+//!   (no hello, the same loop as `B > 1`, nothing delegated) must put
+//!   *byte-identical frames* on the wire as the serial reference modules
+//!   when every list fits one chunk, frame for frame, on both sides, for
+//!   all four protocols; chunking ("pipelining") a list then only splits
+//!   its frame under the envelope, item for item.
 //! * **Typed rejection of malformed hellos** — a sender offered a
 //!   corrupt, zero-bucket, oversized or truncated shard hello fails with
 //!   a [`ProtocolError`], never a panic.
@@ -26,7 +28,7 @@ use minshare::leakage::{
     expected_class_intersections, merge_class_intersections,
 };
 use minshare::prelude::*;
-use minshare::shard::{value_bucket, ShardConfig};
+use minshare::shard::value_bucket;
 use minshare_costmodel::reconcile::{reconcile_sharded, BucketTrace};
 use minshare_costmodel::section6::Protocol;
 use minshare_net::{duplex_pair, NetError, Transport};
@@ -56,10 +58,7 @@ fn values(n: usize, offset: usize) -> Vec<Vec<u8>> {
 }
 
 fn pipe() -> PipelineConfig {
-    PipelineConfig {
-        chunk_size: 3,
-        serial_below: 4,
-    }
+    PipelineConfig::chunked(3)
 }
 
 fn single_shard() -> ShardConfig {
@@ -74,7 +73,7 @@ fn single_shard() -> ShardConfig {
 // ---------------------------------------------------------------------
 
 /// Records every frame a party sends, in order (the conformance suite's
-/// technique, reused for the shard layer's delegation claim).
+/// technique, reused for the one-bucket identity claim).
 struct RecordingTransport<T: Transport> {
     inner: T,
     sent: Arc<Mutex<Vec<Vec<u8>>>>,
@@ -123,6 +122,56 @@ fn record_frames<SO: Send, RO: Send>(
     (s_frames, r_frames, s_out.unwrap(), r_out.unwrap())
 }
 
+/// `(V_S, ext, V_R)`.
+type Inputs<'a> = (&'a [Vec<u8>], &'a [Vec<u8>], &'a [Vec<u8>]);
+
+/// Both roles of `shape` through the engine at one bucket, recorded.
+fn record_engine(
+    shape: ProtocolShape<'_>,
+    (vs, ext, vr): Inputs<'_>,
+    seeds: (u64, u64),
+    pipe: PipelineConfig,
+) -> (
+    Vec<Vec<u8>>,
+    Vec<Vec<u8>>,
+    engine::SenderOutput,
+    engine::ReceiverOutput,
+) {
+    let (g, cfg) = (group(), single_shard());
+    record_frames(
+        |t| {
+            let mut rng = StdRng::seed_from_u64(seeds.0);
+            engine::run_sender(t, g, shape, vs, ext, &mut rng, pool(), pipe, &cfg)
+        },
+        |t| {
+            let mut rng = StdRng::seed_from_u64(seeds.1);
+            engine::run_receiver(t, g, shape, vr, &mut rng, pool(), pipe, &cfg)
+        },
+    )
+}
+
+/// Undoes the chunked envelope: a `[TAG_CHUNKED, tag, total, count]`
+/// header followed by `count` frames `[tag, n_i, items…]` becomes the one
+/// plain frame `[tag, total, items…]` carrying the same items in order.
+fn merge_chunks(frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    const TAG_CHUNKED: u8 = 4;
+    let mut out = Vec::new();
+    let mut frames = frames.iter();
+    while let Some(frame) = frames.next() {
+        if frame.first() != Some(&TAG_CHUNKED) {
+            out.push(frame.clone());
+            continue;
+        }
+        let count = u32::from_be_bytes(frame[6..10].try_into().unwrap());
+        let mut merged = frame[1..6].to_vec();
+        for _ in 0..count {
+            merged.extend_from_slice(&frames.next().expect("chunk frame")[5..]);
+        }
+        out.push(merged);
+    }
+    out
+}
+
 #[test]
 fn single_shard_intersection_is_frame_identical_to_pipelined() {
     let g = group();
@@ -130,90 +179,80 @@ fn single_shard_intersection_is_frame_identical_to_pipelined() {
     let (base_s, base_r, _, base_out) = record_frames(
         |t| {
             let mut rng = StdRng::seed_from_u64(3);
-            pipeline::run_intersection_sender(t, g, &vs, &mut rng, pool(), pipe())
+            intersection::run_sender(t, g, &vs, &mut rng)
         },
         |t| {
             let mut rng = StdRng::seed_from_u64(4);
-            pipeline::run_intersection_receiver(t, g, &vr, &mut rng, pool(), pipe())
+            intersection::run_receiver(t, g, &vr, &mut rng)
         },
     );
-    let (shard_s, shard_r, _, shard_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(3);
-            shard::run_intersection_sender(t, g, &vs, &mut rng, pool(), pipe(), &single_shard())
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(4);
-            shard::run_intersection_receiver(t, g, &vr, &mut rng, pool(), pipe(), &single_shard())
-        },
+    let shape = ProtocolShape::INTERSECTION;
+    let whole = PipelineConfig::chunked(usize::MAX);
+    let (one_s, one_r, _, one_out) = record_engine(shape, (&vs, &[], &vr), (3, 4), whole);
+    assert_eq!(base_s, one_s, "sender frames diverge at --shards 1");
+    assert_eq!(base_r, one_r, "receiver frames diverge at --shards 1");
+    assert_eq!(
+        base_out.intersection,
+        intersection::IntersectionReceiverOutput::from(one_out).intersection
     );
-    assert_eq!(base_s, shard_s, "sender frames diverge at --shards 1");
-    assert_eq!(base_r, shard_r, "receiver frames diverge at --shards 1");
-    assert_eq!(base_out.intersection, shard_out.intersection);
+    // Pipelined (3 codewords per chunk): the same items under envelopes.
+    let (piped_s, piped_r, _, _) = record_engine(shape, (&vs, &[], &vr), (3, 4), pipe());
+    assert!(piped_s.len() > base_s.len() && piped_r.len() > base_r.len());
+    assert_eq!(
+        base_s,
+        merge_chunks(&piped_s),
+        "sender items diverge when chunked"
+    );
+    assert_eq!(
+        base_r,
+        merge_chunks(&piped_r),
+        "receiver items diverge when chunked"
+    );
 }
 
 #[test]
 fn single_shard_equijoin_is_frame_identical_to_pipelined() {
     let g = group();
     let cipher = HybridCipher::new(g.clone(), 24);
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = values(8, 0)
-        .into_iter()
-        .map(|v| {
-            let mut ext = b"ext:".to_vec();
-            ext.extend_from_slice(&v);
-            (v, ext)
-        })
-        .collect();
+    let vs = values(8, 0);
+    let ext: Vec<Vec<u8>> = vs.iter().map(|v| [&b"ext:"[..], v].concat()).collect();
+    let entries: Vec<(Vec<u8>, Vec<u8>)> = vs.iter().cloned().zip(ext.iter().cloned()).collect();
     let vr = values(6, 4);
     let (base_s, base_r, _, base_out) = record_frames(
         |t| {
             let mut rng = StdRng::seed_from_u64(5);
-            pipeline::run_equijoin_sender(t, g, &cipher, &entries, &mut rng, pool(), pipe())
+            equijoin::run_sender(t, g, &cipher, &entries, &mut rng)
         },
         |t| {
-            let cipher = HybridCipher::new(g.clone(), 24);
             let mut rng = StdRng::seed_from_u64(6);
-            pipeline::run_equijoin_receiver(t, g, &cipher, &vr, &mut rng, pool(), pipe())
+            equijoin::run_receiver(t, g, &cipher, &vr, &mut rng)
         },
     );
-    let (shard_s, shard_r, _, shard_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(5);
-            shard::run_equijoin_sender(
-                t,
-                g,
-                &cipher,
-                &entries,
-                &mut rng,
-                pool(),
-                pipe(),
-                &single_shard(),
-            )
-        },
-        |t| {
-            let cipher = HybridCipher::new(g.clone(), 24);
-            let mut rng = StdRng::seed_from_u64(6);
-            shard::run_equijoin_receiver(
-                t,
-                g,
-                &cipher,
-                &vr,
-                &mut rng,
-                pool(),
-                pipe(),
-                &single_shard(),
-            )
-        },
+    let shape = ProtocolShape::equijoin(&cipher);
+    let whole = PipelineConfig::chunked(usize::MAX);
+    let (one_s, one_r, _, one_out) = record_engine(shape, (&vs, &ext, &vr), (5, 6), whole);
+    assert_eq!(base_s, one_s, "sender frames diverge at --shards 1");
+    assert_eq!(base_r, one_r, "receiver frames diverge at --shards 1");
+    assert_eq!(base_out.matches, one_out.matches);
+    let (piped_s, piped_r, _, _) = record_engine(shape, (&vs, &ext, &vr), (5, 6), pipe());
+    assert!(piped_s.len() > base_s.len() && piped_r.len() > base_r.len());
+    assert_eq!(
+        base_s,
+        merge_chunks(&piped_s),
+        "sender items diverge when chunked"
     );
-    assert_eq!(base_s, shard_s, "sender frames diverge at --shards 1");
-    assert_eq!(base_r, shard_r, "receiver frames diverge at --shards 1");
-    assert_eq!(base_out.matches, shard_out.matches);
+    assert_eq!(
+        base_r,
+        merge_chunks(&piped_r),
+        "receiver items diverge when chunked"
+    );
 }
 
 #[test]
 fn single_shard_size_protocols_are_frame_identical_to_serial() {
     let g = group();
     let (vs, vr) = (values(9, 0), values(7, 5));
+    let whole = PipelineConfig::chunked(usize::MAX);
     let (base_s, base_r, _, base_out) = record_frames(
         |t| {
             let mut rng = StdRng::seed_from_u64(7);
@@ -224,35 +263,24 @@ fn single_shard_size_protocols_are_frame_identical_to_serial() {
             intersection_size::run_receiver(t, g, &vr, &mut rng)
         },
     );
-    let (shard_s, shard_r, _, shard_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(7);
-            shard::run_intersection_size_sender(
-                t,
-                g,
-                &vs,
-                &mut rng,
-                pool(),
-                pipe(),
-                &single_shard(),
-            )
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(8);
-            shard::run_intersection_size_receiver(
-                t,
-                g,
-                &vr,
-                &mut rng,
-                pool(),
-                pipe(),
-                &single_shard(),
-            )
-        },
+    let shape = ProtocolShape::INTERSECTION_SIZE;
+    let (one_s, one_r, _, one_out) = record_engine(shape, (&vs, &[], &vr), (7, 8), whole);
+    assert_eq!(base_s, one_s, "sender frames diverge at --shards 1");
+    assert_eq!(base_r, one_r, "receiver frames diverge at --shards 1");
+    assert_eq!(base_out.intersection_size as u64, one_out.match_count);
+    // Chunked at one bucket — the one deliberate wire delta of the
+    // single engine — the size variant still carries the same items.
+    let (piped_s, piped_r, _, _) = record_engine(shape, (&vs, &[], &vr), (7, 8), pipe());
+    assert_eq!(
+        base_s,
+        merge_chunks(&piped_s),
+        "sender items diverge when chunked"
     );
-    assert_eq!(base_s, shard_s, "sender frames diverge at --shards 1");
-    assert_eq!(base_r, shard_r, "receiver frames diverge at --shards 1");
-    assert_eq!(base_out.intersection_size, shard_out.intersection_size);
+    assert_eq!(
+        base_r,
+        merge_chunks(&piped_r),
+        "receiver items diverge when chunked"
+    );
 
     // Equijoin size: multisets with duplicate classes.
     let mut ms = values(6, 0);
@@ -268,20 +296,12 @@ fn single_shard_size_protocols_are_frame_identical_to_serial() {
             equijoin_size::run_receiver(t, g, &mr, &mut rng)
         },
     );
-    let (shard_s, shard_r, _, shard_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(9);
-            shard::run_equijoin_size_sender(t, g, &ms, &mut rng, pool(), pipe(), &single_shard())
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(10);
-            shard::run_equijoin_size_receiver(t, g, &mr, &mut rng, pool(), pipe(), &single_shard())
-        },
-    );
-    assert_eq!(base_s, shard_s, "sender frames diverge at --shards 1");
-    assert_eq!(base_r, shard_r, "receiver frames diverge at --shards 1");
-    assert_eq!(base_out.join_size, shard_out.join_size);
-    assert_eq!(base_out.class_intersections, shard_out.class_intersections);
+    let shape = ProtocolShape::EQUIJOIN_SIZE;
+    let (one_s, one_r, _, one_out) = record_engine(shape, (&ms, &[], &mr), (9, 10), whole);
+    assert_eq!(base_s, one_s, "sender frames diverge at --shards 1");
+    assert_eq!(base_r, one_r, "receiver frames diverge at --shards 1");
+    assert_eq!(base_out.join_size, one_out.match_count);
+    assert_eq!(base_out.class_intersections, one_out.class_intersections);
 }
 
 // ---------------------------------------------------------------------
@@ -323,10 +343,12 @@ fn malformed_shard_hellos_are_typed_errors() {
             frames: vec![hello.to_vec()],
         };
         let mut rng = StdRng::seed_from_u64(11);
-        let result = shard::run_intersection_sender(
+        let result = engine::run_sender(
             &mut t,
             g,
+            ProtocolShape::INTERSECTION,
             &vs,
+            &[],
             &mut rng,
             pool(),
             pipe(),
@@ -366,13 +388,32 @@ fn bucket_events_match_leakage_model_and_reconcile() {
             let _trace =
                 minshare_trace::install(Tracer::to_sink(Arc::clone(&s_ring) as Arc<dyn TraceSink>));
             let mut rng = StdRng::seed_from_u64(12);
-            shard::run_intersection_sender(t, g, &vs, &mut rng, pool(), pipe(), &cfg)
+            engine::run_sender(
+                t,
+                g,
+                ProtocolShape::INTERSECTION,
+                &vs,
+                &[],
+                &mut rng,
+                pool(),
+                pipe(),
+                &cfg,
+            )
         },
         |t| {
             let _trace =
                 minshare_trace::install(Tracer::to_sink(Arc::clone(&r_ring) as Arc<dyn TraceSink>));
             let mut rng = StdRng::seed_from_u64(13);
-            shard::run_intersection_receiver(t, g, &vr, &mut rng, pool(), pipe(), &cfg)
+            engine::run_receiver(
+                t,
+                g,
+                ProtocolShape::INTERSECTION,
+                &vr,
+                &mut rng,
+                pool(),
+                pipe(),
+                &cfg,
+            )
         },
     )
     .expect("sharded run");

@@ -5,7 +5,7 @@
 //! that `P` per call by spawning scoped threads; this module makes the
 //! workers *persistent* so one pool, sized once per session, serves every
 //! protocol round without re-paying thread spawn/join on each batch — the
-//! structure the chunk-pipelined engines in `minshare-core` need, where
+//! structure the chunked engine in `minshare-core` needs, where
 //! many small batches are in flight at once.
 //!
 //! Work distribution is by atomic sub-chunk claiming: every dispatched
@@ -59,8 +59,6 @@
 //!   the per-item cost EWMA. The inline threshold is their ratio — a
 //!   batch must outweigh the dispatch overhead before it is worth waking
 //!   another thread — and it keeps auto-tuning as the workload shifts.
-//!   [`PipelineConfig::calibrated`] in `minshare-core` reads both EWMAs
-//!   to pick its chunk sizes from the same measurements.
 //!
 //! This file carries a WIRE01 exemption in the analyzer's taint
 //! registry (`WIRE01_EXEMPT_FILES`): the `send` calls here are
@@ -689,8 +687,7 @@ impl EncryptPool {
     }
 
     /// The current per-item cost estimate in nanoseconds (EWMA over
-    /// inline runs and pooled claims; 0 until the first batch). The
-    /// pipeline calibrator sizes its chunks from this.
+    /// inline runs and pooled claims; 0 until the first batch).
     pub fn item_cost_ns(&self) -> u64 {
         self.tuning.item_ns.0.load(Ordering::Relaxed)
     }

@@ -1,6 +1,6 @@
 //! Zero-copy frame batching.
 //!
-//! The chunk-pipelined engines in `minshare-core` emit long runs of
+//! The chunked engine in `minshare-core` emits long runs of
 //! small frames (one codeword chunk per frame). Sending them one at a
 //! time costs a `Vec` allocation and a channel hand-off per frame.
 //! [`FrameBatch`] assembles a run of frames into **one** contiguous

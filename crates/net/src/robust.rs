@@ -20,8 +20,8 @@
 //! message, and a retransmitted frame is the byte-identical ciphertext —
 //! never a re-encryption under a reused counter (see SECURITY.md).
 //!
-//! Both parties may be in `send` simultaneously (the pipelined engines
-//! do this): a sender waiting for its ACK accepts, acknowledges, and
+//! Both parties may be in `send` simultaneously (the chunked engine
+//! does this): a sender waiting for its ACK accepts, acknowledges, and
 //! buffers incoming DATA frames, so full-duplex phases cannot deadlock.
 
 use std::collections::VecDeque;

@@ -268,7 +268,8 @@ pub fn span(scope: &'static str, name: &'static str, deterministic: bool) -> Spa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sink::{MetricsSink, RingSink};
+    use metrics::{MetricsRegistry, RegistrySink};
+    use sink::RingSink;
 
     #[test]
     fn disabled_is_noop_and_skips_field_construction() {
@@ -334,8 +335,8 @@ mod tests {
 
     #[test]
     fn metrics_aggregate_across_shared_sink() {
-        let sink = Arc::new(MetricsSink::new());
-        let tracer = Tracer::to_sink(sink.clone());
+        let registry = Arc::new(MetricsRegistry::new());
+        let tracer = Tracer::to_sink(Arc::new(RegistrySink::new(registry.clone())));
         std::thread::scope(|s| {
             for _ in 0..2 {
                 let t = tracer.clone();
@@ -347,8 +348,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(sink.sum("net", "frame_sent", "bytes"), 60);
-        assert_eq!(sink.sum("net", "frame_sent", "events"), 6);
+        assert_eq!(registry.counter("net", "frame_sent", "bytes"), 60);
+        assert_eq!(registry.counter("net", "frame_sent", "events"), 6);
     }
 
     #[test]

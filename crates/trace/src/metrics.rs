@@ -194,7 +194,7 @@ struct RegistryInner {
 
 impl RegistryInner {
     fn observe(&mut self, event: &Event) {
-        // Occurrence counter, mirroring MetricsSink's reserved field.
+        // Occurrence counter under the reserved field name.
         let labels: Vec<(&'static str, u64)> = event
             .fields
             .iter()

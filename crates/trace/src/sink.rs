@@ -1,7 +1,8 @@
 //! The built-in sinks: bounded ring buffer with a determinism digest,
-//! aggregating metrics, and JSON-lines export.
+//! fan-out, and JSON-lines export. Aggregation lives in
+//! [`crate::metrics`] ([`crate::metrics::RegistrySink`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::Mutex;
 
@@ -115,115 +116,11 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Aggregation key: `(scope, name, field)`. The reserved field name
-/// `"events"` counts occurrences of `(scope, name)`.
-pub type MetricKey = (&'static str, &'static str, &'static str);
-
-/// Sums every field of every event by `(scope, name, field)`. Sums are
-/// order-independent, so one `MetricsSink` can be shared by both parties
-/// of a run and still aggregate deterministically.
-///
-/// Fields registered via [`MetricsSink::register_gauge`] keep the *last*
-/// value instead of a sum, and [`MetricsSink::snapshot_and_reset`]
-/// starts a fresh accumulation epoch — together these keep a
-/// long-running daemon's sums from growing monotonically forever.
-#[derive(Default)]
-pub struct MetricsSink {
-    inner: Mutex<BTreeMap<MetricKey, u64>>,
-    gauges: Mutex<std::collections::BTreeSet<MetricKey>>,
-}
-
-impl MetricsSink {
-    /// An empty metrics sink.
-    pub fn new() -> MetricsSink {
-        MetricsSink::default()
-    }
-
-    /// Declares `(scope, name, field)` a gauge: later events overwrite
-    /// its value instead of adding to it, and it survives
-    /// [`MetricsSink::snapshot_and_reset`].
-    pub fn register_gauge(&self, scope: &'static str, name: &'static str, field: &'static str) {
-        if let Ok(mut g) = self.gauges.lock() {
-            g.insert((scope, name, field));
-        }
-    }
-
-    /// Returns all accumulated values, then resets: summed entries
-    /// clear, gauge entries keep their last value. The reserved
-    /// `"events"` occurrence counters reset with the sums.
-    pub fn snapshot_and_reset(&self) -> Vec<(MetricKey, u64)> {
-        // Lock order (gauges, then inner) matches `record`.
-        let Ok(keep) = self.gauges.lock() else {
-            return Vec::new();
-        };
-        let Ok(mut g) = self.inner.lock() else {
-            return Vec::new();
-        };
-        let out: Vec<(MetricKey, u64)> = g.iter().map(|(k, v)| (*k, *v)).collect();
-        g.retain(|k, _| keep.contains(k));
-        out
-    }
-
-    /// The sum of `field` over all `(scope, name)` events, or 0.
-    pub fn sum(&self, scope: &str, name: &str, field: &str) -> u64 {
-        self.inner
-            .lock()
-            .map(|g| {
-                g.iter()
-                    .filter(|((s, n, f), _)| *s == scope && *n == name && *f == field)
-                    .map(|(_, v)| *v)
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
-    /// The sum of `field` across every event name in `scope`.
-    pub fn sum_field(&self, scope: &str, field: &str) -> u64 {
-        self.inner
-            .lock()
-            .map(|g| {
-                g.iter()
-                    .filter(|((s, _, f), _)| *s == scope && *f == field)
-                    .map(|(_, v)| *v)
-                    .sum()
-            })
-            .unwrap_or(0)
-    }
-
-    /// All accumulated sums, sorted by key.
-    pub fn snapshot(&self) -> Vec<(MetricKey, u64)> {
-        self.inner
-            .lock()
-            .map(|g| g.iter().map(|(k, v)| (*k, *v)).collect())
-            .unwrap_or_default()
-    }
-}
-
-impl TraceSink for MetricsSink {
-    fn record(&self, event: &Event) {
-        // Lock order (gauges, then inner) matches `snapshot_and_reset`.
-        let Ok(gauges) = self.gauges.lock() else { return };
-        let Ok(mut g) = self.inner.lock() else { return };
-        let mut bump = |key: MetricKey, v: u64| {
-            if gauges.contains(&key) {
-                g.insert(key, v);
-            } else {
-                let slot = g.entry(key).or_insert(0);
-                *slot = slot.saturating_add(v);
-            }
-        };
-        bump((event.scope, event.name, "events"), 1);
-        for (name, value) in &event.fields {
-            bump((event.scope, event.name, name), value.as_u64());
-        }
-    }
-}
-
 /// Fans every event out to all wrapped sinks, in order. The daemon uses
 /// this to give each session a private [`RingSink`] (per-session digest
 /// for the conformance harness) while the same events also feed a shared
-/// [`MetricsSink`] (fleet-wide reconciliation) — without the
-/// instrumentation sites knowing about either.
+/// [`crate::metrics::RegistrySink`] (fleet-wide reconciliation) —
+/// without the instrumentation sites knowing about either.
 pub struct TeeSink {
     sinks: Vec<std::sync::Arc<dyn TraceSink>>,
 }
@@ -310,6 +207,7 @@ impl TraceSink for JsonLinesSink {
 
 #[cfg(test)]
 mod tests {
+    use crate::metrics::{MetricsRegistry, RegistrySink};
     use super::*;
     use crate::{count, duration_ns, flag, size};
     use std::sync::Arc;
@@ -388,37 +286,42 @@ mod tests {
         assert_eq!(names, vec![3, 4]);
     }
 
+    /// A registry and the sink feeding it.
+    fn registry() -> (Arc<MetricsRegistry>, RegistrySink) {
+        let registry = Arc::new(MetricsRegistry::new());
+        (Arc::clone(&registry), RegistrySink::new(registry))
+    }
+
     #[test]
     fn metrics_sum_and_event_counts() {
-        let m = MetricsSink::new();
-        m.record(&event(0, "frame_sent", true, vec![size("bytes", 10)]));
-        m.record(&event(1, "frame_sent", true, vec![size("bytes", 32)]));
-        m.record(&event(2, "frame_recv", true, vec![size("bytes", 5)]));
-        assert_eq!(m.sum("test", "frame_sent", "bytes"), 42);
-        assert_eq!(m.sum("test", "frame_sent", "events"), 2);
-        assert_eq!(m.sum_field("test", "bytes"), 47);
-        assert_eq!(m.sum("test", "missing", "bytes"), 0);
-        assert_eq!(m.snapshot().len(), 4);
+        let (m, sink) = registry();
+        sink.record(&event(0, "frame_sent", true, vec![size("bytes", 10)]));
+        sink.record(&event(1, "frame_sent", true, vec![size("bytes", 32)]));
+        sink.record(&event(2, "frame_recv", true, vec![size("bytes", 5)]));
+        assert_eq!(m.counter("test", "frame_sent", "bytes"), 42);
+        assert_eq!(m.counter("test", "frame_sent", "events"), 2);
+        assert_eq!(m.counter("test", "frame_recv", "bytes"), 5);
+        assert_eq!(m.counter("test", "missing", "bytes"), 0);
     }
 
     #[test]
     fn metrics_gauge_last_value_and_reset_epochs() {
-        let m = MetricsSink::new();
+        let (m, sink) = registry();
         m.register_gauge("test", "queue", "depth");
-        m.record(&event(0, "queue", false, vec![size("depth", 7)]));
-        m.record(&event(1, "queue", false, vec![size("depth", 3)]));
-        m.record(&event(2, "sent", true, vec![size("bytes", 10)]));
+        sink.record(&event(0, "queue", false, vec![size("depth", 7)]));
+        sink.record(&event(1, "queue", false, vec![size("depth", 3)]));
+        sink.record(&event(2, "sent", true, vec![size("bytes", 10)]));
         // Gauge keeps the last value; the occurrence counter still sums.
-        assert_eq!(m.sum("test", "queue", "depth"), 3);
-        assert_eq!(m.sum("test", "queue", "events"), 2);
+        assert_eq!(m.gauge("test", "queue", "depth"), Some(3));
+        assert_eq!(m.counter("test", "queue", "events"), 2);
 
         let snap = m.snapshot_and_reset();
-        assert!(snap.contains(&(("test", "sent", "bytes"), 10)));
-        assert!(snap.contains(&(("test", "queue", "depth"), 3)));
+        assert!(snap.contains("\"test/sent/bytes\":10"));
+        assert!(snap.contains("\"test/queue/depth\":3"));
         // Post-reset: sums cleared, gauge survives with its last value.
-        assert_eq!(m.sum("test", "sent", "bytes"), 0);
-        assert_eq!(m.sum("test", "queue", "events"), 0);
-        assert_eq!(m.sum("test", "queue", "depth"), 3);
+        assert_eq!(m.counter("test", "sent", "bytes"), 0);
+        assert_eq!(m.counter("test", "queue", "events"), 0);
+        assert_eq!(m.gauge("test", "queue", "depth"), Some(3));
     }
 
     #[test]
@@ -443,12 +346,12 @@ mod tests {
     #[test]
     fn tee_fans_out_to_every_sink() {
         let ring = Arc::new(RingSink::new(8));
-        let metrics = Arc::new(MetricsSink::new());
-        let tee = TeeSink::new(vec![ring.clone(), metrics.clone()]);
+        let (metrics, sink) = registry();
+        let tee = TeeSink::new(vec![ring.clone(), Arc::new(sink)]);
         tee.record(&event(0, "x", true, vec![count("n", 3)]));
         tee.record(&event(1, "x", true, vec![count("n", 4)]));
         assert_eq!(ring.recorded(), 2);
-        assert_eq!(metrics.sum("test", "x", "n"), 7);
+        assert_eq!(metrics.counter("test", "x", "n"), 7);
         // An empty tee is a valid null sink.
         TeeSink::new(Vec::new()).record(&event(2, "x", true, vec![]));
     }

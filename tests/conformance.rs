@@ -61,6 +61,11 @@ fn vr() -> Vec<Vec<u8>> {
     to_values(&["grape", "kiwi", "apple", "plum", "melon"])
 }
 
+/// `ext(v)` for each of `values`.
+fn ext_of(values: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    values.iter().map(|v| [&b"ext:"[..], v].concat()).collect()
+}
+
 /// `T_S.A` as a multiset (duplicate classes 3, 2, 1).
 fn ms() -> Vec<Vec<u8>> {
     to_values(&["ash", "ash", "ash", "oak", "oak", "elm", "fir"])
@@ -76,9 +81,36 @@ fn sim_cfg() -> SimRunConfig {
 }
 
 fn chunked() -> PipelineConfig {
-    // Small chunks so the pipelined wire format (multi-frame lists) is
+    // Small chunks so the chunked wire format (multi-frame lists) is
     // actually exercised against reordering and loss.
     PipelineConfig::chunked(3)
+}
+
+/// The engine's sender at one bucket, over the shared group and pool.
+fn sender<T: Transport + ?Sized>(
+    t: &mut T,
+    shape: ProtocolShape<'_>,
+    values: &[Vec<u8>],
+    ext: &[Vec<u8>],
+    seed: u64,
+    pipe: PipelineConfig,
+) -> Result<engine::SenderOutput, ProtocolError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cfg = ShardConfig::default();
+    engine::run_sender(t, group(), shape, values, ext, &mut rng, pool(), pipe, &cfg)
+}
+
+/// The engine's receiver at one bucket, over the shared group and pool.
+fn receiver<T: Transport + ?Sized>(
+    t: &mut T,
+    shape: ProtocolShape<'_>,
+    values: &[Vec<u8>],
+    seed: u64,
+    pipe: PipelineConfig,
+) -> Result<engine::ReceiverOutput, ProtocolError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cfg = ShardConfig::default();
+    engine::run_receiver(t, group(), shape, values, &mut rng, pool(), pipe, &cfg)
 }
 
 /// The fixed seed set every protocol is replayed over. `tools/verify.sh`
@@ -123,93 +155,72 @@ fn check_run<SO, RO>(
     }
 }
 
-fn run_intersection(plan: &FaultPlan) -> SimTwoPartyRun<
+/// Both roles of `shape` through the engine (small chunks, one bucket)
+/// over the simulated network, typed like the serial reference's outputs.
+fn run_shape<SO, RO>(
+    plan: &FaultPlan,
+    shape: ProtocolShape<'_>,
+    (s_vals, ext, r_vals): (&[Vec<u8>], &[Vec<u8>], &[Vec<u8>]),
+    seeds: (u64, u64),
+) -> SimTwoPartyRun<SO, RO>
+where
+    SO: From<engine::SenderOutput> + Send,
+    RO: From<engine::ReceiverOutput> + Send,
+{
+    run_two_party_sim(
+        sim_cfg(),
+        plan,
+        |t| sender(t, shape, s_vals, ext, seeds.0, chunked()).map(SO::from),
+        |t| receiver(t, shape, r_vals, seeds.1, chunked()).map(RO::from),
+    )
+}
+
+fn run_intersection(
+    plan: &FaultPlan,
+) -> SimTwoPartyRun<
     minshare::intersection::IntersectionSenderOutput,
     minshare::intersection::IntersectionReceiverOutput,
 > {
-    let (g, p) = (group(), pool());
-    let (s_vals, r_vals) = (vs(), vr());
-    run_two_party_sim(
-        sim_cfg(),
+    run_shape(
         plan,
-        move |t| {
-            let mut rng = StdRng::seed_from_u64(7);
-            pipeline::run_intersection_sender(t, g, &s_vals, &mut rng, p, chunked())
-        },
-        move |t| {
-            let mut rng = StdRng::seed_from_u64(8);
-            pipeline::run_intersection_receiver(t, g, &r_vals, &mut rng, p, chunked())
-        },
+        ProtocolShape::INTERSECTION,
+        (&vs(), &[], &vr()),
+        (7, 8),
     )
 }
 
-fn run_equijoin(plan: &FaultPlan) -> SimTwoPartyRun<
+fn run_equijoin(
+    plan: &FaultPlan,
+) -> SimTwoPartyRun<
     minshare::equijoin::EquijoinSenderOutput,
     minshare::equijoin::EquijoinReceiverOutput,
 > {
-    let (g, p) = (group(), pool());
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = vs()
-        .into_iter()
-        .map(|v| {
-            let mut ext = b"ext:".to_vec();
-            ext.extend_from_slice(&v);
-            (v, ext)
-        })
-        .collect();
-    let r_vals = vr();
-    run_two_party_sim(
-        sim_cfg(),
-        plan,
-        move |t| {
-            let cipher = HybridCipher::new(g.clone(), 16);
-            let mut rng = StdRng::seed_from_u64(9);
-            pipeline::run_equijoin_sender(t, g, &cipher, &entries, &mut rng, p, chunked())
-        },
-        move |t| {
-            let cipher = HybridCipher::new(g.clone(), 16);
-            let mut rng = StdRng::seed_from_u64(10);
-            pipeline::run_equijoin_receiver(t, g, &cipher, &r_vals, &mut rng, p, chunked())
-        },
-    )
+    let cipher = HybridCipher::new(group().clone(), 16);
+    let shape = ProtocolShape::equijoin(&cipher);
+    run_shape(plan, shape, (&vs(), &ext_of(&vs()), &vr()), (9, 10))
 }
 
-fn run_intersection_size(plan: &FaultPlan) -> SimTwoPartyRun<
+fn run_intersection_size(
+    plan: &FaultPlan,
+) -> SimTwoPartyRun<
     minshare::intersection_size::IntersectionSizeSenderOutput,
     minshare::intersection_size::IntersectionSizeReceiverOutput,
 > {
-    let g = group();
-    let (s_vals, r_vals) = (vs(), vr());
-    run_two_party_sim(
-        sim_cfg(),
-        plan,
-        move |t| {
-            let mut rng = StdRng::seed_from_u64(11);
-            intersection_size::run_sender(t, g, &s_vals, &mut rng)
-        },
-        move |t| {
-            let mut rng = StdRng::seed_from_u64(12);
-            intersection_size::run_receiver(t, g, &r_vals, &mut rng)
-        },
-    )
+    let shape = ProtocolShape::INTERSECTION_SIZE;
+    run_shape(plan, shape, (&vs(), &[], &vr()), (11, 12))
 }
 
-fn run_equijoin_size(plan: &FaultPlan) -> SimTwoPartyRun<
+fn run_equijoin_size(
+    plan: &FaultPlan,
+) -> SimTwoPartyRun<
     minshare::equijoin_size::EquijoinSizeSenderOutput,
     minshare::equijoin_size::EquijoinSizeReceiverOutput,
 > {
-    let g = group();
-    let (s_vals, r_vals) = (ms(), mr());
-    run_two_party_sim(
-        sim_cfg(),
+    run_shape(
         plan,
-        move |t| {
-            let mut rng = StdRng::seed_from_u64(13);
-            equijoin_size::run_sender(t, g, &s_vals, &mut rng)
-        },
-        move |t| {
-            let mut rng = StdRng::seed_from_u64(14);
-            equijoin_size::run_receiver(t, g, &r_vals, &mut rng)
-        },
+        ProtocolShape::EQUIJOIN_SIZE,
+        (&ms(), &[], &mr()),
+        (13, 14),
     )
 }
 
@@ -352,10 +363,9 @@ fn heavy_corruption_never_yields_a_wrong_answer() {
 }
 
 // ---------------------------------------------------------------------
-// Serial-fallback wire identity: a pipelined engine whose config says
-// "fall back" (`serial_below` above every list size — what `calibrated`
-// returns on a worker-less pool) must put *byte-identical frames* on the
-// wire as the serial engine, in the same order, on both sides.
+// One-chunk wire identity: the engine with a chunk size above every
+// list must put *byte-identical frames* on the wire as the serial
+// reference, in the same order, on both sides.
 // ---------------------------------------------------------------------
 
 /// Records every frame a party sends, in order. The default
@@ -411,20 +421,14 @@ fn record_frames<SO: Send, RO: Send>(
     (s_frames, r_frames, s_out.unwrap(), r_out.unwrap())
 }
 
-/// The fallback config `PipelineConfig::calibrated` produces on a pool
-/// with no workers: tiny chunks on paper, but every list is under the
-/// serial threshold.
-fn fallback_cfg() -> PipelineConfig {
-    PipelineConfig {
-        chunk_size: 3,
-        serial_below: usize::MAX,
-    }
+/// Every list in one chunk: the serial wire format.
+fn one_chunk() -> PipelineConfig {
+    PipelineConfig::chunked(usize::MAX)
 }
 
 #[test]
 fn intersection_serial_fallback_is_wire_identical_to_serial() {
     let g = group();
-    let p = pool();
     let (s_vals, r_vals) = (vs(), vr());
 
     let (ser_s, ser_r, _, ser_out) = record_frames(
@@ -438,32 +442,26 @@ fn intersection_serial_fallback_is_wire_identical_to_serial() {
         },
     );
     let (pip_s, pip_r, _, pip_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(7);
-            pipeline::run_intersection_sender(t, g, &s_vals, &mut rng, p, fallback_cfg())
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(8);
-            pipeline::run_intersection_receiver(t, g, &r_vals, &mut rng, p, fallback_cfg())
-        },
+        |t| sender(t, ProtocolShape::INTERSECTION, &s_vals, &[], 7, one_chunk()),
+        |t| receiver(t, ProtocolShape::INTERSECTION, &r_vals, 8, one_chunk()),
     );
-    assert_eq!(ser_s, pip_s, "sender frames diverge in fallback mode");
-    assert_eq!(ser_r, pip_r, "receiver frames diverge in fallback mode");
-    assert_eq!(ser_out.intersection, pip_out.intersection);
+    assert_eq!(ser_s, pip_s, "sender frames diverge at one chunk per list");
+    assert_eq!(
+        ser_r, pip_r,
+        "receiver frames diverge at one chunk per list"
+    );
+    assert_eq!(
+        ser_out.intersection,
+        minshare::intersection::IntersectionReceiverOutput::from(pip_out).intersection
+    );
 }
 
 #[test]
 fn equijoin_serial_fallback_is_wire_identical_to_serial() {
     let g = group();
-    let p = pool();
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = vs()
-        .into_iter()
-        .map(|v| {
-            let mut ext = b"ext:".to_vec();
-            ext.extend_from_slice(&v);
-            (v, ext)
-        })
-        .collect();
+    let keys = vs();
+    let ext = ext_of(&keys);
+    let entries: Vec<(Vec<u8>, Vec<u8>)> = keys.iter().cloned().zip(ext.iter().cloned()).collect();
     let r_vals = vr();
 
     let (ser_s, ser_r, _, ser_out) = record_frames(
@@ -481,41 +479,45 @@ fn equijoin_serial_fallback_is_wire_identical_to_serial() {
     let (pip_s, pip_r, _, pip_out) = record_frames(
         |t| {
             let cipher = HybridCipher::new(g.clone(), 16);
-            let mut rng = StdRng::seed_from_u64(9);
-            pipeline::run_equijoin_sender(t, g, &cipher, &entries, &mut rng, p, fallback_cfg())
+            sender(
+                t,
+                ProtocolShape::equijoin(&cipher),
+                &keys,
+                &ext,
+                9,
+                one_chunk(),
+            )
         },
         |t| {
             let cipher = HybridCipher::new(g.clone(), 16);
-            let mut rng = StdRng::seed_from_u64(10);
-            pipeline::run_equijoin_receiver(t, g, &cipher, &r_vals, &mut rng, p, fallback_cfg())
+            receiver(
+                t,
+                ProtocolShape::equijoin(&cipher),
+                &r_vals,
+                10,
+                one_chunk(),
+            )
         },
     );
-    assert_eq!(ser_s, pip_s, "sender frames diverge in fallback mode");
-    assert_eq!(ser_r, pip_r, "receiver frames diverge in fallback mode");
+    assert_eq!(ser_s, pip_s, "sender frames diverge at one chunk per list");
+    assert_eq!(
+        ser_r, pip_r,
+        "receiver frames diverge at one chunk per list"
+    );
     assert_eq!(ser_out.matches, pip_out.matches);
-}
-
-#[test]
-fn calibrated_config_on_workerless_pool_always_falls_back() {
-    let g = group();
-    // `EncryptPool::new(1)` clamps to zero workers only on a 1-core host;
-    // ask for the workerless pool outright so the claim holds anywhere.
-    let solo = EncryptPool::with_workers(0);
-    assert_eq!(solo.threads(), 0);
-    let cfg = PipelineConfig::calibrated(g, &solo);
-    assert_eq!(cfg.serial_below, usize::MAX);
 }
 
 // ---------------------------------------------------------------------
 // Trace-layer conformance: the telemetry must itself be deterministic
 // (same simnet seed ⇒ same per-party event digest) and must aggregate
-// identically across execution strategies (a pipelined run's metrics
+// identically across execution strategies (an engine run's metrics
 // equal the serial run's §6.1 counters).
 // ---------------------------------------------------------------------
 
 use std::sync::Arc;
 
-use minshare_trace::sink::{MetricsSink, RingSink};
+use minshare_trace::metrics::{MetricsRegistry, RegistrySink};
+use minshare_trace::sink::RingSink;
 use minshare_trace::TraceSink;
 
 fn traced<S: TraceSink + 'static>(sink: &Arc<S>) -> minshare_trace::Tracer {
@@ -526,7 +528,6 @@ fn traced<S: TraceSink + 'static>(sink: &Arc<S>) -> minshare_trace::Tracer {
 fn trace_digest_is_reproducible_from_the_simnet_seed() {
     let plan = FaultPlan::from_seed(0x7ace_0001);
     let go = || {
-        let (g, p) = (group(), pool());
         let (s_vals, r_vals) = (vs(), vr());
         let s_sink = Arc::new(RingSink::new(4096));
         let r_sink = Arc::new(RingSink::new(4096));
@@ -537,13 +538,11 @@ fn trace_digest_is_reproducible_from_the_simnet_seed() {
                 &plan,
                 move |t| {
                     let _trace = minshare_trace::install(traced(&ss));
-                    let mut rng = StdRng::seed_from_u64(7);
-                    pipeline::run_intersection_sender(t, g, &s_vals, &mut rng, p, chunked())
+                    sender(t, ProtocolShape::INTERSECTION, &s_vals, &[], 7, chunked())
                 },
                 move |t| {
                     let _trace = minshare_trace::install(traced(&rs));
-                    let mut rng = StdRng::seed_from_u64(8);
-                    pipeline::run_intersection_receiver(t, g, &r_vals, &mut rng, p, chunked())
+                    receiver(t, ProtocolShape::INTERSECTION, &r_vals, 8, chunked())
                 },
             )
         };
@@ -559,12 +558,13 @@ fn trace_digest_is_reproducible_from_the_simnet_seed() {
 }
 
 /// Runs a perfect-link two-party exchange with both parties feeding one
-/// shared metrics sink; returns the sink.
+/// shared metrics registry; returns the registry.
 fn metrics_of<SO: Send, RO: Send>(
     sender: impl FnOnce(&mut dyn Transport) -> Result<SO, ProtocolError> + Send,
     receiver: impl FnOnce(&mut dyn Transport) -> Result<RO, ProtocolError> + Send,
-) -> Arc<MetricsSink> {
-    let sink = Arc::new(MetricsSink::new());
+) -> Arc<MetricsRegistry> {
+    let registry = Arc::new(MetricsRegistry::new());
+    let sink = Arc::new(RegistrySink::new(Arc::clone(&registry)));
     let (ss, rs) = (Arc::clone(&sink), Arc::clone(&sink));
     run_two_party(
         move |t| {
@@ -577,21 +577,20 @@ fn metrics_of<SO: Send, RO: Send>(
         },
     )
     .expect("perfect-link run");
-    sink
+    registry
 }
 
 /// §6.1 `Ce` units charged across both parties' `*_done` events.
-fn ce_ops(sink: &MetricsSink, scope: &str) -> u64 {
-    sink.sum(scope, "sender_done", "encryptions")
-        + sink.sum(scope, "sender_done", "decryptions")
-        + sink.sum(scope, "receiver_done", "encryptions")
-        + sink.sum(scope, "receiver_done", "decryptions")
+fn ce_ops(metrics: &MetricsRegistry, scope: &str) -> u64 {
+    metrics.counter(scope, "sender_done", "encryptions")
+        + metrics.counter(scope, "sender_done", "decryptions")
+        + metrics.counter(scope, "receiver_done", "encryptions")
+        + metrics.counter(scope, "receiver_done", "decryptions")
 }
 
 #[test]
 fn pipelined_metrics_equal_serial_metrics() {
     let g = group();
-    let p = pool();
     let serial = metrics_of(
         |t| {
             let mut rng = StdRng::seed_from_u64(7);
@@ -602,45 +601,33 @@ fn pipelined_metrics_equal_serial_metrics() {
             intersection::run_receiver(t, g, &vr(), &mut rng)
         },
     );
-    // Fallback mode is wire-identical to serial, so the aggregated
+    // One chunk per list is wire-identical to serial, so the aggregated
     // metrics must agree on *everything*: Ce operations, frames, bytes.
-    let fallback = metrics_of(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(7);
-            pipeline::run_intersection_sender(t, g, &vs(), &mut rng, p, fallback_cfg())
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(8);
-            pipeline::run_intersection_receiver(t, g, &vr(), &mut rng, p, fallback_cfg())
-        },
+    let whole = metrics_of(
+        |t| sender(t, ProtocolShape::INTERSECTION, &vs(), &[], 7, one_chunk()),
+        |t| receiver(t, ProtocolShape::INTERSECTION, &vr(), 8, one_chunk()),
     );
     let serial_ce = ce_ops(&serial, "intersection");
     assert!(serial_ce > 0, "serial run charged no Ce operations");
-    assert_eq!(ce_ops(&fallback, "intersection"), serial_ce);
+    assert_eq!(ce_ops(&whole, "intersection"), serial_ce);
     assert_eq!(
-        fallback.sum("net", "frame_sent", "frames"),
-        serial.sum("net", "frame_sent", "frames"),
+        whole.counter("net", "frame_sent", "frames"),
+        serial.counter("net", "frame_sent", "frames"),
     );
     assert_eq!(
-        fallback.sum("net", "frame_sent", "bytes"),
-        serial.sum("net", "frame_sent", "bytes"),
+        whole.counter("net", "frame_sent", "bytes"),
+        serial.counter("net", "frame_sent", "bytes"),
     );
     // Genuinely chunked streaming re-frames the wire (envelope headers)
     // but must charge exactly the same §6.1 encryption work.
     let streamed = metrics_of(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(7);
-            pipeline::run_intersection_sender(t, g, &vs(), &mut rng, p, chunked())
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(8);
-            pipeline::run_intersection_receiver(t, g, &vr(), &mut rng, p, chunked())
-        },
+        |t| sender(t, ProtocolShape::INTERSECTION, &vs(), &[], 7, chunked()),
+        |t| receiver(t, ProtocolShape::INTERSECTION, &vr(), 8, chunked()),
     );
     assert_eq!(ce_ops(&streamed, "intersection"), serial_ce);
     assert!(
-        streamed.sum("net", "frame_sent", "bytes")
-            >= serial.sum("net", "frame_sent", "bytes"),
+        streamed.counter("net", "frame_sent", "bytes")
+            >= serial.counter("net", "frame_sent", "bytes"),
         "chunked streaming cannot shrink protocol-layer bytes",
     );
 }

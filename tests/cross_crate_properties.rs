@@ -169,58 +169,132 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Pipelined-vs-serial-vs-naive differential suite: for arbitrary value
+// Engine-vs-serial-vs-naive differential suite: for arbitrary value
 // sets (duplicates, empty sides, tiny overlaps all arise from the
 // generator; the explicit edge test below pins the important shapes),
-// the chunk-pipelined engines must agree with the serial engines, and
-// both must agree with clear-text set algebra (`naive.rs`).
+// the chunked, bucketed engine must agree with the serial reference
+// modules — outputs *and* §6.1 op counts — for all four protocols at
+// every bucket count, chunk size and sort budget, and both must agree
+// with clear-text set algebra (`naive.rs`).
 // ---------------------------------------------------------------------
 
+/// `(V_S, ext, V_R)`.
+type Inputs<'a> = (&'a [Vec<u8>], &'a [Vec<u8>], &'a [Vec<u8>]);
+
+/// One point of the engine's configuration space.
+struct Knobs<'a> {
+    seed: u64,
+    pool: &'a EncryptPool,
+    pipe: PipelineConfig,
+    cfg: ShardConfig,
+}
+
+impl Knobs<'_> {
+    /// Both roles of `shape` through the engine, typed like the serial
+    /// reference's outputs.
+    fn run<SO, RO>(
+        &self,
+        shape: ProtocolShape<'_>,
+        (vs, ext, vr): Inputs<'_>,
+    ) -> TwoPartyRun<SO, RO>
+    where
+        SO: From<engine::SenderOutput> + Send,
+        RO: From<engine::ReceiverOutput> + Send,
+    {
+        let (g, pool, pipe, cfg) = (group(), self.pool, self.pipe, &self.cfg);
+        run_two_party(
+            |t| {
+                let mut rng = StdRng::seed_from_u64(self.seed);
+                engine::run_sender(t, g, shape, vs, ext, &mut rng, pool, pipe, cfg).map(SO::from)
+            },
+            |t| {
+                let mut rng = StdRng::seed_from_u64(self.seed ^ 0xaaaa);
+                engine::run_receiver(t, g, shape, vr, &mut rng, pool, pipe, cfg).map(RO::from)
+            },
+        )
+        .expect("engine")
+    }
+
+    /// The engine's outputs and op counts equal `reference`'s.
+    fn assert_engine_matches<SO, RO>(
+        &self,
+        reference: &TwoPartyRun<SO, RO>,
+        shape: ProtocolShape<'_>,
+        inputs: Inputs<'_>,
+    ) where
+        SO: From<engine::SenderOutput> + Send + PartialEq + std::fmt::Debug,
+        RO: From<engine::ReceiverOutput> + Send + PartialEq + std::fmt::Debug,
+    {
+        let run: TwoPartyRun<SO, RO> = self.run(shape, inputs);
+        let at = (self.cfg.shards, self.pipe.chunk_size, self.cfg.mem_budget);
+        assert_eq!(run.sender, reference.sender, "(B, chunk, budget) = {at:?}");
+        assert_eq!(
+            run.receiver, reference.receiver,
+            "(B, chunk, budget) = {at:?}"
+        );
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
     fn pipelined_serial_and_naive_agree(
         vs in values(14),
         vr in values(14),
         seed in any::<u64>(),
-        chunk in 1usize..6,
     ) {
         let g = group();
         let pool = EncryptPool::new(2);
-        let cfg = PipelineConfig::chunked(chunk);
-        let serial = run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                intersection::run_sender(t, g, &vs, &mut rng)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xaaaa);
-                intersection::run_receiver(t, g, &vr, &mut rng)
-            },
-        ).expect("serial");
-        let piped = run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                pipeline::run_intersection_sender(t, g, &vs, &mut rng, &pool, cfg)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xaaaa);
-                pipeline::run_intersection_receiver(t, g, &vr, &mut rng, &pool, cfg)
-            },
-        ).expect("pipelined");
-        prop_assert_eq!(&piped.sender, &serial.sender);
-        prop_assert_eq!(&piped.receiver, &serial.receiver);
+        let cipher = HybridCipher::new(g.clone(), 16);
+        // ext(v) = v, so a wrong pairing shows in the payload.
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = vs.iter().map(|v| (v.clone(), v.clone())).collect();
+        let (s_rng, r_rng) = (|| StdRng::seed_from_u64(seed), || StdRng::seed_from_u64(seed ^ 0xaaaa));
+        let intersection = run_two_party(
+            |t| intersection::run_sender(t, g, &vs, &mut s_rng()),
+            |t| intersection::run_receiver(t, g, &vr, &mut r_rng()),
+        ).expect("serial intersection");
+        let equijoin = run_two_party(
+            |t| equijoin::run_sender(t, g, &cipher, &entries, &mut s_rng()),
+            |t| equijoin::run_receiver(t, g, &cipher, &vr, &mut r_rng()),
+        ).expect("serial equijoin");
+        let intersection_size = run_two_party(
+            |t| intersection_size::run_sender(t, g, &vs, &mut s_rng()),
+            |t| intersection_size::run_receiver(t, g, &vr, &mut r_rng()),
+        ).expect("serial intersection-size");
+        let equijoin_size = run_two_party(
+            |t| equijoin_size::run_sender(t, g, &vs, &mut s_rng()),
+            |t| equijoin_size::run_receiver(t, g, &vr, &mut r_rng()),
+        ).expect("serial equijoin-size");
         let (clear, _) = minshare::naive::naive_intersection(&vs, &vr);
-        prop_assert_eq!(&piped.receiver.intersection, &clear);
+        prop_assert_eq!(&intersection.receiver.intersection, &clear);
+
+        for shards in [1u32, 2, 5] {
+            for chunk in [1usize, 3, usize::MAX] {
+                for mem_budget in [64usize, ShardConfig::default().mem_budget] {
+                    let at = Knobs {
+                        seed,
+                        pool: &pool,
+                        pipe: PipelineConfig::chunked(chunk),
+                        cfg: ShardConfig { shards, mem_budget, ..ShardConfig::default() },
+                    };
+                    at.assert_engine_matches(
+                        &intersection, ProtocolShape::INTERSECTION, (&vs, &[], &vr));
+                    at.assert_engine_matches(
+                        &equijoin, ProtocolShape::equijoin(&cipher), (&vs, &vs, &vr));
+                    at.assert_engine_matches(
+                        &intersection_size, ProtocolShape::INTERSECTION_SIZE, (&vs, &[], &vr));
+                    at.assert_engine_matches(
+                        &equijoin_size, ProtocolShape::EQUIJOIN_SIZE, (&vs, &[], &vr));
+                }
+            }
+        }
     }
 }
 
 #[test]
 fn pipelined_edge_shapes_agree_with_naive() {
-    let g = group();
     let pool = EncryptPool::new(2);
-    let cfg = PipelineConfig::chunked(2);
     let cases: Vec<(Vec<Vec<u8>>, Vec<Vec<u8>>)> = vec![
         (vec![], vec![]),                                     // both empty
         (vec![], vec![vec![1], vec![2]]),                     // empty sender
@@ -230,17 +304,16 @@ fn pipelined_edge_shapes_agree_with_naive() {
         (vec![vec![1], vec![2]], vec![vec![3], vec![4]]),     // disjoint
     ];
     for (vs, vr) in cases {
-        let run = run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(31);
-                pipeline::run_intersection_sender(t, g, &vs, &mut rng, &pool, cfg)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(32);
-                pipeline::run_intersection_receiver(t, g, &vr, &mut rng, &pool, cfg)
-            },
-        )
-        .expect("run");
+        let run: TwoPartyRun<
+            minshare::intersection::IntersectionSenderOutput,
+            minshare::intersection::IntersectionReceiverOutput,
+        > = Knobs {
+            seed: 31,
+            pool: &pool,
+            pipe: PipelineConfig::chunked(2),
+            cfg: ShardConfig::default(),
+        }
+        .run(ProtocolShape::INTERSECTION, (&vs, &[], &vr));
         let (clear, _) = minshare::naive::naive_intersection(&vs, &vr);
         assert_eq!(run.receiver.intersection, clear, "vs={vs:?} vr={vr:?}");
     }

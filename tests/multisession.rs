@@ -84,10 +84,10 @@ fn make_service(workers: usize) -> Service {
 }
 
 /// One well-behaved client session: which protocol it runs, with which
-/// value set, and over how many shard buckets (`1` = the plain
-/// pipelined engines). Indexed by `session id - 1` — the mux client
-/// assigns ids in open order, which is what lets the solo baseline use
-/// the same id (and hence the same per-session server keys).
+/// value set, and over how many shard buckets (`1` = no hello). Indexed
+/// by `session id - 1` — the mux client assigns ids in open order, which
+/// is what lets the solo baseline use the same id (and hence the same
+/// per-session server keys).
 #[derive(Clone)]
 struct SessionSpec {
     protocol: ProtocolKind,
@@ -141,9 +141,9 @@ fn session_specs() -> Vec<SessionSpec> {
     ]
 }
 
-/// The sharded session's client-side config: 3 buckets and a budget
-/// small enough that the external sorter genuinely spills even at this
-/// set size. Must be identical in the solo baseline and every
+/// A session's client-side config: its bucket count and a budget small
+/// enough that the external sorter genuinely spills even at these set
+/// sizes. Must be identical in the solo baseline and every
 /// concurrent run — the deterministic `spill_done` events are part of
 /// the compared trace digests.
 fn shard_cfg_for(spec: &SessionSpec) -> ShardConfig {
@@ -180,88 +180,56 @@ fn run_client<T: minshare_net::Transport>(
 ) -> Result<(Answer, ClientTraffic), ProtocolError> {
     let g = group();
     let mut rng = client_rng(session);
-    match (spec.protocol, spec.shards > 1) {
-        (ProtocolKind::Intersection, false) => {
-            let (out, traffic) = run_client_intersection(
-                transport,
-                &g,
-                &spec.values,
-                &mut rng,
-                pool,
-                PipelineConfig::default(),
-            )?;
-            Ok((Answer::Intersection(out.intersection), traffic))
-        }
-        (ProtocolKind::Intersection, true) => {
+    let (pipe, cfg) = (PipelineConfig::default(), shard_cfg_for(spec));
+    match spec.protocol {
+        ProtocolKind::Intersection => {
             let (out, traffic) = run_client_intersection_sharded(
                 transport,
                 &g,
                 &spec.values,
                 &mut rng,
                 pool,
-                PipelineConfig::default(),
-                &shard_cfg_for(spec),
+                pipe,
+                &cfg,
             )?;
             Ok((Answer::Intersection(out.intersection), traffic))
         }
-        (ProtocolKind::Equijoin, false) => {
-            let (out, traffic) = run_client_equijoin(
-                transport,
-                &g,
-                &spec.values,
-                &mut rng,
-                pool,
-                PipelineConfig::default(),
-                32,
-            )?;
-            Ok((Answer::Equijoin(out.matches), traffic))
-        }
-        (ProtocolKind::Equijoin, true) => {
+        ProtocolKind::Equijoin => {
             let (out, traffic) = run_client_equijoin_sharded(
                 transport,
                 &g,
                 &spec.values,
                 &mut rng,
                 pool,
-                PipelineConfig::default(),
+                pipe,
                 32,
-                &shard_cfg_for(spec),
+                &cfg,
             )?;
             Ok((Answer::Equijoin(out.matches), traffic))
         }
-        (ProtocolKind::IntersectionSize, sharded) => {
-            // The sharded receiver degenerates to the serial engine at
-            // `shards <= 1`, so one arm covers both spellings.
-            let (out, traffic) = if sharded {
-                run_client_intersection_size_sharded(
-                    transport,
-                    &g,
-                    &spec.values,
-                    &mut rng,
-                    pool,
-                    PipelineConfig::default(),
-                    &shard_cfg_for(spec),
-                )?
-            } else {
-                run_client_intersection_size(transport, &g, &spec.values, &mut rng)?
-            };
+        ProtocolKind::IntersectionSize => {
+            let (out, traffic) = run_client_intersection_size_sharded(
+                transport,
+                &g,
+                &spec.values,
+                &mut rng,
+                pool,
+                pipe,
+                &cfg,
+            )?;
             Ok((Answer::Count(out.intersection_size as u64), traffic))
         }
-        (ProtocolKind::EquijoinSize, sharded) => {
-            let (out, traffic) = if sharded {
-                run_client_equijoin_size_sharded(
-                    transport,
-                    &g,
-                    &spec.values,
-                    &mut rng,
-                    pool,
-                    PipelineConfig::default(),
-                    &shard_cfg_for(spec),
-                )?
-            } else {
-                run_client_equijoin_size(transport, &g, &spec.values, &mut rng)?
-            };
-            Ok((Answer::Count(out.join_size as u64), traffic))
+        ProtocolKind::EquijoinSize => {
+            let (out, traffic) = run_client_equijoin_size_sharded(
+                transport,
+                &g,
+                &spec.values,
+                &mut rng,
+                pool,
+                pipe,
+                &cfg,
+            )?;
+            Ok((Answer::Count(out.join_size), traffic))
         }
     }
 }

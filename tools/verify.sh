@@ -166,6 +166,23 @@ if "$minshare" client --connect "127.0.0.1:$port" --protocol intersection \
 fi
 grep -q 'busy' "$smoke_dir/busy.out"
 wait "$busy_pid"
+# Repo-benchmark correctness gate: every workload of `benchmark/` at
+# |V| = 16, both trace modes, against the real `minshare serve`. The
+# benchmark judges each session's answer, the daemon's printed lines, its
+# STATS counters (an unsharded workload must show no `shard/spill_done`,
+# the spilling one must show disk runs) and what the run left on disk —
+# checks nothing else in this gate makes, and the ones the driver applies
+# to every PR. `run.sh` exits non-zero if any workload fails its gate;
+# the last line is the final workload's result object.
+bash benchmark/run.sh --smoke > "$smoke_dir/benchmark.out"
+bench_last=$(tail -n 1 "$smoke_dir/benchmark.out")
+case $bench_last in
+    *'"correct":true'*'"failed":0'*) ;;
+    *)
+        echo "verify: benchmark smoke failed its gate: $bench_last" >&2
+        exit 1
+        ;;
+esac
 # Bounded-memory smoke: a sharded intersection at 10^5 elements under a
 # deliberately tiny 64 KiB sort budget. The binary exits non-zero unless
 # the answer is exact, the per-bucket trace events reconcile with the
