@@ -208,6 +208,10 @@ pub const WIRE_SINK_FNS: &[&str] = &[
     // sorter is held to the same hash-then-encrypt bar as a network
     // frame — WIRE01 proves spill files carry only ciphertext bytes.
     "push_record",
+    // crates/net/src/tcp.rs: the socket framer under `TcpTransport::send`
+    // — the last call before the kernel, so nothing may reach it around
+    // `send` either.
+    "write_frame",
 ];
 
 /// Telemetry snapshot exporters: the only blessed builders of a `STATS`
@@ -256,7 +260,9 @@ pub const GUARD_FNS: &[&str] = &["lock", "read", "write"];
 /// Potentially unbounded blocking calls LOCK01 forbids while a guard is
 /// live. `wait`/`wait_timeout` invocations that *consume the guard
 /// itself* (condvar style, releasing the lock while parked) are exempt.
-pub const BLOCKING_FNS: &[&str] = &["recv", "join", "wait", "wait_timeout"];
+/// `recv_timeout` is where the mux connection loops park between events
+/// (`net::server::pump`): bounded per call, unbounded in a loop.
+pub const BLOCKING_FNS: &[&str] = &["recv", "recv_timeout", "join", "wait", "wait_timeout"];
 
 /// Crates whose non-test code must be panic-free (PANIC01): these process
 /// peer-supplied bytes, where a panic is a remote denial of service.

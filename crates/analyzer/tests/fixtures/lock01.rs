@@ -20,6 +20,12 @@ impl Pool {
         let out = pending.wait();
     }
 
+    fn bad_event_wait_under_lock(&self) {
+        // POSITIVE: parking on the event queue with the table locked.
+        let sessions = self.sessions.lock();
+        let event = self.events.recv_timeout(TICK);
+    }
+
     fn good_condvar_wait(&self) {
         // NEGATIVE: condvar wait consumes the guard, releasing the lock
         // while parked.

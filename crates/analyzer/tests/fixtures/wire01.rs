@@ -28,6 +28,12 @@ fn bad_alias_chain<T: Transport>(transport: &mut T, values: &[Vec<u8>]) {
     transport.send_batch(&frame);
 }
 
+fn bad_raw_socket_write(stream: &TcpStream, values: &[Vec<u8>]) {
+    // POSITIVE: the socket framer is a sink too; going around `send`
+    // does not go around the rule.
+    write_frame(stream, &values[0]);
+}
+
 fn good_h_then_enc<T: Transport, R: Rng>(
     group: &QrGroup,
     transport: &mut T,

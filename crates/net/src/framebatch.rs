@@ -19,7 +19,9 @@ use crate::error::NetError;
 
 /// Frames larger than this cannot be length-prefixed with a `u32`.
 const MAX_FRAME: usize = u32::MAX as usize;
-const PREFIX_LEN: usize = 4;
+/// Length of the big-endian length prefix — the batch layout and the TCP
+/// wire format are the same thing ([`crate::tcp`] writes a batch as is).
+pub(crate) const PREFIX_LEN: usize = 4;
 
 /// A run of frames packed into one contiguous buffer.
 ///
@@ -89,6 +91,13 @@ impl FrameBatch {
     /// Total buffer size: payload plus the per-frame length prefixes.
     pub fn total_bytes(&self) -> usize {
         self.buf.len()
+    }
+
+    /// The batch exactly as it is laid out: every frame as
+    /// `u32 BE length ‖ payload`, in order — already the byte stream a
+    /// length-prefixed transport puts on the wire.
+    pub(crate) fn wire_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Iterates the frame payloads in insertion order.

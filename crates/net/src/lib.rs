@@ -57,4 +57,4 @@ pub use server::{
     ShutdownHandle, StatsProvider,
 };
 pub use simnet::{sim_pair, FaultPlan, SimConfig, SimEndpoint, SimTrace, TraceHandle};
-pub use transport::{DeadlineTransport, Transport};
+pub use transport::{DeadlineTransport, SplitReader, Transport};

@@ -3,7 +3,7 @@
 //! [`serve_mux_connection`] is the server side of the session-mux
 //! envelope ([`crate::mux`]): a single-threaded event loop that owns one
 //! framed connection, routes inbound mux frames to per-session bounded
-//! queues, spawns one handler thread per admitted session, and drains
+//! queues, spawns one handler thread per admitted session, and writes
 //! everything the handlers send back out. The loop never blocks
 //! indefinitely on any one session:
 //!
@@ -18,8 +18,8 @@
 //!   session is untouched.
 //! * **Graceful shutdown** — a [`ShutdownHandle`] stops admission
 //!   (BUSY) while active sessions drain; once the last one finishes the
-//!   loop flushes its outbound queue, says GOAWAY, and returns. A peer's
-//!   GOAWAY triggers the same drain from the other end.
+//!   loop says GOAWAY and returns. A peer's GOAWAY triggers the same
+//!   drain from the other end.
 //!
 //! [`MuxClient`] is the matching client: a background driver thread owns
 //! the connection, demultiplexes ACCEPT/BUSY/DATA/CLOSE to per-session
@@ -27,30 +27,79 @@
 //! [`SessionTransport`]s — each one an ordinary [`Transport`] that the
 //! unmodified protocol engines run over.
 //!
+//! # The event pump
+//!
+//! Both loops are the same function, [`pump`], blocked on **one** FIFO
+//! queue of [`Event`]s: a raw inbound frame, the end of the inbound
+//! stream, an outbound frame from [`SessionTransport::send`] (or its
+//! drop, or [`MuxClient`]), a handler-done notice, a client control
+//! message. Whoever has something for the loop enqueues an event and the
+//! loop wakes for it; no frame waits for a timer. What differs between
+//! the two roles — admission on one side, pending OPENs on the other —
+//! is an [`Endpoint`] the pump calls into.
+//!
+//! Inbound frames reach the queue from a *reader thread* when the
+//! transport can give its receive side away
+//! ([`DeadlineTransport::split_reader`]; [`crate::tcp::TcpTransport`]
+//! does): the reader owns the socket's receive half, the loop keeps the
+//! send half. At most [`INBOUND_WINDOW`] inbound frames are in flight
+//! between the two — the reader takes a credit per frame and blocks when
+//! none is left, so a flooding peer is throttled by TCP backpressure
+//! exactly as when the loop read one frame at a time, and the queue
+//! never grows on the peer's say-so. The reader is unblocked and joined
+//! on every exit path of the pump.
+//!
+//! A transport that declines the split — [`crate::robust::RobustTransport`]
+//! is a stop-and-wait ARQ whose ACKs arrive on the receive path, the
+//! simnet runs on a virtual clock that only a receive advances — feeds
+//! the same loop body from `recv_deadline` at [`POLLED_FEED_MS`]. Which
+//! feed runs is decided by what the transport can do, never by an option.
+//!
 //! Handler threads communicate with the loop only through channels, so
 //! the loop holds no locks (LOCK01 has nothing to inspect) and a handler
 //! panic is confined to its session: the scope join reaps the thread and
 //! the session is simply gone, with a CLOSE on the wire.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 
 use crate::error::NetError;
 use crate::mux::{MuxFrame, MuxKind};
-use crate::transport::{DeadlineTransport, Transport};
+use crate::transport::{DeadlineTransport, SplitReader, Transport};
+
+/// Receive timeout of the polled feed, for transports that keep their
+/// receive side (virtual milliseconds on the simnet, wall-clock
+/// elsewhere). An outbound frame enqueued during one such receive waits
+/// for it to return.
+const POLLED_FEED_MS: u64 = 1;
+
+/// How long a reader-fed loop sleeps with nothing to do before it looks
+/// at the shutdown flag again — the one thing that can change without an
+/// event. No frame ever waits on this.
+const IDLE_TICK: Duration = Duration::from_millis(50);
+
+/// Inbound frames in flight between a connection's reader thread and its
+/// loop. The reader blocks at the bound; the frames themselves are
+/// capped by the transport's frame limit.
+const INBOUND_WINDOW: usize = 64;
 
 /// Knobs for the mux server loop and client driver.
+///
+/// Nothing here paces the loops: they are event-driven (see the module
+/// docs), and the one interval left — the polled feed of a transport
+/// that cannot split — is a constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MuxConfig {
-    /// Bound on each session's inbound frame queue; a session that falls
-    /// further behind than this is shed with a CLOSE.
+    /// Bound on each session's inbound frame queue, on both sides; a
+    /// session that falls further behind than this is shed with a CLOSE.
+    /// It is also the most a peer may send ahead of the session reading
+    /// it (there is no per-session flow control): a protocol run whose
+    /// reply would exceed it must be sharded.
     pub session_queue_depth: usize,
-    /// Transport poll granularity of the event loop, in milliseconds
-    /// (virtual on the simnet, wall-clock on TCP).
-    pub poll_interval_ms: u64,
     /// Client-side wait for an ACCEPT/BUSY answer per OPEN attempt, in
     /// wall-clock milliseconds.
     pub open_timeout_ms: u64,
@@ -62,7 +111,6 @@ impl Default for MuxConfig {
     fn default() -> Self {
         MuxConfig {
             session_queue_depth: 4096,
-            poll_interval_ms: 5,
             open_timeout_ms: 10_000,
             open_attempts: 3,
         }
@@ -162,21 +210,43 @@ pub struct ServerStats {
 /// into it — only the registry's typed numeric aggregates.
 pub type StatsProvider = Arc<dyn Fn() -> Vec<u8> + Send + Sync>;
 
+/// Everything that can wake a connection loop. One FIFO queue of these
+/// per connection; see the module docs.
+enum Event {
+    /// One raw frame off the wire, from the reader thread (holding one
+    /// inbound credit) or from the polled feed.
+    Inbound(Vec<u8>),
+    /// The inbound stream ended: `Closed` when the peer hung up (or the
+    /// reader was unblocked), anything else a transport failure.
+    InboundEnded(NetError),
+    /// A frame to write: DATA from [`SessionTransport::send`], CLOSE from
+    /// its drop, OPEN and STATS requests from [`MuxClient`].
+    Outbound(MuxFrame),
+    /// Server: this session's handler returned. Enqueued after the
+    /// handler's last frame and its CLOSE, so those are already written.
+    HandlerDone(u32),
+    /// Client: a request from the [`MuxClient`] handle.
+    Control(ClientCtl),
+}
+
 /// The transport one session sees: an ordinary frame pipe whose frames
 /// travel inside the mux envelope. `send` enqueues a DATA frame on the
-/// connection's outbound queue (never blocks — the queue is unbounded
-/// and drained by the event loop); `recv` blocks on the session's
-/// bounded inbound queue. Dropping the transport enqueues a best-effort
-/// CLOSE so the peer learns the session ended.
+/// connection's event queue (never blocks — the queue is unbounded on
+/// the outbound side, and the send wakes the loop, which writes the
+/// frame at once); `recv` blocks on the session's bounded inbound queue
+/// and returns [`NetError::Closed`] once the session is over — closed by
+/// the peer, shed because that queue overflowed, or the connection gone.
+/// Dropping the transport enqueues a best-effort CLOSE so the peer learns
+/// the session ended.
 pub struct SessionTransport {
     session: u32,
-    out: Sender<MuxFrame>,
+    out: Sender<Event>,
     inbound: Receiver<Vec<u8>>,
     send_seq: u32,
 }
 
 impl SessionTransport {
-    fn new(session: u32, out: Sender<MuxFrame>, inbound: Receiver<Vec<u8>>) -> Self {
+    fn new(session: u32, out: Sender<Event>, inbound: Receiver<Vec<u8>>) -> Self {
         SessionTransport {
             session,
             out,
@@ -205,7 +275,11 @@ impl Transport for SessionTransport {
         let seq = self.send_seq;
         self.send_seq = seq.checked_add(1).ok_or(NetError::SequenceExhausted)?;
         self.out
-            .send(MuxFrame::data(self.session, seq, frame.to_vec()))
+            .send(Event::Outbound(MuxFrame::data(
+                self.session,
+                seq,
+                frame.to_vec(),
+            )))
             .map_err(|_| NetError::Closed)
     }
 
@@ -216,10 +290,7 @@ impl Transport for SessionTransport {
 
 impl DeadlineTransport for SessionTransport {
     fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-        match self
-            .inbound
-            .recv_timeout(std::time::Duration::from_millis(timeout_ms))
-        {
+        match self.inbound.recv_timeout(Duration::from_millis(timeout_ms)) {
             Ok(frame) => Ok(Some(frame)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
@@ -231,10 +302,204 @@ impl Drop for SessionTransport {
     fn drop(&mut self) {
         // Best-effort: if the loop is already gone the peer will learn
         // from the connection closing instead.
-        let _ = self
-            .out
-            .send(MuxFrame::control(MuxKind::Close, self.session));
+        let _ = self.out.send(Event::Outbound(MuxFrame::control(
+            MuxKind::Close,
+            self.session,
+        )));
     }
+}
+
+/// The role-specific half of a connection loop. Every method runs on the
+/// loop's thread; frames pushed to `out` are written, in order, as soon
+/// as the method returns.
+trait Endpoint {
+    /// Routes one decoded inbound frame.
+    fn on_frame(&mut self, frame: MuxFrame, out: &mut Vec<MuxFrame>);
+
+    /// An inbound frame failed to decode. Corruption is loss, never
+    /// misrouting; the session's own reliability layer retransmits.
+    fn on_malformed(&mut self) {}
+
+    /// Server: the handler of `session` returned.
+    fn on_handler_done(&mut self, _session: u32) {}
+
+    /// Client: a request from the [`MuxClient`] handle.
+    fn on_control(&mut self, _ctl: ClientCtl) {}
+
+    /// A write found the peer gone. `true` keeps the loop routing what
+    /// the peer delivered before it left (nothing more is written);
+    /// `false` ends the loop.
+    fn on_send_dead(&mut self) -> bool;
+
+    /// Nothing is left to do: the loop says GOAWAY and returns.
+    fn finished(&self) -> bool;
+}
+
+/// How a connection loop ended, when it ended without an error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PumpExit {
+    /// The endpoint finished and the loop said its GOAWAY.
+    Drained,
+    /// The peer hung up first.
+    PeerGone,
+}
+
+/// Runs one connection to its end: starts the inbound feed the transport
+/// allows, pumps events, and — on every exit path, unwinding included —
+/// unblocks and joins the reader before returning. `events_tx` is the
+/// sending side of `events`, for the reader; `events` is dropped on
+/// return, so a `SessionTransport` that outlives the loop fails its
+/// sends instead of queueing into the void.
+fn run_connection<T, E>(
+    mut transport: T,
+    events_tx: Sender<Event>,
+    events: Receiver<Event>,
+    endpoint: &mut E,
+) -> Result<PumpExit, NetError>
+where
+    T: DeadlineTransport,
+    E: Endpoint,
+{
+    let Some(SplitReader { recv, unblock }) = transport.split_reader() else {
+        return pump(&mut transport, &events, None, endpoint);
+    };
+    std::thread::scope(|scope| {
+        let (credit_tx, credits) = bounded::<()>(INBOUND_WINDOW);
+        // Both are dropped when this closure ends, however it ends, and
+        // so before the scope joins the reader: `unblock` wakes a reader
+        // parked in the socket, dropping `credits` one parked on the
+        // window.
+        let _unblock_reader = OnDrop(unblock);
+        std::thread::Builder::new()
+            .name("mux-reader".to_string())
+            .spawn_scoped(scope, move || read_loop(recv, &credit_tx, &events_tx))?;
+        pump(&mut transport, &events, Some(&credits), endpoint)
+    })
+}
+
+/// Calls the closure when dropped.
+struct OnDrop(Box<dyn Fn() + Send>);
+
+impl Drop for OnDrop {
+    fn drop(&mut self) {
+        (self.0)();
+    }
+}
+
+/// The reader thread: receive a frame, take a credit (blocking while
+/// [`INBOUND_WINDOW`] frames are unrouted), enqueue it. Ends when the
+/// receive side does — reporting why — or when the loop is gone.
+fn read_loop(
+    mut recv: Box<dyn FnMut() -> Result<Vec<u8>, NetError> + Send>,
+    credits: &Sender<()>,
+    events: &Sender<Event>,
+) {
+    loop {
+        match recv() {
+            Ok(raw) => {
+                if credits.send(()).is_err() || events.send(Event::Inbound(raw)).is_err() {
+                    return;
+                }
+            }
+            Err(e) => {
+                let _ = events.send(Event::InboundEnded(e));
+                return;
+            }
+        }
+    }
+}
+
+/// The connection loop, once, for both roles: wait for the next event,
+/// route or write it. `credits` is `Some` when a reader thread feeds
+/// `events` (each `Inbound` event gives its credit back here); `None`
+/// polls the transport whenever the queue is empty.
+fn pump<T, E>(
+    transport: &mut T,
+    events: &Receiver<Event>,
+    credits: Option<&Receiver<()>>,
+    endpoint: &mut E,
+) -> Result<PumpExit, NetError>
+where
+    T: DeadlineTransport,
+    E: Endpoint,
+{
+    // Set once a write surfaces peer departure: stop writing, but (if
+    // the endpoint wants) keep routing what the peer already delivered —
+    // its CLOSE and GOAWAY frames may still be on their way up.
+    let mut send_dead = false;
+    let mut out: Vec<MuxFrame> = Vec::new();
+    loop {
+        // Checked before every wait, as the frames of a finished session
+        // precede its `HandlerDone` in the queue: with no live session
+        // nothing that still matters can be queued behind this point.
+        if endpoint.finished() {
+            // Best-effort farewell: the peer may already be gone.
+            if !send_dead {
+                let _ = transport.send(&MuxFrame::control(MuxKind::Goaway, 0).encode());
+            }
+            return Ok(PumpExit::Drained);
+        }
+        let event = match credits {
+            Some(credits) => match events.recv_timeout(IDLE_TICK) {
+                Ok(event) => {
+                    if matches!(event, Event::Inbound(_)) {
+                        let _ = credits.try_recv();
+                    }
+                    event
+                }
+                Err(RecvTimeoutError::Timeout) => continue,
+                // Unreachable while the reader holds a sender.
+                Err(RecvTimeoutError::Disconnected) => return Ok(PumpExit::PeerGone),
+            },
+            None => match events.try_recv() {
+                Ok(event) => event,
+                Err(_) => match transport.recv_deadline(POLLED_FEED_MS) {
+                    Ok(Some(raw)) => Event::Inbound(raw),
+                    Ok(None) => continue,
+                    Err(e) => Event::InboundEnded(e),
+                },
+            },
+        };
+        match event {
+            Event::Inbound(raw) => match MuxFrame::decode(&raw) {
+                Ok(frame) => endpoint.on_frame(frame, &mut out),
+                Err(_) => endpoint.on_malformed(),
+            },
+            Event::InboundEnded(NetError::Closed) => return Ok(PumpExit::PeerGone),
+            Event::InboundEnded(e) => return Err(e),
+            Event::Outbound(frame) => out.push(frame),
+            Event::HandlerDone(session) => endpoint.on_handler_done(session),
+            Event::Control(ctl) => endpoint.on_control(ctl),
+        }
+        for frame in out.drain(..) {
+            if send_dead {
+                continue;
+            }
+            match transport.send(&frame.encode()) {
+                Ok(()) => {}
+                // A peer that hung up mid-write is not an error:
+                // undelivered frames are moot once nobody is listening.
+                // The reliability layer reports a departed peer on the
+                // *send* side as deterministic retry exhaustion
+                // (robust.rs pins this), so both shapes mean departure.
+                Err(NetError::Closed) | Err(NetError::RetriesExhausted { .. }) => {
+                    send_dead = true;
+                    if !endpoint.on_send_dead() {
+                        return Ok(PumpExit::PeerGone);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Hands a DATA payload to a session's bounded inbound queue without
+/// blocking. `true` when the queue had no room — the session has stopped
+/// draining and is to be shed; a disconnected queue means its reader is
+/// already gone and the frame is moot.
+fn queue_is_full(tx: &Sender<Vec<u8>>, payload: Vec<u8>) -> bool {
+    matches!(tx.try_send(payload), Err(TrySendError::Full(_)))
 }
 
 /// One admitted session as the connection loop tracks it. Dropping the
@@ -244,6 +509,167 @@ struct SessionEntry {
     tx: Sender<Vec<u8>>,
 }
 
+/// The server role: admission, per-session queues, handler threads.
+struct ServerSide<'scope, 'env, F> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    handler: &'env F,
+    config: &'env MuxConfig,
+    registry: &'env SessionRegistry,
+    shutdown: &'env ShutdownHandle,
+    stats_provider: Option<StatsProvider>,
+    events_tx: Sender<Event>,
+    sessions: HashMap<u32, SessionEntry>,
+    finished: HashSet<u32>,
+    stats: ServerStats,
+    peer_goaway: bool,
+}
+
+impl<F> ServerSide<'_, '_, F> {
+    /// Ends `session` if it is live: frees its registry slot and drops
+    /// its inbound sender.
+    fn retire(&mut self, session: u32) -> bool {
+        let live = self.sessions.remove(&session).is_some();
+        if live {
+            self.finished.insert(session);
+            self.registry.release();
+        }
+        live
+    }
+
+    /// Releases every live session's registry slot and drops the inbound
+    /// senders, so blocked handlers wake with `Closed` and the scope can
+    /// join them. Every exit path of the connection funnels through this.
+    fn release_all(&mut self) {
+        for _ in self.sessions.drain() {
+            self.registry.release();
+        }
+    }
+}
+
+impl<'scope, F> Endpoint for ServerSide<'scope, '_, F>
+where
+    F: Fn(u32, Vec<u8>, SessionTransport) + Send + Sync,
+{
+    fn on_frame(&mut self, frame: MuxFrame, out: &mut Vec<MuxFrame>) {
+        let sid = frame.session;
+        match frame.kind {
+            MuxKind::Open => {
+                if self.sessions.contains_key(&sid) {
+                    // Retransmitted OPEN: the admission decision is
+                    // idempotent.
+                    out.push(MuxFrame::control(MuxKind::Accept, sid));
+                } else if self.finished.contains(&sid) {
+                    // The session already ran to completion; a late
+                    // duplicate must not run it again.
+                    out.push(MuxFrame::control(MuxKind::Accept, sid));
+                    out.push(MuxFrame::control(MuxKind::Close, sid));
+                } else if self.peer_goaway
+                    || self.shutdown.is_shutdown()
+                    || !self.registry.try_admit()
+                {
+                    // The shutdown flag is read as the OPEN is routed, so
+                    // "shutdown, then OPEN" sheds deterministically.
+                    self.stats.rejected_busy += 1;
+                    minshare_trace::emit("server", "busy", false, || {
+                        vec![minshare_trace::count("session", u64::from(sid))]
+                    });
+                    out.push(MuxFrame::busy(sid, self.registry.limit()));
+                } else {
+                    self.stats.opened += 1;
+                    minshare_trace::emit("server", "session_open", false, || {
+                        vec![minshare_trace::count("session", u64::from(sid))]
+                    });
+                    let (in_tx, in_rx) = bounded(self.config.session_queue_depth);
+                    self.sessions.insert(sid, SessionEntry { tx: in_tx });
+                    // ACCEPT is written when this method returns; the
+                    // handler's first DATA is an event behind it.
+                    out.push(MuxFrame::control(MuxKind::Accept, sid));
+                    let session_transport =
+                        SessionTransport::new(sid, self.events_tx.clone(), in_rx);
+                    let request = frame.payload;
+                    let done = self.events_tx.clone();
+                    let handler = self.handler;
+                    self.scope.spawn(move || {
+                        handler(sid, request, session_transport);
+                        let _ = done.send(Event::HandlerDone(sid));
+                    });
+                }
+            }
+            MuxKind::Data => {
+                let overflow = self
+                    .sessions
+                    .get(&sid)
+                    .is_some_and(|entry| queue_is_full(&entry.tx, frame.payload));
+                if overflow {
+                    // The handler stopped draining its queue: shed this
+                    // one session, leave the rest alone.
+                    self.stats.shed_overflow += 1;
+                    minshare_trace::emit("server", "session_shed", false, || {
+                        vec![minshare_trace::count("session", u64::from(sid))]
+                    });
+                    self.retire(sid);
+                    out.push(MuxFrame::control(MuxKind::Close, sid));
+                }
+            }
+            MuxKind::Close => {
+                if self.retire(sid) {
+                    self.stats.closed_by_peer += 1;
+                    minshare_trace::emit("server", "closed_by_peer", false, || {
+                        vec![minshare_trace::count("session", u64::from(sid))]
+                    });
+                }
+            }
+            MuxKind::Goaway => self.peer_goaway = true,
+            MuxKind::Stats => {
+                // Read-only telemetry on session 0: answer with one
+                // registry snapshot. No provider degrades to an empty
+                // object, never a hang.
+                let payload = self
+                    .stats_provider
+                    .as_ref()
+                    .map_or_else(|| b"{}".to_vec(), |p| p());
+                self.stats.stats_served += 1;
+                minshare_trace::emit("server", "stats_served", false, || {
+                    vec![minshare_trace::size("bytes", payload.len() as u64)]
+                });
+                out.push(MuxFrame {
+                    kind: MuxKind::Stats,
+                    session: 0,
+                    seq: 0,
+                    payload,
+                });
+            }
+            // Server never expects these; a confused peer's frames are
+            // dropped, not fatal.
+            MuxKind::Accept | MuxKind::Busy => {}
+        }
+    }
+
+    fn on_malformed(&mut self) {
+        self.stats.malformed += 1;
+    }
+
+    fn on_handler_done(&mut self, session: u32) {
+        if self.retire(session) {
+            self.stats.completed += 1;
+            minshare_trace::emit("server", "session_complete", false, || {
+                vec![minshare_trace::count("session", u64::from(session))]
+            });
+        }
+    }
+
+    /// Keep routing: frames the peer delivered before leaving (CLOSEs,
+    /// its GOAWAY) must still be routed so sessions drain accountably.
+    fn on_send_dead(&mut self) -> bool {
+        self.peer_goaway = true;
+        true
+    }
+
+    fn finished(&self) -> bool {
+        (self.peer_goaway || self.shutdown.is_shutdown()) && self.sessions.is_empty()
+    }
+}
+
 /// Runs the server side of one mux connection until the peer departs,
 /// the peer says GOAWAY and every session drains, or shutdown is
 /// requested and every session drains. See the module docs for the
@@ -251,14 +677,16 @@ struct SessionEntry {
 ///
 /// `handler` runs once per admitted session on its own thread, with the
 /// session id, the OPEN request payload, and the session's transport.
-/// Its lifetime is bounded by this call: all handler threads are joined
-/// before the function returns.
+/// Its lifetime is bounded by this call: all handler threads — and the
+/// connection's reader thread, when the transport has one — are joined
+/// before the function returns. An idle connection notices
+/// [`ShutdownHandle::shutdown`] within a fixed fraction of a second.
 ///
 /// `stats` answers read-only STATS frames on session 0 with a metrics
 /// snapshot; `None` replies with an empty JSON object so a scrape of a
 /// daemon without a registry degrades, not hangs.
 pub fn serve_mux_connection<T, F>(
-    mut transport: T,
+    transport: T,
     config: &MuxConfig,
     registry: &SessionRegistry,
     shutdown: &ShutdownHandle,
@@ -269,208 +697,31 @@ where
     T: DeadlineTransport,
     F: Fn(u32, Vec<u8>, SessionTransport) + Send + Sync,
 {
-    let (out_tx, out_rx) = unbounded::<MuxFrame>();
-    let (done_tx, done_rx) = unbounded::<u32>();
-    let mut sessions: HashMap<u32, SessionEntry> = HashMap::new();
-    let mut finished: HashSet<u32> = HashSet::new();
-    let mut stats = ServerStats::default();
-    let mut peer_goaway = false;
-    // Set once a send surfaces peer departure: stop sending, but keep
-    // draining and routing what the peer already delivered (its CLOSE
-    // and GOAWAY frames may still be buffered in the transport) so
-    // every session is accounted for before the loop exits.
-    let mut peer_send_dead = false;
-    let handler = &handler;
-
+    let (events_tx, events) = unbounded::<Event>();
     std::thread::scope(|scope| {
-        // Releases every live session's registry slot and drops the
-        // inbound senders, so blocked handlers wake with `Closed` and the
-        // scope can join them. Every exit path funnels through this.
-        let cleanup = |sessions: &mut HashMap<u32, SessionEntry>| {
-            for (_, _entry) in sessions.drain() {
-                registry.release();
-            }
+        let mut server = ServerSide {
+            scope,
+            handler: &handler,
+            config,
+            registry,
+            shutdown,
+            stats_provider,
+            events_tx: events_tx.clone(),
+            sessions: HashMap::new(),
+            finished: HashSet::new(),
+            stats: ServerStats::default(),
+            peer_goaway: false,
         };
-        loop {
-            // Reap completed handlers first: their CLOSE frames (from
-            // the SessionTransport drop) are already in the outbound
-            // queue, so the subsequent flush sends them.
-            while let Ok(sid) = done_rx.try_recv() {
-                if sessions.remove(&sid).is_some() {
-                    finished.insert(sid);
-                    registry.release();
-                    stats.completed += 1;
-                    minshare_trace::emit("server", "session_complete", false, || {
-                        vec![minshare_trace::count("session", u64::from(sid))]
-                    });
-                }
-            }
-            // Flush the outbound queue. A peer that hung up mid-flush is
-            // not an error: undelivered frames are moot once nobody is
-            // listening. The reliability layer reports a departed peer on
-            // the *send* side as deterministic retry exhaustion
-            // (robust.rs pins this), so both shapes mean departure. The
-            // loop does not exit yet, though — frames the peer delivered
-            // before leaving (CLOSEs, its GOAWAY) may still be buffered
-            // below and must be routed so sessions drain accountably.
-            while let Ok(frame) = out_rx.try_recv() {
-                if peer_send_dead {
-                    continue;
-                }
-                match transport.send(&frame.encode()) {
-                    Ok(()) => {}
-                    Err(NetError::Closed) | Err(NetError::RetriesExhausted { .. }) => {
-                        peer_send_dead = true;
-                        peer_goaway = true;
-                    }
-                    Err(e) => {
-                        cleanup(&mut sessions);
-                        return Err(e);
-                    }
-                }
-            }
-            // The outbound queue was just drained exhaustively; with no
-            // live sessions left nothing else can be enqueued (frames
-            // from already-removed handlers are moot).
-            let draining = peer_goaway || shutdown.is_shutdown();
-            if draining && sessions.is_empty() {
-                // Best-effort farewell: the peer may already be gone.
-                if !peer_send_dead {
-                    let _ = transport.send(&MuxFrame::control(MuxKind::Goaway, 0).encode());
-                }
-                minshare_trace::emit("server", "drained", false, || {
-                    vec![minshare_trace::count("completed", stats.completed)]
-                });
-                return Ok(stats);
-            }
-
-            let raw = match transport.recv_deadline(config.poll_interval_ms) {
-                Ok(Some(raw)) => raw,
-                Ok(None) => continue,
-                Err(NetError::Closed) => {
-                    // Peer gone: handlers see `Closed` and the scope
-                    // joins them.
-                    cleanup(&mut sessions);
-                    return Ok(stats);
-                }
-                Err(e) => {
-                    cleanup(&mut sessions);
-                    return Err(e);
-                }
-            };
-            let frame = match MuxFrame::decode(&raw) {
-                Ok(frame) => frame,
-                Err(_) => {
-                    // Corruption is loss, never misrouting; the session's
-                    // own reliability layer retransmits.
-                    stats.malformed += 1;
-                    continue;
-                }
-            };
-            match frame.kind {
-                MuxKind::Open => {
-                    let sid = frame.session;
-                    if sessions.contains_key(&sid) {
-                        // Retransmitted OPEN: the admission decision is
-                        // idempotent.
-                        let _ = out_tx.send(MuxFrame::control(MuxKind::Accept, sid));
-                    } else if finished.contains(&sid) {
-                        // The session already ran to completion; a late
-                        // duplicate must not run it again.
-                        let _ = out_tx.send(MuxFrame::control(MuxKind::Accept, sid));
-                        let _ = out_tx.send(MuxFrame::control(MuxKind::Close, sid));
-                    } else if draining || shutdown.is_shutdown() || !registry.try_admit() {
-                        // `draining` was computed before the poll that
-                        // delivered this OPEN; re-reading the shutdown
-                        // flag here makes "shutdown, then OPEN" shed
-                        // deterministically even within one poll window.
-                        stats.rejected_busy += 1;
-                        minshare_trace::emit("server", "busy", false, || {
-                            vec![minshare_trace::count("session", u64::from(sid))]
-                        });
-                        let _ = out_tx.send(MuxFrame::busy(sid, registry.limit()));
-                    } else {
-                        stats.opened += 1;
-                        minshare_trace::emit("server", "session_open", false, || {
-                            vec![minshare_trace::count("session", u64::from(sid))]
-                        });
-                        let (in_tx, in_rx) = bounded(config.session_queue_depth);
-                        sessions.insert(sid, SessionEntry { tx: in_tx });
-                        // ACCEPT goes on the queue before the handler can
-                        // enqueue any DATA.
-                        let _ = out_tx.send(MuxFrame::control(MuxKind::Accept, sid));
-                        let session_transport =
-                            SessionTransport::new(sid, out_tx.clone(), in_rx);
-                        let request = frame.payload;
-                        let done = done_tx.clone();
-                        scope.spawn(move || {
-                            handler(sid, request, session_transport);
-                            let _ = done.send(sid);
-                        });
-                    }
-                }
-                MuxKind::Data => {
-                    let sid = frame.session;
-                    let mut shed = false;
-                    if let Some(entry) = sessions.get(&sid) {
-                        match entry.tx.try_send(frame.payload) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(_)) => shed = true,
-                            // Handler already gone; the frame is moot.
-                            Err(TrySendError::Disconnected(_)) => {}
-                        }
-                    }
-                    if shed {
-                        // The handler stopped draining its queue: shed
-                        // this one session, leave the rest alone.
-                        stats.shed_overflow += 1;
-                        minshare_trace::emit("server", "session_shed", false, || {
-                            vec![minshare_trace::count("session", u64::from(sid))]
-                        });
-                        if sessions.remove(&sid).is_some() {
-                            finished.insert(sid);
-                            registry.release();
-                        }
-                        let _ = out_tx.send(MuxFrame::control(MuxKind::Close, sid));
-                    }
-                }
-                MuxKind::Close => {
-                    let sid = frame.session;
-                    if sessions.remove(&sid).is_some() {
-                        finished.insert(sid);
-                        registry.release();
-                        stats.closed_by_peer += 1;
-                        minshare_trace::emit("server", "closed_by_peer", false, || {
-                            vec![minshare_trace::count("session", u64::from(sid))]
-                        });
-                    }
-                }
-                MuxKind::Goaway => {
-                    peer_goaway = true;
-                }
-                MuxKind::Stats => {
-                    // Read-only telemetry on session 0: answer with one
-                    // registry snapshot. No provider degrades to an
-                    // empty object, never a hang.
-                    let payload = stats_provider
-                        .as_ref()
-                        .map_or_else(|| b"{}".to_vec(), |p| p());
-                    stats.stats_served += 1;
-                    minshare_trace::emit("server", "stats_served", false, || {
-                        vec![minshare_trace::size("bytes", payload.len() as u64)]
-                    });
-                    let _ = out_tx.send(MuxFrame {
-                        kind: MuxKind::Stats,
-                        session: 0,
-                        seq: 0,
-                        payload,
-                    });
-                }
-                // Server never expects these; a confused peer's frames
-                // are dropped, not fatal.
-                MuxKind::Accept | MuxKind::Busy => {}
-            }
+        let exit = run_connection(transport, events_tx, events, &mut server);
+        // Peer gone or transport failed: handlers see `Closed` and the
+        // scope joins them.
+        server.release_all();
+        if exit? == PumpExit::Drained {
+            minshare_trace::emit("server", "drained", false, || {
+                vec![minshare_trace::count("completed", server.stats.completed)]
+            });
         }
+        Ok(server.stats)
     })
 }
 
@@ -489,8 +740,7 @@ enum ClientCtl {
 /// transport; sessions opened through [`MuxClient::open_session`] are
 /// ordinary [`Transport`]s multiplexed over it.
 pub struct MuxClient {
-    out_tx: Sender<MuxFrame>,
-    ctl_tx: Sender<ClientCtl>,
+    events: Sender<Event>,
     driver: Option<std::thread::JoinHandle<Result<(), NetError>>>,
     next_session: u32,
     config: MuxConfig,
@@ -505,15 +755,17 @@ impl MuxClient {
     where
         T: DeadlineTransport + Send + 'static,
     {
-        let (out_tx, out_rx) = unbounded::<MuxFrame>();
-        let (ctl_tx, ctl_rx) = unbounded::<ClientCtl>();
+        let (events_tx, events) = unbounded::<Event>();
+        let reader_tx = events_tx.clone();
         let driver = std::thread::Builder::new()
             .name("mux-client".to_string())
-            .spawn(move || client_driver(transport, config, &out_rx, &ctl_rx))
+            .spawn(move || {
+                let mut client = ClientSide::new(config);
+                run_connection(transport, reader_tx, events, &mut client).map(|_| ())
+            })
             .ok();
         MuxClient {
-            out_tx,
-            ctl_tx,
+            events: events_tx,
             driver,
             next_session: 1,
             config,
@@ -530,20 +782,20 @@ impl MuxClient {
         let sid = self.next_session;
         self.next_session = sid.checked_add(1).ok_or(NetError::SequenceExhausted)?;
         let (reply_tx, reply_rx) = bounded(1);
-        self.ctl_tx
-            .send(ClientCtl::Open {
+        self.events
+            .send(Event::Control(ClientCtl::Open {
                 session: sid,
                 pending: PendingOpen { reply: reply_tx },
-            })
+            }))
             .map_err(|_| NetError::Closed)?;
-        let timeout = std::time::Duration::from_millis(self.config.open_timeout_ms);
+        let timeout = Duration::from_millis(self.config.open_timeout_ms);
         for _ in 0..self.config.open_attempts.max(1) {
-            self.out_tx
-                .send(MuxFrame::open(sid, request.to_vec()))
+            self.events
+                .send(Event::Outbound(MuxFrame::open(sid, request.to_vec())))
                 .map_err(|_| NetError::Closed)?;
             match reply_rx.recv_timeout(timeout) {
                 Ok(Ok(inbound)) => {
-                    return Ok(SessionTransport::new(sid, self.out_tx.clone(), inbound))
+                    return Ok(SessionTransport::new(sid, self.events.clone(), inbound))
                 }
                 Ok(Err(e)) => return Err(e),
                 // Quiet window: retransmit the OPEN (the server answers
@@ -566,13 +818,13 @@ impl MuxClient {
     /// connection died, `TimedOut` when every attempt went unanswered.
     pub fn fetch_stats(&mut self) -> Result<Vec<u8>, NetError> {
         let (reply_tx, reply_rx) = bounded(1);
-        self.ctl_tx
-            .send(ClientCtl::Stats { reply: reply_tx })
+        self.events
+            .send(Event::Control(ClientCtl::Stats { reply: reply_tx }))
             .map_err(|_| NetError::Closed)?;
-        let timeout = std::time::Duration::from_millis(self.config.open_timeout_ms);
+        let timeout = Duration::from_millis(self.config.open_timeout_ms);
         for _ in 0..self.config.open_attempts.max(1) {
-            self.out_tx
-                .send(MuxFrame::control(MuxKind::Stats, 0))
+            self.events
+                .send(Event::Outbound(MuxFrame::control(MuxKind::Stats, 0)))
                 .map_err(|_| NetError::Closed)?;
             match reply_rx.recv_timeout(timeout) {
                 Ok(result) => return result,
@@ -585,10 +837,11 @@ impl MuxClient {
         })
     }
 
-    /// Says GOAWAY, flushes the outbound queue, and joins the driver.
+    /// Says GOAWAY — behind every frame enqueued before this call — and
+    /// joins the driver, which has joined its reader thread by then.
     /// Returns the driver's terminal result.
     pub fn close(mut self) -> Result<(), NetError> {
-        let _ = self.ctl_tx.send(ClientCtl::Close);
+        let _ = self.events.send(Event::Control(ClientCtl::Close));
         match self.driver.take().map(|d| d.join()) {
             Some(Ok(result)) => result,
             // A panicked driver was already confined to its thread.
@@ -600,135 +853,125 @@ impl MuxClient {
 
 impl Drop for MuxClient {
     fn drop(&mut self) {
-        let _ = self.ctl_tx.send(ClientCtl::Close);
+        let _ = self.events.send(Event::Control(ClientCtl::Close));
         if let Some(driver) = self.driver.take() {
             let _ = driver.join();
         }
     }
 }
 
-/// The client's demultiplexing loop. Mirrors the server loop, with
-/// pending OPENs in place of admission control.
-fn client_driver<T: DeadlineTransport>(
-    mut transport: T,
+/// The client role: pending OPENs in place of admission control. When
+/// the connection ends — for any reason — this is dropped, and a caller
+/// still waiting on an OPEN or a scrape sees its reply channel
+/// disconnect, which it reports as `Closed`.
+struct ClientSide {
     config: MuxConfig,
-    out_rx: &Receiver<MuxFrame>,
-    ctl_rx: &Receiver<ClientCtl>,
-) -> Result<(), NetError> {
-    let mut pending: HashMap<u32, PendingOpen> = HashMap::new();
-    let mut pending_stats: std::collections::VecDeque<Sender<Result<Vec<u8>, NetError>>> =
-        std::collections::VecDeque::new();
-    let mut sessions: HashMap<u32, Sender<Vec<u8>>> = HashMap::new();
-    let mut remote_goaway = false;
-    let mut closing = false;
-    loop {
-        while let Ok(ctl) = ctl_rx.try_recv() {
-            match ctl {
-                ClientCtl::Open { session, pending: p } => {
-                    if remote_goaway {
-                        let _ = p.reply.send(Err(NetError::Busy { limit: 0 }));
-                    } else {
-                        pending.insert(session, p);
-                    }
-                }
-                // Stats stay answerable while draining: a scrape of a
-                // shutting-down daemon still sees its final counters.
-                ClientCtl::Stats { reply } => pending_stats.push_back(reply),
-                ClientCtl::Close => closing = true,
-            }
-        }
-        let mut peer_gone = false;
-        while let Ok(frame) = out_rx.try_recv() {
-            match transport.send(&frame.encode()) {
-                Ok(()) => {}
-                // The server hung up (surfaced as `Closed`, or as retry
-                // exhaustion by a reliability layer underneath); whatever
-                // is left unsent is moot.
-                Err(NetError::Closed) | Err(NetError::RetriesExhausted { .. }) => {
-                    peer_gone = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if peer_gone {
-            for (_, p) in pending.drain() {
-                let _ = p.reply.send(Err(NetError::Closed));
-            }
-            for reply in pending_stats.drain(..) {
-                let _ = reply.send(Err(NetError::Closed));
-            }
-            return Ok(());
-        }
-        if closing {
-            // Best-effort farewell: the server may already be gone.
-            let _ = transport.send(&MuxFrame::control(MuxKind::Goaway, 0).encode());
-            return Ok(());
-        }
+    pending: HashMap<u32, PendingOpen>,
+    pending_stats: VecDeque<Sender<Result<Vec<u8>, NetError>>>,
+    sessions: HashMap<u32, Sender<Vec<u8>>>,
+    remote_goaway: bool,
+    closing: bool,
+}
 
-        let raw = match transport.recv_deadline(config.poll_interval_ms) {
-            Ok(Some(raw)) => raw,
-            Ok(None) => continue,
-            Err(NetError::Closed) => {
-                for (_, p) in pending.drain() {
-                    let _ = p.reply.send(Err(NetError::Closed));
-                }
-                for reply in pending_stats.drain(..) {
-                    let _ = reply.send(Err(NetError::Closed));
-                }
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        let Ok(frame) = MuxFrame::decode(&raw) else {
-            continue;
-        };
+impl ClientSide {
+    fn new(config: MuxConfig) -> Self {
+        ClientSide {
+            config,
+            pending: HashMap::new(),
+            pending_stats: VecDeque::new(),
+            sessions: HashMap::new(),
+            remote_goaway: false,
+            closing: false,
+        }
+    }
+}
+
+impl Endpoint for ClientSide {
+    fn on_frame(&mut self, frame: MuxFrame, out: &mut Vec<MuxFrame>) {
+        let sid = frame.session;
         match frame.kind {
             MuxKind::Accept => {
-                if let Some(p) = pending.remove(&frame.session) {
-                    let (in_tx, in_rx) = bounded(config.session_queue_depth);
-                    sessions.insert(frame.session, in_tx);
+                if let Some(p) = self.pending.remove(&sid) {
+                    let (in_tx, in_rx) = bounded(self.config.session_queue_depth);
+                    self.sessions.insert(sid, in_tx);
                     let _ = p.reply.send(Ok(in_rx));
                 }
                 // Duplicate ACCEPT for an already-active session: noise.
             }
             MuxKind::Busy => {
-                if let Some(p) = pending.remove(&frame.session) {
+                if let Some(p) = self.pending.remove(&sid) {
                     let _ = p.reply.send(Err(NetError::Busy {
                         limit: frame.busy_limit(),
                     }));
                 }
             }
             MuxKind::Data => {
-                if let Some(tx) = sessions.get(&frame.session) {
-                    // A client session that stops draining sheds itself;
-                    // the server-directed paths already handle CLOSE.
-                    let _ = tx.try_send(frame.payload);
+                let overflow = self
+                    .sessions
+                    .get(&sid)
+                    .is_some_and(|tx| queue_is_full(tx, frame.payload));
+                if overflow {
+                    // The session stopped draining its queue and the
+                    // frame has nowhere to go. Losing it silently would
+                    // leave the engine waiting for it forever, so shed
+                    // as the server does: the session's `recv` drains
+                    // what is queued and then reports `Closed`, and a
+                    // CLOSE tells the server.
+                    minshare_trace::emit("client", "session_shed", false, || {
+                        vec![minshare_trace::count("session", u64::from(sid))]
+                    });
+                    self.sessions.remove(&sid);
+                    out.push(MuxFrame::control(MuxKind::Close, sid));
                 }
             }
             MuxKind::Close => {
-                sessions.remove(&frame.session);
-                if let Some(p) = pending.remove(&frame.session) {
+                self.sessions.remove(&sid);
+                if let Some(p) = self.pending.remove(&sid) {
                     // ACCEPT-then-CLOSE for an already-finished session.
                     let _ = p.reply.send(Err(NetError::Closed));
                 }
             }
             MuxKind::Goaway => {
-                remote_goaway = true;
-                for (_, p) in pending.drain() {
+                self.remote_goaway = true;
+                for (_, p) in self.pending.drain() {
                     let _ = p.reply.send(Err(NetError::Busy { limit: 0 }));
                 }
             }
             MuxKind::Stats => {
                 // A snapshot reply; a duplicate (from a retransmitted
                 // request) finds no pending scrape and is dropped.
-                if let Some(reply) = pending_stats.pop_front() {
+                if let Some(reply) = self.pending_stats.pop_front() {
                     let _ = reply.send(Ok(frame.payload));
                 }
             }
             // Client never receives OPEN; drop it.
             MuxKind::Open => {}
         }
+    }
+
+    fn on_control(&mut self, ctl: ClientCtl) {
+        match ctl {
+            ClientCtl::Open { session, pending } => {
+                if self.remote_goaway {
+                    let _ = pending.reply.send(Err(NetError::Busy { limit: 0 }));
+                } else {
+                    self.pending.insert(session, pending);
+                }
+            }
+            // Stats stay answerable while draining: a scrape of a
+            // shutting-down daemon still sees its final counters.
+            ClientCtl::Stats { reply } => self.pending_stats.push_back(reply),
+            ClientCtl::Close => self.closing = true,
+        }
+    }
+
+    /// The server hung up; whatever is left unsent is moot.
+    fn on_send_dead(&mut self) -> bool {
+        false
+    }
+
+    fn finished(&self) -> bool {
+        self.closing
     }
 }
 
@@ -747,7 +990,6 @@ mod tests {
 
     fn fast_config() -> MuxConfig {
         MuxConfig {
-            poll_interval_ms: 1,
             open_timeout_ms: 2_000,
             ..MuxConfig::default()
         }
@@ -919,6 +1161,122 @@ mod tests {
         client.close().unwrap();
         let stats = server.join().unwrap().unwrap();
         assert!(stats.shed_overflow >= 1, "stats: {stats:?}");
+    }
+
+    /// The client mirrors the server's shed: a session that does not
+    /// drain its inbound queue ends in a typed close, never in frames
+    /// lost without a word (which left the engine in `recv` forever).
+    #[test]
+    fn client_session_overflow_sheds_with_a_typed_close() {
+        const BURST: usize = 64;
+        let config = MuxConfig {
+            session_queue_depth: 4,
+            ..fast_config()
+        };
+        let (client_end, server_end) = duplex_pair();
+        let shutdown = ShutdownHandle::new();
+        let shutdown_server = shutdown.clone();
+        // The burst session's handler tells the barrier session's when
+        // the whole burst is on the connection's queue.
+        let (burst_sent_tx, burst_sent_rx) = bounded::<()>(1);
+        let burst_sent_rx = std::sync::Mutex::new(burst_sent_rx);
+        let server = std::thread::spawn(move || {
+            let registry = SessionRegistry::new(8);
+            serve_mux_connection(
+                server_end,
+                &config,
+                &registry,
+                &shutdown_server,
+                None,
+                |_sid, request, mut t: SessionTransport| {
+                    if request == b"burst" {
+                        let _ = t.recv();
+                        for i in 0..BURST {
+                            if t.send(&[i as u8]).is_err() {
+                                break;
+                            }
+                        }
+                        let _ = burst_sent_tx.send(());
+                        // Hold the session open: the close the client
+                        // sees must be its own shed, not ours.
+                        while t.recv().is_ok() {}
+                    } else {
+                        let _ = burst_sent_rx.lock().unwrap().recv();
+                        let _ = t.send(b"burst is ahead of me");
+                    }
+                },
+            )
+        });
+        let mut client = MuxClient::new(client_end, config);
+        let mut burst = client.open_session(b"burst").unwrap();
+        let mut barrier = client.open_session(b"barrier").unwrap();
+        burst.send(b"go").unwrap();
+        // The connection is FIFO, so once the barrier frame is here the
+        // driver has routed the whole burst into a queue of four.
+        assert_eq!(barrier.recv().unwrap(), b"burst is ahead of me");
+        let mut delivered = 0;
+        let closed = loop {
+            // The test's own deadline: at the parent the shed frames are
+            // dropped silently and this receive never returns.
+            match burst.recv_deadline(10_000) {
+                Ok(Some(_)) => delivered += 1,
+                Ok(None) => panic!("shed never surfaced after {delivered} frames"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(closed, NetError::Closed);
+        assert_eq!(delivered, 4);
+        // The neighbour is untouched and the server was told.
+        drop(burst);
+        drop(barrier);
+        client.close().unwrap();
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!(stats.opened, 2);
+        assert_eq!(stats.completed + stats.closed_by_peer, 2);
+    }
+
+    /// The reader takes a credit per frame and blocks when the window is
+    /// spent: the loop-side queue never holds more than
+    /// [`INBOUND_WINDOW`] inbound frames, however fast the peer writes.
+    #[test]
+    fn reader_blocks_at_the_inbound_window() {
+        let (events_tx, events) = unbounded::<Event>();
+        let (credit_tx, credits) = bounded::<()>(INBOUND_WINDOW);
+        // A peer with an endless supply of frames; every `recv` call is
+        // reported so the test can see how far the reader got.
+        let (calls_tx, calls) = unbounded::<()>();
+        let reader = std::thread::spawn(move || {
+            let flood = Box::new(move || {
+                calls_tx.send(()).map_err(|_| NetError::Closed)?;
+                Ok(vec![0u8; 16])
+            });
+            read_loop(flood, &credit_tx, &events_tx);
+        });
+        // WINDOW frames enqueued, one more received and held back.
+        for _ in 0..=INBOUND_WINDOW {
+            calls.recv().unwrap();
+        }
+        assert!(
+            calls.recv_timeout(Duration::from_millis(200)).is_err(),
+            "reader kept receiving past the window"
+        );
+        let mut queued = 0;
+        while let Ok(event) = events.try_recv() {
+            assert!(matches!(event, Event::Inbound(_)));
+            queued += 1;
+        }
+        assert_eq!(queued, INBOUND_WINDOW);
+        // One credit back (what the loop does per routed frame) lets
+        // exactly one more frame through.
+        credits.recv().unwrap();
+        assert!(matches!(events.recv().unwrap(), Event::Inbound(_)));
+        calls.recv().unwrap();
+        assert!(calls.recv_timeout(Duration::from_millis(200)).is_err());
+        assert!(events.try_recv().is_err());
+        // Dropping the credit receiver is how the loop's exit wakes a
+        // reader parked on the window.
+        drop(credits);
+        reader.join().unwrap();
     }
 
     #[test]

@@ -5,36 +5,145 @@
 //! The [`crate::secure::SecureChannel`] layer composes on top for
 //! confidentiality and integrity.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{IoSlice, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::NetError;
-use crate::transport::{DeadlineTransport, Transport};
+use crate::framebatch::{FrameBatch, PREFIX_LEN};
+use crate::transport::{DeadlineTransport, SplitReader, Transport};
 
 /// Default maximum accepted frame size (a corruption/abuse guard).
 const DEFAULT_FRAME_LIMIT: usize = 256 * 1024 * 1024;
 
+/// Free tail the receive buffer offers every `read`.
+const READ_SPARE: usize = 64 * 1024;
+
 /// A framed transport over a TCP stream.
 pub struct TcpTransport {
-    stream: TcpStream,
+    /// Shared with the reader and the unblock handle of
+    /// [`DeadlineTransport::split_reader`]; `&TcpStream` reads and
+    /// writes, so nobody needs a second descriptor.
+    stream: Arc<TcpStream>,
     frame_limit: usize,
-    /// Bytes of the frame currently being assembled (header included).
-    /// Lets the deadline receive path give up mid-frame and resume on
-    /// the next call without losing stream position.
-    rdbuf: Vec<u8>,
+    /// Bytes of the frames currently being assembled. Lets the deadline
+    /// receive path give up mid-frame and resume on the next call
+    /// without losing stream position.
+    rdbuf: FrameBuf,
+}
+
+/// Receive-side reassembly. `buf[start..end]` has arrived and not been
+/// handed out yet; `buf[end..]` is initialised scratch the next `read`
+/// fills. Frames are popped by advancing `start`: nothing is shifted per
+/// frame and nothing is zero-filled per read.
+#[derive(Default)]
+struct FrameBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    /// Pops one complete frame if its header and body have fully
+    /// arrived.
+    fn take_frame(&mut self, frame_limit: usize) -> Result<Option<Vec<u8>>, NetError> {
+        let arrived = self.buf.get(self.start..self.end).unwrap_or(&[]);
+        let Some(header) = arrived.get(..PREFIX_LEN) else {
+            return Ok(None);
+        };
+        let header: [u8; PREFIX_LEN] = header.try_into().unwrap_or_default();
+        let len = u32::from_be_bytes(header) as usize;
+        if len > frame_limit {
+            return Err(NetError::FrameTooLarge {
+                size: len,
+                limit: frame_limit,
+            });
+        }
+        let Some(body) = arrived.get(PREFIX_LEN..PREFIX_LEN + len) else {
+            return Ok(None);
+        };
+        let frame = body.to_vec();
+        self.start += PREFIX_LEN + len;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        Ok(Some(frame))
+    }
+
+    /// One `read` into the tail. `Ok(true)` when bytes arrived,
+    /// `Ok(false)` when the read timed out (non-blocking window
+    /// elapsed), `Closed` on end-of-stream.
+    fn fill(&mut self, mut stream: &TcpStream) -> Result<bool, NetError> {
+        if self.buf.len().saturating_sub(self.end) < READ_SPARE {
+            if self.start > 0 {
+                // Every complete frame was popped before this read, so
+                // the shift moves less than one frame.
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            }
+            if self.buf.len() < self.end + READ_SPARE {
+                self.buf.resize(self.end + READ_SPARE, 0);
+            }
+        }
+        let tail = self.buf.get_mut(self.end..).unwrap_or_default();
+        match stream.read(tail) {
+            Ok(0) => Err(NetError::Closed),
+            Ok(n) => {
+                self.end += n;
+                Ok(true)
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(NetError::from(e)),
+        }
+    }
+
+    /// Blocks until one whole frame is in; the stream must have no read
+    /// timeout set.
+    fn recv(&mut self, stream: &TcpStream, frame_limit: usize) -> Result<Vec<u8>, NetError> {
+        loop {
+            if let Some(frame) = self.take_frame(frame_limit)? {
+                return Ok(frame);
+            }
+            // A blocking read cannot time out; `Ok(false)` is a spurious
+            // wakeup and the loop retries.
+            self.fill(stream)?;
+        }
+    }
+}
+
+/// Writes `u32 BE length ‖ body` with one vectored write — one segment
+/// under `TCP_NODELAY`, not a 4-byte one and then the body — finishing a
+/// short write where it stopped.
+fn write_frame(mut stream: &TcpStream, body: &[u8]) -> std::io::Result<()> {
+    let header = (body.len() as u32).to_be_bytes();
+    let mut sent = 0usize;
+    while sent < PREFIX_LEN + body.len() {
+        let header_rest = header.get(sent.min(PREFIX_LEN)..).unwrap_or(&[]);
+        let body_rest = body.get(sent.saturating_sub(PREFIX_LEN)..).unwrap_or(&[]);
+        match stream.write_vectored(&[IoSlice::new(header_rest), IoSlice::new(body_rest)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 impl TcpTransport {
     /// Connects to a listening peer.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, NetError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpTransport {
-            stream,
-            frame_limit: DEFAULT_FRAME_LIMIT,
-            rdbuf: Vec::new(),
-        })
+        Self::from_stream(TcpStream::connect(addr)?)
     }
 
     /// Binds `addr`, accepts exactly one connection, and returns the
@@ -50,9 +159,9 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream) -> Result<Self, NetError> {
         stream.set_nodelay(true)?;
         Ok(TcpTransport {
-            stream,
+            stream: Arc::new(stream),
             frame_limit: DEFAULT_FRAME_LIMIT,
-            rdbuf: Vec::new(),
+            rdbuf: FrameBuf::default(),
         })
     }
 
@@ -62,50 +171,14 @@ impl TcpTransport {
         self
     }
 
-    /// Pops one complete frame off `rdbuf` if the header and body have
-    /// fully arrived.
-    fn take_frame(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        let Some(header) = self.rdbuf.get(0..4) else {
-            return Ok(None);
-        };
-        let header: [u8; 4] = header.try_into().unwrap_or_default();
-        let len = u32::from_be_bytes(header) as usize;
+    fn check_frame_len(&self, len: usize) -> Result<(), NetError> {
         if len > self.frame_limit {
             return Err(NetError::FrameTooLarge {
                 size: len,
                 limit: self.frame_limit,
             });
         }
-        let Some(body) = self.rdbuf.get(4..4 + len) else {
-            return Ok(None);
-        };
-        let frame = body.to_vec();
-        self.rdbuf.drain(..4 + len);
-        Ok(Some(frame))
-    }
-
-    /// One `read` into `rdbuf`. `Ok(true)` when bytes arrived, `Ok(false)`
-    /// when the read timed out (non-blocking window elapsed), `Closed`
-    /// on end-of-stream.
-    fn read_some(&mut self) -> Result<bool, NetError> {
-        let mut chunk = [0u8; 64 * 1024];
-        match self.stream.read(&mut chunk) {
-            Ok(0) => Err(NetError::Closed),
-            Ok(n) => {
-                self.rdbuf
-                    .extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-                Ok(true)
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Ok(false)
-            }
-            Err(e) => Err(NetError::from(e)),
-        }
+        Ok(())
     }
 }
 
@@ -137,31 +210,26 @@ impl TcpAcceptor {
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        if frame.len() > self.frame_limit {
-            return Err(NetError::FrameTooLarge {
-                size: frame.len(),
-                limit: self.frame_limit,
-            });
+        self.check_frame_len(frame.len())?;
+        write_frame(&self.stream, frame)?;
+        Ok(())
+    }
+
+    /// A batch is already laid out as the wire wants it, so the whole
+    /// run goes out in one write. Byte stream identical to per-frame
+    /// sends.
+    fn send_batch(&mut self, batch: FrameBatch) -> Result<(), NetError> {
+        for frame in batch.frames() {
+            self.check_frame_len(frame.len())?;
         }
-        self.stream.write_all(&(frame.len() as u32).to_be_bytes())?;
-        self.stream.write_all(frame)?;
-        self.stream.flush()?;
+        (&*self.stream).write_all(batch.wire_bytes())?;
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {
         // Resume any frame a deadline poll left half-assembled.
         self.stream.set_read_timeout(None)?;
-        loop {
-            if let Some(frame) = self.take_frame()? {
-                return Ok(frame);
-            }
-            if !self.read_some()? {
-                // Blocking read cannot time out; treat it as a spurious
-                // wakeup and retry.
-                continue;
-            }
-        }
+        self.rdbuf.recv(&self.stream, self.frame_limit)
     }
 }
 
@@ -170,7 +238,7 @@ impl DeadlineTransport for TcpTransport {
     /// across polls is assembled incrementally in `rdbuf`; giving up
     /// mid-frame never loses stream position.
     fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-        if let Some(frame) = self.take_frame()? {
+        if let Some(frame) = self.rdbuf.take_frame(self.frame_limit)? {
             return Ok(Some(frame));
         }
         let deadline = Instant::now() + Duration::from_millis(timeout_ms);
@@ -180,8 +248,8 @@ impl DeadlineTransport for TcpTransport {
             // `recv_deadline(0)` into a short poll.
             self.stream
                 .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-            if self.read_some()? {
-                if let Some(frame) = self.take_frame()? {
+            if self.rdbuf.fill(&self.stream)? {
+                if let Some(frame) = self.rdbuf.take_frame(self.frame_limit)? {
                     return Ok(Some(frame));
                 }
             }
@@ -189,6 +257,23 @@ impl DeadlineTransport for TcpTransport {
                 return Ok(None);
             }
         }
+    }
+
+    /// The reader blocks in `read` on the same socket (a half-assembled
+    /// frame goes with it); `unblock` shuts the socket down, which ends
+    /// that `read` with end-of-stream.
+    fn split_reader(&mut self) -> Option<SplitReader> {
+        self.stream.set_read_timeout(None).ok()?;
+        let stream = Arc::clone(&self.stream);
+        let mut rdbuf = std::mem::take(&mut self.rdbuf);
+        let frame_limit = self.frame_limit;
+        let closer = Arc::clone(&self.stream);
+        Some(SplitReader {
+            recv: Box::new(move || rdbuf.recv(&stream, frame_limit)),
+            unblock: Box::new(move || {
+                let _ = closer.shutdown(Shutdown::Both);
+            }),
+        })
     }
 }
 
@@ -304,6 +389,96 @@ mod tests {
                 .expect("frame should arrive within deadline");
             assert_eq!(got, vec![i; 5]);
         }
+    }
+
+    /// `send` and `send_batch` put the same bytes on the wire: each frame
+    /// as one `u32 BE length ‖ payload`, nothing between them.
+    #[test]
+    fn send_and_send_batch_write_the_same_byte_stream() {
+        use std::io::Read;
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let addr = acceptor.local_addr().unwrap();
+        let raw = std::thread::spawn(move || {
+            let mut raw = std::net::TcpStream::connect(addr).unwrap();
+            let mut bytes = Vec::new();
+            raw.read_to_end(&mut bytes).unwrap();
+            bytes
+        });
+        let (mut server, _) = acceptor.accept().unwrap();
+        let frames: [&[u8]; 4] = [b"", b"a", &[7u8; 300], b"tail"];
+        let mut expected = Vec::new();
+        let mut batch = FrameBatch::new();
+        for frame in frames {
+            server.send(frame).unwrap();
+            batch.push(&[frame]).unwrap();
+            expected.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+            expected.extend_from_slice(frame);
+        }
+        server.send_batch(batch).unwrap();
+        drop(server);
+        let once = expected.clone();
+        expected.extend_from_slice(&once);
+        assert_eq!(raw.join().unwrap(), expected);
+    }
+
+    #[test]
+    fn batch_frames_are_held_to_the_frame_limit() {
+        let (a, _b) = localhost_pair();
+        let mut a = a.with_frame_limit(8);
+        let mut batch = FrameBatch::new();
+        batch.push(&[b"fits"]).unwrap();
+        batch.push(&[&[0u8; 9]]).unwrap();
+        assert!(matches!(
+            a.send_batch(batch).unwrap_err(),
+            NetError::FrameTooLarge { size: 9, limit: 8 }
+        ));
+    }
+
+    /// Frames larger than one read, smaller than one read, and many per
+    /// read, back to back: the cursor-and-compact buffer hands each out
+    /// whole and in order.
+    #[test]
+    fn mixed_frame_sizes_reassemble_across_reads() {
+        let (mut a, mut b) = localhost_pair();
+        let sizes = [3usize, 200_000, 0, 70_000, 17, 65_532, 65_536, 1];
+        let writer = std::thread::spawn(move || {
+            for round in 0..4u8 {
+                for (i, len) in sizes.iter().enumerate() {
+                    a.send(&vec![round ^ i as u8; *len]).unwrap();
+                }
+            }
+        });
+        for round in 0..4u8 {
+            for (i, len) in sizes.iter().enumerate() {
+                assert_eq!(b.recv().unwrap(), vec![round ^ i as u8; *len]);
+            }
+        }
+        writer.join().unwrap();
+    }
+
+    /// The split reader takes the half-assembled frame with it, blocks
+    /// like `recv`, and `unblock` ends a blocked receive from another
+    /// thread.
+    #[test]
+    fn split_reader_resumes_partial_frames_and_unblocks() {
+        use std::io::Write;
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let addr = acceptor.local_addr().unwrap();
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let (mut server, _) = acceptor.accept().unwrap();
+        raw.write_all(&8u32.to_be_bytes()).unwrap();
+        raw.write_all(b"firs").unwrap();
+        // The poll gives up mid-frame, with the first half buffered.
+        assert_eq!(server.recv_deadline(20).unwrap(), None);
+        let SplitReader { mut recv, unblock } = server.split_reader().unwrap();
+        raw.write_all(b"tsec").unwrap();
+        assert_eq!(recv().unwrap(), b"firstsec");
+        // The send side stays with the transport.
+        server.send(b"still mine").unwrap();
+        let reader = std::thread::spawn(recv);
+        unblock();
+        assert_eq!(reader.join().unwrap().unwrap_err(), NetError::Closed);
     }
 
     #[test]

@@ -57,10 +57,40 @@ pub trait DeadlineTransport: Transport {
     /// the deadline elapsed with no frame; transport failures (peer gone,
     /// link closed) are errors as in [`Transport::recv`].
     fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError>;
+
+    /// Hands the receive side to a dedicated reader, for callers (the
+    /// mux connection loops in [`crate::server`]) that want to block on
+    /// their own event queue instead of polling `recv_deadline`.
+    ///
+    /// `None` (the default) declines: the transport's receive path
+    /// cannot run apart from its send path — an ARQ layer whose ACKs
+    /// arrive on it, a link on a virtual clock — and the caller keeps
+    /// polling. After `Some`, bytes already buffered travel with the
+    /// reader and the caller must not receive on the transport itself.
+    fn split_reader(&mut self) -> Option<SplitReader> {
+        None
+    }
+}
+
+/// The receive side of a transport, detached by
+/// [`DeadlineTransport::split_reader`] so one thread can block in it
+/// while another keeps sending.
+pub struct SplitReader {
+    /// Blocks until the next frame arrives; same contract as
+    /// [`Transport::recv`].
+    pub recv: Box<dyn FnMut() -> Result<Vec<u8>, NetError> + Send>,
+    /// Makes a blocked `recv`, and every later one, return an error
+    /// promptly. Callable from any thread; the connection is unusable
+    /// afterwards.
+    pub unblock: Box<dyn Fn() + Send>,
 }
 
 impl<T: DeadlineTransport + ?Sized> DeadlineTransport for &mut T {
     fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
         (**self).recv_deadline(timeout_ms)
+    }
+
+    fn split_reader(&mut self) -> Option<SplitReader> {
+        (**self).split_reader()
     }
 }

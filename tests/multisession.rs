@@ -306,10 +306,7 @@ fn run_concurrent(
     let server_rt = RobustTransport::with_config(server_end, RobustConfig::default());
     let client_rt = RobustTransport::with_config(client_end, RobustConfig::default());
 
-    let mux = MuxConfig {
-        poll_interval_ms: 1,
-        ..MuxConfig::default()
-    };
+    let mux = MuxConfig::default();
     let registry = SessionRegistry::new(64);
     let shutdown = ShutdownHandle::new();
     let server_sides: Arc<Mutex<HashMap<u32, ServerSide>>> = Arc::new(Mutex::new(HashMap::new()));
@@ -475,10 +472,7 @@ fn admission_cap_rejects_with_typed_busy_and_leaves_peers_unperturbed() {
     let baseline = solo_baseline(&service, 1, spec);
 
     let (server_t, client_t) = minshare_net::duplex_pair();
-    let mux = MuxConfig {
-        poll_interval_ms: 1,
-        ..MuxConfig::default()
-    };
+    let mux = MuxConfig::default();
     let registry = SessionRegistry::new(1);
     let shutdown = ShutdownHandle::new();
     let sides: Arc<Mutex<HashMap<u32, ServerSide>>> = Arc::new(Mutex::new(HashMap::new()));
@@ -548,10 +542,7 @@ fn graceful_shutdown_drains_active_sessions_and_sheds_new_opens() {
     let baseline = solo_baseline(&service, 1, spec);
 
     let (server_t, client_t) = minshare_net::duplex_pair();
-    let mux = MuxConfig {
-        poll_interval_ms: 1,
-        ..MuxConfig::default()
-    };
+    let mux = MuxConfig::default();
     let registry = SessionRegistry::new(8);
     let shutdown = ShutdownHandle::new();
 
@@ -642,10 +633,7 @@ fn stats_endpoint_reports_lifecycle_histograms_and_leakage_ground_truth() {
     };
 
     let (server_t, client_t) = minshare_net::duplex_pair();
-    let mux = MuxConfig {
-        poll_interval_ms: 1,
-        ..MuxConfig::default()
-    };
+    let mux = MuxConfig::default();
     let registry = SessionRegistry::new(64);
     let shutdown = ShutdownHandle::new();
     let done: Arc<Mutex<HashMap<u32, SessionReport>>> = Arc::new(Mutex::new(HashMap::new()));

@@ -87,85 +87,101 @@ printf 'grape\nmelon\npear\n' > "$smoke_dir/c1.txt"
 printf 'apple\nkiwi\n' > "$smoke_dir/c2.txt"
 printf 'grape\nmelon\npear\napple\n' > "$smoke_dir/c3.txt"
 minshare=target/release/minshare
-"$minshare" serve --listen 127.0.0.1:0 --values "$smoke_dir/server.txt" \
-    --max-sessions 4 --shutdown-after 4 --seed 7 \
-    --port-file "$smoke_dir/port.txt" > "$smoke_dir/serve.out" 2> "$smoke_dir/serve.err" &
-serve_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port.txt" ]; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "verify: daemon never wrote its port" >&2; exit 1; }
-    sleep 0.1
-done
-port=$(cat "$smoke_dir/port.txt")
-"$minshare" client --connect "127.0.0.1:$port" --protocol intersection \
-    --values "$smoke_dir/c1.txt" --seed 1 > "$smoke_dir/c1.out" 2>&1 &
-c1_pid=$!
-"$minshare" client --connect "127.0.0.1:$port" --protocol equijoin \
-    --values "$smoke_dir/c2.txt" --seed 2 > "$smoke_dir/c2.out" 2>&1 &
-c2_pid=$!
-wait "$c1_pid"
-wait "$c2_pid"
-# Sharded size variant: the client elects 3 buckets, the daemon adopts
-# them, and the answer is a bare cardinality (grape, melon, apple → 3).
-"$minshare" client --connect "127.0.0.1:$port" --protocol intersection-size \
-    --values "$smoke_dir/c3.txt" --seed 3 --shards 3 > "$smoke_dir/c3.out" 2>&1
-grep -q '^3$' "$smoke_dir/c3.out"
-grep -q 'status=ok' "$smoke_dir/c3.out"
-# Live telemetry scrape. Ground truth from the harness: 3 sessions so
-# far, each disclosing the daemon's 4 distinct values (3 × 4 = 12
-# revealed), learning |V_R| = 3 + 2 + 4 = 9 distinct client values; the
-# third connection (the sharded size variant, deterministic peer id 3)
-# accounts for 4 of each; and the size-variant run left a populated
-# latency histogram. The pause lets the last handler's telemetry tail
-# land before the snapshot is taken.
-sleep 1
-"$minshare" stats "127.0.0.1:$port" > "$smoke_dir/stats.out" 2> /dev/null
-grep -q '"stats_version":1' "$smoke_dir/stats.out"
-grep -q '"server/session_open/events":3' "$smoke_dir/stats.out"
-grep -q '"leakage/size_disclosure/revealed":12' "$smoke_dir/stats.out"
-grep -q '"leakage/size_disclosure/learned":9' "$smoke_dir/stats.out"
-grep -q '"leakage/size_disclosure/revealed{peer=3}":4' "$smoke_dir/stats.out"
-grep -q '"leakage/size_disclosure/learned{peer=3}":4' "$smoke_dir/stats.out"
-grep -q '"protocol/intersection-size/duration_ns":{"count":1' "$smoke_dir/stats.out"
-# Fourth session outcome trips --shutdown-after 4: the daemon drains and
-# exits 0 on its own — a hung or crashed daemon fails here.
-"$minshare" client --connect "127.0.0.1:$port" --protocol intersection \
-    --values "$smoke_dir/c1.txt" --seed 4 > "$smoke_dir/c4.out" 2>&1
-wait "$serve_pid"
-grep -q '^grape$' "$smoke_dir/c1.out"
-grep -q '^melon$' "$smoke_dir/c1.out"
-grep -q 'apple	ext:apple' "$smoke_dir/c2.out"
-# Per-session reconciliation lines on both sides of the wire.
-[ "$(grep -c 'status=ok' "$smoke_dir/serve.out")" -eq 4 ]
-grep -q 'protocol=intersection' "$smoke_dir/serve.out"
-grep -q 'protocol=equijoin' "$smoke_dir/serve.out"
-grep -q 'protocol=intersection-size' "$smoke_dir/serve.out"
-grep -q 'status=ok' "$smoke_dir/c1.out"
-grep -q 'status=ok' "$smoke_dir/c2.out"
-grep -q 'status=ok' "$smoke_dir/c4.out"
-# Typed Busy load-shedding: a zero-capacity daemon refuses the session
-# with the typed error (the client says "busy", not a protocol failure)
-# and the rejection itself counts as the outcome that shuts it down.
-rm -f "$smoke_dir/port.txt"
-"$minshare" serve --listen 127.0.0.1:0 --values "$smoke_dir/server.txt" \
-    --max-sessions 0 --shutdown-after 1 \
-    --port-file "$smoke_dir/port.txt" > /dev/null 2>&1 &
-busy_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port.txt" ]; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "verify: busy daemon never wrote its port" >&2; exit 1; }
-    sleep 0.1
-done
-port=$(cat "$smoke_dir/port.txt")
-if "$minshare" client --connect "127.0.0.1:$port" --protocol intersection \
-    --values "$smoke_dir/c1.txt" > "$smoke_dir/busy.out" 2>&1; then
-    echo "verify: zero-capacity daemon admitted a session" >&2
-    exit 1
+# The smoke is a function of a launcher prefix so that it can run twice:
+# as is, and pinned to one core (below).
+daemon_smoke() {
+    rm -f "$smoke_dir/port.txt"
+    "$@" "$minshare" serve --listen 127.0.0.1:0 --values "$smoke_dir/server.txt" \
+        --max-sessions 4 --shutdown-after 4 --seed 7 \
+        --port-file "$smoke_dir/port.txt" > "$smoke_dir/serve.out" 2> "$smoke_dir/serve.err" &
+    serve_pid=$!
+    i=0
+    while [ ! -s "$smoke_dir/port.txt" ]; do
+        i=$((i + 1))
+        [ "$i" -gt 100 ] && { echo "verify: daemon never wrote its port" >&2; exit 1; }
+        sleep 0.1
+    done
+    port=$(cat "$smoke_dir/port.txt")
+    "$@" "$minshare" client --connect "127.0.0.1:$port" --protocol intersection \
+        --values "$smoke_dir/c1.txt" --seed 1 > "$smoke_dir/c1.out" 2>&1 &
+    c1_pid=$!
+    "$@" "$minshare" client --connect "127.0.0.1:$port" --protocol equijoin \
+        --values "$smoke_dir/c2.txt" --seed 2 > "$smoke_dir/c2.out" 2>&1 &
+    c2_pid=$!
+    wait "$c1_pid"
+    wait "$c2_pid"
+    # Sharded size variant: the client elects 3 buckets, the daemon adopts
+    # them, and the answer is a bare cardinality (grape, melon, apple → 3).
+    "$@" "$minshare" client --connect "127.0.0.1:$port" --protocol intersection-size \
+        --values "$smoke_dir/c3.txt" --seed 3 --shards 3 > "$smoke_dir/c3.out" 2>&1
+    grep -q '^3$' "$smoke_dir/c3.out"
+    grep -q 'status=ok' "$smoke_dir/c3.out"
+    # Live telemetry scrape. Ground truth from the harness: 3 sessions so
+    # far, each disclosing the daemon's 4 distinct values (3 × 4 = 12
+    # revealed), learning |V_R| = 3 + 2 + 4 = 9 distinct client values; the
+    # third connection (the sharded size variant, deterministic peer id 3)
+    # accounts for 4 of each; and the size-variant run left a populated
+    # latency histogram. The pause lets the last handler's telemetry tail
+    # land before the snapshot is taken.
+    sleep 1
+    "$@" "$minshare" stats "127.0.0.1:$port" > "$smoke_dir/stats.out" 2> /dev/null
+    grep -q '"stats_version":1' "$smoke_dir/stats.out"
+    grep -q '"server/session_open/events":3' "$smoke_dir/stats.out"
+    grep -q '"leakage/size_disclosure/revealed":12' "$smoke_dir/stats.out"
+    grep -q '"leakage/size_disclosure/learned":9' "$smoke_dir/stats.out"
+    grep -q '"leakage/size_disclosure/revealed{peer=3}":4' "$smoke_dir/stats.out"
+    grep -q '"leakage/size_disclosure/learned{peer=3}":4' "$smoke_dir/stats.out"
+    grep -q '"protocol/intersection-size/duration_ns":{"count":1' "$smoke_dir/stats.out"
+    # Fourth session outcome trips --shutdown-after 4: the daemon drains and
+    # exits 0 on its own — a hung or crashed daemon fails here.
+    "$@" "$minshare" client --connect "127.0.0.1:$port" --protocol intersection \
+        --values "$smoke_dir/c1.txt" --seed 4 > "$smoke_dir/c4.out" 2>&1
+    wait "$serve_pid"
+    grep -q '^grape$' "$smoke_dir/c1.out"
+    grep -q '^melon$' "$smoke_dir/c1.out"
+    grep -q 'apple	ext:apple' "$smoke_dir/c2.out"
+    # Per-session reconciliation lines on both sides of the wire.
+    [ "$(grep -c 'status=ok' "$smoke_dir/serve.out")" -eq 4 ]
+    grep -q 'protocol=intersection' "$smoke_dir/serve.out"
+    grep -q 'protocol=equijoin' "$smoke_dir/serve.out"
+    grep -q 'protocol=intersection-size' "$smoke_dir/serve.out"
+    grep -q 'status=ok' "$smoke_dir/c1.out"
+    grep -q 'status=ok' "$smoke_dir/c2.out"
+    grep -q 'status=ok' "$smoke_dir/c4.out"
+    # Typed Busy load-shedding: a zero-capacity daemon refuses the session
+    # with the typed error (the client says "busy", not a protocol failure)
+    # and the rejection itself counts as the outcome that shuts it down.
+    rm -f "$smoke_dir/port.txt"
+    "$@" "$minshare" serve --listen 127.0.0.1:0 --values "$smoke_dir/server.txt" \
+        --max-sessions 0 --shutdown-after 1 \
+        --port-file "$smoke_dir/port.txt" > /dev/null 2>&1 &
+    busy_pid=$!
+    i=0
+    while [ ! -s "$smoke_dir/port.txt" ]; do
+        i=$((i + 1))
+        [ "$i" -gt 100 ] && { echo "verify: busy daemon never wrote its port" >&2; exit 1; }
+        sleep 0.1
+    done
+    port=$(cat "$smoke_dir/port.txt")
+    if "$@" "$minshare" client --connect "127.0.0.1:$port" --protocol intersection \
+        --values "$smoke_dir/c1.txt" > "$smoke_dir/busy.out" 2>&1; then
+        echo "verify: zero-capacity daemon admitted a session" >&2
+        exit 1
+    fi
+    grep -q 'busy' "$smoke_dir/busy.out"
+    wait "$busy_pid"
+}
+daemon_smoke
+# One core. The mux loops are event-driven with a reader thread per
+# connection: nothing may depend on a second core to make progress, and
+# the round-trip test in crates/net/tests/mux_event_pump.rs prices a mux
+# hop against a raw TCP hop, which must hold when every thread shares a
+# CPU. (ROADMAP's single-core sweep, for the part of the stack where a
+# core count can change behaviour and not just speed.)
+if command -v taskset > /dev/null 2>&1; then
+    taskset -c 0 cargo test -q -p minshare-net
+    daemon_smoke taskset -c 0
 fi
-grep -q 'busy' "$smoke_dir/busy.out"
-wait "$busy_pid"
 # Repo-benchmark correctness gate: every workload of `benchmark/` at
 # |V| = 16, both trace modes, against the real `minshare serve`. The
 # benchmark judges each session's answer, the daemon's printed lines, its
