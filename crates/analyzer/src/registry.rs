@@ -116,17 +116,15 @@ pub const ENC_SANITIZER_FNS: &[&str] = &[
     "encrypt",
     "decrypt",
     "encrypt_many",
-    "decrypt_many",
     "encrypt_checked",
     "decrypt_checked",
     "hash_encrypt",
-    "hash_encrypt_many",
     "pow",
     "pow_batch",
-    "pow_multi_ctx",
-    // crates/bignum/src/fixpow.rs: pow_multi_ctx pinned to the scalar
-    // kernels — same modexp, same DH-safety argument, just no SIMD
-    // dispatch. Exists as the differential oracle for the `simd` feature.
+    // crates/bignum/src/fixpow.rs: the plan's pow_batch pinned to the
+    // portable kernels — same modexp, same DH-safety argument, just no
+    // SIMD dispatch. Exists as the differential oracle for the `simd`
+    // feature.
     "pow_batch_scalar",
     // crates/crypto/src/pool.rs: batch jobs — the pool applies the
     // scheme ops above on worker threads; the submitted items come back
@@ -134,7 +132,6 @@ pub const ENC_SANITIZER_FNS: &[&str] = &[
     // ciphertext too (the pool runs nothing but scheme ops).
     "submit_encrypt",
     "submit_decrypt",
-    "submit_hash_encrypt",
     "encrypt_batch",
     "wait",
     // crates/crypto/src/chacha20.rs: the secure-channel stream cipher.
@@ -376,7 +373,7 @@ mod tests {
         assert!(!is_raw_value_ident("vr_size"));
         assert!(is_key_source_fn("gen_key"));
         assert!(is_hash_sanitizer("prepare_set"));
-        assert!(is_enc_sanitizer("pow_multi_ctx"));
+        assert!(is_enc_sanitizer("pow_batch_scalar"));
         assert!(!is_enc_sanitizer("encode"));
         assert!(is_wire_sink_fn("send_batch"));
         assert!(is_wire_sink_fn("push_record"));

@@ -1,21 +1,22 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * Montgomery fixed-window exponentiation vs. naive binary
+//! * Montgomery sliding-window exponentiation vs. naive binary
 //!   square-and-multiply (why the `Ce` engine is built the way it is),
-//! * the paper's `P`-processor parallel encryption assumption
-//!   (speedup curve of the batch encryptors),
 //! * the paper-exact multiplicative payload cipher vs. the hybrid
 //!   (what the substitution costs),
 //! * exact intersection vs. the §7 Bloom-prefiltered hybrid (the
-//!   efficiency/disclosure tradeoff, measured).
+//!   efficiency/disclosure tradeoff, measured),
+//! * the QR_p commutative scheme vs. SRA.
+//!
+//! The paper's `P`-processor parallel encryption assumption is timed
+//! through `EncryptPool` by the `pipeline` suite's `pool_scaling`.
 
 use std::hint::black_box;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use minshare::prelude::*;
 use minshare::tradeoff;
 use minshare_bench::{bench_group, overlapping_sets, random_exponent};
-use minshare_crypto::batch::encrypt_batch;
 use minshare_crypto::kcipher::{ExtCipher, HybridCipher, MulBlockCipher};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,27 +34,6 @@ fn montgomery_vs_binary(c: &mut Criterion) {
     group.bench_function("binary_division_reduce", |b| {
         b.iter(|| black_box(base.modpow_binary(black_box(&exp), g.modulus())))
     });
-    let barrett = minshare_bignum::barrett::BarrettCtx::new(g.modulus()).expect("barrett context");
-    group.bench_function("barrett_square_multiply", |b| {
-        b.iter(|| black_box(barrett.pow(black_box(&base), black_box(&exp))))
-    });
-    group.finish();
-}
-
-fn parallel_encryption_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation/parallel_encrypt");
-    group.sample_size(10);
-    let g = bench_group(1024);
-    let mut rng = StdRng::seed_from_u64(3);
-    let key = g.gen_key(&mut rng);
-    let items: Vec<_> = (0..64).map(|_| g.sample_element(&mut rng)).collect();
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| b.iter(|| black_box(encrypt_batch(&g, &key, &items, threads))),
-        );
-    }
     group.finish();
 }
 
@@ -150,7 +130,6 @@ fn commutative_scheme_choice(c: &mut Criterion) {
 criterion_group!(
     benches,
     montgomery_vs_binary,
-    parallel_encryption_scaling,
     payload_cipher_choice,
     exact_vs_bloom_hybrid,
     commutative_scheme_choice

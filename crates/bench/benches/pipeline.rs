@@ -1,6 +1,6 @@
-//! Throughput-overhaul benches: the Montgomery squaring kernel, sliding
-//! vs. fixed-window exponentiation, `EncryptPool` scaling (§6.2's `P`
-//! processors), and the chunk-pipelined protocol engines end to end.
+//! Throughput-overhaul benches: the `Ce` kernel tiers under one fixed
+//! exponent, `EncryptPool` scaling (§6.2's `P` processors), and the
+//! chunk-pipelined protocol engines end to end.
 
 use std::hint::black_box;
 
@@ -30,92 +30,31 @@ fn random_below_modulus(n: &UBig, seed: u64) -> UBig {
     minshare_bignum::random::random_below(&mut rng, n)
 }
 
-/// Dedicated squaring kernel vs. the general multiply, in the hot
-/// in-representation loop shape (`MontElem` ops, no conversions).
-fn square_vs_mul(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mont_kernel");
-    group.sample_size(20);
-    for bits in [512usize, 1024] {
-        let n = odd_modulus(bits, 0x5d);
-        let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
-        let a = ctx.lift(&random_below_modulus(&n, 1));
-        group.bench_with_input(BenchmarkId::new("mul_elem", bits), &bits, |b, _| {
-            b.iter(|| black_box(ctx.mul_elem(&a, &a)))
-        });
-        group.bench_with_input(BenchmarkId::new("sqr_elem", bits), &bits, |b, _| {
-            b.iter(|| black_box(ctx.sqr_elem(&a)))
-        });
-    }
-    group.finish();
-}
-
-/// Window-width sweep at a fixed 512-bit exponent: the crossover the
-/// `window_for_bits` table encodes.
-fn window_widths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pow_window_512");
-    group.sample_size(10);
-    let n = odd_modulus(512, 0x5d);
-    let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
-    let base = random_below_modulus(&n, 2);
-    let exp = random_below_modulus(&n, 3);
-    for w in 1u32..=6 {
-        group.bench_with_input(BenchmarkId::from_parameter(w), &w, |b, &w| {
-            b.iter(|| black_box(ctx.pow_with_window(&base, &exp, w)))
-        });
-    }
-    group.finish();
-}
-
-/// The headline number: fixed-exponent batch exponentiation at 512 bits,
-/// old fixed-4-bit algorithm vs. the sliding-window + squaring-kernel
-/// path (acceptance floor: ≥ 1.3× single-thread).
-fn fixed4_vs_sliding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pow_batch_512");
-    group.sample_size(10);
-    let n = odd_modulus(512, 0x5d);
-    let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
-    let exp = random_below_modulus(&n, 3);
-    let bases: Vec<UBig> = (0..16).map(|i| random_below_modulus(&n, 100 + i)).collect();
-    group.bench_function("fixed4_reference", |b| {
-        b.iter(|| {
-            for base in &bases {
-                black_box(ctx.pow_fixed4_reference(base, &exp));
-            }
-        })
-    });
-    group.bench_function("sliding", |b| {
-        b.iter(|| {
-            for base in &bases {
-                black_box(ctx.pow(base, &exp));
-            }
-        })
-    });
-    group.bench_function("pow_batch", |b| {
-        b.iter(|| black_box(ctx.pow_batch(&bases, &exp)))
-    });
-    group.finish();
-}
-
-/// The multi-lane interleaved kernel against the scalar sliding-window
-/// batch at the protocol's hot shape (512-bit modulus, 32-element batch),
-/// plus the cached-plan front end the keys actually use.
+/// The three `Ce` tiers at the protocol's hot shape (512-bit modulus,
+/// 32-element batch, one fixed exponent): the scalar sliding-window
+/// ladder per base, the portable interleaved lanes, and the cached-plan
+/// dispatch the keys actually use (IFMA lanes where compiled in and
+/// detected).
 fn pow_multi_lanes(c: &mut Criterion) {
     use std::sync::Arc;
 
     let mut group = c.benchmark_group("pow_multi_512");
     group.sample_size(10);
     let n = odd_modulus(512, 0x5d);
-    let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
+    let ctx = Arc::new(MontgomeryCtx::new(&n).expect("odd modulus"));
     let exp = random_below_modulus(&n, 3);
     let bases: Vec<UBig> = (0..32).map(|i| random_below_modulus(&n, 200 + i)).collect();
+    let plan = minshare_bignum::FixedExponentPlan::new(Arc::clone(&ctx), &exp);
     group.bench_function("scalar_sliding_batch32", |b| {
-        b.iter(|| black_box(ctx.pow_batch(&bases, &exp)))
+        b.iter(|| {
+            for base in &bases {
+                black_box(plan.pow(base));
+            }
+        })
     });
-    group.bench_function("multi_lane_batch32", |b| {
-        b.iter(|| black_box(ctx.pow_multi_ctx(&bases, &exp)))
+    group.bench_function("portable_lanes_batch32", |b| {
+        b.iter(|| black_box(ctx.pow_batch_scalar(&bases, &exp)))
     });
-    let plan =
-        minshare_bignum::FixedExponentPlan::new(Arc::new(MontgomeryCtx::new(&n).unwrap()), &exp);
     group.bench_function("cached_plan_batch32", |b| {
         b.iter(|| black_box(plan.pow_batch(&bases)))
     });
@@ -228,9 +167,6 @@ fn e2e_serial_vs_pipelined(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    square_vs_mul,
-    window_widths,
-    fixed4_vs_sliding,
     pow_multi_lanes,
     pool_scaling,
     e2e_serial_vs_pipelined

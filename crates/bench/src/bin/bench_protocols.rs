@@ -1,10 +1,10 @@
 //! Emits `BENCH_protocols.json`: the committed throughput numbers for the
 //! perf acceptance criteria — 512-bit fixed-exponent exponentiation
-//! (fixed-4-bit reference vs. scalar sliding windows vs. the multi-lane
-//! interleaved kernel), the three `Ce` tiers at the 1024-bit group the
-//! daemon serves and at its other well-known groups (generic ladder,
-//! portable lanes, IFMA lanes), §6.2 `EncryptPool` scaling, and serial vs.
-//! chunk-pipelined end-to-end wall time for all four protocols.
+//! (scalar sliding windows vs. the multi-lane interleaved kernel), the
+//! three `Ce` tiers at the 1024-bit group the daemon serves and at its
+//! other well-known groups (generic ladder, portable lanes, IFMA lanes),
+//! §6.2 `EncryptPool` scaling, and serial vs. chunk-pipelined end-to-end
+//! wall time for all four protocols.
 //!
 //! All numbers are wall-clock medians on the current host; the host's
 //! logical core count is recorded alongside so a single-core CI box's
@@ -30,7 +30,7 @@ use minshare_bench::{bench_group, overlapping_sets};
 use minshare_bignum::montgomery::MontgomeryCtx;
 use minshare_bignum::random::random_below;
 use minshare_bignum::safe_prime::well_known_safe_prime;
-use minshare_bignum::UBig;
+use minshare_bignum::{FixedExponentPlan, UBig};
 use minshare_costmodel::reconcile::{self, MeasuredRun, Reconciliation};
 use minshare_costmodel::section6::Protocol;
 use minshare_crypto::pool::EncryptPool;
@@ -116,9 +116,10 @@ fn median_secs<F: FnMut()>(samples: usize, mut f: F) -> f64 {
 }
 
 /// Per-batch wall time of each `Ce` tier at one well-known group, 32 bases
-/// under one fixed exponent: the generic ladder (`pow_batch`), the
-/// portable lanes (`pow_batch_scalar`) and the default dispatch
-/// (`pow_multi_ctx`: IFMA lanes when `simd_active`).
+/// under one fixed exponent: the generic ladder (`FixedExponentPlan::pow`
+/// per base), the portable lanes (`pow_batch_scalar`) and the default
+/// dispatch (`FixedExponentPlan::pow_batch`: IFMA lanes when
+/// `simd_active`).
 struct Tiers {
     bits: u64,
     batch: usize,
@@ -138,15 +139,22 @@ impl Tiers {
     }
 }
 
+/// The generic ladder over a batch: the scalar sliding-window
+/// exponentiation once per base, replaying the plan's cached recoding.
+fn ladder_batch(plan: &FixedExponentPlan, bases: &[UBig]) -> Vec<UBig> {
+    bases.iter().map(|b| plan.pow(b)).collect()
+}
+
 /// The three tiers are timed round-robin and reduced to medians, so a slow
 /// stretch of a shared host lands on all of them alike and the ratios
 /// survive it.
 fn measure_tiers(bits: u64, samples: usize) -> Tiers {
     let p = well_known_safe_prime(bits).expect("bundled group");
-    let ctx = MontgomeryCtx::new(&p).expect("odd modulus");
+    let ctx = Arc::new(MontgomeryCtx::new(&p).expect("odd modulus"));
     let mut rng = StdRng::seed_from_u64(5);
     let exp = random_below(&mut rng, &p);
     let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, &p)).collect();
+    let plan = FixedExponentPlan::new(Arc::clone(&ctx), &exp);
     let secs = |f: &dyn Fn() -> Vec<UBig>| {
         let start = Instant::now();
         std::hint::black_box(f());
@@ -158,9 +166,9 @@ fn measure_tiers(bits: u64, samples: usize) -> Tiers {
     };
     let (mut ladder, mut lanes, mut auto) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..samples.max(1) {
-        ladder.push(secs(&|| ctx.pow_batch(&bases, &exp)));
+        ladder.push(secs(&|| ladder_batch(&plan, &bases)));
         lanes.push(secs(&|| ctx.pow_batch_scalar(&bases, &exp)));
-        auto.push(secs(&|| ctx.pow_multi_ctx(&bases, &exp)));
+        auto.push(secs(&|| plan.pow_batch(&bases)));
     }
     Tiers {
         bits,
@@ -547,16 +555,17 @@ fn run_check(snapshot_path: &str) -> i32 {
     // runs the scalar fallback and is exempt.
     if committed.contains("\"simd_active\": true") {
         let n = odd_modulus(512, 0x5d);
-        let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
+        let ctx = Arc::new(MontgomeryCtx::new(&n).expect("odd modulus"));
         if ctx.simd_active() {
             let mut rng = StdRng::seed_from_u64(3);
             let exp = random_below(&mut rng, &n);
             let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, &n)).collect();
+            let plan = FixedExponentPlan::new(Arc::clone(&ctx), &exp);
             let scalar_s = median_secs(9, || {
                 std::hint::black_box(ctx.pow_batch_scalar(&bases, &exp));
             });
             let simd_s = median_secs(9, || {
-                std::hint::black_box(ctx.pow_multi_ctx(&bases, &exp));
+                std::hint::black_box(plan.pow_batch(&bases));
             });
             let speedup = scalar_s / simd_s;
             if speedup < SIMD_SPEEDUP_FLOOR {
@@ -814,21 +823,17 @@ fn main() {
 
     // --- 512-bit fixed-exponent batch exponentiation -------------------
     let n = odd_modulus(512, 0x5d);
-    let ctx = MontgomeryCtx::new(&n).expect("odd modulus");
+    let ctx = Arc::new(MontgomeryCtx::new(&n).expect("odd modulus"));
     let mut rng = StdRng::seed_from_u64(3);
     let exp = random_below(&mut rng, &n);
     let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, &n)).collect();
     let batch = bases.len();
-    let fixed4_s = median_secs(15, || {
-        for b in &bases {
-            std::hint::black_box(ctx.pow_fixed4_reference(b, &exp));
-        }
-    });
+    let plan = FixedExponentPlan::new(Arc::clone(&ctx), &exp);
     let sliding_s = median_secs(15, || {
-        std::hint::black_box(ctx.pow_batch(&bases, &exp));
+        std::hint::black_box(ladder_batch(&plan, &bases));
     });
     let multi_s = median_secs(15, || {
-        std::hint::black_box(ctx.pow_multi_ctx(&bases, &exp));
+        std::hint::black_box(plan.pow_batch(&bases));
     });
     // Forced-scalar interleaved kernel: the honest baseline for the SIMD
     // speedup claim (identical ladder, no IFMA dispatch).
@@ -836,7 +841,6 @@ fn main() {
         std::hint::black_box(ctx.pow_batch_scalar(&bases, &exp));
     });
     let simd_active = ctx.simd_active();
-    let sliding_speedup = fixed4_s / sliding_s;
     let multi_speedup = sliding_s / multi_s;
     let simd_speedup = scalar_multi_s / multi_s;
 
@@ -873,12 +877,10 @@ fn main() {
     println!("  \"host_cores\": {host_cores},");
     println!("  \"modexp_512_fixed_exponent\": {{");
     println!("    \"batch_size\": {batch},");
-    println!("    \"fixed4_reference_us\": {:.1},", us(fixed4_s));
     println!("    \"sliding_window_us\": {:.1},", us(sliding_s));
     println!("    \"pow_multi_us\": {:.1},", us(multi_s));
     println!("    \"scalar_multi_us\": {:.1},", us(scalar_multi_s));
     println!("    \"simd_active\": {simd_active},");
-    println!("    \"sliding_speedup_vs_fixed4\": {sliding_speedup:.3},");
     println!("    \"pow_multi_speedup_vs_sliding\": {multi_speedup:.3},");
     println!("    \"simd_speedup_vs_scalar_multi\": {simd_speedup:.3}");
     println!("  }},");

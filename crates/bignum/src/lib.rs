@@ -13,7 +13,9 @@
 //! * modular arithmetic ([`modular`]) — addition, subtraction,
 //!   multiplication, extended-Euclid inversion and the Jacobi symbol,
 //! * [`montgomery::MontgomeryCtx`] — CIOS Montgomery multiplication and
-//!   fixed-window modular exponentiation (the paper's `Ce` cost unit),
+//!   sliding-window modular exponentiation (the paper's `Ce` cost unit),
+//!   with [`FixedExponentPlan`] as the one batch dispatch over the lane
+//!   kernels of [`fixpow`],
 //! * [`prime`] — deterministic trial division plus Miller–Rabin,
 //! * [`safe_prime`] — safe-prime generation and the standard RFC 2409 /
 //!   RFC 3526 safe primes (768–2048 bits) used by the benchmarks,
@@ -46,7 +48,6 @@ mod mul;
 mod shift;
 mod ubig;
 
-pub mod barrett;
 pub mod error;
 pub mod fixpow;
 pub mod limb;

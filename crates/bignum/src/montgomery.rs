@@ -8,23 +8,19 @@
 //! benchmark calibrates `Ce` on the host machine through this code.
 //!
 //! Exponentiation squares far more often than it multiplies (~80% of the
-//! window-method work), so squarings go through [`MontgomeryCtx::sqr_elem`]'s
-//! dedicated kernel: the symmetric half of the partial products is computed
-//! once and doubled, cutting the multiply count from `2s²` to `~1.5s²`
-//! per squaring. On top of that, [`MontgomeryCtx::pow`] uses sliding
-//! windows with an odd-powers-only table, trimming both the precompute
-//! (half the entries of a fixed-window table) and the number of window
-//! multiplies. The pre-optimization fixed-4-bit path is kept as
-//! [`MontgomeryCtx::pow_fixed4_reference`] so the `BENCH_protocols.json`
-//! trajectory can regress the speedup forever.
+//! window-method work), so squarings go through a dedicated kernel: the
+//! symmetric half of the partial products is computed once and doubled,
+//! cutting the multiply count from `2s²` to `~1.5s²` per squaring. On top
+//! of that, [`MontgomeryCtx::pow`] uses sliding windows with an
+//! odd-powers-only table, trimming both the precompute (half the entries
+//! of a fixed-window table) and the number of window multiplies. Batches
+//! under one exponent go through [`crate::FixedExponentPlan`], which
+//! replays the same recoding on the lane kernels of [`crate::fixpow`].
 
 use crate::error::BigNumError;
 use crate::fixpow::{sqr_lanes, with_lane_width};
 use crate::limb::{adc, mul_wide, Limb, LIMB_BITS};
 use crate::UBig;
-
-/// Fixed window width of the reference (pre-optimization) exponentiation.
-const WINDOW: u32 = 4;
 
 /// Largest sliding-window width [`window_for_bits`] will pick.
 const MAX_WINDOW: u32 = 6;
@@ -222,49 +218,10 @@ impl MontgomeryCtx {
     }
 
     /// CIOS Montgomery multiplication: returns `a · b · R⁻¹ mod n` over
-    /// fixed-width limb vectors.
+    /// fixed-width limb vectors, in a single allocation.
     fn mont_mul(&self, a: &[Limb], b: &[Limb]) -> Vec<Limb> {
-        let s = self.limbs();
-        debug_assert_eq!(a.len(), s);
-        debug_assert_eq!(b.len(), s);
-        let mut t = vec![0 as Limb; s + 2];
-        for &ai in a {
-            // t += ai * b
-            let mut carry: Limb = 0;
-            for j in 0..s {
-                t[j] = crate::limb::mac(t[j], ai, b[j], &mut carry);
-            }
-            let mut c2: Limb = 0;
-            t[s] = adc(t[s], carry, &mut c2);
-            t[s + 1] = c2;
-
-            // m = t[0] * n0_inv mod 2^64; t = (t + m*n) / 2^64
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let mut carry: Limb = 0;
-            // First step: low limb becomes zero by construction.
-            let _ = crate::limb::mac(t[0], m, self.n[0], &mut carry);
-            for j in 1..s {
-                t[j - 1] = crate::limb::mac(t[j], m, self.n[j], &mut carry);
-            }
-            let mut c2: Limb = 0;
-            t[s - 1] = adc(t[s], carry, &mut c2);
-            t[s] = t[s + 1] + c2; // cannot overflow: t < 2n·R
-            t[s + 1] = 0;
-        }
-        let mut out = t;
-        out.truncate(s + 1);
-        // Conditional subtraction: result < 2n, so one pass suffices.
-        if out[s] != 0 || geq(&out[..s], &self.n) {
-            // When the carry limb is set, subtracting n must clear it.
-            let mut borrow: Limb = 0;
-            #[allow(clippy::needless_range_loop)] // lockstep limb walk
-            for i in 0..s {
-                out[i] = crate::limb::sbb(out[i], self.n[i], &mut borrow);
-            }
-            out[s] = out[s].wrapping_sub(borrow);
-            debug_assert_eq!(out[s], 0);
-        }
-        out.truncate(s);
+        let mut out = Vec::with_capacity(self.limbs() + 2);
+        self.mont_mul_to(a, b, &mut out);
         out
     }
 
@@ -282,25 +239,16 @@ impl MontgomeryCtx {
         UBig::from_limbs(self.mont_mul(x, &one))
     }
 
-    /// CIOS Montgomery squaring: returns `a² · R⁻¹ mod n`.
+    /// Montgomery squaring: writes `a² · R⁻¹ mod n` into `out`.
     ///
     /// Computes the strict upper triangle of the partial-product matrix
     /// once, doubles it with a single shift pass, adds the diagonal
     /// `aᵢ²` terms, then runs a separate Montgomery reduction over the
     /// double-width result — `s(s-1)/2 + s` limb multiplies for the
     /// square plus `s²` for the reduction, versus `2s²` for
-    /// [`Self::mont_mul`].
-    fn mont_sqr(&self, a: &[Limb]) -> Vec<Limb> {
-        let mut t = Vec::new();
-        let mut out = Vec::new();
-        self.mont_sqr_to(a, &mut t, &mut out);
-        out
-    }
-
-    /// [`Self::mont_sqr`] writing into caller-owned buffers: `t` is the
-    /// double-width scratch, `out` receives the `s`-limb result. The
-    /// exponentiation ladder reuses both across hundreds of squarings so
-    /// the hot loop never touches the allocator.
+    /// [`Self::mont_mul_to`]. `t` is the double-width scratch; the
+    /// exponentiation ladder reuses both buffers across hundreds of
+    /// squarings so the hot loop never touches the allocator.
     fn mont_sqr_to(&self, a: &[Limb], t: &mut Vec<Limb>, out: &mut Vec<Limb>) {
         let s = self.limbs();
         debug_assert_eq!(a.len(), s);
@@ -403,15 +351,16 @@ impl MontgomeryCtx {
         }
     }
 
-    /// [`Self::mont_mul`] writing into caller-owned buffers, for the
-    /// exponentiation hot loop. `t` is the `s + 2`-limb scratch, `out`
-    /// receives the `s`-limb product. Kept separate from [`Self::mont_mul`]
-    /// so the committed [`Self::pow_fixed4_reference`] baseline is
-    /// untouched by hot-path tuning.
-    fn mont_mul_to(&self, a: &[Limb], b: &[Limb], t: &mut Vec<Limb>, out: &mut Vec<Limb>) {
+    /// The crate's one CIOS Montgomery multiplication: writes
+    /// `a · b · R⁻¹ mod n` into `out`, which doubles as the `s + 2`-limb
+    /// row buffer and ends holding the `s`-limb product. The
+    /// exponentiation ladder passes the same buffers to every call, so
+    /// its hot loop never touches the allocator.
+    fn mont_mul_to(&self, a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
         let s = self.limbs();
         debug_assert_eq!(a.len(), s);
         debug_assert_eq!(b.len(), s);
+        let t = out;
         t.clear();
         t.resize(s + 2, 0);
         for &ai in a {
@@ -437,16 +386,16 @@ impl MontgomeryCtx {
             t[s] = t[s + 1] + c2; // cannot overflow: t < 2n·R
             t[s + 1] = 0;
         }
-        out.clear();
-        out.extend_from_slice(&t[..s]);
         let top = t[s];
+        t.truncate(s);
         // Conditional subtraction: result < 2n, so one pass suffices.
-        if top != 0 || geq(out, &self.n) {
+        if top != 0 || geq(t, &self.n) {
             let mut borrow: Limb = 0;
             #[allow(clippy::needless_range_loop)] // lockstep limb walk
             for i in 0..s {
-                out[i] = crate::limb::sbb(out[i], self.n[i], &mut borrow);
+                t[i] = crate::limb::sbb(t[i], self.n[i], &mut borrow);
             }
+            // When the carry limb was set, subtracting n must clear it.
             debug_assert_eq!(top.wrapping_sub(borrow), 0);
         }
     }
@@ -458,67 +407,13 @@ impl MontgomeryCtx {
         self.from_mont(&self.mont_mul(&am, &bm))
     }
 
-    /// `a² mod n` through the dedicated squaring kernel.
-    pub fn sqr(&self, a: &UBig) -> UBig {
-        let am = self.to_mont(a);
-        self.from_mont(&self.mont_sqr(&am))
-    }
-
-    /// Lifts `x` into Montgomery form for repeated kernel-level work.
-    pub fn lift(&self, x: &UBig) -> MontElem {
-        MontElem(self.to_mont(x))
-    }
-
-    /// Converts a Montgomery-form element back to an ordinary integer.
-    pub fn retrieve(&self, x: &MontElem) -> UBig {
-        self.from_mont(&x.0)
-    }
-
-    /// One Montgomery multiplication over lifted elements
-    /// (`a · b · R⁻¹ mod n`, staying in Montgomery form).
-    pub fn mul_elem(&self, a: &MontElem, b: &MontElem) -> MontElem {
-        MontElem(self.mont_mul(&a.0, &b.0))
-    }
-
-    /// One Montgomery squaring over a lifted element, through the
-    /// dedicated kernel (`a² · R⁻¹ mod n`, staying in Montgomery form).
-    pub fn sqr_elem(&self, a: &MontElem) -> MontElem {
-        MontElem(self.mont_sqr(&a.0))
-    }
-
     /// `base^exponent mod n` by sliding-window exponentiation with an
     /// odd-powers-only table and the dedicated squaring kernel. Window
-    /// width is chosen from the exponent's bit length.
+    /// width is chosen from the exponent's bit length. For many bases
+    /// under one exponent, build a [`crate::FixedExponentPlan`] instead.
     pub fn pow(&self, base: &UBig, exponent: &UBig) -> UBig {
-        self.pow_with_window(base, exponent, window_for_bits(exponent.bit_len()))
-    }
-
-    /// [`Self::pow`] with an explicit window width (clamped to
-    /// `1..=6`) — exposed for the window-width ablation bench.
-    pub fn pow_with_window(&self, base: &UBig, exponent: &UBig, window: u32) -> UBig {
-        let base_m = self.to_mont(base);
-        self.from_mont(&self.pow_mont(&base_m, exponent, window))
-    }
-
-    /// Exponentiates every base in `bases` to the same `exponent`,
-    /// reusing this context's precomputed state across the batch. This is
-    /// the protocol hot path: one commutative-encryption round raises the
-    /// whole codeword set to a fixed secret exponent.
-    pub fn pow_batch(&self, bases: &[UBig], exponent: &UBig) -> Vec<UBig> {
-        let window = window_for_bits(exponent.bit_len());
-        // Recode the exponent once: every base replays the same plan, so
-        // the per-base cost is pure kernel work (no bit scanning).
-        let plan = recode_exponent(exponent, window.clamp(1, MAX_WINDOW));
-        bases
-            .iter()
-            .map(|b| self.from_mont(&self.pow_planned(&self.to_mont(b), &plan)))
-            .collect()
-    }
-
-    /// Core sliding-window ladder over Montgomery-form operands.
-    fn pow_mont(&self, base_m: &[Limb], exponent: &UBig, window: u32) -> Vec<Limb> {
-        let plan = recode_exponent(exponent, window.clamp(1, MAX_WINDOW));
-        self.pow_planned(base_m, &plan)
+        let plan = recode_exponent(exponent, window_for_bits(exponent.bit_len()));
+        self.from_mont(&self.pow_planned(&self.to_mont(base), &plan))
     }
 
     /// Executes a recoded exponent against one Montgomery-form base.
@@ -534,7 +429,9 @@ impl MontgomeryCtx {
         };
         let s = self.limbs();
         let mut wide: Vec<Limb> = Vec::with_capacity(2 * s + 1);
-        let mut tmp: Vec<Limb> = Vec::with_capacity(s);
+        // Sized for the multiply's row buffer, so both ping-pong buffers
+        // serve either kernel without regrowing.
+        let mut tmp: Vec<Limb> = Vec::with_capacity(s + 2);
 
         // Odd powers only: table[i] = base^(2i+1) in Montgomery form,
         // built just far enough to cover the plan's largest index.
@@ -545,19 +442,19 @@ impl MontgomeryCtx {
             let mut base_sq = Vec::new();
             self.mont_sqr_to(base_m, &mut wide, &mut base_sq);
             for i in 1..table_len {
-                let mut next = Vec::with_capacity(s);
-                self.mont_mul_to(&table[i - 1], &base_sq, &mut wide, &mut next);
+                let next = self.mont_mul(&table[i - 1], &base_sq);
                 table.push(next);
             }
         }
 
-        let mut acc = table[init_idx].clone();
+        let mut acc: Vec<Limb> = Vec::with_capacity(s + 2);
+        acc.extend_from_slice(&table[init_idx]);
         for step in &plan.steps {
             for _ in 0..step.squarings {
                 self.mont_sqr_to(&acc, &mut wide, &mut tmp);
                 std::mem::swap(&mut acc, &mut tmp);
             }
-            self.mont_mul_to(&acc, &table[step.table_idx], &mut wide, &mut tmp);
+            self.mont_mul_to(&acc, &table[step.table_idx], &mut tmp);
             std::mem::swap(&mut acc, &mut tmp);
         }
         for _ in 0..plan.tail_squarings {
@@ -566,65 +463,7 @@ impl MontgomeryCtx {
         }
         acc
     }
-
-    /// The pre-optimization fixed 4-bit-window exponentiation (generic
-    /// CIOS multiply for squarings, full even+odd table). Kept as the
-    /// committed baseline for the `BENCH_protocols.json` speedup
-    /// trajectory; protocol code must use [`Self::pow`].
-    ///
-    /// The original formulation skipped the window multiply whenever a
-    /// window's bits happened to be all zero — a data-dependent branch on
-    /// exponent material (the SEC02 finding baselined in PR 6). The ladder
-    /// now runs a constant schedule for a given bit length: every window
-    /// below the top one performs [`WINDOW`] squarings followed by an
-    /// unconditional multiply with `table[idx]` (`table[0]` is 1 in
-    /// Montgomery form, so zero windows cost the same multiply as any
-    /// other). Results are unchanged; only the skip is gone.
-    pub fn pow_fixed4_reference(&self, base: &UBig, exponent: &UBig) -> UBig {
-        if exponent.is_zero() {
-            return UBig::one().rem_ref(&self.modulus).expect("nonzero");
-        }
-        let base_m = self.to_mont(base);
-
-        // Precompute base^0..base^15 in Montgomery form.
-        let table_len = 1usize << WINDOW;
-        let mut table = Vec::with_capacity(table_len);
-        table.push(self.one_mont.clone());
-        for i in 1..table_len {
-            let prev: &Vec<Limb> = &table[i - 1];
-            table.push(self.mont_mul(prev, &base_m));
-        }
-
-        let window_idx = |w: u64| {
-            let mut idx: usize = 0;
-            for b in (0..WINDOW as u64).rev() {
-                let bit_pos = w * WINDOW as u64 + b;
-                idx = (idx << 1) | exponent.bit(bit_pos) as usize;
-            }
-            idx
-        };
-
-        let bits = exponent.bit_len();
-        let windows = bits.div_ceil(WINDOW as u64);
-        // The top window contains the exponent's leading set bit, so it
-        // seeds the accumulator directly; every remaining window squares
-        // then multiplies, unconditionally.
-        let mut acc = table[window_idx(windows - 1)].clone();
-        for w in (0..windows - 1).rev() {
-            for _ in 0..WINDOW {
-                acc = self.mont_mul(&acc, &acc);
-            }
-            acc = self.mont_mul(&acc, &table[window_idx(w)]);
-        }
-        self.from_mont(&acc)
-    }
 }
-
-/// An element in Montgomery representation, produced by
-/// [`MontgomeryCtx::lift`] and only meaningful with the context that
-/// created it (mixing contexts of different limb widths is a logic error).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MontElem(Vec<Limb>);
 
 #[cfg(test)]
 mod tests {
@@ -699,43 +538,70 @@ mod tests {
 
     #[test]
     fn sqr_matches_mul() {
-        let m =
-            UBig::from_hex_str("f37fa8e5afa15b9d4b2f7c8d6e5a4b3c2d1e0f9a8b7c6d5e4f3a2b1c0d9e8f71")
-                .unwrap();
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        let mut x = UBig::from_hex_str("123456789abcdef0fedcba9876543210").unwrap();
-        for _ in 0..50 {
-            assert_eq!(ctx.sqr(&x), ctx.mul(&x, &x));
-            x = ctx.sqr(&x);
+        // The squaring kernel against the CIOS multiply, chained in
+        // Montgomery form the way the ladder runs them: at a dispatched
+        // width (4 limbs: the lane kernel at one lane) and at an
+        // undispatched one (3 limbs: the generic triangle + REDC).
+        for modulus in [
+            "f37fa8e5afa15b9d4b2f7c8d6e5a4b3c2d1e0f9a8b7c6d5e4f3a2b1c0d9e8f71",
+            "f37fa8e5afa15b9d4b2f7c8d6e5a4b3c2d1e0f9a8b7c6d5f",
+        ] {
+            let ctx = MontgomeryCtx::new(&UBig::from_hex_str(modulus).unwrap()).unwrap();
+            let mut x =
+                ctx.to_mont(&UBig::from_hex_str("123456789abcdef0fedcba9876543210").unwrap());
+            let (mut wide, mut sq) = (Vec::new(), Vec::new());
+            for _ in 0..50 {
+                ctx.mont_sqr_to(&x, &mut wide, &mut sq);
+                assert_eq!(sq, ctx.mont_mul(&x, &x), "{} limbs", ctx.limbs());
+                x.clone_from(&sq);
+            }
         }
     }
 
     #[test]
     fn mont_elem_kernel_roundtrip() {
+        // Into Montgomery form and back, the multiply staying in form, and
+        // the multiply overwriting whatever its reused buffer held.
         let m = UBig::from(1_000_000_007u64);
         let ctx = MontgomeryCtx::new(&m).unwrap();
         let a = UBig::from(999_999_999u64);
         let b = UBig::from(123_456_789u64);
-        let (am, bm) = (ctx.lift(&a), ctx.lift(&b));
-        assert_eq!(ctx.retrieve(&am), a);
-        assert_eq!(ctx.retrieve(&ctx.mul_elem(&am, &bm)), ctx.mul(&a, &b));
-        assert_eq!(ctx.retrieve(&ctx.sqr_elem(&am)), ctx.sqr(&a));
-        assert_eq!(ctx.mul_elem(&am, &am), ctx.sqr_elem(&am));
+        let (am, bm) = (ctx.to_mont(&a), ctx.to_mont(&b));
+        assert_eq!(ctx.from_mont(&am), a);
+        let ab = ctx.mont_mul(&am, &bm);
+        assert_eq!(ctx.from_mont(&ab), a.mod_mul(&b, &m).unwrap());
+        let mut dirty = vec![Limb::MAX; 5];
+        ctx.mont_mul_to(&am, &bm, &mut dirty);
+        assert_eq!(dirty, ab);
     }
 
     #[test]
     fn all_window_widths_agree_with_oracle() {
+        // Exponents on both sides of every `window_for_bits` boundary, so
+        // each sliding-window width 1..=6 runs against the oracle.
         let m =
             UBig::from_hex_str("f37fa8e5afa15b9d4b2f7c8d6e5a4b3c2d1e0f9a8b7c6d5e4f3a2b1c0d9e8f71")
                 .unwrap();
         let ctx = MontgomeryCtx::new(&m).unwrap();
         let base = UBig::from_hex_str("123456789abcdef0fedcba9876543210").unwrap();
-        let exp = UBig::from_hex_str("deadbeefcafebabe0123456789abcdef").unwrap();
-        let want = base.modpow_binary(&exp, &m);
-        for w in 0..=8u32 {
-            // widths outside 1..=6 are clamped, so every call must agree
-            assert_eq!(ctx.pow_with_window(&base, &exp, w), want, "window={w}");
+        // A dense 768-bit pattern to cut mixed exponents from.
+        let pattern = UBig::from_hex_str(&"deadbeefcafebabe0123456789abcdef".repeat(6)).unwrap();
+        let mut widths = Vec::new();
+        for bits in [7u64, 8, 23, 24, 79, 80, 239, 240, 767, 768] {
+            let top = UBig::one().shl_bits(bits - 1);
+            let all_ones = UBig::one().shl_bits(bits).sub_small(1).unwrap();
+            let mixed = pattern.low_bits(bits - 1).add_ref(&top);
+            for exp in [top, all_ones, mixed] {
+                assert_eq!(exp.bit_len(), bits);
+                assert_eq!(
+                    ctx.pow(&base, &exp),
+                    base.modpow_binary(&exp, &m),
+                    "exponent bits={bits}"
+                );
+            }
+            widths.push(window_for_bits(bits));
         }
+        assert_eq!(widths, [1, 2, 2, 3, 3, 4, 4, 5, 5, MAX_WINDOW]);
     }
 
     #[test]
@@ -769,37 +635,16 @@ mod tests {
     #[test]
     fn pow_batch_matches_pointwise_pow() {
         let m = UBig::from(1_000_000_007u64);
-        let ctx = MontgomeryCtx::new(&m).unwrap();
+        let ctx = std::sync::Arc::new(MontgomeryCtx::new(&m).unwrap());
         let exp = UBig::from(65537u64);
+        let plan = crate::FixedExponentPlan::new(std::sync::Arc::clone(&ctx), &exp);
         let bases: Vec<UBig> = (0u64..20).map(|i| UBig::from(i * 37 + 5)).collect();
-        let batch = ctx.pow_batch(&bases, &exp);
+        let batch = plan.pow_batch(&bases);
         assert_eq!(batch.len(), bases.len());
         for (b, got) in bases.iter().zip(&batch) {
             assert_eq!(got, &ctx.pow(b, &exp));
         }
-        assert!(ctx.pow_batch(&[], &exp).is_empty());
-    }
-
-    #[test]
-    fn fixed4_reference_matches_sliding_pow() {
-        let m =
-            UBig::from_hex_str("f37fa8e5afa15b9d4b2f7c8d6e5a4b3c2d1e0f9a8b7c6d5e4f3a2b1c0d9e8f71")
-                .unwrap();
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        let base = UBig::from_hex_str("123456789abcdef0fedcba9876543210").unwrap();
-        for exp in [
-            UBig::zero(),
-            UBig::one(),
-            UBig::from(65537u64),
-            m.sub_small(2).unwrap(),
-        ] {
-            assert_eq!(
-                ctx.pow_fixed4_reference(&base, &exp),
-                ctx.pow(&base, &exp),
-                "exp bits={}",
-                exp.bit_len()
-            );
-        }
+        assert!(plan.pow_batch(&[]).is_empty());
     }
 
     #[test]

@@ -21,18 +21,13 @@ impl UBig {
             return UBig::zero();
         }
         if modulus.is_odd() {
+            // Same-modulus loops should build the context once and call
+            // `MontgomeryCtx::pow`: this pays the `R mod n` / `R² mod n`
+            // precompute divisions on every call.
             let ctx = MontgomeryCtx::new(modulus).expect("odd modulus > 1");
-            return self.modpow_with_ctx(exponent, &ctx);
+            return ctx.pow(self, exponent);
         }
         self.modpow_binary(exponent, modulus)
-    }
-
-    /// `self^exponent mod ctx.modulus()` through an existing Montgomery
-    /// context. Same-modulus loops should build the context once and call
-    /// this instead of [`UBig::modpow`], which pays the `R mod n` / `R² mod n`
-    /// precompute divisions on every call.
-    pub fn modpow_with_ctx(&self, exponent: &UBig, ctx: &MontgomeryCtx) -> UBig {
-        ctx.pow(self, exponent)
     }
 
     /// Schoolbook square-and-multiply with division-based reduction.

@@ -108,7 +108,7 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
         Service::new(
             group,
             entries,
-            EncryptPool::new(2),
+            EncryptPool::new(crate::pool_workers()),
             PipelineConfig::default(),
             record_len,
             seed,
@@ -326,7 +326,7 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         group.kernel_tier()
     );
 
-    let pool = EncryptPool::new(0);
+    let pool = EncryptPool::new(crate::pool_workers());
     let config = PipelineConfig::default();
     let shard_cfg = ShardConfig {
         shards,

@@ -534,7 +534,8 @@ struct RunSummary {
     k_prime_bits: u64,
 }
 
-/// Worker threads for the CLI's encryption pool: leave one core for the
+/// Worker threads for every encryption pool the binary builds — `serve`,
+/// `client` and the one-shot verbs alike: leave one core for the
 /// protocol thread, cap modestly. A 0-worker pool runs jobs inline, so
 /// single-core hosts behave exactly as before.
 fn pool_workers() -> usize {

@@ -120,23 +120,13 @@ impl QrGroup {
         key.dec_plan(self.mont_ctx()).pow(y)
     }
 
-    /// `f_e` over a whole batch through the multi-lane fixed-exponent
-    /// kernel (`pow_multi_ctx`): one recoding, [`minshare_bignum::fixpow::LANES`]
-    /// interleaved Montgomery lanes per window step. Same results as
-    /// mapping [`QrGroup::encrypt`], faster per item.
+    /// `f_e` over a whole batch on the calling thread, through the key's
+    /// cached plan and the multi-lane batch dispatch
+    /// ([`minshare_bignum::FixedExponentPlan::pow_batch`]). Same results
+    /// as mapping [`QrGroup::encrypt`], faster per item. For parallel
+    /// batches use [`crate::EncryptPool`].
     pub fn encrypt_many(&self, key: &CommutativeKey, items: &[UBig]) -> Vec<UBig> {
         key.enc_plan(self.mont_ctx()).pow_batch(items)
-    }
-
-    /// `f_e⁻¹` over a whole batch through the multi-lane kernel.
-    pub fn decrypt_many(&self, key: &CommutativeKey, items: &[UBig]) -> Vec<UBig> {
-        key.dec_plan(self.mont_ctx()).pow_batch(items)
-    }
-
-    /// `f_e(h(v))` over a whole batch of raw values.
-    pub fn hash_encrypt_many(&self, key: &CommutativeKey, values: &[Vec<u8>]) -> Vec<UBig> {
-        let hashes: Vec<UBig> = values.iter().map(|v| self.hash_to_group(v)).collect();
-        self.encrypt_many(key, &hashes)
     }
 
     /// Checked variant of [`QrGroup::encrypt`] for untrusted inputs.

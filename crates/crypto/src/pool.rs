@@ -1,12 +1,14 @@
 //! Persistent work-stealing encryption pool.
 //!
 //! §6.2 of the paper assumes "P processors that we can utilize in
-//! parallel" when dividing its time estimates. [`crate::batch`] supplies
-//! that `P` per call by spawning scoped threads; this module makes the
-//! workers *persistent* so one pool, sized once per session, serves every
-//! protocol round without re-paying thread spawn/join on each batch — the
-//! structure the chunked engine in `minshare-core` needs, where
-//! many small batches are in flight at once.
+//! parallel" when dividing its time estimates: *"Encrypting the set of
+//! values is trivially parallelizable in all three protocols."* This
+//! module supplies that `P` with *persistent* workers, so one pool, sized
+//! once per process, serves every protocol round without re-paying thread
+//! spawn/join on each batch — the structure the chunked engine in
+//! `minshare-core` needs, where many small batches are in flight at once.
+//! It is the one parallel path to `Ce`: every claim runs
+//! [`FixedExponentPlan::pow_batch`] on its slice.
 //!
 //! Work distribution is by atomic sub-chunk claiming: every dispatched
 //! job sits on a shared run queue, and each worker (plus the waiting
@@ -76,7 +78,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use minshare_bignum::{FixedExponentPlan, UBig};
 
-use crate::batch::effective_threads;
 use crate::commutative::CommutativeKey;
 use crate::group::QrGroup;
 
@@ -327,55 +328,13 @@ fn worker_loop(queue: &RunQueue) {
     }
 }
 
-/// The operation a job applies to each of its items.
-enum PoolTask {
-    /// `f_e(x)` over group elements.
-    Encrypt(Vec<UBig>),
-    /// `f_e⁻¹(x)` over group elements.
-    Decrypt(Vec<UBig>),
-    /// `f_e(h(v))` over raw byte values.
-    HashEncrypt(Vec<Vec<u8>>),
-}
-
-impl PoolTask {
-    fn len(&self) -> usize {
-        match self {
-            PoolTask::Encrypt(v) | PoolTask::Decrypt(v) => v.len(),
-            PoolTask::HashEncrypt(v) => v.len(),
-        }
-    }
-
-    /// Applies the operation to `range` through the job's fixed-exponent
-    /// plan (multi-lane within the claim), or `None` if the range is out
-    /// of bounds (unreachable for cursor-claimed ranges).
-    fn eval_range(
-        &self,
-        group: &QrGroup,
-        plan: &FixedExponentPlan,
-        start: usize,
-        end: usize,
-    ) -> Option<Vec<UBig>> {
-        match self {
-            PoolTask::Encrypt(v) | PoolTask::Decrypt(v) => Some(plan.pow_batch(v.get(start..end)?)),
-            PoolTask::HashEncrypt(v) => {
-                let hashes: Vec<UBig> = v
-                    .get(start..end)?
-                    .iter()
-                    .map(|x| group.hash_to_group(x))
-                    .collect();
-                Some(plan.pow_batch(&hashes))
-            }
-        }
-    }
-}
-
 /// What a broadcast job asks the workers to do.
 enum JobWork {
-    /// A batch of cipher operations under one fixed-exponent plan.
+    /// Raise every item to the plan's exponent — `f_e` under an encrypt
+    /// plan, `f_e⁻¹` under a decrypt plan.
     Crypto {
-        group: QrGroup,
         plan: Arc<FixedExponentPlan>,
-        task: PoolTask,
+        items: Vec<UBig>,
     },
     /// Construction-time dispatch probe: the first claimer sends one
     /// empty marker so the pool can time a channel round-trip.
@@ -415,7 +374,7 @@ impl PoolJob {
     fn exhausted(&self) -> bool {
         match &self.work {
             JobWork::Probe => self.cursor.0.load(Ordering::Relaxed) > 0,
-            JobWork::Crypto { task, .. } => self.cursor.0.load(Ordering::Relaxed) >= task.len(),
+            JobWork::Crypto { items, .. } => self.cursor.0.load(Ordering::Relaxed) >= items.len(),
         }
     }
 
@@ -434,8 +393,8 @@ impl PoolJob {
                 }
                 0
             }
-            JobWork::Crypto { group, plan, task } => {
-                let total = task.len();
+            JobWork::Crypto { plan, items } => {
+                let total = items.len();
                 let claimed = self.cursor.0.load(Ordering::Relaxed);
                 if claimed >= total {
                     return 0;
@@ -457,7 +416,9 @@ impl PoolJob {
                 }
                 let end = start.saturating_add(want).min(total);
                 let eval_started = Instant::now();
-                if let Some(out) = task.eval_range(group, plan, start, end) {
+                // Always `Some`: a cursor-claimed range is in bounds.
+                if let Some(claim) = items.get(start..end) {
+                    let out = plan.pow_batch(claim);
                     record_item_cost(&self.tuning, eval_started.elapsed(), end - start);
                     // A send error means the caller abandoned the batch;
                     // keep draining the cursor so the job finishes quietly.
@@ -483,7 +444,7 @@ impl PoolJob {
     fn total_items(&self) -> usize {
         match &self.work {
             JobWork::Probe => 0,
-            JobWork::Crypto { task, .. } => task.len(),
+            JobWork::Crypto { items, .. } => items.len(),
         }
     }
 }
@@ -595,8 +556,10 @@ impl EncryptPool {
     /// and every job runs inline, which measurably beats oversubscribing.
     /// `threads == 0` is valid: jobs then always run on the caller.
     pub fn new(threads: usize) -> Self {
-        let workers = effective_threads(threads.saturating_add(1), usize::MAX).saturating_sub(1);
-        Self::build(workers.min(threads))
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        Self::build(threads.min(cores.saturating_sub(1)))
     }
 
     /// Creates a pool with exactly `threads` workers, bypassing the core
@@ -716,12 +679,8 @@ impl EncryptPool {
         ((self.dispatch_overhead_ns() / item) as usize).clamp(MIN_CLAIM, MAX_INLINE)
     }
 
-    fn submit(&self, group: &QrGroup, key: &CommutativeKey, task: PoolTask) -> PendingBatch {
-        let total = task.len();
-        let plan = match &task {
-            PoolTask::Encrypt(_) | PoolTask::HashEncrypt(_) => key.enc_plan(group.mont_ctx()),
-            PoolTask::Decrypt(_) => key.dec_plan(group.mont_ctx()),
-        };
+    fn submit(&self, plan: Arc<FixedExponentPlan>, items: &[UBig]) -> PendingBatch {
+        let total = items.len();
         let session = self.bound_session();
         let inline = total <= self.inline_threshold();
         self.counters.jobs.0.fetch_add(1, Ordering::Relaxed);
@@ -742,7 +701,7 @@ impl EncryptPool {
         });
         if inline {
             let started = Instant::now();
-            let out = task.eval_range(group, &plan, 0, total).unwrap_or_default();
+            let out = plan.pow_batch(items);
             record_item_cost(&self.tuning, started.elapsed(), total);
             // Inline runs still enter the session's exactly-once ledger.
             session.claimed.0.fetch_add(total as u64, Ordering::Relaxed);
@@ -757,9 +716,8 @@ impl EncryptPool {
         let (tx, rx) = unbounded();
         let job = Arc::new(PoolJob {
             work: JobWork::Crypto {
-                group: group.clone(),
                 plan,
-                task,
+                items: items.to_vec(),
             },
             cursor: CachePadded(AtomicUsize::new(0)),
             parties: self.workers.len() + 1,
@@ -806,7 +764,7 @@ impl EncryptPool {
         key: &CommutativeKey,
         items: &[UBig],
     ) -> PendingBatch {
-        self.submit(group, key, PoolTask::Encrypt(items.to_vec()))
+        self.submit(key.enc_plan(group.mont_ctx()), items)
     }
 
     /// Starts decrypting `items` with `key`; returns immediately.
@@ -816,37 +774,13 @@ impl EncryptPool {
         key: &CommutativeKey,
         items: &[UBig],
     ) -> PendingBatch {
-        self.submit(group, key, PoolTask::Decrypt(items.to_vec()))
+        self.submit(key.dec_plan(group.mont_ctx()), items)
     }
 
-    /// Starts hash-then-encrypt (`f_e(h(v))`) over raw values.
-    pub fn submit_hash_encrypt(
-        &self,
-        group: &QrGroup,
-        key: &CommutativeKey,
-        values: &[Vec<u8>],
-    ) -> PendingBatch {
-        self.submit(group, key, PoolTask::HashEncrypt(values.to_vec()))
-    }
-
-    /// Convenience: submit + wait. Drop-in for [`crate::batch::encrypt_batch`].
+    /// Convenience: submit + wait. Returns exactly what
+    /// [`QrGroup::encrypt_many`] returns, with the pool's workers helping.
     pub fn encrypt_batch(&self, group: &QrGroup, key: &CommutativeKey, items: &[UBig]) -> Vec<UBig> {
         self.submit_encrypt(group, key, items).wait()
-    }
-
-    /// Convenience: submit + wait for decryption.
-    pub fn decrypt_batch(&self, group: &QrGroup, key: &CommutativeKey, items: &[UBig]) -> Vec<UBig> {
-        self.submit_decrypt(group, key, items).wait()
-    }
-
-    /// Convenience: submit + wait for hash-then-encrypt.
-    pub fn hash_encrypt_batch(
-        &self,
-        group: &QrGroup,
-        key: &CommutativeKey,
-        values: &[Vec<u8>],
-    ) -> Vec<UBig> {
-        self.submit_hash_encrypt(group, key, values).wait()
     }
 }
 
@@ -907,7 +841,6 @@ impl Drop for EncryptPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -922,7 +855,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let key = g.gen_key(&mut rng);
         let items: Vec<UBig> = (0..41).map(|_| g.sample_element(&mut rng)).collect();
-        let serial = batch::encrypt_batch(&g, &key, &items, 1);
+        let serial = g.encrypt_many(&key, &items);
         for threads in [0usize, 1, 2, 4] {
             let pool = EncryptPool::new(threads);
             assert_eq!(pool.encrypt_batch(&g, &key, &items), serial, "t={threads}");
@@ -936,7 +869,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let key = g.gen_key(&mut rng);
         let items: Vec<UBig> = (0..MAX_INLINE + 7).map(|_| g.sample_element(&mut rng)).collect();
-        let serial = batch::encrypt_batch(&g, &key, &items, 1);
+        let serial = g.encrypt_many(&key, &items);
         let pool = EncryptPool::with_workers(2);
         assert_eq!(pool.threads(), 2);
         assert_eq!(pool.encrypt_batch(&g, &key, &items), serial);
@@ -951,7 +884,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let key = g.gen_key(&mut rng);
         let items: Vec<UBig> = (0..257).map(|_| g.sample_element(&mut rng)).collect();
-        let serial = batch::encrypt_batch(&g, &key, &items, 1);
+        let serial = g.encrypt_many(&key, &items);
         for threads in [0usize, 1, 2, 3, 4, 8] {
             let pool = EncryptPool::with_workers(threads);
             for round in 0..3 {
@@ -977,7 +910,7 @@ mod tests {
         let key = g.gen_key(&mut rng);
         for count in [MIN_CLAIM + 1, 63, 100, 255] {
             let items: Vec<UBig> = (0..count).map(|_| g.sample_element(&mut rng)).collect();
-            let serial = batch::encrypt_batch(&g, &key, &items, 1);
+            let serial = g.encrypt_many(&key, &items);
             let pool = EncryptPool::with_workers(3);
             let out = pool.encrypt_batch(&g, &key, &items);
             assert_eq!(out.len(), items.len(), "count={count}");
@@ -1007,7 +940,7 @@ mod tests {
         let pool = EncryptPool::with_workers(2);
         let items: Vec<UBig> = (0..MIN_CLAIM).map(|_| g.sample_element(&mut rng)).collect();
         let out = pool.encrypt_batch(&g, &key, &items);
-        assert_eq!(out, batch::encrypt_batch(&g, &key, &items, 1));
+        assert_eq!(out, g.encrypt_many(&key, &items));
         assert_eq!(pool.stats().inline_jobs, 1, "≤ MIN_CLAIM must not dispatch");
     }
 
@@ -1034,17 +967,20 @@ mod tests {
         let items: Vec<UBig> = (0..17).map(|_| g.sample_element(&mut rng)).collect();
         let pool = EncryptPool::with_workers(2);
         let enc = pool.encrypt_batch(&g, &key, &items);
-        assert_eq!(pool.decrypt_batch(&g, &key, &enc), items);
+        assert_eq!(pool.submit_decrypt(&g, &key, &enc).wait(), items);
     }
 
     #[test]
     fn pool_hash_encrypt_matches_pointwise() {
+        // The engine's order: hash on the protocol thread, then encrypt
+        // the hashes on the pool.
         let g = group();
         let mut rng = StdRng::seed_from_u64(13);
         let key = g.gen_key(&mut rng);
         let values: Vec<Vec<u8>> = (0..9u32).map(|i| i.to_be_bytes().to_vec()).collect();
+        let hashes: Vec<UBig> = values.iter().map(|v| g.hash_to_group(v)).collect();
         let pool = EncryptPool::with_workers(3);
-        let out = pool.hash_encrypt_batch(&g, &key, &values);
+        let out = pool.encrypt_batch(&g, &key, &hashes);
         for (v, e) in values.iter().zip(&out) {
             assert_eq!(&g.hash_encrypt(&key, v), e);
         }
@@ -1064,7 +1000,7 @@ mod tests {
             .map(|b| pool.submit_encrypt(&g, &key, b))
             .collect();
         for (b, p) in batches.iter().zip(pending) {
-            assert_eq!(p.wait(), batch::encrypt_batch(&g, &key, b, 1));
+            assert_eq!(p.wait(), g.encrypt_many(&key, b));
         }
         let stats = pool.stats();
         assert_eq!(stats.jobs, 6);
@@ -1145,7 +1081,7 @@ mod tests {
 
         // Exactly-once ledger + correctness of the small results.
         for (items, pending) in small_batches.iter().zip(pending_small) {
-            assert_eq!(pending.wait(), batch::encrypt_batch(&g, &key, items, 1));
+            assert_eq!(pending.wait(), g.encrypt_many(&key, items));
         }
         assert_eq!(large_session.items_claimed(), 65_536);
         for (i, session) in small_sessions.iter().enumerate() {

@@ -189,16 +189,6 @@ impl SraContext {
     pub fn decrypt(&self, key: &SraKey, y: &UBig) -> UBig {
         key.plans.dec_plan(&self.ctx, &key.d).pow(y)
     }
-
-    /// `f_e` over a whole batch through the multi-lane kernel.
-    pub fn encrypt_many(&self, key: &SraKey, items: &[UBig]) -> Vec<UBig> {
-        key.plans.enc_plan(&self.ctx, &key.e).pow_batch(items)
-    }
-
-    /// `f_e⁻¹` over a whole batch through the multi-lane kernel.
-    pub fn decrypt_many(&self, key: &SraKey, items: &[UBig]) -> Vec<UBig> {
-        key.plans.dec_plan(&self.ctx, &key.d).pow_batch(items)
-    }
 }
 
 #[cfg(test)]

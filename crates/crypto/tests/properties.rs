@@ -144,7 +144,7 @@ fn ot_round_trip_both_choices() {
 
 proptest! {
     // The persistent `EncryptPool` must agree with the serial
-    // `encrypt_batch` path element-for-element, at every worker count
+    // `QrGroup::encrypt_many` path element-for-element, at every worker count
     // (including 0, where the submitting thread does all the work) and
     // across batch sizes that straddle the sub-chunk claim size.
     #[test]
@@ -154,14 +154,13 @@ proptest! {
         threads in 0usize..5,
     ) {
         use minshare_bignum::UBig;
-        use minshare_crypto::batch::encrypt_batch;
         use minshare_crypto::pool::EncryptPool;
 
         let g = group();
         let mut rng = StdRng::seed_from_u64(seed);
         let key = g.gen_key(&mut rng);
         let items: Vec<UBig> = (0..n).map(|_| g.sample_element(&mut rng)).collect();
-        let serial = encrypt_batch(g, &key, &items, 1);
+        let serial = g.encrypt_many(&key, &items);
         let pool = EncryptPool::new(threads);
         prop_assert_eq!(pool.encrypt_batch(g, &key, &items), serial);
     }

@@ -208,8 +208,10 @@ esac
 cargo run -q --release -p minshare-bench --bin shard_smoke -- \
     --elements 100000 --shards 16 --mem-budget 65536 --group-bits 64 \
     --require-spill --rss-cap-kb 131072 > /dev/null
-# Smoke-run the perf suite (one pass per routine, no timing loops) so a
-# bench that stops compiling or panics fails the gate.
+# Every criterion suite must compile, so a suite no gate runs cannot rot
+# silently; then smoke-run the perf suite (one pass per routine, no
+# timing loops) so a bench that panics fails the gate.
+cargo bench -q -p minshare-bench --no-run
 cargo bench -q -p minshare-bench --bench pipeline -- --test
 # Perf-regression smoke: re-measure the end-to-end rows and compare the
 # optimized/serial ratios against the committed BENCH_protocols.json
