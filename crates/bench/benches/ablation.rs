@@ -9,7 +9,9 @@
 //! * the QR_p commutative scheme vs. SRA.
 //!
 //! The paper's `P`-processor parallel encryption assumption is timed
-//! through `EncryptPool` by the `pipeline` suite's `pool_scaling`.
+//! through `EncryptPool` by the repo benchmark (`benchmark/`), as
+//! `crypto.pool_inline_us_per_item`, `crypto.pool_2w_us_per_item` and
+//! `crypto.pool_speedup` at the 1024-bit group.
 
 use std::hint::black_box;
 

@@ -1,20 +1,22 @@
-//! Emits `BENCH_protocols.json`: the committed throughput numbers for the
-//! perf acceptance criteria — 512-bit fixed-exponent exponentiation
-//! (scalar sliding windows vs. the multi-lane interleaved kernel), the
-//! three `Ce` tiers at the 1024-bit group the daemon serves and at its
-//! other well-known groups (generic ladder, portable lanes, IFMA lanes),
-//! §6.2 `EncryptPool` scaling, and serial vs. chunk-pipelined end-to-end
-//! wall time for all four protocols.
+//! Emits `BENCH_protocols.json`: the committed `Ce` kernel-tier table —
+//! 512-bit fixed-exponent exponentiation (scalar sliding windows vs. the
+//! multi-lane interleaved kernel) and the three `Ce` tiers at the 1024-bit
+//! group the daemon serves and at its other well-known groups (generic
+//! ladder, portable lanes, IFMA lanes). End-to-end numbers live in the
+//! repo benchmark (`benchmark/`), which drives the real daemon at 1024
+//! bits.
 //!
 //! All numbers are wall-clock medians on the current host; the host's
-//! logical core count is recorded alongside so a single-core CI box's
-//! flat pool-scaling curve reads as hardware, not regression.
+//! logical core count is recorded alongside.
 //!
-//! Usage:
+//! Usage (three modes):
 //!   bench_protocols            # print a fresh JSON snapshot to stdout
-//!   bench_protocols --check    # re-measure the e2e rows and fail (exit 1)
-//!                              # if any optimized/serial ratio regressed
-//!                              # >10% vs. the committed BENCH_protocols.json
+//!   bench_protocols --check    # re-measure the kernels and fail (exit 1)
+//!                              # below either IFMA floor: 512-bit SIMD
+//!                              # >= 1.2x scalar lanes, 1024-bit IFMA >= 2x
+//!                              # portable lanes (where the committed
+//!                              # BENCH_protocols.json and this host both
+//!                              # run IFMA)
 //!   bench_protocols --profile  # run every protocol under the trace
 //!                              # metrics sink and reconcile the measured
 //!                              # Ce ops and wire bytes against §6.1;
@@ -33,30 +35,10 @@ use minshare_bignum::safe_prime::well_known_safe_prime;
 use minshare_bignum::{FixedExponentPlan, UBig};
 use minshare_costmodel::reconcile::{self, MeasuredRun, Reconciliation};
 use minshare_costmodel::section6::Protocol;
-use minshare_crypto::pool::EncryptPool;
 use minshare_trace::metrics::{MetricsRegistry, RegistrySink};
 use minshare_trace::{TraceSink, Tracer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-
-/// Minimum pool speedup at 4 threads a multicore snapshot must commit on a
-/// host with at least 4 cores; `--check` fails if a committed multicore
-/// BENCH_protocols.json falls below [`pool_scaling_floor`] for its core
-/// count (single-core snapshots are exempt — there is nothing to scale).
-const POOL_SCALING_FLOOR: f64 = 1.5;
-
-/// The pool-scaling floor for a snapshot taken on `cores` cores. The row
-/// compares `EncryptPool::new(4)` with `EncryptPool::new(1)`, and `new`
-/// clamps workers to `cores − 1` beside the helping caller, so the best a
-/// host can show is `parties(4) / parties(1)`: 2/2 on 2 cores, 3/2 on 3,
-/// 4/2 on 4. The floor asks for the same 75% of that ideal the 1.5 floor
-/// asks of a 4-core host, capped at 1.5 — on 2 cores it reads 0.75: the
-/// 4-thread pool is the 1-thread pool there and must not lose to it.
-fn pool_scaling_floor(cores: usize) -> f64 {
-    let parties = |threads: usize| 1 + threads.min(cores.saturating_sub(1));
-    let ideal = parties(4) as f64 / parties(1) as f64;
-    (0.5 * POOL_SCALING_FLOOR * ideal).min(POOL_SCALING_FLOOR)
-}
 
 /// Minimum SIMD-vs-scalar-`pow_multi` speedup at 512-bit when the IFMA
 /// backend is active on both the committed snapshot and the current host.
@@ -67,55 +49,7 @@ const SIMD_SPEEDUP_FLOOR: f64 = 1.2;
 /// the committed snapshot and the current host.
 const SIMD_1024_SPEEDUP_FLOOR: f64 = 2.0;
 
-/// The portable 4-lane tier must not lose to the ladder at 1024 bits — a
-/// no-loss guard, not the 1.1 floor the tier was sized at, which this
-/// host does not hold with a margin: the ladder squares through the same
-/// fixed-width kernel (at one lane), so the lanes measure 1.10–1.17x over
-/// it. The tier's case at this width is the end-to-end one in
-/// EXPERIMENTS.md E22 (client on lanes against client on the ladder).
-const LANES_1024_SPEEDUP_FLOOR: f64 = 1.0;
-
-/// On a multicore host the sharded intersection engine (buckets streamed
-/// through the spill sorter, encryption on the pool) must stay within
-/// this factor of the serial engine's wall clock at bench scale — the
-/// bounded-memory machinery buys O(bucket) memory, not unbounded
-/// slowdown. Single-core hosts run the pool inline with spill I/O on
-/// top and are exempt (the ratio ratchet still applies there).
-const SHARDED_OVERHEAD_CEILING: f64 = 1.5;
-
-/// Live telemetry must be close to free: a serial intersection run with
-/// the daemon's metrics registry attached (every protocol/leakage/pool
-/// event bucketed into counters and histograms) may cost at most 5% of
-/// wall clock over the identical untraced run. `--check` re-measures
-/// this ratio and fails above the ceiling, so a chatty emit site or a
-/// histogram hot-path regression shows up as a perf failure, not just a
-/// vague slowdown.
-const TELEMETRY_OVERHEAD_CEILING: f64 = 1.05;
-
-/// Peak resident set of this process in KiB (`VmHWM` from
-/// `/proc/self/status`); `None` off Linux. Monotone over the process
-/// lifetime, so per-row readings record the high-water mark *after*
-/// that row ran.
-fn vm_hwm_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// Median wall time of `samples` runs of `f`, in seconds.
-fn median_secs<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-/// Per-batch wall time of each `Ce` tier at one well-known group, 32 bases
+/// Per-batch wall time of each `Ce` tier under one modulus, 32 bases
 /// under one fixed exponent: the generic ladder (`FixedExponentPlan::pow`
 /// per base), the portable lanes (`pow_batch_scalar`) and the default
 /// dispatch (`FixedExponentPlan::pow_batch`: IFMA lanes when
@@ -139,21 +73,14 @@ impl Tiers {
     }
 }
 
-/// The generic ladder over a batch: the scalar sliding-window
-/// exponentiation once per base, replaying the plan's cached recoding.
-fn ladder_batch(plan: &FixedExponentPlan, bases: &[UBig]) -> Vec<UBig> {
-    bases.iter().map(|b| plan.pow(b)).collect()
-}
-
 /// The three tiers are timed round-robin and reduced to medians, so a slow
 /// stretch of a shared host lands on all of them alike and the ratios
 /// survive it.
-fn measure_tiers(bits: u64, samples: usize) -> Tiers {
-    let p = well_known_safe_prime(bits).expect("bundled group");
-    let ctx = Arc::new(MontgomeryCtx::new(&p).expect("odd modulus"));
+fn measure_tiers(modulus: &UBig, samples: usize) -> Tiers {
+    let ctx = Arc::new(MontgomeryCtx::new(modulus).expect("odd modulus"));
     let mut rng = StdRng::seed_from_u64(5);
-    let exp = random_below(&mut rng, &p);
-    let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, &p)).collect();
+    let exp = random_below(&mut rng, modulus);
+    let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, modulus)).collect();
     let plan = FixedExponentPlan::new(Arc::clone(&ctx), &exp);
     let secs = |f: &dyn Fn() -> Vec<UBig>| {
         let start = Instant::now();
@@ -166,12 +93,12 @@ fn measure_tiers(bits: u64, samples: usize) -> Tiers {
     };
     let (mut ladder, mut lanes, mut auto) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..samples.max(1) {
-        ladder.push(secs(&|| ladder_batch(&plan, &bases)));
+        ladder.push(secs(&|| bases.iter().map(|b| plan.pow(b)).collect()));
         lanes.push(secs(&|| ctx.pow_batch_scalar(&bases, &exp)));
         auto.push(secs(&|| plan.pow_batch(&bases)));
     }
     Tiers {
-        bits,
+        bits: modulus.bit_len(),
         batch: bases.len(),
         ladder_s: median(ladder),
         lanes_s: median(lanes),
@@ -180,252 +107,27 @@ fn measure_tiers(bits: u64, samples: usize) -> Tiers {
     }
 }
 
-fn odd_modulus(bits: usize, seed: u64) -> UBig {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut bytes = vec![0u8; bits / 8];
+/// The well-known safe prime of `bits` bits: the groups the daemon serves.
+fn served_modulus(bits: u64) -> UBig {
+    well_known_safe_prime(bits).expect("bundled group")
+}
+
+/// A deterministic odd full-width 512-bit modulus (no primality needed:
+/// the kernels only require oddness).
+fn odd_modulus_512() -> UBig {
+    let mut rng = StdRng::seed_from_u64(0x5d);
+    let mut bytes = vec![0u8; 64];
     rng.fill_bytes(&mut bytes);
     bytes[0] |= 0x80;
-    let last = bytes.len() - 1;
-    bytes[last] |= 1;
+    bytes[63] |= 1;
     UBig::from_be_bytes(&bytes)
 }
 
-/// Extracts the number following `"key":` from hand-rolled JSON. Good
-/// enough for the flat keys this binary itself emits; no serde in the
-/// workspace.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"speedup_vs_1"` from the pool-scaling row with the given
-/// thread count in the hand-rolled snapshot JSON.
-fn pool_speedup_at(text: &str, threads: usize) -> Option<f64> {
-    let needle = format!("\"threads\": {threads}");
-    let at = text.find(&needle)?;
-    json_number(&text[at..], "speedup_vs_1")
-}
-
-/// The four end-to-end rows: wall-clock medians for every protocol, with
-/// pipelined variants where the engines have them.
-struct E2e {
-    inter_serial_s: f64,
-    inter_pipelined_s: f64,
-    inter_sharded_s: f64,
-    join_serial_s: f64,
-    join_pipelined_s: f64,
-    inter_size_serial_s: f64,
-    join_size_serial_s: f64,
-    /// `VmHWM` after each row, in measurement order (monotone).
-    peak_rss_kb: Vec<(&'static str, u64)>,
-}
-
-fn measure_e2e(samples: usize) -> E2e {
-    let g = bench_group(256);
-    let set_n = 48usize;
-    let (vs, vr) = overlapping_sets(set_n, set_n, set_n / 2);
-    let pool = EncryptPool::new(4);
-    // What `serve`, `client` and the one-shot verbs run: the engine at
-    // its default chunking. The "pipelined" rows are one bucket, the
-    // "sharded4" row four.
-    let cfg = PipelineConfig::default();
-    let one_bucket = ShardConfig::default();
-    let mut peak_rss_kb: Vec<(&'static str, u64)> = Vec::new();
-    let rss_row = |rows: &mut Vec<(&'static str, u64)>, label: &'static str| {
-        if let Some(kb) = vm_hwm_kb() {
-            rows.push((label, kb));
-        }
-    };
-
-    let inter_serial_s = median_secs(samples, || {
-        run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(1);
-                intersection::run_sender(t, &g, &vs, &mut rng)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(2);
-                intersection::run_receiver(t, &g, &vr, &mut rng)
-            },
-        )
-        .expect("serial intersection");
-    });
-    rss_row(&mut peak_rss_kb, "intersection_serial");
-    let inter_pipelined_s = median_secs(samples, || {
-        run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(1);
-                let shape = ProtocolShape::INTERSECTION;
-                engine::run_sender(t, &g, shape, &vs, &[], &mut rng, &pool, cfg, &one_bucket)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(2);
-                let shape = ProtocolShape::INTERSECTION;
-                engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, cfg, &one_bucket)
-            },
-        )
-        .expect("pipelined intersection");
-    });
-    rss_row(&mut peak_rss_kb, "intersection_pipelined");
-
-    // Bounded memory: 4 buckets and a deliberately
-    // tiny spill budget, so the external sorter genuinely hits disk and
-    // the row prices the full spill-merge-stream path, not a cached
-    // in-memory sort.
-    let shard_cfg = ShardConfig {
-        shards: 4,
-        mem_budget: 1 << 10,
-        ..ShardConfig::default()
-    };
-    let inter_sharded_s = median_secs(samples, || {
-        run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(1);
-                let shape = ProtocolShape::INTERSECTION;
-                engine::run_sender(t, &g, shape, &vs, &[], &mut rng, &pool, cfg, &shard_cfg)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(2);
-                let shape = ProtocolShape::INTERSECTION;
-                engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, cfg, &shard_cfg)
-            },
-        )
-        .expect("sharded intersection");
-    });
-    rss_row(&mut peak_rss_kb, "intersection_sharded4");
-
-    let ext = vec![b"record-payload".to_vec(); vs.len()];
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = vs.iter().cloned().zip(ext.iter().cloned()).collect();
-    let cipher = HybridCipher::new(g.clone(), 32);
-    let join_serial_s = median_secs(samples, || {
-        run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(1);
-                equijoin::run_sender(t, &g, &cipher, &entries, &mut rng)
-            },
-            |t| {
-                let cipher = HybridCipher::new(g.clone(), 32);
-                let mut rng = StdRng::seed_from_u64(2);
-                equijoin::run_receiver(t, &g, &cipher, &vr, &mut rng)
-            },
-        )
-        .expect("serial equijoin");
-    });
-    rss_row(&mut peak_rss_kb, "equijoin_serial");
-    let join_pipelined_s = median_secs(samples, || {
-        run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(1);
-                let shape = ProtocolShape::equijoin(&cipher);
-                engine::run_sender(t, &g, shape, &vs, &ext, &mut rng, &pool, cfg, &one_bucket)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(2);
-                let shape = ProtocolShape::equijoin(&cipher);
-                engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, cfg, &one_bucket)
-            },
-        )
-        .expect("pipelined equijoin");
-    });
-    rss_row(&mut peak_rss_kb, "equijoin_pipelined");
-
-    let inter_size_serial_s = median_secs(samples, || {
-        run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(1);
-                intersection_size::run_sender(t, &g, &vs, &mut rng)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(2);
-                intersection_size::run_receiver(t, &g, &vr, &mut rng)
-            },
-        )
-        .expect("intersection_size");
-    });
-    rss_row(&mut peak_rss_kb, "intersection_size_serial");
-    let join_size_serial_s = median_secs(samples, || {
-        run_two_party(
-            |t| {
-                let mut rng = StdRng::seed_from_u64(1);
-                equijoin_size::run_sender(t, &g, &vs, &mut rng)
-            },
-            |t| {
-                let mut rng = StdRng::seed_from_u64(2);
-                equijoin_size::run_receiver(t, &g, &vr, &mut rng)
-            },
-        )
-        .expect("equijoin_size");
-    });
-    rss_row(&mut peak_rss_kb, "equijoin_size_serial");
-
-    E2e {
-        inter_serial_s,
-        inter_pipelined_s,
-        inter_sharded_s,
-        join_serial_s,
-        join_pipelined_s,
-        inter_size_serial_s,
-        join_size_serial_s,
-        peak_rss_kb,
-    }
-}
-
-/// Wall-clock medians for the same serial intersection run untraced
-/// (`plain_s`) and with the daemon's metrics registry installed on both
-/// parties (`traced_s`) — the exact sink `minshare serve` attaches, with
-/// the protocol throughput histogram registered so bucketing is priced
-/// in. Their ratio is the telemetry overhead the `--check` ceiling
-/// guards.
-struct TelemetryOverhead {
-    plain_s: f64,
-    traced_s: f64,
-}
-
-fn measure_telemetry_overhead(samples: usize) -> TelemetryOverhead {
-    let g = bench_group(256);
-    let set_n = 48usize;
-    let (vs, vr) = overlapping_sets(set_n, set_n, set_n / 2);
-    let run = |registry: Option<&Arc<MetricsRegistry>>| {
-        median_secs(samples, || {
-            run_two_party(
-                |t| {
-                    let _trace = registry.map(|m| {
-                        minshare_trace::install(Tracer::to_sink(Arc::new(RegistrySink::new(
-                            Arc::clone(m),
-                        ))))
-                    });
-                    let mut rng = StdRng::seed_from_u64(1);
-                    intersection::run_sender(t, &g, &vs, &mut rng).map(|_| ())
-                },
-                |t| {
-                    let _trace = registry.map(|m| {
-                        minshare_trace::install(Tracer::to_sink(Arc::new(RegistrySink::new(
-                            Arc::clone(m),
-                        ))))
-                    });
-                    let mut rng = StdRng::seed_from_u64(2);
-                    intersection::run_receiver(t, &g, &vr, &mut rng).map(|_| ())
-                },
-            )
-            .expect("telemetry overhead run");
-        })
-    };
-    let plain_s = run(None);
-    let registry = Arc::new(MetricsRegistry::new());
-    registry.register_histogram("protocol", "intersection", "ce_per_sec");
-    let traced_s = run(Some(&registry));
-    TelemetryOverhead { plain_s, traced_s }
-}
-
-/// `--check`: re-measure the e2e rows and compare each optimized/serial
-/// ratio against the committed snapshot with 10% tolerance. Ratios (not
-/// absolute wall times) are compared so the check is stable across hosts
-/// and background load.
+/// `--check`: re-measure the IFMA kernel at 512 and 1024 bits and hold it
+/// to its floor over the portable lanes. A floor applies only when the
+/// committed snapshot was produced with the IFMA backend active and this
+/// build/host runs it too; a build without the feature (or a host without
+/// AVX-512 IFMA) runs the portable lanes and is exempt.
 fn run_check(snapshot_path: &str) -> i32 {
     let committed = match std::fs::read_to_string(snapshot_path) {
         Ok(text) => text,
@@ -434,220 +136,40 @@ fn run_check(snapshot_path: &str) -> i32 {
             return 1;
         }
     };
-    let e2e = measure_e2e(5);
-    let rows = [
-        (
-            "intersection_pipelined_vs_serial",
-            e2e.inter_pipelined_s / e2e.inter_serial_s,
-        ),
-        (
-            "equijoin_pipelined_vs_serial",
-            e2e.join_pipelined_s / e2e.join_serial_s,
-        ),
-        (
-            "intersection_sharded_vs_serial",
-            e2e.inter_sharded_s / e2e.inter_serial_s,
-        ),
-    ];
     let mut failed = false;
-    for (key, fresh) in rows {
-        let Some(baseline) = json_number(&committed, key) else {
-            eprintln!("bench --check: {snapshot_path} has no \"{key}\" row");
-            failed = true;
-            continue;
-        };
-        let limit = baseline * 1.10;
-        // A ratio at or below 1.0 means the optimized engine still beats
-        // (or matches) serial outright — never a regression, whatever the
-        // committed number was.
-        if fresh > limit && fresh > 1.0 {
-            eprintln!(
-                "bench --check: {key} regressed: fresh {fresh:.3} > committed {baseline:.3} +10%"
-            );
-            failed = true;
-        } else {
-            eprintln!("bench --check: {key} ok: fresh {fresh:.3} vs committed {baseline:.3}");
-        }
-    }
-
-    // On a multicore host the engine must genuinely beat the serial
-    // reference (speedup = serial/pipelined > 1); on a single-core host
-    // only the ratio ratchet above applies.
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if host_cores > 1 {
-        for (key, serial_s, pipelined_s) in [
-            ("intersection", e2e.inter_serial_s, e2e.inter_pipelined_s),
-            ("equijoin", e2e.join_serial_s, e2e.join_pipelined_s),
-        ] {
-            let speedup = serial_s / pipelined_s;
-            // 3% tolerance absorbs wall-clock noise at the break-even point.
-            if speedup < 0.97 {
-                eprintln!(
-                    "bench --check: {key} pipelined speedup {speedup:.3} < 1.0 on a \
-                     {host_cores}-core host"
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "bench --check: {key} pipelined speedup {speedup:.3} on {host_cores} cores ok"
-                );
-            }
-        }
-
-        // Sharded engines re-run the whole protocol per bucket, so some
-        // overhead over the single-instance serial engine is expected —
-        // but on a multicore host the per-bucket parallelism must keep
-        // it bounded. A 4-shard run slower than 1.5× serial means the
-        // sharding layer is burning the win it exists to provide.
-        let sharded_ratio = e2e.inter_sharded_s / e2e.inter_serial_s;
-        if sharded_ratio > SHARDED_OVERHEAD_CEILING {
-            eprintln!(
-                "bench --check: sharded intersection ratio {sharded_ratio:.3} > ceiling \
-                 {SHARDED_OVERHEAD_CEILING:.2} on a {host_cores}-core host"
-            );
-            failed = true;
-        } else {
-            eprintln!(
-                "bench --check: sharded intersection ratio {sharded_ratio:.3} on \
-                 {host_cores} cores ok"
-            );
-        }
-    }
-
-    // Pool-scaling floor: a committed snapshot taken on a multicore host
-    // must show the pool scaling as far as that host lets it; a single-core
-    // snapshot has nothing to scale and is exempt (the documented fallback).
-    let committed_cores = json_number(&committed, "host_cores").unwrap_or(1.0);
-    if committed_cores > 1.0 {
-        let floor = pool_scaling_floor(committed_cores as usize);
-        match pool_speedup_at(&committed, 4) {
-            Some(speedup) if speedup >= floor => {
-                eprintln!(
-                    "bench --check: committed pool scaling at 4 threads {speedup:.3} >= \
-                     floor {floor} (snapshot host_cores={committed_cores})"
-                );
-            }
-            Some(speedup) => {
-                eprintln!(
-                    "bench --check: committed pool scaling at 4 threads {speedup:.3} is \
-                     below the {floor} floor (snapshot host_cores={committed_cores})"
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!("bench --check: {snapshot_path} has no 4-thread pool-scaling row");
-                failed = true;
-            }
-        }
-    } else {
-        eprintln!(
-            "bench --check: committed snapshot is single-core (host_cores={committed_cores}); \
-             pool-scaling floor not applicable"
-        );
-    }
-
-    // SIMD kernel ratchet: when the committed snapshot was produced with
-    // the IFMA backend active and this build/host can run it too, the
-    // kernel must still clear its speedup floor over the forced-scalar
-    // path. A build without the feature (or a host without AVX-512 IFMA)
-    // runs the scalar fallback and is exempt.
-    if committed.contains("\"simd_active\": true") {
-        let n = odd_modulus(512, 0x5d);
-        let ctx = Arc::new(MontgomeryCtx::new(&n).expect("odd modulus"));
-        if ctx.simd_active() {
-            let mut rng = StdRng::seed_from_u64(3);
-            let exp = random_below(&mut rng, &n);
-            let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, &n)).collect();
-            let plan = FixedExponentPlan::new(Arc::clone(&ctx), &exp);
-            let scalar_s = median_secs(9, || {
-                std::hint::black_box(ctx.pow_batch_scalar(&bases, &exp));
-            });
-            let simd_s = median_secs(9, || {
-                std::hint::black_box(plan.pow_batch(&bases));
-            });
-            let speedup = scalar_s / simd_s;
-            if speedup < SIMD_SPEEDUP_FLOOR {
-                eprintln!(
-                    "bench --check: SIMD kernel speedup {speedup:.3} fell below the \
-                     {SIMD_SPEEDUP_FLOOR} floor vs scalar pow_multi"
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "bench --check: SIMD kernel speedup {speedup:.3} >= floor {SIMD_SPEEDUP_FLOOR}"
-                );
-            }
-        } else {
-            eprintln!(
-                "bench --check: committed snapshot used SIMD but this build/host runs the \
-                 scalar fallback; kernel floor not applicable"
-            );
-        }
-    }
-
-    // The tiers at the width sessions actually run: the portable lanes
-    // must hold their ground against the ladder on any host, and the IFMA
-    // lanes must clear their floor over the portable lanes wherever both
-    // the snapshot and this build/host have them.
-    if committed.contains("\"modexp_1024_fixed_exponent\"") {
-        let tiers = measure_tiers(1024, 9);
-        let mut floor = |what: &str, speedup: f64, min: f64| {
-            if speedup < min {
-                eprintln!("bench --check: 1024-bit {what} speedup {speedup:.3} fell below the {min} floor");
-                failed = true;
-            } else {
-                eprintln!("bench --check: 1024-bit {what} speedup {speedup:.3} >= floor {min}");
-            }
-        };
-        floor(
-            "lanes-vs-ladder",
-            tiers.lanes_vs_ladder(),
-            LANES_1024_SPEEDUP_FLOOR,
-        );
-        if committed.contains("\"simd_active\": true") && tiers.simd_active {
-            floor(
-                "IFMA-vs-lanes",
-                tiers.simd_vs_lanes(),
-                SIMD_1024_SPEEDUP_FLOOR,
-            );
-        } else {
-            eprintln!(
-                "bench --check: 1024-bit IFMA floor not applicable (snapshot or this \
-                 build/host runs the portable lanes)"
-            );
-        }
-    } else {
+    if !committed.contains("\"modexp_1024_fixed_exponent\"") {
         eprintln!("bench --check: {snapshot_path} has no modexp_1024_fixed_exponent block");
         failed = true;
     }
-
-    // Telemetry ceiling: the daemon's metrics registry rides along on
-    // every protocol run, so its cost is re-measured live (not read from
-    // the snapshot) and held to the hard ceiling. A ratio at or below
-    // 1.0 is measurement noise in the registry's favor and always passes.
-    let overhead = measure_telemetry_overhead(9);
-    let ratio = overhead.traced_s / overhead.plain_s;
-    if ratio > TELEMETRY_OVERHEAD_CEILING {
-        eprintln!(
-            "bench --check: telemetry overhead {ratio:.3} > ceiling \
-             {TELEMETRY_OVERHEAD_CEILING:.2} (plain {:.1}us, traced {:.1}us)",
-            overhead.plain_s * 1e6,
-            overhead.traced_s * 1e6
-        );
-        failed = true;
-    } else {
-        eprintln!(
-            "bench --check: telemetry overhead {ratio:.3} within ceiling \
-             {TELEMETRY_OVERHEAD_CEILING:.2}"
-        );
+    let committed_simd = committed.contains("\"simd_active\": true");
+    for (modulus, min) in [
+        (odd_modulus_512(), SIMD_SPEEDUP_FLOOR),
+        (served_modulus(1024), SIMD_1024_SPEEDUP_FLOOR),
+    ] {
+        let tiers = measure_tiers(&modulus, 9);
+        let bits = tiers.bits;
+        if !(committed_simd && tiers.simd_active) {
+            eprintln!(
+                "bench --check: {bits}-bit IFMA floor not applicable (snapshot or this \
+                 build/host runs the portable lanes)"
+            );
+            continue;
+        }
+        let speedup = tiers.simd_vs_lanes();
+        if speedup < min {
+            eprintln!(
+                "bench --check: {bits}-bit IFMA-vs-lanes speedup {speedup:.3} fell below the \
+                 {min} floor"
+            );
+            failed = true;
+        } else {
+            eprintln!("bench --check: {bits}-bit IFMA-vs-lanes speedup {speedup:.3} >= floor {min}");
+        }
     }
-
     if failed {
         1
     } else {
-        eprintln!("bench --check: all rows within tolerance of {snapshot_path}");
+        eprintln!("bench --check: both kernel floors hold against {snapshot_path}");
         0
     }
 }
@@ -821,68 +343,31 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    // --- 512-bit fixed-exponent batch exponentiation -------------------
-    let n = odd_modulus(512, 0x5d);
-    let ctx = Arc::new(MontgomeryCtx::new(&n).expect("odd modulus"));
-    let mut rng = StdRng::seed_from_u64(3);
-    let exp = random_below(&mut rng, &n);
-    let bases: Vec<UBig> = (0..32).map(|_| random_below(&mut rng, &n)).collect();
-    let batch = bases.len();
-    let plan = FixedExponentPlan::new(Arc::clone(&ctx), &exp);
-    let sliding_s = median_secs(15, || {
-        std::hint::black_box(ladder_batch(&plan, &bases));
-    });
-    let multi_s = median_secs(15, || {
-        std::hint::black_box(plan.pow_batch(&bases));
-    });
-    // Forced-scalar interleaved kernel: the honest baseline for the SIMD
-    // speedup claim (identical ladder, no IFMA dispatch).
-    let scalar_multi_s = median_secs(15, || {
-        std::hint::black_box(ctx.pow_batch_scalar(&bases, &exp));
-    });
-    let simd_active = ctx.simd_active();
-    let multi_speedup = sliding_s / multi_s;
-    let simd_speedup = scalar_multi_s / multi_s;
-
-    // --- the three Ce tiers at the served 1024-bit group, then at the
-    // other well-known groups (12/24/32-limb lane kernels) --------------
-    let tiers = measure_tiers(1024, 15);
-    let other_tiers = [768, 1536, 2048].map(|bits| measure_tiers(bits, 9));
-
-    // --- EncryptPool scaling (§6.2) ------------------------------------
-    let g = bench_group(256);
-    let mut rng = StdRng::seed_from_u64(7);
-    let key = g.gen_key(&mut rng);
-    let items: Vec<UBig> = (0..64).map(|_| g.sample_element(&mut rng)).collect();
-    let pool_runs: Vec<(usize, f64)> = [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            let pool = EncryptPool::new(threads);
-            let t = median_secs(9, || {
-                std::hint::black_box(pool.encrypt_batch(&g, &key, &items));
-            });
-            (threads, t)
-        })
-        .collect();
-
-    // --- end-to-end serial vs. pipelined, all four protocols -----------
-    let e2e = measure_e2e(7);
-
-    // --- live-telemetry overhead (registry attached vs. untraced) ------
-    let overhead = measure_telemetry_overhead(9);
+    // 512-bit fixed-exponent batch exponentiation; the three Ce tiers at
+    // the served 1024-bit group, then at the other well-known groups
+    // (12/24/32-limb lane kernels).
+    let t512 = measure_tiers(&odd_modulus_512(), 15);
+    let tiers = measure_tiers(&served_modulus(1024), 15);
+    let other_tiers = [768, 1536, 2048].map(|bits| measure_tiers(&served_modulus(bits), 9));
 
     // --- hand-rolled JSON (no serde in the workspace) ------------------
     let us = |s: f64| s * 1e6;
     println!("{{");
     println!("  \"host_cores\": {host_cores},");
     println!("  \"modexp_512_fixed_exponent\": {{");
-    println!("    \"batch_size\": {batch},");
-    println!("    \"sliding_window_us\": {:.1},", us(sliding_s));
-    println!("    \"pow_multi_us\": {:.1},", us(multi_s));
-    println!("    \"scalar_multi_us\": {:.1},", us(scalar_multi_s));
-    println!("    \"simd_active\": {simd_active},");
-    println!("    \"pow_multi_speedup_vs_sliding\": {multi_speedup:.3},");
-    println!("    \"simd_speedup_vs_scalar_multi\": {simd_speedup:.3}");
+    println!("    \"batch_size\": {},", t512.batch);
+    println!("    \"sliding_window_us\": {:.1},", us(t512.ladder_s));
+    println!("    \"pow_multi_us\": {:.1},", us(t512.auto_s));
+    println!("    \"scalar_multi_us\": {:.1},", us(t512.lanes_s));
+    println!("    \"simd_active\": {},", t512.simd_active);
+    println!(
+        "    \"pow_multi_speedup_vs_sliding\": {:.3},",
+        t512.ladder_s / t512.auto_s
+    );
+    println!(
+        "    \"simd_speedup_vs_scalar_multi\": {:.3}",
+        t512.simd_vs_lanes()
+    );
     println!("  }},");
     println!("  \"modexp_1024_fixed_exponent\": {{");
     println!("    \"batch_size\": {},", tiers.batch);
@@ -913,82 +398,6 @@ fn main() {
             t.lanes_vs_ladder(),
             t.simd_vs_lanes()
         );
-    }
-    println!("  ],");
-    println!("  \"pool_scaling_encrypt64_qr256\": [");
-    let base_t = pool_runs[0].1;
-    for (i, (threads, t)) in pool_runs.iter().enumerate() {
-        let comma = if i + 1 == pool_runs.len() { "" } else { "," };
-        println!(
-            "    {{ \"threads\": {threads}, \"wall_us\": {:.1}, \"speedup_vs_1\": {:.3} }}{comma}",
-            us(*t),
-            base_t / t
-        );
-    }
-    println!("  ],");
-    println!("  \"e2e_qr256_n48\": {{");
-    println!("    \"intersection_serial_us\": {:.1},", us(e2e.inter_serial_s));
-    println!(
-        "    \"intersection_pipelined_us\": {:.1},",
-        us(e2e.inter_pipelined_s)
-    );
-    println!(
-        "    \"intersection_pipelined_vs_serial\": {:.3},",
-        e2e.inter_pipelined_s / e2e.inter_serial_s
-    );
-    println!(
-        "    \"intersection_speedup_vs_serial\": {:.3},",
-        e2e.inter_serial_s / e2e.inter_pipelined_s
-    );
-    println!("    \"equijoin_serial_us\": {:.1},", us(e2e.join_serial_s));
-    println!(
-        "    \"equijoin_pipelined_us\": {:.1},",
-        us(e2e.join_pipelined_s)
-    );
-    println!(
-        "    \"equijoin_pipelined_vs_serial\": {:.3},",
-        e2e.join_pipelined_s / e2e.join_serial_s
-    );
-    println!(
-        "    \"equijoin_speedup_vs_serial\": {:.3},",
-        e2e.join_serial_s / e2e.join_pipelined_s
-    );
-    println!(
-        "    \"intersection_size_serial_us\": {:.1},",
-        us(e2e.inter_size_serial_s)
-    );
-    println!(
-        "    \"equijoin_size_serial_us\": {:.1},",
-        us(e2e.join_size_serial_s)
-    );
-    println!(
-        "    \"intersection_sharded4_us\": {:.1},",
-        us(e2e.inter_sharded_s)
-    );
-    println!(
-        "    \"intersection_sharded_vs_serial\": {:.3}",
-        e2e.inter_sharded_s / e2e.inter_serial_s
-    );
-    println!("  }},");
-    // The same serial intersection with the daemon's metrics registry
-    // attached to both parties — the live-telemetry tax `--check` holds
-    // to the TELEMETRY_OVERHEAD_CEILING.
-    println!("  \"telemetry_overhead_qr256_n48\": {{");
-    println!("    \"plain_us\": {:.1},", us(overhead.plain_s));
-    println!("    \"traced_us\": {:.1},", us(overhead.traced_s));
-    println!(
-        "    \"traced_vs_plain\": {:.3}",
-        overhead.traced_s / overhead.plain_s
-    );
-    println!("  }},");
-    // Peak RSS after each protocol row. VmHWM is a process-lifetime
-    // high-water mark, so the rows are monotone: each reflects the
-    // largest working set of *any* row measured so far, not that row in
-    // isolation. The interesting signal is the delta between rows.
-    println!("  \"peak_rss_kb\": [");
-    for (i, (row, kb)) in e2e.peak_rss_kb.iter().enumerate() {
-        let comma = if i + 1 == e2e.peak_rss_kb.len() { "" } else { "," };
-        println!("    {{ \"row\": \"{row}\", \"vm_hwm_kb\": {kb} }}{comma}");
     }
     println!("  ]");
     println!("}}");

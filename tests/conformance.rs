@@ -557,6 +557,58 @@ fn trace_digest_is_reproducible_from_the_simnet_seed() {
     assert_eq!(r1, r2, "receiver event digest not reproducible from seed");
 }
 
+/// Events each party records for one perfect-link engine run of `shape`
+/// at |V_S| = |V_R| = `n`. Every encryption runs inline (a zero-worker
+/// pool), every list is one chunk and there is one bucket, so the count
+/// is deterministic.
+fn events_per_party(shape: ProtocolShape<'_>, n: usize) -> (u64, u64) {
+    let pool = EncryptPool::with_workers(0);
+    let pipe = PipelineConfig::chunked(1 << 20);
+    let cfg = ShardConfig::default();
+    let value = |i: usize| format!("v{i}").into_bytes();
+    let s_vals: Vec<Vec<u8>> = (0..n).map(value).collect();
+    let r_vals: Vec<Vec<u8>> = (n / 2..n + n / 2).map(value).collect();
+    let ext = ext_of(&s_vals);
+    let s_sink = Arc::new(RingSink::new(4096));
+    let r_sink = Arc::new(RingSink::new(4096));
+    run_two_party(
+        |t| {
+            let _trace = minshare_trace::install(traced(&s_sink));
+            let mut rng = StdRng::seed_from_u64(7);
+            engine::run_sender(t, group(), shape, &s_vals, &ext, &mut rng, &pool, pipe, &cfg)
+        },
+        |t| {
+            let _trace = minshare_trace::install(traced(&r_sink));
+            let mut rng = StdRng::seed_from_u64(8);
+            engine::run_receiver(t, group(), shape, &r_vals, &mut rng, &pool, pipe, &cfg)
+        },
+    )
+    .expect("perfect-link run");
+    (s_sink.recorded(), r_sink.recorded())
+}
+
+/// Telemetry cost must not grow with the data: every emit site is per
+/// session, bucket, chunk or frame, never per value. With one chunk per
+/// list and one bucket, each party's event count is the same at 64 and at
+/// 1024 values, for every protocol — a per-value emit site fails here
+/// without a clock.
+#[test]
+fn trace_event_count_is_independent_of_set_size() {
+    let cipher = HybridCipher::new(group().clone(), 16);
+    for shape in [
+        ProtocolShape::INTERSECTION,
+        ProtocolShape::INTERSECTION_SIZE,
+        ProtocolShape::equijoin(&cipher),
+        ProtocolShape::EQUIJOIN_SIZE,
+    ] {
+        let (small_s, small_r) = events_per_party(shape, 64);
+        let (large_s, large_r) = events_per_party(shape, 1024);
+        assert!(small_s > 0 && small_r > 0, "a party emitted no events");
+        assert_eq!(small_s, large_s, "sender events grow with |V|");
+        assert_eq!(small_r, large_r, "receiver events grow with |V|");
+    }
+}
+
 /// Runs a perfect-link two-party exchange with both parties feeding one
 /// shared metrics registry; returns the registry.
 fn metrics_of<SO: Send, RO: Send>(
