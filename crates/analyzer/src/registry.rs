@@ -47,11 +47,10 @@ pub const SECRET_TYPES: &[&str] = &[
     // or value material. Revisit if any of them ever grows a payload
     // field.
     "Service",
-    // crates/net simnet/robust types (FaultPlan, SimEndpoint,
-    // RobustTransport, SimTrace, ...) are deliberately absent: they
-    // carry only opaque frame bytes, fault schedules and public seeds —
-    // no key material. Revisit if the retry layer ever learns about
-    // session state beyond ARQ counters.
+    // crates/net simnet types (FaultPlan, SimEndpoint, SimTrace, ...)
+    // are deliberately absent: they carry only opaque frame bytes,
+    // timing schedules and public seeds — no key material. Revisit if
+    // the simulated link ever learns about session state.
     // crates/hashcore: the keyed MAC state embeds the key schedule.
     "HmacSha256",
 ];

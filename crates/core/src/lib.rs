@@ -98,7 +98,7 @@ pub mod wire;
 
 pub use error::ProtocolError;
 pub use runner::{run_two_party, TwoPartyRun};
-pub use simrun::{run_two_party_sim, SimOutcome, SimRunConfig, SimTwoPartyRun};
+pub use simrun::{run_two_party_sim, SimOutcome, SimTwoPartyRun};
 pub use stats::OpCounters;
 
 /// Convenient glob import for applications.
@@ -115,7 +115,7 @@ pub mod prelude {
         Service, SessionReport, SessionRequest,
     };
     pub use crate::shard::{self, ShardConfig};
-    pub use crate::simrun::{run_two_party_sim, SimOutcome, SimRunConfig, SimTwoPartyRun};
+    pub use crate::simrun::{run_two_party_sim, SimOutcome, SimTwoPartyRun};
     pub use crate::spill::{ExtSorter, SpillStats};
     pub use crate::stats::OpCounters;
     pub use crate::ProtocolError;

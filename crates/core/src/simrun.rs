@@ -1,42 +1,29 @@
-//! Two-party orchestration over the deterministic fault-injecting
-//! simulated network.
+//! Two-party orchestration over the deterministic simulated network.
 //!
-//! This is the faulty-channel sibling of [`crate::runner::run_two_party`]:
+//! This is the virtual-clock sibling of [`crate::runner::run_two_party`]:
 //! both parties run on real threads, but every frame travels through
-//! `minshare_net::simnet` (seeded drop/delay/duplicate/reorder/corrupt
-//! schedules on a virtual clock) wrapped in the bounded-retry
-//! [`RobustTransport`]. Byte accounting sits *above* the retry layer, so
-//! [`TrafficStats`] measures protocol-layer bytes — directly comparable
-//! with a perfect-link run, which is how the conformance harness checks
-//! that faults never change what the protocols reveal.
+//! `minshare_net::simnet` — a reliable, ordered link like a TCP stream,
+//! with seeded jitter, stall windows and bandwidth caps on a virtual
+//! clock. Byte accounting wraps each endpoint, so [`TrafficStats`]
+//! measures protocol-layer bytes — directly comparable with a
+//! perfect-link run, which is how the conformance harness checks that
+//! timing never changes what the protocols reveal.
 //!
-//! Unlike the perfect-link runner, results are reported **per party**: on
-//! a faulty channel one side can finish cleanly while the other loses the
-//! acknowledgement of its final message and exits with a typed error (the
-//! classic two-generals tail). The harness exposes both results plus the
-//! full fault trace, and [`SimTwoPartyRun::outcome`] classifies the run.
+//! Unlike the perfect-link runner, results are reported **per party**: a
+//! plan that cuts one direction (a reset) can let one side finish while
+//! the other fails with a typed error. The harness exposes both results
+//! plus the full link trace, and [`SimTwoPartyRun::outcome`] classifies
+//! the run.
 //!
-//! Each party closure's transport stack is dropped the moment the closure
-//! returns. That upholds the simnet liveness invariant — an endpoint is
-//! either actively driven or closed — so a peer still retransmitting into
-//! a finished party's link observes `NetError::Closed` instead of
-//! stalling its virtual timeouts.
+//! Each party closure's transport is dropped the moment the closure
+//! returns, so a peer still waiting on a finished party observes
+//! `NetError::Closed` instead of a deadlock.
 
 use minshare_net::{
-    sim_pair, CountingTransport, FaultPlan, RobustConfig, RobustTransport, SimConfig, SimTrace,
-    TrafficStats, Transport,
+    sim_pair, CountingTransport, FaultPlan, SimConfig, SimTrace, TrafficStats, Transport,
 };
 
 use crate::error::ProtocolError;
-
-/// Knobs for a simulated two-party run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimRunConfig {
-    /// Virtual-clock / deadline parameters of the simulated link.
-    pub sim: SimConfig,
-    /// Retry/backoff parameters of the reliability layer.
-    pub robust: RobustConfig,
-}
 
 /// Classification of a completed simulated run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +31,7 @@ pub enum SimOutcome {
     /// Both parties produced their output.
     Complete,
     /// At least one party failed with a typed [`ProtocolError`] — the
-    /// acceptable way to lose against a hostile fault schedule.
+    /// acceptable way to lose against a cut link.
     TypedFailure,
     /// At least one party thread panicked. Never acceptable.
     Panicked,
@@ -57,12 +44,11 @@ pub struct SimTwoPartyRun<SO, RO> {
     pub sender: Result<SO, ProtocolError>,
     /// Receiver party's result.
     pub receiver: Result<RO, ProtocolError>,
-    /// Protocol-layer traffic as seen from the sender's endpoint
-    /// (counted above the retry layer — retransmits excluded).
+    /// Protocol-layer traffic as seen from the sender's endpoint.
     pub sender_traffic: TrafficStats,
     /// Protocol-layer traffic as seen from the receiver's endpoint.
     pub receiver_traffic: TrafficStats,
-    /// Everything the link did to every frame, in virtual time.
+    /// When the link delivered every frame, in virtual time.
     pub trace: SimTrace,
 }
 
@@ -88,14 +74,13 @@ impl<SO, RO> SimTwoPartyRun<SO, RO> {
 /// simulated link.
 ///
 /// Each closure receives its endpoint wrapped as
-/// `CountingTransport<RobustTransport<SimEndpoint>>` — reliable-channel
-/// semantics over the faulty link, with protocol-layer byte accounting on
-/// top. A panic in either party becomes
+/// `CountingTransport<SimEndpoint>`, with protocol-layer byte accounting
+/// on top. A panic in either party becomes
 /// [`ProtocolError::PartyPanicked`] for that party; nothing is propagated
 /// as a harness-level error, so the caller always gets traffic and trace
 /// back even from a failed run.
 pub fn run_two_party_sim<SO, RO>(
-    config: SimRunConfig,
+    config: SimConfig,
     plan: &FaultPlan,
     sender: impl FnOnce(&mut dyn Transport) -> Result<SO, ProtocolError> + Send,
     receiver: impl FnOnce(&mut dyn Transport) -> Result<RO, ProtocolError> + Send,
@@ -104,18 +89,16 @@ where
     SO: Send,
     RO: Send,
 {
-    let (s_end, r_end, trace_handle) = sim_pair(config.sim, plan);
-    let (mut s_transport, sender_traffic) =
-        CountingTransport::new(RobustTransport::with_config(s_end, config.robust));
-    let (mut r_transport, receiver_traffic) =
-        CountingTransport::new(RobustTransport::with_config(r_end, config.robust));
+    let (s_end, r_end, trace_handle) = sim_pair(config, plan);
+    let (mut s_transport, sender_traffic) = CountingTransport::new(s_end);
+    let (mut r_transport, receiver_traffic) = CountingTransport::new(r_end);
 
     let (sender_result, receiver_result) = std::thread::scope(|scope| {
         let s_handle = scope.spawn(move || {
             let result = sender(&mut s_transport);
             // Close the endpoint the instant the party is done (whether
-            // it succeeded or not): the peer's retransmits then resolve
-            // as `Closed` instead of starving its virtual timeouts.
+            // it succeeded or not): a peer still waiting then sees
+            // `Closed` instead of a deadlock.
             drop(s_transport);
             result
         });
@@ -146,12 +129,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minshare_net::simnet::{Cut, Side};
     use minshare_net::NetError;
 
     #[test]
     fn perfect_link_run_collects_everything() {
         let run = run_two_party_sim(
-            SimRunConfig::default(),
+            SimConfig::default(),
             &FaultPlan::perfect(),
             |t| {
                 t.send(b"hello")?;
@@ -166,8 +150,7 @@ mod tests {
         assert_eq!(run.outcome(), SimOutcome::Complete);
         assert_eq!(run.sender.unwrap(), 3);
         assert_eq!(run.receiver.unwrap(), b"hello");
-        // Counted above the retry layer: payload bytes only, no ARQ
-        // framing, no retransmits.
+        // Payload bytes only: the link adds no framing of its own.
         assert_eq!(run.sender_traffic.bytes_sent(), 5);
         assert_eq!(run.receiver_traffic.bytes_sent(), 3);
         assert!(!run.trace.is_empty());
@@ -176,7 +159,7 @@ mod tests {
     #[test]
     fn panic_is_confined_to_the_panicking_party() {
         let run = run_two_party_sim(
-            SimRunConfig::default(),
+            SimConfig::default(),
             &FaultPlan::perfect(),
             |_t| -> Result<(), ProtocolError> { panic!("boom") },
             |t| -> Result<Vec<u8>, ProtocolError> { Ok(t.recv()?) },
@@ -192,12 +175,17 @@ mod tests {
 
     #[test]
     fn total_loss_is_a_typed_failure() {
+        // The sender's direction is cut at its first frame: nothing it
+        // sends arrives, and the receiver sees the reset.
         let plan = FaultPlan {
-            drop: 1.0,
+            cut: Some(Cut {
+                from: Side::A,
+                at_frame: 0,
+            }),
             ..FaultPlan::perfect()
         };
         let run = run_two_party_sim(
-            SimRunConfig::default(),
+            SimConfig::default(),
             &plan,
             |t| {
                 t.send(b"into the void")?;
@@ -206,15 +194,10 @@ mod tests {
             |t| -> Result<Vec<u8>, ProtocolError> { Ok(t.recv()?) },
         );
         assert_eq!(run.outcome(), SimOutcome::TypedFailure);
-        // Strict single-outcome assertion: the retry layer folds a peer
-        // departure observed mid-retransmit into the same typed
-        // exhaustion as a genuine budget run-out, so the sender's error
-        // no longer depends on whether the receiver's deadline fired
-        // before the sender's last attempt (the race PR 7 papered over
-        // by widening this very assertion).
+        assert!(run.sender.is_ok());
         assert!(matches!(
-            run.sender,
-            Err(ProtocolError::Net(NetError::RetriesExhausted { .. }))
+            run.receiver,
+            Err(ProtocolError::Net(NetError::Closed))
         ));
     }
 
@@ -223,7 +206,7 @@ mod tests {
         let plan = FaultPlan::from_seed(7);
         let go = || {
             run_two_party_sim(
-                SimRunConfig::default(),
+                SimConfig::default(),
                 &plan,
                 |t| {
                     for i in 0..8u8 {

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use crate::error::NetError;
 use crate::framebatch::FrameBatch;
-use crate::transport::{DeadlineTransport, Transport};
+use crate::transport::Transport;
 
 /// Shared counters readable while the transport is owned by a protocol
 /// engine (possibly on another thread).
@@ -126,25 +126,6 @@ impl<T: Transport> Transport for CountingTransport<T> {
                 minshare_trace::size("bytes", frame.len() as u64),
             ]
         });
-        Ok(frame)
-    }
-}
-
-impl<T: DeadlineTransport> DeadlineTransport for CountingTransport<T> {
-    fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-        let frame = self.inner.recv_deadline(timeout_ms)?;
-        if let Some(frame) = frame.as_ref() {
-            self.stats
-                .bytes_received
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-            minshare_trace::emit("net", "frame_recv", true, || {
-                vec![
-                    minshare_trace::count("frames", 1),
-                    minshare_trace::size("bytes", frame.len() as u64),
-                ]
-            });
-        }
         Ok(frame)
     }
 }

@@ -44,12 +44,6 @@ pub enum NetError {
     /// deadline in force — nothing could ever arrive (simnet only; a
     /// real network cannot prove this).
     Deadlock,
-    /// The retry layer gave up: every (re)transmission of a frame went
-    /// unacknowledged within the configured attempt budget.
-    RetriesExhausted {
-        /// Number of transmission attempts made (1 + retries).
-        attempts: u32,
-    },
     /// The server declined a new session: admission control is at its
     /// in-flight capacity. A typed load-shedding outcome — clients see
     /// this instead of a hang and may retry later.
@@ -78,9 +72,6 @@ impl fmt::Display for NetError {
             }
             NetError::Deadlock => {
                 write!(f, "both parties blocked on an empty link with no deadline")
-            }
-            NetError::RetriesExhausted { attempts } => {
-                write!(f, "frame unacknowledged after {attempts} attempts")
             }
             NetError::Busy { limit } => {
                 write!(f, "server at session capacity ({limit}); try again later")

@@ -17,12 +17,11 @@
 //!   (Diffie–Hellman over the safe-prime group → HKDF → ChaCha20 + HMAC),
 //!   standing in for the "standard libraries or packages for secure
 //!   communication" the paper assumes (§2.1),
-//! * [`simnet`] — a deterministic fault-injecting simulated network
-//!   (seeded drop/delay/duplicate/reorder/corrupt schedules on a virtual
-//!   clock) for conformance testing the protocols under adversity,
-//! * [`robust::RobustTransport`] — bounded-retry ARQ with checksummed
-//!   frames and a resumable handshake, restoring reliable-channel
-//!   semantics on top of a faulty link,
+//! * [`simnet`] — a deterministic simulated network on a virtual clock:
+//!   reliable and ordered like TCP, with seeded jitter, stall windows and
+//!   bandwidth caps, plus a cut (a reset of one direction) a test can
+//!   set — for conformance testing the protocols under the faults TCP
+//!   presents,
 //! * [`mux`] — the session-multiplexing envelope: many independent
 //!   protocol sessions interleaved over one framed connection, each
 //!   frame tagged with a checksummed session id + sequence header,
@@ -39,7 +38,6 @@ pub mod duplex;
 pub mod error;
 pub mod framebatch;
 pub mod mux;
-pub mod robust;
 pub mod secure;
 pub mod server;
 pub mod simnet;
@@ -51,7 +49,6 @@ pub use duplex::duplex_pair;
 pub use error::NetError;
 pub use framebatch::FrameBatch;
 pub use mux::{MuxFrame, MuxKind, MUX_HEADER_LEN};
-pub use robust::{RobustConfig, RobustTransport};
 pub use server::{
     serve_mux_connection, MuxClient, MuxConfig, ServerStats, SessionRegistry, SessionTransport,
     ShutdownHandle, StatsProvider,

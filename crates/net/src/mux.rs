@@ -5,9 +5,8 @@
 //! per-session sequence, CRC-32) followed by an opaque payload. The
 //! envelope rides *inside* whatever frame discipline the connection
 //! already has (TCP length-prefix, [`crate::secure::SecureChannel`]
-//! records, simnet frames), so it composes under encryption and under the
-//! retry layer unchanged: a secured connection seals whole mux frames,
-//! and a `RobustTransport` below the mux retransmits them verbatim.
+//! records, simnet frames), so it composes under encryption unchanged: a
+//! secured connection seals whole mux frames.
 //!
 //! # Frame layout
 //!
@@ -15,17 +14,16 @@
 //! kind (1) ‖ session id (4 BE) ‖ seq (4 BE) ‖ crc32 (4 BE) ‖ payload
 //! ```
 //!
-//! The CRC covers `kind ‖ session ‖ seq ‖ payload`. Its job is to turn
-//! corruption into *loss*: over a lossy link a bit-flipped session id
-//! would otherwise route a frame into a different session — exactly the
-//! cross-session interference the conformance harness forbids. A frame
-//! that fails structural validation or its checksum is a typed
-//! [`NetError::MalformedFrame`]; connection loops drop such frames and
-//! let the per-session reliability layer retransmit.
+//! The CRC covers `kind ‖ session ‖ seq ‖ payload`. The connection below
+//! is reliable and ordered, so the CRC is not there to survive a lossy
+//! link: it rejects a corrupt or hostile frame as a typed
+//! [`NetError::MalformedFrame`] instead of letting a bad session id route
+//! it into a different session — exactly the cross-session interference
+//! the multisession harness forbids. Connection loops count such frames
+//! and drop them; nothing retransmits them.
 //!
 //! The per-session `seq` counts DATA frames on each direction of each
-//! session. Ordering and exactly-once delivery are enforced by the
-//! reliability layer above or below the mux (depending on the stack); the
+//! session. The connection already delivers in order, exactly once; the
 //! sequence field exists so wire captures and per-session metrics can
 //! attribute and order frames without parsing payloads.
 //!
@@ -35,7 +33,6 @@
 //! `tests/mux_props.rs`).
 
 use crate::error::NetError;
-use crate::robust::crc32;
 
 /// Byte length of the mux frame header.
 pub const MUX_HEADER_LEN: usize = 13;
@@ -54,8 +51,9 @@ pub enum MuxKind {
     /// Client asks the server to admit a new session; the payload is an
     /// application-level request (e.g. which protocol to run).
     Open,
-    /// Server admitted the session named in the header. Idempotent: a
-    /// retransmitted OPEN is answered with another ACCEPT.
+    /// Server admitted the session named in the header. Each session id
+    /// is admitted at most once per connection: a repeated OPEN is
+    /// counted as malformed and ignored.
     Accept,
     /// Server refused the session — admission control is at capacity.
     /// The payload carries the limit in force (4-byte BE), surfaced to
@@ -186,9 +184,8 @@ impl MuxFrame {
 
     /// Parses and integrity-checks one raw frame. Truncated headers,
     /// unknown kinds, and checksum failures are typed
-    /// [`NetError::MalformedFrame`]s; connection loops treat them as
-    /// loss (drop and let the reliability layer retransmit), never as a
-    /// frame for some other session.
+    /// [`NetError::MalformedFrame`]s; connection loops count and drop
+    /// them, never route them as a frame for some other session.
     pub fn decode(raw: &[u8]) -> Result<MuxFrame, NetError> {
         if raw.len() < MUX_HEADER_LEN {
             return Err(NetError::MalformedFrame {
@@ -228,6 +225,24 @@ impl MuxFrame {
             payload: payload.to_vec(),
         })
     }
+}
+
+/// CRC-32 (IEEE 802.3, reflected) over the concatenation of `parts`.
+fn crc32(parts: &[&[u8]]) -> u32 {
+    let mut crc = 0xffff_ffffu32;
+    for part in parts {
+        for &byte in *part {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+    }
+    !crc
 }
 
 fn short_header() -> NetError {
@@ -284,9 +299,15 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(&[b"1234", b"56789"]), 0xcbf4_3926);
+    }
+
+    #[test]
     fn any_single_bitflip_is_typed() {
-        // The property that guarantees session isolation over a faulty
-        // link: no corruption can silently reroute a frame.
+        // The property that guarantees session isolation against a
+        // corrupt or hostile peer: no flipped bit can silently reroute a
+        // frame.
         let wire = MuxFrame::data(0x0102_0304, 9, b"isolated".to_vec()).encode();
         for byte in 0..wire.len() {
             for bit in 0..8 {

@@ -49,11 +49,10 @@
 //! never grows on the peer's say-so. The reader is unblocked and joined
 //! on every exit path of the pump.
 //!
-//! A transport that declines the split — [`crate::robust::RobustTransport`]
-//! is a stop-and-wait ARQ whose ACKs arrive on the receive path, the
-//! simnet runs on a virtual clock that only a receive advances — feeds
-//! the same loop body from `recv_deadline` at [`POLLED_FEED_MS`]. Which
-//! feed runs is decided by what the transport can do, never by an option.
+//! A transport that declines the split — the simnet runs on a virtual
+//! clock that only a receive advances — feeds the same loop body from
+//! `recv_deadline` at [`POLLED_FEED_MS`]. Which feed runs is decided by
+//! what the transport can do, never by an option.
 //!
 //! Handler threads communicate with the loop only through channels, so
 //! the loop holds no locks (LOCK01 has nothing to inspect) and a handler
@@ -100,11 +99,9 @@ pub struct MuxConfig {
     /// it (there is no per-session flow control): a protocol run whose
     /// reply would exceed it must be sharded.
     pub session_queue_depth: usize,
-    /// Client-side wait for an ACCEPT/BUSY answer per OPEN attempt, in
-    /// wall-clock milliseconds.
+    /// Client-side wait for the answer to an OPEN (ACCEPT/BUSY) or a
+    /// STATS request, in wall-clock milliseconds.
     pub open_timeout_ms: u64,
-    /// Client-side OPEN (re)transmissions before giving up.
-    pub open_attempts: u32,
 }
 
 impl Default for MuxConfig {
@@ -112,7 +109,6 @@ impl Default for MuxConfig {
         MuxConfig {
             session_queue_depth: 4096,
             open_timeout_ms: 10_000,
-            open_attempts: 3,
         }
     }
 }
@@ -194,8 +190,9 @@ pub struct ServerStats {
     pub rejected_busy: u64,
     /// Sessions shed because their bounded inbound queue overflowed.
     pub shed_overflow: u64,
-    /// Inbound frames dropped as malformed (truncated/corrupt mux
-    /// header or checksum).
+    /// Inbound frames dropped as malformed: a truncated or corrupt mux
+    /// header or checksum, or an OPEN for a session id already used on
+    /// this connection.
     pub malformed: u64,
     /// Sessions the peer closed before the handler finished.
     pub closed_by_peer: u64,
@@ -316,8 +313,8 @@ trait Endpoint {
     /// Routes one decoded inbound frame.
     fn on_frame(&mut self, frame: MuxFrame, out: &mut Vec<MuxFrame>);
 
-    /// An inbound frame failed to decode. Corruption is loss, never
-    /// misrouting; the session's own reliability layer retransmits.
+    /// An inbound frame failed to decode. It is dropped, never routed to
+    /// some other session; nothing retransmits it.
     fn on_malformed(&mut self) {}
 
     /// Server: the handler of `session` returned.
@@ -479,10 +476,7 @@ where
                 Ok(()) => {}
                 // A peer that hung up mid-write is not an error:
                 // undelivered frames are moot once nobody is listening.
-                // The reliability layer reports a departed peer on the
-                // *send* side as deterministic retry exhaustion
-                // (robust.rs pins this), so both shapes mean departure.
-                Err(NetError::Closed) | Err(NetError::RetriesExhausted { .. }) => {
+                Err(NetError::Closed) => {
                     send_dead = true;
                     if !endpoint.on_send_dead() {
                         return Ok(PumpExit::PeerGone);
@@ -554,15 +548,10 @@ where
         let sid = frame.session;
         match frame.kind {
             MuxKind::Open => {
-                if self.sessions.contains_key(&sid) {
-                    // Retransmitted OPEN: the admission decision is
-                    // idempotent.
-                    out.push(MuxFrame::control(MuxKind::Accept, sid));
-                } else if self.finished.contains(&sid) {
-                    // The session already ran to completion; a late
-                    // duplicate must not run it again.
-                    out.push(MuxFrame::control(MuxKind::Accept, sid));
-                    out.push(MuxFrame::control(MuxKind::Close, sid));
+                if self.sessions.contains_key(&sid) || self.finished.contains(&sid) {
+                    // A session id runs at most once per connection: a
+                    // repeated OPEN is a confused or hostile peer.
+                    self.stats.malformed += 1;
                 } else if self.peer_goaway
                     || self.shutdown.is_shutdown()
                     || !self.registry.try_admit()
@@ -776,8 +765,8 @@ impl MuxClient {
     ///
     /// Returns the session's transport on ACCEPT, [`NetError::Busy`] if
     /// the server shed the session at admission, [`NetError::Closed`] if
-    /// the connection died, or [`NetError::TimedOut`] if every OPEN
-    /// attempt went unanswered.
+    /// the connection died, or [`NetError::TimedOut`] if no answer came
+    /// within [`MuxConfig::open_timeout_ms`].
     pub fn open_session(&mut self, request: &[u8]) -> Result<SessionTransport, NetError> {
         let sid = self.next_session;
         self.next_session = sid.checked_add(1).ok_or(NetError::SequenceExhausted)?;
@@ -788,52 +777,39 @@ impl MuxClient {
                 pending: PendingOpen { reply: reply_tx },
             }))
             .map_err(|_| NetError::Closed)?;
-        let timeout = Duration::from_millis(self.config.open_timeout_ms);
-        for _ in 0..self.config.open_attempts.max(1) {
-            self.events
-                .send(Event::Outbound(MuxFrame::open(sid, request.to_vec())))
-                .map_err(|_| NetError::Closed)?;
-            match reply_rx.recv_timeout(timeout) {
-                Ok(Ok(inbound)) => {
-                    return Ok(SessionTransport::new(sid, self.events.clone(), inbound))
-                }
-                Ok(Err(e)) => return Err(e),
-                // Quiet window: retransmit the OPEN (the server answers
-                // duplicates idempotently).
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-            }
-        }
-        Err(NetError::TimedOut {
-            waited_ms: self.config.open_timeout_ms * u64::from(self.config.open_attempts.max(1)),
-        })
+        self.events
+            .send(Event::Outbound(MuxFrame::open(sid, request.to_vec())))
+            .map_err(|_| NetError::Closed)?;
+        let inbound = self.await_reply(&reply_rx)??;
+        Ok(SessionTransport::new(sid, self.events.clone(), inbound))
     }
 
     /// Fetches one metrics snapshot from the server: sends a STATS frame
     /// on session 0 and waits for the reply payload (a versioned JSON
     /// object; see `minshare-trace::metrics::STATS_VERSION`).
     ///
-    /// Retransmits on quiet windows like `open_session` (duplicate
-    /// replies are dropped as noise), and fails typed: `Closed` when the
-    /// connection died, `TimedOut` when every attempt went unanswered.
+    /// Fails typed: `Closed` when the connection died, `TimedOut` when
+    /// no reply came within [`MuxConfig::open_timeout_ms`].
     pub fn fetch_stats(&mut self) -> Result<Vec<u8>, NetError> {
         let (reply_tx, reply_rx) = bounded(1);
         self.events
             .send(Event::Control(ClientCtl::Stats { reply: reply_tx }))
             .map_err(|_| NetError::Closed)?;
+        self.events
+            .send(Event::Outbound(MuxFrame::control(MuxKind::Stats, 0)))
+            .map_err(|_| NetError::Closed)?;
+        self.await_reply(&reply_rx)?
+    }
+
+    /// Waits [`MuxConfig::open_timeout_ms`] for the driver's answer to one
+    /// request. The connection is reliable, so the request is sent once.
+    fn await_reply<R>(&self, reply: &Receiver<R>) -> Result<R, NetError> {
         let timeout = Duration::from_millis(self.config.open_timeout_ms);
-        for _ in 0..self.config.open_attempts.max(1) {
-            self.events
-                .send(Event::Outbound(MuxFrame::control(MuxKind::Stats, 0)))
-                .map_err(|_| NetError::Closed)?;
-            match reply_rx.recv_timeout(timeout) {
-                Ok(result) => return result,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-            }
-        }
-        Err(NetError::TimedOut {
-            waited_ms: self.config.open_timeout_ms * u64::from(self.config.open_attempts.max(1)),
+        reply.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::TimedOut {
+                waited_ms: self.config.open_timeout_ms,
+            },
+            RecvTimeoutError::Disconnected => NetError::Closed,
         })
     }
 
@@ -896,7 +872,7 @@ impl Endpoint for ClientSide {
                     self.sessions.insert(sid, in_tx);
                     let _ = p.reply.send(Ok(in_rx));
                 }
-                // Duplicate ACCEPT for an already-active session: noise.
+                // An ACCEPT nobody is waiting for is dropped.
             }
             MuxKind::Busy => {
                 if let Some(p) = self.pending.remove(&sid) {
@@ -926,10 +902,6 @@ impl Endpoint for ClientSide {
             }
             MuxKind::Close => {
                 self.sessions.remove(&sid);
-                if let Some(p) = self.pending.remove(&sid) {
-                    // ACCEPT-then-CLOSE for an already-finished session.
-                    let _ = p.reply.send(Err(NetError::Closed));
-                }
             }
             MuxKind::Goaway => {
                 self.remote_goaway = true;
@@ -938,8 +910,8 @@ impl Endpoint for ClientSide {
                 }
             }
             MuxKind::Stats => {
-                // A snapshot reply; a duplicate (from a retransmitted
-                // request) finds no pending scrape and is dropped.
+                // A snapshot reply answers the oldest pending scrape; one
+                // nobody asked for is dropped.
                 if let Some(reply) = self.pending_stats.pop_front() {
                     let _ = reply.send(Ok(frame.payload));
                 }
@@ -1317,6 +1289,130 @@ mod tests {
         assert_eq!(client.fetch_stats().unwrap(), b"{}");
         client.close().unwrap();
         server.join().unwrap().unwrap();
+    }
+
+    /// A session id runs once per connection: a repeated OPEN, for a live
+    /// or a finished session, is counted as malformed and answered with
+    /// nothing.
+    #[test]
+    fn repeated_open_is_malformed_and_never_reruns() {
+        let (mut client_end, server_end) = duplex_pair();
+        let server = std::thread::spawn(move || {
+            let registry = SessionRegistry::new(8);
+            let shutdown = ShutdownHandle::new();
+            serve_mux_connection(server_end, &fast_config(), &registry, &shutdown, None, echo_handler)
+        });
+        let open = MuxFrame::open(1, Vec::new());
+        let close = MuxFrame::control(MuxKind::Close, 1);
+        let goaway = MuxFrame::control(MuxKind::Goaway, 0);
+        for frame in [&open, &open, &close, &open, &goaway] {
+            client_end.send(&frame.encode()).unwrap();
+        }
+        let mut accepts = 0;
+        while let Ok(raw) = client_end.recv() {
+            accepts += usize::from(MuxFrame::decode(&raw).unwrap().kind == MuxKind::Accept);
+        }
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!((accepts, stats.opened, stats.malformed), (1, 1, 2));
+    }
+
+    /// Lets the first inbound frame (the OPEN) through and holds the rest
+    /// until a write fails: the frames a departed peer delivered are
+    /// still unread when the loop learns of the departure from its own
+    /// write.
+    struct ReadAfterFailedWrite {
+        inner: crate::duplex::DuplexEndpoint,
+        opened: bool,
+        write_failed: bool,
+        held: VecDeque<Vec<u8>>,
+    }
+
+    impl Transport for ReadAfterFailedWrite {
+        fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+            let sent = self.inner.send(frame);
+            self.write_failed |= sent.is_err();
+            sent
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, NetError> {
+            self.inner.recv()
+        }
+    }
+
+    impl DeadlineTransport for ReadAfterFailedWrite {
+        fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
+            if self.write_failed {
+                return match self.held.pop_front() {
+                    Some(frame) => Ok(Some(frame)),
+                    None => self.inner.recv_deadline(timeout_ms),
+                };
+            }
+            match self.inner.recv_deadline(timeout_ms) {
+                Ok(Some(frame)) if !self.opened => {
+                    self.opened = true;
+                    Ok(Some(frame))
+                }
+                Ok(Some(frame)) => {
+                    self.held.push_back(frame);
+                    Ok(None)
+                }
+                Ok(None) => Ok(None),
+                // The end of the stream waits too.
+                Err(_) => {
+                    std::thread::sleep(Duration::from_millis(timeout_ms));
+                    Ok(None)
+                }
+            }
+        }
+    }
+
+    /// A peer that says CLOSE and GOAWAY and hangs up while a handler is
+    /// still sending: the loop learns of the departure from a failed
+    /// write, and must still account for the session — not return with
+    /// it neither completed nor closed.
+    #[test]
+    fn write_to_departed_peer_still_accounts_for_its_sessions() {
+        let (mut client_end, server_end) = duplex_pair();
+        let transport = ReadAfterFailedWrite {
+            inner: server_end,
+            opened: false,
+            write_failed: false,
+            held: VecDeque::new(),
+        };
+        let (go_tx, go_rx) = bounded::<()>(1);
+        let go_rx = std::sync::Mutex::new(go_rx);
+        let server = std::thread::spawn(move || {
+            let registry = SessionRegistry::new(8);
+            serve_mux_connection(
+                transport,
+                &fast_config(),
+                &registry,
+                &ShutdownHandle::new(),
+                None,
+                |_sid, _request, mut t: SessionTransport| {
+                    let _ = go_rx.lock().unwrap().recv();
+                    for _ in 0..16 {
+                        if t.send(b"late").is_err() {
+                            break;
+                        }
+                    }
+                },
+            )
+        });
+        let open = MuxFrame::open(1, Vec::new());
+        client_end.send(&open.encode()).unwrap();
+        let accept = MuxFrame::decode(&client_end.recv().unwrap()).unwrap();
+        assert_eq!(accept.kind, MuxKind::Accept);
+        let close = MuxFrame::control(MuxKind::Close, 1);
+        let goaway = MuxFrame::control(MuxKind::Goaway, 0);
+        client_end.send(&close.encode()).unwrap();
+        client_end.send(&goaway.encode()).unwrap();
+        drop(client_end);
+        go_tx.send(()).unwrap();
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!(stats.opened, 1);
+        let accounted = stats.completed + stats.closed_by_peer;
+        assert_eq!(accounted, stats.opened, "{stats:?}");
     }
 
     #[test]

@@ -1,104 +1,94 @@
 //! Seeded fault schedules.
 //!
-//! A [`FaultPlan`] is a *distribution* over per-message faults; the
-//! per-direction [`FaultInjector`] turns it into a concrete schedule by
-//! drawing from a `StdRng` seeded with `plan.seed ^ direction`. Each
-//! direction consumes its stream strictly in send order, so the schedule
-//! a message sees depends only on `(seed, direction, message index)` —
-//! never on how the OS interleaved the two party threads.
+//! The link is reliable and ordered, like a TCP stream: every frame sent
+//! before a cut arrives once, intact, and in send order. A [`FaultPlan`]
+//! only decides *when*: random in-order jitter, stall windows and a
+//! bandwidth cap, plus one terminal fault a test sets on purpose — a
+//! [`Cut`] of one direction. The per-direction [`FaultInjector`] turns
+//! the plan into a concrete schedule by drawing from a `StdRng` seeded
+//! with `plan.seed ^ direction`. Each direction consumes its stream
+//! strictly in send order, so the schedule a message sees depends only
+//! on `(seed, direction, message index)` — never on how the OS
+//! interleaved the two party threads.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A virtual-time window during which the link delivers nothing.
+use crate::simnet::link::Side;
+
+/// A virtual-time window during which the link holds every frame sent:
+/// such a frame is delivered no earlier than the window's end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// First virtual millisecond of the outage (inclusive).
+pub struct StallWindow {
+    /// First virtual millisecond of the stall (inclusive).
     pub from_ms: u64,
-    /// End of the outage (exclusive).
+    /// End of the stall (exclusive).
     pub until_ms: u64,
 }
 
-impl PartitionWindow {
+impl StallWindow {
     fn covers(&self, vtime: u64) -> bool {
         self.from_ms <= vtime && vtime < self.until_ms
     }
 }
 
-/// A reproducible schedule of network faults, fully determined by `seed`.
-///
-/// Probabilities are per delivery attempt and independent; several faults
-/// can hit the same frame (e.g. truncated *and* delayed). Corruption
-/// probabilities model an adversarial or broken middlebox — the secure
-/// channel and the retry layer's checksum must both reject the result.
+/// A reset of one direction: frames `0..at_frame` sent by `from` are
+/// delivered, nothing after them is, and the receiving side's `recv`
+/// returns `Closed` once the earlier frames have drained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cut {
+    /// The sending side of the cut direction.
+    pub from: Side,
+    /// Per-direction index of the first frame that is not delivered.
+    pub at_frame: u64,
+}
+
+/// A reproducible schedule of network timing, fully determined by `seed`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for the per-direction fault RNG streams.
+    /// Seed for the per-direction jitter streams.
     pub seed: u64,
-    /// Probability a frame is silently lost.
-    pub drop: f64,
-    /// Probability a frame is delivered twice (the copy arrives later).
-    pub duplicate: f64,
-    /// Probability a frame is held back by an extra random delay.
+    /// Probability a frame is held back by an extra random delay. Frames
+    /// never overtake each other: a delayed frame holds back its
+    /// successors too.
     pub delay: f64,
-    /// Probability a frame is held long enough to land behind its
-    /// successors (reordering).
-    pub reorder: f64,
-    /// Probability a frame's payload is cut short.
-    pub truncate: f64,
-    /// Probability a single bit of the payload is flipped.
-    pub bitflip: f64,
     /// Upper bound on injected extra delay, in virtual milliseconds.
     pub max_delay_ms: u64,
-    /// Scheduled total outages of the link (both directions).
-    pub partitions: Vec<PartitionWindow>,
+    /// Scheduled stalls of the link (both directions).
+    pub stalls: Vec<StallWindow>,
     /// Virtual bandwidth cap in bytes per virtual millisecond per
     /// direction; `0` means unlimited.
     pub bytes_per_ms: u64,
+    /// A reset of one direction. [`FaultPlan::from_seed`] never draws
+    /// one, so every seeded plan is one a correct stack must complete.
+    pub cut: Option<Cut>,
 }
 
 impl FaultPlan {
-    /// A fault-free plan: every frame delivered once, intact, in order.
+    /// A fault-free plan: every frame delivered after the base latency.
     pub fn perfect() -> Self {
         FaultPlan {
             seed: 0,
-            drop: 0.0,
-            duplicate: 0.0,
             delay: 0.0,
-            reorder: 0.0,
-            truncate: 0.0,
-            bitflip: 0.0,
             max_delay_ms: 0,
-            partitions: Vec::new(),
+            stalls: Vec::new(),
             bytes_per_ms: 0,
+            cut: None,
         }
     }
 
     /// Derives a randomized-but-reproducible plan from a single seed: the
-    /// sweep harness walks seeds `0..N` to cover a spectrum from nearly
-    /// clean links to hostile ones. Intensities are kept below the point
-    /// where the retry budget is statistically certain to be exhausted,
-    /// so most runs complete and exercise the recovery path rather than
-    /// just the give-up path.
+    /// sweep harness walks seeds `0..N` to cover a spectrum from an
+    /// unhurried link to a jittery, stalling, narrow one.
     pub fn from_seed(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        // Overall harshness in [0, 1]; scales every probability.
-        let harshness = f64::from(rng.random_range(0u32..=1000)) / 1000.0;
-        let p = |rng: &mut StdRng, ceil: f64| {
-            f64::from(rng.random_range(0u32..=1000)) / 1000.0 * ceil * harshness
-        };
-        let drop = p(&mut rng, 0.12);
-        let duplicate = p(&mut rng, 0.15);
-        let delay = p(&mut rng, 0.30);
-        let reorder = p(&mut rng, 0.20);
-        let truncate = p(&mut rng, 0.10);
-        let bitflip = p(&mut rng, 0.10);
+        let delay = f64::from(rng.random_range(0u32..=1000)) / 1000.0 * 0.5;
         let max_delay_ms = rng.random_range(1u64..=40);
-        // Roughly a third of plans include one hard partition window.
-        let partitions = if rng.random_bool(0.35) {
+        // Roughly a third of plans include one stall window.
+        let stalls = if rng.random_bool(0.35) {
             let from_ms = rng.random_range(5u64..=400);
             let width = rng.random_range(5u64..=120);
-            vec![PartitionWindow {
+            vec![StallWindow {
                 from_ms,
                 until_ms: from_ms + width,
             }]
@@ -113,65 +103,59 @@ impl FaultPlan {
         };
         FaultPlan {
             seed,
-            drop,
-            duplicate,
             delay,
-            reorder,
-            truncate,
-            bitflip,
             max_delay_ms,
-            partitions,
+            stalls,
             bytes_per_ms,
+            cut: None,
         }
     }
 
-    /// True when `vtime` falls inside a scheduled partition.
-    pub(crate) fn partitioned_at(&self, vtime: u64) -> bool {
-        self.partitions.iter().any(|w| w.covers(vtime))
+    /// The end of the latest stall window covering `vtime`, if any.
+    fn stalled_until(&self, vtime: u64) -> Option<u64> {
+        self.stalls
+            .iter()
+            .filter(|w| w.covers(vtime))
+            .map(|w| w.until_ms)
+            .max()
     }
 }
 
-/// Which faults hit one delivery attempt (recorded in the trace).
+/// Which faults touched one frame (recorded in the trace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Faults {
-    /// Lost to random drop.
-    pub dropped: bool,
-    /// Lost to a partition window.
-    pub partitioned: bool,
-    /// Payload cut short.
-    pub truncated: bool,
-    /// One payload bit inverted.
-    pub bit_flipped: bool,
-    /// This attempt is the extra copy of a duplicated frame.
-    pub duplicated: bool,
-    /// Extra queueing delay applied (delay or reorder fault), in virtual
-    /// milliseconds; `0` when neither fired.
+    /// Sent inside a stall window and held until its end.
+    pub stalled: bool,
+    /// At or past the direction's cut: never delivered.
+    pub cut: bool,
+    /// Random jitter drawn for this frame, in virtual milliseconds; `0`
+    /// when none fired.
     pub extra_delay_ms: u64,
 }
 
 impl Faults {
     /// Compact bitmask for digests and summaries.
     pub fn as_bits(&self) -> u8 {
-        u8::from(self.dropped)
-            | u8::from(self.partitioned) << 1
-            | u8::from(self.truncated) << 2
-            | u8::from(self.bit_flipped) << 3
-            | u8::from(self.duplicated) << 4
+        u8::from(self.stalled) | u8::from(self.cut) << 1
     }
 
-    /// True when no fault touched the attempt.
+    /// True when no fault touched the frame.
     pub fn is_clean(&self) -> bool {
         self.as_bits() == 0 && self.extra_delay_ms == 0
     }
 }
 
-/// One scheduled delivery attempt produced by the injector.
-#[derive(Debug)]
-pub(crate) struct Attempt {
-    /// Possibly mutated payload; `None` when the attempt is lost.
-    pub payload: Option<Vec<u8>>,
-    /// Extra virtual delay beyond base latency + transmission time.
-    pub extra_delay_ms: u64,
+/// What the injector decided for one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fate {
+    /// Per-direction message index.
+    pub index: u64,
+    /// When the frame reaches the receiver. For a frame past the cut
+    /// nothing arrives; the first such frame's time is when the reset
+    /// does.
+    pub vtime: u64,
+    /// This frame is the first past the cut: the reset takes its place.
+    pub reset: bool,
     /// What happened, for the trace.
     pub faults: Faults,
 }
@@ -181,105 +165,58 @@ pub(crate) struct Attempt {
 pub(crate) struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
+    /// First undelivered index of this direction, if it is cut.
+    cut_at: Option<u64>,
     next_index: u64,
+    /// Delivery time of the previous frame; nothing may arrive before it.
+    last_delivery: u64,
 }
 
 impl FaultInjector {
-    pub fn new(plan: &FaultPlan, direction: u64) -> Self {
+    pub fn new(plan: &FaultPlan, from: Side) -> Self {
         FaultInjector {
             plan: plan.clone(),
-            // Distinct stream per direction; the xor keeps direction 0's
-            // stream different from the plan-derivation stream too.
+            // Distinct stream per direction; the offset keeps direction
+            // 0's stream different from the plan-derivation stream too.
             rng: StdRng::seed_from_u64(
                 plan.seed
                     .wrapping_mul(0x2545_f491_4f6c_dd1d)
-                    .wrapping_add(direction + 1),
+                    .wrapping_add(from.direction() + 1),
             ),
+            cut_at: plan.cut.filter(|c| c.from == from).map(|c| c.at_frame),
             next_index: 0,
+            last_delivery: 0,
         }
     }
 
-    /// Decides the fate of one frame entering the link at `send_vtime`.
-    /// Returns the message index and one or two delivery attempts.
-    pub fn on_send(&mut self, frame: &[u8], send_vtime: u64) -> (u64, Vec<Attempt>) {
+    /// Decides the fate of one frame that entered the link at
+    /// `send_vtime` and, unhindered, would arrive at `arrival_vtime`.
+    pub fn on_send(&mut self, send_vtime: u64, arrival_vtime: u64) -> Fate {
         let index = self.next_index;
         self.next_index += 1;
-        let plan = self.plan.clone();
-
-        // Draw order is fixed: partition, drop, truncate, bitflip,
-        // delay, reorder, duplicate. Probability draws happen even when
-        // an earlier fault already doomed the frame, so the stream
-        // position after message k never depends on what faults fired —
-        // only the payload-shaping draws (lengths, bit positions) are
-        // conditional, and those depend solely on earlier draws.
-        let partitioned = plan.partitioned_at(send_vtime);
-        let dropped = self.rng.random_bool(plan.drop);
-        let truncate = self.rng.random_bool(plan.truncate);
-        let bitflip = self.rng.random_bool(plan.bitflip);
-        let delayed = self.rng.random_bool(plan.delay);
-        let reordered = self.rng.random_bool(plan.reorder);
-        let duplicated = self.rng.random_bool(plan.duplicate);
-
-        if partitioned || dropped {
-            let faults = Faults {
-                dropped,
-                partitioned,
-                ..Faults::default()
-            };
-            return (
-                index,
-                vec![Attempt {
-                    payload: None,
-                    extra_delay_ms: 0,
-                    faults,
-                }],
-            );
-        }
-
-        let mut payload = frame.to_vec();
-        if truncate && !payload.is_empty() {
-            let new_len = self.rng.random_range(0..payload.len());
-            payload.truncate(new_len);
-        }
-        if bitflip && !payload.is_empty() {
-            let pos = self.rng.random_range(0..payload.len());
-            let bit = self.rng.random_range(0u32..8);
-            if let Some(byte) = payload.get_mut(pos) {
-                *byte ^= 1u8 << bit;
-            }
-        }
-        let mut extra_delay_ms = 0u64;
-        if delayed {
-            extra_delay_ms += self.rng.random_range(1..=plan.max_delay_ms.max(1));
-        }
-        if reordered {
-            // Enough to land behind at least one back-to-back successor.
-            extra_delay_ms += 1 + self.rng.random_range(0..=plan.max_delay_ms.max(1));
-        }
-        let faults = Faults {
-            truncated: truncate && frame.len() != payload.len(),
-            bit_flipped: bitflip && !payload.is_empty(),
-            extra_delay_ms,
-            ..Faults::default()
+        // The jitter draw happens for every frame, even a cut one, so the
+        // stream position after message k never depends on the plan's
+        // other faults.
+        let extra_delay_ms = if self.rng.random_bool(self.plan.delay) {
+            self.rng.random_range(1..=self.plan.max_delay_ms.max(1))
+        } else {
+            0
         };
-        let mut attempts = vec![Attempt {
-            payload: Some(payload.clone()),
-            extra_delay_ms,
-            faults,
-        }];
-        if duplicated {
-            let copy_delay = extra_delay_ms + 1 + self.rng.random_range(0..=plan.max_delay_ms.max(1));
-            attempts.push(Attempt {
-                payload: Some(payload),
-                extra_delay_ms: copy_delay,
-                faults: Faults {
-                    duplicated: true,
-                    extra_delay_ms: copy_delay,
-                    ..faults
-                },
-            });
+        let stalled_until = self.plan.stalled_until(send_vtime);
+        let vtime = (arrival_vtime + extra_delay_ms)
+            .max(stalled_until.unwrap_or(0))
+            .max(self.last_delivery);
+        self.last_delivery = vtime;
+        Fate {
+            index,
+            vtime,
+            reset: self.cut_at == Some(index),
+            faults: Faults {
+                stalled: stalled_until.is_some(),
+                cut: self.cut_at.is_some_and(|at| index >= at),
+                extra_delay_ms,
+            },
         }
-        (index, attempts)
     }
 }
 
@@ -290,54 +227,40 @@ mod tests {
     #[test]
     fn perfect_plan_never_mutates() {
         let plan = FaultPlan::perfect();
-        let mut inj = FaultInjector::new(&plan, 0);
+        let mut inj = FaultInjector::new(&plan, Side::A);
         for i in 0..100u64 {
-            let (index, attempts) = inj.on_send(b"hello world", i);
-            assert_eq!(index, i);
-            assert_eq!(attempts.len(), 1);
-            let a = &attempts[0];
-            assert_eq!(a.payload.as_deref(), Some(&b"hello world"[..]));
-            assert_eq!(a.extra_delay_ms, 0);
-            assert!(a.faults.is_clean());
+            let fate = inj.on_send(i, i + 5);
+            assert_eq!(fate.index, i);
+            assert_eq!(fate.vtime, i + 5);
+            assert!(!fate.reset);
+            assert!(fate.faults.is_clean());
         }
     }
 
     #[test]
     fn same_seed_same_schedule() {
         let plan = FaultPlan::from_seed(42);
-        let frames: Vec<Vec<u8>> = (0..200u32).map(|i| i.to_be_bytes().to_vec()).collect();
         let run = |mut inj: FaultInjector| {
-            frames
-                .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let (_, attempts) = inj.on_send(f, i as u64 * 3);
-                    attempts
-                        .into_iter()
-                        .map(|a| (a.payload, a.extra_delay_ms, a.faults))
-                        .collect::<Vec<_>>()
-                })
+            (0..200u64)
+                .map(|i| inj.on_send(i * 3, i * 3 + 5))
                 .collect::<Vec<_>>()
         };
-        let a = run(FaultInjector::new(&plan, 0));
-        let b = run(FaultInjector::new(&plan, 0));
+        let a = run(FaultInjector::new(&plan, Side::A));
+        let b = run(FaultInjector::new(&plan, Side::A));
         assert_eq!(a, b);
     }
 
     #[test]
     fn directions_get_distinct_streams() {
-        let plan = FaultPlan::from_seed(7);
-        let mut d0 = FaultInjector::new(&plan, 0);
-        let mut d1 = FaultInjector::new(&plan, 1);
+        let plan = FaultPlan {
+            delay: 0.5,
+            max_delay_ms: 40,
+            ..FaultPlan::from_seed(7)
+        };
+        let mut d0 = FaultInjector::new(&plan, Side::A);
+        let mut d1 = FaultInjector::new(&plan, Side::B);
         let outcomes: (Vec<_>, Vec<_>) = (0..64u64)
-            .map(|i| {
-                let (_, a) = d0.on_send(&[0u8; 64], i);
-                let (_, b) = d1.on_send(&[0u8; 64], i);
-                (
-                    a.iter().map(|x| x.faults).collect::<Vec<_>>(),
-                    b.iter().map(|x| x.faults).collect::<Vec<_>>(),
-                )
-            })
+            .map(|i| (d0.on_send(i, i).faults, d1.on_send(i, i).faults))
             .unzip();
         assert_ne!(outcomes.0, outcomes.1);
     }
@@ -347,13 +270,14 @@ mod tests {
         assert_eq!(FaultPlan::from_seed(5), FaultPlan::from_seed(5));
         let plans: Vec<FaultPlan> = (0..32).map(FaultPlan::from_seed).collect();
         assert!(plans.windows(2).any(|w| w[0] != w[1]));
-        assert!(plans.iter().any(|p| !p.partitions.is_empty()));
+        assert!(plans.iter().any(|p| !p.stalls.is_empty()));
         assert!(plans.iter().any(|p| p.bytes_per_ms != 0));
+        assert!(plans.iter().all(|p| p.cut.is_none()));
     }
 
     #[test]
-    fn partition_window_covers_half_open() {
-        let w = PartitionWindow {
+    fn stall_window_covers_half_open() {
+        let w = StallWindow {
             from_ms: 10,
             until_ms: 20,
         };
@@ -361,18 +285,5 @@ mod tests {
         assert!(w.covers(10));
         assert!(w.covers(19));
         assert!(!w.covers(20));
-    }
-
-    #[test]
-    fn total_drop_loses_everything() {
-        let plan = FaultPlan {
-            drop: 1.0,
-            ..FaultPlan::perfect()
-        };
-        let mut inj = FaultInjector::new(&plan, 0);
-        for i in 0..20u64 {
-            let (_, attempts) = inj.on_send(b"gone", i);
-            assert!(attempts.iter().all(|a| a.payload.is_none()));
-        }
     }
 }

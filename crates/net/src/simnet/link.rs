@@ -7,8 +7,7 @@
 //! observable behaviour of a run is a pure function of the seed even
 //! though the two parties run on real OS threads.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::simnet::trace::TraceEvent;
@@ -31,7 +30,7 @@ impl Side {
         }
     }
 
-    /// Direction tag for seeding the per-direction fault stream.
+    /// Direction tag for seeding the per-direction jitter stream.
     pub(crate) fn direction(self) -> u64 {
         match self {
             Side::A => 0,
@@ -69,27 +68,9 @@ impl<T> PerSide<T> {
 #[derive(Debug)]
 pub(crate) struct Scheduled {
     pub vtime: u64,
-    /// Global insertion counter; breaks ties so two frames due at the
-    /// same virtual instant deliver in schedule order.
-    pub seq: u64,
-    pub bytes: Vec<u8>,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.vtime == other.vtime && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.vtime, self.seq).cmp(&(other.vtime, other.seq))
-    }
+    /// The frame, or `None` for the reset a cut leaves behind: the
+    /// reader sees `Closed` from then on.
+    pub bytes: Option<Vec<u8>>,
 }
 
 /// Registration of a receiver blocked on its queue.
@@ -105,8 +86,10 @@ pub(crate) struct WaitState {
 /// Everything behind the link's mutex.
 #[derive(Debug, Default)]
 pub(crate) struct LinkState {
-    /// In-flight frames, keyed by *receiving* side (min-heap on vtime).
-    pub queues: PerSide<BinaryHeap<Reverse<Scheduled>>>,
+    /// In-flight frames, keyed by *receiving* side. A direction delivers
+    /// in send order at non-decreasing virtual times, so each queue is
+    /// FIFO.
+    pub queues: PerSide<VecDeque<Scheduled>>,
     /// Virtual time at which each direction's pipe frees up, keyed by
     /// *sending* side. Models the bandwidth cap.
     pub link_free_at: PerSide<u64>,
@@ -122,8 +105,6 @@ pub(crate) struct LinkState {
     pub waiting: PerSide<Option<WaitState>>,
     /// Trace events, keyed by *sending* side.
     pub trace: PerSide<Vec<TraceEvent>>,
-    /// Tie-breaking insertion counter for [`Scheduled`].
-    pub next_seq: u64,
 }
 
 /// The mutex + condvar pair both endpoints share.
@@ -147,22 +128,6 @@ impl LinkShared {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scheduled_orders_by_vtime_then_seq() {
-        let mut heap: BinaryHeap<Reverse<Scheduled>> = BinaryHeap::new();
-        for (vtime, seq) in [(5u64, 2u64), (3, 1), (5, 0), (1, 3)] {
-            heap.push(Reverse(Scheduled {
-                vtime,
-                seq,
-                bytes: vec![],
-            }));
-        }
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop())
-            .map(|Reverse(s)| (s.vtime, s.seq))
-            .collect();
-        assert_eq!(order, vec![(1, 3), (3, 1), (5, 0), (5, 2)]);
-    }
 
     #[test]
     fn per_side_round_trips() {

@@ -1,24 +1,27 @@
 //! Deterministic in-process simulated network.
 //!
-//! [`sim_pair`] returns two [`SimEndpoint`]s joined by a fault-injecting
-//! link. Faults (drop, delay, duplicate, reorder, truncate, bit-flip,
-//! partitions, bandwidth caps) come from a [`FaultPlan`] — a schedule
-//! fully determined by one `u64` seed. Time is *virtual*: each endpoint
-//! carries a clock in virtual milliseconds that advances on sends
-//! (transmission time under a bandwidth cap) and on receives (to the
-//! frame's delivery time), so a "500 ms outage" costs microseconds of
-//! wall time and replays identically.
+//! [`sim_pair`] returns two [`SimEndpoint`]s joined by a link that is
+//! reliable and ordered, like a TCP stream: every frame arrives once,
+//! intact, in send order. Its faults are the ones TCP presents — timing
+//! (in-order jitter, stall windows, a bandwidth cap) from a [`FaultPlan`]
+//! fully determined by one `u64` seed, plus a [`Cut`] that a test sets
+//! on purpose: a reset of one direction, which the reader sees as
+//! `Closed` once the frames sent before it have drained. Time is
+//! *virtual*: each endpoint carries a clock in virtual milliseconds that
+//! advances on sends (transmission time under a bandwidth cap) and on
+//! receives (to the frame's delivery time), so a "500 ms stall" costs
+//! microseconds of wall time and replays identically.
 //!
 //! # Determinism
 //!
 //! Two sources of nondeterminism exist in a two-thread simulation: the
 //! fault schedule and timeout ordering. Both are pinned:
 //!
-//! * Fault draws come from **per-direction** RNG streams seeded from
+//! * Jitter draws come from **per-direction** RNG streams seeded from
 //!   `(plan.seed, direction)` and consumed in per-direction send order.
 //!   Thread interleaving cannot reorder draws within a direction, and
-//!   directions do not share a stream, so the fate of message `i` on a
-//!   direction is a pure function of the seed.
+//!   directions do not share a stream, so the delivery time of message
+//!   `i` on a direction is a pure function of the seed.
 //! * A blocked receiver's timeout is declared only on virtual evidence:
 //!   either a queued frame is due *after* the deadline, or **both**
 //!   parties are provably blocked on empty queues — then the earliest
@@ -30,11 +33,10 @@ pub mod fault;
 pub(crate) mod link;
 pub mod trace;
 
-pub use fault::{FaultPlan, Faults, PartitionWindow};
+pub use fault::{Cut, FaultPlan, Faults, StallWindow};
 pub use link::Side;
 pub use trace::{SimTrace, TraceEvent, TraceHandle};
 
-use std::cmp::Reverse;
 use std::sync::Arc;
 
 use crate::error::NetError;
@@ -95,7 +97,7 @@ pub fn sim_pair(config: SimConfig, plan: &FaultPlan) -> (SimEndpoint, SimEndpoin
         shared: shared.clone(),
         side,
         config,
-        injector: FaultInjector::new(plan, side.direction()),
+        injector: FaultInjector::new(plan, side),
         bytes_per_ms: plan.bytes_per_ms,
         clock: 0,
     };
@@ -107,11 +109,6 @@ impl SimEndpoint {
     /// This endpoint's current virtual time, in milliseconds.
     pub fn clock_ms(&self) -> u64 {
         self.clock
-    }
-
-    /// Which side of the link this endpoint is.
-    pub fn side(&self) -> Side {
-        self.side
     }
 
     fn over_deadline(&self) -> Result<(), NetError> {
@@ -156,30 +153,40 @@ impl SimEndpoint {
                 shared.wakeup.notify_all();
                 return Err(NetError::Deadlock);
             }
-            let top = st.queues.get(self.side).peek().map(|r| r.0.vtime);
+            let top = st.queues.get(self.side).front().map(|f| f.vtime);
             // Lower bound on the delivery time of any frame the peer has
             // not sent yet.
             let lb = if *st.closed.get(peer) {
                 u64::MAX
             } else if let Some(pw) = st.waiting.get(peer) {
-                let head = st.queues.get(peer).peek().map_or(u64::MAX, |r| r.0.vtime);
+                let head = st.queues.get(peer).front().map_or(u64::MAX, |f| f.vtime);
                 head.min(pw.deadline.unwrap_or(u64::MAX))
                     .saturating_add(latency)
             } else {
                 st.clocks.get(peer).saturating_add(latency)
             };
             // Deliver the queue head once nothing can precede it. A tie
-            // with `lb` is safe: a later send at the same instant gets a
-            // larger insertion sequence and sorts after the head.
+            // with `lb` is safe: a later send at the same instant queues
+            // behind the head.
             if let Some(t) = top {
                 if deadline.is_none_or(|d| t <= d) && t <= lb {
-                    if let Some(Reverse(frame)) = st.queues.get_mut(self.side).pop() {
-                        *st.waiting.get_mut(self.side) = None;
-                        self.clock = self.clock.max(frame.vtime);
-                        *st.clocks.get_mut(self.side) = self.clock;
-                        shared.wakeup.notify_all();
-                        self.over_deadline()?;
-                        return Ok(Some(frame.bytes));
+                    *st.waiting.get_mut(self.side) = None;
+                    self.clock = self.clock.max(t);
+                    *st.clocks.get_mut(self.side) = self.clock;
+                    shared.wakeup.notify_all();
+                    self.over_deadline()?;
+                    let queue = st.queues.get_mut(self.side);
+                    match queue.pop_front() {
+                        Some(Scheduled {
+                            bytes: Some(frame), ..
+                        }) => return Ok(Some(frame)),
+                        // A reset stays at the head: every later receive
+                        // sees it too.
+                        Some(reset) => {
+                            queue.push_front(reset);
+                            return Err(NetError::Closed);
+                        }
+                        None => {}
                     }
                 }
             }
@@ -248,11 +255,12 @@ impl SimEndpoint {
 
 impl Transport for SimEndpoint {
     /// Sends one frame. Unlike the in-memory duplex pair, sending to a
-    /// closed peer is *not* an error: the frame (and its fault draws, and
-    /// its trace event) happen exactly as if the peer were alive, so a
-    /// run's trace cannot depend on the wall-clock race between one
-    /// party's exit and the other's last sends. Peer departure surfaces
-    /// on the receive side, after the in-flight queue drains.
+    /// closed peer (or past a cut) is *not* an error: the frame, its
+    /// jitter draw and its trace event happen exactly as if the peer were
+    /// listening, so a run's trace cannot depend on the wall-clock race
+    /// between one party's exit and the other's last sends. Peer
+    /// departure surfaces on the receive side, after the in-flight queue
+    /// drains.
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
         self.over_deadline()?;
         let shared = self.shared.clone();
@@ -266,42 +274,36 @@ impl Transport for SimEndpoint {
         *st.link_free_at.get_mut(self.side) = start + transmission;
         self.clock = start + transmission;
         *st.clocks.get_mut(self.side) = self.clock;
-        let (index, attempts) = self.injector.on_send(frame, start);
-        for attempt in attempts {
-            let delivered_len = attempt.payload.as_ref().map_or(0, |p| p.len() as u32);
-            let delivery_vtime = attempt.payload.as_ref().map(|_| {
-                start + transmission + self.config.latency_ms + attempt.extra_delay_ms
+        // Jitter draws come from a per-direction seeded RNG in
+        // per-direction send order, on the sending party's own thread:
+        // deterministic under a fixed FaultPlan seed.
+        let fate = self
+            .injector
+            .on_send(start, self.clock + self.config.latency_ms);
+        let faults = fate.faults;
+        if !faults.is_clean() {
+            minshare_trace::emit("simnet", "fault", true, || {
+                vec![
+                    minshare_trace::count("index", fate.index),
+                    minshare_trace::count("faults_bits", u64::from(faults.as_bits())),
+                    minshare_trace::count("extra_delay_ms", faults.extra_delay_ms),
+                ]
             });
-            // Fault draws come from a per-direction seeded RNG in
-            // per-direction send order, on the sending party's own
-            // thread: deterministic under a fixed FaultPlan seed.
-            if attempt.faults.as_bits() != 0 || attempt.faults.extra_delay_ms != 0 {
-                let faults = attempt.faults;
-                minshare_trace::emit("simnet", "fault", true, || {
-                    vec![
-                        minshare_trace::count("index", index),
-                        minshare_trace::count("faults_bits", u64::from(faults.as_bits())),
-                        minshare_trace::count("extra_delay_ms", faults.extra_delay_ms),
-                    ]
-                });
-            }
-            st.trace.get_mut(self.side).push(Event {
-                index,
-                sent_len: frame.len() as u32,
-                delivered_len,
-                send_vtime: start,
-                delivery_vtime,
-                faults: attempt.faults,
+        }
+        st.trace.get_mut(self.side).push(Event {
+            index: fate.index,
+            sent_len: frame.len() as u32,
+            send_vtime: start,
+            delivery_vtime: (!faults.cut).then_some(fate.vtime),
+            faults,
+        });
+        // The first frame past a cut leaves the reset in its place.
+        let bytes = (!faults.cut).then(|| frame.to_vec());
+        if bytes.is_some() || fate.reset {
+            st.queues.get_mut(self.side.peer()).push_back(Scheduled {
+                vtime: fate.vtime,
+                bytes,
             });
-            if let (Some(bytes), Some(vtime)) = (attempt.payload, delivery_vtime) {
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.queues.get_mut(self.side.peer()).push(Reverse(Scheduled {
-                    vtime,
-                    seq,
-                    bytes,
-                }));
-            }
         }
         shared.wakeup.notify_all();
         Ok(())
@@ -404,27 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_frames_never_arrive() {
-        let plan = FaultPlan {
-            drop: 1.0,
-            ..FaultPlan::perfect()
-        };
-        let (mut a, mut b, trace) = sim_pair(cfg(), &plan);
-        a.send(b"gone").unwrap();
-        // Nothing queued and the sender thread (us) isn't blocked, so a
-        // peer-side deadline fires via the both-blocked rule only in
-        // threaded runs; single-threaded, the future-frame rule cannot
-        // apply. Use try-style: deadline with both parties blocked needs
-        // threads, so just assert the trace recorded a drop.
-        let snap = trace.snapshot();
-        assert_eq!(snap.a_to_b.len(), 1);
-        assert!(snap.a_to_b[0].faults.dropped);
-        assert_eq!(snap.a_to_b[0].delivery_vtime, None);
-        drop(a);
-        assert_eq!(b.recv().unwrap_err(), NetError::Closed);
-    }
-
-    #[test]
     fn both_blocked_earliest_deadline_fires() {
         let (mut a, mut b, _trace) = sim_pair(cfg(), &FaultPlan::perfect());
         let handle = std::thread::spawn(move || {
@@ -452,74 +433,108 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_delivers_twice() {
+    fn jitter_never_reorders_frames() {
         let plan = FaultPlan {
-            duplicate: 1.0,
-            max_delay_ms: 3,
+            seed: 11,
+            delay: 0.5,
+            max_delay_ms: 40,
             ..FaultPlan::perfect()
         };
         let (mut a, mut b, trace) = sim_pair(cfg(), &plan);
-        a.send(b"twice").unwrap();
-        drop(a); // quiesce the sender so the delayed copy is deliverable
-        assert_eq!(b.recv().unwrap(), b"twice");
-        assert_eq!(b.recv().unwrap(), b"twice");
+        for i in 0..64u8 {
+            a.send(&[i]).unwrap();
+        }
+        drop(a);
+        for i in 0..64u8 {
+            assert_eq!(b.recv().unwrap(), vec![i]);
+        }
+        assert_eq!(b.recv().unwrap_err(), NetError::Closed);
+        // Jitter fired unevenly, yet delivery times never go backwards.
+        let events = trace.snapshot().a_to_b;
+        assert!(events.iter().any(|e| e.faults.extra_delay_ms > 0));
+        assert!(events.iter().any(|e| e.faults.extra_delay_ms == 0));
+        assert!(events
+            .windows(2)
+            .all(|w| w[0].delivery_vtime <= w[1].delivery_vtime));
+    }
+
+    #[test]
+    fn stall_window_holds_a_frame_until_it_ends() {
+        let plan = FaultPlan {
+            stalls: vec![StallWindow {
+                from_ms: 0,
+                until_ms: 40,
+            }],
+            ..FaultPlan::perfect()
+        };
+        let (mut a, mut b, trace) = sim_pair(cfg(), &plan);
+        // Sent at clock 0, inside the window.
+        a.send(b"held").unwrap();
+        drop(a);
+        // Nothing is due before the window ends: a deadline short of it
+        // times out on the virtual clock, without sleeping.
+        assert_eq!(b.recv_deadline(39).unwrap(), None);
+        assert_eq!(b.clock_ms(), 39);
+        assert_eq!(b.recv().unwrap(), b"held");
+        assert_eq!(b.clock_ms(), 40);
+        let event = &trace.snapshot().a_to_b[0];
+        assert!(event.faults.stalled);
+        assert_eq!(event.delivery_vtime, Some(40));
+    }
+
+    #[test]
+    fn cut_drains_earlier_frames_then_closes() {
+        let plan = FaultPlan {
+            cut: Some(Cut {
+                from: Side::A,
+                at_frame: 2,
+            }),
+            ..FaultPlan::perfect()
+        };
+        let (mut a, mut b, trace) = sim_pair(cfg(), &plan);
+        for i in 0..5u8 {
+            a.send(&[i]).unwrap();
+        }
+        // `a` is still alive: the reset alone ends the stream, after the
+        // frames sent before it.
+        assert_eq!(b.recv().unwrap(), vec![0]);
+        assert_eq!(b.recv().unwrap(), vec![1]);
+        assert_eq!(b.recv().unwrap_err(), NetError::Closed);
+        assert_eq!(b.recv_deadline(10).unwrap_err(), NetError::Closed);
+        // The other direction is untouched.
+        b.send(b"still open").unwrap();
+        assert_eq!(a.recv().unwrap(), b"still open");
         let snap = trace.snapshot();
-        assert_eq!(snap.a_to_b.len(), 2);
-        assert!(snap.a_to_b[1].faults.duplicated);
-    }
-
-    #[test]
-    fn truncation_shortens_payload() {
-        let plan = FaultPlan {
-            truncate: 1.0,
-            ..FaultPlan::perfect()
-        };
-        let (mut a, mut b, trace) = sim_pair(cfg(), &plan);
-        a.send(&[7u8; 100]).unwrap();
-        let got = b.recv().unwrap();
-        assert!(got.len() < 100);
-        assert!(got.iter().all(|&x| x == 7));
-        assert!(trace.snapshot().a_to_b[0].faults.truncated);
-    }
-
-    #[test]
-    fn bitflip_changes_exactly_one_bit() {
-        let plan = FaultPlan {
-            bitflip: 1.0,
-            ..FaultPlan::perfect()
-        };
-        let (mut a, mut b, _trace) = sim_pair(cfg(), &plan);
-        let original = [0u8; 64];
-        a.send(&original).unwrap();
-        let got = b.recv().unwrap();
-        let flipped: u32 = got
+        assert_eq!(snap.a_to_b.len(), 5);
+        assert!(snap.a_to_b[..2].iter().all(|e| e.faults.is_clean()));
+        assert!(snap.a_to_b[2..]
             .iter()
-            .zip(original.iter())
-            .map(|(x, y)| (x ^ y).count_ones())
-            .sum();
-        assert_eq!(flipped, 1);
+            .all(|e| e.faults.cut && e.delivery_vtime.is_none()));
     }
 
     #[test]
-    fn partition_window_drops_by_virtual_time() {
+    fn stall_window_delays_by_virtual_time() {
         let plan = FaultPlan {
-            partitions: vec![PartitionWindow {
+            stalls: vec![StallWindow {
                 from_ms: 0,
                 until_ms: 50,
             }],
             ..FaultPlan::perfect()
         };
         let (mut a, mut b, trace) = sim_pair(cfg(), &plan);
-        a.send(b"lost").unwrap(); // clock 0: inside the window
-        // A blocks without a deadline so B's 60 ms deadline can fire via
-        // the both-blocked rule; B then replies from outside the window.
+        // Sent at clock 0, inside the window. A then blocks without a
+        // deadline, so the held frame is provably next, and B replies
+        // from outside the window.
+        a.send(b"held").unwrap();
         let handle = std::thread::spawn(move || a.recv());
-        assert_eq!(b.recv_deadline(60).unwrap(), None); // advances b to 60
-        b.send(b"reply-after-window").unwrap(); // clock 60: outside
+        assert_eq!(b.recv_deadline(60).unwrap(), Some(b"held".to_vec()));
+        assert_eq!(b.clock_ms(), 50);
+        b.send(b"reply-after-window").unwrap(); // clock 50: outside
         assert_eq!(handle.join().unwrap().unwrap(), b"reply-after-window");
         let snap = trace.snapshot();
-        assert!(snap.a_to_b[0].faults.partitioned);
+        assert!(snap.a_to_b[0].faults.stalled);
         assert_eq!(snap.b_to_a[0].faults.as_bits(), 0);
+        assert_eq!(snap.b_to_a[0].delivery_vtime, Some(50 + cfg().latency_ms));
     }
 
     #[test]
@@ -538,7 +553,10 @@ mod tests {
     #[test]
     fn run_deadline_turns_starvation_into_typed_error() {
         let plan = FaultPlan {
-            drop: 1.0,
+            cut: Some(Cut {
+                from: Side::A,
+                at_frame: 0,
+            }),
             ..FaultPlan::perfect()
         };
         let config = SimConfig {
@@ -546,20 +564,16 @@ mod tests {
             ..cfg()
         };
         let (mut a, _b, _trace) = sim_pair(config, &plan);
-        // Simulate a retry loop: every send is dropped, every wait times
-        // out and advances the virtual clock; the run deadline must cut
-        // it off with a typed error, never a hang.
+        // A sender that keeps writing into a cut link, waiting between
+        // writes: the run deadline must stop it with a typed error, never
+        // a hang. The wait is the clock bump a timed-out receive makes
+        // (a single thread cannot block against a live peer).
         let mut outcome = None;
         for _ in 0..1_000 {
-            if let Err(e) = a.send(b"retry") {
+            if let Err(e) = a.send(b"into the cut") {
                 outcome = Some(e);
                 break;
             }
-            // Future-frame rule can't fire (nothing queued), so emulate
-            // the robust layer's virtual wait by advancing via deadline
-            // against... nothing: both-blocked needs the peer, so just
-            // bump the clock through sends under a bandwidth-less link
-            // by pretending a timeout elapsed.
             a.clock = a.clock.saturating_add(50);
         }
         assert!(matches!(outcome, Some(NetError::TimedOut { .. })));

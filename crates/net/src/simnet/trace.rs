@@ -1,9 +1,8 @@
 //! Event traces for simulated-network runs.
 //!
 //! Every send through a [`crate::simnet::SimEndpoint`] appends one
-//! [`TraceEvent`] per delivery attempt (a duplicated frame produces two
-//! events with the same message index). Because fault decisions are
-//! drawn from a per-direction RNG stream in per-direction send order,
+//! [`TraceEvent`]. Because jitter is drawn from a per-direction RNG
+//! stream in per-direction send order,
 //! and all timestamps are virtual, re-running the same seed produces a
 //! byte-identical trace regardless of OS thread scheduling — which is
 //! exactly what the conformance harness asserts.
@@ -13,23 +12,19 @@ use std::sync::Arc;
 use crate::simnet::fault::Faults;
 use crate::simnet::link::LinkShared;
 
-/// One delivery attempt of one frame, as observed by the link.
+/// One frame, as observed by the link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Per-direction message index (0-based, in send order).
     pub index: u64,
     /// Payload length as handed to `send`.
     pub sent_len: u32,
-    /// Payload length actually scheduled for delivery (differs from
-    /// `sent_len` after truncation; equal to it otherwise). Zero-length
-    /// deliveries are possible under truncation.
-    pub delivered_len: u32,
     /// Virtual time at which the frame entered the link.
     pub send_vtime: u64,
-    /// Virtual time at which the frame reaches the receiver's queue, or
-    /// `None` if this attempt was dropped (loss or partition).
+    /// Virtual time at which the frame reaches the receiver, or `None`
+    /// if it was sent at or past the direction's cut.
     pub delivery_vtime: Option<u64>,
-    /// Which faults the injector applied to this attempt.
+    /// Which faults the injector applied to this frame.
     pub faults: Faults,
 }
 
@@ -43,33 +38,9 @@ pub struct SimTrace {
 }
 
 impl SimTrace {
-    /// Total number of delivery attempts recorded (both directions).
-    pub fn len(&self) -> usize {
-        self.a_to_b.len() + self.b_to_a.len()
-    }
-
     /// True when no sends were observed.
     pub fn is_empty(&self) -> bool {
         self.a_to_b.is_empty() && self.b_to_a.is_empty()
-    }
-
-    /// Number of attempts that were dropped (loss or partition).
-    pub fn dropped(&self) -> usize {
-        self.a_to_b
-            .iter()
-            .chain(self.b_to_a.iter())
-            .filter(|e| e.delivery_vtime.is_none())
-            .count()
-    }
-
-    /// Number of attempts whose payload was corrupted (truncated or
-    /// bit-flipped) but still delivered.
-    pub fn corrupted(&self) -> usize {
-        self.a_to_b
-            .iter()
-            .chain(self.b_to_a.iter())
-            .filter(|e| e.delivery_vtime.is_some() && (e.faults.truncated || e.faults.bit_flipped))
-            .count()
     }
 
     /// An order-sensitive FNV-1a digest of the whole trace, for cheap
@@ -88,7 +59,6 @@ impl SimTrace {
             for e in events {
                 mix(e.index);
                 mix(u64::from(e.sent_len));
-                mix(u64::from(e.delivered_len));
                 mix(e.send_vtime);
                 mix(e.delivery_vtime.map_or(u64::MAX, |t| t));
                 mix(u64::from(e.faults.as_bits()));

@@ -48,10 +48,11 @@ impl<T: Transport + ?Sized> Transport for &mut T {
 
 /// A transport whose receive side can give up after a deadline.
 ///
-/// The retry layer ([`crate::robust`]) needs bounded waits to decide when
-/// to retransmit. Over the simulated network the deadline is measured on
-/// the *virtual* clock (so runs are deterministic and instant); over real
-/// transports it is wall-clock time.
+/// The mux connection loops ([`crate::server`]) poll with bounded waits
+/// when they cannot hand the receive side to a reader thread. Over the
+/// simulated network the deadline is measured on the *virtual* clock (so
+/// runs are deterministic and instant); over real transports it is
+/// wall-clock time.
 pub trait DeadlineTransport: Transport {
     /// Waits up to `timeout_ms` for the next frame. Returns `Ok(None)` if
     /// the deadline elapsed with no frame; transport failures (peer gone,
@@ -63,9 +64,8 @@ pub trait DeadlineTransport: Transport {
     /// their own event queue instead of polling `recv_deadline`.
     ///
     /// `None` (the default) declines: the transport's receive path
-    /// cannot run apart from its send path — an ARQ layer whose ACKs
-    /// arrive on it, a link on a virtual clock — and the caller keeps
-    /// polling. After `Some`, bytes already buffered travel with the
+    /// cannot run apart from its send path — a link on a virtual clock,
+    /// which only a receive advances — and the caller keeps polling. After `Some`, bytes already buffered travel with the
     /// reader and the caller must not receive on the transport itself.
     fn split_reader(&mut self) -> Option<SplitReader> {
         None

@@ -23,9 +23,9 @@
 //! depend only on the protocol inputs and the (seeded) fault schedule —
 //! never on wall-clock timing or cross-thread scheduling — so a
 //! [`sink::RingSink`] digest over them reproduces exactly under a fixed
-//! simnet seed. Timing-dependent events (pool dispatch decisions, ARQ
-//! retransmits) are marked non-deterministic and excluded from digests,
-//! as are `DurationNs` fields on deterministic events.
+//! simnet seed. Timing-dependent events (pool dispatch decisions, mux
+//! connection lifecycle) are marked non-deterministic and excluded from
+//! digests, as are `DurationNs` fields on deterministic events.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,36 +1,34 @@
-//! Protocol conformance under adversarial network conditions.
+//! Protocol conformance under the network faults TCP presents.
 //!
 //! Every protocol (§3 intersection, §4 equijoin, §5.1 intersection-size,
-//! §5.2 equijoin-size) is replayed over the deterministic fault-injecting
-//! simulated network (`minshare_net::simnet`) wrapped in the bounded-retry
-//! transport, across a fixed set of seeded fault schedules. The contract,
-//! for every schedule:
+//! §5.2 equijoin-size) is replayed over the deterministic simulated
+//! network (`minshare_net::simnet`): a reliable, ordered link on a
+//! virtual clock, across a fixed set of seeded jitter / stall /
+//! bandwidth schedules. The contract, for every seeded schedule:
 //!
-//! 1. **No panic**, ever ([`SimOutcome::Panicked`] is an instant failure).
-//! 2. **No hang**: the virtual-clock deadline (plus a wall-clock backstop
-//!    inside the simulator) bounds every run.
-//! 3. **No wrong answer**: a party either fails with a typed
-//!    [`ProtocolError`] or produces *exactly* the output of the same
-//!    engine on a perfect link — which in turn is validated against the
-//!    clear-text reference (`naive.rs` set algebra / `leakage.rs`).
-//! 4. **No extra leakage**: protocol-layer bytes (counted above the retry
-//!    layer, so retransmits are excluded) of any completing party equal
-//!    the perfect-link profile — faults never change what goes on the
-//!    wire at the protocol layer.
-//! 5. **Reproducibility**: re-running a schedule from its seed yields a
-//!    byte-identical fault trace.
+//! 1. **Completion**: both parties finish — no panic, no hang (the
+//!    virtual-clock deadline, plus a wall-clock backstop inside the
+//!    simulator, bounds every run), no typed failure either.
+//! 2. **Same answers**: each party's output equals the output of the
+//!    same engine on a perfect link — which in turn is validated against
+//!    the clear-text reference (`naive.rs` set algebra / `leakage.rs`).
+//! 3. **Same bytes**: each party's protocol-layer byte count equals the
+//!    perfect-link profile — timing never changes what goes on the wire.
+//! 4. **Reproducibility**: re-running a schedule from its seed yields a
+//!    byte-identical link trace.
 //!
-//! One-sided typed failures are accepted: on a lossy channel the party
-//! sending the final message can lose every acknowledgement and give up
-//! even though its peer completed (the two-generals tail).
+//! A cut (a reset of one direction, set explicitly) is the one fault a
+//! run may lose to: it must end without a panic or a hang, in a typed
+//! failure, and any party that completes must still be exactly right.
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use minshare::naive::naive_intersection;
 use minshare::prelude::*;
-use minshare::simrun::{run_two_party_sim, SimOutcome, SimRunConfig, SimTwoPartyRun};
-use minshare_net::{FaultPlan, Transport};
+use minshare::simrun::{run_two_party_sim, SimOutcome, SimTwoPartyRun};
+use minshare_net::simnet::{Cut, Side};
+use minshare_net::{FaultPlan, SimConfig, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,13 +74,9 @@ fn mr() -> Vec<Vec<u8>> {
     to_values(&["oak", "ash", "oak", "yew", "yew", "elm"])
 }
 
-fn sim_cfg() -> SimRunConfig {
-    SimRunConfig::default()
-}
-
 fn chunked() -> PipelineConfig {
     // Small chunks so the chunked wire format (multi-frame lists) is
-    // actually exercised against reordering and loss.
+    // actually exercised against jitter and stalls.
     PipelineConfig::chunked(3)
 }
 
@@ -118,8 +112,8 @@ fn receiver<T: Transport + ?Sized>(
 /// binary covers hundreds more.
 const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
 
-/// Checks the universal contract for one faulty run against the
-/// perfect-link baseline, given per-party equality checks.
+/// Checks one run against the perfect-link baseline: no panic, and any
+/// party that completed produced the baseline's output and bytes.
 fn check_run<SO, RO>(
     tag: &str,
     baseline: &SimTwoPartyRun<SO, RO>,
@@ -168,7 +162,7 @@ where
     RO: From<engine::ReceiverOutput> + Send,
 {
     run_two_party_sim(
-        sim_cfg(),
+        SimConfig::default(),
         plan,
         |t| sender(t, shape, s_vals, ext, seeds.0, chunked()).map(SO::from),
         |t| receiver(t, shape, r_vals, seeds.1, chunked()).map(RO::from),
@@ -224,8 +218,8 @@ fn run_equijoin_size(
     )
 }
 
-/// Replays `run` over the fixed seed set, checking the universal
-/// contract and trace reproducibility against the given baseline.
+/// Replays `run` over the fixed seed set, checking the contract and trace
+/// reproducibility against the perfect-link baseline, which it returns.
 fn sweep<SO, RO>(
     tag: &str,
     run: impl Fn(&FaultPlan) -> SimTwoPartyRun<SO, RO>,
@@ -243,22 +237,18 @@ where
         baseline.sender,
         baseline.receiver,
     );
-    let mut completed = 0u32;
     for seed in SEEDS {
         let plan = FaultPlan::from_seed(namespace.wrapping_mul(1 << 32) | seed);
         let faulty = run(&plan);
+        assert_eq!(
+            faulty.outcome(),
+            SimOutcome::Complete,
+            "{tag} seed {seed}: {:?} / {:?}",
+            faulty.sender,
+            faulty.receiver,
+        );
         check_run(&format!("{tag} seed {seed}"), &baseline, &faulty);
-        if faulty.outcome() == SimOutcome::Complete {
-            completed += 1;
-        }
     }
-    // The retry layer must actually be winning against moderate fault
-    // schedules, not just failing politely every time.
-    assert!(
-        completed >= SEEDS.len() as u32 / 2,
-        "{tag}: only {completed}/{} schedules completed",
-        SEEDS.len(),
-    );
     // Reproducibility: the first seed, replayed, gives a byte-identical
     // fault trace and the same outcome.
     let plan = FaultPlan::from_seed(namespace.wrapping_mul(1 << 32) | SEEDS[0]);
@@ -331,35 +321,45 @@ fn equijoin_size_conforms_under_faults() {
     );
 }
 
-#[test]
-fn total_loss_is_always_a_typed_failure() {
-    let plan = FaultPlan {
-        drop: 1.0,
-        ..FaultPlan::perfect()
-    };
-    assert_eq!(run_intersection(&plan).outcome(), SimOutcome::TypedFailure);
-    assert_eq!(run_equijoin_size(&plan).outcome(), SimOutcome::TypedFailure);
+/// Cuts each direction at its first, a middle and its last frame: every
+/// such run ends in a typed failure — never a panic, a hang or a wrong
+/// answer from a party that completes.
+fn cut_sweep<SO, RO>(tag: &str, run: impl Fn(&FaultPlan) -> SimTwoPartyRun<SO, RO>)
+where
+    SO: PartialEq + std::fmt::Debug,
+    RO: PartialEq + std::fmt::Debug,
+{
+    let baseline = run(&FaultPlan::perfect());
+    assert_eq!(baseline.outcome(), SimOutcome::Complete, "{tag}: baseline");
+    // `run_two_party_sim` hands side A to the sender.
+    for (from, frames) in [
+        (Side::A, baseline.trace.a_to_b.len() as u64),
+        (Side::B, baseline.trace.b_to_a.len() as u64),
+    ] {
+        assert!(frames > 0, "{tag}: {from:?} sends nothing");
+        for at_frame in [0, frames / 2, frames - 1] {
+            let plan = FaultPlan {
+                cut: Some(Cut { from, at_frame }),
+                ..FaultPlan::perfect()
+            };
+            let cut = run(&plan);
+            let tag = format!("{tag} cut {from:?}@{at_frame}");
+            assert_eq!(
+                cut.outcome(),
+                SimOutcome::TypedFailure,
+                "{tag}: {:?} / {:?}",
+                cut.sender,
+                cut.receiver,
+            );
+            check_run(&tag, &baseline, &cut);
+        }
+    }
 }
 
 #[test]
-fn heavy_corruption_never_yields_a_wrong_answer() {
-    // Truncation and bit flips beyond what the retry layer's checksum
-    // budget is tuned for: runs may fail, but a completing party must
-    // still be exactly right (checksums + protocol-level sort/length
-    // checks catch everything else).
-    let baseline = run_intersection(&FaultPlan::perfect());
-    for seed in SEEDS {
-        let plan = FaultPlan {
-            seed,
-            truncate: 0.25,
-            bitflip: 0.25,
-            delay: 0.2,
-            max_delay_ms: 10,
-            ..FaultPlan::perfect()
-        };
-        let faulty = run_intersection(&plan);
-        check_run(&format!("corruption seed {seed}"), &baseline, &faulty);
-    }
+fn cut_link_is_a_typed_failure_never_a_wrong_answer() {
+    cut_sweep("intersection", run_intersection);
+    cut_sweep("equijoin-size", run_equijoin_size);
 }
 
 // ---------------------------------------------------------------------
@@ -534,7 +534,7 @@ fn trace_digest_is_reproducible_from_the_simnet_seed() {
         let run = {
             let (ss, rs) = (Arc::clone(&s_sink), Arc::clone(&r_sink));
             run_two_party_sim(
-                sim_cfg(),
+                SimConfig::default(),
                 &plan,
                 move |t| {
                     let _trace = minshare_trace::install(traced(&ss));

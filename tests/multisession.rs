@@ -19,9 +19,10 @@
 //! * one rogue peer aborts mid-protocol by dropping its session (typed
 //!   per-session failure, nothing else),
 //!
-//! across `SCHEDULES` seeded drop/dup/delay/reorder/corrupt fault plans
-//! injected *below* the retry layer. Faults may slow a session down;
-//! they may never change any answer, digest, or payload-byte count.
+//! across `SCHEDULES` seeded jitter / stall / bandwidth plans on the
+//! simulated link the mux runs over directly, as it runs over TCP.
+//! Timing may slow a session down; it may never change any answer,
+//! digest, or payload-byte count.
 //!
 //! Two deterministic sub-tests cover the admission-control edges:
 //! typed `Busy` load-shedding at the registry cap (the surviving
@@ -34,8 +35,8 @@ use std::sync::{Arc, Mutex};
 use minshare::prelude::*;
 use minshare::service::ClientTraffic;
 use minshare_net::{
-    serve_mux_connection, sim_pair, FaultPlan, MuxClient, MuxConfig, NetError, RobustConfig,
-    RobustTransport, SessionRegistry, ShutdownHandle, SimConfig, StatsProvider,
+    serve_mux_connection, sim_pair, FaultPlan, MuxClient, MuxConfig, NetError, SessionRegistry,
+    ShutdownHandle, SimConfig, StatsProvider,
 };
 use minshare_trace::metrics::{MetricsRegistry, RegistrySink};
 use minshare_trace::sink::{RingSink, TeeSink};
@@ -280,7 +281,7 @@ fn solo_baseline(service: &Arc<Service>, session: u32, spec: &SessionSpec) -> Se
 
 /// Runs the whole concurrent matrix once under the fault schedule for
 /// `seed`: 8 well-behaved sessions + 2 rogue peers over one mux
-/// connection on a faulty simulated link. Returns per-session client
+/// connection on a jittery, stalling simulated link. Returns per-session client
 /// outcomes, per-session server records, and the connection stats.
 #[allow(clippy::type_complexity)]
 fn run_concurrent(
@@ -303,8 +304,6 @@ fn run_concurrent(
         real_backstop_ms: 120_000,
     };
     let (server_end, client_end, _trace) = sim_pair(sim, &plan);
-    let server_rt = RobustTransport::with_config(server_end, RobustConfig::default());
-    let client_rt = RobustTransport::with_config(client_end, RobustConfig::default());
 
     let mux = MuxConfig::default();
     let registry = SessionRegistry::new(64);
@@ -318,7 +317,7 @@ fn run_concurrent(
     let server_shutdown = shutdown.clone();
     let server = std::thread::spawn(move || {
         serve_mux_connection(
-            server_rt,
+            server_end,
             &server_mux,
             &server_registry,
             &server_shutdown,
@@ -344,7 +343,7 @@ fn run_concurrent(
         )
     });
 
-    let mut client = MuxClient::new(client_rt, mux);
+    let mut client = MuxClient::new(client_end, mux);
     // Open in spec order so ids land 1..=8, matching the baselines.
     let mut opened = Vec::new();
     for (i, spec) in specs.iter().enumerate() {

@@ -50,11 +50,15 @@ for anchor in WIRE01 LOCK01 OBS01; do
         exit 1
     fi
 done
-# Protocol conformance under network faults: the fixed-seed suite runs
-# as part of `cargo test` above; re-run it by name so a registration
-# slip (e.g. the [[test]] entry disappearing) fails loudly, then sweep a
-# reduced schedule count through the fault_sweep binary as a smoke test
-# (the full 60×4 sweep is the default when run by hand).
+# Protocol conformance under the faults TCP presents: the fixed-seed
+# suite runs as part of `cargo test` above; re-run it by name so a
+# registration slip (e.g. the [[test]] entry disappearing) fails loudly,
+# then sweep a reduced schedule count through the fault_sweep binary as a
+# smoke test (the full 60×4 sweep is the default when run by hand). The
+# simulated link is reliable and ordered, its seeded faults are jitter,
+# stalls and bandwidth caps, and the contract is completion: fault_sweep
+# exits non-zero unless every seeded run completes on both sides with the
+# perfect link's outputs and protocol-layer bytes.
 cargo test -q --test conformance
 cargo run -q --release -p minshare-bench --bin fault_sweep -- --schedules 10
 # Cost-model reconciliation smoke: the profiler replays all four
@@ -68,7 +72,7 @@ profile_json=$(cargo run -q --release -p minshare-bench --bin bench_protocols --
 echo "$profile_json" | grep -q '"profile": *"smoke"'
 [ "$(echo "$profile_json" | grep -o '"ce_exact":true' | wc -l)" -eq 4 ]
 # Multi-session daemon conformance: N concurrent sessions × seeded
-# fault schedules through the real server path, asserting per-session
+# timing schedules through the real server path, asserting per-session
 # isolation against solo baselines (answers, trace digests, byte
 # counters), typed Busy shedding, and graceful-shutdown draining.
 cargo test -q --test multisession
