@@ -39,14 +39,14 @@ use crate::input;
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// Well-known group lookup shared by both subcommands: the daemon and
-/// its clients must land on the *same* group without any out-of-band
-/// parameter exchange, so only the baked-in moduli are allowed here.
-fn well_known_group(bits: u64) -> Result<QrGroup, AnyError> {
+/// Well-known group lookup shared by every networked verb: the two
+/// parties must land on the *same* group without any out-of-band
+/// parameter exchange, so only the baked-in moduli are allowed.
+pub(crate) fn well_known_group(bits: u64) -> Result<QrGroup, AnyError> {
     match bits {
         768 | 1024 | 1536 | 2048 => Ok(QrGroup::well_known(bits)?),
         other => Err(format!(
-            "--group-bits {other} is not a well-known group; daemon mode requires 768, 1024, 1536 or 2048"
+            "--group-bits {other} is not a well-known group; use 768, 1024, 1536 or 2048"
         )
         .into()),
     }

@@ -176,13 +176,7 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     };
 
     eprintln!("loading group ({} bits)…", args.group_bits);
-    let group = match args.group_bits {
-        768 | 1024 | 1536 | 2048 => QrGroup::well_known(args.group_bits)?,
-        other => {
-            eprintln!("generating a fresh {other}-bit safe prime (may take a while)…");
-            QrGroup::generate(&mut rng, other)?
-        }
-    };
+    let group = daemon::well_known_group(args.group_bits)?;
 
     // Establish the TCP link.
     let tcp = match &args.endpoint {

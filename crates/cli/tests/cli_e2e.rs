@@ -205,6 +205,42 @@ fn bad_args_exit_nonzero() {
     assert!(!out.status.success());
 }
 
+/// A size with no baked-in group is refused before the sender listens:
+/// two processes that each generated their own group would run the
+/// protocol in different groups and could print a wrong answer.
+#[test]
+fn one_shot_verbs_refuse_groups_that_are_not_well_known() {
+    let dir = TestDir::new("group-bits");
+    let values = dir.write("s.txt", "grape\n");
+    let mut sender = spawn(&[
+        "intersect",
+        "--listen",
+        "127.0.0.1:0",
+        "--values",
+        values.to_str().unwrap(),
+        "--group-bits",
+        "128",
+        "--seed",
+        "1",
+    ]);
+    // Read stderr to its end; a sender that gets as far as listening
+    // would wait for a peer forever, so it is killed there.
+    let mut stderr = String::new();
+    for line in BufReader::new(sender.stderr.take().expect("piped stderr")).lines() {
+        let line = line.expect("read sender stderr");
+        stderr.push_str(&line);
+        stderr.push('\n');
+        if line.starts_with("listening on") {
+            let _ = sender.kill();
+            let _ = sender.wait();
+            panic!("sender accepted --group-bits 128:\n{stderr}");
+        }
+    }
+    let status = sender.wait().expect("wait");
+    assert!(!status.success(), "{stderr}");
+    assert!(stderr.contains("768, 1024, 1536 or 2048"), "{stderr}");
+}
+
 #[test]
 fn local_query_mode_runs_the_papers_sql() {
     let dir = TestDir::new("query");

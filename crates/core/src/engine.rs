@@ -374,7 +374,7 @@ pub fn run_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
                 .iter()
                 .map(|rec| layout.codeword(rec))
                 .collect::<Result<_, _>>()?;
-            send_codewords_chunked(transport, group, &ys_b, pipe.chunk_size)?;
+            send_codewords_chunked(transport, group, ys_b, pipe.chunk_size)?;
         }
 
         if shape.sorted_reply {
@@ -385,7 +385,7 @@ pub fn run_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
                 zr_b.extend(jobs.first.wait());
             }
             zr_b.sort();
-            send_codewords_chunked(transport, group, &zr_b, pipe.chunk_size)?;
+            send_codewords_chunked(transport, group, zr_b, pipe.chunk_size)?;
         } else {
             // f_eS(Y_R^b) — or (f_eS(y), f_e'S(y)) — aligned with Y_R^b,
             // answered chunk-for-chunk as the jobs drain: chunk k is on
@@ -422,7 +422,7 @@ pub fn run_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
                 let ct = cipher.encrypt(&layout.kappa(rec)?, record)?;
                 table.push((layout.codeword(rec)?, ct));
             }
-            send_payload_pairs_chunked(transport, group, &table, pipe.chunk_size)?;
+            send_payload_pairs_chunked(transport, group, table, pipe.chunk_size)?;
         }
         if sharded {
             emit_bucket_done(
@@ -513,7 +513,7 @@ pub fn run_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
             .iter()
             .map(|rec| layout.codeword(rec))
             .collect::<Result<_, _>>()?;
-        send_codewords_chunked(transport, group, &yr_b, pipe.chunk_size)?;
+        send_codewords_chunked(transport, group, yr_b, pipe.chunk_size)?;
 
         if let Some(cipher) = shape.cipher {
             // (f_eS(y), f_e'S(y)) aligned with Y_R^b; strip our layer per
@@ -523,7 +523,7 @@ pub fn run_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
                 transport,
                 group,
                 TAG_CODEWORD_PAIRS,
-                Some(yr_b.len()),
+                Some(recs.len()),
                 |msg| {
                     let Message::CodewordPairs(pairs) = msg else {
                         return Err(unexpected("codeword-pairs", &msg));
@@ -583,8 +583,8 @@ pub fn run_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
 
             // S's answer to Y_R^b: exactly as long as Y_R^b; aligned with
             // it, or — pairing withheld — sorted.
-            let mut reply: Vec<UBig> = Vec::with_capacity(yr_b.len());
-            recv_list(transport, group, TAG_CODEWORDS, Some(yr_b.len()), |msg| {
+            let mut reply: Vec<UBig> = Vec::with_capacity(recs.len());
+            recv_list(transport, group, TAG_CODEWORDS, Some(recs.len()), |msg| {
                 let chunk = into_codewords(msg)?;
                 if shape.sorted_reply {
                     for z in &chunk {
@@ -622,14 +622,14 @@ pub fn run_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
         peer_size += peer_b;
         if sharded {
             let ce = match shape.cipher {
-                Some(_) => 3 * yr_b.len(),
-                None => yr_b.len() + peer_b,
+                Some(_) => 3 * recs.len(),
+                None => recs.len() + peer_b,
             };
             emit_bucket_done(
                 "receiver_bucket_done",
                 shape.scope,
                 b,
-                yr_b.len(),
+                recs.len(),
                 peer_b,
                 ce as u64,
             );
@@ -973,7 +973,7 @@ pub(crate) mod tests {
                 let mut els: Vec<UBig> = (0..4).map(|_| g.sample_element(&mut rng)).collect();
                 els.sort();
                 els.reverse(); // descending: first boundary check must trip
-                send_codewords_chunked(t, &g, &els, 2)?;
+                send_codewords_chunked(t, &g, els, 2)?;
                 // Drain whatever the sender manages to say, then stop.
                 let _ = t.recv();
                 Ok(())

@@ -10,7 +10,7 @@
 //! learns exactly what §3/§4 of the paper allow — nothing else changes
 //! hands.
 //!
-//! Every session runs inside its own [`minshare_crypto::PoolSession`]
+//! Every session runs inside its own [`minshare_crypto::pool::PoolSession`]
 //! scope, so the shared [`EncryptPool`] schedules its exponentiations
 //! fairly against every other live session, and through a
 //! [`CountingTransport`] so the daemon can print per-session byte

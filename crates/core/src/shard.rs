@@ -40,7 +40,7 @@ use std::path::PathBuf;
 
 use minshare_bignum::UBig;
 use minshare_crypto::{CommutativeKey, CommutativeScheme, EncryptPool, PendingBatch, QrGroup};
-use minshare_net::{FrameBatch, NetError, Transport};
+use minshare_net::{NetError, Transport};
 
 use crate::error::ProtocolError;
 use crate::spill::{ExtSorter, SortedStream, SpillStats};
@@ -114,10 +114,6 @@ impl<'a, T: Transport + ?Sized> PushbackTransport<'a, T> {
 impl<T: Transport + ?Sized> Transport for PushbackTransport<'_, T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
         self.inner.send(frame)
-    }
-
-    fn send_batch(&mut self, batch: FrameBatch) -> Result<(), NetError> {
-        self.inner.send_batch(batch)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {

@@ -9,7 +9,7 @@
 use bytes::{Buf, BufMut};
 use minshare_bignum::UBig;
 use minshare_crypto::CommutativeScheme;
-use minshare_net::{FrameBatch, Transport};
+use minshare_net::Transport;
 
 use crate::error::ProtocolError;
 
@@ -119,20 +119,14 @@ impl Message {
     /// fixed codeword width.
     pub fn encode<S: CommutativeScheme>(&self, scheme: &S) -> Result<Vec<u8>, ProtocolError> {
         let mut buf = Vec::new();
-        self.encode_into(scheme, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Serializes directly into any [`BufMut`] sink — a `Vec`, or a
-    /// [`FrameBatch`] frame writer, which lets a run of messages share
-    /// one buffer without per-message `Vec`s.
-    pub(crate) fn encode_into<S: CommutativeScheme, B: BufMut>(
-        &self,
-        scheme: &S,
-        buf: &mut B,
-    ) -> Result<(), ProtocolError> {
         match self {
-            Message::Codewords(list) => encode_codewords_into(scheme, list, buf)?,
+            Message::Codewords(list) => {
+                buf.put_u8(TAG_CODEWORDS);
+                buf.put_u32(list.len() as u32);
+                for x in list {
+                    buf.put_slice(&scheme.encode_elem(x)?);
+                }
+            }
             Message::CodewordPairs(list) => {
                 buf.put_u8(TAG_CODEWORD_PAIRS);
                 buf.put_u32(list.len() as u32);
@@ -151,7 +145,7 @@ impl Message {
                 }
             }
         }
-        Ok(())
+        Ok(buf)
     }
 
     /// Parses a frame, validating every codeword is a domain element.
@@ -288,7 +282,6 @@ pub(crate) struct ChunkedWriter {
 impl ChunkedWriter {
     /// Starts a stream that will carry `total` items split every
     /// `chunk_size` items (the last chunk may be short).
-    #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn begin<T: Transport + ?Sized>(
         transport: &mut T,
         inner_tag: u8,
@@ -356,71 +349,37 @@ impl ChunkedWriter {
     }
 }
 
-/// Writes a `Codewords` frame body (identical bytes to
-/// `Message::Codewords(list.to_vec()).encode(..)`, without the clone).
-fn encode_codewords_into<S: CommutativeScheme, B: BufMut>(
-    scheme: &S,
-    list: &[UBig],
-    buf: &mut B,
-) -> Result<(), ProtocolError> {
-    buf.put_u8(TAG_CODEWORDS);
-    buf.put_u32(list.len() as u32);
-    for x in list {
-        buf.put_slice(&scheme.encode_elem(x)?);
-    }
-    Ok(())
-}
-
-/// Appends the 10-byte chunked-envelope header frame to `batch` when the
-/// stream needs one (more than one chunk).
-fn push_chunk_header(
-    batch: &mut FrameBatch,
-    inner_tag: u8,
-    total: usize,
-    chunk_count: usize,
-) -> Result<(), ProtocolError> {
-    if chunk_count <= 1 {
-        return Ok(());
-    }
-    if total > u32::MAX as usize || chunk_count > u32::MAX as usize {
-        return Err(chunk_malformed("chunked stream exceeds u32 bounds"));
-    }
-    batch.push(&[
-        &[TAG_CHUNKED, inner_tag],
-        &(total as u32).to_be_bytes(),
-        &(chunk_count as u32).to_be_bytes(),
-    ])?;
-    Ok(())
-}
-
-/// Sends an already-materialized codeword list through the chunked
-/// envelope (plain single frame when it fits in one chunk). The whole
-/// stream — header plus every chunk frame — is assembled into one
-/// [`FrameBatch`] buffer in a single pass and handed to the transport's
-/// bulk path; the wire bytes are identical to sending frame by frame.
-pub(crate) fn send_codewords_chunked<T: Transport + ?Sized, S: CommutativeScheme>(
+/// Sends an already-materialized list through the chunked envelope, one
+/// [`ChunkedWriter`] frame per `chunk_size` items (a plain single frame
+/// when it fits in one chunk). `wrap` is the [`Message`] variant that
+/// carries the items; they move into the chunks without copies.
+fn send_list_chunked<T: Transport + ?Sized, S: CommutativeScheme, I>(
     transport: &mut T,
     scheme: &S,
-    items: &[UBig],
+    wrap: fn(Vec<I>) -> Message,
+    items: Vec<I>,
     chunk_size: usize,
 ) -> Result<(), ProtocolError> {
     let chunk_size = chunk_size.max(1);
-    let chunk_count = items.len().div_ceil(chunk_size).max(1);
-    let mut batch = FrameBatch::with_capacity(
-        items.len() * scheme.codeword_len() + chunk_count * 9 + CHUNK_HEADER_LEN + 4,
-    );
-    push_chunk_header(&mut batch, TAG_CODEWORDS, items.len(), chunk_count)?;
-    if items.is_empty() {
-        encode_codewords_into(scheme, &[], &mut batch.frame_writer())?;
-        emit_chunk_sent(0);
-    } else {
-        for chunk in items.chunks(chunk_size) {
-            encode_codewords_into(scheme, chunk, &mut batch.frame_writer())?;
-            emit_chunk_sent(chunk.len() as u64);
-        }
+    let inner_tag = wrap(Vec::new()).tag();
+    let mut writer = ChunkedWriter::begin(transport, inner_tag, items.len(), chunk_size)?;
+    let mut rest = items.into_iter();
+    while writer.chunks_left > 0 {
+        let chunk = wrap(rest.by_ref().take(chunk_size).collect());
+        writer.send(transport, scheme, &chunk)?;
     }
-    transport.send_batch(batch)?;
-    Ok(())
+    writer.finish()
+}
+
+/// Sends a materialized codeword list (`Y_S`, `Z_R`, `Y_R`) through the
+/// chunked envelope.
+pub(crate) fn send_codewords_chunked<T: Transport + ?Sized, S: CommutativeScheme>(
+    transport: &mut T,
+    scheme: &S,
+    items: Vec<UBig>,
+    chunk_size: usize,
+) -> Result<(), ProtocolError> {
+    send_list_chunked(transport, scheme, Message::Codewords, items, chunk_size)
 }
 
 /// One `pipeline/chunk_sent` trace event. Chunk boundaries are a pure
@@ -439,43 +398,15 @@ fn emit_chunk_recv(items: u64) {
     });
 }
 
-/// Sends a materialized payload-pair table through the chunked envelope,
-/// batched like [`send_codewords_chunked`] (equijoin step 5).
+/// Sends a materialized payload-pair table through the chunked envelope
+/// (equijoin step 5).
 pub(crate) fn send_payload_pairs_chunked<T: Transport + ?Sized, S: CommutativeScheme>(
     transport: &mut T,
     scheme: &S,
-    items: &[(UBig, Vec<u8>)],
+    items: Vec<(UBig, Vec<u8>)>,
     chunk_size: usize,
 ) -> Result<(), ProtocolError> {
-    let chunk_size = chunk_size.max(1);
-    let chunk_count = items.len().div_ceil(chunk_size).max(1);
-    let payload_bytes: usize = items.iter().map(|(_, p)| p.len() + 4).sum();
-    let mut batch = FrameBatch::with_capacity(
-        items.len() * scheme.codeword_len() + payload_bytes + chunk_count * 9 + CHUNK_HEADER_LEN,
-    );
-    push_chunk_header(&mut batch, TAG_PAYLOAD_PAIRS, items.len(), chunk_count)?;
-    let mut push_pairs = |chunk: &[(UBig, Vec<u8>)]| -> Result<(), ProtocolError> {
-        let mut w = batch.frame_writer();
-        w.put_u8(TAG_PAYLOAD_PAIRS);
-        w.put_u32(chunk.len() as u32);
-        for (a, payload) in chunk {
-            w.put_slice(&scheme.encode_elem(a)?);
-            w.put_u32(payload.len() as u32);
-            w.put_slice(payload);
-        }
-        Ok(())
-    };
-    if items.is_empty() {
-        push_pairs(&[])?;
-        emit_chunk_sent(0);
-    } else {
-        for chunk in items.chunks(chunk_size) {
-            push_pairs(chunk)?;
-            emit_chunk_sent(chunk.len() as u64);
-        }
-    }
-    transport.send_batch(batch)?;
-    Ok(())
+    send_list_chunked(transport, scheme, Message::PayloadPairs, items, chunk_size)
 }
 
 /// Reads one logical message that may arrive either as a single plain
@@ -690,7 +621,7 @@ mod tests {
         };
         for chunk_size in [1usize, 3, 4, 11, 64] {
             let (mut a, mut b) = minshare_net::duplex_pair();
-            send_codewords_chunked(&mut a, &g, &items, chunk_size).unwrap();
+            send_codewords_chunked(&mut a, &g, items.clone(), chunk_size).unwrap();
             let mut reader = ChunkedReader::begin(&mut b, &g, TAG_CODEWORDS, "codewords").unwrap();
             assert_eq!(reader.total_items(), items.len());
             let mut got = Vec::new();
@@ -709,12 +640,9 @@ mod tests {
         let g = group();
         let items = elements(&g, 4);
         let (mut a, mut b) = minshare_net::duplex_pair();
-        send_codewords_chunked(&mut a, &g, &items, 16).unwrap();
+        send_codewords_chunked(&mut a, &g, items.clone(), 16).unwrap();
         let frame = b.recv().unwrap();
-        assert_eq!(
-            frame,
-            Message::Codewords(items.clone()).encode(&g).unwrap()
-        );
+        assert_eq!(frame, Message::Codewords(items).encode(&g).unwrap());
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::NetError;
-use crate::framebatch::FrameBatch;
 use crate::transport::Transport;
 
 /// Shared counters readable while the transport is owned by a protocol
@@ -92,23 +91,6 @@ impl<T: Transport> Transport for CountingTransport<T> {
             vec![
                 minshare_trace::count("frames", 1),
                 minshare_trace::size("bytes", frame.len() as u64),
-            ]
-        });
-        Ok(())
-    }
-
-    /// Forwards the whole batch on the inner bulk path, then accounts
-    /// each frame exactly as the per-frame `send` would have.
-    fn send_batch(&mut self, batch: FrameBatch) -> Result<(), NetError> {
-        let frames = batch.len() as u64;
-        let payload: u64 = batch.frames().map(|f| f.len() as u64).sum();
-        self.inner.send_batch(batch)?;
-        self.stats.bytes_sent.fetch_add(payload, Ordering::Relaxed);
-        self.stats.frames_sent.fetch_add(frames, Ordering::Relaxed);
-        minshare_trace::emit("net", "frame_sent", true, || {
-            vec![
-                minshare_trace::count("frames", frames),
-                minshare_trace::size("bytes", payload),
             ]
         });
         Ok(())

@@ -1,16 +1,12 @@
 //! In-memory duplex transport built on crossbeam channels.
 //!
-//! Frames cross the channel as shared [`Bytes`] views: a single `send`
-//! copies the borrowed frame once into a fresh buffer, while
-//! [`Transport::send_batch`] hands over per-frame *slices* of the
-//! batch's one contiguous buffer — zero copies on the send side, one
-//! `Arc` clone per frame.
+//! Each `send` copies the borrowed frame once into a [`Bytes`] buffer
+//! that crosses the channel as is.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::NetError;
-use crate::framebatch::FrameBatch;
 use crate::transport::{DeadlineTransport, Transport};
 
 /// One endpoint of an in-memory duplex link.
@@ -48,39 +44,19 @@ impl DuplexEndpoint {
         self.frame_limit = limit;
         self
     }
+}
 
-    /// Non-blocking receive, for drivers that poll.
-    pub fn try_recv(&mut self) -> Result<Option<Vec<u8>>, NetError> {
-        match self.rx.try_recv() {
-            Ok(f) => Ok(Some(f.into_vec())),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(NetError::Closed),
-        }
-    }
-
-    fn send_shared(&mut self, frame: Bytes) -> Result<(), NetError> {
+impl Transport for DuplexEndpoint {
+    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
         if frame.len() > self.frame_limit {
             return Err(NetError::FrameTooLarge {
                 size: frame.len(),
                 limit: self.frame_limit,
             });
         }
-        self.tx.send(frame).map_err(|_| NetError::Closed)
-    }
-}
-
-impl Transport for DuplexEndpoint {
-    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        self.send_shared(Bytes::copy_from_slice(frame))
-    }
-
-    /// Zero-copy bulk path: the batch's single buffer is frozen once and
-    /// each frame crosses the channel as a shared slice of it.
-    fn send_batch(&mut self, batch: FrameBatch) -> Result<(), NetError> {
-        for frame in batch.into_shared_frames() {
-            self.send_shared(frame)?;
-        }
-        Ok(())
+        self.tx
+            .send(Bytes::copy_from_slice(frame))
+            .map_err(|_| NetError::Closed)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {
@@ -134,16 +110,6 @@ mod tests {
         drop(b);
         assert_eq!(a.send(b"x").unwrap_err(), NetError::Closed);
         assert_eq!(a.recv().unwrap_err(), NetError::Closed);
-    }
-
-    #[test]
-    fn try_recv_nonblocking() {
-        let (mut a, mut b) = duplex_pair();
-        assert_eq!(b.try_recv().unwrap(), None);
-        a.send(b"x").unwrap();
-        assert_eq!(b.try_recv().unwrap(), Some(b"x".to_vec()));
-        drop(a);
-        assert_eq!(b.try_recv().unwrap_err(), NetError::Closed);
     }
 
     #[test]

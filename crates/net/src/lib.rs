@@ -6,10 +6,9 @@
 //! * [`transport::Transport`] — the byte-frame interface the protocol
 //!   engines speak,
 //! * [`duplex`] — an in-memory duplex pair (crossbeam channels) for running
-//!   both parties in one process, carrying frames as shared buffers,
-//! * [`framebatch::FrameBatch`] — scatter/gather frame batching: many
-//!   frames packed into one buffer in a single length-prefix pass, sent
-//!   zero-copy where the transport supports it,
+//!   both parties in one process,
+//! * [`tcp`] — length-prefixed frames over a TCP stream, for two
+//!   processes,
 //! * [`counting::CountingTransport`] — exact wire accounting, used to
 //!   verify the paper's §6.1 communication-cost formulas against actual
 //!   bytes on the wire,
@@ -36,7 +35,6 @@
 pub mod counting;
 pub mod duplex;
 pub mod error;
-pub mod framebatch;
 pub mod mux;
 pub mod secure;
 pub mod server;
@@ -47,7 +45,6 @@ pub mod transport;
 pub use counting::{CountingTransport, TrafficStats};
 pub use duplex::duplex_pair;
 pub use error::NetError;
-pub use framebatch::FrameBatch;
 pub use mux::{MuxFrame, MuxKind, MUX_HEADER_LEN};
 pub use server::{
     serve_mux_connection, MuxClient, MuxConfig, ServerStats, SessionRegistry, SessionTransport,

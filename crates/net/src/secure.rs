@@ -16,8 +16,7 @@ use minshare_hash::{chacha20, hkdf, hmac::HmacSha256};
 use rand::Rng;
 
 use crate::error::NetError;
-use crate::framebatch::FrameBatch;
-use crate::transport::{DeadlineTransport, Transport};
+use crate::transport::Transport;
 
 /// Which side of the handshake this endpoint plays (determines key
 /// directionality; both sides otherwise run identical code).
@@ -168,27 +167,25 @@ impl<T: Transport> SecureChannel<T> {
         n
     }
 
-    /// Encrypts and authenticates one frame, advancing the send counter.
-    /// The streaming MAC runs over `seq ‖ ciphertext` without needing the
-    /// record assembled first, so callers can scatter the three parts
-    /// straight into a shared buffer.
-    fn seal(&mut self, frame: &[u8]) -> Result<([u8; SEQ_LEN], Vec<u8>, [u8; TAG_LEN]), NetError> {
+    /// Encrypts and authenticates one frame into its wire record
+    /// `seq ‖ ciphertext ‖ tag`, advancing the send counter.
+    fn seal(&mut self, frame: &[u8]) -> Result<Vec<u8>, NetError> {
         let seq = self.send_keys.seq;
         // A wrapped counter would reuse a ChaCha20 nonce; refuse instead
         // of panicking so callers can re-key and continue.
         self.send_keys.seq = seq.checked_add(1).ok_or(NetError::SequenceExhausted)?;
         let mut body = frame.to_vec();
         chacha20::apply_keystream(&self.send_keys.cipher_key, &Self::nonce(seq), 1, &mut body);
-        let seq_bytes = seq.to_be_bytes();
-        let mut mac = HmacSha256::new(&self.send_keys.mac_key);
-        mac.update(&seq_bytes);
-        mac.update(&body);
-        Ok((seq_bytes, body, mac.finalize()))
+        let mut wire = Vec::with_capacity(SEQ_LEN + body.len() + TAG_LEN);
+        wire.extend_from_slice(&seq.to_be_bytes());
+        wire.extend_from_slice(&body);
+        let tag = HmacSha256::mac(&self.send_keys.mac_key, &wire);
+        wire.extend_from_slice(&tag);
+        Ok(wire)
     }
 
     /// Verifies, sequence-checks, and decrypts one wire record, advancing
-    /// the receive counter. Shared by the blocking and deadline receive
-    /// paths.
+    /// the receive counter.
     fn open(&mut self, wire: Vec<u8>) -> Result<Vec<u8>, NetError> {
         if wire.len() < SEQ_LEN + TAG_LEN {
             return Err(NetError::MalformedFrame {
@@ -223,11 +220,7 @@ impl<T: Transport> SecureChannel<T> {
 
 impl<T: Transport> Transport for SecureChannel<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        let (seq_bytes, body, tag) = self.seal(frame)?;
-        let mut wire = Vec::with_capacity(SEQ_LEN + body.len() + TAG_LEN);
-        wire.extend_from_slice(&seq_bytes);
-        wire.extend_from_slice(&body);
-        wire.extend_from_slice(&tag);
+        let wire = self.seal(frame)?;
         minshare_trace::emit("net", "sealed", true, || {
             vec![
                 minshare_trace::size("plain_bytes", frame.len() as u64),
@@ -237,34 +230,9 @@ impl<T: Transport> Transport for SecureChannel<T> {
         self.inner.send(&wire)
     }
 
-    /// Seals every frame into one rebuilt batch (records are scattered
-    /// into a single shared buffer) and forwards it on the inner
-    /// transport's bulk path. Wire bytes are identical to sealing and
-    /// sending each frame individually.
-    fn send_batch(&mut self, batch: FrameBatch) -> Result<(), NetError> {
-        let mut sealed =
-            FrameBatch::with_capacity(batch.total_bytes() + batch.len() * (SEQ_LEN + TAG_LEN));
-        for frame in batch.frames() {
-            let (seq_bytes, body, tag) = self.seal(frame)?;
-            sealed.push(&[&seq_bytes, &body, &tag])?;
-        }
-        self.inner.send_batch(sealed)
-    }
-
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {
         let wire = self.inner.recv()?;
         self.open(wire)
-    }
-}
-
-impl<T: DeadlineTransport> DeadlineTransport for SecureChannel<T> {
-    /// Deadline semantics are the inner transport's; a record that does
-    /// arrive is verified and decrypted exactly as in [`Self::recv`].
-    fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-        match self.inner.recv_deadline(timeout_ms)? {
-            Some(wire) => Ok(Some(self.open(wire)?)),
-            None => Ok(None),
-        }
     }
 }
 

@@ -11,11 +11,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::NetError;
-use crate::framebatch::{FrameBatch, PREFIX_LEN};
 use crate::transport::{DeadlineTransport, SplitReader, Transport};
 
 /// Default maximum accepted frame size (a corruption/abuse guard).
 const DEFAULT_FRAME_LIMIT: usize = 256 * 1024 * 1024;
+
+/// Length of the big-endian frame-length prefix.
+const PREFIX_LEN: usize = 4;
 
 /// Free tail the receive buffer offers every `read`.
 const READ_SPARE: usize = 64 * 1024;
@@ -146,15 +148,6 @@ impl TcpTransport {
         Self::from_stream(TcpStream::connect(addr)?)
     }
 
-    /// Binds `addr`, accepts exactly one connection, and returns the
-    /// transport plus the peer's address. Also returns the locally bound
-    /// address via [`TcpAcceptor`] when a port of 0 was requested — use
-    /// [`TcpAcceptor::bind`] for that flow.
-    pub fn accept_one<A: ToSocketAddrs>(addr: A) -> Result<(Self, SocketAddr), NetError> {
-        let acceptor = TcpAcceptor::bind(addr)?;
-        acceptor.accept()
-    }
-
     /// Wraps an already-established stream.
     pub fn from_stream(stream: TcpStream) -> Result<Self, NetError> {
         stream.set_nodelay(true)?;
@@ -169,16 +162,6 @@ impl TcpTransport {
     pub fn with_frame_limit(mut self, limit: usize) -> Self {
         self.frame_limit = limit;
         self
-    }
-
-    fn check_frame_len(&self, len: usize) -> Result<(), NetError> {
-        if len > self.frame_limit {
-            return Err(NetError::FrameTooLarge {
-                size: len,
-                limit: self.frame_limit,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -210,19 +193,13 @@ impl TcpAcceptor {
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        self.check_frame_len(frame.len())?;
-        write_frame(&self.stream, frame)?;
-        Ok(())
-    }
-
-    /// A batch is already laid out as the wire wants it, so the whole
-    /// run goes out in one write. Byte stream identical to per-frame
-    /// sends.
-    fn send_batch(&mut self, batch: FrameBatch) -> Result<(), NetError> {
-        for frame in batch.frames() {
-            self.check_frame_len(frame.len())?;
+        if frame.len() > self.frame_limit {
+            return Err(NetError::FrameTooLarge {
+                size: frame.len(),
+                limit: self.frame_limit,
+            });
         }
-        (&*self.stream).write_all(batch.wire_bytes())?;
+        write_frame(&self.stream, frame)?;
         Ok(())
     }
 
@@ -391,10 +368,10 @@ mod tests {
         }
     }
 
-    /// `send` and `send_batch` put the same bytes on the wire: each frame
-    /// as one `u32 BE length ‖ payload`, nothing between them.
+    /// `send` puts each frame on the wire as one `u32 BE length ‖
+    /// payload`, nothing between them.
     #[test]
-    fn send_and_send_batch_write_the_same_byte_stream() {
+    fn send_writes_length_prefixed_frames_back_to_back() {
         use std::io::Read;
         let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
         let addr = acceptor.local_addr().unwrap();
@@ -407,31 +384,13 @@ mod tests {
         let (mut server, _) = acceptor.accept().unwrap();
         let frames: [&[u8]; 4] = [b"", b"a", &[7u8; 300], b"tail"];
         let mut expected = Vec::new();
-        let mut batch = FrameBatch::new();
         for frame in frames {
             server.send(frame).unwrap();
-            batch.push(&[frame]).unwrap();
             expected.extend_from_slice(&(frame.len() as u32).to_be_bytes());
             expected.extend_from_slice(frame);
         }
-        server.send_batch(batch).unwrap();
         drop(server);
-        let once = expected.clone();
-        expected.extend_from_slice(&once);
         assert_eq!(raw.join().unwrap(), expected);
-    }
-
-    #[test]
-    fn batch_frames_are_held_to_the_frame_limit() {
-        let (a, _b) = localhost_pair();
-        let mut a = a.with_frame_limit(8);
-        let mut batch = FrameBatch::new();
-        batch.push(&[b"fits"]).unwrap();
-        batch.push(&[&[0u8; 9]]).unwrap();
-        assert!(matches!(
-            a.send_batch(batch).unwrap_err(),
-            NetError::FrameTooLarge { size: 9, limit: 8 }
-        ));
     }
 
     /// Frames larger than one read, smaller than one read, and many per

@@ -1,31 +1,23 @@
 //! The byte-frame transport interface.
 
 use crate::error::NetError;
-use crate::framebatch::FrameBatch;
 
 /// A reliable, ordered, message-oriented duplex link between the two
 /// parties. Frames are opaque byte strings; serialization of protocol
 //  messages happens one layer up (in the `minshare` protocol crate).
 ///
-/// `send`/`send_batch` are registered as wire sinks in the analyzer's
-/// taint registry (`WIRE_SINK_FNS`): WIRE01 statically proves that no
-/// raw set value, hash-only value, or key material flows into them —
-/// nothing but hash-then-encrypt output reaches the wire. New
-/// transmitting methods on this trait must be added to that registry.
+/// Every frame goes out through `send`, one call per frame; how a list
+/// is split into frames is decided one layer up (the chunked envelope in
+/// `minshare`'s `wire` module), never by the transport.
+///
+/// `send` is registered as a wire sink in the analyzer's taint registry
+/// (`WIRE_SINK_FNS`): WIRE01 statically proves that no raw set value,
+/// hash-only value, or key material flows into it — nothing but
+/// hash-then-encrypt output reaches the wire. New transmitting methods
+/// on this trait must be added to that registry.
 pub trait Transport {
     /// Sends one frame.
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError>;
-
-    /// Sends every frame of `batch`, in order. Wire-equivalent to
-    /// calling [`Transport::send`] once per frame (the default does
-    /// exactly that); transports with a cheaper bulk path — shared-buffer
-    /// hand-off, reused encode scratch — override it.
-    fn send_batch(&mut self, batch: FrameBatch) -> Result<(), NetError> {
-        for frame in batch.frames() {
-            self.send(frame)?;
-        }
-        Ok(())
-    }
 
     /// Receives the next frame, blocking until one arrives.
     fn recv(&mut self) -> Result<Vec<u8>, NetError>;
@@ -35,10 +27,6 @@ pub trait Transport {
 impl<T: Transport + ?Sized> Transport for &mut T {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
         (**self).send(frame)
-    }
-
-    fn send_batch(&mut self, batch: FrameBatch) -> Result<(), NetError> {
-        (**self).send_batch(batch)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {

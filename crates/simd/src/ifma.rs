@@ -12,13 +12,15 @@
 //! slot is loaded and stored once per round (four multiply-adds per memory
 //! round trip). Round `i` of `k`:
 //!
-//!   t0     = t[0] + lo52(a_i * b_0)
-//!   m      = lo52(t0 * n0_inv)
-//!   carry  = (t0 + lo52(m * n_0)) >> 52      (the sum is 0 mod 2^52)
-//!   t[j-1] = t[j] + lo52(a_i*b_j) + hi52(a_i*b_{j-1})
-//!                 + lo52(m*n_j)   + hi52(m*n_{j-1})      for j in 1..k
-//!            (+ carry into column 1)
-//!   t[k-1] = hi52(a_i*b_{k-1}) + hi52(m*n_{k-1})
+//! ```text
+//! t0     = t[0] + lo52(a_i * b_0)
+//! m      = lo52(t0 * n0_inv)
+//! carry  = (t0 + lo52(m * n_0)) >> 52      (the sum is 0 mod 2^52)
+//! t[j-1] = t[j] + lo52(a_i*b_j) + hi52(a_i*b_{j-1})
+//!               + lo52(m*n_j)   + hi52(m*n_{j-1})      for j in 1..k
+//!          (+ carry into column 1)
+//! t[k-1] = hi52(a_i*b_{k-1}) + hi52(m*n_{k-1})
+//! ```
 //!
 //! Squarings run through the same kernel (`a*a`). A triangle-and-double
 //! squaring does 3k² multiply-adds instead of 4k², but row by row it gets

@@ -368,9 +368,8 @@ fn cut_link_is_a_typed_failure_never_a_wrong_answer() {
 // reference, in the same order, on both sides.
 // ---------------------------------------------------------------------
 
-/// Records every frame a party sends, in order. The default
-/// `send_batch` loops over `send`, so batched frames are recorded
-/// individually — exactly the granularity the serial engine uses.
+/// Records every frame a party sends, in order. Every frame goes out
+/// through its own `send`, the granularity the serial engine uses.
 struct RecordingTransport<T: Transport> {
     inner: T,
     sent: std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>,

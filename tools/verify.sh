@@ -50,6 +50,9 @@ for anchor in WIRE01 LOCK01 OBS01; do
         exit 1
     fi
 done
+# Doc comments may not name items that no longer exist: a broken
+# intra-doc link fails the gate (rustdoc's other lints stay warnings).
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 # Protocol conformance under the faults TCP presents: the fixed-seed
 # suite runs as part of `cargo test` above; re-run it by name so a
 # registration slip (e.g. the [[test]] entry disappearing) fails loudly,
