@@ -202,10 +202,11 @@ fn profile_protocol(
     reconcile::reconcile(run)
 }
 
-/// `--profile [smoke]`: serial runs of all four protocols with tracing
-/// on, reconciled against the §6.1 formulas. Prints a JSON report and
-/// exits nonzero unless every protocol's measured `Ce` count matches the
-/// formula exactly and its wire bytes sit within the framing envelope.
+/// `--profile [smoke]`: all four protocols through the engine the daemon
+/// runs (one bucket, default chunking) with tracing on, reconciled
+/// against the §6.1 formulas. Prints a JSON report and exits nonzero
+/// unless every protocol's measured `Ce` count matches the formula
+/// exactly and its wire bytes sit within the framing envelope.
 fn run_profile(smoke: bool) -> i32 {
     let (group_bits, set_n) = if smoke { (256u64, 32usize) } else { (512, 48) };
     let g = bench_group(group_bits);
@@ -218,68 +219,35 @@ fn run_profile(smoke: bool) -> i32 {
     // k' as this wire format realizes it.
     let k_prime_bits = 8 * (4 + cipher.ciphertext_len()) as u64;
 
+    // `ext(v)` for every value; only the equijoin shape reads it.
+    let ext = vec![record.clone(); vs.len()];
+    let pool = EncryptPool::new(0);
+    let (pipe, cfg) = (PipelineConfig::default(), ShardConfig::default());
+
     let mut reconciliations: Vec<Reconciliation> = Vec::new();
     for protocol in Protocol::all() {
         let sink = Arc::new(MetricsRegistry::new());
-        let traced = |sink: &Arc<MetricsRegistry>| {
-            Tracer::to_sink(Arc::new(RegistrySink::new(Arc::clone(sink))) as Arc<dyn TraceSink>)
+        let traced = || {
+            Tracer::to_sink(Arc::new(RegistrySink::new(Arc::clone(&sink))) as Arc<dyn TraceSink>)
         };
-        let (s_sink, r_sink) = (Arc::clone(&sink), Arc::clone(&sink));
-        let run = match protocol {
-            Protocol::Intersection => run_two_party(
-                |t| {
-                    let _trace = minshare_trace::install(traced(&s_sink));
-                    let mut rng = StdRng::seed_from_u64(1);
-                    intersection::run_sender(t, &g, &vs, &mut rng).map(|_| ())
-                },
-                |t| {
-                    let _trace = minshare_trace::install(traced(&r_sink));
-                    let mut rng = StdRng::seed_from_u64(2);
-                    intersection::run_receiver(t, &g, &vr, &mut rng).map(|_| ())
-                },
-            ),
-            Protocol::Equijoin => {
-                let entries: Vec<(Vec<u8>, Vec<u8>)> =
-                    vs.iter().map(|v| (v.clone(), record.clone())).collect();
-                run_two_party(
-                    |t| {
-                        let _trace = minshare_trace::install(traced(&s_sink));
-                        let mut rng = StdRng::seed_from_u64(1);
-                        equijoin::run_sender(t, &g, &cipher, &entries, &mut rng).map(|_| ())
-                    },
-                    |t| {
-                        let _trace = minshare_trace::install(traced(&r_sink));
-                        let cipher = HybridCipher::new(g.clone(), record.len());
-                        let mut rng = StdRng::seed_from_u64(2);
-                        equijoin::run_receiver(t, &g, &cipher, &vr, &mut rng).map(|_| ())
-                    },
-                )
-            }
-            Protocol::IntersectionSize => run_two_party(
-                |t| {
-                    let _trace = minshare_trace::install(traced(&s_sink));
-                    let mut rng = StdRng::seed_from_u64(1);
-                    intersection_size::run_sender(t, &g, &vs, &mut rng).map(|_| ())
-                },
-                |t| {
-                    let _trace = minshare_trace::install(traced(&r_sink));
-                    let mut rng = StdRng::seed_from_u64(2);
-                    intersection_size::run_receiver(t, &g, &vr, &mut rng).map(|_| ())
-                },
-            ),
-            Protocol::EquijoinSize => run_two_party(
-                |t| {
-                    let _trace = minshare_trace::install(traced(&s_sink));
-                    let mut rng = StdRng::seed_from_u64(1);
-                    equijoin_size::run_sender(t, &g, &vs, &mut rng).map(|_| ())
-                },
-                |t| {
-                    let _trace = minshare_trace::install(traced(&r_sink));
-                    let mut rng = StdRng::seed_from_u64(2);
-                    equijoin_size::run_receiver(t, &g, &vr, &mut rng).map(|_| ())
-                },
-            ),
+        let shape = match protocol {
+            Protocol::Intersection => ProtocolShape::INTERSECTION,
+            Protocol::Equijoin => ProtocolShape::equijoin(&cipher),
+            Protocol::IntersectionSize => ProtocolShape::INTERSECTION_SIZE,
+            Protocol::EquijoinSize => ProtocolShape::EQUIJOIN_SIZE,
         };
+        let run = run_two_party(
+            |t| {
+                let _trace = minshare_trace::install(traced());
+                let mut rng = StdRng::seed_from_u64(1);
+                engine::run_sender(t, &g, shape, &vs, &ext, &mut rng, &pool, pipe, &cfg)
+            },
+            |t| {
+                let _trace = minshare_trace::install(traced());
+                let mut rng = StdRng::seed_from_u64(2);
+                engine::run_receiver(t, &g, shape, &vr, &mut rng, &pool, pipe, &cfg)
+            },
+        );
         run.expect("profiled protocol run");
         reconciliations.push(profile_protocol(
             protocol,

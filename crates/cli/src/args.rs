@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use minshare::prelude::ProtocolKind;
+
 /// Which protocol to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Command {
@@ -27,6 +29,18 @@ impl Command {
             "join-size" => Some(Command::JoinSize),
             "sum" => Some(Command::Sum),
             _ => None,
+        }
+    }
+
+    /// The §3–§5 protocol this verb runs; `None` for `sum`, the §7
+    /// extension, which runs its own code.
+    pub fn protocol(self) -> Option<ProtocolKind> {
+        match self {
+            Command::Intersect => Some(ProtocolKind::Intersection),
+            Command::IntersectSize => Some(ProtocolKind::IntersectionSize),
+            Command::Join => Some(ProtocolKind::Equijoin),
+            Command::JoinSize => Some(ProtocolKind::EquijoinSize),
+            Command::Sum => None,
         }
     }
 }
@@ -58,8 +72,8 @@ pub struct Args {
     pub endpoint: Endpoint,
     /// Sender or receiver role.
     pub side: Side,
-    /// Input file (one value per line; sender-side `join`/`sum` use
-    /// `value<TAB>payload` / `value<TAB>weight` lines).
+    /// Input file: `value[<TAB>payload]` per line, the payload being
+    /// `ext(v)` for a `join` sender and the weight for a `sum` sender.
     pub values_path: String,
     /// Safe-prime group size in bits.
     pub group_bits: u64,

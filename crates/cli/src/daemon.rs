@@ -25,10 +25,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use minshare::prelude::*;
+use minshare::service::ClientTraffic;
 use minshare_net::tcp::{TcpAcceptor, TcpTransport};
 use minshare_net::{
     serve_mux_connection, MuxClient, MuxConfig, NetError, SessionRegistry, ShutdownHandle,
-    StatsProvider,
+    StatsProvider, Transport,
 };
 use minshare_trace::metrics::{MetricsRegistry, RegistrySink};
 use minshare_trace::Tracer;
@@ -91,6 +92,20 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
     let group = well_known_group(group_bits)?;
     let file = File::open(&values_path).map_err(|e| format!("cannot open {values_path}: {e}"))?;
     let entries = input::read_value_payloads(BufReader::new(file))?;
+    // Every equijoin session encrypts each payload under a
+    // `record_len`-byte cipher: refuse a longer one here, not in every
+    // session after the client has done its encryption pass.
+    if let Some(longest) = entries
+        .iter()
+        .map(|(_, payload)| payload.len())
+        .max()
+        .filter(|&len| len > record_len)
+    {
+        return Err(format!(
+            "{values_path} has a {longest}-byte payload, longer than --record-len {record_len}"
+        )
+        .into());
+    }
     let tier = group.kernel_tier();
     eprintln!(
         "serving {} entries ({group_bits}-bit group, {max_sessions} session slots) kernel={tier}",
@@ -301,7 +316,10 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
 
     let group = well_known_group(group_bits)?;
     let file = File::open(&values_path).map_err(|e| format!("cannot open {values_path}: {e}"))?;
-    let values = input::read_values(BufReader::new(file))?;
+    let values: Vec<Vec<u8>> = input::read_value_payloads(BufReader::new(file))?
+        .into_iter()
+        .map(|(value, _)| value)
+        .collect();
     let mut rng = match seed {
         Some(s) => StdRng::seed_from_u64(s),
         None => StdRng::seed_from_u64(rand::rng().next_u64()),
@@ -326,17 +344,44 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         group.kernel_tier()
     );
 
-    let pool = EncryptPool::new(crate::pool_workers());
-    let config = PipelineConfig::default();
     let shard_cfg = ShardConfig {
         shards,
         mem_budget: mem_budget.unwrap_or_else(|| ShardConfig::default().mem_budget),
         spill_dir: spill_dir.map(std::path::PathBuf::from),
     };
-    let traffic = match protocol {
+    let (traffic, _, _) = run_receiver(
+        protocol, session, &group, &values, &mut rng, record_len, &shard_cfg,
+    )?;
+    // The mirror image of the daemon's line: this side's sent must be
+    // the daemon's received and vice versa.
+    println!(
+        "session={sid} bytes_sent={} bytes_received={} status=ok",
+        traffic.bytes_sent, traffic.bytes_received
+    );
+    client.close()?;
+    Ok(())
+}
+
+/// The receiver `R` of every protocol: `client` runs it over its mux
+/// session, a one-shot verb over its TCP link. Prints the answer to
+/// stdout and what `R` learned to stderr; returns the run's traffic,
+/// `|V_S|` and this side's `Ce` count. `record_len` sizes the equijoin's
+/// payload cipher and must match the sender's.
+pub(crate) fn run_receiver<T: Transport>(
+    protocol: ProtocolKind,
+    transport: T,
+    group: &QrGroup,
+    values: &[Vec<u8>],
+    rng: &mut StdRng,
+    record_len: usize,
+    shard_cfg: &ShardConfig,
+) -> Result<(ClientTraffic, usize, u64), AnyError> {
+    let pool = EncryptPool::new(crate::pool_workers());
+    let config = PipelineConfig::default();
+    Ok(match protocol {
         ProtocolKind::Intersection => {
             let (out, traffic) = run_client_intersection_sharded(
-                session, &group, &values, &mut rng, &pool, config, &shard_cfg,
+                transport, group, values, rng, &pool, config, shard_cfg,
             )?;
             for v in &out.intersection {
                 println!("{}", String::from_utf8_lossy(v));
@@ -346,11 +391,11 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
                 out.peer_set_size,
                 out.intersection.len()
             );
-            traffic
+            (traffic, out.peer_set_size, out.ops.total_ce())
         }
         ProtocolKind::Equijoin => {
             let (out, traffic) = run_client_equijoin_sharded(
-                session, &group, &values, &mut rng, &pool, config, record_len, &shard_cfg,
+                transport, group, values, rng, &pool, config, record_len, shard_cfg,
             )?;
             for (v, payload) in &out.matches {
                 println!(
@@ -364,36 +409,28 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
                 out.peer_set_size,
                 out.matches.len()
             );
-            traffic
+            (traffic, out.peer_set_size, out.ops.total_ce())
         }
         ProtocolKind::IntersectionSize => {
             let (out, traffic) = run_client_intersection_size_sharded(
-                session, &group, &values, &mut rng, &pool, config, &shard_cfg,
+                transport, group, values, rng, &pool, config, shard_cfg,
             )?;
             println!("{}", out.intersection_size);
             eprintln!("done: |V_S| = {}", out.peer_set_size);
-            traffic
+            (traffic, out.peer_set_size, out.ops.total_ce())
         }
         ProtocolKind::EquijoinSize => {
             let (out, traffic) = run_client_equijoin_size_sharded(
-                session, &group, &values, &mut rng, &pool, config, &shard_cfg,
+                transport, group, values, rng, &pool, config, shard_cfg,
             )?;
             println!("{}", out.join_size);
             eprintln!(
                 "done: |V_S| = {}, S's duplicate distribution: {:?}",
                 out.peer_multiset_size, out.peer_duplicate_distribution
             );
-            traffic
+            (traffic, out.peer_multiset_size, out.ops.total_ce())
         }
-    };
-    // The mirror image of the daemon's line: this side's sent must be
-    // the daemon's received and vice versa.
-    println!(
-        "session={sid} bytes_sent={} bytes_received={} status=ok",
-        traffic.bytes_sent, traffic.bytes_received
-    );
-    client.close()?;
-    Ok(())
+    })
 }
 
 /// `minshare stats`: scrape a running daemon's telemetry snapshot over

@@ -17,12 +17,13 @@ mod args;
 mod daemon;
 mod input;
 
+use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use args::{Args, Command, Endpoint, Side, USAGE};
+use args::{Args, Endpoint, Side, USAGE};
 use minshare::prelude::*;
 use minshare_aggregate::intersection_sum;
 use minshare_aggregate::paillier::PrivateKey;
@@ -232,247 +233,18 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|e| format!("cannot open {}: {e}", args.values_path))?;
     let reader = BufReader::new(file);
 
-    // Engine knobs. The receiver elects sharding with `--shards B > 1`;
-    // the sender adopts whatever bucket count the peer announces.
-    let shard_cfg = ShardConfig {
-        shards: args.shards,
-        mem_budget: args.mem_budget,
-        spill_dir: args.spill_dir.as_ref().map(std::path::PathBuf::from),
-    };
-    let pool = EncryptPool::new(pool_workers());
-    let pipe = PipelineConfig::default();
-
     // What the reconciliation needs from the run; `None` for `sum`
     // (the §7 extension has no §6.1 formula to check against).
-    let mut summary: Option<RunSummary> = None;
-
-    match (args.command, args.side) {
-        (Command::Intersect, Side::Sender) => {
-            let values = input::read_values(reader)?;
-            eprintln!("running intersection as S with {} values…", values.len());
-            let out = engine::run_sender(
-                &mut transport,
-                &group,
-                ProtocolShape::INTERSECTION,
-                &values,
-                &[],
-                &mut rng,
-                &pool,
-                pipe,
-                &shard_cfg,
-            )?;
-            eprintln!("done: peer set size |V_R| = {}", out.peer_size);
-            eprintln!("cost: {} Ce, {} Ch", out.ops.total_ce(), out.ops.hashes);
-            summary = Some(RunSummary {
-                protocol: Protocol::Intersection,
-                party: Party::Sender,
-                own_values: unique_count(&values),
-                peer_values: out.peer_size as u64,
-                measured_ce: out.ops.total_ce(),
-                k_prime_bits: 0,
-            });
-        }
-        (Command::Intersect, Side::Receiver) => {
-            let values = input::read_values(reader)?;
-            eprintln!("running intersection as R with {} values…", values.len());
-            let out = engine::run_receiver(
-                &mut transport,
-                &group,
-                ProtocolShape::INTERSECTION,
-                &values,
-                &mut rng,
-                &pool,
-                pipe,
-                &shard_cfg,
-            )?;
-            for (v, _) in &out.matches {
-                println!("{}", String::from_utf8_lossy(v));
-            }
-            eprintln!(
-                "done: |V_S| = {}, intersection = {} values",
-                out.peer_size,
-                out.matches.len()
-            );
-            summary = Some(RunSummary {
-                protocol: Protocol::Intersection,
-                party: Party::Receiver,
-                own_values: unique_count(&values),
-                peer_values: out.peer_size as u64,
-                measured_ce: out.ops.total_ce(),
-                k_prime_bits: 0,
-            });
-        }
-        (Command::IntersectSize, Side::Sender) => {
-            let values = input::read_values(reader)?;
-            let out = engine::run_sender(
-                &mut transport,
-                &group,
-                ProtocolShape::INTERSECTION_SIZE,
-                &values,
-                &[],
-                &mut rng,
-                &pool,
-                pipe,
-                &shard_cfg,
-            )?;
-            eprintln!("done: |V_R| = {}", out.peer_size);
-            summary = Some(RunSummary {
-                protocol: Protocol::IntersectionSize,
-                party: Party::Sender,
-                own_values: unique_count(&values),
-                peer_values: out.peer_size as u64,
-                measured_ce: out.ops.total_ce(),
-                k_prime_bits: 0,
-            });
-        }
-        (Command::IntersectSize, Side::Receiver) => {
-            let values = input::read_values(reader)?;
-            let out = engine::run_receiver(
-                &mut transport,
-                &group,
-                ProtocolShape::INTERSECTION_SIZE,
-                &values,
-                &mut rng,
-                &pool,
-                pipe,
-                &shard_cfg,
-            )?;
-            println!("{}", out.match_count);
-            eprintln!("done: |V_S| = {}", out.peer_size);
-            summary = Some(RunSummary {
-                protocol: Protocol::IntersectionSize,
-                party: Party::Receiver,
-                own_values: unique_count(&values),
-                peer_values: out.peer_size as u64,
-                measured_ce: out.ops.total_ce(),
-                k_prime_bits: 0,
-            });
-        }
-        (Command::Join, Side::Sender) => {
-            let entries = input::read_value_payloads(reader)?;
-            let max_payload = entries.iter().map(|(_, p)| p.len()).max().unwrap_or(0);
-            let cipher = HybridCipher::new(group.clone(), max_payload.max(1));
-            // The receiver must size its cipher identically; ship the
-            // record length first as a tiny header frame.
-            transport.send(&(cipher.max_plaintext_len() as u32).to_be_bytes())?;
-            eprintln!("running equijoin as S with {} entries…", entries.len());
-            let (keys, ext): (Vec<Vec<u8>>, Vec<Vec<u8>>) = entries.into_iter().unzip();
-            let out = engine::run_sender(
-                &mut transport,
-                &group,
-                ProtocolShape::equijoin(&cipher),
-                &keys,
-                &ext,
-                &mut rng,
-                &pool,
-                pipe,
-                &shard_cfg,
-            )?;
-            eprintln!("done: |V_R| = {}", out.peer_size);
-            summary = Some(RunSummary {
-                protocol: Protocol::Equijoin,
-                party: Party::Sender,
-                own_values: unique_count(&keys),
-                peer_values: out.peer_size as u64,
-                measured_ce: out.ops.total_ce(),
-                k_prime_bits: 8 * (4 + cipher.ciphertext_len()) as u64,
-            });
-        }
-        (Command::Join, Side::Receiver) => {
-            let values = input::read_values(reader)?;
-            let header = transport.recv()?;
-            if header.len() != 4 {
-                return Err("bad record-length header".into());
-            }
-            let record_len =
-                u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-            let cipher = HybridCipher::new(group.clone(), record_len);
-            eprintln!("running equijoin as R with {} values…", values.len());
-            let out = engine::run_receiver(
-                &mut transport,
-                &group,
-                ProtocolShape::equijoin(&cipher),
-                &values,
-                &mut rng,
-                &pool,
-                pipe,
-                &shard_cfg,
-            )?;
-            for (v, payload) in &out.matches {
-                println!(
-                    "{}\t{}",
-                    String::from_utf8_lossy(v),
-                    String::from_utf8_lossy(payload)
-                );
-            }
-            eprintln!(
-                "done: |V_S| = {}, matches = {}",
-                out.peer_size,
-                out.matches.len()
-            );
-            summary = Some(RunSummary {
-                protocol: Protocol::Equijoin,
-                party: Party::Receiver,
-                own_values: unique_count(&values),
-                peer_values: out.peer_size as u64,
-                measured_ce: out.ops.total_ce(),
-                k_prime_bits: 8 * (4 + cipher.ciphertext_len()) as u64,
-            });
-        }
-        (Command::JoinSize, Side::Sender) => {
-            let values = input::read_values(reader)?;
-            let out = engine::run_sender(
-                &mut transport,
-                &group,
-                ProtocolShape::EQUIJOIN_SIZE,
-                &values,
-                &[],
-                &mut rng,
-                &pool,
-                pipe,
-                &shard_cfg,
-            )?;
-            eprintln!(
-                "done: |V_R| = {} (duplicate distribution learned: {:?})",
-                out.peer_size, out.peer_duplicate_distribution
-            );
-            summary = Some(RunSummary {
-                protocol: Protocol::EquijoinSize,
-                party: Party::Sender,
-                // Multiset protocol: duplicates are kept and priced.
-                own_values: values.len() as u64,
-                peer_values: out.peer_size as u64,
-                measured_ce: out.ops.total_ce(),
-                k_prime_bits: 0,
-            });
-        }
-        (Command::JoinSize, Side::Receiver) => {
-            let values = input::read_values(reader)?;
-            let out = engine::run_receiver(
-                &mut transport,
-                &group,
-                ProtocolShape::EQUIJOIN_SIZE,
-                &values,
-                &mut rng,
-                &pool,
-                pipe,
-                &shard_cfg,
-            )?;
-            println!("{}", out.match_count);
-            eprintln!(
-                "done: |V_S| = {}, S's duplicate distribution: {:?}",
-                out.peer_size, out.peer_duplicate_distribution
-            );
-            summary = Some(RunSummary {
-                protocol: Protocol::EquijoinSize,
-                party: Party::Receiver,
-                own_values: values.len() as u64,
-                peer_values: out.peer_size as u64,
-                measured_ce: out.ops.total_ce(),
-                k_prime_bits: 0,
-            });
-        }
-        (Command::Sum, Side::Sender) => {
+    let summary = match (args.command.protocol(), args.side) {
+        (Some(protocol), _) => Some(run_protocol(
+            protocol,
+            &args,
+            &mut transport,
+            &group,
+            reader,
+            &mut rng,
+        )?),
+        (None, Side::Sender) => {
             let entries = input::read_value_weights(reader)?;
             eprintln!("generating {}-bit Paillier key…", args.key_bits);
             let key = PrivateKey::generate(&mut rng, args.key_bits)?;
@@ -485,9 +257,13 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             println!("count\t{}", out.intersection_count);
             println!("sum\t{}", out.sum);
             eprintln!("done: |V_R| = {}", out.peer_set_size);
+            None
         }
-        (Command::Sum, Side::Receiver) => {
-            let values = input::read_values(reader)?;
+        (None, Side::Receiver) => {
+            let values: Vec<Vec<u8>> = input::read_value_payloads(reader)?
+                .into_iter()
+                .map(|(value, _)| value)
+                .collect();
             eprintln!(
                 "running intersection-sum as R with {} values…",
                 values.len()
@@ -496,8 +272,9 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             println!("count\t{}", out.intersection_count);
             println!("sum\t{}", out.sum);
             eprintln!("done: |V_S| = {}", out.peer_set_size);
+            None
         }
-    }
+    };
 
     // Close out the trace: uninstall the tracer, flush the event stream,
     // then append the reconciliation verdict as the final line.
@@ -518,9 +295,110 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// One run of a §3–§5 protocol, on the code the daemon pair runs: `S` is
+/// a single-session [`Service`] (what every `serve` session runs) and `R`
+/// is [`daemon::run_receiver`] (what `client` runs). The receiver elects
+/// sharding with `--shards B > 1`; the sender adopts the announced count.
+fn run_protocol(
+    protocol: ProtocolKind,
+    args: &Args,
+    transport: &mut impl Transport,
+    group: &QrGroup,
+    reader: impl BufRead,
+    rng: &mut StdRng,
+) -> Result<RunSummary, Box<dyn std::error::Error>> {
+    let entries = input::read_value_payloads(reader)?;
+    // §6.1 prices sets (the engine deduplicates), and every occurrence
+    // of a multiset.
+    let own_values = if protocol.discloses_multiset() {
+        entries.len()
+    } else {
+        entries.iter().map(|(value, _)| value).collect::<BTreeSet<_>>().len()
+    };
+    let shard_cfg = ShardConfig {
+        shards: args.shards,
+        mem_budget: args.mem_budget,
+        spill_dir: args.spill_dir.as_ref().map(std::path::PathBuf::from),
+    };
+    let (party, peer_values, measured_ce, record_len) = match args.side {
+        Side::Sender => {
+            let record_len = entries
+                .iter()
+                .map(|(_, p)| p.len())
+                .max()
+                .unwrap_or(0)
+                .max(1);
+            if protocol == ProtocolKind::Equijoin {
+                // The receiver must size its cipher identically; ship the
+                // record length first as a tiny header frame.
+                transport.send(&(record_len as u32).to_be_bytes())?;
+            }
+            eprintln!(
+                "running {} as S with {} entries…",
+                protocol.name(),
+                entries.len()
+            );
+            let service = Service::new(
+                group.clone(),
+                entries,
+                EncryptPool::new(pool_workers()),
+                PipelineConfig::default(),
+                record_len,
+                rng.next_u64(),
+            )
+            .with_shard_config(shard_cfg);
+            let report = service.handle(0, &SessionRequest::new(protocol).encode(), transport)?;
+            eprintln!("done: |V_R| = {}", report.peer_set_size);
+            if protocol.discloses_multiset() {
+                let learned = &report.peer_duplicate_distribution;
+                eprintln!("duplicate distribution learned: {learned:?}");
+            }
+            let ce = report.ops.total_ce();
+            eprintln!("cost: {ce} Ce, {} Ch", report.ops.hashes);
+            (Party::Sender, report.peer_set_size, ce, record_len)
+        }
+        Side::Receiver => {
+            let values: Vec<Vec<u8>> = entries.into_iter().map(|(value, _)| value).collect();
+            let record_len = if protocol == ProtocolKind::Equijoin {
+                let header: [u8; 4] = transport.recv()?[..]
+                    .try_into()
+                    .map_err(|_| "bad record-length header")?;
+                u32::from_be_bytes(header) as usize
+            } else {
+                0
+            };
+            eprintln!(
+                "running {} as R with {} values…",
+                protocol.name(),
+                values.len()
+            );
+            let (_, peer_size, ce) = daemon::run_receiver(
+                protocol, transport, group, &values, rng, record_len, &shard_cfg,
+            )?;
+            (Party::Receiver, peer_size, ce, record_len)
+        }
+    };
+    // One payload-table entry costs a 4-byte length prefix and the
+    // fixed-width ciphertext on top of its codeword: §6.1's k'.
+    let k_prime_bits = match protocol {
+        ProtocolKind::Equijoin => {
+            8 * (4 + HybridCipher::new(group.clone(), record_len).ciphertext_len()) as u64
+        }
+        _ => 0,
+    };
+    Ok(RunSummary {
+        protocol,
+        party,
+        own_values: own_values as u64,
+        peer_values: peer_values as u64,
+        measured_ce,
+        k_prime_bits,
+    })
+}
+
 /// What the reconciliation line needs from a finished protocol run.
 struct RunSummary {
-    protocol: Protocol,
+    protocol: ProtocolKind,
     party: Party,
     own_values: u64,
     peer_values: u64,
@@ -539,14 +417,6 @@ fn pool_workers() -> usize {
         .min(8)
 }
 
-/// Distinct-value count (the engines deduplicate, and §6.1 prices sets).
-fn unique_count(values: &[Vec<u8>]) -> u64 {
-    values
-        .iter()
-        .collect::<std::collections::BTreeSet<_>>()
-        .len() as u64
-}
-
 /// The final trace line: this party's measured `Ce` against its §6.1
 /// share, and the *total* observed traffic (one endpoint sees both
 /// directions) against the communication formula plus the framing
@@ -557,13 +427,19 @@ fn reconciliation_json(s: &RunSummary, traffic: &TrafficStats, k_bits: u64) -> S
         Party::Sender => (s.own_values, s.peer_values),
         Party::Receiver => (s.peer_values, s.own_values),
     };
+    let protocol = match s.protocol {
+        ProtocolKind::Intersection => Protocol::Intersection,
+        ProtocolKind::Equijoin => Protocol::Equijoin,
+        ProtocolKind::IntersectionSize => Protocol::IntersectionSize,
+        ProtocolKind::EquijoinSize => Protocol::EquijoinSize,
+    };
     let consts = CostConstants {
         k_bits,
         k_prime_bits: s.k_prime_bits,
         ..CostConstants::paper()
     };
-    let predicted_ce = reconcile::party_ce_ops(s.protocol, s.party, vs, vr);
-    let predicted_bytes = s.protocol.communication_bits(vs, vr, &consts).div_ceil(8);
+    let predicted_ce = reconcile::party_ce_ops(protocol, s.party, vs, vr);
+    let predicted_bytes = protocol.communication_bits(vs, vr, &consts).div_ceil(8);
     let measured_bytes = traffic.bytes_sent() + traffic.bytes_received();
     let frames = traffic.frames_sent() + traffic.frames_received();
     let ce_exact = s.measured_ce == predicted_ce;
@@ -577,7 +453,7 @@ fn reconciliation_json(s: &RunSummary, traffic: &TrafficStats, k_bits: u64) -> S
             "\"measured_bytes\":{},\"predicted_bytes\":{},\"frames\":{},",
             "\"bytes_within_envelope\":{},\"ok\":{}}}}}"
         ),
-        reconcile::protocol_slug(s.protocol),
+        reconcile::protocol_slug(protocol),
         s.party.name(),
         vs,
         vr,

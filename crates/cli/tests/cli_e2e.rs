@@ -60,6 +60,23 @@ fn finish(child: Child, stderr_read: String, mut stderr_rest: impl Read, who: &s
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+/// Reads `child`'s stderr up to its `listening on ADDR` line; returns the
+/// address, the log read so far and the reader for the rest.
+fn wait_for_listening(child: &mut Child) -> (String, String, impl BufRead) {
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut log = String::new();
+    loop {
+        let mut line = String::new();
+        let n = stderr.read_line(&mut line).expect("read stderr");
+        log.push_str(&line);
+        assert!(n > 0, "exited before listening:\n{log}");
+        if let Some(addr) = line.strip_prefix("listening on ") {
+            let addr = addr.trim_end().trim_end_matches('…').to_string();
+            return (addr, log, stderr);
+        }
+    }
+}
+
 /// Runs sender+receiver as two processes and returns both stdouts. The
 /// sender binds an ephemeral port (`:0`) and the receiver is started only
 /// once the sender has reported the bound address on stderr — no port
@@ -70,6 +87,18 @@ fn run_pair(
     sender_file: &str,
     receiver_file: &str,
     extra: &[&str],
+) -> (String, String) {
+    run_pair_with(test, command, sender_file, receiver_file, extra, extra)
+}
+
+/// [`run_pair`] with separate extra arguments for each side.
+fn run_pair_with(
+    test: &str,
+    command: &str,
+    sender_file: &str,
+    receiver_file: &str,
+    s_extra: &[&str],
+    r_extra: &[&str],
 ) -> (String, String) {
     let dir = TestDir::new(test);
     let s_path = dir.write("s.txt", sender_file);
@@ -84,19 +113,9 @@ fn run_pair(
         "--seed",
         "1",
     ];
-    s_args.extend_from_slice(extra);
+    s_args.extend_from_slice(s_extra);
     let mut sender = spawn(&s_args);
-    let mut s_stderr = BufReader::new(sender.stderr.take().expect("piped stderr"));
-    let mut s_log = String::new();
-    let addr = loop {
-        let mut line = String::new();
-        let n = s_stderr.read_line(&mut line).expect("read sender stderr");
-        s_log.push_str(&line);
-        assert!(n > 0, "sender exited before listening:\n{s_log}");
-        if let Some(addr) = line.strip_prefix("listening on ") {
-            break addr.trim_end().trim_end_matches('…').to_string();
-        }
-    };
+    let (addr, s_log, s_stderr) = wait_for_listening(&mut sender);
 
     let mut r_args = vec![
         command,
@@ -107,7 +126,7 @@ fn run_pair(
         "--seed",
         "2",
     ];
-    r_args.extend_from_slice(extra);
+    r_args.extend_from_slice(r_extra);
     let receiver = spawn(&r_args);
 
     let r_out = finish(receiver, String::new(), std::io::empty(), "receiver");
@@ -282,4 +301,119 @@ fn local_query_mode_rejects_bad_specs() {
         .output()
         .expect("run query");
     assert!(!out.status.success());
+}
+
+/// `--trace` ends each side's file with the §6.1 reconciliation line. Both
+/// must judge the run `ok`, and since each side counts both directions of
+/// the one link, S and R must report the same bytes and frames.
+#[test]
+fn trace_reconciliation_lines_agree_across_the_wire() {
+    let dir = TestDir::new("trace");
+    let last_line = |path: &PathBuf| {
+        let text = std::fs::read_to_string(path).expect("trace file");
+        text.lines().last().expect("non-empty trace").to_string()
+    };
+    let field = |line: &str, key: &str| -> u64 {
+        let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        let digits: String = line[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("numeric field")
+    };
+    for (verb, s_file, r_file) in [
+        ("intersect", "a\nb\nc\n", "b\nc\nd\n"),
+        ("intersect-size", "a\nb\nc\n", "b\nc\nd\n"),
+        ("join", "a\tpa\nb\tpb\nc\tpc\n", "b\nc\nd\n"),
+        ("join-size", "x\nx\ny\n", "x\ny\ny\n"),
+    ] {
+        let s_trace = dir.0.join(format!("{verb}-s.jsonl"));
+        let r_trace = dir.0.join(format!("{verb}-r.jsonl"));
+        run_pair_with(
+            &format!("trace-{verb}"),
+            verb,
+            s_file,
+            r_file,
+            &["--trace", s_trace.to_str().unwrap()],
+            &["--trace", r_trace.to_str().unwrap()],
+        );
+        let (s_line, r_line) = (last_line(&s_trace), last_line(&r_trace));
+        for line in [&s_line, &r_line] {
+            assert!(line.ends_with("\"ok\":true}}"), "{verb}: {line}");
+        }
+        for key in ["measured_bytes", "frames"] {
+            assert_eq!(
+                field(&s_line, key),
+                field(&r_line, key),
+                "{verb} {key}:\n{s_line}\n{r_line}"
+            );
+        }
+    }
+}
+
+/// `serve` and `client` read their files with the same rule as the
+/// one-shot verbs: the value is trimmed, so whitespace around it on one
+/// side cannot turn a match into a miss.
+#[test]
+fn serve_and_client_trim_values_alike() {
+    let dir = TestDir::new("trim");
+    let s_path = dir.write("s.txt", "  apple\ngrape \nmelon\r\n");
+    let r_path = dir.write("r.txt", "apple\ngrape\nmelon\n");
+    let mut serve = spawn(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--values",
+        s_path.to_str().unwrap(),
+        "--shutdown-after",
+        "1",
+    ]);
+    let (addr, s_log, s_stderr) = wait_for_listening(&mut serve);
+    let client = spawn(&[
+        "client",
+        "--connect",
+        &addr,
+        "--protocol",
+        "intersection",
+        "--values",
+        r_path.to_str().unwrap(),
+        "--seed",
+        "2",
+    ]);
+    let c_out = finish(client, String::new(), std::io::empty(), "client");
+    finish(serve, s_log, s_stderr, "serve");
+    let mut found: Vec<&str> = c_out.lines().filter(|l| !l.contains("status=")).collect();
+    found.sort();
+    assert_eq!(found, vec!["apple", "grape", "melon"], "{c_out}");
+}
+
+/// A payload longer than `--record-len` could never be sent: `serve`
+/// refuses it before it listens, naming both sizes, instead of failing
+/// every equijoin session after the client's encryption pass.
+#[test]
+fn serve_refuses_a_payload_longer_than_record_len() {
+    let dir = TestDir::new("record-len");
+    let values = dir.write("s.txt", &format!("apple\t{}\n", "x".repeat(100)));
+    let mut serve = spawn(&[
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--values",
+        values.to_str().unwrap(),
+    ]);
+    let mut stderr = String::new();
+    for line in BufReader::new(serve.stderr.take().expect("piped stderr")).lines() {
+        let line = line.expect("read serve stderr");
+        stderr.push_str(&line);
+        stderr.push('\n');
+        if line.starts_with("listening on") {
+            let _ = serve.kill();
+            let _ = serve.wait();
+            panic!("serve started with a 100-byte payload at --record-len 64:\n{stderr}");
+        }
+    }
+    let status = serve.wait().expect("wait");
+    assert!(!status.success(), "{stderr}");
+    assert!(stderr.contains("100-byte payload"), "{stderr}");
+    assert!(stderr.contains("--record-len 64"), "{stderr}");
 }

@@ -10,6 +10,10 @@
 //! learns exactly what §3/§4 of the paper allow — nothing else changes
 //! hands.
 //!
+//! The CLI's one-shot verbs run one session of the same [`Service`]
+//! straight over a TCP link, so the sender role has a single
+//! implementation.
+//!
 //! Every session runs inside its own [`minshare_crypto::pool::PoolSession`]
 //! scope, so the shared [`EncryptPool`] schedules its exponentiations
 //! fairly against every other live session, and through a
@@ -20,6 +24,8 @@
 //! session id, so concurrent sessions never share an exponent and a
 //! session replayed solo (same id, same seed) reproduces its run — the
 //! property the multi-session conformance harness pins.
+
+use std::collections::BTreeMap;
 
 use minshare_crypto::kcipher::HybridCipher;
 use minshare_crypto::{EncryptPool, QrGroup};
@@ -177,6 +183,10 @@ pub struct SessionReport {
     pub protocol: ProtocolKind,
     /// `|V_R|` as learned by the sender side.
     pub peer_set_size: usize,
+    /// `R`'s duplicate distribution as the sender side learned it
+    /// (duplicates → distinct values with that many; all ones for a set
+    /// protocol).
+    pub peer_duplicate_distribution: BTreeMap<u64, u64>,
     /// Payload bytes this session sent.
     pub bytes_sent: u64,
     /// Payload bytes this session received.
@@ -339,6 +349,7 @@ impl Service {
             session,
             protocol: request.protocol,
             peer_set_size: out.peer_size,
+            peer_duplicate_distribution: out.peer_duplicate_distribution,
             bytes_sent: traffic.bytes_sent(),
             bytes_received: traffic.bytes_received(),
             ops: out.ops,

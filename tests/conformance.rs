@@ -108,8 +108,7 @@ fn receiver<T: Transport + ?Sized>(
 }
 
 /// The fixed seed set every protocol is replayed over. `tools/verify.sh`
-/// runs this file, so the set is deliberately modest; the `fault_sweep`
-/// binary covers hundreds more.
+/// runs this file, so the set is deliberately modest.
 const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
 
 /// Checks one run against the perfect-link baseline: no panic, and any

@@ -55,15 +55,12 @@ done
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 # Protocol conformance under the faults TCP presents: the fixed-seed
 # suite runs as part of `cargo test` above; re-run it by name so a
-# registration slip (e.g. the [[test]] entry disappearing) fails loudly,
-# then sweep a reduced schedule count through the fault_sweep binary as a
-# smoke test (the full 60×4 sweep is the default when run by hand). The
-# simulated link is reliable and ordered, its seeded faults are jitter,
-# stalls and bandwidth caps, and the contract is completion: fault_sweep
-# exits non-zero unless every seeded run completes on both sides with the
-# perfect link's outputs and protocol-layer bytes.
+# registration slip (e.g. the [[test]] entry disappearing) fails loudly.
+# The simulated link is reliable and ordered, its seeded faults are
+# jitter, stalls and bandwidth caps, and the contract is completion:
+# every seeded run completes on both sides with the perfect link's
+# outputs and protocol-layer bytes, and replays to the same trace digest.
 cargo test -q --test conformance
-cargo run -q --release -p minshare-bench --bin fault_sweep -- --schedules 10
 # Cost-model reconciliation smoke: the profiler replays all four
 # protocols with tracing on and judges the measured counters against the
 # §6.1 formulas. The binary exits non-zero unless every protocol
