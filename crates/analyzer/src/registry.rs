@@ -9,10 +9,10 @@
 /// `derive(Debug)` / `derive(PartialEq)` on these; FMT01 forbids
 /// formatting them.
 pub const SECRET_TYPES: &[&str] = &[
-    // crates/crypto: commutative-encryption exponents and SRA keys.
+    // crates/crypto: commutative-encryption exponents, and the DRBG
+    // state every exponent is drawn from.
     "CommutativeKey",
-    "SraKey",
-    "SraContext",
+    "ChaChaRng",
     // crates/crypto: OT receiver trapdoor + choice bit.
     "OtReceiverState",
     // crates/bignum: the recoded window schedule of a fixed exponent is
@@ -36,7 +36,7 @@ pub const SECRET_TYPES: &[&str] = &[
     // crates/net: per-direction session keys.
     "DirectionKeys",
     // crates/core: the daemon's protocol brain owns the private database
-    // (`V_S` with ext payloads, pre-hash plaintext) plus the base seed
+    // (`V_S` with ext payloads, pre-hash plaintext) plus the master key
     // every per-session key derives from. Debug/format on it would spill
     // the very set the protocols exist to protect. The surrounding
     // session *metadata* types (SessionRequest, SessionReport,
@@ -92,8 +92,7 @@ pub const KEY_SOURCE_FNS: &[&str] = &["key_gen", "gen_key", "gen_key_pair", "der
 /// A `KEY` input maps to clean: a digest/MAC tag over key material
 /// (e.g. `HmacSha256::finalize`) does not reveal the key.
 pub const HASH_SANITIZER_FNS: &[&str] = &[
-    // crates/hashcore + scheme trait: the paper's h : V → Z*_p.
-    "hash_value",
+    // crates/crypto QrGroup: the paper's h : V → QR_p.
     "hash_to_group",
     // crates/core/src/prepare.rs: dedup + hash of a whole value set.
     "prepare_set",
@@ -109,9 +108,7 @@ pub const HASH_SANITIZER_FNS: &[&str] = &[
 /// value whose safety is exactly the discrete-log assumption the whole
 /// protocol rests on.
 pub const ENC_SANITIZER_FNS: &[&str] = &[
-    // crates/crypto scheme + QrGroup.
-    "apply",
-    "unapply",
+    // crates/crypto QrGroup.
     "encrypt",
     "decrypt",
     "encrypt_many",
@@ -126,9 +123,9 @@ pub const ENC_SANITIZER_FNS: &[&str] = &[
     // feature.
     "pow_batch_scalar",
     // crates/crypto/src/pool.rs: batch jobs — the pool applies the
-    // scheme ops above on worker threads; the submitted items come back
+    // group ops above on worker threads; the submitted items come back
     // encrypted via `PendingBatch::wait`, so `wait`'s output is
-    // ciphertext too (the pool runs nothing but scheme ops).
+    // ciphertext too (the pool runs nothing but group ops).
     "submit_encrypt",
     "submit_decrypt",
     "encrypt_batch",

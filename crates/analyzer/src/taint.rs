@@ -225,8 +225,8 @@ fn eval_no_enc(tokens: &[Token], trees: &[Tree], taint: &FnTaint) -> u8 {
 }
 
 /// Marks the method-call receiver chain before `trees[call_idx]` as
-/// absorbed: `scheme.hash_value(...)` must not leak taint from
-/// `scheme`, nor `job.total_items()` from `job`.
+/// absorbed: `group.hash_to_group(...)` must not leak taint from
+/// `group`, nor `job.total_items()` from `job`.
 fn absorb_receiver_chain(tokens: &[Token], trees: &[Tree], call_idx: usize, skip: &mut [bool]) {
     let mut j = call_idx;
     while j > 0 {

@@ -10,7 +10,7 @@ pub struct CommutativeKey {
 // POSITIVE: registry type deriving Debug through a multi-attr item.
 #[derive(Debug)]
 #[repr(C)]
-pub struct SraKey {
+pub struct PlanCachePair {
     e: u64,
 }
 

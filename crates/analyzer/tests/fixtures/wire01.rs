@@ -8,7 +8,7 @@ fn bad_raw_send<T: Transport>(transport: &mut T, values: &[Vec<u8>]) {
 fn bad_hash_only<T: Transport>(group: &QrGroup, transport: &mut T, values: &[Vec<u8>]) {
     // POSITIVE: hashed but not encrypted — a bare h(v) permits offline
     // dictionary probing.
-    let hashed = group.hash_value(&values[0]);
+    let hashed = group.hash_to_group(&values[0]);
     transport.send(&frame_bytes(&hashed));
 }
 

@@ -24,7 +24,7 @@ fn sec01_flags_debug_and_partial_eq_derives_on_registry_types() {
     let src = include_str!("fixtures/sec01.rs");
     let found = findings_for("crates/crypto/src/fixture.rs", src, "SEC01");
     // One finding per offending derive list: CommutativeKey (Debug and
-    // PartialEq combined), SraKey (Debug behind a second attribute).
+    // PartialEq combined), PlanCachePair (Debug behind a second attribute).
     assert_eq!(found.len(), 2, "findings: {found:#?}");
     assert!(found.iter().all(|f| f.line == 4 || f.line == 11));
     assert!(found.iter().any(|f| f.message.contains("CommutativeKey")
@@ -32,7 +32,7 @@ fn sec01_flags_debug_and_partial_eq_derives_on_registry_types() {
         && f.message.contains("PartialEq")));
     assert!(found
         .iter()
-        .any(|f| f.message.contains("SraKey") && f.message.contains("Debug")));
+        .any(|f| f.message.contains("PlanCachePair") && f.message.contains("Debug")));
 }
 
 #[test]

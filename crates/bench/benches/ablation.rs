@@ -5,8 +5,7 @@
 //! * the paper-exact multiplicative payload cipher vs. the hybrid
 //!   (what the substitution costs),
 //! * exact intersection vs. the §7 Bloom-prefiltered hybrid (the
-//!   efficiency/disclosure tradeoff, measured),
-//! * the QR_p commutative scheme vs. SRA.
+//!   efficiency/disclosure tradeoff, measured).
 //!
 //! The paper's `P`-processor parallel encryption assumption is timed
 //! through `EncryptPool` by the repo benchmark (`benchmark/`), as
@@ -107,33 +106,10 @@ fn exact_vs_bloom_hybrid(c: &mut Criterion) {
     group.finish();
 }
 
-fn commutative_scheme_choice(c: &mut Criterion) {
-    // Example 1 (QR_p, DDH) vs the cited mental-poker SRA construction:
-    // one encryption each at comparable modulus sizes.
-    let mut group = c.benchmark_group("ablation/commutative_scheme");
-    group.sample_size(10);
-    let qr = bench_group(768);
-    let mut rng = StdRng::seed_from_u64(7);
-    let qr_key = qr.gen_key(&mut rng);
-    let qr_x = qr.sample_element(&mut rng);
-    group.bench_function("qr_pohlig_hellman_768", |b| {
-        b.iter(|| black_box(qr.encrypt(&qr_key, black_box(&qr_x))))
-    });
-
-    let sra = minshare_crypto::sra::SraContext::generate(&mut rng, 768).expect("SRA parameters");
-    let sra_key = sra.gen_key(&mut rng);
-    let sra_x = sra.hash_to_domain(b"bench-value");
-    group.bench_function("sra_mental_poker_768", |b| {
-        b.iter(|| black_box(sra.encrypt(&sra_key, black_box(&sra_x))))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     montgomery_vs_binary,
     payload_cipher_choice,
-    exact_vs_bloom_hybrid,
-    commutative_scheme_choice
+    exact_vs_bloom_hybrid
 );
 criterion_main!(benches);

@@ -25,7 +25,7 @@
 //! kernels are const-generic over the limb count and monomorphized for the
 //! widths in `with_lane_width!` — the 4/8-limb demo groups and every
 //! well-known group the daemon serves (12/16/24/32 limbs) — with all
-//! scratch on the stack; any other width (Paillier `n²`, SRA, test moduli)
+//! scratch on the stack; any other width (Paillier `n²`, test moduli)
 //! takes the ladder, so results are identical for every modulus.
 
 use std::fmt;

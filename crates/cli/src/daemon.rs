@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use minshare::prelude::*;
 use minshare::service::ClientTraffic;
+use minshare_crypto::drbg::{self, ChaChaRng};
 use minshare_net::tcp::{TcpAcceptor, TcpTransport};
 use minshare_net::{
     serve_mux_connection, MuxClient, MuxConfig, NetError, SessionRegistry, ShutdownHandle,
@@ -33,8 +34,7 @@ use minshare_net::{
 };
 use minshare_trace::metrics::{MetricsRegistry, RegistrySink};
 use minshare_trace::Tracer;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::input;
 
@@ -53,6 +53,16 @@ pub(crate) fn well_known_group(bits: u64) -> Result<QrGroup, AnyError> {
     }
 }
 
+/// The key every generator of this process derives from: `--seed` keys
+/// it deterministically (tests and harnesses replay runs with it),
+/// otherwise it is 32 bytes of `/dev/urandom`.
+pub(crate) fn master_key(seed: Option<u64>) -> Result<[u8; 32], AnyError> {
+    match seed {
+        Some(s) => Ok(drbg::seed_key(s)),
+        None => drbg::os_key().map_err(|e| format!("cannot read /dev/urandom: {e}").into()),
+    }
+}
+
 /// `minshare serve`: accept connections forever (or until
 /// `--shutdown-after` admission outcomes), one mux connection loop per
 /// TCP peer, all sharing one session registry and one encrypt pool.
@@ -62,7 +72,7 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
     let mut max_sessions = 8usize;
     let mut group_bits = 768u64;
     let mut record_len = 64usize;
-    let mut seed = 0x5e55_10b5u64;
+    let mut seed: Option<u64> = None;
     let mut shutdown_after: Option<u64> = None;
     let mut port_file: Option<String> = None;
     let mut mem_budget: Option<usize> = None;
@@ -78,7 +88,7 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
             "--max-sessions" => max_sessions = take("--max-sessions")?.parse()?,
             "--group-bits" => group_bits = take("--group-bits")?.parse()?,
             "--record-len" => record_len = take("--record-len")?.parse()?,
-            "--seed" => seed = take("--seed")?.parse()?,
+            "--seed" => seed = Some(take("--seed")?.parse()?),
             "--shutdown-after" => shutdown_after = Some(take("--shutdown-after")?.parse()?),
             "--port-file" => port_file = Some(take("--port-file")?),
             "--mem-budget" => mem_budget = Some(take("--mem-budget")?.parse()?),
@@ -126,8 +136,9 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
             EncryptPool::new(crate::pool_workers()),
             PipelineConfig::default(),
             record_len,
-            seed,
+            0,
         )
+        .with_master_key(master_key(seed)?)
         .with_shard_config(shard_cfg),
     );
     // Live-telemetry registry. Every connection thread installs a
@@ -320,10 +331,7 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         .into_iter()
         .map(|(value, _)| value)
         .collect();
-    let mut rng = match seed {
-        Some(s) => StdRng::seed_from_u64(s),
-        None => StdRng::seed_from_u64(rand::rng().next_u64()),
-    };
+    let mut rng = ChaChaRng::new(master_key(seed)?, [0; 12]);
 
     let tcp = TcpTransport::connect(connect.as_str())?;
     let mut client = MuxClient::new(tcp, MuxConfig::default());
@@ -372,7 +380,7 @@ pub(crate) fn run_receiver<T: Transport>(
     transport: T,
     group: &QrGroup,
     values: &[Vec<u8>],
-    rng: &mut StdRng,
+    rng: &mut impl Rng,
     record_len: usize,
     shard_cfg: &ShardConfig,
 ) -> Result<(ClientTraffic, usize, u64), AnyError> {

@@ -30,13 +30,13 @@ use minshare_aggregate::paillier::PrivateKey;
 use minshare_costmodel::reconcile::{self, Party};
 use minshare_costmodel::section6::Protocol;
 use minshare_costmodel::CostConstants;
+use minshare_crypto::ChaChaRng;
 use minshare_net::secure::{Role, SecureChannel};
 use minshare_net::tcp::{TcpAcceptor, TcpTransport};
 use minshare_net::{CountingTransport, TrafficStats, Transport};
 use minshare_trace::sink::JsonLinesSink;
 use minshare_trace::Tracer;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -171,10 +171,7 @@ fn run_query(raw: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
-    let mut rng = match args.seed {
-        Some(s) => StdRng::seed_from_u64(s),
-        None => StdRng::seed_from_u64(rand::rng().next_u64()),
-    };
+    let mut rng = ChaChaRng::new(daemon::master_key(args.seed)?, [0; 12]);
 
     eprintln!("loading group ({} bits)…", args.group_bits);
     let group = daemon::well_known_group(args.group_bits)?;
@@ -305,7 +302,7 @@ fn run_protocol(
     transport: &mut impl Transport,
     group: &QrGroup,
     reader: impl BufRead,
-    rng: &mut StdRng,
+    rng: &mut impl Rng,
 ) -> Result<RunSummary, Box<dyn std::error::Error>> {
     let entries = input::read_value_payloads(reader)?;
     // §6.1 prices sets (the engine deduplicates), and every occurrence
@@ -338,14 +335,17 @@ fn run_protocol(
                 protocol.name(),
                 entries.len()
             );
+            let mut master_key = [0u8; 32];
+            rng.fill_bytes(&mut master_key);
             let service = Service::new(
                 group.clone(),
                 entries,
                 EncryptPool::new(pool_workers()),
                 PipelineConfig::default(),
                 record_len,
-                rng.next_u64(),
+                0,
             )
+            .with_master_key(master_key)
             .with_shard_config(shard_cfg);
             let report = service.handle(0, &SessionRequest::new(protocol).encode(), transport)?;
             eprintln!("done: |V_R| = {}", report.peer_set_size);

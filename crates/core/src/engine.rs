@@ -30,7 +30,7 @@
 //! ([`crate::intersection`], [`crate::equijoin`],
 //! [`crate::intersection_size`], [`crate::equijoin_size`]; pinned frame
 //! for frame in `tests/sharded.rs`). Those modules stay as the
-//! paper-literal, scheme-generic reference; this engine is what the
+//! paper-literal reference; this engine is what the
 //! daemon, the CLI and the benchmarks run.
 //!
 //! `shard/spill_done` and `shard/*_bucket_done` events are emitted iff a

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use minshare_bignum::UBig;
-use minshare_crypto::CommutativeScheme;
+use minshare_crypto::QrGroup;
 use minshare_net::Transport;
 use rand::Rng;
 
@@ -73,46 +73,46 @@ pub struct EquijoinSizeReceiverOutput {
 }
 
 /// Runs the sender (`S`) side on the multiset `values` (duplicates kept).
-pub fn run_sender<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
+pub fn run_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     values: &[Vec<u8>],
     rng: &mut R,
 ) -> Result<EquijoinSizeSenderOutput, ProtocolError> {
     let mut ops = OpCounters::default();
 
-    let prepared = prepare_multiset(scheme, values, &mut ops)?;
-    let key = scheme.key_gen(rng);
+    let prepared = prepare_multiset(group, values, &mut ops)?;
+    let key = group.gen_key(rng);
     // Encrypt each occurrence. Distinct values get distinct ciphertexts;
     // duplicates stay duplicates (f is deterministic).
     let mut ys: Vec<UBig> = prepared
         .iter()
         .map(|(_, h)| {
             ops.encryptions += 1;
-            scheme.apply(&key, h)
+            group.encrypt(&key, h)
         })
         .collect();
     ys.sort();
 
     // Receive the multiset Y_R.
-    let yr = expect_codewords(transport, scheme)?;
+    let yr = expect_codewords(transport, group)?;
     require_sorted(&yr, "Y_R")?;
     let peer_multiset_size = yr.len();
     let peer_duplicate_distribution = distribution_of(&yr);
 
     // Ship Y_S.
-    transport.send(&Message::Codewords(ys).encode(scheme)?)?;
+    transport.send(&Message::Codewords(ys).encode(group)?)?;
 
     // Re-encrypt Y_R, reorder, ship Z_R.
     let mut zr: Vec<UBig> = yr
         .iter()
         .map(|y| {
             ops.encryptions += 1;
-            scheme.apply(&key, y)
+            group.encrypt(&key, y)
         })
         .collect();
     zr.sort();
-    transport.send(&Message::Codewords(zr).encode(scheme)?)?;
+    transport.send(&Message::Codewords(zr).encode(group)?)?;
 
     crate::stats::emit_ops(
         "equijoin_size",
@@ -129,35 +129,35 @@ pub fn run_sender<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
 }
 
 /// Runs the receiver (`R`) side on the multiset `values`.
-pub fn run_receiver<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
+pub fn run_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     values: &[Vec<u8>],
     rng: &mut R,
 ) -> Result<EquijoinSizeReceiverOutput, ProtocolError> {
     let mut ops = OpCounters::default();
 
-    let prepared = prepare_multiset(scheme, values, &mut ops)?;
-    let key = scheme.key_gen(rng);
+    let prepared = prepare_multiset(group, values, &mut ops)?;
+    let key = group.gen_key(rng);
     let mut yr: Vec<UBig> = prepared
         .iter()
         .map(|(_, h)| {
             ops.encryptions += 1;
-            scheme.apply(&key, h)
+            group.encrypt(&key, h)
         })
         .collect();
     yr.sort();
     let yr_len = yr.len();
-    transport.send(&Message::Codewords(yr).encode(scheme)?)?;
+    transport.send(&Message::Codewords(yr).encode(group)?)?;
 
     // Y_S (multiset).
-    let ys = expect_codewords(transport, scheme)?;
+    let ys = expect_codewords(transport, group)?;
     require_sorted(&ys, "Y_S")?;
     let peer_multiset_size = ys.len();
     let peer_duplicate_distribution = distribution_of(&ys);
 
     // Z_R (multiset, sorted).
-    let zr = expect_codewords(transport, scheme)?;
+    let zr = expect_codewords(transport, group)?;
     require_sorted(&zr, "Z_R")?;
     if zr.len() != yr_len {
         return Err(ProtocolError::LengthMismatch {
@@ -170,7 +170,7 @@ pub fn run_receiver<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized
     let mut zs_counts: BTreeMap<UBig, u64> = BTreeMap::new();
     for y in &ys {
         ops.encryptions += 1;
-        *zs_counts.entry(scheme.apply(&key, y)).or_insert(0) += 1;
+        *zs_counts.entry(group.encrypt(&key, y)).or_insert(0) += 1;
     }
     let mut zr_counts: BTreeMap<UBig, u64> = BTreeMap::new();
     for z in &zr {

@@ -19,7 +19,7 @@
 use std::collections::BTreeSet;
 
 use minshare_bignum::UBig;
-use minshare_crypto::CommutativeScheme;
+use minshare_crypto::QrGroup;
 use minshare_net::Transport;
 use rand::Rng;
 
@@ -48,21 +48,12 @@ pub struct IntersectionReceiverOutput {
     pub ops: OpCounters,
 }
 
-/// Receives one message and decodes it.
-fn recv_message<T: Transport + ?Sized, S: CommutativeScheme>(
+/// Receives one message and expects it to be `Codewords`.
+pub(crate) fn expect_codewords<T: Transport + ?Sized>(
     transport: &mut T,
-    scheme: &S,
-) -> Result<Message, ProtocolError> {
-    let frame = transport.recv()?;
-    Message::decode(&frame, scheme)
-}
-
-/// Expects a `Codewords` message.
-pub(crate) fn expect_codewords<T: Transport + ?Sized, S: CommutativeScheme>(
-    transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
 ) -> Result<Vec<UBig>, ProtocolError> {
-    match recv_message(transport, scheme)? {
+    match Message::decode(&transport.recv()?, group)? {
         Message::Codewords(list) => Ok(list),
         other => Err(ProtocolError::UnexpectedMessage {
             expected: "codewords",
@@ -75,44 +66,44 @@ pub(crate) fn expect_codewords<T: Transport + ?Sized, S: CommutativeScheme>(
 ///
 /// `values` is `V_S` (duplicates are removed, matching the paper's
 /// definition of `V_S` as a set).
-pub fn run_sender<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
+pub fn run_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     values: &[Vec<u8>],
     rng: &mut R,
 ) -> Result<IntersectionSenderOutput, ProtocolError> {
     let mut ops = OpCounters::default();
 
     // Step 1-2: hash and encrypt V_S under a fresh key e_S.
-    let prepared = prepare_set(scheme, values, &mut ops)?;
-    let key = scheme.key_gen(rng);
+    let prepared = prepare_set(group, values, &mut ops)?;
+    let key = group.gen_key(rng);
     let mut ys: Vec<UBig> = prepared
         .entries
         .iter()
         .map(|(_, h)| {
             ops.encryptions += 1;
-            scheme.apply(&key, h)
+            group.encrypt(&key, h)
         })
         .collect();
     ys.sort();
 
     // Step 3: receive Y_R (sorted, duplicate-free).
-    let yr = expect_codewords(transport, scheme)?;
+    let yr = expect_codewords(transport, group)?;
     require_strictly_sorted(&yr, "Y_R")?;
     let peer_set_size = yr.len();
 
     // Step 4(a): ship Y_S.
-    transport.send(&Message::Codewords(ys).encode(scheme)?)?;
+    transport.send(&Message::Codewords(ys).encode(group)?)?;
 
     // Step 4(b): encrypt each y ∈ Y_R with e_S, preserving order.
     let reencrypted: Vec<UBig> = yr
         .iter()
         .map(|y| {
             ops.encryptions += 1;
-            scheme.apply(&key, y)
+            group.encrypt(&key, y)
         })
         .collect();
-    transport.send(&Message::Codewords(reencrypted).encode(scheme)?)?;
+    transport.send(&Message::Codewords(reencrypted).encode(group)?)?;
 
     crate::stats::emit_ops(
         "intersection",
@@ -125,38 +116,38 @@ pub fn run_sender<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
 }
 
 /// Runs the receiver (`R`) side over `transport`.
-pub fn run_receiver<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
+pub fn run_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     values: &[Vec<u8>],
     rng: &mut R,
 ) -> Result<IntersectionReceiverOutput, ProtocolError> {
     let mut ops = OpCounters::default();
 
     // Step 1-2: hash and encrypt V_R under a fresh key e_R.
-    let prepared = prepare_set(scheme, values, &mut ops)?;
-    let key = scheme.key_gen(rng);
+    let prepared = prepare_set(group, values, &mut ops)?;
+    let key = group.gen_key(rng);
     let mut encrypted: Vec<(UBig, Vec<u8>)> = prepared
         .entries
         .into_iter()
         .map(|(v, h)| {
             ops.encryptions += 1;
-            (scheme.apply(&key, &h), v)
+            (group.encrypt(&key, &h), v)
         })
         .collect();
     // Step 3: sort lexicographically (footnote 3: never send in V_R order)
     // and remember which value sits where.
     encrypted.sort_by(|a, b| a.0.cmp(&b.0));
     let yr: Vec<UBig> = encrypted.iter().map(|(y, _)| y.clone()).collect();
-    transport.send(&Message::Codewords(yr).encode(scheme)?)?;
+    transport.send(&Message::Codewords(yr).encode(group)?)?;
 
     // Step 4(a): receive Y_S.
-    let ys = expect_codewords(transport, scheme)?;
+    let ys = expect_codewords(transport, group)?;
     require_strictly_sorted(&ys, "Y_S")?;
     let peer_set_size = ys.len();
 
     // Step 4(b): receive f_eS(Y_R), aligned with our sorted Y_R.
-    let reencrypted = expect_codewords(transport, scheme)?;
+    let reencrypted = expect_codewords(transport, group)?;
     if reencrypted.len() != encrypted.len() {
         return Err(ProtocolError::LengthMismatch {
             expected: encrypted.len(),
@@ -169,7 +160,7 @@ pub fn run_receiver<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized
         .iter()
         .map(|y| {
             ops.encryptions += 1;
-            scheme.apply(&key, y)
+            group.encrypt(&key, y)
         })
         .collect();
 

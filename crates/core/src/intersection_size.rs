@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use minshare_bignum::UBig;
-use minshare_crypto::CommutativeScheme;
+use minshare_crypto::QrGroup;
 use minshare_net::Transport;
 use rand::Rng;
 
@@ -41,33 +41,33 @@ pub struct IntersectionSizeReceiverOutput {
 }
 
 /// Runs the sender (`S`) side.
-pub fn run_sender<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
+pub fn run_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     values: &[Vec<u8>],
     rng: &mut R,
 ) -> Result<IntersectionSizeSenderOutput, ProtocolError> {
     let mut ops = OpCounters::default();
 
-    let prepared = prepare_set(scheme, values, &mut ops)?;
-    let key = scheme.key_gen(rng);
+    let prepared = prepare_set(group, values, &mut ops)?;
+    let key = group.gen_key(rng);
     let mut ys: Vec<UBig> = prepared
         .entries
         .iter()
         .map(|(_, h)| {
             ops.encryptions += 1;
-            scheme.apply(&key, h)
+            group.encrypt(&key, h)
         })
         .collect();
     ys.sort();
 
     // Step 3: receive Y_R.
-    let yr = expect_codewords(transport, scheme)?;
+    let yr = expect_codewords(transport, group)?;
     require_strictly_sorted(&yr, "Y_R")?;
     let peer_set_size = yr.len();
 
     // Step 4(a): ship Y_S.
-    transport.send(&Message::Codewords(ys).encode(scheme)?)?;
+    transport.send(&Message::Codewords(ys).encode(group)?)?;
 
     // Step 4(b): re-encrypt Y_R and *reorder lexicographically* — this is
     // the one deliberate difference from the intersection protocol.
@@ -75,11 +75,11 @@ pub fn run_sender<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
         .iter()
         .map(|y| {
             ops.encryptions += 1;
-            scheme.apply(&key, y)
+            group.encrypt(&key, y)
         })
         .collect();
     zr.sort();
-    transport.send(&Message::Codewords(zr).encode(scheme)?)?;
+    transport.send(&Message::Codewords(zr).encode(group)?)?;
 
     crate::stats::emit_ops(
         "intersection_size",
@@ -92,35 +92,35 @@ pub fn run_sender<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
 }
 
 /// Runs the receiver (`R`) side.
-pub fn run_receiver<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized>(
+pub fn run_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     values: &[Vec<u8>],
     rng: &mut R,
 ) -> Result<IntersectionSizeReceiverOutput, ProtocolError> {
     let mut ops = OpCounters::default();
 
-    let prepared = prepare_set(scheme, values, &mut ops)?;
-    let key = scheme.key_gen(rng);
+    let prepared = prepare_set(group, values, &mut ops)?;
+    let key = group.gen_key(rng);
     let mut yr: Vec<UBig> = prepared
         .entries
         .iter()
         .map(|(_, h)| {
             ops.encryptions += 1;
-            scheme.apply(&key, h)
+            group.encrypt(&key, h)
         })
         .collect();
     yr.sort();
     let yr_len = yr.len();
-    transport.send(&Message::Codewords(yr).encode(scheme)?)?;
+    transport.send(&Message::Codewords(yr).encode(group)?)?;
 
     // Step 4(a): Y_S.
-    let ys = expect_codewords(transport, scheme)?;
+    let ys = expect_codewords(transport, group)?;
     require_strictly_sorted(&ys, "Y_S")?;
     let peer_set_size = ys.len();
 
     // Step 4(b): Z_R, sorted.
-    let zr = expect_codewords(transport, scheme)?;
+    let zr = expect_codewords(transport, group)?;
     require_strictly_sorted(&zr, "Z_R")?;
     if zr.len() != yr_len {
         return Err(ProtocolError::LengthMismatch {
@@ -134,7 +134,7 @@ pub fn run_receiver<T: Transport + ?Sized, S: CommutativeScheme, R: Rng + ?Sized
         .iter()
         .map(|y| {
             ops.encryptions += 1;
-            scheme.apply(&key, y)
+            group.encrypt(&key, y)
         })
         .collect();
 

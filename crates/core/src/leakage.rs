@@ -15,7 +15,7 @@
 //! leak matrix splits into `B` per-bucket matrices that sum back to the
 //! §5.2 matrix cell for cell ([`bucketed_class_intersections`]). Both
 //! functions take the bucket assignment as a closure (in practice
-//! [`crate::shard::value_bucket`] under the session's scheme) so they
+//! [`crate::shard::value_bucket`] under the session's group) so they
 //! stay crypto-free and exact.
 
 use std::collections::BTreeMap;

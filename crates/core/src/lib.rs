@@ -15,8 +15,8 @@
 //! | [`intersection_size`] | §5.1 | `\|V_S ∩ V_R\|`, `\|V_S\|` | `\|V_R\|` |
 //! | [`equijoin_size`] | §5.2 | `\|T_S ⋈ T_R\|` + duplicate-class leak | dup. distribution of `V_R` |
 //!
-//! The four modules above are the paper-literal reference, generic over
-//! any [`minshare_crypto::CommutativeScheme`]. What the daemon, the CLI
+//! The four modules above are the paper-literal reference over
+//! [`minshare_crypto::QrGroup`]. What the daemon, the CLI
 //! and the benchmarks run is [`engine`]: one chunked, bucketed
 //! sender/receiver pair that takes a [`engine::ProtocolShape`] — the
 //! three bits the four protocols differ in — and is frame-identical to

@@ -23,12 +23,13 @@
 use std::collections::BTreeMap;
 
 use minshare_bignum::UBig;
-use minshare_crypto::CommutativeScheme;
+use minshare_crypto::QrGroup;
 use minshare_net::{duplex_pair, CountingTransport, TrafficStats, Transport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::ProtocolError;
+use crate::intersection::expect_codewords;
 use crate::prepare::prepare_set;
 use crate::stats::OpCounters;
 use crate::wire::{require_strictly_sorted, Message};
@@ -53,8 +54,8 @@ pub struct MultipartyRun {
 /// passing through for `hops` rounds, then forward the last list to the
 /// collector (unless this party *is* the collector).
 #[allow(clippy::too_many_arguments)]
-fn party_worker<S: CommutativeScheme>(
-    scheme: &S,
+fn party_worker(
+    group: &QrGroup,
     index: usize,
     n_parties: usize,
     values: &[Vec<u8>],
@@ -65,44 +66,36 @@ fn party_worker<S: CommutativeScheme>(
 ) -> Result<OpCounters, ProtocolError> {
     let mut rng = StdRng::seed_from_u64(seed ^ (index as u64).wrapping_mul(0x9e37));
     let mut ops = OpCounters::default();
-    let key = scheme.key_gen(&mut rng);
+    let key = group.gen_key(&mut rng);
 
     // Round 0: own set, one layer, sorted, to the right.
-    let prepared = prepare_set(scheme, values, &mut ops)?;
+    let prepared = prepare_set(group, values, &mut ops)?;
     let mut own: Vec<UBig> = prepared
         .entries
         .iter()
         .map(|(_, h)| {
             ops.encryptions += 1;
-            scheme.apply(&key, h)
+            group.encrypt(&key, h)
         })
         .collect();
     own.sort();
-    right.send(&Message::Codewords(own).encode(scheme)?)?;
+    right.send(&Message::Codewords(own).encode(group)?)?;
 
     // Rounds 1..N-1: add a layer to each transiting list and forward.
     // The list arriving at round N-1 is complete; it goes to the
     // collector instead of around the ring again.
     for hop in 1..n_parties {
-        let incoming = match Message::decode(&left.recv()?, scheme)? {
-            Message::Codewords(list) => list,
-            other => {
-                return Err(ProtocolError::UnexpectedMessage {
-                    expected: "codewords",
-                    got: other.kind(),
-                })
-            }
-        };
+        let incoming = expect_codewords(&mut left, group)?;
         require_strictly_sorted(&incoming, "transit list")?;
         let mut layered: Vec<UBig> = incoming
             .iter()
             .map(|y| {
                 ops.encryptions += 1;
-                scheme.apply(&key, y)
+                group.encrypt(&key, y)
             })
             .collect();
         layered.sort();
-        let frame = Message::Codewords(layered).encode(scheme)?;
+        let frame = Message::Codewords(layered).encode(group)?;
         if hop == n_parties - 1 {
             // Fully encrypted: deliver to the collector. Every party
             // (including the collector itself) holds a collector link.
@@ -118,8 +111,8 @@ fn party_worker<S: CommutativeScheme>(
 /// links, with party 0 as the collector. `sets[i]` is party `i`'s input.
 ///
 /// Requires `N ≥ 2`.
-pub fn multiparty_intersection_size<S: CommutativeScheme + Sync>(
-    scheme: &S,
+pub fn multiparty_intersection_size(
+    group: &QrGroup,
     sets: &[Vec<Vec<u8>>],
     seed: u64,
 ) -> Result<MultipartyRun, ProtocolError> {
@@ -152,43 +145,36 @@ pub fn multiparty_intersection_size<S: CommutativeScheme + Sync>(
         collector_stats.push(stats);
     }
 
-    let results = std::thread::scope(|scope| -> Result<Vec<OpCounters>, ProtocolError> {
-        let mut handles = Vec::new();
-        let links = ring_rx
-            .into_iter()
-            .zip(ring_tx)
-            .zip(collector_tx)
-            .enumerate();
-        for ((i, ((left, right), to_collector)), values) in links.zip(sets.iter()) {
-            handles.push(scope.spawn(move || {
-                party_worker(scheme, i, n, values, left, right, to_collector, seed)
-            }));
-        }
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                h.join().map_err(|_| ProtocolError::PartyPanicked {
-                    party: if i == 0 { "collector" } else { "party" },
-                })?
-            })
-            .collect()
-    })?;
+    let results =
+        std::thread::scope(|scope| -> Result<Vec<OpCounters>, ProtocolError> {
+            let mut handles = Vec::new();
+            let links = ring_rx
+                .into_iter()
+                .zip(ring_tx)
+                .zip(collector_tx)
+                .enumerate();
+            for ((i, ((left, right), to_collector)), values) in links.zip(sets.iter()) {
+                handles.push(scope.spawn(move || {
+                    party_worker(group, i, n, values, left, right, to_collector, seed)
+                }));
+            }
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(i, h)| {
+                    h.join().map_err(|_| ProtocolError::PartyPanicked {
+                        party: if i == 0 { "collector" } else { "party" },
+                    })?
+                })
+                .collect()
+        })?;
 
     // Gather the N fully-encrypted lists: one per collector link (the
     // list that started at party i+1 completes at party i and arrives on
     // party i's collector link — N lists in total).
     let mut final_lists: Vec<Vec<UBig>> = Vec::new();
     for mut rx in collector_rx {
-        match Message::decode(&rx.recv()?, scheme)? {
-            Message::Codewords(list) => final_lists.push(list),
-            other => {
-                return Err(ProtocolError::UnexpectedMessage {
-                    expected: "codewords",
-                    got: other.kind(),
-                })
-            }
-        }
+        final_lists.push(expect_codewords(&mut rx, group)?);
     }
     debug_assert_eq!(final_lists.len(), n);
     // All lists share the same composite key, so equal values collide.
@@ -302,18 +288,5 @@ mod tests {
         let run = multiparty_intersection_size(&g, &sets, 5).unwrap();
         assert_eq!(run.intersection_size, 2);
         assert_eq!(run.set_sizes, vec![2, 2]);
-    }
-
-    #[test]
-    fn works_over_sra_scheme_too() {
-        let mut rng = StdRng::seed_from_u64(0x6317);
-        let sra = minshare_crypto::sra::SraContext::generate(&mut rng, 64).unwrap();
-        let sets = vec![
-            to_values(&["a", "b", "c"]),
-            to_values(&["b", "c"]),
-            to_values(&["c", "b", "z"]),
-        ];
-        let run = multiparty_intersection_size(&sra, &sets, 6).unwrap();
-        assert_eq!(run.intersection_size, 2);
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::BTreeSet;
 
 use minshare_bignum::UBig;
-use minshare_crypto::CommutativeScheme;
+use minshare_crypto::QrGroup;
 
 use crate::error::ProtocolError;
 use crate::stats::OpCounters;
@@ -38,15 +38,15 @@ impl PreparedSet {
 /// registry (`HASH_SANITIZER_FNS`): its output is `HASHED`, which is
 /// still wire-forbidden — WIRE01 requires a subsequent encrypt-class
 /// call before a send. Rename it and the registry entry must move too.
-pub fn prepare_set<S: CommutativeScheme>(
-    scheme: &S,
+pub fn prepare_set(
+    group: &QrGroup,
     values: &[Vec<u8>],
     ops: &mut OpCounters,
 ) -> Result<PreparedSet, ProtocolError> {
     let distinct: BTreeSet<&Vec<u8>> = values.iter().collect();
     let mut entries = Vec::with_capacity(distinct.len());
     for v in distinct {
-        let h = scheme.hash_value(v);
+        let h = group.hash_to_group(v);
         ops.hashes += 1;
         entries.push((v.clone(), h));
     }
@@ -62,14 +62,14 @@ pub fn prepare_set<S: CommutativeScheme>(
 /// Hashes a **multiset** (duplicates preserved) for the equijoin-size
 /// protocol of §5.2. The collision check still applies to *distinct*
 /// values only.
-pub fn prepare_multiset<S: CommutativeScheme>(
-    scheme: &S,
+pub fn prepare_multiset(
+    group: &QrGroup,
     values: &[Vec<u8>],
     ops: &mut OpCounters,
 ) -> Result<Vec<(Vec<u8>, UBig)>, ProtocolError> {
     // Hash distinct values once (both for cost parity with the paper —
     // hashing is per value — and to detect collisions), then fan out.
-    let prepared = prepare_set(scheme, values, ops)?;
+    let prepared = prepare_set(group, values, ops)?;
     let lookup: std::collections::BTreeMap<&Vec<u8>, &UBig> =
         prepared.entries.iter().map(|(v, h)| (v, h)).collect();
     Ok(values
@@ -79,7 +79,7 @@ pub fn prepare_multiset<S: CommutativeScheme>(
                 Some(h) => (*h).clone(),
                 // Unreachable: prepare_set hashed every distinct value of
                 // `values`. Recompute defensively rather than panic.
-                None => scheme.hash_value(v),
+                None => group.hash_to_group(v),
             };
             (v.clone(), h)
         })

@@ -20,18 +20,20 @@
 //! [`CountingTransport`] so the daemon can print per-session byte
 //! reconciliation against the §6.1 cost formulas.
 //!
-//! Key material is derived per session from the service seed and the
-//! session id, so concurrent sessions never share an exponent and a
-//! session replayed solo (same id, same seed) reproduces its run — the
-//! property the multi-session conformance harness pins.
+//! Every session draws its keys from its own [`ChaChaRng`] stream: the
+//! service's master key with the nonce (daemon-assigned peer id, session
+//! id). No client-chosen value alone selects a key, so two connections
+//! that both open session 1 run under independent exponents. A service
+//! keyed from a seed replays a session solo (same peer, same id) to the
+//! same run — the property the multi-session conformance harness pins.
 
 use std::collections::BTreeMap;
 
+use minshare_crypto::drbg::{self, ChaChaRng};
 use minshare_crypto::kcipher::HybridCipher;
 use minshare_crypto::{EncryptPool, QrGroup};
 use minshare_net::{CountingTransport, Transport};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::engine::{self, PipelineConfig, ProtocolShape};
 use crate::equijoin::EquijoinReceiverOutput;
@@ -209,9 +211,8 @@ pub struct Service {
     config: PipelineConfig,
     /// The equijoin's payload cipher, sized to the `ext` record length.
     cipher: HybridCipher,
-    /// Base seed; per-session key material derives from this and the
-    /// session id.
-    seed: u64,
+    /// Every session's [`ChaChaRng`] stream is keyed by this.
+    master_key: [u8; 32],
     /// Sort budget and spill directory of every session; `shards` here
     /// is ignored (the client's hello chooses `B`).
     shard_cfg: ShardConfig,
@@ -228,6 +229,10 @@ impl Service {
     /// Builds a service over `entries` (`(value, ext-payload)` pairs; use
     /// empty payloads when only intersections will run). The pool is
     /// owned by the service and shared — fairly — by every session.
+    ///
+    /// `seed` keys the sessions' generators deterministically
+    /// ([`drbg::seed_key`]), for tests and harnesses that replay runs; a
+    /// daemon replaces it with [`Service::with_master_key`].
     pub fn new(
         group: QrGroup,
         entries: Vec<(Vec<u8>, Vec<u8>)>,
@@ -252,7 +257,7 @@ impl Service {
             ext,
             pool,
             config,
-            seed,
+            master_key: drbg::seed_key(seed),
             shard_cfg: ShardConfig::default(),
             disclosed_distinct,
             disclosed_multiset,
@@ -278,6 +283,13 @@ impl Service {
         self
     }
 
+    /// Keys every session's generator from `key` instead of the seed
+    /// (in practice [`drbg::os_key`]).
+    pub fn with_master_key(mut self, key: [u8; 32]) -> Self {
+        self.master_key = key;
+        self
+    }
+
     /// The service's group (clients must use the same one).
     pub fn group(&self) -> &QrGroup {
         &self.group
@@ -288,11 +300,16 @@ impl Service {
         &self.pool
     }
 
-    /// Deterministic per-session RNG seed: a SplitMix-style mix of the
-    /// service seed and the session id, so concurrent sessions use
-    /// independent keys and a replayed session reproduces its run.
-    fn session_seed(&self, session: u32) -> u64 {
-        self.seed ^ u64::from(session).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    /// Session `session` of peer `peer`'s key stream: the master key
+    /// under the nonce `(peer, session)`, unique for the daemon's
+    /// lifetime because the daemon assigns peer ids and refuses a
+    /// repeated OPEN.
+    fn session_rng(&self, peer: u64, session: u32) -> ChaChaRng {
+        let mut nonce = [0u8; 12];
+        let (peer_part, session_part) = nonce.split_at_mut(8);
+        peer_part.copy_from_slice(&peer.to_le_bytes());
+        session_part.copy_from_slice(&session.to_le_bytes());
+        ChaChaRng::new(self.master_key, nonce)
     }
 
     /// Runs one daemon session to completion: decode the request, then
@@ -313,12 +330,12 @@ impl Service {
         self.handle_for_peer(0, session, request, transport)
     }
 
-    /// [`Service::handle`] with a peer identity for the live-telemetry
-    /// layer: the daemon assigns one `peer` id per accepted connection,
-    /// and the cumulative per-peer size-disclosure counters in the
-    /// metrics registry aggregate under that label. Telemetry-only — the
-    /// protocol run is identical, and every event carrying the peer id
-    /// is non-deterministic so solo-replay digests are unaffected.
+    /// [`Service::handle`] for a peer: the daemon assigns one `peer` id
+    /// per accepted connection. The pair `(peer, session)` selects the
+    /// session's key stream, and the cumulative per-peer size-disclosure
+    /// counters in the metrics registry aggregate under `peer`. Every
+    /// event carrying the peer id is non-deterministic, so solo-replay
+    /// digests are unaffected.
     pub fn handle_for_peer<T: Transport>(
         &self,
         peer: u64,
@@ -328,7 +345,7 @@ impl Service {
     ) -> Result<SessionReport, ProtocolError> {
         let request = SessionRequest::decode(request)?;
         let (mut counted, traffic) = CountingTransport::new(transport);
-        let mut rng = StdRng::seed_from_u64(self.session_seed(session));
+        let mut rng = self.session_rng(peer, session);
         let pool_session = self.pool.session(1);
         let started = std::time::Instant::now();
         let out = pool_session.scope(|| {
@@ -508,6 +525,7 @@ impl From<&minshare_net::TrafficStats> for ClientTraffic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Message;
     use minshare_net::duplex_pair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -776,17 +794,37 @@ mod tests {
     }
 
     #[test]
-    fn session_seeds_differ_per_session_and_replay_stably() {
+    fn each_peer_session_gets_its_own_key_and_replays_stably() {
         let g = group();
+        let entries = to_values(&["apple", "grape", "melon"])
+            .into_iter()
+            .map(|v| (v, Vec::new()))
+            .collect();
         let service = Service::new(
-            g,
-            vec![(b"x".to_vec(), Vec::new())],
+            g.clone(),
+            entries,
             EncryptPool::new(0),
             PipelineConfig::default(),
             16,
             0xfeed,
         );
-        assert_ne!(service.session_seed(1), service.session_seed(2));
-        assert_eq!(service.session_seed(7), service.session_seed(7));
+        let request = SessionRequest::new(ProtocolKind::Intersection).encode();
+        // The same receiver message every time; only S's key can make
+        // S's `Y_S` frame differ.
+        let y_r = Message::Codewords(vec![g.hash_to_group(b"grape")])
+            .encode(&g)
+            .unwrap();
+        let y_s = |peer: u64, session: u32| {
+            let (server_t, mut client_t) = duplex_pair();
+            client_t.send(&y_r).unwrap();
+            service
+                .handle_for_peer(peer, session, &request, server_t)
+                .unwrap();
+            client_t.recv().unwrap()
+        };
+        // Two connections that both open session 1.
+        assert_ne!(y_s(1, 1), y_s(2, 1));
+        assert_ne!(y_s(1, 1), y_s(1, 2));
+        assert_eq!(y_s(2, 7), y_s(2, 7));
     }
 }

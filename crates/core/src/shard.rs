@@ -4,7 +4,7 @@
 //! parallel; this module adds the data-layout half of that observation.
 //! Both parties bucket their values on a prefix of `h(v)`'s fixed-width
 //! codeword into `B` shards (the assignment is a pure function of the
-//! public scheme, so it is common knowledge), and the engine runs `B`
+//! public group, so it is common knowledge), and the engine runs `B`
 //! per-bucket instances of the chosen protocol back to back over one
 //! transport. `B = 1` is the same flow with one bucket.
 //!
@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 
 use minshare_bignum::UBig;
-use minshare_crypto::{CommutativeKey, CommutativeScheme, EncryptPool, PendingBatch, QrGroup};
+use minshare_crypto::{CommutativeKey, EncryptPool, PendingBatch, QrGroup};
 use minshare_net::{NetError, Transport};
 
 use crate::error::ProtocolError;
@@ -135,17 +135,13 @@ pub fn bucket_of(codeword: &[u8], shards: u32) -> u32 {
     (u64::from_be_bytes(prefix) % u64::from(shards.max(1))) as u32
 }
 
-/// The bucket a clear value lands in under `scheme`: `bucket_of` applied
+/// The bucket a clear value lands in under `group`: `bucket_of` applied
 /// to the fixed-width encoding of `h(value)`. This is the assignment
 /// function the leakage calculator and tests feed to
 /// [`crate::leakage::bucket_size_disclosure`].
-pub fn value_bucket<S: CommutativeScheme>(
-    scheme: &S,
-    value: &[u8],
-    shards: u32,
-) -> Result<u32, ProtocolError> {
-    let h = scheme.hash_value(value);
-    Ok(bucket_of(&scheme.encode_elem(&h)?, shards))
+pub fn value_bucket(group: &QrGroup, value: &[u8], shards: u32) -> Result<u32, ProtocolError> {
+    let h = group.hash_to_group(value);
+    Ok(bucket_of(&group.encode_element(&h)?, shards))
 }
 
 pub(crate) fn shard_err(detail: impl std::fmt::Display) -> ProtocolError {
@@ -164,7 +160,7 @@ pub(crate) fn plan_buckets(
     let shards = shards.clamp(1, MAX_SHARDS);
     let mut plan: Vec<Vec<u32>> = vec![Vec::new(); shards as usize];
     for (i, h) in hashes.iter().enumerate() {
-        let b = bucket_of(&group.encode_elem(h)?, shards);
+        let b = bucket_of(&group.encode_element(h)?, shards);
         let idx = u32::try_from(i).map_err(|_| shard_err("set too large for u32 indices"))?;
         plan.get_mut(b as usize)
             .ok_or_else(|| shard_err("bucket index out of range"))?
@@ -266,7 +262,7 @@ fn drain_spill_job(
     for (k, y) in codewords.iter().enumerate() {
         let mut rec = Vec::with_capacity(layout.len());
         rec.extend_from_slice(&job.bucket.to_be_bytes());
-        rec.extend_from_slice(&group.encode_elem(y)?);
+        rec.extend_from_slice(&group.encode_element(y)?);
         if layout.with_idx {
             let idx = job
                 .idxs
@@ -279,7 +275,7 @@ fn drain_spill_job(
                 .as_ref()
                 .and_then(|list| list.get(k))
                 .ok_or_else(|| shard_err("spill job without its second codeword"))?;
-            rec.extend_from_slice(&group.encode_elem(kappa)?);
+            rec.extend_from_slice(&group.encode_element(kappa)?);
         }
         sorter.push_record(&rec)?;
     }

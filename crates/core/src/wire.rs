@@ -8,7 +8,7 @@
 
 use bytes::{Buf, BufMut};
 use minshare_bignum::UBig;
-use minshare_crypto::CommutativeScheme;
+use minshare_crypto::QrGroup;
 use minshare_net::Transport;
 
 use crate::error::ProtocolError;
@@ -115,31 +115,31 @@ impl Message {
         }
     }
 
-    /// Serializes for the wire. Elements are encoded at the scheme's
+    /// Serializes for the wire. Elements are encoded at the group's
     /// fixed codeword width.
-    pub fn encode<S: CommutativeScheme>(&self, scheme: &S) -> Result<Vec<u8>, ProtocolError> {
+    pub fn encode(&self, group: &QrGroup) -> Result<Vec<u8>, ProtocolError> {
         let mut buf = Vec::new();
         match self {
             Message::Codewords(list) => {
                 buf.put_u8(TAG_CODEWORDS);
                 buf.put_u32(list.len() as u32);
                 for x in list {
-                    buf.put_slice(&scheme.encode_elem(x)?);
+                    buf.put_slice(&group.encode_element(x)?);
                 }
             }
             Message::CodewordPairs(list) => {
                 buf.put_u8(TAG_CODEWORD_PAIRS);
                 buf.put_u32(list.len() as u32);
                 for (a, b) in list {
-                    buf.put_slice(&scheme.encode_elem(a)?);
-                    buf.put_slice(&scheme.encode_elem(b)?);
+                    buf.put_slice(&group.encode_element(a)?);
+                    buf.put_slice(&group.encode_element(b)?);
                 }
             }
             Message::PayloadPairs(list) => {
                 buf.put_u8(TAG_PAYLOAD_PAIRS);
                 buf.put_u32(list.len() as u32);
                 for (a, payload) in list {
-                    buf.put_slice(&scheme.encode_elem(a)?);
+                    buf.put_slice(&group.encode_element(a)?);
                     buf.put_u32(payload.len() as u32);
                     buf.put_slice(payload);
                 }
@@ -149,10 +149,7 @@ impl Message {
     }
 
     /// Parses a frame, validating every codeword is a domain element.
-    pub fn decode<S: CommutativeScheme>(
-        frame: &[u8],
-        scheme: &S,
-    ) -> Result<Message, ProtocolError> {
+    pub fn decode(frame: &[u8], group: &QrGroup) -> Result<Message, ProtocolError> {
         let malformed = |detail: &str| ProtocolError::MalformedMessage {
             detail: detail.to_string(),
         };
@@ -162,27 +159,29 @@ impl Message {
         }
         let tag = buf.get_u8();
         let count = buf.get_u32() as usize;
-        let width = scheme.codeword_len();
+        let width = group.codeword_bytes();
 
         let take_element = |buf: &mut &[u8]| -> Result<UBig, ProtocolError> {
             let bytes = buf
                 .get(..width)
                 .ok_or_else(|| malformed("truncated codeword"))?;
-            let x = scheme.decode_elem(bytes)?;
+            let x = group.decode_element(bytes)?;
             buf.advance(width);
             Ok(x)
         };
 
+        // `count` is the peer's claim: reserve no more items than the
+        // frame's remaining bytes can hold.
         let msg = match tag {
             TAG_CODEWORDS => {
-                let mut list = Vec::with_capacity(count.min(1 << 22));
+                let mut list = Vec::with_capacity(count.min(buf.remaining() / width));
                 for _ in 0..count {
                     list.push(take_element(&mut buf)?);
                 }
                 Message::Codewords(list)
             }
             TAG_CODEWORD_PAIRS => {
-                let mut list = Vec::with_capacity(count.min(1 << 21));
+                let mut list = Vec::with_capacity(count.min(buf.remaining() / (2 * width)));
                 for _ in 0..count {
                     let a = take_element(&mut buf)?;
                     let b = take_element(&mut buf)?;
@@ -191,7 +190,7 @@ impl Message {
                 Message::CodewordPairs(list)
             }
             TAG_PAYLOAD_PAIRS => {
-                let mut list = Vec::with_capacity(count.min(1 << 21));
+                let mut list = Vec::with_capacity(count.min(buf.remaining() / (width + 4)));
                 for _ in 0..count {
                     let a = take_element(&mut buf)?;
                     if buf.remaining() < 4 {
@@ -321,10 +320,10 @@ impl ChunkedWriter {
 
     /// Sends the next chunk. The message kind and cumulative item count
     /// must agree with what `begin` announced.
-    pub(crate) fn send<T: Transport + ?Sized, S: CommutativeScheme>(
+    pub(crate) fn send<T: Transport + ?Sized>(
         &mut self,
         transport: &mut T,
-        scheme: &S,
+        group: &QrGroup,
         msg: &Message,
     ) -> Result<(), ProtocolError> {
         if msg.tag() != self.inner_tag {
@@ -335,7 +334,7 @@ impl ChunkedWriter {
         }
         self.items_left -= msg.item_count();
         self.chunks_left -= 1;
-        transport.send(&msg.encode(scheme)?)?;
+        transport.send(&msg.encode(group)?)?;
         emit_chunk_sent(msg.item_count() as u64);
         Ok(())
     }
@@ -353,9 +352,9 @@ impl ChunkedWriter {
 /// [`ChunkedWriter`] frame per `chunk_size` items (a plain single frame
 /// when it fits in one chunk). `wrap` is the [`Message`] variant that
 /// carries the items; they move into the chunks without copies.
-fn send_list_chunked<T: Transport + ?Sized, S: CommutativeScheme, I>(
+fn send_list_chunked<T: Transport + ?Sized, I>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     wrap: fn(Vec<I>) -> Message,
     items: Vec<I>,
     chunk_size: usize,
@@ -366,20 +365,20 @@ fn send_list_chunked<T: Transport + ?Sized, S: CommutativeScheme, I>(
     let mut rest = items.into_iter();
     while writer.chunks_left > 0 {
         let chunk = wrap(rest.by_ref().take(chunk_size).collect());
-        writer.send(transport, scheme, &chunk)?;
+        writer.send(transport, group, &chunk)?;
     }
     writer.finish()
 }
 
 /// Sends a materialized codeword list (`Y_S`, `Z_R`, `Y_R`) through the
 /// chunked envelope.
-pub(crate) fn send_codewords_chunked<T: Transport + ?Sized, S: CommutativeScheme>(
+pub(crate) fn send_codewords_chunked<T: Transport + ?Sized>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     items: Vec<UBig>,
     chunk_size: usize,
 ) -> Result<(), ProtocolError> {
-    send_list_chunked(transport, scheme, Message::Codewords, items, chunk_size)
+    send_list_chunked(transport, group, Message::Codewords, items, chunk_size)
 }
 
 /// One `pipeline/chunk_sent` trace event. Chunk boundaries are a pure
@@ -400,13 +399,13 @@ fn emit_chunk_recv(items: u64) {
 
 /// Sends a materialized payload-pair table through the chunked envelope
 /// (equijoin step 5).
-pub(crate) fn send_payload_pairs_chunked<T: Transport + ?Sized, S: CommutativeScheme>(
+pub(crate) fn send_payload_pairs_chunked<T: Transport + ?Sized>(
     transport: &mut T,
-    scheme: &S,
+    group: &QrGroup,
     items: Vec<(UBig, Vec<u8>)>,
     chunk_size: usize,
 ) -> Result<(), ProtocolError> {
-    send_list_chunked(transport, scheme, Message::PayloadPairs, items, chunk_size)
+    send_list_chunked(transport, group, Message::PayloadPairs, items, chunk_size)
 }
 
 /// Reads one logical message that may arrive either as a single plain
@@ -424,9 +423,9 @@ pub(crate) struct ChunkedReader {
 
 impl ChunkedReader {
     /// Receives the first frame and dispatches on plain vs. chunked.
-    pub(crate) fn begin<T: Transport + ?Sized, S: CommutativeScheme>(
+    pub(crate) fn begin<T: Transport + ?Sized>(
         transport: &mut T,
-        scheme: &S,
+        group: &QrGroup,
         inner_tag: u8,
         expected_kind: &'static str,
     ) -> Result<Self, ProtocolError> {
@@ -459,7 +458,7 @@ impl ChunkedReader {
                 first: None,
             })
         } else {
-            let msg = Message::decode(&frame, scheme)?;
+            let msg = Message::decode(&frame, group)?;
             if msg.tag() != inner_tag {
                 return Err(ProtocolError::UnexpectedMessage {
                     expected: expected_kind,
@@ -484,10 +483,10 @@ impl ChunkedReader {
     }
 
     /// Returns the next chunk, or `None` once the stream is complete.
-    pub(crate) fn next<T: Transport + ?Sized, S: CommutativeScheme>(
+    pub(crate) fn next<T: Transport + ?Sized>(
         &mut self,
         transport: &mut T,
-        scheme: &S,
+        group: &QrGroup,
     ) -> Result<Option<Message>, ProtocolError> {
         if let Some(msg) = self.first.take() {
             self.items_seen = msg.item_count();
@@ -498,7 +497,7 @@ impl ChunkedReader {
         if self.chunks_left == 0 {
             return Ok(None);
         }
-        let msg = Message::decode(&transport.recv()?, scheme)?;
+        let msg = Message::decode(&transport.recv()?, group)?;
         if msg.tag() != self.inner_tag {
             return Err(ProtocolError::UnexpectedMessage {
                 expected: self.expected_kind,

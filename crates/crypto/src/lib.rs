@@ -14,7 +14,8 @@
 //!   paper-exact multiplicative form (Example 2) and a hybrid
 //!   length-extension form for realistic records;
 //! * [`ot`] — 1-out-of-2 oblivious transfer over the same group, required
-//!   by the Appendix-A garbled-circuit baseline.
+//!   by the Appendix-A garbled-circuit baseline;
+//! * [`drbg`] — the ChaCha20 generator every secret key is drawn from.
 //!
 //! ## Quick example
 //!
@@ -37,17 +38,16 @@
 #![warn(missing_docs)]
 
 pub mod commutative;
+pub mod drbg;
 pub mod error;
 pub mod group;
 pub mod kcipher;
 pub mod ot;
 mod plan;
 pub mod pool;
-pub mod scheme;
-pub mod sra;
 
 pub use commutative::CommutativeKey;
+pub use drbg::ChaChaRng;
 pub use error::CryptoError;
 pub use group::QrGroup;
 pub use pool::{EncryptPool, PendingBatch};
-pub use scheme::CommutativeScheme;
