@@ -5,7 +5,7 @@
 //! string-aware lexer (no external parser crates), builds a token tree
 //! ([`ast`]), extracts per-function binding facts ([`dataflow`]), runs an
 //! intraprocedural taint pass ([`taint`]) configured by the secret
-//! registry, and enforces seven rule families:
+//! registry, and enforces eight rule families:
 //!
 //! * **SEC01** — secret-registry types must not `#[derive(Debug)]` or
 //!   `#[derive(PartialEq)]`; they need a redacted `Debug` and a
@@ -28,6 +28,8 @@
 //!   expected count of zero.
 //! * **LOCK01** — no blocking `recv`/`join`/`wait` while a lock guard is
 //!   held in `crates/crypto` and `crates/net`; expected count zero.
+//! * **UNSAFE01** — no `unsafe` keyword in any `crates/*/src` file but
+//!   the IFMA kernel, `crates/bignum/src/ifma.rs`; expected count zero.
 //!
 //! Run `minshare-analyzer --explain RULE` for the full rationale of any
 //! rule, or see SECURITY.md for the taint model's guarantees and limits.

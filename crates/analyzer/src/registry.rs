@@ -27,12 +27,12 @@ pub const SECRET_TYPES: &[&str] = &[
     // performance metadata, no key material.
     "PoolJob",
     "PendingBatch",
-    // crates/simd: IfmaCtx is deliberately absent — it precomputes only
-    // public modulus constants (n, R'^2 mod n, -n^-1 mod 2^52)
-    // and touches group elements/ciphertexts; the secret window schedule
-    // (FixedExponentPlan, above) never leaves crates/bignum, which
-    // drives the vector ladder step by step. Revisit if the SIMD crate
-    // ever grows exponent-dependent state.
+    // crates/bignum/src/ifma.rs: IfmaCtx is deliberately absent — it
+    // precomputes only public modulus constants (n, R'^2 mod n,
+    // -n^-1 mod 2^52) and touches group elements/ciphertexts; the secret
+    // window schedule (FixedExponentPlan, above) never enters bignum::ifma:
+    // fixpow drives the vector ladder step by step. Revisit if the
+    // kernel module ever grows exponent-dependent state.
     // crates/net: per-direction session keys.
     "DirectionKeys",
     // crates/core: the daemon's protocol brain owns the private database
@@ -119,8 +119,7 @@ pub const ENC_SANITIZER_FNS: &[&str] = &[
     "pow_batch",
     // crates/bignum/src/fixpow.rs: the plan's pow_batch pinned to the
     // portable kernels — same modexp, same DH-safety argument, just no
-    // SIMD dispatch. Exists as the differential oracle for the `simd`
-    // feature.
+    // SIMD dispatch. Exists as the differential oracle for bignum::ifma.
     "pow_batch_scalar",
     // crates/crypto/src/pool.rs: batch jobs — the pool applies the
     // group ops above on worker threads; the submitted items come back
@@ -261,6 +260,11 @@ pub const BLOCKING_FNS: &[&str] = &["recv", "recv_timeout", "join", "wait", "wai
 /// peer-supplied bytes, where a panic is a remote denial of service.
 pub const PANIC_FREE_CRATES: &[&str] = &["crypto", "core", "net"];
 
+/// The one file allowed to hold `unsafe` (UNSAFE01): the AVX-512 IFMA
+/// kernel, whose safe API is checked at construction by runtime CPU
+/// detection.
+pub const UNSAFE_ALLOWED_FILE: &str = "crates/bignum/src/ifma.rs";
+
 /// True iff `name` is a registered secret type.
 pub fn is_secret_type(name: &str) -> bool {
     SECRET_TYPES.contains(&name)
@@ -334,6 +338,15 @@ pub fn in_lock01_scope(rel_path: &str) -> bool {
     in_crates(rel_path, LOCK01_CRATES)
 }
 
+/// True iff UNSAFE01 runs over this file: every `crates/*/src` file but
+/// [`UNSAFE_ALLOWED_FILE`].
+pub fn in_unsafe01_scope(rel_path: &str) -> bool {
+    let normalized = rel_path.replace('\\', "/");
+    let mut parts = normalized.split('/');
+    let in_src = parts.next() == Some("crates") && parts.nth(1) == Some("src");
+    in_src && normalized != UNSAFE_ALLOWED_FILE
+}
+
 /// True iff a workspace-relative path (e.g. `crates/crypto/src/ot.rs`)
 /// lies in a panic-free crate.
 pub fn in_panic_free_crate(rel_path: &str) -> bool {
@@ -390,5 +403,9 @@ mod tests {
         assert!(!in_wire01_scope("crates/bench/src/lib.rs"));
         assert!(in_lock01_scope("crates/net/src/simnet/mod.rs"));
         assert!(!in_lock01_scope("crates/core/src/wire.rs"));
+        assert!(in_unsafe01_scope("crates/bignum/src/fixpow.rs"));
+        assert!(in_unsafe01_scope("crates/net/src/simnet/mod.rs"));
+        assert!(!in_unsafe01_scope(UNSAFE_ALLOWED_FILE));
+        assert!(!in_unsafe01_scope("crates/bignum/tests/properties.rs"));
     }
 }

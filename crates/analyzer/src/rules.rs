@@ -1,11 +1,11 @@
 //! The lint rule families.
 //!
-//! SEC01 and PANIC01 remain token-stream pattern matchers (their targets
-//! — derives and panic sites — are purely syntactic). SEC02, FMT01,
-//! OBS01, WIRE01 and LOCK01 run on the token-tree + taint engine
-//! (`ast` → `dataflow` → `taint`), so a secret flowing through a local
-//! binding is caught, while an unrelated identifier eight tokens away no
-//! longer trips a window heuristic.
+//! SEC01, PANIC01 and UNSAFE01 remain token-stream pattern matchers
+//! (their targets — derives, panic sites, a keyword — are purely
+//! syntactic). SEC02, FMT01, OBS01, WIRE01 and LOCK01 run on the
+//! token-tree + taint engine (`ast` → `dataflow` → `taint`), so a secret
+//! flowing through a local binding is caught, while an unrelated
+//! identifier eight tokens away no longer trips a window heuristic.
 
 use crate::ast::{self, Delim, Tree};
 use crate::dataflow::{self, FnDef};
@@ -25,6 +25,9 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Finding> {
     findings.extend(sec01_derives(rel_path, &tokens));
     if registry::in_panic_free_crate(rel_path) {
         findings.extend(panic01_panics(rel_path, &tokens, &mask));
+    }
+    if registry::in_unsafe01_scope(rel_path) {
+        findings.extend(unsafe01_keywords(rel_path, &tokens));
     }
     let wire = registry::in_wire01_scope(rel_path);
     let lock = registry::in_lock01_scope(rel_path);
@@ -119,13 +122,23 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              (other threads). Runs over crypto and net; expected count 0,\n\
              anchored in the baseline."
         }
+        "UNSAFE01" => {
+            "UNSAFE01 — `unsafe` lives in one file.\n\
+             The AVX-512 IFMA kernel (crates/bignum/src/ifma.rs) is the only code\n\
+             that needs it: its safe API is gated by runtime CPU detection at\n\
+             construction and sees only public modulus constants and group\n\
+             elements, never an exponent. The `unsafe` keyword anywhere else under\n\
+             crates/*/src — blocks, fns, impls, test code included — is a finding.\n\
+             Backs bignum's deny(unsafe_code), which any #[allow] in the crate\n\
+             would lift. Expected count 0, anchored in the baseline."
+        }
         _ => return None,
     })
 }
 
 /// Every rule the analyzer knows, for `--explain` discovery.
 pub const ALL_RULES: &[&str] = &[
-    "SEC01", "SEC02", "PANIC01", "FMT01", "OBS01", "WIRE01", "LOCK01",
+    "SEC01", "SEC02", "PANIC01", "FMT01", "OBS01", "WIRE01", "LOCK01", "UNSAFE01",
 ];
 
 fn finding(rule: &'static str, rel_path: &str, tok: &Token, message: String) -> Finding {
@@ -405,6 +418,18 @@ fn panic01_panics(rel_path: &str, tokens: &[Token], mask: &[bool]) -> Vec<Findin
         }
     }
     out
+}
+
+/// UNSAFE01: the `unsafe` keyword outside the IFMA kernel's file.
+fn unsafe01_keywords(rel_path: &str, tokens: &[Token]) -> Vec<Finding> {
+    tokens
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident && t.text == "unsafe")
+        .map(|t| {
+            let msg = format!("`unsafe` outside {}", registry::UNSAFE_ALLOWED_FILE);
+            finding("UNSAFE01", rel_path, t, msg)
+        })
+        .collect()
 }
 
 fn is_keyword(ident: &str) -> bool {

@@ -204,3 +204,25 @@ fn lock01_passes_condvar_scoping_drop_closures_and_tests() {
     // LOCK01 runs over crypto and net only.
     assert!(findings_for("crates/core/src/fixture.rs", src, "LOCK01").is_empty());
 }
+
+// -------------------------------------------------------------- UNSAFE01
+
+#[test]
+fn unsafe01_flags_unsafe_outside_the_kernel_file() {
+    let src = include_str!("fixtures/unsafe01.rs");
+    let found = findings_for("crates/core/src/fixture.rs", src, "UNSAFE01");
+    // An unsafe block, fn and impl, and an unsafe block in test code.
+    assert_eq!(lines(&found), vec![5, 9, 13, 20], "findings: {found:#?}");
+    assert!(found[0].message.contains("crates/bignum/src/ifma.rs"));
+}
+
+#[test]
+fn unsafe01_passes_lint_names_comments_strings_and_the_kernel_file() {
+    let src = include_str!("fixtures/unsafe01.rs");
+    let found = findings_for("crates/bignum/src/fixpow.rs", src, "UNSAFE01");
+    // `unsafe_code` lint names, a comment and a string literal are clean.
+    assert!(found.iter().all(|f| f.line < 24), "findings: {found:#?}");
+    // The kernel file itself, and anything outside `crates/*/src`, never fire.
+    assert!(findings_for("crates/bignum/src/ifma.rs", src, "UNSAFE01").is_empty());
+    assert!(findings_for("crates/bignum/tests/fixture.rs", src, "UNSAFE01").is_empty());
+}

@@ -1,8 +1,9 @@
 //! Emits `BENCH_protocols.json`: the committed `Ce` kernel-tier table —
-//! 512-bit fixed-exponent exponentiation (scalar sliding windows vs. the
-//! multi-lane interleaved kernel) and the three `Ce` tiers at the 1024-bit
-//! group the daemon serves and at its other well-known groups (generic
-//! ladder, portable lanes, IFMA lanes). End-to-end numbers live in the
+//! the three `Ce` paths at a 512-bit modulus, at the 1024-bit group the
+//! daemon serves and at its other well-known groups, under the same keys
+//! at every width: `ladder_us` (`plan.pow` per base), `lanes_us` (the
+//! portable lanes, `pow_batch_scalar`) and `dispatch_us` (`plan.pow_batch`,
+//! the IFMA lanes wherever `simd_active`). End-to-end numbers live in the
 //! repo benchmark (`benchmark/`), which drives the real daemon at 1024
 //! bits.
 //!
@@ -12,11 +13,11 @@
 //! Usage (three modes):
 //!   bench_protocols            # print a fresh JSON snapshot to stdout
 //!   bench_protocols --check    # re-measure the kernels and fail (exit 1)
-//!                              # below either IFMA floor: 512-bit SIMD
-//!                              # >= 1.2x scalar lanes, 1024-bit IFMA >= 2x
-//!                              # portable lanes (where the committed
-//!                              # BENCH_protocols.json and this host both
-//!                              # run IFMA)
+//!                              # below either IFMA floor on
+//!                              # dispatch_speedup_vs_lanes: >= 1.2x at 512
+//!                              # bits, >= 2x at 1024 bits (where the
+//!                              # committed BENCH_protocols.json and this
+//!                              # host both run IFMA)
 //!   bench_protocols --profile  # run every protocol under the trace
 //!                              # metrics sink and reconcile the measured
 //!                              # Ce ops and wire bytes against §6.1;
@@ -40,11 +41,11 @@ use minshare_trace::{TraceSink, Tracer};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-/// Minimum SIMD-vs-scalar-`pow_multi` speedup at 512-bit when the IFMA
-/// backend is active on both the committed snapshot and the current host.
+/// Minimum `dispatch_speedup_vs_lanes` at 512 bits when the IFMA backend
+/// is active on both the committed snapshot and the current host.
 const SIMD_SPEEDUP_FLOOR: f64 = 1.2;
 
-/// Minimum IFMA-vs-portable-lanes speedup at the 1024-bit well-known group
+/// Minimum `dispatch_speedup_vs_lanes` at the 1024-bit well-known group
 /// (the width real sessions run at) when the IFMA backend is active on both
 /// the committed snapshot and the current host.
 const SIMD_1024_SPEEDUP_FLOOR: f64 = 2.0;
@@ -59,17 +60,31 @@ struct Tiers {
     batch: usize,
     ladder_s: f64,
     lanes_s: f64,
-    auto_s: f64,
+    dispatch_s: f64,
     simd_active: bool,
 }
 
 impl Tiers {
-    fn lanes_vs_ladder(&self) -> f64 {
-        self.ladder_s / self.lanes_s
+    fn dispatch_vs_lanes(&self) -> f64 {
+        self.lanes_s / self.dispatch_s
     }
 
-    fn simd_vs_lanes(&self) -> f64 {
-        self.lanes_s / self.auto_s
+    /// One JSON object with the keys every width writes.
+    fn json(&self) -> String {
+        let us = |s: f64| s * 1e6;
+        format!(
+            "{{ \"group_bits\": {}, \"batch_size\": {}, \"simd_active\": {}, \"ladder_us\": {:.1}, \
+             \"lanes_us\": {:.1}, \"dispatch_us\": {:.1}, \"lanes_speedup_vs_ladder\": {:.3}, \
+             \"dispatch_speedup_vs_lanes\": {:.3} }}",
+            self.bits,
+            self.batch,
+            self.simd_active,
+            us(self.ladder_s),
+            us(self.lanes_s),
+            us(self.dispatch_s),
+            self.ladder_s / self.lanes_s,
+            self.dispatch_vs_lanes()
+        )
     }
 }
 
@@ -91,18 +106,18 @@ fn measure_tiers(modulus: &UBig, samples: usize) -> Tiers {
         times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    let (mut ladder, mut lanes, mut auto) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut ladder, mut lanes, mut dispatch) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..samples.max(1) {
         ladder.push(secs(&|| bases.iter().map(|b| plan.pow(b)).collect()));
         lanes.push(secs(&|| ctx.pow_batch_scalar(&bases, &exp)));
-        auto.push(secs(&|| plan.pow_batch(&bases)));
+        dispatch.push(secs(&|| plan.pow_batch(&bases)));
     }
     Tiers {
         bits: modulus.bit_len(),
         batch: bases.len(),
         ladder_s: median(ladder),
         lanes_s: median(lanes),
-        auto_s: median(auto),
+        dispatch_s: median(dispatch),
         simd_active: ctx.simd_active(),
     }
 }
@@ -124,10 +139,10 @@ fn odd_modulus_512() -> UBig {
 }
 
 /// `--check`: re-measure the IFMA kernel at 512 and 1024 bits and hold it
-/// to its floor over the portable lanes. A floor applies only when the
-/// committed snapshot was produced with the IFMA backend active and this
-/// build/host runs it too; a build without the feature (or a host without
-/// AVX-512 IFMA) runs the portable lanes and is exempt.
+/// to its floor over the portable lanes (`dispatch_speedup_vs_lanes`). A
+/// floor applies only when the committed snapshot was produced with the
+/// IFMA backend active and this host runs it too; a host without AVX-512
+/// IFMA runs the portable lanes and is exempt.
 fn run_check(snapshot_path: &str) -> i32 {
     let committed = match std::fs::read_to_string(snapshot_path) {
         Ok(text) => text,
@@ -137,9 +152,11 @@ fn run_check(snapshot_path: &str) -> i32 {
         }
     };
     let mut failed = false;
-    if !committed.contains("\"modexp_1024_fixed_exponent\"") {
-        eprintln!("bench --check: {snapshot_path} has no modexp_1024_fixed_exponent block");
-        failed = true;
+    for key in ["modexp_1024_fixed_exponent", "dispatch_speedup_vs_lanes"] {
+        if !committed.contains(&format!("\"{key}\"")) {
+            eprintln!("bench --check: {snapshot_path} lacks {key}; rerun tools/bench.sh");
+            failed = true;
+        }
     }
     let committed_simd = committed.contains("\"simd_active\": true");
     for (modulus, min) in [
@@ -151,19 +168,19 @@ fn run_check(snapshot_path: &str) -> i32 {
         if !(committed_simd && tiers.simd_active) {
             eprintln!(
                 "bench --check: {bits}-bit IFMA floor not applicable (snapshot or this \
-                 build/host runs the portable lanes)"
+                 host runs the portable lanes)"
             );
             continue;
         }
-        let speedup = tiers.simd_vs_lanes();
+        let speedup = tiers.dispatch_vs_lanes();
         if speedup < min {
             eprintln!(
-                "bench --check: {bits}-bit IFMA-vs-lanes speedup {speedup:.3} fell below the \
+                "bench --check: {bits}-bit dispatch-vs-lanes speedup {speedup:.3} fell below the \
                  {min} floor"
             );
             failed = true;
         } else {
-            eprintln!("bench --check: {bits}-bit IFMA-vs-lanes speedup {speedup:.3} >= floor {min}");
+            eprintln!("bench --check: {bits}-bit dispatch-vs-lanes speedup {speedup:.3} >= {min}");
         }
     }
     if failed {
@@ -319,53 +336,14 @@ fn main() {
     let other_tiers = [768, 1536, 2048].map(|bits| measure_tiers(&served_modulus(bits), 9));
 
     // --- hand-rolled JSON (no serde in the workspace) ------------------
-    let us = |s: f64| s * 1e6;
     println!("{{");
     println!("  \"host_cores\": {host_cores},");
-    println!("  \"modexp_512_fixed_exponent\": {{");
-    println!("    \"batch_size\": {},", t512.batch);
-    println!("    \"sliding_window_us\": {:.1},", us(t512.ladder_s));
-    println!("    \"pow_multi_us\": {:.1},", us(t512.auto_s));
-    println!("    \"scalar_multi_us\": {:.1},", us(t512.lanes_s));
-    println!("    \"simd_active\": {},", t512.simd_active);
-    println!(
-        "    \"pow_multi_speedup_vs_sliding\": {:.3},",
-        t512.ladder_s / t512.auto_s
-    );
-    println!(
-        "    \"simd_speedup_vs_scalar_multi\": {:.3}",
-        t512.simd_vs_lanes()
-    );
-    println!("  }},");
-    println!("  \"modexp_1024_fixed_exponent\": {{");
-    println!("    \"batch_size\": {},", tiers.batch);
-    println!("    \"ladder_us\": {:.1},", us(tiers.ladder_s));
-    println!("    \"scalar_lanes_us\": {:.1},", us(tiers.lanes_s));
-    println!("    \"pow_multi_us\": {:.1},", us(tiers.auto_s));
-    println!("    \"simd_active\": {},", tiers.simd_active);
-    println!(
-        "    \"lanes_speedup_vs_ladder\": {:.3},",
-        tiers.lanes_vs_ladder()
-    );
-    println!(
-        "    \"simd_speedup_vs_scalar_lanes\": {:.3}",
-        tiers.simd_vs_lanes()
-    );
-    println!("  }},");
+    println!("  \"modexp_512_fixed_exponent\": {},", t512.json());
+    println!("  \"modexp_1024_fixed_exponent\": {},", tiers.json());
     println!("  \"modexp_tiers_other_groups\": [");
     for (i, t) in other_tiers.iter().enumerate() {
         let comma = if i + 1 < other_tiers.len() { "," } else { "" };
-        println!(
-            "    {{ \"group_bits\": {}, \"ladder_us\": {:.1}, \"scalar_lanes_us\": {:.1}, \
-             \"pow_multi_us\": {:.1}, \"lanes_speedup_vs_ladder\": {:.3}, \
-             \"simd_speedup_vs_scalar_lanes\": {:.3} }}{comma}",
-            t.bits,
-            us(t.ladder_s),
-            us(t.lanes_s),
-            us(t.auto_s),
-            t.lanes_vs_ladder(),
-            t.simd_vs_lanes()
-        );
+        println!("    {}{comma}", t.json());
     }
     println!("  ]");
     println!("}}");

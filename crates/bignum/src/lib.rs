@@ -15,7 +15,8 @@
 //! * [`montgomery::MontgomeryCtx`] — CIOS Montgomery multiplication and
 //!   sliding-window modular exponentiation (the paper's `Ce` cost unit),
 //!   with [`FixedExponentPlan`] as the one batch dispatch over the lane
-//!   kernels of [`fixpow`],
+//!   kernels of [`fixpow`] (the AVX-512 IFMA one, picked by runtime CPU
+//!   detection, is the crate's only `unsafe` module),
 //! * [`prime`] — deterministic trial division plus Miller–Rabin,
 //! * [`safe_prime`] — safe-prime generation and the standard RFC 2409 /
 //!   RFC 3526 safe primes (768–2048 bits) used by the benchmarks,
@@ -38,7 +39,7 @@
 //! assert_eq!(y, x.modpow(&e, &p));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod add;
@@ -50,6 +51,8 @@ mod ubig;
 
 pub mod error;
 pub mod fixpow;
+#[allow(unsafe_code)]
+mod ifma;
 pub mod limb;
 pub mod modular;
 pub mod montgomery;

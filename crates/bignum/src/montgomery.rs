@@ -150,9 +150,8 @@ pub struct MontgomeryCtx {
     /// Lazily-probed AVX-512 IFMA lane context (`None` once probed when
     /// the host CPU lacks IFMA or the modulus is too wide). Holds only
     /// public modulus constants in radix-2^52; the secret exponent
-    /// schedule never crosses into the SIMD crate.
-    #[cfg(feature = "simd")]
-    pub(crate) ifma: std::sync::OnceLock<Option<std::sync::Arc<minshare_simd::IfmaCtx>>>,
+    /// schedule never crosses into `ifma`.
+    pub(crate) ifma: std::sync::OnceLock<Option<std::sync::Arc<crate::ifma::IfmaCtx>>>,
 }
 
 /// `-n0⁻¹ mod 2^64` for odd `n0`, by Newton iteration.
@@ -202,7 +201,6 @@ impl MontgomeryCtx {
             one_mont,
             r2,
             modulus: modulus.clone(),
-            #[cfg(feature = "simd")]
             ifma: std::sync::OnceLock::new(),
         })
     }

@@ -74,8 +74,8 @@ impl UBig {
     }
 
     /// Best-effort secure erasure: overwrites every allocated limb with
-    /// zero and leaves `self == 0`. The crate forbids `unsafe`, so instead
-    /// of volatile stores the zeroed buffer is passed through
+    /// zero and leaves `self == 0`. The crate denies `unsafe` outside its
+    /// IFMA kernel, so instead of volatile stores the zeroed buffer is passed through
     /// [`std::hint::black_box`], which keeps the compiler from eliding the
     /// writes as dead. Used by key types that hold secret exponents to
     /// scrub them on drop. Copies made by earlier arithmetic (temporaries,

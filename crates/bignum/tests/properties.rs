@@ -84,8 +84,8 @@ fn ragged_bases() -> impl Strategy<Value = Vec<UBig>> {
         .prop_map(|raw| raw.iter().map(|b| UBig::from_be_bytes(b)).collect())
 }
 
-/// Strategy: full-width odd moduli of 1..=14 limbs. The SIMD (AVX-512
-/// IFMA) backend accepts every width up to 2048 bits, so the differential
+/// Strategy: full-width odd moduli of 1..=14 limbs. The AVX-512 IFMA
+/// backend accepts every width up to 2048 bits, so the differential
 /// sweeps widths with and without a portable lane kernel — including the
 /// full 13-limb modulus (832 = 52·16 bits) whose digit count must come
 /// from the bit length, not the limb count. The served widths (12/16/24/32
@@ -462,10 +462,10 @@ proptest! {
 
     // -----------------------------------------------------------------
     // SIMD differentials: the auto-dispatching batch front end against
-    // the forced-scalar kernel, bitwise. In a default (scalar) build
-    // both sides run the same code and the test degenerates to a
-    // determinism check; with `--features simd` on an IFMA host it is
-    // the real vector-vs-scalar differential. Moduli sweep 1..=14 limbs,
+    // the forced-scalar kernel, bitwise. On an AVX-512 IFMA host this is
+    // the real vector-vs-scalar differential; on any other host both
+    // sides run the portable code and the test degenerates to a
+    // determinism check. Moduli sweep 1..=14 limbs,
     // batches sweep every lane-occupancy shape (0..=10 over 8 lanes), and
     // exponents take the adversarial shapes (0, 1, single-bit, all-ones,
     // random).
@@ -523,11 +523,10 @@ proptest! {
     // -----------------------------------------------------------------
     // The three `Ce` tiers at the widths real sessions use (12/16/24/32
     // limbs): the generic ladder (`pow` per base), the portable lanes
-    // (`pow_batch_scalar`, what a host without AVX-512 IFMA — or the
-    // benchmark's feature-less client — runs) and the default dispatch
-    // (`FixedExponentPlan::pow_batch`: IFMA lanes when compiled in and
-    // detected, otherwise the portable lanes again), each against the
-    // square-and-multiply oracle, bit for bit.
+    // (`pow_batch_scalar`, what a host without AVX-512 IFMA runs) and the
+    // default dispatch (`FixedExponentPlan::pow_batch`: IFMA lanes where
+    // the CPU has them, otherwise the portable lanes again), each against
+    // the square-and-multiply oracle, bit for bit.
     // -----------------------------------------------------------------
 
     #[test]

@@ -183,7 +183,7 @@ impl QrGroup {
     }
 
     /// The kernel tier batch encryptions under this group run on — a
-    /// function of the build, the CPU and the modulus width, so public.
+    /// function of the CPU and the modulus width, so public.
     pub fn kernel_tier(&self) -> KernelTier {
         self.ctx.kernel_tier()
     }
@@ -379,6 +379,20 @@ mod tests {
             QrGroup::well_known(512),
             Err(CryptoError::UnsupportedSize { bits: 512 })
         ));
+    }
+
+    #[test]
+    fn default_build_runs_the_served_group_on_the_detected_tier() {
+        // What the benchmark's client and any library user build: the
+        // IFMA tier the daemon runs, whenever this CPU has it.
+        #[cfg(target_arch = "x86_64")]
+        let ifma = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512ifma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let ifma = false;
+        let g = QrGroup::well_known(1024).unwrap();
+        assert_eq!(g.kernel_tier() == KernelTier::Ifma52x8, ifma);
+        assert_eq!(g.mont_ctx().simd_active(), ifma);
     }
 
     #[test]

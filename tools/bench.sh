@@ -11,9 +11,9 @@ cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "--check" ]; then
     echo "== bench_protocols --check vs BENCH_protocols.json" >&2
-    exec cargo run --release -q -p minshare-bench --features simd --bin bench_protocols -- \
+    exec cargo run --release -q -p minshare-bench --bin bench_protocols -- \
         --check BENCH_protocols.json
 fi
 
 echo "== bench_protocols -> BENCH_protocols.json" >&2
-cargo run --release -q -p minshare-bench --features simd --bin bench_protocols | tee BENCH_protocols.json
+cargo run --release -q -p minshare-bench --bin bench_protocols | tee BENCH_protocols.json

@@ -15,19 +15,6 @@ cargo build --release
 # one of the two modes is a bug in the test or in the code under it.
 cargo test -q
 cargo test -q -- --test-threads=1
-# Feature matrix for the `Ce` kernel. `minshare-cli` enables
-# `minshare-bignum/simd`, so the workspace-level build and tests above
-# already run with the AVX-512 IFMA backend compiled in (runtime
-# detection keeps the portable lanes active on a host without the CPU
-# feature, so the dispatch seam is exercised either way). The
-# configuration that needs naming is the one *without* the feature — what
-# the repo benchmark's in-process client builds (benchmark/Cargo.toml asks
-# for no features) and what any library user gets by default.
-cargo test -q -p minshare-bignum -p minshare-crypto
-cargo build --release -p minshare-bench --features simd
-cargo test -q -p minshare-simd
-cargo test -q -p minshare-bignum --features simd
-cargo test -q -p minshare-crypto --features simd
 # The analyzer's own unit + fixture suite: every rule must prove both
 # detection (seeded-bug fixtures flagged at the expected lines) and the
 # clean pass before its verdict on the workspace means anything.
@@ -39,12 +26,13 @@ cargo run -q --release -p minshare-analyzer -- --baseline analyzer.baseline.toml
 t1=$(date +%s%N)
 echo "analyzer wall-time: $(( (t1 - t0) / 1000000 )) ms"
 # The zero-count ratchet anchors record that the paper's minimal-sharing
-# invariant (WIRE01), the pool/transport liveness invariant (LOCK01) and
-# the telemetry secrecy invariant (OBS01 — nothing but typed counters in
-# the trace/metrics layer) hold everywhere in scope. Deleting an anchor
-# would let findings creep back in silently, so their absence fails the
-# gate.
-for anchor in WIRE01 LOCK01 OBS01; do
+# invariant (WIRE01), the pool/transport liveness invariant (LOCK01), the
+# telemetry secrecy invariant (OBS01 — nothing but typed counters in the
+# trace/metrics layer) and the unsafe-isolation invariant (UNSAFE01 —
+# `unsafe` only in the IFMA kernel, crates/bignum/src/ifma.rs) hold
+# everywhere in scope. Deleting an anchor would let findings creep back
+# in silently, so their absence fails the gate.
+for anchor in WIRE01 LOCK01 OBS01 UNSAFE01; do
     if ! grep -q "rule = \"$anchor\"" analyzer.baseline.toml; then
         echo "verify: missing $anchor ratchet anchor in analyzer.baseline.toml" >&2
         exit 1
