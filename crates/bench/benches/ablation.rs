@@ -43,7 +43,7 @@ fn payload_cipher_choice(c: &mut Criterion) {
     let g = bench_group(1024);
     let mut rng = StdRng::seed_from_u64(4);
     let kappa = g.sample_element(&mut rng);
-    let mul = MulBlockCipher::new(g.clone()).expect("group");
+    let mul = MulBlockCipher::new(g.clone());
     let hybrid = HybridCipher::new(g.clone(), mul.max_plaintext_len());
     let payload = vec![0x42u8; mul.max_plaintext_len()];
     group.bench_function("mulblock_paper_exact", |b| {

@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn mulblock_cipher_works_too() {
         let g = group();
-        let cipher = MulBlockCipher::new(g.clone()).unwrap();
+        let cipher = MulBlockCipher::new(g.clone());
         let vs = entries(&[("k1", "pay"), ("k2", "off")]);
         let vr = to_values(&["k2"]);
         let run = run_two_party(
@@ -298,7 +298,7 @@ mod tests {
             },
             |t| {
                 let g = group();
-                let cipher = MulBlockCipher::new(g.clone()).unwrap();
+                let cipher = MulBlockCipher::new(g.clone());
                 let mut rng = StdRng::seed_from_u64(2);
                 run_receiver(t, &g, &cipher, &vr, &mut rng)
             },

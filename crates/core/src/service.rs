@@ -48,8 +48,9 @@ use crate::stats::OpCounters;
 /// stray protocol frame for a request.
 const REQUEST_MAGIC: [u8; 2] = *b"MS";
 
-/// Session-request codec version.
-const REQUEST_VERSION: u8 = 1;
+/// Session-request codec version. Version 2 carries group elements as
+/// signed residues in `[1, q]`, so a version-1 peer is refused up front.
+const REQUEST_VERSION: u8 = 2;
 
 /// The protocol a client asks a daemon session to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -163,7 +164,9 @@ impl SessionRequest {
         }
         if *version != REQUEST_VERSION {
             return Err(ProtocolError::MalformedMessage {
-                detail: format!("unsupported session request version {version}"),
+                detail: format!(
+                    "session request version {version}, this build speaks {REQUEST_VERSION}"
+                ),
             });
         }
         let Some(protocol) = ProtocolKind::from_code(*code) else {
@@ -555,15 +558,21 @@ mod tests {
             &b""[..],
             &b"MS"[..],
             &b"XX\x01\x01"[..],
-            &b"MS\x02\x01"[..],
-            &b"MS\x01\x09"[..],
-            &b"MS\x01\x01\x00"[..],
+            &b"MS\x01\x01"[..],
+            &b"MS\x03\x01"[..],
+            &b"MS\x02\x09"[..],
+            &b"MS\x02\x01\x00"[..],
         ] {
             assert!(matches!(
                 SessionRequest::decode(bad),
                 Err(ProtocolError::MalformedMessage { .. })
             ));
         }
+        let Err(ProtocolError::MalformedMessage { detail }) = SessionRequest::decode(b"MS\x01\x01")
+        else {
+            panic!("a version-1 request must be refused");
+        };
+        assert_eq!(detail, "session request version 1, this build speaks 2");
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! The digests below were captured at the commit *before* the three
 //! engine families (`pipeline.rs`, the sharded engines, the serial
 //! delegations) collapsed into [`minshare::engine`], by running that
-//! commit's engines on these exact inputs and seeds. The multisession and
-//! conformance baselines are produced by the code they check, so they
-//! cannot see a drift that changes both sides alike; these constants can.
+//! commit's engines on these exact inputs and seeds. They were captured
+//! once more when group elements became signed residues in `[1, q]`: that
+//! change rewrites every codeword (the hash no longer squares, and every
+//! result folds to `min(x, p − x)`) but keeps each frame's length and
+//! layout. The multisession and conformance baselines are produced by the
+//! code they check, so they cannot see a drift that changes both sides
+//! alike; these constants can.
 //!
 //! Coverage: 4 protocols × `B ∈ {1, 3}` at chunk size 3. The size
 //! variants at `B = 1` run with `chunk_size ≥ n`: there the old code was
@@ -27,14 +31,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// `(protocol, B, sender digest, receiver digest)`.
 #[rustfmt::skip]
 const GOLDEN: [(&str, u32, u64, u64); 8] = [
-    ("intersection",      1, 0x27c041d93b23d692, 0xd02d385fead20cd1),
-    ("equijoin",          1, 0xaf6d4abb2b7f5ce6, 0xd02d385fead20cd1),
-    ("intersection_size", 1, 0xda5d1eb5270a9faa, 0x29e1facae715fb97),
-    ("equijoin_size",     1, 0xdcacbfb3cddc0917, 0x44e3eeedcfca006b),
-    ("intersection",      3, 0x512fd378fa84f219, 0xcd944e50ebe87be5),
-    ("equijoin",          3, 0xdd2165af53c1f675, 0xcd944e50ebe87be5),
-    ("intersection_size", 3, 0x5993f2701bea62e5, 0xcd944e50ebe87be5),
-    ("equijoin_size",     3, 0x0a3192d9fb24c3af, 0x1e10c3b4dea0c31c),
+    ("intersection",      1, 0x69b0e647e8d19a29, 0x26738b893da4313e),
+    ("equijoin",          1, 0x12020f9a19c2290d, 0x26738b893da4313e),
+    ("intersection_size", 1, 0x032b9eb38c4e5fb5, 0x3468087bf58fbf02),
+    ("equijoin_size",     1, 0x94687832a30bb5fb, 0x649a5285f4c05070),
+    ("intersection",      3, 0xaee44f5ff0f67617, 0x4d3046b8848c882a),
+    ("equijoin",          3, 0x62693dbc0b81aa3c, 0x4d3046b8848c882a),
+    ("intersection_size", 3, 0xad188a12d205e5b1, 0x4d3046b8848c882a),
+    ("equijoin_size",     3, 0x68b347547271383f, 0x977920ec3169e642),
 ];
 
 fn group() -> QrGroup {
@@ -138,7 +142,7 @@ fn engine_transcripts_match_the_parent_commit() {
         assert_eq!(
             got,
             (sender, receiver),
-            "{protocol} at B = {shards}: frames differ from the parent commit \
+            "{protocol} at B = {shards}: frames differ from the pinned digests \
              (got {:#018x} / {:#018x})",
             got.0,
             got.1

@@ -2,7 +2,8 @@
 //! parser must produce errors, never panics or bogus successes.
 
 use minshare::wire::Message;
-use minshare_crypto::QrGroup;
+use minshare::ProtocolError;
+use minshare_crypto::{CryptoError, QrGroup};
 use minshare_hash::bloom::BloomFilter;
 use minshare_privdb::rowcodec;
 use proptest::prelude::*;
@@ -67,4 +68,34 @@ proptest! {
         // or error — both fine.
         let _ = Message::decode(&frame, g);
     }
+}
+
+#[test]
+fn a_frame_of_sampled_elements_decodes_in_full() {
+    // The shape of the benchmark's `core.wire_decode_us_per_codeword`
+    // replay: 32 `sample_element` codewords at 1024 bits. If such a frame
+    // were refused early the replay would time a rejection, not a decode.
+    let g = QrGroup::well_known(1024).expect("group");
+    let mut rng = StdRng::seed_from_u64(0xdec0);
+    let elements: Vec<_> = (0..32).map(|_| g.sample_element(&mut rng)).collect();
+    let mut frame = Message::Codewords(elements.clone())
+        .encode(&g)
+        .expect("encode");
+    match Message::decode(&frame, &g).expect("sampled elements decode") {
+        Message::Codewords(got) => assert_eq!(got, elements),
+        other => panic!("unexpected message {other:?}"),
+    }
+    // One codeword set to q + 1, the first value outside [1, q].
+    let width = g.codeword_bytes();
+    let at = 5 + 17 * width;
+    let out_of_range = g
+        .order()
+        .add_small(1)
+        .to_be_bytes_padded(width)
+        .expect("fits");
+    frame[at..at + width].copy_from_slice(&out_of_range);
+    assert!(matches!(
+        Message::decode(&frame, &g),
+        Err(ProtocolError::Crypto(CryptoError::NotGroupElement))
+    ));
 }

@@ -20,7 +20,7 @@ use minshare_bignum::{FixedExponentPlan, UBig};
 use rand::Rng;
 
 use crate::error::CryptoError;
-use crate::group::QrGroup;
+use crate::group::{fold, QrGroup};
 use crate::plan::PlanCachePair;
 
 /// A commutative-encryption key: the exponent `e ∈ KeyF = {1..q-1}` and
@@ -112,12 +112,12 @@ impl QrGroup {
     /// [`QrGroup::hash_to_group`]. Goes through the key's cached
     /// fixed-exponent plan, so repeated calls skip the exponent recoding.
     pub fn encrypt(&self, key: &CommutativeKey, x: &UBig) -> UBig {
-        key.enc_plan(self.mont_ctx()).pow(x)
+        fold(self.modulus(), key.enc_plan(self.mont_ctx()).pow(x))
     }
 
     /// `f_e⁻¹(y) = y^(e⁻¹ mod q) mod p`.
     pub fn decrypt(&self, key: &CommutativeKey, y: &UBig) -> UBig {
-        key.dec_plan(self.mont_ctx()).pow(y)
+        fold(self.modulus(), key.dec_plan(self.mont_ctx()).pow(y))
     }
 
     /// `f_e` over a whole batch on the calling thread, through the key's
@@ -126,7 +126,8 @@ impl QrGroup {
     /// as mapping [`QrGroup::encrypt`], faster per item. For parallel
     /// batches use [`crate::EncryptPool`].
     pub fn encrypt_many(&self, key: &CommutativeKey, items: &[UBig]) -> Vec<UBig> {
-        key.enc_plan(self.mont_ctx()).pow_batch(items)
+        let out = key.enc_plan(self.mont_ctx()).pow_batch(items);
+        out.into_iter().map(|y| fold(self.modulus(), y)).collect()
     }
 
     /// Checked variant of [`QrGroup::encrypt`] for untrusted inputs.
@@ -264,19 +265,17 @@ mod tests {
         let g = group();
         let mut r = rng();
         let k = g.gen_key(&mut r);
-        // Find a non-residue.
-        let bad = (2u64..100)
-            .map(UBig::from)
-            .find(|x| !g.is_member(x))
-            .unwrap();
-        assert_eq!(
-            g.encrypt_checked(&k, &bad).unwrap_err(),
-            CryptoError::NotGroupElement
-        );
-        assert_eq!(
-            g.decrypt_checked(&k, &bad).unwrap_err(),
-            CryptoError::NotGroupElement
-        );
+        // 0, q + 1 and p − 1: in the codeword width, outside [1, q].
+        for bad in [0u64, 1440, 2878].map(UBig::from) {
+            assert_eq!(
+                g.encrypt_checked(&k, &bad).unwrap_err(),
+                CryptoError::NotGroupElement
+            );
+            assert_eq!(
+                g.decrypt_checked(&k, &bad).unwrap_err(),
+                CryptoError::NotGroupElement
+            );
+        }
         let good = g.sample_element(&mut r);
         assert!(g.encrypt_checked(&k, &good).is_ok());
     }

@@ -14,8 +14,8 @@ pub enum CryptoError {
         /// Bits requested by the caller.
         bits: u64,
     },
-    /// A value that should be a group element (quadratic residue in
-    /// `[1, p-1]`) is not.
+    /// A value that should be a group element (a signed residue in
+    /// `[1, q]`) is not.
     NotGroupElement,
     /// A key outside `KeyF = {1, …, q-1}`.
     InvalidKey,
@@ -42,7 +42,7 @@ impl fmt::Display for CryptoError {
                 write!(f, "unsupported parameter size: {bits} bits")
             }
             CryptoError::NotGroupElement => {
-                write!(f, "value is not a quadratic residue in the group")
+                write!(f, "value is not a group element (outside [1, q])")
             }
             CryptoError::InvalidKey => write!(f, "key outside KeyF = {{1..q-1}}"),
             CryptoError::PayloadTooLarge {

@@ -1,12 +1,17 @@
 //! The quadratic-residue group `QR_p` modulo a safe prime — the paper's
 //! `DomF` (Example 1) — together with key sampling, element sampling, and
 //! the random-oracle hash into the group.
+//!
+//! Elements are carried as *signed residues*: `p ≡ 3 (mod 4)` makes −1 a
+//! non-residue, so exactly one of `±x` lies in `QR_p`, and
+//! `x ↦ min(x, p − x)` maps `QR_p` isomorphically onto `[1, q]`, with
+//! "multiply mod `p`, then fold" as the group law (Hofheinz–Kiltz,
+//! CRYPTO 2009). Membership is then a range check, not a Jacobi symbol.
 
 use std::sync::Arc;
 
-use minshare_bignum::modular::Jacobi;
 use minshare_bignum::montgomery::MontgomeryCtx;
-use minshare_bignum::random::random_range;
+use minshare_bignum::random::{random_below, random_range};
 use minshare_bignum::safe_prime::{generate_safe_prime, is_safe_prime, well_known_safe_prime};
 use minshare_bignum::{KernelTier, UBig};
 use minshare_hash::RandomOracle;
@@ -19,7 +24,8 @@ use crate::error::CryptoError;
 /// group, making the mod-bias `2^-128`-negligible.
 const HASH_SLACK_BITS: u64 = 128;
 
-/// The group of quadratic residues modulo a safe prime `p = 2q + 1`.
+/// The group of quadratic residues modulo a safe prime `p = 2q + 1`,
+/// each element carried as its signed residue in `[1, q]`.
 ///
 /// * `DomF = QR_p` has prime order `q`, so DDH is plausible and every
 ///   non-identity element generates the group.
@@ -30,9 +36,6 @@ const HASH_SLACK_BITS: u64 = 128;
 pub struct QrGroup {
     p: UBig,
     q: UBig,
-    /// `p - 1`, precomputed at construction so the hash path needs no
-    /// fallible arithmetic per call.
-    p_minus_1: UBig,
     ctx: Arc<MontgomeryCtx>,
     oracle: RandomOracle,
 }
@@ -49,19 +52,18 @@ impl QrGroup {
 
     /// Builds a group from a safe prime **without** re-verifying primality.
     /// Use only for vetted constants (e.g. the RFC groups) or freshly
-    /// generated primes.
+    /// generated primes. Refuses `p < 7` and `p ≢ 3 (mod 4)`: there −1 is
+    /// a residue and the signed-residue encoding is not a group.
     pub fn new_unchecked(p: UBig) -> Result<Self, CryptoError> {
-        if p < UBig::from(5u64) || p.is_even() {
+        if p < UBig::from(7u64) || !(p.bit(0) && p.bit(1)) {
             return Err(CryptoError::NotSafePrime);
         }
-        let p_minus_1 = p.sub_small(1)?;
-        let q = p_minus_1.shr_bits(1);
+        let q = p.shr_bits(1);
         let ctx = MontgomeryCtx::new(&p)?;
         let oracle = RandomOracle::new(b"minshare/qr-group/hash-to-group/v1");
         Ok(QrGroup {
             p,
             q,
-            p_minus_1,
             ctx: Arc::new(ctx),
             oracle,
         })
@@ -103,26 +105,21 @@ impl QrGroup {
         self.codeword_bits().div_ceil(8) as usize
     }
 
-    /// A fixed generator of `QR_p`: `4 = 2²` is always a quadratic residue,
-    /// and in a prime-order group every non-identity element generates.
+    /// A fixed generator of `QR_p`: the signed residue of `4 = 2²`, which is
+    /// always a quadratic residue; in a prime-order group every
+    /// non-identity element generates.
     pub fn generator(&self) -> UBig {
-        UBig::from(4u64)
+        fold(&self.p, UBig::from(4u64))
     }
 
-    /// Membership test: `x ∈ QR_p` iff `0 < x < p` and `(x/p) = 1`, or
-    /// `x = 1` (the identity; its Jacobi symbol is 1 too).
+    /// Membership test: a signed residue is exactly an integer in `[1, q]`.
     pub fn is_member(&self, x: &UBig) -> bool {
-        if x.is_zero() || x >= &self.p {
-            return false;
-        }
-        matches!(x.jacobi(&self.p), Ok(Jacobi::One))
+        !x.is_zero() && x <= &self.q
     }
 
-    /// Uniformly samples a group element by squaring a uniform element of
-    /// `Z_p^*` (squaring is exactly 2-to-1 onto `QR_p`).
+    /// Uniformly samples a group element from `[1, q]`.
     pub fn sample_element<R: Rng + ?Sized>(&self, rng: &mut R) -> UBig {
-        let t = random_range(rng, &UBig::one(), &self.p);
-        self.ctx.mul(&t, &t)
+        random_below(rng, &self.q).add_small(1)
     }
 
     /// Uniformly samples a commutative-encryption key from
@@ -147,39 +144,37 @@ impl QrGroup {
     }
 
     /// The ideal hash `h : V → DomF` of §3.2.2, instantiated as
-    /// random-oracle expansion followed by squaring:
-    /// `t = RO(v) mod (p-1) + 1 ∈ Z_p^*`, then `h(v) = t² mod p ∈ QR_p`.
+    /// random-oracle expansion reduced straight into the signed residues:
+    /// `h(v) = RO(v) mod q + 1 ∈ [1, q]`.
     ///
-    /// Uniform `t` on `Z_p^*` makes `t²` uniform on `QR_p`; the
-    /// 128 extra bits of expansion make the reduction bias negligible.
+    /// The 128 extra bits of expansion make the reduction bias negligible.
     pub fn hash_to_group(&self, value: &[u8]) -> UBig {
         let out_bytes = ((self.p.bit_len() + HASH_SLACK_BITS) as usize).div_ceil(8);
         let wide = UBig::from_be_bytes(&self.oracle.expand(value, out_bytes));
-        // Construction validates p ≥ 5, so p-1 is nonzero and the
-        // reduction cannot fail; the identity fallback is dead code kept
-        // only to avoid a panic path in library code.
-        let t = match wide.rem_ref(&self.p_minus_1) {
-            Ok(r) => r.add_small(1), // t ∈ [1, p-1]
+        // Construction validates p ≥ 7, so q is nonzero and the reduction
+        // cannot fail; the identity fallback is dead code kept only to
+        // avoid a panic path in library code.
+        match wide.rem_ref(&self.q) {
+            Ok(r) => r.add_small(1),
             Err(_) => UBig::one(),
-        };
-        self.ctx.mul(&t, &t)
+        }
     }
 
-    /// Group multiplication `a · b mod p`.
+    /// Group multiplication: `a · b mod p`, folded.
     pub fn mul(&self, a: &UBig, b: &UBig) -> UBig {
-        self.ctx.mul(a, b)
+        fold(&self.p, self.ctx.mul(a, b))
     }
 
-    /// Multiplicative inverse in `Z_p^*`.
+    /// Group inverse: `a⁻¹ mod p`, folded.
     pub fn inv(&self, a: &UBig) -> Result<UBig, CryptoError> {
-        Ok(a.mod_inv(&self.p)?)
+        Ok(fold(&self.p, a.mod_inv(&self.p)?))
     }
 
-    /// Modular exponentiation `base^exp mod p` through the shared
+    /// Exponentiation `base^exp mod p`, folded, through the shared
     /// Montgomery context. One call with a full-size exponent is the
     /// paper's `Ce` cost unit.
     pub fn pow(&self, base: &UBig, exp: &UBig) -> UBig {
-        self.ctx.pow(base, exp)
+        fold(&self.p, self.ctx.pow(base, exp))
     }
 
     /// The kernel tier batch encryptions under this group run on — a
@@ -209,6 +204,17 @@ impl QrGroup {
             return Err(CryptoError::NotGroupElement);
         }
         Ok(x)
+    }
+}
+
+/// The signed residue `min(x, p − x)` of a Montgomery result `x ∈ [0, p)`.
+/// Every result that leaves the crate passes through here; since
+/// `(−x)^e = ±x^e`, either representative of an input folds to the same
+/// output.
+pub(crate) fn fold(p: &UBig, x: UBig) -> UBig {
+    match p.checked_sub(&x) {
+        Ok(neg) if neg < x => neg,
+        _ => x,
     }
 }
 
@@ -251,6 +257,21 @@ mod tests {
     }
 
     #[test]
+    fn new_unchecked_refuses_moduli_where_folding_is_not_a_group() {
+        // 5 ≡ 1 (mod 4): −1 is a residue there.
+        for p in [0u64, 3, 5, 9, 13] {
+            assert_eq!(
+                QrGroup::new_unchecked(UBig::from(p)).unwrap_err(),
+                CryptoError::NotSafePrime,
+                "p = {p}"
+            );
+        }
+        for p in [7u64, 23, 2879] {
+            assert!(QrGroup::new_unchecked(UBig::from(p)).is_ok(), "p = {p}");
+        }
+    }
+
+    #[test]
     fn order_is_half() {
         let g = small_group();
         assert_eq!(g.order(), &UBig::from(1439u64));
@@ -270,12 +291,12 @@ mod tests {
 
     #[test]
     fn membership_counts_are_exact() {
-        // Exactly q = 1439 residues in [1, p-1], identity included.
+        // Exactly the q = 1439 signed residues [1, q], identity included.
         let g = small_group();
-        let count = (1u64..2879)
+        let accepted: Vec<u64> = (0u64..2879)
             .filter(|&x| g.is_member(&UBig::from(x)))
-            .count() as u64;
-        assert_eq!(count, 1439);
+            .collect();
+        assert_eq!(accepted, (1u64..=1439).collect::<Vec<_>>());
         assert!(g.is_member(&UBig::one()));
         assert!(!g.is_member(&UBig::zero()));
         assert!(!g.is_member(&UBig::from(2879u64)));
@@ -349,20 +370,16 @@ mod tests {
     #[test]
     fn decode_rejects_nonmembers_and_bad_lengths() {
         let g = small_group();
-        // 7 is a non-residue mod 2879? Find one deterministically.
-        let mut nonmember = None;
-        for x in 2u64..100 {
-            if !g.is_member(&UBig::from(x)) {
-                nonmember = Some(x);
-                break;
-            }
+        // 0, q + 1 and p − 1 fit the codeword width but are no signed
+        // residues.
+        for bad in [0u64, 1440, 2878] {
+            let bytes = g.encode_element(&UBig::from(bad)).unwrap();
+            assert_eq!(
+                g.decode_element(&bytes).unwrap_err(),
+                CryptoError::NotGroupElement,
+                "x = {bad}"
+            );
         }
-        let bad = UBig::from(nonmember.unwrap());
-        let bytes = g.encode_element(&bad).unwrap();
-        assert_eq!(
-            g.decode_element(&bytes).unwrap_err(),
-            CryptoError::NotGroupElement
-        );
         assert_eq!(
             g.decode_element(&[0u8; 5]).unwrap_err(),
             CryptoError::MalformedCiphertext

@@ -7,15 +7,15 @@
 //! Two interchangeable implementations are provided behind [`ExtCipher`]:
 //!
 //! * [`MulBlockCipher`] — the paper's Example 2: encode the payload as a
-//!   quadratic residue and multiply, `K_κ(m) = κ · m mod p`. Perfectly
-//!   secret, but a payload must fit one group element.
+//!   group element (a signed residue in `[1, q]`) and multiply,
+//!   `K_κ(m) = κ · m` in `QR_p`. Perfectly secret, but a payload must fit
+//!   one group element.
 //! * [`HybridCipher`] — κ is fed through HKDF into a ChaCha20+HMAC
 //!   authenticated stream cipher, allowing realistic variable-size
 //!   `ext(v)` records (padded to a fixed record size so ciphertext length
 //!   leaks nothing). Secrecy becomes computational instead of perfect —
 //!   this substitution is documented in DESIGN.md.
 
-use minshare_bignum::modular::Jacobi;
 use minshare_bignum::UBig;
 use minshare_hash::{chacha20, hkdf, hmac::HmacSha256};
 
@@ -46,36 +46,23 @@ pub trait ExtCipher {
 }
 
 /// The paper-exact multiplicative one-block cipher (Example 2):
-/// `K_κ(m) = κ · encode(m) mod p` over `QR_p`.
+/// `K_κ(m) = κ · encode(m)` over `QR_p`.
 ///
 /// Encoding into `QR_p`: frame the payload as an integer
-/// `m = OS2IP(0x01 ‖ payload) ∈ [1, q)`; exactly one of `m` and `p − m`
-/// is a quadratic residue (safe primes > 5 satisfy `p ≡ 3 (mod 4)`, so
-/// `(−1/p) = −1`), and the decoder resolves the ambiguity because
-/// `m < q < p − m`.
+/// `m = OS2IP(0x01 ‖ payload) ∈ [1, q)`, which already is a signed
+/// residue — the group element itself, with no sign to resolve.
 #[derive(Clone, Debug)]
 pub struct MulBlockCipher {
     group: QrGroup,
 }
 
 impl MulBlockCipher {
-    /// Creates the cipher over `group`. The modulus must exceed 5 so that
-    /// `p ≡ 3 (mod 4)` (all safe primes except 5).
-    pub fn new(group: QrGroup) -> Result<Self, CryptoError> {
-        if group.modulus() <= &UBig::from(5u64) {
-            return Err(CryptoError::UnsupportedSize {
-                bits: group.modulus().bit_len(),
-            });
-        }
-        debug_assert_eq!(
-            group.modulus().limbs()[0] & 3,
-            3,
-            "safe prime > 5 is 3 mod 4"
-        );
-        Ok(MulBlockCipher { group })
+    /// Creates the cipher over `group`.
+    pub fn new(group: QrGroup) -> Self {
+        MulBlockCipher { group }
     }
 
-    /// Encodes payload bytes into a quadratic residue.
+    /// Encodes payload bytes into a group element.
     fn encode(&self, payload: &[u8]) -> Result<UBig, CryptoError> {
         if payload.len() > self.max_plaintext_len() {
             return Err(CryptoError::PayloadTooLarge {
@@ -88,19 +75,11 @@ impl MulBlockCipher {
         framed.extend_from_slice(payload);
         let m = UBig::from_be_bytes(&framed);
         debug_assert!(&m < self.group.order());
-        match m.jacobi(self.group.modulus())? {
-            Jacobi::One => Ok(m),
-            _ => Ok(self.group.modulus().checked_sub(&m)?),
-        }
+        Ok(m)
     }
 
-    /// Decodes a quadratic residue back into payload bytes.
-    fn decode(&self, x: &UBig) -> Result<Vec<u8>, CryptoError> {
-        let m = if x <= self.group.order() {
-            x.clone()
-        } else {
-            self.group.modulus().checked_sub(x)?
-        };
+    /// Decodes a group element back into payload bytes.
+    fn decode(&self, m: &UBig) -> Result<Vec<u8>, CryptoError> {
         let bytes = m.to_be_bytes();
         if bytes.first() != Some(&0x01) {
             return Err(CryptoError::MalformedCiphertext);
@@ -256,7 +235,7 @@ mod tests {
     #[test]
     fn mulblock_round_trip() {
         let g = group();
-        let cipher = MulBlockCipher::new(g.clone()).unwrap();
+        let cipher = MulBlockCipher::new(g.clone());
         let mut r = rng();
         for payload in [&b""[..], b"a", b"abc", &[0u8, 0, 0], &[0xff; 6]] {
             if payload.len() > cipher.max_plaintext_len() {
@@ -272,7 +251,7 @@ mod tests {
     #[test]
     fn mulblock_wrong_key_garbles() {
         let g = group();
-        let cipher = MulBlockCipher::new(g.clone()).unwrap();
+        let cipher = MulBlockCipher::new(g.clone());
         let mut r = rng();
         let kappa = g.sample_element(&mut r);
         let other = g.sample_element(&mut r);
@@ -285,7 +264,7 @@ mod tests {
     #[test]
     fn mulblock_rejects_oversized() {
         let g = group();
-        let cipher = MulBlockCipher::new(g.clone()).unwrap();
+        let cipher = MulBlockCipher::new(g.clone());
         let mut r = rng();
         let kappa = g.sample_element(&mut r);
         let too_big = vec![0u8; cipher.max_plaintext_len() + 1];
@@ -302,7 +281,7 @@ mod tests {
         // group elements (can't test the distribution exactly, but check
         // every ciphertext is a valid QR codeword).
         let g = group();
-        let cipher = MulBlockCipher::new(g.clone()).unwrap();
+        let cipher = MulBlockCipher::new(g.clone());
         let mut r = rng();
         for _ in 0..50 {
             let kappa = g.sample_element(&mut r);
@@ -314,7 +293,7 @@ mod tests {
     #[test]
     fn mulblock_preserves_leading_zeros() {
         let g = group();
-        let cipher = MulBlockCipher::new(g.clone()).unwrap();
+        let cipher = MulBlockCipher::new(g.clone());
         let mut r = rng();
         let kappa = g.sample_element(&mut r);
         let payload = [0u8, 0, 7];
@@ -394,7 +373,7 @@ mod tests {
     #[test]
     fn both_ciphers_reject_nonmember_kappa() {
         let g = group();
-        let mul = MulBlockCipher::new(g.clone()).unwrap();
+        let mul = MulBlockCipher::new(g.clone());
         let hybrid = HybridCipher::new(g.clone(), 16);
         // κ = 0 is never a member.
         assert!(matches!(
@@ -411,7 +390,7 @@ mod tests {
     fn trait_objects_work() {
         let g = group();
         let ciphers: Vec<Box<dyn ExtCipher>> = vec![
-            Box::new(MulBlockCipher::new(g.clone()).unwrap()),
+            Box::new(MulBlockCipher::new(g.clone())),
             Box::new(HybridCipher::new(g.clone(), 32)),
         ];
         let mut r = rng();

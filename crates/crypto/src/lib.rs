@@ -5,7 +5,8 @@
 //! SIGMOD 2003):
 //!
 //! * [`group::QrGroup`] — the group of quadratic residues modulo a safe
-//!   prime, the paper's `DomF` (Example 1), with hash-into-group
+//!   prime, the paper's `DomF` (Example 1), carried as signed residues
+//!   in `[1, q]`, with hash-into-group
 //!   implementing the ideal hash `h : V → DomF` of §3.2.2;
 //! * [`commutative`] — the commutative encryption `f_e(x) = x^e mod p`
 //!   satisfying Definition 2 (commutativity, bijectivity, efficient

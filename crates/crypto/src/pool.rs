@@ -79,7 +79,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use minshare_bignum::{FixedExponentPlan, UBig};
 
 use crate::commutative::CommutativeKey;
-use crate::group::QrGroup;
+use crate::group::{fold, QrGroup};
 
 /// Smallest cursor claim: the tail granularity stragglers rebalance at,
 /// and the floor of the inline hand-off threshold (anything one claim
@@ -419,6 +419,7 @@ impl PoolJob {
                 // Always `Some`: a cursor-claimed range is in bounds.
                 if let Some(claim) = items.get(start..end) {
                     let out = plan.pow_batch(claim);
+                    let out = out.into_iter().map(|y| fold(plan.modulus(), y)).collect();
                     record_item_cost(&self.tuning, eval_started.elapsed(), end - start);
                     // A send error means the caller abandoned the batch;
                     // keep draining the cursor so the job finishes quietly.
@@ -702,6 +703,7 @@ impl EncryptPool {
         if inline {
             let started = Instant::now();
             let out = plan.pow_batch(items);
+            let out = out.into_iter().map(|y| fold(plan.modulus(), y)).collect();
             record_item_cost(&self.tuning, started.elapsed(), total);
             // Inline runs still enter the session's exactly-once ledger.
             session.claimed.0.fetch_add(total as u64, Ordering::Relaxed);

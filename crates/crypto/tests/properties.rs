@@ -1,10 +1,15 @@
 //! Property-based tests for the cryptographic layer: the Definition-2
-//! contract of the commutative encryption, payload-cipher round trips, and
-//! hash-to-group well-definedness — over randomly generated inputs and a
-//! deterministic test group.
+//! contract of the commutative encryption, payload-cipher round trips,
+//! hash-to-group well-definedness, and the signed-residue encoding against
+//! textbook `QR_p` arithmetic — over randomly generated inputs, a
+//! deterministic test group and the bundled groups.
 
+use minshare_bignum::modular::Jacobi;
+use minshare_bignum::random::random_range;
+use minshare_bignum::UBig;
 use minshare_crypto::group::QrGroup;
 use minshare_crypto::kcipher::{ExtCipher, HybridCipher, MulBlockCipher};
+use minshare_crypto::CryptoError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,7 +85,7 @@ proptest! {
     #[test]
     fn mulblock_round_trip(seed in any::<u64>(), payload in proptest::collection::vec(any::<u8>(), 0..5)) {
         let g = group();
-        let cipher = MulBlockCipher::new(g.clone()).unwrap();
+        let cipher = MulBlockCipher::new(g.clone());
         prop_assume!(payload.len() <= cipher.max_plaintext_len());
         let mut rng = StdRng::seed_from_u64(seed);
         let kappa = g.sample_element(&mut rng);
@@ -153,7 +158,6 @@ proptest! {
         n in 0usize..70,
         threads in 0usize..5,
     ) {
-        use minshare_bignum::UBig;
         use minshare_crypto::pool::EncryptPool;
 
         let g = group();
@@ -163,5 +167,100 @@ proptest! {
         let serial = g.encrypt_many(&key, &items);
         let pool = EncryptPool::new(threads);
         prop_assert_eq!(pool.encrypt_batch(g, &key, &items), serial);
+    }
+}
+
+/// The four bundled groups (768, 1024, 1536 and 2048 bits).
+fn well_known_groups() -> &'static [QrGroup] {
+    static GROUPS: OnceLock<Vec<QrGroup>> = OnceLock::new();
+    GROUPS.get_or_init(|| {
+        [768u64, 1024, 1536, 2048]
+            .map(|bits| QrGroup::well_known(bits).unwrap())
+            .to_vec()
+    })
+}
+
+/// The `QR_p` element a signed residue stands for: whichever of `±x` has
+/// Jacobi symbol 1.
+fn qr_representative(g: &QrGroup, x: &UBig) -> UBig {
+    match x.jacobi(g.modulus()) {
+        Ok(Jacobi::One) => x.clone(),
+        _ => g.modulus() - x,
+    }
+}
+
+/// The map `QR_p → [1, q]`, `y ↦ min(y, p − y)`, after checking that the
+/// textbook result really is a quadratic residue.
+fn signed(g: &QrGroup, y: UBig) -> UBig {
+    assert_eq!(y.jacobi(g.modulus()), Ok(Jacobi::One), "oracle left QR_p");
+    let neg = g.modulus() - &y;
+    y.min(neg)
+}
+
+/// Checks `pow`, `mul` and `inv` on `x` and `y` against `QR_p` arithmetic
+/// through `UBig::modpow_binary` and plain modular operations.
+fn agrees_with_qr_p(g: &QrGroup, x: &UBig, y: &UBig, e: &UBig) {
+    let p = g.modulus();
+    let (qx, qy) = (qr_representative(g, x), qr_representative(g, y));
+    assert_eq!(g.pow(x, e), signed(g, qx.modpow_binary(e, p)));
+    assert_eq!(g.mul(x, y), signed(g, qx.mod_mul(&qy, p).unwrap()));
+    assert_eq!(g.inv(x).unwrap(), signed(g, qx.mod_inv(p).unwrap()));
+}
+
+#[test]
+fn signed_residues_agree_with_qr_p_on_boundary_inputs() {
+    for g in well_known_groups() {
+        let q = g.order();
+        let q_minus_1 = q.sub_small(1).unwrap();
+        for x in [UBig::one(), q.clone()] {
+            for e in [UBig::one(), UBig::two(), q_minus_1.clone()] {
+                agrees_with_qr_p(g, &x, q, &e);
+            }
+        }
+    }
+}
+
+#[test]
+fn decode_refuses_values_outside_the_signed_residues() {
+    for g in well_known_groups() {
+        let q = g.order();
+        let p_minus_1 = g.modulus().sub_small(1).unwrap();
+        for bad in [UBig::zero(), q.add_small(1), p_minus_1] {
+            let bytes = g.encode_element(&bad).unwrap();
+            assert_eq!(
+                g.decode_element(&bytes).unwrap_err(),
+                CryptoError::NotGroupElement,
+                "{} bits",
+                g.codeword_bits()
+            );
+        }
+        let bytes = g.encode_element(q).unwrap();
+        assert_eq!(&g.decode_element(&bytes).unwrap(), q);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // pow, mul and inv on the signed encoding equal the QR_p computation
+    // mapped through x ↦ min(x, p − x), on random elements and keys at
+    // every bundled size, with 1 and q mixed in as adversarial operands.
+    #[test]
+    fn signed_residues_agree_with_qr_p(
+        seed in any::<u64>(),
+        size in 0usize..4,
+        boundary in 0usize..3,
+    ) {
+        let g = &well_known_groups()[size];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = match boundary {
+            0 => UBig::one(),
+            1 => g.order().clone(),
+            _ => g.sample_element(&mut rng),
+        };
+        let y = g.sample_element(&mut rng);
+        let e = random_range(&mut rng, &UBig::one(), g.order());
+        agrees_with_qr_p(g, &x, &y, &e);
+        agrees_with_qr_p(g, &y, &x, &e);
     }
 }

@@ -5,8 +5,8 @@
 //! assuming an ideal hash `h : V → DomF` whose outputs are independent and
 //! uniform. [`RandomOracle`] is the standard concrete instantiation:
 //! `H(sep ‖ len ‖ ctr ‖ input)` blocks concatenated and truncated. The
-//! group-specific mapping *into* `DomF` (uniform below `p`, then squared
-//! into the quadratic residues) lives in `minshare-crypto`, built on
+//! group-specific mapping *into* `DomF` (reduced mod `q` onto the signed
+//! quadratic residues `[1, q]`) lives in `minshare-crypto`, built on
 //! [`RandomOracle::expand`].
 
 use crate::sha256::{Sha256, DIGEST_LEN};

@@ -80,15 +80,16 @@ fn truncated_frame_is_malformed_error() {
 #[test]
 fn non_group_element_rejected() {
     let g = group();
-    // Hand-craft a Codewords frame containing a non-residue.
-    let mut non_member = UBig::from(2u64);
-    while g.is_member(&non_member) {
-        non_member = non_member.add_small(1);
+    // Hand-craft a Codewords frame holding one out-of-range codeword:
+    // 0, q + 1 and p − 1 fit the width but are no signed residues.
+    let p_minus_1 = g.modulus().sub_small(1).unwrap();
+    for non_member in [UBig::zero(), g.order().add_small(1), p_minus_1] {
+        let mut frame = vec![1u8, 0, 0, 0, 1];
+        frame.extend(non_member.to_be_bytes_padded(g.codeword_bytes()).unwrap());
+        let err =
+            receiver_against_script(&g, &[b"x".to_vec()], vec![frame]).expect_err("must fail");
+        assert!(matches!(err, ProtocolError::Crypto(_)), "{err}");
     }
-    let mut frame = vec![1u8, 0, 0, 0, 1];
-    frame.extend(non_member.to_be_bytes_padded(g.codeword_bytes()).unwrap());
-    let err = receiver_against_script(&g, &[b"x".to_vec()], vec![frame]).expect_err("must fail");
-    assert!(matches!(err, ProtocolError::Crypto(_)), "{err}");
 }
 
 #[test]
