@@ -58,8 +58,9 @@ impl PublicKey {
 
     fn from_modulus(n: UBig) -> Result<Self, AggregateError> {
         let n_squared = n.square();
-        let ctx =
-            std::sync::Arc::new(MontgomeryCtx::new(&n_squared).map_err(AggregateError::Arithmetic)?);
+        let ctx = std::sync::Arc::new(
+            MontgomeryCtx::new(&n_squared).map_err(AggregateError::Arithmetic)?,
+        );
         Ok(PublicKey { n, n_squared, ctx })
     }
 

@@ -208,10 +208,7 @@ mod tests {
         let src = "fn f(a: u8) { g(a)[0]; }";
         let tokens = lex(src);
         let trees = parse(&tokens);
-        assert_eq!(
-            texts(&tokens, &trees),
-            vec!["fn", "f", "gParen", "gBrace"]
-        );
+        assert_eq!(texts(&tokens, &trees), vec!["fn", "f", "gParen", "gBrace"]);
         let body = trees[3].as_group().unwrap();
         assert_eq!(body.delim, Delim::Brace);
         assert_eq!(

@@ -209,7 +209,9 @@ pub fn gate(findings: &[Finding], baseline: &Baseline) -> GateResult {
             .map(|g| g.len())
             .unwrap_or(0);
         if e.count > have {
-            result.stale.push((e.rule.clone(), e.file.clone(), e.count - have));
+            result
+                .stale
+                .push((e.rule.clone(), e.file.clone(), e.count - have));
         }
     }
     result
@@ -251,8 +253,13 @@ mod tests {
 
     #[test]
     fn gate_ratchets_counts() {
-        let findings = vec![f("PANIC01", "a.rs", 1), f("PANIC01", "a.rs", 2), f("SEC02", "b.rs", 3)];
-        let b = Baseline::parse("[[allow]]\nrule = \"PANIC01\"\nfile = \"a.rs\"\ncount = 1\n").unwrap();
+        let findings = vec![
+            f("PANIC01", "a.rs", 1),
+            f("PANIC01", "a.rs", 2),
+            f("SEC02", "b.rs", 3),
+        ];
+        let b =
+            Baseline::parse("[[allow]]\nrule = \"PANIC01\"\nfile = \"a.rs\"\ncount = 1\n").unwrap();
         let r = gate(&findings, &b);
         // One PANIC01 over budget + the unbaselined SEC02.
         assert_eq!(r.new_findings.len(), 2);
@@ -261,10 +268,14 @@ mod tests {
 
     #[test]
     fn gate_reports_slack() {
-        let b = Baseline::parse("[[allow]]\nrule = \"PANIC01\"\nfile = \"a.rs\"\ncount = 5\n").unwrap();
+        let b =
+            Baseline::parse("[[allow]]\nrule = \"PANIC01\"\nfile = \"a.rs\"\ncount = 5\n").unwrap();
         let r = gate(&[f("PANIC01", "a.rs", 1)], &b);
         assert!(r.new_findings.is_empty());
-        assert_eq!(r.stale, vec![("PANIC01".to_string(), "a.rs".to_string(), 4)]);
+        assert_eq!(
+            r.stale,
+            vec![("PANIC01".to_string(), "a.rs".to_string(), 4)]
+        );
     }
 
     #[test]

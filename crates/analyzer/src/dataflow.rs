@@ -119,9 +119,7 @@ fn is_keyword_like(name: &str) -> bool {
 fn parse_params(tokens: &[Token], children: &[Tree]) -> Vec<Param> {
     let mut params = Vec::new();
     for seg in split_top_level(tokens, children, ",") {
-        let colon = seg
-            .iter()
-            .position(|t| ast::is_punct(tokens, t, ":"));
+        let colon = seg.iter().position(|t| ast::is_punct(tokens, t, ":"));
         match colon {
             Some(c) => {
                 let ty = ident_texts(tokens, &seg[c + 1..]);
@@ -147,11 +145,7 @@ fn parse_params(tokens: &[Token], children: &[Tree]) -> Vec<Param> {
 }
 
 /// Splits a sibling list on a top-level punct, returning the segments.
-pub fn split_top_level<'t>(
-    tokens: &[Token],
-    list: &'t [Tree],
-    punct: &str,
-) -> Vec<&'t [Tree]> {
+pub fn split_top_level<'t>(tokens: &[Token], list: &'t [Tree], punct: &str) -> Vec<&'t [Tree]> {
     let mut segs = Vec::new();
     let mut start = 0;
     for (i, t) in list.iter().enumerate() {
@@ -274,19 +268,12 @@ fn collect_lets_and_loops(tokens: &[Token], list: &[Tree], out: &mut Vec<Bind>) 
     }
 }
 
-fn parse_let(
-    tokens: &[Token],
-    list: &[Tree],
-    at: usize,
-    out: &mut Vec<Bind>,
-) -> Option<usize> {
+fn parse_let(tokens: &[Token], list: &[Tree], at: usize, out: &mut Vec<Bind>) -> Option<usize> {
     // Find the `=` introducing the initializer (bare `=`: the lexer has
     // already fused `==`, `<=`, `>=`, `=>`, `!=`).
     let eq = (at + 1..list.len()).find(|&i| ast::is_punct(tokens, &list[i], "="))?;
     let semi = (eq + 1..list.len())
-        .find(|&i| {
-            ast::is_punct(tokens, &list[i], ";") || ast::is_ident(tokens, &list[i], "else")
-        })
+        .find(|&i| ast::is_punct(tokens, &list[i], ";") || ast::is_ident(tokens, &list[i], "else"))
         .unwrap_or(list.len());
     let pat = &list[at + 1..eq];
     let colon = pat.iter().position(|t| ast::is_punct(tokens, t, ":"));
@@ -302,17 +289,11 @@ fn parse_let(
     Some(semi)
 }
 
-fn parse_for(
-    tokens: &[Token],
-    list: &[Tree],
-    at: usize,
-    out: &mut Vec<Bind>,
-) -> Option<usize> {
+fn parse_for(tokens: &[Token], list: &[Tree], at: usize, out: &mut Vec<Bind>) -> Option<usize> {
     // `for pat in expr { .. }` — bail on `for<'a>` higher-ranked bounds
     // (no `in` before the body).
-    let body = (at + 1..list.len()).find(|&i| {
-        matches!(&list[i], Tree::Group(g) if g.delim == Delim::Brace)
-    })?;
+    let body = (at + 1..list.len())
+        .find(|&i| matches!(&list[i], Tree::Group(g) if g.delim == Delim::Brace))?;
     let r#in = (at + 1..body).find(|&i| ast::is_ident(tokens, &list[i], "in"))?;
     out.push(Bind {
         names: pattern_names(tokens, &list[at + 1..r#in]),
@@ -326,9 +307,10 @@ fn parse_for(
 fn collect_assignments(tokens: &[Token], list: &[Tree], out: &mut Vec<Bind>) {
     let stmts = split_top_level(tokens, list, ";");
     for stmt in stmts {
-        if stmt.first().is_some_and(|t| {
-            ast::is_ident(tokens, t, "let") || ast::is_ident(tokens, t, "for")
-        }) {
+        if stmt
+            .first()
+            .is_some_and(|t| ast::is_ident(tokens, t, "let") || ast::is_ident(tokens, t, "for"))
+        {
             continue; // handled by collect_lets_and_loops
         }
         let Some(eq) = stmt.iter().position(|t| ast::is_punct(tokens, t, "=")) else {
@@ -398,9 +380,30 @@ fn collect_stmt_mutations(tokens: &[Token], list: &[Tree], out: &mut Vec<Bind>) 
 fn is_stmt_keyword(name: &str) -> bool {
     matches!(
         name,
-        "let" | "if" | "else" | "while" | "for" | "loop" | "match" | "return" | "break"
-            | "continue" | "fn" | "impl" | "mod" | "use" | "pub" | "struct" | "enum"
-            | "trait" | "unsafe" | "static" | "const" | "move" | "where" | "type"
+        "let"
+            | "if"
+            | "else"
+            | "while"
+            | "for"
+            | "loop"
+            | "match"
+            | "return"
+            | "break"
+            | "continue"
+            | "fn"
+            | "impl"
+            | "mod"
+            | "use"
+            | "pub"
+            | "struct"
+            | "enum"
+            | "trait"
+            | "unsafe"
+            | "static"
+            | "const"
+            | "move"
+            | "where"
+            | "type"
     )
 }
 
@@ -515,9 +518,13 @@ mod tests {
         let (tokens, fns) = fns_of(src);
         let mut binds = Vec::new();
         collect_binds(&tokens, &fns[0].body.children, &|_| true, &mut binds);
-        assert!(binds.iter().all(|b| !b.names.contains(&"group".to_string())));
+        assert!(binds
+            .iter()
+            .all(|b| !b.names.contains(&"group".to_string())));
         // The `&mut` out-param fact is still collected.
-        assert!(binds.iter().any(|b| b.names.contains(&"sorter".to_string())));
+        assert!(binds
+            .iter()
+            .any(|b| b.names.contains(&"sorter".to_string())));
     }
 
     #[test]

@@ -168,8 +168,15 @@ pub fn lex(src: &str) -> Vec<Token> {
                 let fused = matches!(
                     two,
                     Some(
-                        [b'=', b'='] | [b'!', b'='] | [b'=', b'>'] | [b'<', b'='] | [b'>', b'=']
-                            | [b'-', b'>'] | [b':', b':'] | [b'.', b'.'] | [b'&', b'&']
+                        [b'=', b'=']
+                            | [b'!', b'=']
+                            | [b'=', b'>']
+                            | [b'<', b'=']
+                            | [b'>', b'=']
+                            | [b'-', b'>']
+                            | [b':', b':']
+                            | [b'.', b'.']
+                            | [b'&', b'&']
                             | [b'|', b'|']
                     )
                 );
@@ -412,10 +419,7 @@ pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
                 // mark the braced body (or up to `;` for extern items).
                 let mut k = attr_end;
                 loop {
-                    if k + 1 < tokens.len()
-                        && tokens[k].text == "#"
-                        && tokens[k + 1].text == "["
-                    {
+                    if k + 1 < tokens.len() && tokens[k].text == "#" && tokens[k + 1].text == "[" {
                         let mut d = 1usize;
                         k += 2;
                         while k < tokens.len() && d > 0 {
@@ -493,7 +497,10 @@ mod tests {
 
     #[test]
     fn equality_operators_are_fused() {
-        assert_eq!(texts("a == b != c => d"), ["a", "==", "b", "!=", "c", "=>", "d"]);
+        assert_eq!(
+            texts("a == b != c => d"),
+            ["a", "==", "b", "!=", "c", "=>", "d"]
+        );
     }
 
     #[test]

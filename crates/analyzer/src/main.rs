@@ -47,8 +47,9 @@ fn parse_args() -> Result<Args, String> {
                 args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?));
             }
             "--write-baseline" => {
-                args.write_baseline =
-                    Some(PathBuf::from(it.next().ok_or("--write-baseline needs a file")?));
+                args.write_baseline = Some(PathBuf::from(
+                    it.next().ok_or("--write-baseline needs a file")?,
+                ));
             }
             "--list" => args.list = true,
             "--json" => args.json = true,

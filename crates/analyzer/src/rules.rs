@@ -269,67 +269,74 @@ fn sec02_fn(
     ft: &FnTaint,
     out: &mut Vec<Finding>,
 ) {
-    ast::walk_sibling_lists(std::slice::from_ref(&Tree::Group(f.body.clone())), &mut |list| {
-        for (i, tree) in list.iter().enumerate() {
-            let Tree::Leaf(tok_idx) = tree else { continue };
-            let Some(tok) = tokens.get(*tok_idx) else { continue };
-            if mask.get(*tok_idx).copied().unwrap_or(false) {
-                continue;
-            }
-            // Binary comparison: taint either operand span.
-            if tok.kind == TokKind::Punct && (tok.text == "==" || tok.text == "!=") {
-                let lo = (0..i)
-                    .rev()
-                    .find(|&k| is_operand_boundary(tokens, &list[k]))
-                    .map(|k| k + 1)
-                    .unwrap_or(0);
-                let hi = (i + 1..list.len())
-                    .find(|&k| is_operand_boundary(tokens, &list[k]))
-                    .unwrap_or(list.len());
-                let bits = taint::eval_span(tokens, &list[lo..i], ft)
-                    | taint::eval_span(tokens, &list[i + 1..hi], ft);
-                if bits & KEY != 0 {
-                    let name = key_ident_in(tokens, &list[lo..hi], ft)
-                        .unwrap_or_else(|| "key material".to_string());
-                    out.push(finding(
-                        "SEC02",
-                        rel_path,
-                        tok,
-                        format!(
-                            "`{}` compares secret material (`{name}`); use \
-                             minshare_hash::ct::ct_eq for constant-time comparison",
-                            tok.text
-                        ),
-                    ));
+    ast::walk_sibling_lists(
+        std::slice::from_ref(&Tree::Group(f.body.clone())),
+        &mut |list| {
+            for (i, tree) in list.iter().enumerate() {
+                let Tree::Leaf(tok_idx) = tree else { continue };
+                let Some(tok) = tokens.get(*tok_idx) else {
+                    continue;
+                };
+                if mask.get(*tok_idx).copied().unwrap_or(false) {
+                    continue;
                 }
-            }
-            // assert_eq!/assert_ne! outside tests.
-            if tok.kind == TokKind::Ident
-                && matches!(
-                    tok.text.as_str(),
-                    "assert_eq" | "assert_ne" | "debug_assert_eq" | "debug_assert_ne"
-                )
-                && list.get(i + 1).is_some_and(|t| ast::is_punct(tokens, t, "!"))
-            {
-                if let Some(Tree::Group(g)) = list.get(i + 2) {
-                    if taint::eval_span(tokens, &g.children, ft) & KEY != 0 {
-                        let name = key_ident_in(tokens, &g.children, ft)
+                // Binary comparison: taint either operand span.
+                if tok.kind == TokKind::Punct && (tok.text == "==" || tok.text == "!=") {
+                    let lo = (0..i)
+                        .rev()
+                        .find(|&k| is_operand_boundary(tokens, &list[k]))
+                        .map(|k| k + 1)
+                        .unwrap_or(0);
+                    let hi = (i + 1..list.len())
+                        .find(|&k| is_operand_boundary(tokens, &list[k]))
+                        .unwrap_or(list.len());
+                    let bits = taint::eval_span(tokens, &list[lo..i], ft)
+                        | taint::eval_span(tokens, &list[i + 1..hi], ft);
+                    if bits & KEY != 0 {
+                        let name = key_ident_in(tokens, &list[lo..hi], ft)
                             .unwrap_or_else(|| "key material".to_string());
                         out.push(finding(
                             "SEC02",
                             rel_path,
                             tok,
                             format!(
-                                "`{}!` on secret material (`{name}`) outside tests; use \
-                                 minshare_hash::ct::ct_eq",
+                                "`{}` compares secret material (`{name}`); use \
+                             minshare_hash::ct::ct_eq for constant-time comparison",
                                 tok.text
                             ),
                         ));
                     }
                 }
+                // assert_eq!/assert_ne! outside tests.
+                if tok.kind == TokKind::Ident
+                    && matches!(
+                        tok.text.as_str(),
+                        "assert_eq" | "assert_ne" | "debug_assert_eq" | "debug_assert_ne"
+                    )
+                    && list
+                        .get(i + 1)
+                        .is_some_and(|t| ast::is_punct(tokens, t, "!"))
+                {
+                    if let Some(Tree::Group(g)) = list.get(i + 2) {
+                        if taint::eval_span(tokens, &g.children, ft) & KEY != 0 {
+                            let name = key_ident_in(tokens, &g.children, ft)
+                                .unwrap_or_else(|| "key material".to_string());
+                            out.push(finding(
+                                "SEC02",
+                                rel_path,
+                                tok,
+                                format!(
+                                    "`{}!` on secret material (`{name}`) outside tests; use \
+                                 minshare_hash::ct::ct_eq",
+                                    tok.text
+                                ),
+                            ));
+                        }
+                    }
+                }
             }
-        }
-    });
+        },
+    );
 }
 
 /// First identifier in a span that carries KEY taint, for messages.
@@ -339,8 +346,7 @@ fn key_ident_in(tokens: &[Token], trees: &[Tree], ft: &FnTaint) -> Option<String
             Tree::Leaf(i) => {
                 let tok = tokens.get(*i)?;
                 if tok.kind == TokKind::Ident
-                    && (registry::is_secret_ident(&tok.text)
-                        || ft.of(&tok.text) & KEY != 0)
+                    && (registry::is_secret_ident(&tok.text) || ft.of(&tok.text) & KEY != 0)
                 {
                     return Some(tok.text.clone());
                 }
@@ -379,9 +385,7 @@ fn panic01_panics(rel_path: &str, tokens: &[Token], mask: &[bool]) -> Vec<Findin
                     ));
                 }
             }
-            TokKind::Ident
-                if matches!(t.text.as_str(), "panic" | "todo" | "unimplemented") =>
-            {
+            TokKind::Ident if matches!(t.text.as_str(), "panic" | "todo" | "unimplemented") => {
                 if tokens.get(i + 1).map(|n| n.text.as_str()) == Some("!") {
                     out.push(finding(
                         "PANIC01",
@@ -399,8 +403,7 @@ fn panic01_panics(rel_path: &str, tokens: &[Token], mask: &[bool]) -> Vec<Findin
                 // identifier, `)` or `]`. Attributes (`#[...]`) and
                 // macro brackets (`vec![...]`) do not match this shape.
                 let prev = &tokens[i - 1];
-                let indexes = (prev.kind == TokKind::Ident
-                    && !is_keyword(&prev.text))
+                let indexes = (prev.kind == TokKind::Ident && !is_keyword(&prev.text))
                     || prev.text == ")"
                     || prev.text == "]";
                 if indexes {
@@ -435,10 +438,37 @@ fn unsafe01_keywords(rel_path: &str, tokens: &[Token]) -> Vec<Finding> {
 fn is_keyword(ident: &str) -> bool {
     matches!(
         ident,
-        "as" | "break" | "const" | "continue" | "crate" | "dyn" | "else" | "enum" | "extern"
-            | "fn" | "for" | "if" | "impl" | "in" | "let" | "loop" | "match" | "mod" | "move"
-            | "mut" | "pub" | "ref" | "return" | "static" | "struct" | "trait" | "type"
-            | "union" | "unsafe" | "use" | "where" | "while"
+        "as" | "break"
+            | "const"
+            | "continue"
+            | "crate"
+            | "dyn"
+            | "else"
+            | "enum"
+            | "extern"
+            | "fn"
+            | "for"
+            | "if"
+            | "impl"
+            | "in"
+            | "let"
+            | "loop"
+            | "match"
+            | "mod"
+            | "move"
+            | "mut"
+            | "pub"
+            | "ref"
+            | "return"
+            | "static"
+            | "struct"
+            | "trait"
+            | "type"
+            | "union"
+            | "unsafe"
+            | "use"
+            | "where"
+            | "while"
     )
 }
 
@@ -457,34 +487,41 @@ fn fmt01_fn(
     ft: &FnTaint,
     out: &mut Vec<Finding>,
 ) {
-    ast::walk_sibling_lists(std::slice::from_ref(&Tree::Group(f.body.clone())), &mut |list| {
-        for (i, tree) in list.iter().enumerate() {
-            let Tree::Leaf(tok_idx) = tree else { continue };
-            let Some(tok) = tokens.get(*tok_idx) else { continue };
-            if mask.get(*tok_idx).copied().unwrap_or(false)
-                || tok.kind != TokKind::Ident
-                || !FMT_MACROS.contains(&tok.text.as_str())
-                || !list.get(i + 1).is_some_and(|t| ast::is_punct(tokens, t, "!"))
-            {
-                continue;
-            }
-            let Some(Tree::Group(g)) = list.get(i + 2) else {
-                continue;
-            };
-            if let Some(name) = tainted_fmt_arg(tokens, &g.children, ft) {
-                out.push(finding(
-                    "FMT01",
-                    rel_path,
-                    tok,
-                    format!(
-                        "`{}!` formats secret material (`{name}`); secrets must never \
+    ast::walk_sibling_lists(
+        std::slice::from_ref(&Tree::Group(f.body.clone())),
+        &mut |list| {
+            for (i, tree) in list.iter().enumerate() {
+                let Tree::Leaf(tok_idx) = tree else { continue };
+                let Some(tok) = tokens.get(*tok_idx) else {
+                    continue;
+                };
+                if mask.get(*tok_idx).copied().unwrap_or(false)
+                    || tok.kind != TokKind::Ident
+                    || !FMT_MACROS.contains(&tok.text.as_str())
+                    || !list
+                        .get(i + 1)
+                        .is_some_and(|t| ast::is_punct(tokens, t, "!"))
+                {
+                    continue;
+                }
+                let Some(Tree::Group(g)) = list.get(i + 2) else {
+                    continue;
+                };
+                if let Some(name) = tainted_fmt_arg(tokens, &g.children, ft) {
+                    out.push(finding(
+                        "FMT01",
+                        rel_path,
+                        tok,
+                        format!(
+                            "`{}!` formats secret material (`{name}`); secrets must never \
                          reach strings or logs",
-                        tok.text
-                    ),
-                ));
+                            tok.text
+                        ),
+                    ));
+                }
             }
-        }
-    });
+        },
+    );
 }
 
 /// Name of the first KEY-tainted macro argument or inline string
@@ -567,7 +604,11 @@ fn obs01_list(
         });
         if head.is_none() {
             if let Tree::Group(g) = tree {
-                let prev = if i > 0 { Some(&list[i - 1]) } else { prev_outer };
+                let prev = if i > 0 {
+                    Some(&list[i - 1])
+                } else {
+                    prev_outer
+                };
                 obs01_list(rel_path, tokens, mask, &g.children, ft, prev, out);
             }
             i += 1;
@@ -576,8 +617,12 @@ fn obs01_list(
         // Walk the rest of the path (`trace::sink::…`) to its final
         // segment, then require a call.
         let mut j = i;
-        while list.get(j + 1).is_some_and(|t| ast::is_punct(tokens, t, "::"))
-            && list.get(j + 2).is_some_and(|t| ast::ident_text(tokens, t).is_some())
+        while list
+            .get(j + 1)
+            .is_some_and(|t| ast::is_punct(tokens, t, "::"))
+            && list
+                .get(j + 2)
+                .is_some_and(|t| ast::ident_text(tokens, t).is_some())
         {
             j += 2;
         }
@@ -598,13 +643,15 @@ fn obs01_list(
             // (so `job.total_items()` stays clean).
             let via_registry = registry_name_in(tokens, &args.children);
             let direct = taint::eval_span(tokens, &args.children, ft) & KEY != 0;
-            let via_placeholder = str_leaves(tokens, &args.children).into_iter().find_map(|s| {
-                parse_placeholders(&s).into_iter().find(|p| {
-                    registry::is_secret_ident(p)
-                        || registry::is_secret_type(p)
-                        || ft.of(p) & KEY != 0
-                })
-            });
+            let via_placeholder = str_leaves(tokens, &args.children)
+                .into_iter()
+                .find_map(|s| {
+                    parse_placeholders(&s).into_iter().find(|p| {
+                        registry::is_secret_ident(p)
+                            || registry::is_secret_type(p)
+                            || ft.of(p) & KEY != 0
+                    })
+                });
             if direct || via_registry.is_some() || via_placeholder.is_some() {
                 let name = via_placeholder
                     .or(via_registry)

@@ -202,7 +202,9 @@ fn eval_no_enc(tokens: &[Token], trees: &[Tree], taint: &FnTaint) -> u8 {
         }
         match tree {
             Tree::Leaf(tok_idx) => {
-                let Some(tok) = tokens.get(*tok_idx) else { continue };
+                let Some(tok) = tokens.get(*tok_idx) else {
+                    continue;
+                };
                 if tok.kind != TokKind::Ident {
                     continue;
                 }
@@ -391,8 +393,7 @@ fn scan_guards(
             continue;
         }
         // `let <pat> = <rhs>;` with a guard-producing call in the rhs.
-        let Some(eq) = (i + 1..list.len()).find(|&k| ast::is_punct(tokens, &list[k], "="))
-        else {
+        let Some(eq) = (i + 1..list.len()).find(|&k| ast::is_punct(tokens, &list[k], "=")) else {
             i += 1;
             continue;
         };

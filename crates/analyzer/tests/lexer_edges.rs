@@ -97,7 +97,10 @@ fn pick<'a>(rows: &'a [Vec<u8>], sep: char) -> &'a [u8] {
         .iter()
         .filter(|t| t.kind == TokKind::Lifetime)
         .count();
-    assert!(lifetimes >= 2, "lifetime tokens must not lex as char literals");
+    assert!(
+        lifetimes >= 2,
+        "lifetime tokens must not lex as char literals"
+    );
     let chars = tokens.iter().filter(|t| t.kind == TokKind::Char).count();
     assert_eq!(chars, 3, "three char literals expected");
 }
@@ -122,7 +125,10 @@ fn after_the_module<T: Transport>(transport: &mut T, values: &[Vec<u8>]) {
     let tokens = lex(src);
     let mask = test_mask(&tokens);
     assert!(mask.iter().any(|&m| m), "mask must cover the test module");
-    assert!(!mask.iter().all(|&m| m), "mask must stop at the module brace");
+    assert!(
+        !mask.iter().all(|&m| m),
+        "mask must stop at the module brace"
+    );
     let findings = check_file("crates/net/src/fixture.rs", src);
     let wire: Vec<_> = findings.iter().filter(|f| f.rule == "WIRE01").collect();
     assert_eq!(wire.len(), 1, "findings: {findings:#?}");

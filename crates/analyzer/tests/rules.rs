@@ -137,7 +137,11 @@ fn wire01_flags_raw_hashed_and_key_material_reaching_wire_sinks() {
     // Raw send, hash-only send, key send, a taint chain through
     // rebinding + buffer building, and a raw value handed to the socket
     // framer directly.
-    assert_eq!(lines(&found), vec![5, 12, 18, 28, 34], "findings: {found:#?}");
+    assert_eq!(
+        lines(&found),
+        vec![5, 12, 18, 28, 34],
+        "findings: {found:#?}"
+    );
     assert!(found[0].message.contains("raw (pre-hash)"));
     assert!(found[1].message.contains("hashed-but-not-encrypted"));
     assert!(found[2].message.contains("key material"));

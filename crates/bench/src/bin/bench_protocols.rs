@@ -287,7 +287,11 @@ fn run_profile(smoke: bool) -> i32 {
     println!("  \"set_n\": {set_n},");
     println!("  \"reconciliations\": [");
     for (i, r) in reconciliations.iter().enumerate() {
-        let comma = if i + 1 == reconciliations.len() { "" } else { "," };
+        let comma = if i + 1 == reconciliations.len() {
+            ""
+        } else {
+            ","
+        };
         println!("    {}{comma}", r.to_json());
     }
     println!("  ]");
@@ -320,7 +324,10 @@ fn main() {
         std::process::exit(run_profile(smoke));
     }
     if args.first().map(String::as_str) == Some("--check") {
-        let path = args.get(1).map(String::as_str).unwrap_or("BENCH_protocols.json");
+        let path = args
+            .get(1)
+            .map(String::as_str)
+            .unwrap_or("BENCH_protocols.json");
         std::process::exit(run_check(path));
     }
 

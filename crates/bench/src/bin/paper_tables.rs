@@ -73,7 +73,8 @@ fn e2_medical() {
     );
     let mut rng = StdRng::seed_from_u64(0xe2);
     let group = bench_group(64);
-    let (tr, ts) = medical::synthetic_study(&mut rng, 120, 0.35, 0.6, 0.75, 0.15).expect("synthetic study");
+    let (tr, ts) =
+        medical::synthetic_study(&mut rng, 120, 0.35, 0.6, 0.75, 0.15).expect("synthetic study");
     let (private, cost) = medical::run_medical_study(&group, &tr, &ts, 7).expect("study");
     let clear = medical::medical_counts_in_clear(&tr, &ts).expect("oracle");
 

@@ -76,10 +76,7 @@ fn parse_opts() -> Result<Opts, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} expects a value"));
         match arg.as_str() {
             "--elements" => {
                 opts.elements = value("--elements")?
@@ -178,11 +175,7 @@ fn run(opts: &Opts) -> i32 {
 
     // Correctness against the clear-text answer of the workload.
     let vr_set: std::collections::BTreeSet<&Vec<u8>> = vr.iter().collect();
-    let mut expected: Vec<Vec<u8>> = vs
-        .iter()
-        .filter(|v| vr_set.contains(v))
-        .cloned()
-        .collect();
+    let mut expected: Vec<Vec<u8>> = vs.iter().filter(|v| vr_set.contains(v)).cloned().collect();
     expected.sort();
     expected.dedup();
     if run.receiver.intersection != expected {
@@ -197,7 +190,14 @@ fn run(opts: &Opts) -> i32 {
     // receiver's `own_items` is `|V_R ∩ bucket|`, the sender's is
     // `|V_S ∩ bucket|`; the bucket's total Ce is the sum of both sides.
     let buckets = shard_cfg.effective_shards() as usize;
-    let mut traces = vec![BucketTrace { vs: 0, vr: 0, ce: 0 }; buckets];
+    let mut traces = vec![
+        BucketTrace {
+            vs: 0,
+            vr: 0,
+            ce: 0
+        };
+        buckets
+    ];
     let mut spill_runs = 0u64;
     let mut spill_bytes = 0u64;
     for event in s_ring.snapshot().iter().chain(r_ring.snapshot().iter()) {
@@ -230,8 +230,7 @@ fn run(opts: &Opts) -> i32 {
     // `--shards 1` the engines delegate to the unsharded path and emit
     // no bucket events; the single implicit bucket is the whole run.
     let k_bits = 8 * group.codeword_bytes() as u64;
-    let measured_bytes =
-        run.sender_traffic.bytes_sent() + run.receiver_traffic.bytes_sent();
+    let measured_bytes = run.sender_traffic.bytes_sent() + run.receiver_traffic.bytes_sent();
     let frames = run.sender_traffic.frames_sent() + run.receiver_traffic.frames_sent();
     let reconciliation = if buckets > 1 {
         let r = reconcile_sharded(

@@ -595,10 +595,7 @@ mod tests {
 
     fn ctx_3_limbs() -> MontgomeryCtx {
         // 192-bit modulus: no lane kernel, exercises the ladder fallback.
-        let m = UBig::from_hex_str(
-            "f37fa8e5afa15b9d4b2f7c8d6e5a4b3c2d1e0f9a8b7c6d5f",
-        )
-        .unwrap();
+        let m = UBig::from_hex_str("f37fa8e5afa15b9d4b2f7c8d6e5a4b3c2d1e0f9a8b7c6d5f").unwrap();
         MontgomeryCtx::new(&m).unwrap()
     }
 

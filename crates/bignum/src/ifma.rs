@@ -418,8 +418,8 @@ mod tests {
         assert!(IfmaCtx::new(&n, 1, &[1 << 52, 0]).is_none()); // non-canonical
         let wide = [1u64; MAX_DIGITS + 1];
         assert!(IfmaCtx::new(&wide, 1, &wide).is_none()); // past the digit cap
-        // No headroom: top digit uses bit 50 (4n > 2^(52k)). Declined on
-        // every host, so the kernel never runs outside its output bound.
+                                                          // No headroom: top digit uses bit 50 (4n > 2^(52k)). Declined on
+                                                          // every host, so the kernel never runs outside its output bound.
         let tight = [3u64, 1 << 50];
         assert!(IfmaCtx::new(&tight, 1, &n).is_none());
     }

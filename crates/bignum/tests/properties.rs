@@ -51,7 +51,10 @@ fn adversarial_exponent() -> impl Strategy<Value = UBig> {
         (0u64..=512).prop_map(|b| UBig::one().shl_bits(b)),
         // All ones: back-to-back maximal odd windows.
         (1u64..=512).prop_map(|bits| {
-            UBig::one().shl_bits(bits).sub_small(1).expect("2^bits >= 1")
+            UBig::one()
+                .shl_bits(bits)
+                .sub_small(1)
+                .expect("2^bits >= 1")
         }),
         // Random multi-limb exponents up to 512 bits.
         proptest::collection::vec(any::<u8>(), 0..64).prop_map(|b| UBig::from_be_bytes(&b)),

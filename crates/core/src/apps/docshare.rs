@@ -233,10 +233,7 @@ pub fn exchange_matched_documents<R: Rng>(
         .iter()
         .map(|(id, contents)| (id.as_bytes().to_vec(), contents.clone()))
         .collect();
-    let wanted: Vec<Vec<u8>> = matches
-        .iter()
-        .map(|m| m.s_id.as_bytes().to_vec())
-        .collect();
+    let wanted: Vec<Vec<u8>> = matches.iter().map(|m| m.s_id.as_bytes().to_vec()).collect();
 
     let s_seed: u64 = rng.random();
     let r_seed: u64 = rng.random();

@@ -359,7 +359,12 @@ pub fn medical_counts_in_clear(tr: &Table, ts: &Table) -> Result<MedicalCounts, 
     for row in grouped.rows() {
         let p = (cell(row, 0)? == &Value::Bool(true)) as usize;
         let x = (cell(row, 1)? == &Value::Bool(true)) as usize;
-        set_count(&mut counts, p, x, cell(row, 2)?.as_int().unwrap_or(0) as u64);
+        set_count(
+            &mut counts,
+            p,
+            x,
+            cell(row, 2)?.as_int().unwrap_or(0) as u64,
+        );
     }
     Ok(MedicalCounts { counts })
 }
@@ -388,7 +393,12 @@ pub fn medical_counts_via_sql(tr: &Table, ts: &Table) -> Result<MedicalCounts, P
     for row in result.rows() {
         let p = (cell(row, 0)? == &Value::Bool(true)) as usize;
         let x = (cell(row, 1)? == &Value::Bool(true)) as usize;
-        set_count(&mut counts, p, x, cell(row, 2)?.as_int().unwrap_or(0) as u64);
+        set_count(
+            &mut counts,
+            p,
+            x,
+            cell(row, 2)?.as_int().unwrap_or(0) as u64,
+        );
     }
     Ok(MedicalCounts { counts })
 }

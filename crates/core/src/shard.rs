@@ -85,9 +85,7 @@ impl ShardConfig {
     }
 
     pub(crate) fn dir(&self) -> PathBuf {
-        self.spill_dir
-            .clone()
-            .unwrap_or_else(std::env::temp_dir)
+        self.spill_dir.clone().unwrap_or_else(std::env::temp_dir)
     }
 
     /// Shard count clamped to the wire-format bounds.

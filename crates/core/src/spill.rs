@@ -145,7 +145,10 @@ impl ExtSorter {
         file.seek(SeekFrom::Start(0)).map_err(spill_err)?;
         self.stats.runs_spilled += 1;
         self.stats.bytes_spilled += self.buf.len() as u64;
-        let (records, bytes) = (self.buf.len() as u64 / self.record_len as u64, self.buf.len() as u64);
+        let (records, bytes) = (
+            self.buf.len() as u64 / self.record_len as u64,
+            self.buf.len() as u64,
+        );
         minshare_trace::emit("spill", "run_spilled", true, move || {
             vec![
                 minshare_trace::count("records", records),

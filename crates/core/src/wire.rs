@@ -212,9 +212,7 @@ impl Message {
                 ))
             }
             TAG_SHARDED => {
-                return Err(malformed(
-                    "shard hello where a single message was expected",
-                ))
+                return Err(malformed("shard hello where a single message was expected"))
             }
             _ => return Err(malformed("unknown message tag")),
         };
@@ -288,7 +286,12 @@ impl ChunkedWriter {
         chunk_size: usize,
     ) -> Result<Self, ProtocolError> {
         let chunk_size = chunk_size.max(1);
-        Self::begin_with_chunks(transport, inner_tag, total, total.div_ceil(chunk_size).max(1))
+        Self::begin_with_chunks(
+            transport,
+            inner_tag,
+            total,
+            total.div_ceil(chunk_size).max(1),
+        )
     }
 
     /// Starts a stream with an explicit chunk count — used when answering
@@ -683,12 +686,8 @@ mod tests {
     fn chunked_reader_rejects_kind_mismatch() {
         let g = group();
         let (mut a, mut b) = minshare_net::duplex_pair();
-        a.send(
-            &Message::CodewordPairs(vec![])
-                .encode(&g)
-                .unwrap(),
-        )
-        .unwrap();
+        a.send(&Message::CodewordPairs(vec![]).encode(&g).unwrap())
+            .unwrap();
         assert!(matches!(
             ChunkedReader::begin(&mut b, &g, TAG_CODEWORDS, "codewords"),
             Err(ProtocolError::UnexpectedMessage { .. })

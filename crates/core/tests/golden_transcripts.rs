@@ -124,13 +124,12 @@ fn engine_transcripts_match_the_parent_commit() {
     let ms = [values(7, 0), values(4, 0)].concat();
     let mr = [values(6, 3), values(2, 4)].concat();
     for (protocol, shards, sender, receiver) in GOLDEN {
-        let (shape, inputs): (ProtocolShape<'_>, Inputs<'_>) =
-            match protocol {
-                "intersection" => (ProtocolShape::INTERSECTION, (&vs, &[], &vr)),
-                "equijoin" => (ProtocolShape::equijoin(&cipher), (&vs, &ext, &vr)),
-                "intersection_size" => (ProtocolShape::INTERSECTION_SIZE, (&vs, &[], &vr)),
-                _ => (ProtocolShape::EQUIJOIN_SIZE, (&ms, &[], &mr)),
-            };
+        let (shape, inputs): (ProtocolShape<'_>, Inputs<'_>) = match protocol {
+            "intersection" => (ProtocolShape::INTERSECTION, (&vs, &[], &vr)),
+            "equijoin" => (ProtocolShape::equijoin(&cipher), (&vs, &ext, &vr)),
+            "intersection_size" => (ProtocolShape::INTERSECTION_SIZE, (&vs, &[], &vr)),
+            _ => (ProtocolShape::EQUIJOIN_SIZE, (&ms, &[], &mr)),
+        };
         let one_frame_per_list = shards == 1 && protocol.ends_with("_size");
         let pipe = PipelineConfig::chunked(if one_frame_per_list { usize::MAX } else { 3 });
         let cfg = ShardConfig {

@@ -333,10 +333,10 @@ fn malformed_shard_hellos_are_typed_errors() {
     let g = group();
     let vs = values(4, 0);
     let cases: [&[u8]; 4] = [
-        &[TAG_SHARDED, 9, 0, 0, 0, 2],       // unsupported version
-        &[TAG_SHARDED, 1, 0, 0, 0, 0],       // zero buckets
-        &[TAG_SHARDED, 1, 0, 1, 0, 1],       // 65537 > MAX_SHARDS
-        &[TAG_SHARDED, 1, 0],                // truncated
+        &[TAG_SHARDED, 9, 0, 0, 0, 2], // unsupported version
+        &[TAG_SHARDED, 1, 0, 0, 0, 0], // zero buckets
+        &[TAG_SHARDED, 1, 0, 1, 0, 1], // 65537 > MAX_SHARDS
+        &[TAG_SHARDED, 1, 0],          // truncated
     ];
     for (i, hello) in cases.iter().enumerate() {
         let mut t = ScriptedTransport {
@@ -419,7 +419,14 @@ fn bucket_events_match_leakage_model_and_reconcile() {
     .expect("sharded run");
 
     // Assemble per-bucket traces from both parties' event streams.
-    let mut traces = vec![BucketTrace { vs: 0, vr: 0, ce: 0 }; shards as usize];
+    let mut traces = vec![
+        BucketTrace {
+            vs: 0,
+            vr: 0,
+            ce: 0
+        };
+        shards as usize
+    ];
     for event in s_ring.snapshot().iter().chain(r_ring.snapshot().iter()) {
         if event.scope != "shard" {
             continue;
@@ -474,8 +481,11 @@ fn bucket_events_match_leakage_model_and_reconcile() {
 /// Small multisets over a tiny alphabet, so duplicates and bucket
 /// collisions actually happen.
 fn multiset() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(0u8..24, 0..40)
-        .prop_map(|ids| ids.into_iter().map(|i| format!("v-{i}").into_bytes()).collect())
+    proptest::collection::vec(0u8..24, 0..40).prop_map(|ids| {
+        ids.into_iter()
+            .map(|i| format!("v-{i}").into_bytes())
+            .collect()
+    })
 }
 
 proptest! {

@@ -10,8 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use minshare::wire::Message;
 use minshare::intersection;
+use minshare::wire::Message;
 use minshare_bignum::UBig;
 use minshare_crypto::QrGroup;
 use minshare_net::{duplex_pair, Transport};

@@ -332,7 +332,7 @@ mod tests {
             frames: 3,
         };
         let predicted = (2 + 4) * 8u64; // 48 bytes
-        // Under the prediction: a frame went missing.
+                                        // Under the prediction: a frame went missing.
         let r = reconcile(MeasuredRun {
             measured_bytes: predicted - 1,
             ..base
@@ -373,9 +373,21 @@ mod tests {
         // Intersection over 3 buckets: (vs, vr) = (3,1), (2,4), (2,1);
         // per-bucket ce = vs_b + vr_b doubled across both parties.
         let buckets = [
-            BucketTrace { vs: 3, vr: 1, ce: 8 },
-            BucketTrace { vs: 2, vr: 4, ce: 12 },
-            BucketTrace { vs: 2, vr: 1, ce: 6 },
+            BucketTrace {
+                vs: 3,
+                vr: 1,
+                ce: 8,
+            },
+            BucketTrace {
+                vs: 2,
+                vr: 4,
+                ce: 12,
+            },
+            BucketTrace {
+                vs: 2,
+                vr: 1,
+                ce: 6,
+            },
         ];
         // Totals: vs=7, vr=6 → predicted (7 + 12)·64 bits = 152 bytes.
         let r = reconcile_sharded(Protocol::Intersection, 64, 0, &buckets, 152 + 20, 4);
@@ -394,8 +406,16 @@ mod tests {
         // Ce shifted between buckets: totals still sum to the formula,
         // but bucket-level linearity is violated.
         let buckets = [
-            BucketTrace { vs: 2, vr: 2, ce: 10 },
-            BucketTrace { vs: 2, vr: 2, ce: 6 },
+            BucketTrace {
+                vs: 2,
+                vr: 2,
+                ce: 10,
+            },
+            BucketTrace {
+                vs: 2,
+                vr: 2,
+                ce: 6,
+            },
         ];
         let r = reconcile_sharded(Protocol::Intersection, 64, 0, &buckets, 8 * 12, 4);
         assert!(r.total.ce_exact, "totals were constructed to balance");

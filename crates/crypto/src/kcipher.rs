@@ -258,7 +258,9 @@ mod tests {
         assert_ne!(kappa, other);
         let ct = cipher.encrypt(&kappa, b"abc").unwrap();
         // Wrong key: either decode fails or yields different bytes.
-        if let Ok(pt) = cipher.decrypt(&other, &ct) { assert_ne!(pt, b"abc") }
+        if let Ok(pt) = cipher.decrypt(&other, &ct) {
+            assert_ne!(pt, b"abc")
+        }
     }
 
     #[test]

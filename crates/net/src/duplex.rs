@@ -60,7 +60,10 @@ impl Transport for DuplexEndpoint {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        self.rx.recv().map(Bytes::into_vec).map_err(|_| NetError::Closed)
+        self.rx
+            .recv()
+            .map(Bytes::into_vec)
+            .map_err(|_| NetError::Closed)
     }
 }
 

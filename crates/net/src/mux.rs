@@ -314,10 +314,7 @@ mod tests {
                 let mut bad = wire.clone();
                 bad[byte] ^= 1 << bit;
                 assert!(
-                    matches!(
-                        MuxFrame::decode(&bad),
-                        Err(NetError::MalformedFrame { .. })
-                    ),
+                    matches!(MuxFrame::decode(&bad), Err(NetError::MalformedFrame { .. })),
                     "flip at byte {byte} bit {bit} went undetected"
                 );
             }

@@ -720,8 +720,13 @@ struct PendingOpen {
 }
 
 enum ClientCtl {
-    Open { session: u32, pending: PendingOpen },
-    Stats { reply: Sender<Result<Vec<u8>, NetError>> },
+    Open {
+        session: u32,
+        pending: PendingOpen,
+    },
+    Stats {
+        reply: Sender<Result<Vec<u8>, NetError>>,
+    },
     Close,
 }
 
@@ -1300,7 +1305,14 @@ mod tests {
         let server = std::thread::spawn(move || {
             let registry = SessionRegistry::new(8);
             let shutdown = ShutdownHandle::new();
-            serve_mux_connection(server_end, &fast_config(), &registry, &shutdown, None, echo_handler)
+            serve_mux_connection(
+                server_end,
+                &fast_config(),
+                &registry,
+                &shutdown,
+                None,
+                echo_handler,
+            )
         });
         let open = MuxFrame::open(1, Vec::new());
         let close = MuxFrame::control(MuxKind::Close, 1);

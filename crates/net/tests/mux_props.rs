@@ -33,14 +33,18 @@ fn arb_kind() -> impl Strategy<Value = MuxKind> {
 }
 
 fn arb_frame() -> impl Strategy<Value = MuxFrame> {
-    (arb_kind(), any::<u32>(), any::<u32>(), vec(any::<u8>(), 0..512)).prop_map(
-        |(kind, session, seq, payload)| MuxFrame {
+    (
+        arb_kind(),
+        any::<u32>(),
+        any::<u32>(),
+        vec(any::<u8>(), 0..512),
+    )
+        .prop_map(|(kind, session, seq, payload)| MuxFrame {
             kind,
             session,
             seq,
             payload,
-        },
-    )
+        })
 }
 
 proptest! {

@@ -134,11 +134,13 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut vals = [Value::Int(2),
+        let mut vals = [
+            Value::Int(2),
             Value::Null,
             Value::Text("b".into()),
             Value::Int(1),
-            Value::Bool(false)];
+            Value::Bool(false),
+        ];
         vals.sort();
         // Derived order: Null < Bool < Int < Text < Bytes.
         assert_eq!(vals[0], Value::Null);

@@ -147,7 +147,13 @@ impl Tracer {
     }
 
     /// Emits one event.
-    pub fn emit(&self, scope: &'static str, name: &'static str, deterministic: bool, fields: Vec<Field>) {
+    pub fn emit(
+        &self,
+        scope: &'static str,
+        name: &'static str,
+        deterministic: bool,
+        fields: Vec<Field>,
+    ) {
         if let Some(inner) = &self.inner {
             let event = Event {
                 seq: inner.seq.fetch_add(1, Ordering::Relaxed),
@@ -261,7 +267,11 @@ pub fn span(scope: &'static str, name: &'static str, deterministic: bool) -> Spa
         scope,
         name,
         deterministic,
-        start: if is_enabled() { Some(Instant::now()) } else { None },
+        start: if is_enabled() {
+            Some(Instant::now())
+        } else {
+            None
+        },
     }
 }
 

@@ -295,8 +295,14 @@ impl MetricsRegistry {
         label: &str,
         label_value: u64,
     ) -> u64 {
-        self.lookup(|g| &g.counters, scope, name, field, Some((label, label_value)))
-            .unwrap_or(0)
+        self.lookup(
+            |g| &g.counters,
+            scope,
+            name,
+            field,
+            Some((label, label_value)),
+        )
+        .unwrap_or(0)
     }
 
     /// Aggregate gauge last-value, or `None` when never set.

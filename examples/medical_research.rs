@@ -23,7 +23,8 @@ fn main() {
     // Synthetic population: 200 people, pattern prevalence 30%, drug
     // uptake 55%, and a planted correlation — carriers react with
     // probability 0.8, others with 0.1.
-    let (tr, ts) = medical::synthetic_study(&mut rng, 200, 0.30, 0.55, 0.80, 0.10).expect("synthetic study");
+    let (tr, ts) =
+        medical::synthetic_study(&mut rng, 200, 0.30, 0.55, 0.80, 0.10).expect("synthetic study");
     println!(
         "TR holds {} DNA records; TS holds {} prescription records",
         tr.len(),

@@ -70,7 +70,8 @@ fn document_sharing_handles_no_matches() {
 fn medical_study_matches_sql_oracle_at_scale() {
     let g = group();
     let mut rng = StdRng::seed_from_u64(0xabc);
-    let (tr, ts) = medical::synthetic_study(&mut rng, 300, 0.25, 0.5, 0.9, 0.05).expect("synthetic study");
+    let (tr, ts) =
+        medical::synthetic_study(&mut rng, 300, 0.25, 0.5, 0.9, 0.05).expect("synthetic study");
     let (private, cost) = medical::run_medical_study(&g, &tr, &ts, 99).expect("study");
     let clear = medical::medical_counts_in_clear(&tr, &ts).expect("oracle");
     assert_eq!(private, clear);
@@ -95,7 +96,8 @@ fn medical_study_with_skewed_population() {
     // Nobody has the pattern; every cell with pattern=true must be 0.
     let g = group();
     let mut rng = StdRng::seed_from_u64(0x111);
-    let (tr, ts) = medical::synthetic_study(&mut rng, 60, 0.0, 0.7, 0.9, 0.2).expect("synthetic study");
+    let (tr, ts) =
+        medical::synthetic_study(&mut rng, 60, 0.0, 0.7, 0.9, 0.2).expect("synthetic study");
     let (counts, _) = medical::run_medical_study(&g, &tr, &ts, 1).expect("study");
     assert_eq!(counts.counts[1][0] + counts.counts[1][1], 0);
     let clear = medical::medical_counts_in_clear(&tr, &ts).expect("oracle");

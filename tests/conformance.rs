@@ -51,7 +51,9 @@ fn to_values(strs: &[&str]) -> Vec<Vec<u8>> {
 
 /// `V_S`: a set with a non-trivial overlap with `V_R`.
 fn vs() -> Vec<Vec<u8>> {
-    to_values(&["apple", "grape", "melon", "peach", "berry", "mango", "lemon"])
+    to_values(&[
+        "apple", "grape", "melon", "peach", "berry", "mango", "lemon",
+    ])
 }
 
 /// `V_R`.
@@ -113,11 +115,8 @@ const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
 
 /// Checks one run against the perfect-link baseline: no panic, and any
 /// party that completed produced the baseline's output and bytes.
-fn check_run<SO, RO>(
-    tag: &str,
-    baseline: &SimTwoPartyRun<SO, RO>,
-    faulty: &SimTwoPartyRun<SO, RO>,
-) where
+fn check_run<SO, RO>(tag: &str, baseline: &SimTwoPartyRun<SO, RO>, faulty: &SimTwoPartyRun<SO, RO>)
+where
     SO: PartialEq + std::fmt::Debug,
     RO: PartialEq + std::fmt::Debug,
 {
@@ -257,7 +256,11 @@ where
         r2.trace.digest(),
         "{tag}: trace not reproducible from its seed",
     );
-    assert_eq!(r1.outcome(), r2.outcome(), "{tag}: outcome not reproducible");
+    assert_eq!(
+        r1.outcome(),
+        r2.outcome(),
+        "{tag}: outcome not reproducible"
+    );
     baseline
 }
 
@@ -308,8 +311,7 @@ fn equijoin_size_conforms_under_faults() {
         for v in ms() {
             *s_counts.entry(v).or_insert(0) += 1;
         }
-        mr()
-            .into_iter()
+        mr().into_iter()
             .map(|v| s_counts.get(&v).copied().unwrap_or(0))
             .sum()
     };
@@ -414,8 +416,14 @@ fn record_frames<SO: Send, RO: Send>(
         let r = scope.spawn(move || receiver(&mut r_t));
         (s.join().unwrap(), r.join().unwrap())
     });
-    let s_frames = std::sync::Arc::try_unwrap(s_frames).unwrap().into_inner().unwrap();
-    let r_frames = std::sync::Arc::try_unwrap(r_frames).unwrap().into_inner().unwrap();
+    let s_frames = std::sync::Arc::try_unwrap(s_frames)
+        .unwrap()
+        .into_inner()
+        .unwrap();
+    let r_frames = std::sync::Arc::try_unwrap(r_frames)
+        .unwrap()
+        .into_inner()
+        .unwrap();
     (s_frames, r_frames, s_out.unwrap(), r_out.unwrap())
 }
 
@@ -573,7 +581,17 @@ fn events_per_party(shape: ProtocolShape<'_>, n: usize) -> (u64, u64) {
         |t| {
             let _trace = minshare_trace::install(traced(&s_sink));
             let mut rng = StdRng::seed_from_u64(7);
-            engine::run_sender(t, group(), shape, &s_vals, &ext, &mut rng, &pool, pipe, &cfg)
+            engine::run_sender(
+                t,
+                group(),
+                shape,
+                &s_vals,
+                &ext,
+                &mut rng,
+                &pool,
+                pipe,
+                &cfg,
+            )
         },
         |t| {
             let _trace = minshare_trace::install(traced(&r_sink));

@@ -296,12 +296,12 @@ proptest! {
 fn pipelined_edge_shapes_agree_with_naive() {
     let pool = EncryptPool::new(2);
     let cases: Vec<(Vec<Vec<u8>>, Vec<Vec<u8>>)> = vec![
-        (vec![], vec![]),                                     // both empty
-        (vec![], vec![vec![1], vec![2]]),                     // empty sender
-        (vec![vec![1], vec![2]], vec![]),                     // empty receiver
-        (vec![vec![7]], vec![vec![7]]),                       // singleton overlap
-        (vec![vec![3]; 4], vec![vec![3], vec![4]]),           // sender all duplicates
-        (vec![vec![1], vec![2]], vec![vec![3], vec![4]]),     // disjoint
+        (vec![], vec![]),                                 // both empty
+        (vec![], vec![vec![1], vec![2]]),                 // empty sender
+        (vec![vec![1], vec![2]], vec![]),                 // empty receiver
+        (vec![vec![7]], vec![vec![7]]),                   // singleton overlap
+        (vec![vec![3]; 4], vec![vec![3], vec![4]]),       // sender all duplicates
+        (vec![vec![1], vec![2]], vec![vec![3], vec![4]]), // disjoint
     ];
     for (vs, vr) in cases {
         let run: TwoPartyRun<
@@ -364,7 +364,10 @@ fn equijoin_size_all_duplicates_single_class() {
     assert_eq!(sender.peer_multiset_size, 3);
     assert_eq!(sender.peer_duplicate_distribution, BTreeMap::from([(3, 1)]));
     assert_eq!(receiver.peer_multiset_size, 5);
-    assert_eq!(receiver.peer_duplicate_distribution, BTreeMap::from([(5, 1)]));
+    assert_eq!(
+        receiver.peer_duplicate_distribution,
+        BTreeMap::from([(5, 1)])
+    );
 }
 
 #[test]
@@ -398,8 +401,12 @@ fn equijoin_size_mixed_classes_match_leakage_prediction() {
     // Overlapping classes with different multiplicities on each side:
     // the |VR(d) ∩ VS(d')| matrix must match the clear calculator cell
     // for cell.
-    let vs: Vec<Vec<u8>> = [b"x", b"x", b"x", b"y", b"z", b"z"].map(|v| v.to_vec()).into();
-    let vr: Vec<Vec<u8>> = [b"x", b"y", b"y", b"z", b"z", b"w"].map(|v| v.to_vec()).into();
+    let vs: Vec<Vec<u8>> = [b"x", b"x", b"x", b"y", b"z", b"z"]
+        .map(|v| v.to_vec())
+        .into();
+    let vr: Vec<Vec<u8>> = [b"x", b"y", b"y", b"z", b"z", b"w"]
+        .map(|v| v.to_vec())
+        .into();
     let (_, receiver) = run_equijoin_size_pair(&vs, &vr);
     // x: 1×3, y: 2×1, z: 2×2 → join size 3 + 2 + 4 = 9.
     assert_eq!(receiver.join_size, 9);

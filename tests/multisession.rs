@@ -495,10 +495,13 @@ fn admission_cap_rejects_with_typed_busy_and_leaves_peers_unperturbed() {
                 let report = svc
                     .handle(sid, &request, session_t)
                     .map_err(|e| e.to_string());
-                sides_in
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(sid, ServerSide { report, digest: ring.digest() });
+                sides_in.lock().unwrap_or_else(|e| e.into_inner()).insert(
+                    sid,
+                    ServerSide {
+                        report,
+                        digest: ring.digest(),
+                    },
+                );
             },
         )
     });
@@ -524,7 +527,10 @@ fn admission_cap_rejects_with_typed_busy_and_leaves_peers_unperturbed() {
     let stats = server.join().expect("server thread").expect("server loop");
     let sides = sides.lock().unwrap_or_else(|e| e.into_inner());
     let side = &sides[&1];
-    assert_eq!(side.report.as_ref().expect("session 1 report"), &baseline.report);
+    assert_eq!(
+        side.report.as_ref().expect("session 1 report"),
+        &baseline.report
+    );
     assert_eq!(side.digest, baseline.digest);
     assert_eq!(stats.opened, 1);
     assert_eq!(stats.rejected_busy, 1);
@@ -597,7 +603,10 @@ fn graceful_shutdown_drains_active_sessions_and_sheds_new_opens() {
     assert_eq!(stats.completed + stats.closed_by_peer, 1);
     let reports = reports.lock().unwrap_or_else(|e| e.into_inner());
     assert_eq!(reports.len(), 1);
-    assert_eq!(reports[0].as_ref().expect("drained report"), &baseline.report);
+    assert_eq!(
+        reports[0].as_ref().expect("drained report"),
+        &baseline.report
+    );
     drop(client);
 }
 
