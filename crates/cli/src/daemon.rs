@@ -1,5 +1,6 @@
-//! `minshare serve` / `minshare client` — the long-running protocol
-//! daemon and its session client.
+//! `minshare serve` / `minshare client` / `minshare stats` — the
+//! long-running protocol daemon, its session client and its telemetry
+//! scrape.
 //!
 //! ```text
 //! # terminal 1: the daemon (sender S), serving its private list
@@ -9,41 +10,57 @@
 //! minshare client --connect 127.0.0.1:7200 --protocol intersection --values retailer.txt
 //! ```
 //!
-//! One TCP connection carries one mux envelope; each `client` invocation
-//! opens one session inside it. The daemon multiplexes sessions across
-//! all connections against a shared [`SessionRegistry`] (admission cap)
-//! and a shared [`EncryptPool`] (per-session fair scheduling), prints a
-//! per-session reconciliation line for every session it runs, and on
-//! graceful shutdown drains active sessions before exiting.
+//! There is one connection stack: TCP → [`SecureChannel`] (with
+//! `--secure`, on both sides or neither) → mux → session. The channel's
+//! handshake runs on the connection's own thread — `serve` responds,
+//! `client` and `stats` initiate — and is bounded by
+//! [`MuxConfig::open_timeout_ms`], so a silent or plain peer costs one
+//! connection thread for that long, never the accept loop. Each `client`
+//! invocation opens one session inside its connection. The daemon
+//! multiplexes sessions across all connections against a shared
+//! [`SessionRegistry`] (admission cap) and a shared [`EncryptPool`]
+//! (per-session fair scheduling), prints a per-session byte-count line
+//! for every session it runs, and on graceful shutdown drains active
+//! sessions before exiting. With `--trace FILE` both sides also write
+//! their sessions' events and one §6.1 reconciliation line per session.
 //!
 //! Both sides must agree on `--group-bits` (a well-known group, so no
 //! parameters travel out of band) and, for equijoins, `--record-len`.
 
+use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use minshare::prelude::*;
 use minshare::service::ClientTraffic;
+use minshare_costmodel::reconcile::Party;
 use minshare_crypto::drbg::{self, ChaChaRng};
+use minshare_net::secure::{Role, SecureChannel};
 use minshare_net::tcp::{TcpAcceptor, TcpTransport};
 use minshare_net::{
-    serve_mux_connection, MuxClient, MuxConfig, NetError, SessionRegistry, ShutdownHandle,
-    StatsProvider, Transport,
+    serve_mux_connection, CountingTransport, MuxClient, MuxConfig, NetError, SessionRegistry,
+    ShutdownHandle, StatsProvider, Transport,
 };
 use minshare_trace::metrics::{MetricsRegistry, RegistrySink};
-use minshare_trace::Tracer;
+use minshare_trace::sink::{JsonLinesSink, TeeSink};
+use minshare_trace::{TraceSink, Tracer};
 use rand::Rng;
 
-use crate::input;
+use crate::{input, reconciliation_json, RunSummary};
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// Well-known group lookup shared by every networked verb: the two
+/// The group of every channel handshake, whatever `--group-bits` the
+/// protocol runs in: `stats` has no group of its own, and every peer
+/// agrees on this one with nothing exchanged.
+const CHANNEL_GROUP_BITS: u64 = 2048;
+
+/// Well-known group lookup shared by `serve` and `client`: the two
 /// parties must land on the *same* group without any out-of-band
 /// parameter exchange, so only the baked-in moduli are allowed.
-pub(crate) fn well_known_group(bits: u64) -> Result<QrGroup, AnyError> {
+fn well_known_group(bits: u64) -> Result<QrGroup, AnyError> {
     match bits {
         768 | 1024 | 1536 | 2048 => Ok(QrGroup::well_known(bits)?),
         other => Err(format!(
@@ -53,19 +70,39 @@ pub(crate) fn well_known_group(bits: u64) -> Result<QrGroup, AnyError> {
     }
 }
 
-/// The key every generator of this process derives from: `--seed` keys
-/// it deterministically (tests and harnesses replay runs with it),
-/// otherwise it is 32 bytes of `/dev/urandom`.
-pub(crate) fn master_key(seed: Option<u64>) -> Result<[u8; 32], AnyError> {
+/// The key every protocol generator of this process derives from:
+/// `--seed` keys it deterministically (tests and harnesses replay runs
+/// with it), otherwise it is 32 bytes of `/dev/urandom`.
+fn master_key(seed: Option<u64>) -> Result<[u8; 32], AnyError> {
     match seed {
         Some(s) => Ok(drbg::seed_key(s)),
         None => drbg::os_key().map_err(|e| format!("cannot read /dev/urandom: {e}").into()),
     }
 }
 
+/// Runs the channel handshake over `tcp` in `role`, bounded by
+/// [`MuxConfig::open_timeout_ms`]. The ephemeral exponent always comes
+/// from `/dev/urandom`: `--seed` replays protocol keys, never channel
+/// keys.
+fn secure_channel(tcp: TcpTransport, role: Role) -> Result<SecureChannel<TcpTransport>, AnyError> {
+    let group = QrGroup::well_known(CHANNEL_GROUP_BITS)?;
+    let mut rng = ChaChaRng::new(master_key(None)?, [0; 12]);
+    let timeout_ms = MuxConfig::default().open_timeout_ms;
+    SecureChannel::establish(tcp, &group, role, &mut rng, timeout_ms)
+        .map_err(|e| format!("{e} (--secure must be on both sides or neither)").into())
+}
+
+/// Creates the `--trace` file: JSON-lines events, and the sessions'
+/// reconciliation lines after their events.
+fn trace_file(path: &str) -> Result<Arc<JsonLinesSink>, AnyError> {
+    let file = File::create(path).map_err(|e| format!("cannot create trace file {path}: {e}"))?;
+    Ok(Arc::new(JsonLinesSink::new(BufWriter::new(file))))
+}
+
 /// `minshare serve`: accept connections forever (or until
 /// `--shutdown-after` admission outcomes), one mux connection loop per
-/// TCP peer, all sharing one session registry and one encrypt pool.
+/// TCP peer — behind the channel handshake with `--secure` — all
+/// sharing one session registry and one encrypt pool.
 pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
     let mut listen = None;
     let mut values_path = None;
@@ -77,12 +114,16 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
     let mut port_file: Option<String> = None;
     let mut mem_budget: Option<usize> = None;
     let mut spill_dir: Option<String> = None;
+    let mut secure = false;
+    let mut trace_path: Option<String> = None;
     let mut it = raw.iter();
     while let Some(arg) = it.next() {
         let mut take = |name: &str| -> Result<String, AnyError> {
             Ok(it.next().ok_or(format!("{name} requires a value"))?.clone())
         };
         match arg.as_str() {
+            "--secure" => secure = true,
+            "--trace" => trace_path = Some(take("--trace")?),
             "--listen" => listen = Some(take("--listen")?),
             "--values" => values_path = Some(take("--values")?),
             "--max-sessions" => max_sessions = take("--max-sessions")?.parse()?,
@@ -141,10 +182,11 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
         .with_master_key(master_key(seed)?)
         .with_shard_config(shard_cfg),
     );
-    // Live-telemetry registry. Every connection thread installs a
-    // RegistrySink tracer, so the lifecycle/protocol/pool/leakage events
-    // emitted while it serves fold into one process-wide registry; the
-    // STATS frame answers with its JSON snapshot. Gauge and throughput
+    // Live-telemetry registry. Every connection and session thread
+    // installs a tracer on `sink`, so the lifecycle/protocol/pool/leakage
+    // events emitted while it serves fold into one process-wide registry
+    // (and, with `--trace`, into the trace file too); the STATS frame
+    // answers with the registry's JSON snapshot. Gauge and throughput
     // classes are declared up front — everything else defaults to the
     // counter/histogram rules baked into the registry.
     let metrics = Arc::new(MetricsRegistry::new());
@@ -158,14 +200,23 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
     ] {
         metrics.register_histogram("protocol", kind.name(), "ce_per_sec");
     }
+    let trace = trace_path.as_deref().map(trace_file).transpose()?;
+    let sink: Arc<dyn TraceSink> = {
+        let registry_sink: Arc<dyn TraceSink> = Arc::new(RegistrySink::new(Arc::clone(&metrics)));
+        match &trace {
+            Some(file) => Arc::new(TeeSink::new(vec![
+                registry_sink,
+                Arc::clone(file) as Arc<dyn TraceSink>,
+            ])),
+            None => registry_sink,
+        }
+    };
     // Which `Ce` kernel this daemon's sessions run on (a property of the
     // build, the CPU and the group width), so a STATS scrape explains the
     // per-protocol `ce_per_sec` it sits beside.
     metrics.register_gauge("crypto", "kernel_tier", tier.as_str());
     {
-        let _trace = minshare_trace::install(Tracer::to_sink(Arc::new(RegistrySink::new(
-            Arc::clone(&metrics),
-        ))));
+        let _trace = minshare_trace::install(Tracer::to_sink(Arc::clone(&sink)));
         minshare_trace::emit("crypto", "kernel_tier", false, || {
             vec![minshare_trace::flag(tier.as_str(), true)]
         });
@@ -212,43 +263,72 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
             let conn_shutdown = shutdown.clone();
             let shutdown = shutdown.clone();
             let outcomes = Arc::clone(&outcomes);
-            let metrics = Arc::clone(&metrics);
+            let sink = Arc::clone(&sink);
+            let trace = trace.clone();
             let stats_provider = Arc::clone(&stats_provider);
             let peer_id = peers.fetch_add(1, Ordering::AcqRel) + 1;
             scope.spawn(move || {
                 // Tracers are thread-local, and the mux loop spawns one
                 // handler thread per session: the connection thread and
-                // every handler each wire their own sink into the one
-                // shared registry.
-                let handler_metrics = Arc::clone(&metrics);
-                let _trace = minshare_trace::install(Tracer::to_sink(Arc::new(
-                    RegistrySink::new(metrics),
-                )));
-                let config = MuxConfig::default();
-                let result = serve_mux_connection(
-                    transport,
-                    &config,
-                    &registry,
-                    &conn_shutdown,
-                    Some(stats_provider),
-                    |sid, request, session_t| {
-                        let _trace = minshare_trace::install(Tracer::to_sink(Arc::new(
-                            RegistrySink::new(Arc::clone(&handler_metrics)),
-                        )));
-                        match service.handle_for_peer(peer_id, sid, &request, session_t) {
-                        Ok(report) => println!(
-                            "session={} protocol={} peer_set_size={} bytes_sent={} bytes_received={} encryptions={} status=ok",
-                            report.session,
-                            report.protocol.name(),
-                            report.peer_set_size,
-                            report.bytes_sent,
-                            report.bytes_received,
-                            report.ops.total_ce(),
-                        ),
-                            Err(e) => println!("session={sid} status=error detail=\"{e}\""),
+                // every handler each install their own tracer on the one
+                // shared sink.
+                let _trace = minshare_trace::install(Tracer::to_sink(Arc::clone(&sink)));
+                let handler = |sid, request: Vec<u8>, session_t| {
+                    let _trace = minshare_trace::install(Tracer::to_sink(Arc::clone(&sink)));
+                    let (session_t, traffic) = CountingTransport::new(session_t);
+                    match service.handle_for_peer(peer_id, sid, &request, session_t) {
+                        Ok(report) => {
+                            println!(
+                                "session={} protocol={} peer_set_size={} bytes_sent={} bytes_received={} encryptions={} status=ok",
+                                report.session,
+                                report.protocol.name(),
+                                report.peer_set_size,
+                                report.bytes_sent,
+                                report.bytes_received,
+                                report.ops.total_ce(),
+                            );
+                            if let Some(file) = &trace {
+                                let summary = RunSummary {
+                                    protocol: report.protocol,
+                                    party: Party::Sender,
+                                    own_values: service.session_disclosure(report.protocol),
+                                    peer_values: report.peer_set_size as u64,
+                                    measured_ce: report.ops.total_ce(),
+                                };
+                                let group = service.group();
+                                file.write_line(&reconciliation_json(
+                                    &summary, &traffic, group, record_len,
+                                ));
+                                file.flush();
+                            }
                         }
-                    },
-                );
+                        Err(e) => println!("session={sid} status=error detail=\"{e}\""),
+                    }
+                };
+                let config = MuxConfig::default();
+                let stats = Some(stats_provider);
+                let result = if secure {
+                    secure_channel(transport, Role::Responder).and_then(|channel| {
+                        Ok(serve_mux_connection(
+                            channel,
+                            &config,
+                            &registry,
+                            &conn_shutdown,
+                            stats,
+                            handler,
+                        )?)
+                    })
+                } else {
+                    serve_mux_connection(
+                        transport,
+                        &config,
+                        &registry,
+                        &conn_shutdown,
+                        stats,
+                        handler,
+                    )
+                    .map_err(AnyError::from)
+                };
                 match result {
                     Ok(stats) => {
                         eprintln!(
@@ -276,14 +356,20 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
         }
         Ok(())
     })?;
+    if let (Some(file), Some(path)) = (&trace, &trace_path) {
+        file.flush();
+        eprintln!("trace written to {path}");
+    }
     eprintln!("daemon drained; exiting");
     Ok(())
 }
 
 /// `minshare client`: open one session against a running daemon, run
 /// the client (receiver) side of the requested protocol, print the
-/// answer to stdout and a reconciliation line mirroring the daemon's.
+/// answer to stdout and a byte-count line mirroring the daemon's.
 pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
+    let mut secure = false;
+    let mut trace_path: Option<String> = None;
     let mut connect = None;
     let mut values_path = None;
     let mut protocol = None;
@@ -299,6 +385,8 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
             Ok(it.next().ok_or(format!("{name} requires a value"))?.clone())
         };
         match arg.as_str() {
+            "--secure" => secure = true,
+            "--trace" => trace_path = Some(take("--trace")?),
             "--connect" => connect = Some(take("--connect")?),
             "--values" => values_path = Some(take("--values")?),
             "--protocol" => protocol = Some(take("--protocol")?),
@@ -332,15 +420,21 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         .map(|(value, _)| value)
         .collect();
     let mut rng = ChaChaRng::new(master_key(seed)?, [0; 12]);
+    let trace = trace_path.as_deref().map(trace_file).transpose()?;
 
-    let tcp = TcpTransport::connect(connect.as_str())?;
-    let mut client = MuxClient::new(tcp, MuxConfig::default());
+    let mut client = connect_mux(&connect, secure)?;
     let session = match client.open_session(&SessionRequest::new(protocol).encode()) {
         Ok(session) => session,
         Err(e @ NetError::Busy { .. }) => {
             // Typed load-shedding is an expected answer, not a crash;
             // scripts match on "busy".
             return Err(format!("busy: {e}").into());
+        }
+        Err(e @ NetError::Closed) if !secure => {
+            // A `--secure` daemon hangs up on a plain peer's first frame.
+            return Err(
+                format!("{e} before admitting the session (is it a --secure daemon?)").into(),
+            );
         }
         Err(e) => return Err(e.into()),
     };
@@ -357,7 +451,18 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         mem_budget: mem_budget.unwrap_or_else(|| ShardConfig::default().mem_budget),
         spill_dir: spill_dir.map(std::path::PathBuf::from),
     };
-    let (traffic, _, _) = run_receiver(
+    // §6.1 prices sets (the engine deduplicates), and every occurrence
+    // of a multiset.
+    let own_values = if protocol.discloses_multiset() {
+        values.len()
+    } else {
+        values.iter().collect::<BTreeSet<_>>().len()
+    } as u64;
+    let _trace = trace.as_ref().map(|file| {
+        minshare_trace::install(Tracer::to_sink(Arc::clone(file) as Arc<dyn TraceSink>))
+    });
+    let (session, session_traffic) = CountingTransport::new(session);
+    let (traffic, peer_values, measured_ce) = run_receiver(
         protocol, session, &group, &values, &mut rng, record_len, &shard_cfg,
     )?;
     // The mirror image of the daemon's line: this side's sent must be
@@ -366,16 +471,44 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         "session={sid} bytes_sent={} bytes_received={} status=ok",
         traffic.bytes_sent, traffic.bytes_received
     );
+    if let (Some(file), Some(path)) = (&trace, &trace_path) {
+        let summary = RunSummary {
+            protocol,
+            party: Party::Receiver,
+            own_values,
+            peer_values: peer_values as u64,
+            measured_ce,
+        };
+        file.write_line(&reconciliation_json(
+            &summary,
+            &session_traffic,
+            &group,
+            record_len,
+        ));
+        file.flush();
+        eprintln!("trace written to {path} (with cost reconciliation)");
+    }
     client.close()?;
     Ok(())
 }
 
-/// The receiver `R` of every protocol: `client` runs it over its mux
-/// session, a one-shot verb over its TCP link. Prints the answer to
-/// stdout and what `R` learned to stderr; returns the run's traffic,
-/// `|V_S|` and this side's `Ce` count. `record_len` sizes the equijoin's
-/// payload cipher and must match the sender's.
-pub(crate) fn run_receiver<T: Transport>(
+/// Dials a daemon and starts the mux client over the connection, behind
+/// the channel handshake (as its initiator) with `--secure`.
+fn connect_mux(addr: &str, secure: bool) -> Result<MuxClient, AnyError> {
+    let tcp = TcpTransport::connect(addr)?;
+    let config = MuxConfig::default();
+    Ok(if secure {
+        MuxClient::new(secure_channel(tcp, Role::Initiator)?, config)
+    } else {
+        MuxClient::new(tcp, config)
+    })
+}
+
+/// The receiver `R` of every protocol, run over `client`'s mux session.
+/// Prints the answer to stdout and what `R` learned to stderr; returns
+/// the run's traffic, `|V_S|` and this side's `Ce` count. `record_len`
+/// sizes the equijoin's payload cipher and must match the daemon's.
+fn run_receiver<T: Transport>(
     protocol: ProtocolKind,
     transport: T,
     group: &QrGroup,
@@ -448,9 +581,11 @@ pub(crate) fn run_receiver<T: Transport>(
 /// hashes or key material).
 pub fn run_stats(raw: &[String]) -> Result<(), AnyError> {
     let mut connect = None;
+    let mut secure = false;
     let mut it = raw.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--secure" => secure = true,
             "--connect" => connect = Some(it.next().ok_or("--connect requires a value")?.clone()),
             other if !other.starts_with("--") && connect.is_none() => {
                 // `minshare stats ADDR` positional form.
@@ -460,8 +595,7 @@ pub fn run_stats(raw: &[String]) -> Result<(), AnyError> {
         }
     }
     let connect = connect.ok_or("an address is required: minshare stats ADDR")?;
-    let tcp = TcpTransport::connect(connect.as_str())?;
-    let mut client = MuxClient::new(tcp, MuxConfig::default());
+    let mut client = connect_mux(&connect, secure)?;
     let snapshot = client.fetch_stats()?;
     println!("{}", String::from_utf8_lossy(&snapshot));
     client.close()?;

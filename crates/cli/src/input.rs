@@ -1,5 +1,5 @@
-//! Input-file parsing: one value per line, with optional tab-separated
-//! payload (for `join` senders) or weight (for `sum` senders).
+//! Input-file parsing: one value per line, with an optional
+//! tab-separated payload (`ext(v)` for a daemon serving equijoins).
 
 use std::fmt;
 use std::io::BufRead;
@@ -19,7 +19,7 @@ impl std::error::Error for InputError {}
 /// Parsed `(value, payload)` entries.
 pub type ValuePayloads = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// Reads the one input format every verb shares, sender and receiver
+/// Reads the one input format `serve` and `client` share, sender and receiver
 /// alike: `value[<TAB>payload]` per line. The value is the text before
 /// the first TAB, trimmed; the payload is the rest of the line as it is
 /// (empty without a TAB). Lines with an empty value and `#` comments are
@@ -37,30 +37,6 @@ pub fn read_value_payloads<R: BufRead>(reader: R) -> Result<ValuePayloads, Input
         out.push((value.as_bytes().to_vec(), payload.as_bytes().to_vec()));
     }
     Ok(out)
-}
-
-/// Reads `value<TAB>weight` lines (missing weight = 0).
-pub fn read_value_weights<R: BufRead>(reader: R) -> Result<Vec<(Vec<u8>, u64)>, InputError> {
-    read_value_payloads(reader)?
-        .into_iter()
-        .enumerate()
-        .map(|(i, (v, w))| {
-            let weight = if w.is_empty() {
-                0
-            } else {
-                std::str::from_utf8(&w)
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok())
-                    .ok_or_else(|| {
-                        InputError(format!(
-                            "entry {}: weight is not a non-negative integer",
-                            i + 1
-                        ))
-                    })?
-            };
-            Ok((v, weight))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -82,17 +58,5 @@ mod tests {
         assert_eq!(v[0], (b"k1".to_vec(), b" some payload\twith tab ".to_vec()));
         assert_eq!(v[1], (b"k2".to_vec(), b"".to_vec()));
         assert_eq!(v[2], (b"k3".to_vec(), b"".to_vec()));
-    }
-
-    #[test]
-    fn weights_parse_and_validate() {
-        let good = "a\t10\nb\t0\nc\n";
-        let v = read_value_weights(good.as_bytes()).unwrap();
-        assert_eq!(
-            v,
-            vec![(b"a".to_vec(), 10), (b"b".to_vec(), 0), (b"c".to_vec(), 0),]
-        );
-        assert!(read_value_weights("a\tnotanumber\n".as_bytes()).is_err());
-        assert!(read_value_weights("a\t-3\n".as_bytes()).is_err());
     }
 }

@@ -1,8 +1,9 @@
-//! Two-process end-to-end tests: spawn the real `minshare` binary twice
-//! and let the processes talk over localhost TCP.
+//! Two-process end-to-end tests: spawn the real `minshare` binary as a
+//! `serve` daemon and its `client`s and let the processes talk over
+//! localhost TCP.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 fn binary() -> &'static str {
@@ -77,24 +78,26 @@ fn wait_for_listening(child: &mut Child) -> (String, String, impl BufRead) {
     }
 }
 
-/// Runs sender+receiver as two processes and returns both stdouts. The
-/// sender binds an ephemeral port (`:0`) and the receiver is started only
-/// once the sender has reported the bound address on stderr — no port
-/// picked in advance and given away, no sleep standing in for the bind.
+/// Runs `serve --shutdown-after 1` and one `client` of `protocol` as two
+/// processes; returns the daemon's stdout and the client's answer lines
+/// (its stdout without the final `status=ok` line). The daemon binds an
+/// ephemeral port (`:0`) and the client is started only once the daemon
+/// has reported the bound address on stderr — no port picked in advance
+/// and given away, no sleep standing in for the bind.
 fn run_pair(
     test: &str,
-    command: &str,
+    protocol: &str,
     sender_file: &str,
     receiver_file: &str,
     extra: &[&str],
 ) -> (String, String) {
-    run_pair_with(test, command, sender_file, receiver_file, extra, extra)
+    run_pair_with(test, protocol, sender_file, receiver_file, extra, extra)
 }
 
 /// [`run_pair`] with separate extra arguments for each side.
 fn run_pair_with(
     test: &str,
-    command: &str,
+    protocol: &str,
     sender_file: &str,
     receiver_file: &str,
     s_extra: &[&str],
@@ -105,40 +108,79 @@ fn run_pair_with(
     let r_path = dir.write("r.txt", receiver_file);
 
     let mut s_args = vec![
-        command,
+        "serve",
         "--listen",
         "127.0.0.1:0",
         "--values",
         s_path.to_str().unwrap(),
         "--seed",
         "1",
+        "--shutdown-after",
+        "1",
     ];
     s_args.extend_from_slice(s_extra);
-    let mut sender = spawn(&s_args);
-    let (addr, s_log, s_stderr) = wait_for_listening(&mut sender);
+    let mut serve = spawn(&s_args);
+    let (addr, s_log, s_stderr) = wait_for_listening(&mut serve);
 
     let mut r_args = vec![
-        command,
+        "client",
         "--connect",
         &addr,
+        "--protocol",
+        protocol,
         "--values",
         r_path.to_str().unwrap(),
         "--seed",
         "2",
     ];
     r_args.extend_from_slice(r_extra);
-    let receiver = spawn(&r_args);
+    let client = spawn(&r_args);
 
-    let r_out = finish(receiver, String::new(), std::io::empty(), "receiver");
-    let s_out = finish(sender, s_log, s_stderr, "sender");
-    (s_out, r_out)
+    let r_out = finish(client, String::new(), std::io::empty(), "client");
+    let s_out = finish(serve, s_log, s_stderr, "serve");
+    let mut answer: Vec<&str> = r_out.lines().collect();
+    let status = answer.pop().unwrap_or_default();
+    assert!(status.ends_with("status=ok"), "client stdout: {r_out}");
+    (s_out, answer.join("\n"))
+}
+
+/// Runs `client` with `args` to its end; returns whether it succeeded
+/// and its stderr.
+fn run_client(args: &[&str]) -> (bool, String) {
+    let out = Command::new(binary())
+        .arg("client")
+        .args(args)
+        .output()
+        .expect("run client");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// Spawns `serve --shutdown-after 1` over `values` with `extra`; returns
+/// the child, its address, and its stderr so far and to come.
+fn spawn_serve(values: &Path, extra: &[&str]) -> (Child, String, String, impl BufRead) {
+    let mut args = vec![
+        "serve",
+        "--listen",
+        "127.0.0.1:0",
+        "--values",
+        values.to_str().unwrap(),
+        "--shutdown-after",
+        "1",
+    ];
+    args.extend_from_slice(extra);
+    let mut serve = spawn(&args);
+    let (addr, log, stderr) = wait_for_listening(&mut serve);
+    (serve, addr, log, stderr)
 }
 
 #[test]
 fn intersect_between_processes() {
     let (_, r_out) = run_pair(
         "intersect",
-        "intersect",
+        "intersection",
         "ana\nbob\ncarol\n",
         "bob\ncarol\ndave\n",
         &[],
@@ -152,7 +194,7 @@ fn intersect_between_processes() {
 fn intersect_size_between_processes() {
     let (_, r_out) = run_pair(
         "intersect-size",
-        "intersect-size",
+        "intersection-size",
         "a\nb\nc\nd\n",
         "c\nd\ne\n",
         &[],
@@ -164,7 +206,7 @@ fn intersect_size_between_processes() {
 fn join_between_processes() {
     let (_, r_out) = run_pair(
         "join",
-        "join",
+        "equijoin",
         "sku1\tprice=10\nsku2\tprice=20\nsku3\tprice=30\n",
         "sku2\nsku3\nsku9\n",
         &[],
@@ -176,36 +218,101 @@ fn join_between_processes() {
 
 #[test]
 fn join_size_between_processes() {
-    let (_, r_out) = run_pair("join-size", "join-size", "x\nx\ny\n", "x\ny\ny\n", &[]);
+    let (_, r_out) = run_pair("join-size", "equijoin-size", "x\nx\ny\n", "x\ny\ny\n", &[]);
     // x: 2·1 + y: 1·2 = 4.
     assert_eq!(r_out.trim(), "4");
 }
 
-#[test]
-fn sum_between_processes() {
-    let (s_out, r_out) = run_pair(
-        "sum",
-        "sum",
-        "a\t100\nb\t250\nc\t7\n",
-        "b\nc\nz\n",
-        &["--key-bits", "64"],
-    );
-    for out in [&s_out, &r_out] {
-        assert!(out.contains("count\t2"), "{out}");
-        assert!(out.contains("sum\t257"), "{out}");
-    }
-}
-
+/// The channel sits under the mux: the answer, and the per-session byte
+/// counts the daemon prints, are those of the same run without it.
 #[test]
 fn intersect_over_secure_channel() {
-    let (_, r_out) = run_pair(
-        "intersect-secure",
-        "intersect",
-        "k1\nk2\n",
-        "k2\nk3\n",
-        &["--secure"],
-    );
-    assert_eq!(r_out.trim(), "k2");
+    let run = |test: &str, extra: &[&str]| {
+        let (s_out, r_out) = run_pair(test, "intersection", "k1\nk2\n", "k2\nk3\n", extra);
+        assert_eq!(r_out.trim(), "k2");
+        s_out
+    };
+    let secured = run("intersect-secure", &["--secure"]);
+    assert!(secured.contains("status=ok"), "{secured}");
+    assert_eq!(secured, run("intersect-plain", &[]));
+}
+
+/// A `--secure` client facing a plain daemon: the daemon drops its
+/// public value as a malformed mux frame and never answers, so the
+/// client's bounded handshake gives up with a typed error — and the
+/// daemon goes on serving plain clients.
+#[test]
+fn secure_client_against_a_plain_daemon_fails_typed() {
+    let dir = TestDir::new("secure-vs-plain");
+    let s_path = dir.write("s.txt", "k1\nk2\n");
+    let r_path = dir.write("r.txt", "k2\n");
+    let (serve, addr, log, stderr) = spawn_serve(&s_path, &[]);
+    let values = r_path.to_str().unwrap();
+    let client = [
+        "--connect",
+        &addr,
+        "--protocol",
+        "intersection",
+        "--values",
+        values,
+    ];
+    let (ok, c_err) = run_client(&[&client[..], &["--secure"]].concat());
+    assert!(!ok, "{c_err}");
+    assert!(c_err.contains("handshake failed"), "{c_err}");
+    let (ok, c_err) = run_client(&client);
+    assert!(ok, "{c_err}");
+    finish(serve, log, stderr, "serve");
+}
+
+/// A plain client facing a `--secure` daemon: the daemon refuses the
+/// client's first frame as a handshake and hangs up; the client says so.
+#[test]
+fn plain_client_against_a_secure_daemon_fails_typed() {
+    let dir = TestDir::new("plain-vs-secure");
+    let s_path = dir.write("s.txt", "k1\nk2\n");
+    let r_path = dir.write("r.txt", "k2\n");
+    let (serve, addr, log, stderr) = spawn_serve(&s_path, &["--secure"]);
+    let values = r_path.to_str().unwrap();
+    let client = [
+        "--connect",
+        &addr,
+        "--protocol",
+        "intersection",
+        "--values",
+        values,
+    ];
+    let (ok, c_err) = run_client(&client);
+    assert!(!ok, "{c_err}");
+    assert!(c_err.contains("peer closed the connection"), "{c_err}");
+    let (ok, c_err) = run_client(&[&client[..], &["--secure"]].concat());
+    assert!(ok, "{c_err}");
+    finish(serve, log, stderr, "serve");
+}
+
+/// The handshake runs on the connection's thread, not on the accept
+/// loop: a peer that connects and says nothing holds only its own
+/// connection.
+#[test]
+fn a_silent_connection_does_not_stop_a_secure_client() {
+    let dir = TestDir::new("silent-peer");
+    let s_path = dir.write("s.txt", "k1\nk2\n");
+    let r_path = dir.write("r.txt", "k2\n");
+    let (serve, addr, log, stderr) = spawn_serve(&s_path, &["--secure"]);
+    let silent = std::net::TcpStream::connect(&addr).expect("raw connect");
+    let (ok, c_err) = run_client(&[
+        "--connect",
+        &addr,
+        "--protocol",
+        "intersection",
+        "--values",
+        r_path.to_str().unwrap(),
+        "--secure",
+    ]);
+    assert!(ok, "{c_err}");
+    // Hang up, so the daemon's drain does not wait out the silent
+    // connection's handshake deadline.
+    drop(silent);
+    finish(serve, log, stderr, "serve");
 }
 
 #[test]
@@ -224,15 +331,16 @@ fn bad_args_exit_nonzero() {
     assert!(!out.status.success());
 }
 
-/// A size with no baked-in group is refused before the sender listens:
-/// two processes that each generated their own group would run the
-/// protocol in different groups and could print a wrong answer.
+/// A size with no baked-in group is refused before the daemon listens,
+/// and by the client before it connects: two processes that each
+/// generated their own group would run the protocol in different groups
+/// and could print a wrong answer.
 #[test]
 fn one_shot_verbs_refuse_groups_that_are_not_well_known() {
     let dir = TestDir::new("group-bits");
     let values = dir.write("s.txt", "grape\n");
-    let mut sender = spawn(&[
-        "intersect",
+    let mut serve = spawn(&[
+        "serve",
         "--listen",
         "127.0.0.1:0",
         "--values",
@@ -242,21 +350,34 @@ fn one_shot_verbs_refuse_groups_that_are_not_well_known() {
         "--seed",
         "1",
     ]);
-    // Read stderr to its end; a sender that gets as far as listening
-    // would wait for a peer forever, so it is killed there.
+    // Read stderr to its end; a daemon that gets as far as listening
+    // would serve forever, so it is killed there.
     let mut stderr = String::new();
-    for line in BufReader::new(sender.stderr.take().expect("piped stderr")).lines() {
-        let line = line.expect("read sender stderr");
+    for line in BufReader::new(serve.stderr.take().expect("piped stderr")).lines() {
+        let line = line.expect("read serve stderr");
         stderr.push_str(&line);
         stderr.push('\n');
         if line.starts_with("listening on") {
-            let _ = sender.kill();
-            let _ = sender.wait();
-            panic!("sender accepted --group-bits 128:\n{stderr}");
+            let _ = serve.kill();
+            let _ = serve.wait();
+            panic!("serve accepted --group-bits 128:\n{stderr}");
         }
     }
-    let status = sender.wait().expect("wait");
+    let status = serve.wait().expect("wait");
     assert!(!status.success(), "{stderr}");
+    assert!(stderr.contains("768, 1024, 1536 or 2048"), "{stderr}");
+
+    let (ok, stderr) = run_client(&[
+        "--connect",
+        "127.0.0.1:1",
+        "--protocol",
+        "intersection",
+        "--values",
+        values.to_str().unwrap(),
+        "--group-bits",
+        "128",
+    ]);
+    assert!(!ok, "{stderr}");
     assert!(stderr.contains("768, 1024, 1536 or 2048"), "{stderr}");
 }
 
@@ -303,15 +424,21 @@ fn local_query_mode_rejects_bad_specs() {
     assert!(!out.status.success());
 }
 
-/// `--trace` ends each side's file with the §6.1 reconciliation line. Both
-/// must judge the run `ok`, and since each side counts both directions of
-/// the one link, S and R must report the same bytes and frames.
+/// `--trace` gives each side's file one §6.1 reconciliation line for the
+/// session. Both must judge the run `ok`, and since each side counts
+/// both directions of the one session, S and R must report the same
+/// bytes and frames.
 #[test]
 fn trace_reconciliation_lines_agree_across_the_wire() {
     let dir = TestDir::new("trace");
-    let last_line = |path: &PathBuf| {
+    let reconciliation = |path: &PathBuf| {
         let text = std::fs::read_to_string(path).expect("trace file");
-        text.lines().last().expect("non-empty trace").to_string()
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("{\"reconciliation\""))
+            .collect();
+        assert_eq!(lines.len(), 1, "{}:\n{text}", path.display());
+        lines[0].to_string()
     };
     let field = |line: &str, key: &str| -> u64 {
         let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
@@ -321,39 +448,39 @@ fn trace_reconciliation_lines_agree_across_the_wire() {
             .collect();
         digits.parse().expect("numeric field")
     };
-    for (verb, s_file, r_file) in [
-        ("intersect", "a\nb\nc\n", "b\nc\nd\n"),
-        ("intersect-size", "a\nb\nc\n", "b\nc\nd\n"),
-        ("join", "a\tpa\nb\tpb\nc\tpc\n", "b\nc\nd\n"),
-        ("join-size", "x\nx\ny\n", "x\ny\ny\n"),
+    for (protocol, s_file, r_file) in [
+        ("intersection", "a\nb\nc\n", "b\nc\nd\n"),
+        ("intersection-size", "a\nb\nc\n", "b\nc\nd\n"),
+        ("equijoin", "a\tpa\nb\tpb\nc\tpc\n", "b\nc\nd\n"),
+        ("equijoin-size", "x\nx\ny\n", "x\ny\ny\n"),
     ] {
-        let s_trace = dir.0.join(format!("{verb}-s.jsonl"));
-        let r_trace = dir.0.join(format!("{verb}-r.jsonl"));
+        let s_trace = dir.0.join(format!("{protocol}-s.jsonl"));
+        let r_trace = dir.0.join(format!("{protocol}-r.jsonl"));
         run_pair_with(
-            &format!("trace-{verb}"),
-            verb,
+            &format!("trace-{protocol}"),
+            protocol,
             s_file,
             r_file,
             &["--trace", s_trace.to_str().unwrap()],
             &["--trace", r_trace.to_str().unwrap()],
         );
-        let (s_line, r_line) = (last_line(&s_trace), last_line(&r_trace));
+        let (s_line, r_line) = (reconciliation(&s_trace), reconciliation(&r_trace));
         for line in [&s_line, &r_line] {
-            assert!(line.ends_with("\"ok\":true}}"), "{verb}: {line}");
+            assert!(line.ends_with("\"ok\":true}}"), "{protocol}: {line}");
         }
         for key in ["measured_bytes", "frames"] {
             assert_eq!(
                 field(&s_line, key),
                 field(&r_line, key),
-                "{verb} {key}:\n{s_line}\n{r_line}"
+                "{protocol} {key}:\n{s_line}\n{r_line}"
             );
         }
     }
 }
 
-/// `serve` and `client` read their files with the same rule as the
-/// one-shot verbs: the value is trimmed, so whitespace around it on one
-/// side cannot turn a match into a miss.
+/// `serve` and `client` read their files with one rule: the value is
+/// trimmed, so whitespace around it on one side cannot turn a match into
+/// a miss.
 #[test]
 fn serve_and_client_trim_values_alike() {
     let dir = TestDir::new("trim");

@@ -10,9 +10,10 @@
 //! learns exactly what §3/§4 of the paper allow — nothing else changes
 //! hands.
 //!
-//! The CLI's one-shot verbs run one session of the same [`Service`]
-//! straight over a TCP link, so the sender role has a single
-//! implementation.
+//! Every networked run of the CLI is a daemon session: `minshare serve`
+//! runs this [`Service`] behind the mux (and, with `--secure`, behind the
+//! encrypted channel under it), so the sender role has a single
+//! implementation and a single connection stack.
 //!
 //! Every session runs inside its own [`minshare_crypto::pool::PoolSession`]
 //! scope, so the shared [`EncryptPool`] schedules its exponentiations
@@ -349,7 +350,7 @@ impl Service {
         let request = SessionRequest::decode(request)?;
         let (mut counted, traffic) = CountingTransport::new(transport);
         let mut rng = self.session_rng(peer, session);
-        let pool_session = self.pool.session(1);
+        let pool_session = self.pool.session();
         let started = std::time::Instant::now();
         let out = pool_session.scope(|| {
             engine::run_sender(

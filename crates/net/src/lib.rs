@@ -15,7 +15,8 @@
 //! * [`secure::SecureChannel`] — an authenticated-encryption session
 //!   (Diffie–Hellman over the safe-prime group → HKDF → ChaCha20 + HMAC),
 //!   standing in for the "standard libraries or packages for secure
-//!   communication" the paper assumes (§2.1),
+//!   communication" the paper assumes (§2.1); it sits directly on the
+//!   connection, below the mux, and seals whole mux frames,
 //! * [`simnet`] — a deterministic simulated network on a virtual clock:
 //!   reliable and ordered like TCP, with seeded jitter, stall windows and
 //!   bandwidth caps, plus a cut (a reset of one direction) a test can

@@ -10,13 +10,19 @@
 //! Wire format of a secured frame: `8-byte BE sequence ‖ ciphertext ‖
 //! 32-byte tag`, MACed over the sequence and ciphertext so frames cannot
 //! be reordered, replayed or truncated undetected.
+//!
+//! The channel sits directly on the connection, below the session mux
+//! ([`crate::server`]): it seals whole mux frames, headers included. As a
+//! [`DeadlineTransport`] it hands its receive side to the mux's reader
+//! thread by moving the receive-direction keys into the reader, while
+//! the sending half stays with the connection loop.
 
 use minshare_crypto::QrGroup;
 use minshare_hash::{chacha20, hkdf, hmac::HmacSha256};
 use rand::Rng;
 
 use crate::error::NetError;
-use crate::transport::Transport;
+use crate::transport::{DeadlineTransport, SplitReader, Transport};
 
 /// Which side of the handshake this endpoint plays (determines key
 /// directionality; both sides otherwise run identical code).
@@ -67,18 +73,24 @@ const SEQ_LEN: usize = 8;
 pub struct SecureChannel<T: Transport> {
     inner: T,
     send_keys: DirectionKeys,
-    recv_keys: DirectionKeys,
+    /// `None` once [`DeadlineTransport::split_reader`] has moved the keys
+    /// into the reader.
+    recv_keys: Option<DirectionKeys>,
 }
 
-impl<T: Transport> SecureChannel<T> {
+impl<T: DeadlineTransport> SecureChannel<T> {
     /// Runs the handshake over `transport` and returns the secured channel.
     ///
-    /// Both parties must pass the same `group`; the roles must differ.
+    /// Both parties must pass the same `group`; the roles must differ. A
+    /// peer whose public value has not arrived within `timeout_ms` fails
+    /// the handshake, so a silent peer — or one that does not speak the
+    /// channel at all — cannot hold the caller forever.
     pub fn establish<R: Rng + ?Sized>(
         mut transport: T,
         group: &QrGroup,
         role: Role,
         rng: &mut R,
+        timeout_ms: u64,
     ) -> Result<Self, NetError> {
         // Ephemeral DH over QR_p.
         let x = group.gen_key(rng).exponent().clone();
@@ -90,13 +102,19 @@ impl<T: Transport> SecureChannel<T> {
             })?;
 
         // Exchange publics; initiator sends first to fix the ordering.
+        let recv_public = |t: &mut T| {
+            t.recv_deadline(timeout_ms)?
+                .ok_or_else(|| NetError::HandshakeFailed {
+                    detail: format!("no public value from the peer within {timeout_ms} ms"),
+                })
+        };
         let peer_bytes = match role {
             Role::Initiator => {
                 transport.send(&my_bytes)?;
-                transport.recv()?
+                recv_public(&mut transport)?
             }
             Role::Responder => {
-                let peer = transport.recv()?;
+                let peer = recv_public(&mut transport)?;
                 transport.send(&my_bytes)?;
                 peer
             }
@@ -156,30 +174,32 @@ impl<T: Transport> SecureChannel<T> {
         Ok(SecureChannel {
             inner: transport,
             send_keys,
-            recv_keys,
+            recv_keys: Some(recv_keys),
         })
     }
+}
 
-    /// Nonce for sequence number `seq`: 4 zero bytes + BE counter.
-    fn nonce(seq: u64) -> [u8; 12] {
-        let mut n = [0u8; 12];
-        n[4..].copy_from_slice(&seq.to_be_bytes());
-        n
-    }
+/// Nonce for sequence number `seq`: 4 zero bytes + BE counter.
+fn nonce(seq: u64) -> [u8; 12] {
+    let mut n = [0u8; 12];
+    n[4..].copy_from_slice(&seq.to_be_bytes());
+    n
+}
 
+impl DirectionKeys {
     /// Encrypts and authenticates one frame into its wire record
     /// `seq ‖ ciphertext ‖ tag`, advancing the send counter.
     fn seal(&mut self, frame: &[u8]) -> Result<Vec<u8>, NetError> {
-        let seq = self.send_keys.seq;
+        let seq = self.seq;
         // A wrapped counter would reuse a ChaCha20 nonce; refuse instead
         // of panicking so callers can re-key and continue.
-        self.send_keys.seq = seq.checked_add(1).ok_or(NetError::SequenceExhausted)?;
+        self.seq = seq.checked_add(1).ok_or(NetError::SequenceExhausted)?;
         let mut body = frame.to_vec();
-        chacha20::apply_keystream(&self.send_keys.cipher_key, &Self::nonce(seq), 1, &mut body);
+        chacha20::apply_keystream(&self.cipher_key, &nonce(seq), 1, &mut body);
         let mut wire = Vec::with_capacity(SEQ_LEN + body.len() + TAG_LEN);
         wire.extend_from_slice(&seq.to_be_bytes());
         wire.extend_from_slice(&body);
-        let tag = HmacSha256::mac(&self.send_keys.mac_key, &wire);
+        let tag = HmacSha256::mac(&self.mac_key, &wire);
         wire.extend_from_slice(&tag);
         Ok(wire)
     }
@@ -193,21 +213,21 @@ impl<T: Transport> SecureChannel<T> {
             });
         }
         let (signed, tag) = wire.split_at(wire.len() - TAG_LEN);
-        if !HmacSha256::verify(&self.recv_keys.mac_key, signed, tag) {
+        if !HmacSha256::verify(&self.mac_key, signed, tag) {
             return Err(NetError::AuthenticationFailed);
         }
         let mut seq_bytes = [0u8; SEQ_LEN];
         seq_bytes.copy_from_slice(&signed[..SEQ_LEN]);
         let seq = u64::from_be_bytes(seq_bytes);
-        if seq != self.recv_keys.seq {
+        if seq != self.seq {
             // Replay or reorder.
             return Err(NetError::MalformedFrame {
-                detail: format!("expected seq {}, got {seq}", self.recv_keys.seq),
+                detail: format!("expected seq {}, got {seq}", self.seq),
             });
         }
-        self.recv_keys.seq += 1;
+        self.seq += 1;
         let mut body = signed[SEQ_LEN..].to_vec();
-        chacha20::apply_keystream(&self.recv_keys.cipher_key, &Self::nonce(seq), 1, &mut body);
+        chacha20::apply_keystream(&self.cipher_key, &nonce(seq), 1, &mut body);
         minshare_trace::emit("net", "opened", true, || {
             vec![
                 minshare_trace::size("plain_bytes", body.len() as u64),
@@ -220,7 +240,7 @@ impl<T: Transport> SecureChannel<T> {
 
 impl<T: Transport> Transport for SecureChannel<T> {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        let wire = self.seal(frame)?;
+        let wire = self.send_keys.seal(frame)?;
         minshare_trace::emit("net", "sealed", true, || {
             vec![
                 minshare_trace::size("plain_bytes", frame.len() as u64),
@@ -230,9 +250,38 @@ impl<T: Transport> Transport for SecureChannel<T> {
         self.inner.send(&wire)
     }
 
+    /// After a split the reader holds the keys, and this fails `Closed`
+    /// without touching the link.
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        let wire = self.inner.recv()?;
-        self.open(wire)
+        let keys = self.recv_keys.as_mut().ok_or(NetError::Closed)?;
+        keys.open(self.inner.recv()?)
+    }
+}
+
+impl<T: DeadlineTransport> DeadlineTransport for SecureChannel<T> {
+    /// Deadline semantics are the inner transport's; a record that does
+    /// arrive is verified and decrypted exactly as in [`Transport::recv`].
+    fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
+        let keys = self.recv_keys.as_mut().ok_or(NetError::Closed)?;
+        match self.inner.recv_deadline(timeout_ms)? {
+            Some(wire) => keys.open(wire).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// Splits when the inner transport does: the reader opens each record
+    /// with the receive-direction keys, which move into it; sealing stays
+    /// here.
+    fn split_reader(&mut self) -> Option<SplitReader> {
+        let mut keys = self.recv_keys.take()?;
+        let Some(SplitReader { mut recv, unblock }) = self.inner.split_reader() else {
+            self.recv_keys = Some(keys);
+            return None;
+        };
+        Some(SplitReader {
+            recv: Box::new(move || keys.open(recv()?)),
+            unblock,
+        })
     }
 }
 
@@ -257,10 +306,10 @@ mod tests {
         let g2 = g.clone();
         let handle = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(2);
-            SecureChannel::establish(b, &g2, Role::Responder, &mut rng).unwrap()
+            SecureChannel::establish(b, &g2, Role::Responder, &mut rng, 10_000).unwrap()
         });
         let mut rng = StdRng::seed_from_u64(1);
-        let chan_a = SecureChannel::establish(a, &g, Role::Initiator, &mut rng).unwrap();
+        let chan_a = SecureChannel::establish(a, &g, Role::Initiator, &mut rng, 10_000).unwrap();
         let chan_b = handle.join().unwrap();
         (chan_a, chan_b)
     }
@@ -292,10 +341,11 @@ mod tests {
         let g2 = g.clone();
         let handle = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(2);
-            SecureChannel::establish(b, &g2, Role::Responder, &mut rng).unwrap()
+            SecureChannel::establish(b, &g2, Role::Responder, &mut rng, 10_000).unwrap()
         });
         let mut rng = StdRng::seed_from_u64(1);
-        let mut chan_a = SecureChannel::establish(a, &g, Role::Initiator, &mut rng).unwrap();
+        let mut chan_a =
+            SecureChannel::establish(a, &g, Role::Initiator, &mut rng, 10_000).unwrap();
         let chan_b = handle.join().unwrap();
         // Peek at the raw wire by receiving on the *inner* transport.
         chan_a.send(b"secret-payload").unwrap();
@@ -383,5 +433,55 @@ mod tests {
         let (mut a, mut b) = establish_pair();
         a.send(b"").unwrap();
         assert_eq!(b.recv().unwrap(), b"");
+    }
+
+    #[test]
+    fn a_silent_peer_fails_the_handshake_at_the_deadline() {
+        let (a, _silent) = duplex_pair();
+        let mut rng = StdRng::seed_from_u64(1);
+        let err = SecureChannel::establish(a, &group(), Role::Responder, &mut rng, 20)
+            .err()
+            .expect("no handshake without a peer");
+        assert!(matches!(err, NetError::HandshakeFailed { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn deadline_receive_opens_records() {
+        let (mut a, mut b) = establish_pair();
+        assert_eq!(b.recv_deadline(1).unwrap(), None);
+        a.send(b"late").unwrap();
+        assert_eq!(b.recv_deadline(10_000).unwrap(), Some(b"late".to_vec()));
+    }
+
+    #[test]
+    fn split_reader_takes_the_receive_keys_and_sealing_stays() {
+        use crate::tcp::{TcpAcceptor, TcpTransport};
+
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
+        let addr = acceptor.local_addr().unwrap();
+        let g = group();
+        let g2 = g.clone();
+        let handle = std::thread::spawn(move || {
+            let (t, _) = acceptor.accept().unwrap();
+            let mut rng = StdRng::seed_from_u64(2);
+            SecureChannel::establish(t, &g2, Role::Responder, &mut rng, 10_000).unwrap()
+        });
+        let mut rng = StdRng::seed_from_u64(1);
+        let t = TcpTransport::connect(addr).unwrap();
+        let mut a = SecureChannel::establish(t, &g, Role::Initiator, &mut rng, 10_000).unwrap();
+        let mut b = handle.join().unwrap();
+
+        let SplitReader { mut recv, unblock } = b.split_reader().unwrap();
+        // The keys went with the reader: the channel itself cannot open.
+        assert!(b.split_reader().is_none());
+        assert_eq!(b.recv_deadline(1).unwrap_err(), NetError::Closed);
+        a.send(b"one").unwrap();
+        a.send(b"two").unwrap();
+        assert_eq!(recv().unwrap(), b"one");
+        assert_eq!(recv().unwrap(), b"two");
+        b.send(b"back").unwrap();
+        assert_eq!(a.recv().unwrap(), b"back");
+        unblock();
+        assert!(recv().is_err());
     }
 }

@@ -9,6 +9,12 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 cd "$repo_root"
 
 cargo build --release
+# Formatting: every Rust file of the workspace's own crates, tests and
+# examples is rustfmt-clean. vendor/ and benchmark/ are left as they
+# are, and so are the analyzer's fixtures, whose findings are pinned to
+# their line numbers.
+rustfmt --edition 2021 --check $(find crates tests examples -name '*.rs' \
+    -not -path 'crates/analyzer/tests/fixtures/*')
 # The whole suite twice: on parallel test threads (cargo's default) and
 # on one. Tests must not share files, ports or counters, and must not
 # depend on how many cores the pool finds — a test that only passes in
