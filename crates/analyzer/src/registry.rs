@@ -21,10 +21,10 @@ pub const SECRET_TYPES: &[&str] = &[
     "FixedExponentPlan",
     "PlanCachePair",
     // crates/crypto: pool work items carry the commutative key and group
-    // elements between threads. The pool's tuning/counter cells
-    // (PoolTuning, PoolCounters, CachePadded) are deliberately absent:
-    // they hold only dispatch/item timing EWMAs and job counts — public
-    // performance metadata, no key material.
+    // elements between threads. The pool's scheduling cells
+    // (SessionState, CachePadded) are deliberately absent: they hold only
+    // virtual clocks and claim counts — public scheduling metadata, no
+    // key material.
     "PoolJob",
     "PendingBatch",
     // crates/bignum/src/ifma.rs: IfmaCtx is deliberately absent — it

@@ -1,9 +1,9 @@
 //! # minshare-bench
 //!
 //! Benchmark support: host calibration of the paper's cost units and
-//! shared workload generators used by both the criterion benches and the
-//! `paper_tables` binary (which regenerates every table and figure of
-//! the paper — see DESIGN.md's experiment index E1–E17).
+//! shared workload generators for the binaries in `src/bin`
+//! (`paper_tables` regenerates every table and figure of the paper — see
+//! DESIGN.md's experiment index E1–E17).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,7 +11,6 @@
 use std::time::Instant;
 
 use minshare_bignum::random::random_below;
-use minshare_bignum::UBig;
 use minshare_crypto::QrGroup;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,12 +96,6 @@ pub fn describe_rate(seconds_per_op: f64) -> String {
         seconds_per_op * 1e3,
         3600.0 / seconds_per_op
     )
-}
-
-/// A full-width random exponent in the given group (helper for benches).
-pub fn random_exponent(group: &QrGroup, seed: u64) -> UBig {
-    let mut rng = StdRng::seed_from_u64(seed);
-    random_below(&mut rng, group.order())
 }
 
 #[cfg(test)]

@@ -46,21 +46,16 @@
 //! (inline), and a pool on a loaded machine never deadlocks waiting for a
 //! busy worker.
 //!
-//! Two measured guards keep the pool from losing to serial (as it
-//! measurably did on a 1-core host):
+//! One rule decides whether a batch runs inline or is dispatched:
 //!
 //! * [`EncryptPool::new`] clamps the worker count to `cores - 1` (the
 //!   caller is the remaining party), so a 1-core host gets zero workers
 //!   and every job runs inline — identical code path to serial.
-//! * Batches below a *measured* hand-off threshold run inline even when
-//!   workers exist. Construction times several probe round-trips through
-//!   the job channel and takes their median (one descheduled worker no
-//!   longer poisons the estimate); afterwards, every pooled job's first
-//!   worker claim feeds the observed submit→claim latency back into a
-//!   dispatch EWMA, and every evaluated claim (inline *and* pooled) feeds
-//!   the per-item cost EWMA. The inline threshold is their ratio — a
-//!   batch must outweigh the dispatch overhead before it is worth waking
-//!   another thread — and it keeps auto-tuning as the workload shifts.
+//! * With workers, a batch of at most [`MIN_CLAIM`] items runs inline and
+//!   every larger one is dispatched. One claim covers such a batch, so
+//!   the helping caller would take it whole anyway; dispatching it would
+//!   only add a hand-off. The decision is a function of the batch size
+//!   and the worker count, never of a timing.
 //!
 //! This file carries a WIRE01 exemption in the analyzer's taint
 //! registry (`WIRE01_EXEMPT_FILES`): the `send` calls here are
@@ -70,7 +65,7 @@
 //! its output is ciphertext. Keep both properties true if this module
 //! grows.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -82,24 +77,14 @@ use crate::commutative::CommutativeKey;
 use crate::group::{fold, QrGroup};
 
 /// Smallest cursor claim: the tail granularity stragglers rebalance at,
-/// and the floor of the inline hand-off threshold (anything one claim
-/// would cover is not worth dispatching).
+/// and the largest batch a pool with workers runs inline (one claim
+/// covers it, so dispatching it buys no second party).
 const MIN_CLAIM: usize = 16;
 
-/// Ceiling of the measured inline threshold, so a mis-calibrated probe
-/// (e.g. a descheduled worker inflating the round-trip) cannot disable
-/// the pool for genuinely large batches.
-const MAX_INLINE: usize = 1024;
-
-/// Construction-time dispatch probe rounds; the first is a warm-up
-/// (thread start-up, cold caches) and is discarded, the median of the
-/// rest becomes the initial dispatch estimate.
+/// Dispatch probe rounds in [`EncryptPool::dispatch_overhead_ns`]; the
+/// first is a warm-up (cold caches) and is discarded, the median of the
+/// rest is the estimate.
 const DISPATCH_PROBES: usize = 6;
-
-/// Live dispatch samples above this are treated as scheduler noise (a
-/// descheduled worker, not channel cost) and clipped before entering the
-/// EWMA.
-const DISPATCH_SAMPLE_CAP_NS: u64 = 50_000_000;
 
 /// Most items a pool worker claims from one job before re-consulting the
 /// fair scheduler. Small enough that a waiting small session is served
@@ -117,51 +102,6 @@ const VTIME_SCALE: u64 = 1024;
 #[repr(align(128))]
 #[derive(Debug, Default)]
 struct CachePadded<T>(T);
-
-/// EWMA fold: `next = (3·old + sample) / 4`, seeding on the first sample.
-fn ewma_record(cell: &AtomicU64, sample: u64) {
-    let sample = sample.max(1);
-    let old = cell.load(Ordering::Relaxed);
-    let next = if old == 0 {
-        sample
-    } else {
-        (3 * old + sample) / 4
-    };
-    cell.store(next, Ordering::Relaxed);
-}
-
-/// The pool's live calibration state, shared with every in-flight job so
-/// pooled claims keep tuning the estimates (inline-only feedback went
-/// stale as soon as the pool warmed up and stopped running inline).
-#[derive(Debug, Default)]
-struct PoolTuning {
-    /// EWMA of submit→first-worker-claim latency (ns); seeded by the
-    /// construction probe median. 0 only for a workerless pool.
-    dispatch_ns: CachePadded<AtomicU64>,
-    /// EWMA of per-item encrypt cost (ns), fed by inline runs and pooled
-    /// claims alike; 0 until the first nonempty batch calibrates it.
-    item_ns: CachePadded<AtomicU64>,
-}
-
-/// Lifetime submission counters, one padded atomic each (the stats lock
-/// this replaces serialized every submit across threads).
-#[derive(Debug, Default)]
-struct PoolCounters {
-    jobs: CachePadded<AtomicU64>,
-    items: CachePadded<AtomicU64>,
-    inline_jobs: CachePadded<AtomicU64>,
-}
-
-/// Counters for observing pool behavior (benches and tests).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Jobs submitted over the pool's lifetime.
-    pub jobs: u64,
-    /// Total items across all submitted jobs.
-    pub items: u64,
-    /// Jobs that ran inline on the caller (below threshold or no workers).
-    pub inline_jobs: u64,
-}
 
 /// Scheduling state of one protocol session sharing the pool: the fair
 /// scheduler's virtual clock plus an exactly-once claim ledger. Pure
@@ -308,7 +248,7 @@ fn worker_loop(queue: &RunQueue) {
                 state = queue.ready.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let served = job.run_quantum(FAIR_QUANTUM, true);
+        let served = job.run_quantum(FAIR_QUANTUM);
         if served > 0 {
             let credit = (served as u64).saturating_mul(VTIME_SCALE);
             let after = job
@@ -330,8 +270,8 @@ enum JobWork {
         plan: Arc<FixedExponentPlan>,
         items: Vec<UBig>,
     },
-    /// Construction-time dispatch probe: the first claimer sends one
-    /// empty marker so the pool can time a channel round-trip.
+    /// Dispatch probe: the first claimer sends one empty marker so the
+    /// pool can time a run-queue round-trip.
     Probe,
 }
 
@@ -351,14 +291,6 @@ struct PoolJob {
     /// The session this job is billed to — its virtual time orders the
     /// job in the fair scheduler, its ledger counts the claims.
     session: Arc<SessionState>,
-    /// When the job was dispatched; the first worker claim measures
-    /// submit→claim latency against it.
-    submitted: Instant,
-    /// Latched by the first *worker* claim so exactly one dispatch-latency
-    /// sample enters the EWMA per job.
-    dispatch_seen: AtomicBool,
-    /// Live calibration shared with the owning pool.
-    tuning: Arc<PoolTuning>,
     results: Sender<(usize, Vec<UBig>)>,
 }
 
@@ -379,7 +311,7 @@ impl PoolJob {
     /// early claims are large and contiguous and the tail degrades to
     /// [`MIN_CLAIM`] crumbs for rebalancing; workers additionally cap at
     /// [`FAIR_QUANTUM`] so one job never holds a worker hostage.
-    fn run_quantum(&self, cap: usize, is_worker: bool) -> usize {
+    fn run_quantum(&self, cap: usize) -> usize {
         match &self.work {
             JobWork::Probe => {
                 if self.cursor.0.fetch_add(1, Ordering::Relaxed) == 0 {
@@ -403,21 +335,11 @@ impl PoolJob {
                 if start >= total {
                     return 0;
                 }
-                if is_worker && !self.dispatch_seen.swap(true, Ordering::Relaxed) {
-                    let lat = self
-                        .submitted
-                        .elapsed()
-                        .as_nanos()
-                        .min(u128::from(u64::MAX)) as u64;
-                    ewma_record(&self.tuning.dispatch_ns.0, lat.min(DISPATCH_SAMPLE_CAP_NS));
-                }
                 let end = start.saturating_add(want).min(total);
-                let eval_started = Instant::now();
                 // Always `Some`: a cursor-claimed range is in bounds.
                 if let Some(claim) = items.get(start..end) {
                     let out = plan.pow_batch(claim);
                     let out = out.into_iter().map(|y| fold(plan.modulus(), y)).collect();
-                    record_item_cost(&self.tuning, eval_started.elapsed(), end - start);
                     // A send error means the caller abandoned the batch;
                     // keep draining the cursor so the job finishes quietly.
                     let _ = self.results.send((start, out));
@@ -436,7 +358,7 @@ impl PoolJob {
     /// fair scheduler governs the shared workers, not the session's own
     /// thread, so the submitter keeps its large cache-friendly claims.
     fn help(&self) {
-        while self.run_quantum(usize::MAX, false) > 0 {}
+        while self.run_quantum(usize::MAX) > 0 {}
     }
 
     fn total_items(&self) -> usize {
@@ -445,15 +367,6 @@ impl PoolJob {
             JobWork::Crypto { items, .. } => items.len(),
         }
     }
-}
-
-/// Folds a measured run's per-item cost into the EWMA calibration.
-fn record_item_cost(tuning: &PoolTuning, elapsed: Duration, items: usize) {
-    if items == 0 {
-        return;
-    }
-    let per = (elapsed.as_nanos() / items as u128).min(u128::from(u64::MAX)) as u64;
-    ewma_record(&tuning.item_ns.0, per);
 }
 
 /// Handle to an in-flight batch; redeem with [`PendingBatch::wait`].
@@ -533,9 +446,6 @@ pub struct EncryptPool {
     /// The fair-scheduled run queue shared with every worker.
     queue: Arc<RunQueue>,
     workers: Vec<JoinHandle<()>>,
-    counters: PoolCounters,
-    /// Live dispatch/per-item estimates, shared with in-flight jobs.
-    tuning: Arc<PoolTuning>,
     /// Where unscoped submissions are billed (session id 0).
     default_session: Arc<SessionState>,
     /// Next [`EncryptPool::session`] id (0 is the default session).
@@ -579,22 +489,15 @@ impl EncryptPool {
                 workers.push(handle);
             }
         }
-        let tuning = Arc::new(PoolTuning::default());
         let default_session = Arc::new(SessionState {
             id: 0,
             vtime: CachePadded(AtomicU64::new(0)),
             claimed: CachePadded(AtomicU64::new(0)),
         });
-        tuning.dispatch_ns.0.store(
-            measure_dispatch(&queue, workers.len(), &tuning, &default_session),
-            Ordering::Relaxed,
-        );
         EncryptPool {
             pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             queue,
             workers,
-            counters: PoolCounters::default(),
-            tuning,
             default_session,
             next_session: AtomicU64::new(1),
         }
@@ -637,59 +540,45 @@ impl EncryptPool {
         self.workers.len()
     }
 
-    /// The current submit→first-claim dispatch estimate in nanoseconds:
-    /// the construction probe median, refined by the EWMA of observed
-    /// first-claim latencies on real jobs (0 for a workerless pool).
+    /// Measures the run-queue dispatch latency now, in nanoseconds:
+    /// [`DISPATCH_PROBES`] probe round-trips through the scheduler,
+    /// discarding the first and taking the median of the rest, so one
+    /// descheduled round cannot dominate. Returns 0 for a workerless
+    /// pool. A report for benchmarks; nothing in the pool reads it.
     pub fn dispatch_overhead_ns(&self) -> u64 {
-        self.tuning.dispatch_ns.0.load(Ordering::Relaxed)
-    }
-
-    /// The current per-item cost estimate in nanoseconds (EWMA over
-    /// inline runs and pooled claims; 0 until the first batch).
-    pub fn item_cost_ns(&self) -> u64 {
-        self.tuning.item_ns.0.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of lifetime submission counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            jobs: self.counters.jobs.0.load(Ordering::Relaxed),
-            items: self.counters.items.0.load(Ordering::Relaxed),
-            inline_jobs: self.counters.inline_jobs.0.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Batch size at or below which submission runs inline: the measured
-    /// dispatch latency divided by the measured per-item cost, floored
-    /// at one claim and capped so large batches always use the workers.
-    /// Both inputs are live EWMAs, so the threshold tracks the workload.
-    fn inline_threshold(&self) -> usize {
         if self.workers.is_empty() {
-            return usize::MAX;
+            return 0;
         }
-        let item = self.item_cost_ns();
-        if item == 0 {
-            return MIN_CLAIM;
+        let mut samples = Vec::with_capacity(DISPATCH_PROBES);
+        for _ in 0..DISPATCH_PROBES {
+            let (tx, rx) = unbounded();
+            let probe = Arc::new(PoolJob {
+                work: JobWork::Probe,
+                cursor: CachePadded(AtomicUsize::new(0)),
+                parties: self.workers.len() + 1,
+                session: Arc::clone(&self.default_session),
+                results: tx,
+            });
+            let started = Instant::now();
+            self.queue.push(probe);
+            // Bounded: a wedged worker should skew the report, not hang
+            // the caller.
+            let _ = rx.recv_timeout(Duration::from_millis(100));
+            samples.push(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
         }
-        ((self.dispatch_overhead_ns() / item) as usize).clamp(MIN_CLAIM, MAX_INLINE)
+        // Drop the warm-up round, then take the median.
+        samples.remove(0);
+        samples.sort_unstable();
+        samples.get(samples.len() / 2).copied().unwrap_or(0)
     }
 
     fn submit(&self, plan: Arc<FixedExponentPlan>, items: &[UBig]) -> PendingBatch {
         let total = items.len();
         let session = self.bound_session();
-        let inline = total <= self.inline_threshold();
-        self.counters.jobs.0.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .items
-            .0
-            .fetch_add(total as u64, Ordering::Relaxed);
-        if inline {
-            self.counters.inline_jobs.0.fetch_add(1, Ordering::Relaxed);
-        }
-        // The inline decision feeds on the EWMA of measured per-item
-        // cost, so the flag (and in principle the event count a sink
-        // sees, if a caller branches on pool behaviour) is
-        // timing-dependent — non-deterministic by construction.
+        let inline = self.workers.is_empty() || total <= MIN_CLAIM;
+        // The inline flag is a function of the batch size and the worker
+        // count. It is non-deterministic only because the worker count
+        // follows the host's cores.
         minshare_trace::emit("pool", "submit", false, || {
             vec![
                 minshare_trace::count("items", total as u64),
@@ -698,10 +587,8 @@ impl EncryptPool {
             ]
         });
         if inline {
-            let started = Instant::now();
             let out = plan.pow_batch(items);
             let out = out.into_iter().map(|y| fold(plan.modulus(), y)).collect();
-            record_item_cost(&self.tuning, started.elapsed(), total);
             // Inline runs still enter the session's exactly-once ledger.
             session.claimed.0.fetch_add(total as u64, Ordering::Relaxed);
             return PendingBatch::ready(out);
@@ -721,9 +608,6 @@ impl EncryptPool {
             cursor: CachePadded(AtomicUsize::new(0)),
             parties: self.workers.len() + 1,
             session,
-            submitted: Instant::now(),
-            dispatch_seen: AtomicBool::new(false),
-            tuning: Arc::clone(&self.tuning),
             results: tx,
         });
         // Enqueue through a queue-local: the job carries the key's
@@ -788,47 +672,6 @@ impl EncryptPool {
     }
 }
 
-/// Measures the run-queue dispatch latency at construction:
-/// [`DISPATCH_PROBES`] probe round-trips through the scheduler,
-/// discarding the first (worker start-up) and taking the median of the
-/// rest, so one descheduled round cannot poison the estimate the inline
-/// threshold and pipeline calibration start from. Returns 0 when there
-/// is nothing to measure (no workers).
-fn measure_dispatch(
-    queue: &Arc<RunQueue>,
-    workers: usize,
-    tuning: &Arc<PoolTuning>,
-    session: &Arc<SessionState>,
-) -> u64 {
-    if workers == 0 {
-        return 0;
-    }
-    let mut samples = Vec::with_capacity(DISPATCH_PROBES);
-    for _ in 0..DISPATCH_PROBES {
-        let (tx, rx) = unbounded();
-        let probe = Arc::new(PoolJob {
-            work: JobWork::Probe,
-            cursor: CachePadded(AtomicUsize::new(0)),
-            parties: workers + 1,
-            session: Arc::clone(session),
-            submitted: Instant::now(),
-            dispatch_seen: AtomicBool::new(false),
-            tuning: Arc::clone(tuning),
-            results: tx,
-        });
-        let started = Instant::now();
-        queue.push(probe);
-        // A bounded wait: a wedged worker should degrade calibration,
-        // not hang construction.
-        let _ = rx.recv_timeout(Duration::from_millis(100));
-        samples.push(started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-    // Drop the warm-up round, then take the median.
-    samples.remove(0);
-    samples.sort_unstable();
-    samples.get(samples.len() / 2).copied().unwrap_or(0)
-}
-
 impl Drop for EncryptPool {
     fn drop(&mut self) {
         // Raising the shutdown flag ends each worker's scheduling loop;
@@ -872,9 +715,7 @@ mod tests {
         let g = group();
         let mut rng = StdRng::seed_from_u64(21);
         let key = g.gen_key(&mut rng);
-        let items: Vec<UBig> = (0..MAX_INLINE + 7)
-            .map(|_| g.sample_element(&mut rng))
-            .collect();
+        let items: Vec<UBig> = (0..1031).map(|_| g.sample_element(&mut rng)).collect();
         let serial = g.encrypt_many(&key, &items);
         let pool = EncryptPool::with_workers(2);
         assert_eq!(pool.threads(), 2);
@@ -884,8 +725,7 @@ mod tests {
     #[test]
     fn stress_pool_matches_serial_at_every_thread_count() {
         // The guided-claiming scheme must never change results: every
-        // thread count, repeated rounds (so the EWMAs move and the inline
-        // threshold shifts mid-test), exact equality with serial.
+        // thread count, repeated rounds, exact equality with serial.
         let g = group();
         let mut rng = StdRng::seed_from_u64(31);
         let key = g.gen_key(&mut rng);
@@ -900,9 +740,6 @@ mod tests {
                     "t={threads} round={round}"
                 );
             }
-            let stats = pool.stats();
-            assert_eq!(stats.jobs, 3);
-            assert_eq!(stats.items, 3 * items.len() as u64);
         }
     }
 
@@ -938,33 +775,41 @@ mod tests {
         assert_eq!(EncryptPool::new(0).threads(), 0);
     }
 
-    #[test]
-    fn small_batches_run_inline_on_worker_pools() {
-        let g = group();
-        let mut rng = StdRng::seed_from_u64(22);
-        let key = g.gen_key(&mut rng);
-        let pool = EncryptPool::with_workers(2);
-        let items: Vec<UBig> = (0..MIN_CLAIM).map(|_| g.sample_element(&mut rng)).collect();
-        let out = pool.encrypt_batch(&g, &key, &items);
-        assert_eq!(out, g.encrypt_many(&key, &items));
-        assert_eq!(pool.stats().inline_jobs, 1, "≤ MIN_CLAIM must not dispatch");
+    fn is_ready(pending: &PendingBatch) -> bool {
+        matches!(pending.inner, PendingInner::Ready(_))
     }
 
     #[test]
-    fn pooled_jobs_feed_the_item_ewma() {
-        // The per-item EWMA must calibrate from dispatched jobs too, not
-        // only inline runs — otherwise the threshold goes stale the
-        // moment the pool warms up.
+    fn inline_exactly_when_one_claim_covers_the_batch() {
+        // The dispatch rule: with workers, a batch of at most MIN_CLAIM
+        // items runs inline and every larger one is dispatched, however
+        // many jobs are already queued and whatever the items cost;
+        // without workers everything runs inline. Every size is in flight
+        // at once, as the chunked engine submits, and results match
+        // serial either way.
         let g = group();
-        let mut rng = StdRng::seed_from_u64(23);
+        let mut rng = StdRng::seed_from_u64(22);
         let key = g.gen_key(&mut rng);
-        let pool = EncryptPool::with_workers(2);
-        let items: Vec<UBig> = (0..MAX_INLINE + 7)
-            .map(|_| g.sample_element(&mut rng))
-            .collect();
-        let _ = pool.encrypt_batch(&g, &key, &items);
-        assert!(pool.item_cost_ns() > 0, "dispatched batch left EWMA cold");
-        assert!(pool.dispatch_overhead_ns() > 0);
+        let items: Vec<UBig> = (0..64).map(|_| g.sample_element(&mut rng)).collect();
+        let serial = g.encrypt_many(&key, &items);
+        for workers in [2usize, 0] {
+            let pool = EncryptPool::with_workers(workers);
+            for round in 0..3 {
+                let pending: Vec<PendingBatch> = (1..=items.len())
+                    .map(|n| pool.submit_encrypt(&g, &key, &items[..n]))
+                    .collect();
+                for (i, p) in pending.into_iter().enumerate() {
+                    let n = i + 1;
+                    let inline = workers == 0 || n <= MIN_CLAIM;
+                    assert_eq!(
+                        is_ready(&p),
+                        inline,
+                        "workers={workers} round={round} n={n}"
+                    );
+                    assert_eq!(p.wait(), serial[..n], "workers={workers} n={n}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1014,9 +859,6 @@ mod tests {
         for (b, p) in batches.iter().zip(pending) {
             assert_eq!(p.wait(), g.encrypt_many(&key, b));
         }
-        let stats = pool.stats();
-        assert_eq!(stats.jobs, 6);
-        assert_eq!(stats.items, batches.iter().map(|b| b.len() as u64).sum());
     }
 
     #[test]
@@ -1041,14 +883,8 @@ mod tests {
         let g = group();
         let mut rng = StdRng::seed_from_u64(41);
         let key = g.gen_key(&mut rng);
+        // 64 items exceed one claim, so every small job is dispatched.
         let pool = EncryptPool::with_workers(2);
-        // Force the 64-item jobs onto the workers: pin the calibration to
-        // "dispatch is free, items are expensive" so the inline threshold
-        // clamps to MIN_CLAIM (< 64). The EWMAs drift back toward reality
-        // as the test runs, which is harmless — a small job that slips
-        // inline completes early trivially and keeps its ledger exact.
-        pool.tuning.dispatch_ns.0.store(1, Ordering::Relaxed);
-        pool.tuning.item_ns.0.store(1_000_000, Ordering::Relaxed);
 
         let large_items: Vec<UBig> = (0..65_536).map(|_| g.sample_element(&mut rng)).collect();
         let small_batches: Vec<Vec<UBig>> = (0..8)

@@ -19,8 +19,8 @@
 //! link: it rejects a corrupt or hostile frame as a typed
 //! [`NetError::MalformedFrame`] instead of letting a bad session id route
 //! it into a different session — exactly the cross-session interference
-//! the multisession harness forbids. Connection loops count such frames
-//! and drop them; nothing retransmits them.
+//! the multisession harness forbids. A connection loop that reads such a
+//! frame ends the connection with that error.
 //!
 //! The per-session `seq` counts DATA frames on each direction of each
 //! session. The connection already delivers in order, exactly once; the
@@ -184,8 +184,9 @@ impl MuxFrame {
 
     /// Parses and integrity-checks one raw frame. Truncated headers,
     /// unknown kinds, and checksum failures are typed
-    /// [`NetError::MalformedFrame`]s; connection loops count and drop
-    /// them, never route them as a frame for some other session.
+    /// [`NetError::MalformedFrame`]s; a connection loop ends the
+    /// connection with the error, never routes the frame to some other
+    /// session.
     pub fn decode(raw: &[u8]) -> Result<MuxFrame, NetError> {
         if raw.len() < MUX_HEADER_LEN {
             return Err(NetError::MalformedFrame {

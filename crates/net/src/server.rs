@@ -20,6 +20,9 @@
 //!   (BUSY) while active sessions drain; once the last one finishes the
 //!   loop says GOAWAY and returns. A peer's GOAWAY triggers the same
 //!   drain from the other end.
+//! * **Undecodable frames** — the link is reliable and ordered, so a
+//!   frame that does not decode comes from a confused or hostile peer:
+//!   the loop ends that connection with [`NetError::MalformedFrame`].
 //!
 //! [`MuxClient`] is the matching client: a background driver thread owns
 //! the connection, demultiplexes ACCEPT/BUSY/DATA/CLOSE to per-session
@@ -190,9 +193,9 @@ pub struct ServerStats {
     pub rejected_busy: u64,
     /// Sessions shed because their bounded inbound queue overflowed.
     pub shed_overflow: u64,
-    /// Inbound frames dropped as malformed: a truncated or corrupt mux
-    /// header or checksum, or an OPEN for a session id already used on
-    /// this connection.
+    /// OPENs ignored because their session id was already used on this
+    /// connection. A frame that does not decode at all is not counted:
+    /// it ends the connection with [`NetError::MalformedFrame`].
     pub malformed: u64,
     /// Sessions the peer closed before the handler finished.
     pub closed_by_peer: u64,
@@ -310,12 +313,9 @@ impl Drop for SessionTransport {
 /// loop's thread; frames pushed to `out` are written, in order, as soon
 /// as the method returns.
 trait Endpoint {
-    /// Routes one decoded inbound frame.
+    /// Routes one decoded inbound frame. A frame that fails to decode
+    /// never gets here: it ends the connection.
     fn on_frame(&mut self, frame: MuxFrame, out: &mut Vec<MuxFrame>);
-
-    /// An inbound frame failed to decode. It is dropped, never routed to
-    /// some other session; nothing retransmits it.
-    fn on_malformed(&mut self) {}
 
     /// Server: the handler of `session` returned.
     fn on_handler_done(&mut self, _session: u32) {}
@@ -367,9 +367,15 @@ where
         // parked in the socket, dropping `credits` one parked on the
         // window.
         let _unblock_reader = OnDrop(unblock);
+        // The reader runs the channel's `open`, so it traces into the
+        // loop's sink.
+        let tracer = minshare_trace::current();
         std::thread::Builder::new()
             .name("mux-reader".to_string())
-            .spawn_scoped(scope, move || read_loop(recv, &credit_tx, &events_tx))?;
+            .spawn_scoped(scope, move || {
+                let _trace = minshare_trace::install(tracer);
+                read_loop(recv, &credit_tx, &events_tx)
+            })?;
         pump(&mut transport, &events, Some(&credits), endpoint)
     })
 }
@@ -458,10 +464,7 @@ where
             },
         };
         match event {
-            Event::Inbound(raw) => match MuxFrame::decode(&raw) {
-                Ok(frame) => endpoint.on_frame(frame, &mut out),
-                Err(_) => endpoint.on_malformed(),
-            },
+            Event::Inbound(raw) => endpoint.on_frame(MuxFrame::decode(&raw)?, &mut out),
             Event::InboundEnded(NetError::Closed) => return Ok(PumpExit::PeerGone),
             Event::InboundEnded(e) => return Err(e),
             Event::Outbound(frame) => out.push(frame),
@@ -632,10 +635,6 @@ where
             // dropped, not fatal.
             MuxKind::Accept | MuxKind::Busy => {}
         }
-    }
-
-    fn on_malformed(&mut self) {
-        self.stats.malformed += 1;
     }
 
     fn on_handler_done(&mut self, session: u32) {
@@ -1326,6 +1325,38 @@ mod tests {
         }
         let stats = server.join().unwrap().unwrap();
         assert_eq!((accepts, stats.opened, stats.malformed), (1, 1, 2));
+    }
+
+    /// A frame that does not decode ends the connection: the loop returns
+    /// the typed error, the live session's handler is released, and the
+    /// peer reads the end of the connection instead of waiting on it.
+    #[test]
+    fn undecodable_frame_ends_the_connection_typed() {
+        let (mut client_end, server_end) = duplex_pair();
+        let server = std::thread::spawn(move || {
+            let registry = SessionRegistry::new(8);
+            let shutdown = ShutdownHandle::new();
+            serve_mux_connection(
+                server_end,
+                &fast_config(),
+                &registry,
+                &shutdown,
+                None,
+                echo_handler,
+            )
+        });
+        client_end
+            .send(&MuxFrame::open(1, Vec::new()).encode())
+            .unwrap();
+        let accept = MuxFrame::decode(&client_end.recv().unwrap()).unwrap();
+        assert_eq!(accept.kind, MuxKind::Accept);
+        client_end.send(b"not a mux frame").unwrap();
+        assert_eq!(client_end.recv_deadline(5_000), Err(NetError::Closed));
+        let result = server.join().unwrap();
+        assert!(
+            matches!(result, Err(NetError::MalformedFrame { .. })),
+            "{result:?}"
+        );
     }
 
     /// Lets the first inbound frame (the OPEN) through and holds the rest

@@ -199,6 +199,16 @@ pub fn install(tracer: Tracer) -> Installed {
     Installed { previous }
 }
 
+/// A clone of this thread's tracer (disabled when none is installed).
+/// A thread that starts a helper thread hands it this, and the helper
+/// installs it, so the helper's events reach the same sink in the same
+/// sequence.
+pub fn current() -> Tracer {
+    CURRENT
+        .try_with(|c| c.try_borrow().map(|t| t.clone()).unwrap_or_default())
+        .unwrap_or_default()
+}
+
 /// True when the current thread has an enabled tracer. A single
 /// thread-local boolean read — the cost of instrumentation when tracing
 /// is off.

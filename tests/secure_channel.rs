@@ -664,3 +664,89 @@ fn secured_mux_wire_hides_mux_headers() {
         assert!(!carries_request(frame), "the session request in the clear");
     }
 }
+
+#[test]
+fn records_sealed_by_one_side_are_traced_opened_by_the_other() {
+    // A daemon on loopback TCP opens records on its connection's reader
+    // thread. That thread traces into the connection's sink, so per
+    // direction the `net/sealed` events of one side equal the
+    // `net/opened` events of the other. The client drives the channel
+    // by hand, on one thread, and reads until the daemon hangs up, so
+    // every record either side seals is delivered and opened.
+    use minshare_net::MuxKind;
+    use minshare_trace::sink::RingSink;
+    use minshare_trace::Tracer;
+
+    let count = |sink: &RingSink, name: &str| {
+        let events = sink.snapshot();
+        events
+            .iter()
+            .filter(|e| e.scope == "net" && e.name == name)
+            .count()
+    };
+    let server_sink = Arc::new(RingSink::new(1 << 12));
+    let client_sink = Arc::new(RingSink::new(1 << 12));
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+    let addr = acceptor.local_addr().expect("addr");
+    let registry = SessionRegistry::new(1);
+    let shutdown = ShutdownHandle::new();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let _trace = minshare_trace::install(Tracer::to_sink(server_sink.clone()));
+            let tcp = acceptor.accept().expect("accept").0;
+            serve_mux_connection(
+                secure(tcp, Role::Responder),
+                &MuxConfig::default(),
+                &registry,
+                &shutdown,
+                None,
+                |_, _, mut session| {
+                    while let Ok(frame) = session.recv() {
+                        if session.send(&frame).is_err() {
+                            break;
+                        }
+                    }
+                },
+            )
+        });
+        let _trace = minshare_trace::install(Tracer::to_sink(client_sink.clone()));
+        let mut chan = secure(
+            TcpTransport::connect(addr).expect("connect"),
+            Role::Initiator,
+        );
+        let recv_kind = |chan: &mut SecureChannel<TcpTransport>| {
+            MuxFrame::decode(&chan.recv().expect("recv"))
+                .expect("decode")
+                .kind
+        };
+        chan.send(&MuxFrame::open(1, b"echo".to_vec()).encode())
+            .expect("open");
+        assert_eq!(recv_kind(&mut chan), MuxKind::Accept);
+        for seq in 0..5u32 {
+            chan.send(&MuxFrame::data(1, seq, vec![seq as u8; 32]).encode())
+                .expect("data");
+            assert_eq!(recv_kind(&mut chan), MuxKind::Data);
+        }
+        chan.send(&MuxFrame::control(MuxKind::Close, 1).encode())
+            .expect("close");
+        chan.send(&MuxFrame::control(MuxKind::Goaway, 0).encode())
+            .expect("goaway");
+        // The daemon's CLOSE and GOAWAY, then the end of the connection.
+        while chan.recv().is_ok() {}
+        server.join().expect("server thread").expect("server loop");
+    });
+    let client_sealed = count(&client_sink, "sealed");
+    let server_sealed = count(&server_sink, "sealed");
+    assert_eq!(client_sealed, 8, "OPEN, five DATA, CLOSE, GOAWAY");
+    assert!(server_sealed >= 6, "ACCEPT and five DATA at least");
+    assert_eq!(
+        count(&server_sink, "opened"),
+        client_sealed,
+        "client to daemon"
+    );
+    assert_eq!(
+        count(&client_sink, "opened"),
+        server_sealed,
+        "daemon to client"
+    );
+}

@@ -213,9 +213,6 @@ esac
 cargo run -q --release -p minshare-bench --bin shard_smoke -- \
     --elements 100000 --shards 16 --mem-budget 65536 --group-bits 64 \
     --require-spill --rss-cap-kb 131072 > /dev/null
-# Every criterion suite builds and runs each routine once (no timing
-# loops), so a suite no gate times cannot rot or panic silently.
-cargo bench -q -p minshare-bench -- --test
 # Kernel floors: re-measure the IFMA `Ce` kernel against the portable
 # lanes at 512 and 1024 bits (a same-run ratio, so host speed cancels
 # out). End-to-end performance is the repo benchmark's job.
