@@ -117,10 +117,6 @@ pub const ENC_SANITIZER_FNS: &[&str] = &[
     "hash_encrypt",
     "pow",
     "pow_batch",
-    // crates/bignum/src/fixpow.rs: the plan's pow_batch pinned to the
-    // portable kernels — same modexp, same DH-safety argument, just no
-    // SIMD dispatch. Exists as the differential oracle for bignum::ifma.
-    "pow_batch_scalar",
     // crates/crypto/src/pool.rs: batch jobs — the pool applies the
     // group ops above on worker threads; the submitted items come back
     // encrypted via `PendingBatch::wait`, so `wait`'s output is
@@ -382,7 +378,7 @@ mod tests {
         assert!(!is_raw_value_ident("vr_size"));
         assert!(is_key_source_fn("gen_key"));
         assert!(is_hash_sanitizer("prepare_set"));
-        assert!(is_enc_sanitizer("pow_batch_scalar"));
+        assert!(is_enc_sanitizer("pow_batch"));
         assert!(!is_enc_sanitizer("encode"));
         assert!(is_wire_sink_fn("send_batch"));
         assert!(is_wire_sink_fn("push_record"));

@@ -9,8 +9,8 @@
 //! (`vpmadd52luq` / `vpmadd52huq`) — the same digit layout production RSA
 //! stacks use for batched modexp. Runtime CPU detection gates
 //! construction: on hosts (or architectures) without AVX-512 IFMA,
-//! [`IfmaCtx::new`] returns `None` and [`crate::fixpow`] runs the portable
-//! lanes, so every build is safe to ship anywhere.
+//! [`IfmaCtx::new`] returns `None` and [`crate::fixpow`] runs the ladder,
+//! so every build is safe to ship anywhere.
 //!
 //! Width: a context works in `k` digits, `1 <= k <= MAX_DIGITS = 40`, which
 //! covers every well-known group the daemon serves — k = 15 / 20 / 30 / 40

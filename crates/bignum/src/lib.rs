@@ -14,9 +14,9 @@
 //!   multiplication, extended-Euclid inversion and the Jacobi symbol,
 //! * [`montgomery::MontgomeryCtx`] — CIOS Montgomery multiplication and
 //!   sliding-window modular exponentiation (the paper's `Ce` cost unit),
-//!   with [`FixedExponentPlan`] as the one batch dispatch over the lane
-//!   kernels of [`fixpow`] (the AVX-512 IFMA one, picked by runtime CPU
-//!   detection, is the crate's only `unsafe` module),
+//!   with [`FixedExponentPlan`] as the one batch dispatch over two tiers:
+//!   the AVX-512 IFMA lanes of [`fixpow`] (picked by runtime CPU
+//!   detection; the crate's only `unsafe` module) and the ladder,
 //! * [`prime`] — deterministic trial division plus Miller–Rabin,
 //! * [`safe_prime`] — safe-prime generation and the standard RFC 2409 /
 //!   RFC 3526 safe primes (768–2048 bits) used by the benchmarks,

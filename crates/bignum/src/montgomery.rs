@@ -15,11 +15,11 @@
 //! odd-powers-only table, trimming both the precompute (half the entries
 //! of a fixed-window table) and the number of window multiplies. Batches
 //! under one exponent go through [`crate::FixedExponentPlan`], which
-//! replays the same recoding on the lane kernels of [`crate::fixpow`].
+//! replays the same recoding on the IFMA lanes of [`crate::fixpow`] where
+//! the CPU has them, and on this ladder otherwise.
 
 use crate::error::BigNumError;
-use crate::fixpow::{sqr_lanes, with_lane_width};
-use crate::limb::{adc, mul_wide, Limb, LIMB_BITS};
+use crate::limb::{adc, mac, mul_wide, sbb, Limb, LIMB_BITS};
 use crate::UBig;
 
 /// Largest sliding-window width [`window_for_bits`] will pick.
@@ -250,21 +250,19 @@ impl MontgomeryCtx {
     fn mont_sqr_to(&self, a: &[Limb], t: &mut Vec<Limb>, out: &mut Vec<Limb>) {
         let s = self.limbs();
         debug_assert_eq!(a.len(), s);
-        // Protocol-standard widths go through the const-generic lane
-        // kernel at one lane: literal trip counts, stack scratch.
-        with_lane_width!(
-            s,
-            |S, W| {
-                let a: &[Limb; S] = a.try_into().expect("dispatch checked width");
-                let mut sq = [[0 as Limb; S]; 1];
-                let n = self.modulus_limbs::<S>();
-                sqr_lanes::<S, W, 1>(n, self.n0_inv, std::array::from_ref(a), &mut sq);
-                out.clear();
-                out.extend_from_slice(&sq[0]);
-                return;
-            },
+        // The 4/8-limb demo groups and every well-known group the daemon
+        // serves (12/16/24/32 limbs) go through the const-generic kernel;
+        // any other width (Paillier `n²`, test moduli) takes the loop
+        // below. `W` is the kernel's scratch width, `2·S + 1`.
+        match s {
+            4 => return self.sqr_fixed::<4, 9>(a, out),
+            8 => return self.sqr_fixed::<8, 17>(a, out),
+            12 => return self.sqr_fixed::<12, 25>(a, out),
+            16 => return self.sqr_fixed::<16, 33>(a, out),
+            24 => return self.sqr_fixed::<24, 49>(a, out),
+            32 => return self.sqr_fixed::<32, 65>(a, out),
             _ => {}
-        );
+        }
         // Wide square into 2s+1 limbs (the extra limb is headroom for the
         // reduction's carries).
         t.clear();
@@ -285,7 +283,7 @@ impl MontgomeryCtx {
             let mut carry: Limb = 0;
             let row = &mut t[2 * i + 1..i + s];
             for (tj, &aj) in row.iter_mut().zip(&a[i + 1..]) {
-                *tj = crate::limb::mac(*tj, ai, aj, &mut carry);
+                *tj = mac(*tj, ai, aj, &mut carry);
             }
             // t[i+s] was never written by an earlier row (rows only reach
             // index i+s-1), so the carry lands in a fresh limb.
@@ -304,6 +302,67 @@ impl MontgomeryCtx {
         self.redc_to(t, out);
     }
 
+    /// [`Self::mont_sqr_to`] at a fixed width of `S` limbs (`W` must be
+    /// `2·S + 1`): the same fused triangle + double + diagonal pass and
+    /// deferred-carry REDC over stack arrays. The constant trip counts let
+    /// the compiler unroll the short triangle rows, which is where the
+    /// squaring's multiply advantage materializes on real hardware.
+    fn sqr_fixed<const S: usize, const W: usize>(&self, a: &[Limb], out: &mut Vec<Limb>) {
+        const { assert!(W == 2 * S + 1) };
+        let a: &[Limb; S] = a.try_into().expect("dispatched on the width");
+        let n: &[Limb; S] = self.n.as_slice().try_into().expect("ctx width");
+        let mut t = [0 as Limb; W];
+        // Strict upper triangle with doubling and the diagonal fused per
+        // row, as in `mont_sqr_to`.
+        let mut shift_in: Limb = 0;
+        let mut dcarry: Limb = 0;
+        for i in 0..S {
+            let mut carry: Limb = 0;
+            for j in i + 1..S {
+                t[i + j] = mac(t[i + j], a[i], a[j], &mut carry);
+            }
+            // Never written by an earlier row (rows reach index i+S-1).
+            t[i + S] = carry;
+            let (lo, hi) = mul_wide(a[i], a[i]);
+            let even = t[2 * i];
+            let odd = t[2 * i + 1];
+            let d0 = (even << 1) | shift_in;
+            let d1 = (odd << 1) | (even >> (LIMB_BITS - 1));
+            shift_in = odd >> (LIMB_BITS - 1);
+            t[2 * i] = adc(d0, lo, &mut dcarry);
+            t[2 * i + 1] = adc(d1, hi, &mut dcarry);
+        }
+        debug_assert_eq!(shift_in | dcarry, 0);
+        // REDC with branchless deferred row carries, as in `redc_to`.
+        let mut deferred: Limb = 0;
+        for i in 0..S {
+            let m = t[i].wrapping_mul(self.n0_inv);
+            let mut carry: Limb = 0;
+            for j in 0..S {
+                t[i + j] = mac(t[i + j], m, n[j], &mut carry);
+            }
+            let mut c1: Limb = 0;
+            let top = adc(t[i + S], carry, &mut c1);
+            let mut c2: Limb = 0;
+            t[i + S] = adc(top, deferred, &mut c2);
+            deferred = c1 + c2;
+        }
+        let mut c: Limb = 0;
+        let top = adc(t[2 * S], deferred, &mut c);
+        debug_assert_eq!(c, 0);
+        let mut r = [0 as Limb; S];
+        r.copy_from_slice(&t[S..2 * S]);
+        if top != 0 || geq(&r, n) {
+            let mut borrow: Limb = 0;
+            for i in 0..S {
+                r[i] = sbb(r[i], n[i], &mut borrow);
+            }
+            debug_assert_eq!(top.wrapping_sub(borrow), 0);
+        }
+        out.clear();
+        out.extend_from_slice(&r);
+    }
+
     /// Montgomery reduction of a double-width value `t < n·R` (plus one
     /// headroom limb): writes `t · R⁻¹ mod n` into `out` as `s` limbs.
     fn redc_to(&self, t: &mut [Limb], out: &mut Vec<Limb>) {
@@ -319,7 +378,7 @@ impl MontgomeryCtx {
             let mut carry: Limb = 0;
             let row = &mut t[i..i + s];
             for (tj, &nj) in row.iter_mut().zip(&self.n) {
-                *tj = crate::limb::mac(*tj, m, nj, &mut carry);
+                *tj = mac(*tj, m, nj, &mut carry);
             }
             let mut c1: Limb = 0;
             let top = adc(t[i + s], carry, &mut c1);
@@ -342,7 +401,7 @@ impl MontgomeryCtx {
             let mut borrow: Limb = 0;
             #[allow(clippy::needless_range_loop)] // lockstep limb walk
             for i in 0..s {
-                out[i] = crate::limb::sbb(out[i], self.n[i], &mut borrow);
+                out[i] = sbb(out[i], self.n[i], &mut borrow);
             }
             // When the carry limb was set, subtracting n must clear it.
             debug_assert_eq!(top.wrapping_sub(borrow), 0);
@@ -365,7 +424,7 @@ impl MontgomeryCtx {
             // t += ai * b
             let mut carry: Limb = 0;
             for j in 0..s {
-                t[j] = crate::limb::mac(t[j], ai, b[j], &mut carry);
+                t[j] = mac(t[j], ai, b[j], &mut carry);
             }
             let mut c2: Limb = 0;
             t[s] = adc(t[s], carry, &mut c2);
@@ -375,9 +434,9 @@ impl MontgomeryCtx {
             let m = t[0].wrapping_mul(self.n0_inv);
             let mut carry: Limb = 0;
             // First step: low limb becomes zero by construction.
-            let _ = crate::limb::mac(t[0], m, self.n[0], &mut carry);
+            let _ = mac(t[0], m, self.n[0], &mut carry);
             for j in 1..s {
-                t[j - 1] = crate::limb::mac(t[j], m, self.n[j], &mut carry);
+                t[j - 1] = mac(t[j], m, self.n[j], &mut carry);
             }
             let mut c2: Limb = 0;
             t[s - 1] = adc(t[s], carry, &mut c2);
@@ -391,7 +450,7 @@ impl MontgomeryCtx {
             let mut borrow: Limb = 0;
             #[allow(clippy::needless_range_loop)] // lockstep limb walk
             for i in 0..s {
-                t[i] = crate::limb::sbb(t[i], self.n[i], &mut borrow);
+                t[i] = sbb(t[i], self.n[i], &mut borrow);
             }
             // When the carry limb was set, subtracting n must clear it.
             debug_assert_eq!(top.wrapping_sub(borrow), 0);

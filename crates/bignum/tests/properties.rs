@@ -62,9 +62,9 @@ fn adversarial_exponent() -> impl Strategy<Value = UBig> {
 }
 
 /// Strategy: a full-width odd modulus of exactly 4 or 8 limbs (256 or
-/// 512 bits) — the demo widths the interleaved multi-lane kernel
+/// 512 bits) — the demo widths the ladder's fixed-width squaring
 /// dispatches on (the served 12/16/24/32-limb widths have their own suite
-/// below). Other widths take the scalar fallback, covered separately.
+/// below). Other widths take the generic squaring, covered separately.
 fn kernel_modulus() -> impl Strategy<Value = UBig> {
     (
         prop_oneof![Just(32usize), Just(64)],
@@ -80,8 +80,8 @@ fn kernel_modulus() -> impl Strategy<Value = UBig> {
 }
 
 /// Strategy: batches sized to sweep every lane-occupancy shape of the
-/// K-lane kernel — empty, partial first block (1..K), exactly full
-/// blocks, and full blocks plus a ragged tail.
+/// 8-lane IFMA block — empty, partial first block (1..8), one full
+/// block, and a full block plus a ragged tail.
 fn ragged_bases() -> impl Strategy<Value = Vec<UBig>> {
     proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..96), 0..11)
         .prop_map(|raw| raw.iter().map(|b| UBig::from_be_bytes(b)).collect())
@@ -89,7 +89,7 @@ fn ragged_bases() -> impl Strategy<Value = Vec<UBig>> {
 
 /// Strategy: full-width odd moduli of 1..=14 limbs. The AVX-512 IFMA
 /// backend accepts every width up to 2048 bits, so the differential
-/// sweeps widths with and without a portable lane kernel — including the
+/// sweeps widths with and without a fixed-width squaring — including the
 /// full 13-limb modulus (832 = 52·16 bits) whose digit count must come
 /// from the bit length, not the limb count. The served widths (12/16/24/32
 /// limbs) have their own suite below.
@@ -177,9 +177,8 @@ impl WideExponent {
     }
 }
 
-/// Strategy: 1..=17 bases — every ragged tail of both lane kernels (batch
-/// 1..=2·lanes+1 for the 8-lane tier covers 1..=9 for the 4-lane one) and
-/// both sides of the IFMA tier's minimum batch.
+/// Strategy: 1..=17 bases — every ragged tail of the 8-lane IFMA block
+/// (batch 1..=2·8+1), one-base batches included.
 fn wide_bases() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(any::<u64>(), 1..18)
 }
@@ -440,9 +439,9 @@ proptest! {
         exp in adversarial_exponent(),
         m in odd_modulus(),
     ) {
-        // Arbitrary-width moduli (usually not a dispatched limb count)
-        // take the scalar fallback inside the dispatch; the contract is
-        // the same either way.
+        // Arbitrary-width moduli (usually not a fixed-width squaring
+        // width) take the generic squaring wherever the ladder runs; the
+        // contract is the same either way.
         let multi = plan(&m, &exp).pow_batch(&bases);
         for (b, got) in bases.iter().zip(&multi) {
             prop_assert_eq!(got, &b.modpow_binary(&exp, &m));
@@ -465,13 +464,13 @@ proptest! {
 
     // -----------------------------------------------------------------
     // SIMD differentials: the auto-dispatching batch front end against
-    // the forced-scalar kernel, bitwise. On an AVX-512 IFMA host this is
-    // the real vector-vs-scalar differential; on any other host both
-    // sides run the portable code and the test degenerates to a
-    // determinism check. Moduli sweep 1..=14 limbs,
-    // batches sweep every lane-occupancy shape (0..=10 over 8 lanes), and
-    // exponents take the adversarial shapes (0, 1, single-bit, all-ones,
-    // random).
+    // the ladder (`plan.pow` per base, what a host without AVX-512 IFMA
+    // runs), bitwise. On an AVX-512 IFMA host this is the real
+    // vector-vs-scalar differential; on any other host both sides run
+    // the ladder and the test degenerates to a determinism check. Moduli
+    // sweep 1..=14 limbs, batches sweep every lane-occupancy shape
+    // (0..=10 over 8 lanes), and exponents take the adversarial shapes
+    // (0, 1, single-bit, all-ones, random).
     // -----------------------------------------------------------------
 
     #[test]
@@ -480,8 +479,9 @@ proptest! {
         exp in adversarial_exponent(),
         m in simd_modulus(),
     ) {
-        let auto = plan(&m, &exp).pow_batch(&bases);
-        let scalar = MontgomeryCtx::new(&m).unwrap().pow_batch_scalar(&bases, &exp);
+        let plan = plan(&m, &exp);
+        let auto = plan.pow_batch(&bases);
+        let scalar: Vec<UBig> = bases.iter().map(|b| plan.pow(b)).collect();
         prop_assert_eq!(&auto, &scalar);
         for (b, got) in bases.iter().zip(&auto) {
             prop_assert_eq!(got, &b.modpow_binary(&exp, &m));
@@ -495,9 +495,9 @@ proptest! {
     ) {
         // e = m - 2: near-full bit length, high Hamming weight — the
         // densest multiply schedule the ladder produces.
-        let e = m.sub_small(2).unwrap();
-        let ctx = MontgomeryCtx::new(&m).unwrap();
-        prop_assert_eq!(plan(&m, &e).pow_batch(&bases), ctx.pow_batch_scalar(&bases, &e));
+        let plan = plan(&m, &m.sub_small(2).unwrap());
+        let scalar: Vec<UBig> = bases.iter().map(|b| plan.pow(b)).collect();
+        prop_assert_eq!(plan.pow_batch(&bases), scalar);
     }
 
     #[test]
@@ -506,8 +506,8 @@ proptest! {
         exp in adversarial_exponent(),
         m in kernel_modulus(),
     ) {
-        // The cached-plan front end: scalar `pow` and interleaved
-        // `pow_batch` must agree with each other and with the oracle.
+        // The cached-plan front end: scalar `pow` and the batch
+        // dispatch must agree with each other and with the oracle.
         let plan = plan(&m, &exp);
         let batch = plan.pow_batch(&bases);
         prop_assert_eq!(batch.len(), bases.len());
@@ -524,12 +524,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     // -----------------------------------------------------------------
-    // The three `Ce` tiers at the widths real sessions use (12/16/24/32
-    // limbs): the generic ladder (`pow` per base), the portable lanes
-    // (`pow_batch_scalar`, what a host without AVX-512 IFMA runs) and the
-    // default dispatch (`FixedExponentPlan::pow_batch`: IFMA lanes where
-    // the CPU has them, otherwise the portable lanes again), each against
-    // the square-and-multiply oracle, bit for bit.
+    // The two `Ce` tiers at the widths real sessions use (12/16/24/32
+    // limbs): the ladder (`pow` per base, what a host without AVX-512
+    // IFMA runs) and the default dispatch (`FixedExponentPlan::pow_batch`:
+    // IFMA lanes where the CPU has them, otherwise the ladder again),
+    // each against the square-and-multiply oracle, bit for bit.
     // -----------------------------------------------------------------
 
     #[test]
@@ -552,14 +551,13 @@ proptest! {
         let want: Vec<UBig> = bases.iter().map(|b| b.modpow_binary(&exp, &m)).collect();
         let ladder: Vec<UBig> = bases.iter().map(|b| ctx.pow(b, &exp)).collect();
         prop_assert_eq!(&ladder, &want, "ladder");
-        prop_assert_eq!(&ctx.pow_batch_scalar(&bases, &exp), &want, "portable lanes");
         let plan = FixedExponentPlan::new(Arc::clone(&ctx), &exp);
         prop_assert_eq!(&plan.pow_batch(&bases), &want, "default dispatch");
         prop_assert_eq!(&plan.pow(&bases[0]), &want[0], "single pow");
     }
 }
 
-/// The three tiers against the oracle for one modulus, exponent and batch.
+/// Both tiers against the oracle for one modulus, exponent and batch.
 fn assert_all_tiers_match_oracle(ctx: &Arc<MontgomeryCtx>, exp: &UBig, bases: &[UBig]) {
     let m = ctx.modulus();
     let want: Vec<UBig> = bases.iter().map(|b| b.modpow_binary(exp, m)).collect();
@@ -571,11 +569,6 @@ fn assert_all_tiers_match_oracle(ctx: &Arc<MontgomeryCtx>, exp: &UBig, bases: &[
     );
     let ladder: Vec<UBig> = bases.iter().map(|b| ctx.pow(b, exp)).collect();
     assert_eq!(ladder, want, "ladder: {what}");
-    assert_eq!(
-        ctx.pow_batch_scalar(bases, exp),
-        want,
-        "portable lanes: {what}"
-    );
     let plan = FixedExponentPlan::new(Arc::clone(ctx), exp);
     assert_eq!(plan.pow_batch(bases), want, "default dispatch: {what}");
 }
@@ -608,9 +601,9 @@ fn well_known_groups_adversarial_exponents_and_every_ragged_tail() {
         ] {
             assert_all_tiers_match_oracle(&ctx, &exp, &bases[..5]);
         }
-        // Every batch shape 1..=2·8+1 (every tail of the 4- and 8-lane
-        // blocks, both sides of the IFMA tier's minimum batch) on short
-        // exponents: 0, 1, one bit, all ones.
+        // Every batch shape 1..=2·8+1 (every tail of the 8-lane IFMA
+        // block, one-base batches included) on short exponents: 0, 1, one
+        // bit, all ones.
         for exp in [
             UBig::zero(),
             UBig::one(),
@@ -626,20 +619,25 @@ fn well_known_groups_adversarial_exponents_and_every_ragged_tail() {
 
 #[test]
 fn served_widths_run_on_a_lane_tier() {
-    // Every group `minshare serve` accepts gets a lane kernel; widths
-    // outside the dispatch list keep the ladder (or IFMA where it fits).
-    for bits in [768u64, 1024, 1536, 2048] {
-        let ctx = MontgomeryCtx::new(&well_known_safe_prime(bits).unwrap()).unwrap();
-        let tier = ctx.kernel_tier();
-        assert_ne!(tier, KernelTier::Ladder, "{bits}-bit group");
-        assert_eq!(ctx.simd_active(), tier == KernelTier::Ifma52x8);
-    }
-    // 13 limbs is not a dispatched width: never the portable lanes.
-    let odd13 = UBig::one().shl_bits(13 * 64).sub_small(1).unwrap();
-    let tier = MontgomeryCtx::new(&odd13).unwrap().kernel_tier();
-    assert_ne!(tier, KernelTier::Lanes4);
+    // Two tiers: IFMA lanes exactly when `simd_active()`, the ladder
+    // otherwise. Every group `minshare serve` accepts fits the IFMA
+    // kernel's digit budget, so all of them share one tier: IFMA where
+    // the CPU has it, the ladder where it does not.
+    let tiers: Vec<KernelTier> = [768u64, 1024, 1536, 2048]
+        .iter()
+        .map(|&bits| {
+            let ctx = MontgomeryCtx::new(&well_known_safe_prime(bits).unwrap()).unwrap();
+            let want = if ctx.simd_active() {
+                KernelTier::Ifma52x8
+            } else {
+                KernelTier::Ladder
+            };
+            assert_eq!(ctx.kernel_tier(), want, "{bits}-bit group");
+            want
+        })
+        .collect();
+    assert!(tiers.iter().all(|&t| t == tiers[0]), "{tiers:?}");
     assert_eq!(KernelTier::Ifma52x8.to_string(), "ifma52x8");
-    assert_eq!(KernelTier::Lanes4.as_str(), "lanes4");
     assert_eq!(KernelTier::Ladder.as_str(), "ladder");
 }
 
@@ -650,7 +648,6 @@ fn thirteen_limb_full_width_modulus_matches_oracle() {
     // decline). Either way the answers are the oracle's.
     let m = UBig::one().shl_bits(832).sub_small(0x1235).unwrap();
     assert_eq!((m.limb_len(), m.bit_len()), (13, 832));
-    let ctx = MontgomeryCtx::new(&m).unwrap();
     let bases: Vec<UBig> = (1..=9u64)
         .map(|i| m.sub_small(i * 0x9e37_79b9).unwrap())
         .collect();
@@ -660,8 +657,10 @@ fn thirteen_limb_full_width_modulus_matches_oracle() {
         UBig::from(3u64),
     ] {
         let want: Vec<UBig> = bases.iter().map(|b| b.modpow_binary(&exp, &m)).collect();
-        assert_eq!(plan(&m, &exp).pow_batch(&bases), want);
-        assert_eq!(ctx.pow_batch_scalar(&bases, &exp), want);
+        let plan = plan(&m, &exp);
+        assert_eq!(plan.pow_batch(&bases), want);
+        let ladder: Vec<UBig> = bases.iter().map(|b| plan.pow(b)).collect();
+        assert_eq!(ladder, want);
     }
 }
 

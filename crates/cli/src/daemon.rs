@@ -421,6 +421,11 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         .collect();
     let mut rng = ChaChaRng::new(master_key(seed)?, [0; 12]);
     let trace = trace_path.as_deref().map(trace_file).transpose()?;
+    // Installed before the connection starts, so the mux driver and its
+    // reader trace the channel's records into the same file.
+    let _trace = trace.as_ref().map(|file| {
+        minshare_trace::install(Tracer::to_sink(Arc::clone(file) as Arc<dyn TraceSink>))
+    });
 
     let mut client = connect_mux(&connect, secure)?;
     let session = match client.open_session(&SessionRequest::new(protocol).encode()) {
@@ -458,9 +463,6 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
     } else {
         values.iter().collect::<BTreeSet<_>>().len()
     } as u64;
-    let _trace = trace.as_ref().map(|file| {
-        minshare_trace::install(Tracer::to_sink(Arc::clone(file) as Arc<dyn TraceSink>))
-    });
     let (session, session_traffic) = CountingTransport::new(session);
     let (traffic, peer_values, measured_ce) = run_receiver(
         protocol, session, &group, &values, &mut rng, record_len, &shard_cfg,
@@ -471,6 +473,10 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         "session={sid} bytes_sent={} bytes_received={} status=ok",
         traffic.bytes_sent, traffic.bytes_received
     );
+    // The driver seals its last records (the session's CLOSE, the
+    // GOAWAY) while closing: close first, so they precede the
+    // reconciliation line in the trace.
+    let closed = client.close();
     if let (Some(file), Some(path)) = (&trace, &trace_path) {
         let summary = RunSummary {
             protocol,
@@ -488,8 +494,7 @@ pub fn run_client(raw: &[String]) -> Result<(), AnyError> {
         file.flush();
         eprintln!("trace written to {path} (with cost reconciliation)");
     }
-    client.close()?;
-    Ok(())
+    Ok(closed?)
 }
 
 /// Dials a daemon and starts the mux client over the connection, behind

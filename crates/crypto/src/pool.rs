@@ -14,14 +14,14 @@
 //! job sits on a shared run queue, and each worker (plus the waiting
 //! caller) repeatedly claims a contiguous range with a `fetch_add`
 //! cursor. Claim sizes are *guided* (half the remaining share of the
-//! claiming party, floored at [`MIN_CLAIM`]): the first parties to
+//! claiming party, floored at `MIN_CLAIM`): the first parties to
 //! arrive take large contiguous head chunks — so the submitting thread
 //! does most of its help in one cache-friendly run instead of contending
-//! per-item — while the geometric decay leaves [`MIN_CLAIM`]-sized
+//! per-item — while the geometric decay leaves `MIN_CLAIM`-sized
 //! crumbs at the tail for straggler rebalancing, the same property a
 //! stealing deque buys with nothing but one lock and one atomic. The
 //! claim cursor and every other hot counter sit on their own cache line
-//! ([`CachePadded`]) so claims from different threads never false-share.
+//! (`CachePadded`) so claims from different threads never false-share.
 //!
 //! # Per-session fairness
 //!
@@ -32,7 +32,7 @@
 //! session carries a virtual time that advances by the items served
 //! whenever a pool worker serves it, and workers always pick the
 //! runnable job whose session has the *lowest* virtual time, claiming at
-//! most [`FAIR_QUANTUM`] items before re-picking. A million-element
+//! most `FAIR_QUANTUM` items before re-picking. A million-element
 //! equijoin therefore cannot starve a 64-item intersection: after one
 //! quantum the big session's virtual time passes the small one's, and
 //! the next quantum goes to the small session. The submitting caller
@@ -51,7 +51,7 @@
 //! * [`EncryptPool::new`] clamps the worker count to `cores - 1` (the
 //!   caller is the remaining party), so a 1-core host gets zero workers
 //!   and every job runs inline — identical code path to serial.
-//! * With workers, a batch of at most [`MIN_CLAIM`] items runs inline and
+//! * With workers, a batch of at most `MIN_CLAIM` items runs inline and
 //!   every larger one is dispatched. One claim covers such a batch, so
 //!   the helping caller would take it whole anyway; dispatching it would
 //!   only add a hand-off. The decision is a function of the batch size
@@ -225,7 +225,7 @@ impl RunQueue {
 /// One pool worker: repeatedly pick the runnable job whose session has
 /// the minimum virtual time, serve one bounded quantum, charge the
 /// session's clock, re-pick. The quantum cap is what makes the schedule
-/// fair — no worker commits to a job for longer than [`FAIR_QUANTUM`]
+/// fair — no worker commits to a job for longer than `FAIR_QUANTUM`
 /// items, so a newly arrived small session waits at most one quantum per
 /// worker.
 fn worker_loop(queue: &RunQueue) {
@@ -309,8 +309,8 @@ impl PoolJob {
     /// exhausted or the claim raced past the end). Guided claim sizing:
     /// each claim takes half the claimant's share of what remains, so
     /// early claims are large and contiguous and the tail degrades to
-    /// [`MIN_CLAIM`] crumbs for rebalancing; workers additionally cap at
-    /// [`FAIR_QUANTUM`] so one job never holds a worker hostage.
+    /// `MIN_CLAIM` crumbs for rebalancing; workers additionally cap at
+    /// `FAIR_QUANTUM` so one job never holds a worker hostage.
     fn run_quantum(&self, cap: usize) -> usize {
         match &self.work {
             JobWork::Probe => {
@@ -541,7 +541,7 @@ impl EncryptPool {
     }
 
     /// Measures the run-queue dispatch latency now, in nanoseconds:
-    /// [`DISPATCH_PROBES`] probe round-trips through the scheduler,
+    /// `DISPATCH_PROBES` probe round-trips through the scheduler,
     /// discarding the first and taking the median of the rest, so one
     /// descheduled round cannot dominate. Returns 0 for a workerless
     /// pool. A report for benchmarks; nothing in the pool reads it.

@@ -17,6 +17,8 @@
 //! thread by moving the receive-direction keys into the reader, while
 //! the sending half stays with the connection loop.
 
+use minshare_bignum::random::random_range;
+use minshare_bignum::UBig;
 use minshare_crypto::QrGroup;
 use minshare_hash::{chacha20, hkdf, hmac::HmacSha256};
 use rand::Rng;
@@ -92,91 +94,106 @@ impl<T: DeadlineTransport> SecureChannel<T> {
         rng: &mut R,
         timeout_ms: u64,
     ) -> Result<Self, NetError> {
-        // Ephemeral DH over QR_p.
-        let x = group.gen_key(rng).exponent().clone();
-        let my_public = group.pow(&group.generator(), &x);
-        let my_bytes = group
-            .encode_element(&my_public)
-            .map_err(|e| NetError::HandshakeFailed {
-                detail: e.to_string(),
-            })?;
-
-        // Exchange publics; initiator sends first to fix the ordering.
-        let recv_public = |t: &mut T| {
-            t.recv_deadline(timeout_ms)?
-                .ok_or_else(|| NetError::HandshakeFailed {
-                    detail: format!("no public value from the peer within {timeout_ms} ms"),
-                })
-        };
-        let peer_bytes = match role {
-            Role::Initiator => {
-                transport.send(&my_bytes)?;
-                recv_public(&mut transport)?
-            }
-            Role::Responder => {
-                let peer = recv_public(&mut transport)?;
-                transport.send(&my_bytes)?;
-                peer
-            }
-        };
-        let peer_public =
-            group
-                .decode_element(&peer_bytes)
-                .map_err(|e| NetError::HandshakeFailed {
-                    detail: format!("peer public key invalid: {e}"),
-                })?;
-        let shared = group.pow(&peer_public, &x);
-        let shared_bytes =
-            group
-                .encode_element(&shared)
-                .map_err(|e| NetError::HandshakeFailed {
-                    detail: e.to_string(),
-                })?;
-
-        // Directional keys: the transcript binds both publics in
-        // initiator-first order so the two sides derive identical material.
-        let mut transcript = Vec::new();
-        match role {
-            Role::Initiator => {
-                transcript.extend_from_slice(&my_bytes);
-                transcript.extend_from_slice(&peer_bytes);
-            }
-            Role::Responder => {
-                transcript.extend_from_slice(&peer_bytes);
-                transcript.extend_from_slice(&my_bytes);
-            }
-        }
-        let okm = hkdf::derive(
-            b"minshare/secure-channel/v1",
-            &shared_bytes,
-            &transcript,
-            (32 + 32) * 2,
-        );
-        let key = |range: std::ops::Range<usize>| {
-            let mut k = [0u8; 32];
-            k.copy_from_slice(&okm[range]);
-            k
-        };
-        let i2r = DirectionKeys {
-            cipher_key: key(0..32),
-            mac_key: key(32..64),
-            seq: 0,
-        };
-        let r2i = DirectionKeys {
-            cipher_key: key(64..96),
-            mac_key: key(96..128),
-            seq: 0,
-        };
-        let (send_keys, recv_keys) = match role {
-            Role::Initiator => (i2r, r2i),
-            Role::Responder => (r2i, i2r),
-        };
+        // Ephemeral DH over QR_p: the same exponent draw as a group's
+        // commutative keys, without the inverse such a key carries, and
+        // scrubbed on every path out of the handshake.
+        let mut x = random_range(rng, &UBig::one(), group.order());
+        let keys = exchange_keys(&mut transport, group, role, &x, timeout_ms);
+        x.zeroize();
+        let (send_keys, recv_keys) = keys?;
         Ok(SecureChannel {
             inner: transport,
             send_keys,
             recv_keys: Some(recv_keys),
         })
     }
+}
+
+/// The handshake under the ephemeral exponent `x`: exchanges public
+/// values over `transport` and derives this side's `(send, receive)`
+/// keys.
+fn exchange_keys<T: DeadlineTransport>(
+    transport: &mut T,
+    group: &QrGroup,
+    role: Role,
+    x: &UBig,
+    timeout_ms: u64,
+) -> Result<(DirectionKeys, DirectionKeys), NetError> {
+    let my_public = group.pow(&group.generator(), x);
+    let my_bytes = group
+        .encode_element(&my_public)
+        .map_err(|e| NetError::HandshakeFailed {
+            detail: e.to_string(),
+        })?;
+
+    // Exchange publics; initiator sends first to fix the ordering.
+    let recv_public = |t: &mut T| {
+        t.recv_deadline(timeout_ms)?
+            .ok_or_else(|| NetError::HandshakeFailed {
+                detail: format!("no public value from the peer within {timeout_ms} ms"),
+            })
+    };
+    let peer_bytes = match role {
+        Role::Initiator => {
+            transport.send(&my_bytes)?;
+            recv_public(transport)?
+        }
+        Role::Responder => {
+            let peer = recv_public(transport)?;
+            transport.send(&my_bytes)?;
+            peer
+        }
+    };
+    let peer_public = group
+        .decode_element(&peer_bytes)
+        .map_err(|e| NetError::HandshakeFailed {
+            detail: format!("peer public key invalid: {e}"),
+        })?;
+    let shared = group.pow(&peer_public, x);
+    let shared_bytes = group
+        .encode_element(&shared)
+        .map_err(|e| NetError::HandshakeFailed {
+            detail: e.to_string(),
+        })?;
+
+    // Directional keys: the transcript binds both publics in
+    // initiator-first order so the two sides derive identical material.
+    let mut transcript = Vec::new();
+    match role {
+        Role::Initiator => {
+            transcript.extend_from_slice(&my_bytes);
+            transcript.extend_from_slice(&peer_bytes);
+        }
+        Role::Responder => {
+            transcript.extend_from_slice(&peer_bytes);
+            transcript.extend_from_slice(&my_bytes);
+        }
+    }
+    let okm = hkdf::derive(
+        b"minshare/secure-channel/v1",
+        &shared_bytes,
+        &transcript,
+        (32 + 32) * 2,
+    );
+    let key = |range: std::ops::Range<usize>| {
+        let mut k = [0u8; 32];
+        k.copy_from_slice(&okm[range]);
+        k
+    };
+    let i2r = DirectionKeys {
+        cipher_key: key(0..32),
+        mac_key: key(32..64),
+        seq: 0,
+    };
+    let r2i = DirectionKeys {
+        cipher_key: key(64..96),
+        mac_key: key(96..128),
+        seq: 0,
+    };
+    Ok(match role {
+        Role::Initiator => (i2r, r2i),
+        Role::Responder => (r2i, i2r),
+    })
 }
 
 /// Nonce for sequence number `seq`: 4 zero bytes + BE counter.

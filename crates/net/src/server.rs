@@ -32,20 +32,20 @@
 //!
 //! # The event pump
 //!
-//! Both loops are the same function, [`pump`], blocked on **one** FIFO
-//! queue of [`Event`]s: a raw inbound frame, the end of the inbound
+//! Both loops are the same function, `pump`, blocked on **one** FIFO
+//! queue of `Event`s: a raw inbound frame, the end of the inbound
 //! stream, an outbound frame from [`SessionTransport::send`] (or its
 //! drop, or [`MuxClient`]), a handler-done notice, a client control
 //! message. Whoever has something for the loop enqueues an event and the
 //! loop wakes for it; no frame waits for a timer. What differs between
 //! the two roles — admission on one side, pending OPENs on the other —
-//! is an [`Endpoint`] the pump calls into.
+//! is an `Endpoint` the pump calls into.
 //!
 //! Inbound frames reach the queue from a *reader thread* when the
 //! transport can give its receive side away
 //! ([`DeadlineTransport::split_reader`]; [`crate::tcp::TcpTransport`]
 //! does): the reader owns the socket's receive half, the loop keeps the
-//! send half. At most [`INBOUND_WINDOW`] inbound frames are in flight
+//! send half. At most `INBOUND_WINDOW` inbound frames are in flight
 //! between the two — the reader takes a credit per frame and blocks when
 //! none is left, so a flooding peer is throttled by TCP backpressure
 //! exactly as when the loop read one frame at a time, and the queue
@@ -54,7 +54,7 @@
 //!
 //! A transport that declines the split — the simnet runs on a virtual
 //! clock that only a receive advances — feeds the same loop body from
-//! `recv_deadline` at [`POLLED_FEED_MS`]. Which feed runs is decided by
+//! `recv_deadline` at `POLLED_FEED_MS`. Which feed runs is decided by
 //! what the transport can do, never by an option.
 //!
 //! Handler threads communicate with the loop only through channels, so
@@ -750,9 +750,13 @@ impl MuxClient {
     {
         let (events_tx, events) = unbounded::<Event>();
         let reader_tx = events_tx.clone();
+        // The driver seals what it writes and its reader opens what
+        // arrives, so both trace into the caller's sink.
+        let tracer = minshare_trace::current();
         let driver = std::thread::Builder::new()
             .name("mux-client".to_string())
             .spawn(move || {
+                let _trace = minshare_trace::install(tracer);
                 let mut client = ClientSide::new(config);
                 run_connection(transport, reader_tx, events, &mut client).map(|_| ())
             })
@@ -1213,7 +1217,7 @@ mod tests {
 
     /// The reader takes a credit per frame and blocks when the window is
     /// spent: the loop-side queue never holds more than
-    /// [`INBOUND_WINDOW`] inbound frames, however fast the peer writes.
+    /// `INBOUND_WINDOW` inbound frames, however fast the peer writes.
     #[test]
     fn reader_blocks_at_the_inbound_window() {
         let (events_tx, events) = unbounded::<Event>();

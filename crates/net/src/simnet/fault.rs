@@ -4,7 +4,7 @@
 //! before a cut arrives once, intact, and in send order. A [`FaultPlan`]
 //! only decides *when*: random in-order jitter, stall windows and a
 //! bandwidth cap, plus one terminal fault a test sets on purpose — a
-//! [`Cut`] of one direction. The per-direction [`FaultInjector`] turns
+//! [`Cut`] of one direction. The per-direction `FaultInjector` turns
 //! the plan into a concrete schedule by drawing from a `StdRng` seeded
 //! with `plan.seed ^ direction`. Each direction consumes its stream
 //! strictly in send order, so the schedule a message sees depends only

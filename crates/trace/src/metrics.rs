@@ -1,10 +1,10 @@
 //! Live telemetry: a metrics registry fed by the secret-safe event
 //! stream.
 //!
-//! [`MetricsRegistry`] turns the existing [`Event`](crate::Event) stream
+//! [`MetricsRegistry`] turns the existing [`Event`] stream
 //! into live series — counters, gauges and log-bucketed histograms —
 //! without adding any new capture surface: the only way in is
-//! [`RegistrySink`], a [`TraceSink`](crate::TraceSink), so everything the
+//! [`RegistrySink`], a [`TraceSink`], so everything the
 //! registry can ever hold is a typed count/size/duration/flag. Key
 //! material, codewords and payloads remain uncapturable by construction
 //! (see the crate docs), and the OBS01 analyzer rule covers every emit

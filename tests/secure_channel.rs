@@ -750,3 +750,81 @@ fn records_sealed_by_one_side_are_traced_opened_by_the_other() {
         "daemon to client"
     );
 }
+
+#[test]
+fn mux_client_traces_the_records_it_seals_and_opens() {
+    // The same count as above with the real `MuxClient` on the client
+    // side: its driver thread seals what it writes and its reader thread
+    // opens what arrives, so both must trace into the sink of the thread
+    // that built the client. The handler echoes five frames and returns;
+    // the client waits for the daemon's CLOSE before it closes, so every
+    // record the daemon seals reaches the client except, at most, the
+    // daemon's farewell GOAWAY, which crosses the client's own.
+    use minshare_trace::sink::RingSink;
+    use minshare_trace::Tracer;
+
+    let count = |sink: &RingSink, name: &str| {
+        let events = sink.snapshot();
+        events
+            .iter()
+            .filter(|e| e.scope == "net" && e.name == name)
+            .count()
+    };
+    let server_sink = Arc::new(RingSink::new(1 << 12));
+    let client_sink = Arc::new(RingSink::new(1 << 12));
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+    let addr = acceptor.local_addr().expect("addr");
+    let registry = SessionRegistry::new(1);
+    let shutdown = ShutdownHandle::new();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let _trace = minshare_trace::install(Tracer::to_sink(server_sink.clone()));
+            let tcp = acceptor.accept().expect("accept").0;
+            serve_mux_connection(
+                secure(tcp, Role::Responder),
+                &MuxConfig::default(),
+                &registry,
+                &shutdown,
+                None,
+                |_, _, mut session| {
+                    for _ in 0..5 {
+                        let frame = session.recv().expect("echo frame");
+                        session.send(&frame).expect("echo");
+                    }
+                },
+            )
+        });
+        let _trace = minshare_trace::install(Tracer::to_sink(client_sink.clone()));
+        let mut client = MuxClient::new(
+            secure(
+                TcpTransport::connect(addr).expect("connect"),
+                Role::Initiator,
+            ),
+            MuxConfig::default(),
+        );
+        let mut session = client.open_session(b"echo").expect("open");
+        for seq in 0..5u8 {
+            session.send(&[seq; 32]).expect("data");
+            assert_eq!(session.recv().expect("echo"), [seq; 32]);
+        }
+        // The handler returned: its CLOSE ends the session here.
+        assert!(matches!(session.recv(), Err(NetError::Closed)));
+        drop(session);
+        client.close().expect("close");
+        server.join().expect("server thread").expect("server loop");
+    });
+    let client_sealed = count(&client_sink, "sealed");
+    let client_opened = count(&client_sink, "opened");
+    let server_sealed = count(&server_sink, "sealed");
+    assert_eq!(client_sealed, 8, "OPEN, five DATA, CLOSE, GOAWAY");
+    assert_eq!(
+        count(&server_sink, "opened"),
+        client_sealed,
+        "client to daemon"
+    );
+    assert_eq!(server_sealed, 8, "ACCEPT, five DATA, CLOSE, GOAWAY");
+    assert!(
+        (server_sealed - 1..=server_sealed).contains(&client_opened),
+        "daemon to client: opened {client_opened} of {server_sealed}"
+    );
+}

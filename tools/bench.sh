@@ -4,8 +4,8 @@
 # (benchmark/run.sh), not from here.
 #
 # With --check, no snapshot is written: the IFMA kernel is re-measured
-# against the portable lanes, failing (exit 1) below its floor at 512 or
-# 1024 bits. verify.sh runs this as its kernel-floor step.
+# against the ladder, failing (exit 1) below its floor at 512 or 1024
+# bits. verify.sh runs this as its kernel-floor step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -44,9 +44,10 @@ for anchor in WIRE01 LOCK01 OBS01 UNSAFE01; do
         exit 1
     fi
 done
-# Doc comments may not name items that no longer exist: a broken
-# intra-doc link fails the gate (rustdoc's other lints stay warnings).
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
+# Rustdoc is warning-free: a doc comment naming an item that no longer
+# exists, a public doc linking a private item or a redundant link target
+# fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 # Protocol conformance under the faults TCP presents: the fixed-seed
 # suite runs as part of `cargo test` above; re-run it by name so a
 # registration slip (e.g. the [[test]] entry disappearing) fails loudly.
@@ -213,7 +214,7 @@ esac
 cargo run -q --release -p minshare-bench --bin shard_smoke -- \
     --elements 100000 --shards 16 --mem-budget 65536 --group-bits 64 \
     --require-spill --rss-cap-kb 131072 > /dev/null
-# Kernel floors: re-measure the IFMA `Ce` kernel against the portable
-# lanes at 512 and 1024 bits (a same-run ratio, so host speed cancels
-# out). End-to-end performance is the repo benchmark's job.
+# Kernel floors: re-measure the IFMA `Ce` kernel against the ladder at
+# 512 and 1024 bits (a same-run ratio, so host speed cancels out).
+# End-to-end performance is the repo benchmark's job.
 bash tools/bench.sh --check
