@@ -248,8 +248,8 @@ pub const GUARD_FNS: &[&str] = &["lock", "read", "write"];
 /// Potentially unbounded blocking calls LOCK01 forbids while a guard is
 /// live. `wait`/`wait_timeout` invocations that *consume the guard
 /// itself* (condvar style, releasing the lock while parked) are exempt.
-/// `recv_timeout` is where the mux connection loops park between events
-/// (`net::server::pump`): bounded per call, unbounded in a loop.
+/// `recv` is where the mux connection loops park between events
+/// (`net::server::pump`), with no timeout.
 pub const BLOCKING_FNS: &[&str] = &["recv", "recv_timeout", "join", "wait", "wait_timeout"];
 
 /// Crates whose non-test code must be panic-free (PANIC01): these process

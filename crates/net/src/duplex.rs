@@ -1,18 +1,28 @@
 //! In-memory duplex transport built on crossbeam channels.
 //!
 //! Each `send` copies the borrowed frame once into a [`Bytes`] buffer
-//! that crosses the channel as is.
+//! that crosses the channel as is. A channel also carries the end of its
+//! stream: an endpoint sends one as it drops, and a split reader's
+//! `unblock` sends one to its own reader.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::NetError;
-use crate::transport::{DeadlineTransport, Transport};
+use crate::transport::{DeadlineTransport, SplitReader, Transport};
+
+/// A frame, or `None` for the end of the stream.
+type Item = Option<Bytes>;
 
 /// One endpoint of an in-memory duplex link.
 pub struct DuplexEndpoint {
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    tx: Sender<Item>,
+    rx: Receiver<Item>,
+    /// A sender on `rx`'s own channel, for `unblock`. It keeps that
+    /// channel connected, so the end of the stream is an item, and once
+    /// seen it is remembered in `ended`.
+    own_tx: Sender<Item>,
+    ended: bool,
     /// Reject frames larger than this (bug guard; default 256 MiB).
     frame_limit: usize,
 }
@@ -24,18 +34,14 @@ const DEFAULT_FRAME_LIMIT: usize = 256 * 1024 * 1024;
 pub fn duplex_pair() -> (DuplexEndpoint, DuplexEndpoint) {
     let (a_tx, b_rx) = unbounded();
     let (b_tx, a_rx) = unbounded();
-    (
-        DuplexEndpoint {
-            tx: a_tx,
-            rx: a_rx,
-            frame_limit: DEFAULT_FRAME_LIMIT,
-        },
-        DuplexEndpoint {
-            tx: b_tx,
-            rx: b_rx,
-            frame_limit: DEFAULT_FRAME_LIMIT,
-        },
-    )
+    let endpoint = |tx: &Sender<Item>, rx, own_tx: &Sender<Item>| DuplexEndpoint {
+        tx: tx.clone(),
+        rx,
+        own_tx: own_tx.clone(),
+        ended: false,
+        frame_limit: DEFAULT_FRAME_LIMIT,
+    };
+    (endpoint(&a_tx, a_rx, &b_tx), endpoint(&b_tx, b_rx, &a_tx))
 }
 
 impl DuplexEndpoint {
@@ -44,6 +50,17 @@ impl DuplexEndpoint {
         self.frame_limit = limit;
         self
     }
+}
+
+/// The next frame on `rx`, or `Closed` from the end of the stream on.
+fn next_frame(rx: &Receiver<Item>, ended: &mut bool) -> Result<Vec<u8>, NetError> {
+    if !*ended {
+        if let Ok(Some(frame)) = rx.recv() {
+            return Ok(frame.into_vec());
+        }
+        *ended = true;
+    }
+    Err(NetError::Closed)
 }
 
 impl Transport for DuplexEndpoint {
@@ -55,15 +72,12 @@ impl Transport for DuplexEndpoint {
             });
         }
         self.tx
-            .send(Bytes::copy_from_slice(frame))
+            .send(Some(Bytes::copy_from_slice(frame)))
             .map_err(|_| NetError::Closed)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        self.rx
-            .recv()
-            .map(Bytes::into_vec)
-            .map_err(|_| NetError::Closed)
+        next_frame(&self.rx, &mut self.ended)
     }
 }
 
@@ -72,14 +86,38 @@ impl DeadlineTransport for DuplexEndpoint {
     /// blocked reader with [`NetError::Closed`] rather than letting it
     /// sit out the timeout.
     fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-        match self
-            .rx
-            .recv_timeout(std::time::Duration::from_millis(timeout_ms))
-        {
-            Ok(frame) => Ok(Some(frame.into_vec())),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
+        if self.ended {
+            return Err(NetError::Closed);
         }
+        let timeout = std::time::Duration::from_millis(timeout_ms);
+        match self.rx.recv_timeout(timeout) {
+            Ok(Some(frame)) => Ok(Some(frame.into_vec())),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            _ => {
+                self.ended = true;
+                Err(NetError::Closed)
+            }
+        }
+    }
+
+    /// The reader takes the inbound channel, and the endpoint keeps one
+    /// whose senders are gone.
+    fn split_reader(&mut self) -> SplitReader {
+        let rx = std::mem::replace(&mut self.rx, unbounded().1);
+        let mut ended = self.ended;
+        let wake = self.own_tx.clone();
+        SplitReader {
+            recv: Box::new(move || next_frame(&rx, &mut ended)),
+            unblock: Box::new(move || {
+                let _ = wake.send(None);
+            }),
+        }
+    }
+}
+
+impl Drop for DuplexEndpoint {
+    fn drop(&mut self) {
+        let _ = self.tx.send(None);
     }
 }
 
@@ -164,6 +202,32 @@ mod tests {
         assert_eq!(b.recv_deadline(1).unwrap(), None);
         a.send(b"late").unwrap();
         assert_eq!(b.recv_deadline(1_000).unwrap(), Some(b"late".to_vec()));
+    }
+
+    /// A split reader blocks like `recv` while the endpoint keeps
+    /// sending; `unblock` wakes it, and every later receive, with
+    /// `Closed`; a peer's drop reaches a parked split reader as `Closed`.
+    #[test]
+    fn split_reader_wakes_for_unblock_and_for_the_peers_drop() {
+        let (mut a, mut b) = duplex_pair();
+        let SplitReader { mut recv, unblock } = b.split_reader();
+        a.send(b"one").unwrap();
+        assert_eq!(recv().unwrap(), b"one");
+        assert_eq!(b.recv().unwrap_err(), NetError::Closed);
+        b.send(b"back").unwrap();
+        assert_eq!(a.recv().unwrap(), b"back");
+        let reader = std::thread::spawn(move || (recv(), recv()));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        unblock();
+        let (first, later) = reader.join().unwrap();
+        assert_eq!(first.unwrap_err(), NetError::Closed);
+        assert_eq!(later.unwrap_err(), NetError::Closed);
+
+        let SplitReader { mut recv, .. } = a.split_reader();
+        let reader = std::thread::spawn(move || recv());
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        drop(b);
+        assert_eq!(reader.join().unwrap().unwrap_err(), NetError::Closed);
     }
 
     #[test]

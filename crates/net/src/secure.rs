@@ -60,12 +60,16 @@ impl std::fmt::Debug for DirectionKeys {
 
 impl Drop for DirectionKeys {
     fn drop(&mut self) {
-        self.cipher_key.fill(0);
-        self.mac_key.fill(0);
-        // Keep the zeroing stores from being elided as dead writes.
-        std::hint::black_box(&mut self.cipher_key);
-        std::hint::black_box(&mut self.mac_key);
+        scrub(&mut self.cipher_key);
+        scrub(&mut self.mac_key);
     }
+}
+
+/// Zeroes secret bytes before they are freed.
+fn scrub(secret: &mut [u8]) {
+    secret.fill(0);
+    // Keep the zeroing stores from being elided as dead writes.
+    std::hint::black_box(secret);
 }
 
 const TAG_LEN: usize = 32;
@@ -149,12 +153,14 @@ fn exchange_keys<T: DeadlineTransport>(
         .map_err(|e| NetError::HandshakeFailed {
             detail: format!("peer public key invalid: {e}"),
         })?;
-    let shared = group.pow(&peer_public, x);
-    let shared_bytes = group
-        .encode_element(&shared)
-        .map_err(|e| NetError::HandshakeFailed {
-            detail: e.to_string(),
-        })?;
+    // The shared secret and everything derived from it is scrubbed as
+    // soon as its successor exists, on the error path too.
+    let mut shared = group.pow(&peer_public, x);
+    let shared_bytes = group.encode_element(&shared);
+    shared.zeroize();
+    let mut shared_bytes = shared_bytes.map_err(|e| NetError::HandshakeFailed {
+        detail: e.to_string(),
+    })?;
 
     // Directional keys: the transcript binds both publics in
     // initiator-first order so the two sides derive identical material.
@@ -169,12 +175,13 @@ fn exchange_keys<T: DeadlineTransport>(
             transcript.extend_from_slice(&my_bytes);
         }
     }
-    let okm = hkdf::derive(
+    let mut okm = hkdf::derive(
         b"minshare/secure-channel/v1",
         &shared_bytes,
         &transcript,
         (32 + 32) * 2,
     );
+    scrub(&mut shared_bytes);
     let key = |range: std::ops::Range<usize>| {
         let mut k = [0u8; 32];
         k.copy_from_slice(&okm[range]);
@@ -190,6 +197,7 @@ fn exchange_keys<T: DeadlineTransport>(
         mac_key: key(96..128),
         seq: 0,
     };
+    scrub(&mut okm);
     Ok(match role {
         Role::Initiator => (i2r, r2i),
         Role::Responder => (r2i, i2r),
@@ -286,19 +294,16 @@ impl<T: DeadlineTransport> DeadlineTransport for SecureChannel<T> {
         }
     }
 
-    /// Splits when the inner transport does: the reader opens each record
-    /// with the receive-direction keys, which move into it; sealing stays
-    /// here.
-    fn split_reader(&mut self) -> Option<SplitReader> {
-        let mut keys = self.recv_keys.take()?;
-        let Some(SplitReader { mut recv, unblock }) = self.inner.split_reader() else {
-            self.recv_keys = Some(keys);
-            return None;
-        };
-        Some(SplitReader {
-            recv: Box::new(move || keys.open(recv()?)),
+    /// The reader opens each record with the receive-direction keys,
+    /// which move into it; sealing stays here. A second split finds no
+    /// keys, and its reader fails `Closed` without touching the link.
+    fn split_reader(&mut self) -> SplitReader {
+        let mut keys = self.recv_keys.take();
+        let SplitReader { mut recv, unblock } = self.inner.split_reader();
+        SplitReader {
+            recv: Box::new(move || keys.as_mut().ok_or(NetError::Closed)?.open(recv()?)),
             unblock,
-        })
+        }
     }
 }
 
@@ -488,10 +493,11 @@ mod tests {
         let mut a = SecureChannel::establish(t, &g, Role::Initiator, &mut rng, 10_000).unwrap();
         let mut b = handle.join().unwrap();
 
-        let SplitReader { mut recv, unblock } = b.split_reader().unwrap();
-        // The keys went with the reader: the channel itself cannot open.
-        assert!(b.split_reader().is_none());
+        let SplitReader { mut recv, unblock } = b.split_reader();
+        // The keys went with the reader: the channel itself cannot open,
+        // and neither can a second reader.
         assert_eq!(b.recv_deadline(1).unwrap_err(), NetError::Closed);
+        assert_eq!((b.split_reader().recv)().unwrap_err(), NetError::Closed);
         a.send(b"one").unwrap();
         a.send(b"two").unwrap();
         assert_eq!(recv().unwrap(), b"one");

@@ -19,7 +19,8 @@
 //! * **Graceful shutdown** — a [`ShutdownHandle`] stops admission
 //!   (BUSY) while active sessions drain; once the last one finishes the
 //!   loop says GOAWAY and returns. A peer's GOAWAY triggers the same
-//!   drain from the other end.
+//!   drain from the other end, and then the loop returns without a
+//!   farewell: that peer reads nothing more.
 //! * **Undecodable frames** — the link is reliable and ordered, so a
 //!   frame that does not decode comes from a confused or hostile peer:
 //!   the loop ends that connection with [`NetError::MalformedFrame`].
@@ -32,30 +33,25 @@
 //!
 //! # The event pump
 //!
-//! Both loops are the same function, `pump`, blocked on **one** FIFO
-//! queue of `Event`s: a raw inbound frame, the end of the inbound
-//! stream, an outbound frame from [`SessionTransport::send`] (or its
-//! drop, or [`MuxClient`]), a handler-done notice, a client control
-//! message. Whoever has something for the loop enqueues an event and the
-//! loop wakes for it; no frame waits for a timer. What differs between
-//! the two roles — admission on one side, pending OPENs on the other —
-//! is an `Endpoint` the pump calls into.
+//! Both loops are the same function, `pump`, blocked in `recv` on
+//! **one** FIFO queue of `Event`s: a raw inbound frame, the end of the
+//! inbound stream, an outbound frame from [`SessionTransport::send`] (or
+//! its drop, or [`MuxClient`]), a handler-done notice, a client control
+//! message, a shutdown notice from [`ShutdownHandle::shutdown`]. Whoever
+//! has something for the loop enqueues an event and the loop wakes for
+//! it; the loop has no timer. What differs between the two roles —
+//! admission on one side, pending OPENs on the other — is an `Endpoint`
+//! the pump calls into.
 //!
-//! Inbound frames reach the queue from a *reader thread* when the
-//! transport can give its receive side away
-//! ([`DeadlineTransport::split_reader`]; [`crate::tcp::TcpTransport`]
-//! does): the reader owns the socket's receive half, the loop keeps the
-//! send half. At most `INBOUND_WINDOW` inbound frames are in flight
-//! between the two — the reader takes a credit per frame and blocks when
-//! none is left, so a flooding peer is throttled by TCP backpressure
-//! exactly as when the loop read one frame at a time, and the queue
-//! never grows on the peer's say-so. The reader is unblocked and joined
-//! on every exit path of the pump.
-//!
-//! A transport that declines the split — the simnet runs on a virtual
-//! clock that only a receive advances — feeds the same loop body from
-//! `recv_deadline` at `POLLED_FEED_MS`. Which feed runs is decided by
-//! what the transport can do, never by an option.
+//! Inbound frames reach the queue from a *reader thread*, which owns the
+//! receive half that every transport hands out
+//! ([`DeadlineTransport::split_reader`]); the loop keeps the send half.
+//! At most `INBOUND_WINDOW` inbound frames are in flight between the two
+//! — the reader takes a credit per frame and blocks when none is left,
+//! so a flooding peer is throttled by TCP backpressure exactly as when
+//! the loop read one frame at a time, and the queue never grows on the
+//! peer's say-so. The reader is unblocked and joined on every exit path
+//! of the pump.
 //!
 //! Handler threads communicate with the loop only through channels, so
 //! the loop holds no locks (LOCK01 has nothing to inspect) and a handler
@@ -68,21 +64,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use parking_lot::Mutex;
 
 use crate::error::NetError;
 use crate::mux::{MuxFrame, MuxKind};
 use crate::transport::{DeadlineTransport, SplitReader, Transport};
-
-/// Receive timeout of the polled feed, for transports that keep their
-/// receive side (virtual milliseconds on the simnet, wall-clock
-/// elsewhere). An outbound frame enqueued during one such receive waits
-/// for it to return.
-const POLLED_FEED_MS: u64 = 1;
-
-/// How long a reader-fed loop sleeps with nothing to do before it looks
-/// at the shutdown flag again — the one thing that can change without an
-/// event. No frame ever waits on this.
-const IDLE_TICK: Duration = Duration::from_millis(50);
 
 /// Inbound frames in flight between a connection's reader thread and its
 /// loop. The reader blocks at the bound; the frames themselves are
@@ -91,9 +77,8 @@ const INBOUND_WINDOW: usize = 64;
 
 /// Knobs for the mux server loop and client driver.
 ///
-/// Nothing here paces the loops: they are event-driven (see the module
-/// docs), and the one interval left — the polled feed of a transport
-/// that cannot split — is a constant.
+/// Nothing here paces the loops: they are event-driven and have no
+/// timer (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MuxConfig {
     /// Bound on each session's inbound frame queue, on both sides; a
@@ -156,11 +141,25 @@ impl SessionRegistry {
     }
 }
 
-/// Cooperative shutdown flag shared between the accept loop, every
-/// connection loop, and whatever decides the daemon is done.
-#[derive(Debug, Clone, Default)]
+/// Graceful shutdown, shared between the accept loop, every connection
+/// loop, and whatever decides the daemon is done.
+#[derive(Clone, Default)]
 pub struct ShutdownHandle {
-    flag: Arc<AtomicBool>,
+    state: Arc<ShutdownState>,
+}
+
+/// The flag, and the event queue of each live connection loop keyed by
+/// its enrolment number (with the next number to hand out).
+#[derive(Default)]
+struct ShutdownState {
+    flag: AtomicBool,
+    loops: Mutex<(u64, HashMap<u64, Sender<Event>>)>,
+}
+
+impl std::fmt::Debug for ShutdownHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ShutdownHandle {{ shutdown: {} }}", self.is_shutdown())
+    }
 }
 
 impl ShutdownHandle {
@@ -170,14 +169,38 @@ impl ShutdownHandle {
     }
 
     /// Begins graceful shutdown: connection loops stop admitting new
-    /// sessions and return once their active sessions drain.
+    /// sessions and return once their active sessions drain. Each live
+    /// loop is woken by an event.
     pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::Release);
+        self.state.flag.store(true, Ordering::Release);
+        // `iter`, not `values`: WIRE01 reads a `values` binding as raw
+        // set values.
+        for (_, loop_events) in self.state.loops.lock().1.iter() {
+            let _ = loop_events.send(Event::Shutdown);
+        }
     }
 
     /// Whether shutdown has been requested.
     pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+        self.state.flag.load(Ordering::Acquire)
+    }
+
+    /// Enrolls a loop's event queue until the guard drops. A loop that
+    /// enrolls after `shutdown` took the lock finds the flag set.
+    fn enroll(&self, events: Sender<Event>) -> Enrolled<'_> {
+        let (next, loops) = &mut *self.state.loops.lock();
+        *next += 1;
+        loops.insert(*next, events);
+        Enrolled(self, *next)
+    }
+}
+
+/// A loop's enrolment; dropping it forgets the loop's event queue.
+struct Enrolled<'a>(&'a ShutdownHandle, u64);
+
+impl Drop for Enrolled<'_> {
+    fn drop(&mut self) {
+        self.0.state.loops.lock().1.remove(&self.1);
     }
 }
 
@@ -213,8 +236,8 @@ pub type StatsProvider = Arc<dyn Fn() -> Vec<u8> + Send + Sync>;
 /// Everything that can wake a connection loop. One FIFO queue of these
 /// per connection; see the module docs.
 enum Event {
-    /// One raw frame off the wire, from the reader thread (holding one
-    /// inbound credit) or from the polled feed.
+    /// One raw frame off the wire, from the reader thread, holding one
+    /// inbound credit.
     Inbound(Vec<u8>),
     /// The inbound stream ended: `Closed` when the peer hung up (or the
     /// reader was unblocked), anything else a transport failure.
@@ -227,6 +250,9 @@ enum Event {
     HandlerDone(u32),
     /// Client: a request from the [`MuxClient`] handle.
     Control(ClientCtl),
+    /// Server: [`ShutdownHandle::shutdown`] was called; the loop looks at
+    /// the flag as it wakes.
+    Shutdown,
 }
 
 /// The transport one session sees: an ordinary frame pipe whose frames
@@ -288,16 +314,6 @@ impl Transport for SessionTransport {
     }
 }
 
-impl DeadlineTransport for SessionTransport {
-    fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-        match self.inbound.recv_timeout(Duration::from_millis(timeout_ms)) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
-        }
-    }
-}
-
 impl Drop for SessionTransport {
     fn drop(&mut self) {
         // Best-effort: if the loop is already gone the peer will learn
@@ -330,6 +346,10 @@ trait Endpoint {
 
     /// Nothing is left to do: the loop says GOAWAY and returns.
     fn finished(&self) -> bool;
+
+    /// The peer said GOAWAY. It reads nothing more, so a finished loop
+    /// returns without a farewell.
+    fn peer_said_goaway(&self) -> bool;
 }
 
 /// How a connection loop ended, when it ended without an error.
@@ -341,12 +361,12 @@ enum PumpExit {
     PeerGone,
 }
 
-/// Runs one connection to its end: starts the inbound feed the transport
-/// allows, pumps events, and — on every exit path, unwinding included —
-/// unblocks and joins the reader before returning. `events_tx` is the
-/// sending side of `events`, for the reader; `events` is dropped on
-/// return, so a `SessionTransport` that outlives the loop fails its
-/// sends instead of queueing into the void.
+/// Runs one connection to its end: splits off the transport's reader,
+/// pumps events, and — on every exit path, unwinding included — unblocks
+/// and joins the reader before returning. `events_tx` is the sending
+/// side of `events`, for the reader; `events` is dropped on return, so a
+/// `SessionTransport` that outlives the loop fails its sends instead of
+/// queueing into the void.
 fn run_connection<T, E>(
     mut transport: T,
     events_tx: Sender<Event>,
@@ -357,9 +377,7 @@ where
     T: DeadlineTransport,
     E: Endpoint,
 {
-    let Some(SplitReader { recv, unblock }) = transport.split_reader() else {
-        return pump(&mut transport, &events, None, endpoint);
-    };
+    let SplitReader { recv, unblock } = transport.split_reader();
     std::thread::scope(|scope| {
         let (credit_tx, credits) = bounded::<()>(INBOUND_WINDOW);
         // Both are dropped when this closure ends, however it ends, and
@@ -376,7 +394,7 @@ where
                 let _trace = minshare_trace::install(tracer);
                 read_loop(recv, &credit_tx, &events_tx)
             })?;
-        pump(&mut transport, &events, Some(&credits), endpoint)
+        pump(&mut transport, &events, &credits, endpoint)
     })
 }
 
@@ -413,17 +431,16 @@ fn read_loop(
 }
 
 /// The connection loop, once, for both roles: wait for the next event,
-/// route or write it. `credits` is `Some` when a reader thread feeds
-/// `events` (each `Inbound` event gives its credit back here); `None`
-/// polls the transport whenever the queue is empty.
+/// route or write it. Each `Inbound` event gives the credit its reader
+/// took back to `credits`.
 fn pump<T, E>(
     transport: &mut T,
     events: &Receiver<Event>,
-    credits: Option<&Receiver<()>>,
+    credits: &Receiver<()>,
     endpoint: &mut E,
 ) -> Result<PumpExit, NetError>
 where
-    T: DeadlineTransport,
+    T: Transport,
     E: Endpoint,
 {
     // Set once a write surfaces peer departure: stop writing, but (if
@@ -436,40 +453,29 @@ where
         // precede its `HandlerDone` in the queue: with no live session
         // nothing that still matters can be queued behind this point.
         if endpoint.finished() {
-            // Best-effort farewell: the peer may already be gone.
-            if !send_dead {
+            // Best-effort farewell: the peer may already be gone, and one
+            // that said GOAWAY itself reads nothing more.
+            if !send_dead && !endpoint.peer_said_goaway() {
                 let _ = transport.send(&MuxFrame::control(MuxKind::Goaway, 0).encode());
             }
             return Ok(PumpExit::Drained);
         }
-        let event = match credits {
-            Some(credits) => match events.recv_timeout(IDLE_TICK) {
-                Ok(event) => {
-                    if matches!(event, Event::Inbound(_)) {
-                        let _ = credits.try_recv();
-                    }
-                    event
-                }
-                Err(RecvTimeoutError::Timeout) => continue,
-                // Unreachable while the reader holds a sender.
-                Err(RecvTimeoutError::Disconnected) => return Ok(PumpExit::PeerGone),
-            },
-            None => match events.try_recv() {
-                Ok(event) => event,
-                Err(_) => match transport.recv_deadline(POLLED_FEED_MS) {
-                    Ok(Some(raw)) => Event::Inbound(raw),
-                    Ok(None) => continue,
-                    Err(e) => Event::InboundEnded(e),
-                },
-            },
+        // Unreachable while the reader holds a sender.
+        let Ok(event) = events.recv() else {
+            return Ok(PumpExit::PeerGone);
         };
         match event {
-            Event::Inbound(raw) => endpoint.on_frame(MuxFrame::decode(&raw)?, &mut out),
+            Event::Inbound(raw) => {
+                let _ = credits.try_recv();
+                endpoint.on_frame(MuxFrame::decode(&raw)?, &mut out);
+            }
             Event::InboundEnded(NetError::Closed) => return Ok(PumpExit::PeerGone),
             Event::InboundEnded(e) => return Err(e),
             Event::Outbound(frame) => out.push(frame),
             Event::HandlerDone(session) => endpoint.on_handler_done(session),
             Event::Control(ctl) => endpoint.on_control(ctl),
+            // Read by `finished` as the loop comes round.
+            Event::Shutdown => {}
         }
         for frame in out.drain(..) {
             if send_dead {
@@ -656,6 +662,10 @@ where
     fn finished(&self) -> bool {
         (self.peer_goaway || self.shutdown.is_shutdown()) && self.sessions.is_empty()
     }
+
+    fn peer_said_goaway(&self) -> bool {
+        self.peer_goaway
+    }
 }
 
 /// Runs the server side of one mux connection until the peer departs,
@@ -665,10 +675,10 @@ where
 ///
 /// `handler` runs once per admitted session on its own thread, with the
 /// session id, the OPEN request payload, and the session's transport.
-/// Its lifetime is bounded by this call: all handler threads — and the
-/// connection's reader thread, when the transport has one — are joined
-/// before the function returns. An idle connection notices
-/// [`ShutdownHandle::shutdown`] within a fixed fraction of a second.
+/// Its lifetime is bounded by this call: all handler threads and the
+/// connection's reader thread are joined before the function returns.
+/// [`ShutdownHandle::shutdown`] wakes the loop with an event, so an idle
+/// connection returns as soon as it is called.
 ///
 /// `stats` answers read-only STATS frames on session 0 with a metrics
 /// snapshot; `None` replies with an empty JSON object so a scrape of a
@@ -686,6 +696,7 @@ where
     F: Fn(u32, Vec<u8>, SessionTransport) + Send + Sync,
 {
     let (events_tx, events) = unbounded::<Event>();
+    let _enrolled = shutdown.enroll(events_tx.clone());
     std::thread::scope(|scope| {
         let mut server = ServerSide {
             scope,
@@ -953,6 +964,10 @@ impl Endpoint for ClientSide {
     fn finished(&self) -> bool {
         self.closing
     }
+
+    fn peer_said_goaway(&self) -> bool {
+        self.remote_goaway
+    }
 }
 
 #[cfg(test)]
@@ -1104,18 +1119,16 @@ mod tests {
                 &registry,
                 &shutdown_server,
                 None,
-                |_sid, request, mut t: SessionTransport| {
+                |_sid, request, t: SessionTransport| {
                     if request == b"stall" {
                         // Refuse to drain long enough for the flood to
                         // overflow the bounded queue, then drain until
                         // the shed surfaces as a typed close.
                         std::thread::sleep(std::time::Duration::from_millis(500));
-                        loop {
-                            match t.recv_deadline(10) {
-                                Ok(Some(_)) | Ok(None) => continue,
-                                Err(_) => break,
-                            }
-                        }
+                        while !matches!(
+                            t.inbound.recv_timeout(Duration::from_millis(10)),
+                            Err(RecvTimeoutError::Disconnected)
+                        ) {}
                     } else {
                         echo_handler(0, request, t);
                     }
@@ -1198,13 +1211,15 @@ mod tests {
         let closed = loop {
             // The test's own deadline: at the parent the shed frames are
             // dropped silently and this receive never returns.
-            match burst.recv_deadline(10_000) {
-                Ok(Some(_)) => delivered += 1,
-                Ok(None) => panic!("shed never surfaced after {delivered} frames"),
+            match burst.inbound.recv_timeout(Duration::from_secs(10)) {
+                Ok(_) => delivered += 1,
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("shed never surfaced after {delivered} frames")
+                }
                 Err(e) => break e,
             }
         };
-        assert_eq!(closed, NetError::Closed);
+        assert_eq!(closed, RecvTimeoutError::Disconnected);
         assert_eq!(delivered, 4);
         // The neighbour is untouched and the server was told.
         drop(burst);
@@ -1369,15 +1384,17 @@ mod tests {
     /// write.
     struct ReadAfterFailedWrite {
         inner: crate::duplex::DuplexEndpoint,
-        opened: bool,
-        write_failed: bool,
-        held: VecDeque<Vec<u8>>,
+        /// Told of the first failed write, and by `unblock`.
+        write_failed: Sender<()>,
+        write_failed_rx: Option<Receiver<()>>,
     }
 
     impl Transport for ReadAfterFailedWrite {
         fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
             let sent = self.inner.send(frame);
-            self.write_failed |= sent.is_err();
+            if sent.is_err() {
+                let _ = self.write_failed.send(());
+            }
             sent
         }
 
@@ -1388,27 +1405,28 @@ mod tests {
 
     impl DeadlineTransport for ReadAfterFailedWrite {
         fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-            if self.write_failed {
-                return match self.held.pop_front() {
-                    Some(frame) => Ok(Some(frame)),
-                    None => self.inner.recv_deadline(timeout_ms),
-                };
-            }
-            match self.inner.recv_deadline(timeout_ms) {
-                Ok(Some(frame)) if !self.opened => {
-                    self.opened = true;
-                    Ok(Some(frame))
-                }
-                Ok(Some(frame)) => {
-                    self.held.push_back(frame);
-                    Ok(None)
-                }
-                Ok(None) => Ok(None),
-                // The end of the stream waits too.
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(timeout_ms));
-                    Ok(None)
-                }
+            self.inner.recv_deadline(timeout_ms)
+        }
+
+        fn split_reader(&mut self) -> SplitReader {
+            let SplitReader { mut recv, unblock } = self.inner.split_reader();
+            let mut gate = self.write_failed_rx.take();
+            let wake = self.write_failed.clone();
+            let mut opened = false;
+            SplitReader {
+                recv: Box::new(move || {
+                    // Past the OPEN, wait once for the first failed write.
+                    if std::mem::replace(&mut opened, true) {
+                        if let Some(gate) = gate.take() {
+                            let _ = gate.recv();
+                        }
+                    }
+                    recv()
+                }),
+                unblock: Box::new(move || {
+                    unblock();
+                    let _ = wake.send(());
+                }),
             }
         }
     }
@@ -1420,11 +1438,11 @@ mod tests {
     #[test]
     fn write_to_departed_peer_still_accounts_for_its_sessions() {
         let (mut client_end, server_end) = duplex_pair();
+        let (write_failed, write_failed_rx) = unbounded();
         let transport = ReadAfterFailedWrite {
             inner: server_end,
-            opened: false,
-            write_failed: false,
-            held: VecDeque::new(),
+            write_failed,
+            write_failed_rx: Some(write_failed_rx),
         };
         let (go_tx, go_rx) = bounded::<()>(1);
         let go_rx = std::sync::Mutex::new(go_rx);
@@ -1460,6 +1478,43 @@ mod tests {
         assert_eq!(stats.opened, 1);
         let accounted = stats.completed + stats.closed_by_peer;
         assert_eq!(accounted, stats.opened, "{stats:?}");
+    }
+
+    /// A peer that said GOAWAY reads nothing more: the loop it finished
+    /// returns without a farewell, and the peer's stream ends `Closed`
+    /// with no GOAWAY in it.
+    #[test]
+    fn peer_goaway_gets_no_farewell_goaway() {
+        let (mut client_end, server_end) = duplex_pair();
+        let server = std::thread::spawn(move || {
+            let registry = SessionRegistry::new(8);
+            serve_mux_connection(
+                server_end,
+                &fast_config(),
+                &registry,
+                &ShutdownHandle::new(),
+                None,
+                echo_handler,
+            )
+        });
+        let open = MuxFrame::open(1, Vec::new());
+        let close = MuxFrame::control(MuxKind::Close, 1);
+        let goaway = MuxFrame::control(MuxKind::Goaway, 0);
+        for frame in [&open, &close, &goaway] {
+            client_end.send(&frame.encode()).unwrap();
+        }
+        let mut kinds = Vec::new();
+        let end = loop {
+            match client_end.recv() {
+                Ok(raw) => kinds.push(MuxFrame::decode(&raw).unwrap().kind),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(end, NetError::Closed);
+        assert!(!kinds.contains(&MuxKind::Goaway), "{kinds:?}");
+        assert_eq!(kinds.first(), Some(&MuxKind::Accept));
+        let stats = server.join().unwrap().unwrap();
+        assert_eq!(stats.opened, 1);
     }
 
     #[test]

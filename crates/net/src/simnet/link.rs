@@ -93,7 +93,7 @@ pub(crate) struct LinkState {
     /// Virtual time at which each direction's pipe frees up, keyed by
     /// *sending* side. Models the bandwidth cap.
     pub link_free_at: PerSide<u64>,
-    /// Whether each endpoint has been dropped.
+    /// Whether each endpoint has been dropped (or its reader unblocked).
     pub closed: PerSide<bool>,
     /// Each endpoint's virtual clock, published on every clock change
     /// made under the lock. Clocks only move forward, so

@@ -22,12 +22,19 @@
 //!   Thread interleaving cannot reorder draws within a direction, and
 //!   directions do not share a stream, so the delivery time of message
 //!   `i` on a direction is a pure function of the seed.
-//! * A blocked receiver's timeout is declared only on virtual evidence:
-//!   either a queued frame is due *after* the deadline, or **both**
-//!   parties are provably blocked on empty queues — then the earliest
-//!   virtual deadline fires (ties break toward side A). Wall-clock never
+//! * A receiver delivers its queue head as soon as the head is due by
+//!   its deadline: a direction delivers in send order at non-decreasing
+//!   virtual times, so nothing sent later can precede it. A blocked
+//!   receiver's timeout is declared only on virtual evidence: either a
+//!   queued frame is due *after* the deadline, or **both** parties are
+//!   provably blocked on empty queues — then the earliest virtual
+//!   deadline fires (ties break toward side A). Wall-clock never
 //!   decides; a configurable real-time backstop exists only to surface
 //!   harness bugs as errors instead of hung test runs.
+//!
+//! An endpoint can hand its receive side to a thread of its own, as the
+//! mux loops do; see [`SimEndpoint::split_reader`] for how the bound
+//! above stays true.
 
 pub mod fault;
 pub(crate) mod link;
@@ -43,7 +50,7 @@ use crate::error::NetError;
 use crate::simnet::fault::FaultInjector;
 use crate::simnet::link::{LinkShared, Scheduled, WaitState};
 use crate::simnet::trace::TraceEvent as Event;
-use crate::transport::{DeadlineTransport, Transport};
+use crate::transport::{DeadlineTransport, SplitReader, Transport};
 
 /// Fixed (non-seeded) parameters of a simulated link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +86,6 @@ pub struct SimEndpoint {
     config: SimConfig,
     injector: FaultInjector,
     bytes_per_ms: u64,
-    clock: u64,
 }
 
 /// Creates a connected pair of simulated endpoints plus a handle to the
@@ -99,7 +105,6 @@ pub fn sim_pair(config: SimConfig, plan: &FaultPlan) -> (SimEndpoint, SimEndpoin
         config,
         injector: FaultInjector::new(plan, side),
         bytes_per_ms: plan.bytes_per_ms,
-        clock: 0,
     };
     let (a, b) = (endpoint(Side::A), endpoint(Side::B));
     (a, b, TraceHandle { shared })
@@ -108,148 +113,155 @@ pub fn sim_pair(config: SimConfig, plan: &FaultPlan) -> (SimEndpoint, SimEndpoin
 impl SimEndpoint {
     /// This endpoint's current virtual time, in milliseconds.
     pub fn clock_ms(&self) -> u64 {
-        self.clock
+        *self.shared.lock().clocks.get(self.side)
     }
+}
 
-    fn over_deadline(&self) -> Result<(), NetError> {
-        if self.clock > self.config.run_deadline_ms {
-            Err(NetError::TimedOut {
-                waited_ms: self.config.run_deadline_ms,
-            })
-        } else {
-            Ok(())
-        }
+fn over_deadline(config: &SimConfig, clock: u64) -> Result<(), NetError> {
+    if clock > config.run_deadline_ms {
+        Err(NetError::TimedOut {
+            waited_ms: config.run_deadline_ms,
+        })
+    } else {
+        Ok(())
     }
+}
 
-    /// Blocking receive with an optional virtual deadline. `Ok(None)`
-    /// only when a deadline was given and elapsed.
-    ///
-    /// Delivery and timeout decisions follow the conservative rule: an
-    /// event at virtual time `t` commits only once `t` is provably no
-    /// later than anything the peer could still send. The proof is a
-    /// lower bound on the peer's next delivery — its published clock
-    /// plus link latency while it runs; `min(its queue head, its
-    /// deadline) + latency` while it is blocked; `∞` once it is closed.
-    /// Everything else waits on the condvar for the peer to advance the
-    /// shared virtual state.
-    fn recv_inner(&mut self, timeout_ms: Option<u64>) -> Result<Option<Vec<u8>>, NetError> {
-        self.over_deadline()?;
-        let deadline = timeout_ms.map(|t| self.clock.saturating_add(t));
-        let latency = self.config.latency_ms.max(1);
-        let peer = self.side.peer();
-        let shared = self.shared.clone();
-        let mut st = shared.lock();
-        let mut backstopped = false;
-        let mut registered = false;
-        loop {
-            // A deadlock verdict proven by the peer.
-            if st
-                .waiting
-                .get(self.side)
-                .as_ref()
-                .is_some_and(|w| w.deadlocked)
-            {
-                *st.waiting.get_mut(self.side) = None;
-                shared.wakeup.notify_all();
-                return Err(NetError::Deadlock);
-            }
-            let top = st.queues.get(self.side).front().map(|f| f.vtime);
-            // Lower bound on the delivery time of any frame the peer has
-            // not sent yet.
-            let lb = if *st.closed.get(peer) {
-                u64::MAX
-            } else if let Some(pw) = st.waiting.get(peer) {
-                let head = st.queues.get(peer).front().map_or(u64::MAX, |f| f.vtime);
-                head.min(pw.deadline.unwrap_or(u64::MAX))
-                    .saturating_add(latency)
+/// `side`'s blocking receive with an optional virtual deadline.
+/// `Ok(None)` only when a deadline was given and elapsed.
+///
+/// The queue head is delivered as soon as it is due by the deadline:
+/// a direction delivers in send order at non-decreasing virtual
+/// times, so nothing the peer sends later can precede it. A timeout
+/// follows the conservative rule: it commits only once the deadline
+/// is provably earlier than anything the peer could still send. The
+/// proof is a lower bound on the peer's next delivery — its
+/// published clock plus link latency while it runs; `min(its queue
+/// head, its deadline) + latency` while it is blocked; `∞` once it
+/// is closed. Everything else waits on the condvar for the peer to
+/// advance the shared virtual state.
+fn receive(
+    shared: &LinkShared,
+    side: Side,
+    config: &SimConfig,
+    timeout_ms: Option<u64>,
+) -> Result<Option<Vec<u8>>, NetError> {
+    let latency = config.latency_ms.max(1);
+    let peer = side.peer();
+    let mut st = shared.lock();
+    over_deadline(config, *st.clocks.get(side))?;
+    let deadline = timeout_ms.map(|t| st.clocks.get(side).saturating_add(t));
+    let mut backstopped = false;
+    let mut registered = false;
+    loop {
+        // A deadlock verdict proven by the peer, or this side closed
+        // under its split reader.
+        let deadlocked = st.waiting.get(side).is_some_and(|w| w.deadlocked);
+        if deadlocked || *st.closed.get(side) {
+            *st.waiting.get_mut(side) = None;
+            shared.wakeup.notify_all();
+            return Err(if deadlocked {
+                NetError::Deadlock
             } else {
-                st.clocks.get(peer).saturating_add(latency)
-            };
-            // Deliver the queue head once nothing can precede it. A tie
-            // with `lb` is safe: a later send at the same instant queues
-            // behind the head.
-            if let Some(t) = top {
-                if deadline.is_none_or(|d| t <= d) && t <= lb {
-                    *st.waiting.get_mut(self.side) = None;
-                    self.clock = self.clock.max(t);
-                    *st.clocks.get_mut(self.side) = self.clock;
-                    shared.wakeup.notify_all();
-                    self.over_deadline()?;
-                    let queue = st.queues.get_mut(self.side);
-                    match queue.pop_front() {
-                        Some(Scheduled {
-                            bytes: Some(frame), ..
-                        }) => return Ok(Some(frame)),
-                        // A reset stays at the head: every later receive
-                        // sees it too.
-                        Some(reset) => {
-                            queue.push_front(reset);
-                            return Err(NetError::Closed);
-                        }
-                        None => {}
-                    }
-                }
-            }
-            // Empty queue + peer gone: nothing can ever arrive.
-            if top.is_none() && *st.closed.get(peer) {
-                *st.waiting.get_mut(self.side) = None;
-                return Err(NetError::Closed);
-            }
-            // Time out once nothing can arrive by the deadline.
-            if let Some(d) = deadline {
-                if top.is_none_or(|t| t > d) && d < lb {
-                    *st.waiting.get_mut(self.side) = None;
-                    self.clock = self.clock.max(d);
-                    *st.clocks.get_mut(self.side) = self.clock;
-                    shared.wakeup.notify_all();
-                    return Ok(None);
-                }
-            }
-            // Undecidable for now: register as blocked (the registration
-            // itself is virtual state — it sharpens the peer's bound, so
-            // announce it).
-            if !registered {
-                *st.waiting.get_mut(self.side) = Some(WaitState {
-                    deadline,
-                    deadlocked: false,
-                });
-                registered = true;
-                shared.wakeup.notify_all();
-            }
-            // Provable mutual starvation: both sides blocked with no
-            // deadline and nothing in flight either way.
-            let peer_stuck = st
-                .waiting
-                .get(peer)
-                .as_ref()
-                .is_some_and(|w| w.deadline.is_none() && !w.deadlocked)
-                && st.queues.get(peer).is_empty();
-            if deadline.is_none() && top.is_none() && peer_stuck {
-                if let Some(w) = st.waiting.get_mut(peer).as_mut() {
-                    w.deadlocked = true;
-                }
-                *st.waiting.get_mut(self.side) = None;
-                shared.wakeup.notify_all();
-                return Err(NetError::Deadlock);
-            }
-            // Wait for the peer to advance the virtual state. The
-            // wall-clock backstop converts a harness bug into an error;
-            // one full re-check runs before giving up, in case the
-            // wake-up raced the timeout.
-            if backstopped {
-                *st.waiting.get_mut(self.side) = None;
-                return Err(NetError::TimedOut {
-                    waited_ms: self.config.real_backstop_ms,
-                });
-            }
-            let wait = std::time::Duration::from_millis(self.config.real_backstop_ms);
-            let (guard, result) = shared
-                .wakeup
-                .wait_timeout(st, wait)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-            backstopped = result.timed_out();
+                NetError::Closed
+            });
         }
+        let top = st.queues.get(side).front().map(|f| f.vtime);
+        // Lower bound on the delivery time of any frame the peer has
+        // not sent yet.
+        let lb = if *st.closed.get(peer) {
+            u64::MAX
+        } else if let Some(pw) = st.waiting.get(peer) {
+            let head = st.queues.get(peer).front().map_or(u64::MAX, |f| f.vtime);
+            head.min(pw.deadline.unwrap_or(u64::MAX))
+                .saturating_add(latency)
+        } else {
+            st.clocks.get(peer).saturating_add(latency)
+        };
+        // Deliver the queue head: nothing the peer sends later can
+        // precede it.
+        if let Some(t) = top {
+            if deadline.is_none_or(|d| t <= d) {
+                *st.waiting.get_mut(side) = None;
+                let clock = st.clocks.get_mut(side);
+                *clock = (*clock).max(t);
+                let clock = *clock;
+                shared.wakeup.notify_all();
+                over_deadline(config, clock)?;
+                let queue = st.queues.get_mut(side);
+                match queue.pop_front() {
+                    Some(Scheduled {
+                        bytes: Some(frame), ..
+                    }) => return Ok(Some(frame)),
+                    // A reset stays at the head: every later receive
+                    // sees it too.
+                    Some(reset) => {
+                        queue.push_front(reset);
+                        return Err(NetError::Closed);
+                    }
+                    None => {}
+                }
+            }
+        }
+        // Empty queue + peer gone: nothing can ever arrive.
+        if top.is_none() && *st.closed.get(peer) {
+            *st.waiting.get_mut(side) = None;
+            return Err(NetError::Closed);
+        }
+        // Time out once nothing can arrive by the deadline.
+        if let Some(d) = deadline {
+            if top.is_none_or(|t| t > d) && d < lb {
+                *st.waiting.get_mut(side) = None;
+                let clock = st.clocks.get_mut(side);
+                *clock = (*clock).max(d);
+                shared.wakeup.notify_all();
+                return Ok(None);
+            }
+        }
+        // Undecidable for now: register as blocked (the registration
+        // itself is virtual state — it sharpens the peer's bound, so
+        // announce it).
+        if !registered {
+            *st.waiting.get_mut(side) = Some(WaitState {
+                deadline,
+                deadlocked: false,
+            });
+            registered = true;
+            shared.wakeup.notify_all();
+        }
+        // Provable mutual starvation: both sides blocked with no
+        // deadline and nothing in flight either way.
+        let peer_stuck = st
+            .waiting
+            .get(peer)
+            .as_ref()
+            .is_some_and(|w| w.deadline.is_none() && !w.deadlocked)
+            && st.queues.get(peer).is_empty();
+        if deadline.is_none() && top.is_none() && peer_stuck {
+            if let Some(w) = st.waiting.get_mut(peer).as_mut() {
+                w.deadlocked = true;
+            }
+            *st.waiting.get_mut(side) = None;
+            shared.wakeup.notify_all();
+            return Err(NetError::Deadlock);
+        }
+        // Wait for the peer to advance the virtual state. The
+        // wall-clock backstop converts a harness bug into an error;
+        // one full re-check runs before giving up, in case the
+        // wake-up raced the timeout.
+        if backstopped {
+            *st.waiting.get_mut(side) = None;
+            return Err(NetError::TimedOut {
+                waited_ms: config.real_backstop_ms,
+            });
+        }
+        let wait = std::time::Duration::from_millis(config.real_backstop_ms);
+        let (guard, result) = shared
+            .wakeup
+            .wait_timeout(st, wait)
+            .unwrap_or_else(|e| e.into_inner());
+        st = guard;
+        backstopped = result.timed_out();
     }
 }
 
@@ -262,24 +274,27 @@ impl Transport for SimEndpoint {
     /// departure surfaces on the receive side, after the in-flight queue
     /// drains.
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        self.over_deadline()?;
-        let shared = self.shared.clone();
+        let (shared, side) = (Arc::clone(&self.shared), self.side);
         let mut st = shared.lock();
+        over_deadline(&self.config, *st.clocks.get(side))?;
         let transmission = if self.bytes_per_ms == 0 {
             0
         } else {
             (frame.len() as u64).div_ceil(self.bytes_per_ms)
         };
-        let start = self.clock.max(*st.link_free_at.get(self.side));
-        *st.link_free_at.get_mut(self.side) = start + transmission;
-        self.clock = start + transmission;
-        *st.clocks.get_mut(self.side) = self.clock;
+        // Never before the deadline of a wait this side's split reader
+        // has registered (see `split_reader`).
+        let waiting_until = st.waiting.get(side).and_then(|w| w.deadline).unwrap_or(0);
+        let start = (*st.clocks.get(side))
+            .max(waiting_until)
+            .max(*st.link_free_at.get(side));
+        *st.link_free_at.get_mut(side) = start + transmission;
+        let clock = start + transmission;
+        *st.clocks.get_mut(side) = clock;
         // Jitter draws come from a per-direction seeded RNG in
         // per-direction send order, on the sending party's own thread:
         // deterministic under a fixed FaultPlan seed.
-        let fate = self
-            .injector
-            .on_send(start, self.clock + self.config.latency_ms);
+        let fate = self.injector.on_send(start, clock + self.config.latency_ms);
         let faults = fate.faults;
         if !faults.is_clean() {
             minshare_trace::emit("simnet", "fault", true, || {
@@ -290,7 +305,7 @@ impl Transport for SimEndpoint {
                 ]
             });
         }
-        st.trace.get_mut(self.side).push(Event {
+        st.trace.get_mut(side).push(Event {
             index: fate.index,
             sent_len: frame.len() as u32,
             send_vtime: start,
@@ -300,7 +315,7 @@ impl Transport for SimEndpoint {
         // The first frame past a cut leaves the reset in its place.
         let bytes = (!faults.cut).then(|| frame.to_vec());
         if bytes.is_some() || fate.reset {
-            st.queues.get_mut(self.side.peer()).push_back(Scheduled {
+            st.queues.get_mut(side.peer()).push_back(Scheduled {
                 vtime: fate.vtime,
                 bytes,
             });
@@ -310,9 +325,9 @@ impl Transport for SimEndpoint {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        match self.recv_inner(None)? {
+        match receive(&self.shared, self.side, &self.config, None)? {
             Some(frame) => Ok(frame),
-            // Unreachable: without a deadline, recv_inner never returns
+            // Unreachable: without a deadline, `receive` never returns
             // a timeout. Mapped defensively rather than unwrapped.
             None => Err(NetError::Deadlock),
         }
@@ -321,7 +336,30 @@ impl Transport for SimEndpoint {
 
 impl DeadlineTransport for SimEndpoint {
     fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-        self.recv_inner(Some(timeout_ms))
+        receive(&self.shared, self.side, &self.config, Some(timeout_ms))
+    }
+
+    /// Both halves share the side's clock in the link state. The reader
+    /// waits in one-virtual-millisecond steps, so the side is always
+    /// inside a receive and the peer's clock keeps moving. While it is
+    /// registered as waiting, the peer bounds this side's next delivery
+    /// by `min(head, deadline) + latency`, so `send` stamps no earlier
+    /// than the deadline; an unsplit endpoint never sends while waiting.
+    /// `unblock` closes the side, as a drop does.
+    fn split_reader(&mut self) -> SplitReader {
+        let (shared, side, config) = (Arc::clone(&self.shared), self.side, self.config);
+        let stopper = Arc::clone(&self.shared);
+        SplitReader {
+            recv: Box::new(move || loop {
+                if let Some(frame) = receive(&shared, side, &config, Some(1))? {
+                    return Ok(frame);
+                }
+            }),
+            unblock: Box::new(move || {
+                *stopper.lock().closed.get_mut(side) = true;
+                stopper.wakeup.notify_all();
+            }),
+        }
     }
 }
 
@@ -399,10 +437,10 @@ mod tests {
         // with `a` alive: its published clock bounds any further send).
         assert_eq!(b.recv_deadline(1).unwrap(), None);
         assert_eq!(b.clock_ms(), 1);
-        // Close the idle sender so the future frame becomes provably
-        // minimal, then a generous deadline sees it.
-        drop(a);
+        // A deadline that reaches the frame delivers it, `a` still alive
+        // and idle: nothing it sends later can precede the queue head.
         assert_eq!(b.recv_deadline(100_000).unwrap(), Some(b"late".to_vec()));
+        drop(a);
     }
 
     #[test]
@@ -430,6 +468,29 @@ mod tests {
         let got_b = handle.join().unwrap();
         assert_eq!(got_a.unwrap_err(), NetError::Deadlock);
         assert_eq!(got_b.unwrap_err(), NetError::Deadlock);
+    }
+
+    /// A split end whose sending half sits idle still moves its clock,
+    /// so the peer's deadline is proven on virtual time; a send made
+    /// afterwards arrives after the peer's committed timeout; `unblock`
+    /// ends the reader with `Closed`.
+    #[test]
+    fn split_reader_keeps_the_peers_clock_moving() {
+        let (mut a, mut b, trace) = sim_pair(cfg(), &FaultPlan::perfect());
+        let SplitReader { mut recv, unblock } = a.split_reader();
+        let reader = std::thread::spawn(move || (recv(), recv));
+        assert_eq!(b.recv_deadline(500).unwrap(), None);
+        assert_eq!(b.clock_ms(), 500);
+        a.send(b"late").unwrap();
+        assert_eq!(b.recv().unwrap(), b"late");
+        let snap = trace.snapshot();
+        let sent = &snap.a_to_b[0];
+        assert!(sent.delivery_vtime.is_some_and(|t| t > 500), "{sent:?}");
+        b.send(b"to the reader").unwrap();
+        let (first, mut recv) = reader.join().unwrap();
+        assert_eq!(first.unwrap(), b"to the reader");
+        unblock();
+        assert_eq!(recv().unwrap_err(), NetError::Closed);
     }
 
     #[test]
@@ -574,7 +635,7 @@ mod tests {
                 outcome = Some(e);
                 break;
             }
-            a.clock = a.clock.saturating_add(50);
+            *a.shared.lock().clocks.get_mut(Side::A) += 50;
         }
         assert!(matches!(outcome, Some(NetError::TimedOut { .. })));
     }

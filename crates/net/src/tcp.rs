@@ -238,19 +238,20 @@ impl DeadlineTransport for TcpTransport {
 
     /// The reader blocks in `read` on the same socket (a half-assembled
     /// frame goes with it); `unblock` shuts the socket down, which ends
-    /// that `read` with end-of-stream.
-    fn split_reader(&mut self) -> Option<SplitReader> {
-        self.stream.set_read_timeout(None).ok()?;
+    /// that `read` with end-of-stream. A read timeout that cannot be
+    /// cleared only makes the reader's `read` wake up and retry.
+    fn split_reader(&mut self) -> SplitReader {
+        let _ = self.stream.set_read_timeout(None);
         let stream = Arc::clone(&self.stream);
         let mut rdbuf = std::mem::take(&mut self.rdbuf);
         let frame_limit = self.frame_limit;
         let closer = Arc::clone(&self.stream);
-        Some(SplitReader {
+        SplitReader {
             recv: Box::new(move || rdbuf.recv(&stream, frame_limit)),
             unblock: Box::new(move || {
                 let _ = closer.shutdown(Shutdown::Both);
             }),
-        })
+        }
     }
 }
 
@@ -430,7 +431,7 @@ mod tests {
         raw.write_all(b"firs").unwrap();
         // The poll gives up mid-frame, with the first half buffered.
         assert_eq!(server.recv_deadline(20).unwrap(), None);
-        let SplitReader { mut recv, unblock } = server.split_reader().unwrap();
+        let SplitReader { mut recv, unblock } = server.split_reader();
         raw.write_all(b"tsec").unwrap();
         assert_eq!(recv().unwrap(), b"firstsec");
         // The send side stays with the transport.

@@ -34,30 +34,24 @@ impl<T: Transport + ?Sized> Transport for &mut T {
     }
 }
 
-/// A transport whose receive side can give up after a deadline.
+/// A transport whose receive side can give up after a deadline, and be
+/// handed to a thread of its own.
 ///
-/// The mux connection loops ([`crate::server`]) poll with bounded waits
-/// when they cannot hand the receive side to a reader thread. Over the
-/// simulated network the deadline is measured on the *virtual* clock (so
-/// runs are deterministic and instant); over real transports it is
-/// wall-clock time.
+/// Over the simulated network the deadline is measured on the *virtual*
+/// clock (so runs are deterministic and instant); over real transports
+/// it is wall-clock time.
 pub trait DeadlineTransport: Transport {
     /// Waits up to `timeout_ms` for the next frame. Returns `Ok(None)` if
     /// the deadline elapsed with no frame; transport failures (peer gone,
     /// link closed) are errors as in [`Transport::recv`].
     fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError>;
 
-    /// Hands the receive side to a dedicated reader, for callers (the
-    /// mux connection loops in [`crate::server`]) that want to block on
-    /// their own event queue instead of polling `recv_deadline`.
-    ///
-    /// `None` (the default) declines: the transport's receive path
-    /// cannot run apart from its send path — a link on a virtual clock,
-    /// which only a receive advances — and the caller keeps polling. After `Some`, bytes already buffered travel with the
-    /// reader and the caller must not receive on the transport itself.
-    fn split_reader(&mut self) -> Option<SplitReader> {
-        None
-    }
+    /// Hands the receive side to a dedicated reader. The mux connection
+    /// loops in [`crate::server`] run it on a reader thread and block on
+    /// their own event queue; the transport keeps sending. Bytes already
+    /// buffered travel with the reader, and the caller must not receive
+    /// on the transport itself afterwards.
+    fn split_reader(&mut self) -> SplitReader;
 }
 
 /// The receive side of a transport, detached by
@@ -71,14 +65,4 @@ pub struct SplitReader {
     /// promptly. Callable from any thread; the connection is unusable
     /// afterwards.
     pub unblock: Box<dyn Fn() + Send>,
-}
-
-impl<T: DeadlineTransport + ?Sized> DeadlineTransport for &mut T {
-    fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
-        (**self).recv_deadline(timeout_ms)
-    }
-
-    fn split_reader(&mut self) -> Option<SplitReader> {
-        (**self).split_reader()
-    }
 }

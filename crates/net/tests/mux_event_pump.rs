@@ -1,14 +1,11 @@
 //! The mux connection loops over real loopback TCP, where they are fed
-//! by a reader thread and woken per event.
-//!
-//! What is pinned here is that **no timer sits on the session path**,
-//! without naming a wall-clock figure for it: a mux round trip is priced
-//! against a raw round trip on the same socket. The two bounded things
-//! the loop still does on a clock — noticing shutdown while idle, and
-//! nothing else — get their own tests.
+//! by a reader thread and woken per event. That the loops have no timer
+//! at all is pinned structurally, by the scheduler counters of an idle
+//! connection's threads (`mux_idle_wakeups.rs`); here are the paths a
+//! frame or a shutdown takes through them.
 
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use minshare_net::tcp::{TcpAcceptor, TcpTransport};
 use minshare_net::{
@@ -24,22 +21,20 @@ fn echo(_sid: u32, _request: Vec<u8>, mut t: SessionTransport) {
     }
 }
 
-fn ping_pong<T: Transport>(t: &mut T, rounds: usize) -> Duration {
-    let started = Instant::now();
+fn ping_pong<T: Transport>(t: &mut T, rounds: usize) {
     for i in 0..rounds {
         let ping = [i as u8; 32];
         t.send(&ping).unwrap();
         assert_eq!(t.recv().unwrap(), ping);
     }
-    started.elapsed()
 }
 
-/// 200 echo round trips through the mux (client session → driver →
-/// socket → server loop → handler, and back) against 200 on the bare
-/// socket they ride on. With a poll on either loop the ratio is in the
-/// hundreds; event-driven it is the handful of thread hand-offs.
+/// 200 echo round trips on a bare socket, then 200 through the mux on
+/// the same socket (client session → driver → socket → server loop →
+/// handler, and back): the transport's receive buffer carries over into
+/// the mux's reader thread.
 #[test]
-fn mux_round_trips_cost_a_small_multiple_of_raw_ones() {
+fn mux_and_raw_round_trips_share_one_socket() {
     const ROUNDS: usize = 200;
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();
     let addr = acceptor.local_addr().unwrap();
@@ -60,22 +55,18 @@ fn mux_round_trips_cost_a_small_multiple_of_raw_ones() {
         )
     });
     let mut tcp = TcpTransport::connect(addr).unwrap();
-    let raw = ping_pong(&mut tcp, ROUNDS);
+    ping_pong(&mut tcp, ROUNDS);
     let mut client = MuxClient::new(tcp, MuxConfig::default());
     let mut session = client.open_session(b"echo").unwrap();
-    let mux = ping_pong(&mut session, ROUNDS);
+    ping_pong(&mut session, ROUNDS);
     drop(session);
     client.close().unwrap();
     let stats = server.join().unwrap().unwrap();
     assert_eq!(stats.opened, 1);
-    assert!(
-        mux <= raw * 20,
-        "{ROUNDS} mux round trips took {mux:?}, {ROUNDS} raw ones {raw:?}"
-    );
 }
 
-/// An idle connection has no event to wake it, so shutdown is seen on
-/// the loop's idle tick: bounded, and well inside a second.
+/// An idle connection has no frame to wake it: shutdown wakes the loop
+/// with an event of its own, and the loop says its farewell and returns.
 #[test]
 fn idle_connection_returns_within_a_second_of_shutdown() {
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").unwrap();

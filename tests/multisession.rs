@@ -296,10 +296,11 @@ fn run_concurrent(
     let plan = FaultPlan::from_seed(seed);
     let sim = SimConfig {
         latency_ms: 1,
-        // The mux loops poll the transport, and every quiet poll advances
-        // the virtual clock; a protocol's worth of polling burns virtual
-        // time far faster than wall time, so the deadline is effectively
-        // "never" and the wall-clock backstop is the real hang guard.
+        // The mux's readers wait in virtual-millisecond steps, and every
+        // quiet step advances the virtual clock; a protocol's worth of
+        // steps burns virtual time far faster than wall time, so the
+        // deadline is effectively "never" and the wall-clock backstop is
+        // the real hang guard.
         run_deadline_ms: 1 << 40,
         real_backstop_ms: 120_000,
     };

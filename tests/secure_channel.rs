@@ -1,9 +1,9 @@
 //! The full Figure-1 stack: protocol engines over the authenticated-
 //! encryption session layer over the in-memory transport — and a check
 //! that the secured wire carries no recognizable protocol bytes. Then
-//! the daemon's stack, the session mux over the channel, on both of the
-//! mux's inbound feeds: polled (`recv_deadline`, the simulated link) and
-//! a split reader (loopback TCP).
+//! the daemon's stack, the session mux over the channel, with the mux's
+//! reader thread on each link it runs on: the simulated link, the
+//! in-memory pair and loopback TCP.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use minshare_net::secure::{Role, SecureChannel};
 use minshare_net::tcp::{TcpAcceptor, TcpTransport};
 use minshare_net::{
     duplex_pair, serve_mux_connection, DeadlineTransport, MuxClient, MuxConfig, MuxFrame, NetError,
-    ServerStats, SessionRegistry, ShutdownHandle, Transport,
+    ServerStats, SessionRegistry, ShutdownHandle, SplitReader, Transport,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,6 +47,11 @@ impl<T: Transport> Transport for Tap<T> {
 impl<T: DeadlineTransport> DeadlineTransport for Tap<T> {
     fn recv_deadline(&mut self, timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
         self.inner.recv_deadline(timeout_ms)
+    }
+
+    /// The tap records what is sent, so the reader is the inner one.
+    fn split_reader(&mut self) -> SplitReader {
+        self.inner.split_reader()
     }
 }
 
@@ -177,7 +182,7 @@ enum Meddle {
     Swap,
 }
 
-struct Meddler<T: Transport> {
+struct Meddler<T> {
     inner: T,
     mode: std::sync::Arc<parking_lot::Mutex<Meddle>>,
     /// A frame to deliver before reading on: a replay's copy, or the
@@ -187,7 +192,7 @@ struct Meddler<T: Transport> {
     held: Option<Vec<u8>>,
 }
 
-impl<T: Transport> Meddler<T> {
+impl<T> Meddler<T> {
     /// What to deliver for `frame` under the current mode: `None` holds
     /// it back until its successor arrives.
     fn meddle(&mut self, frame: Vec<u8>) -> Option<Vec<u8>> {
@@ -241,6 +246,28 @@ impl<T: DeadlineTransport> DeadlineTransport for Meddler<T> {
             .inner
             .recv_deadline(timeout_ms)?
             .and_then(|frame| self.meddle(frame)))
+    }
+
+    /// The meddling moves into the reader, as `recv` runs it.
+    fn split_reader(&mut self) -> SplitReader {
+        let SplitReader { mut recv, unblock } = self.inner.split_reader();
+        let mut meddler = Meddler {
+            inner: (),
+            mode: std::sync::Arc::clone(&self.mode),
+            next: self.next.take(),
+            held: self.held.take(),
+        };
+        SplitReader {
+            recv: Box::new(move || loop {
+                if let Some(frame) = meddler.next.take() {
+                    return Ok(frame);
+                }
+                if let Some(frame) = meddler.meddle(recv()?) {
+                    return Ok(frame);
+                }
+            }),
+            unblock,
+        }
     }
 }
 
@@ -520,7 +547,7 @@ fn mux_over_secure_channel_on_seeded_schedules_matches_the_plain_mux() {
         let plan = FaultPlan::from_seed(0x5ec_0000 + seed);
         let sim = SimConfig {
             latency_ms: 1,
-            // Every quiet poll of the mux loops advances the virtual
+            // Every quiet step of the mux's readers advances the virtual
             // clock; the wall-clock backstop is the hang guard.
             run_deadline_ms: 1 << 40,
             real_backstop_ms: 60_000,
@@ -532,6 +559,36 @@ fn mux_over_secure_channel_on_seeded_schedules_matches_the_plain_mux() {
             "schedule {seed}: the channel changed an answer or a byte count"
         );
     }
+}
+
+/// Both channel handshakes finish before either mux loop starts, so the
+/// responder's end sits idle outside any transport call while the
+/// initiator still waits for its public value, which jitter holds back
+/// past the responder's clock. The value is at the head of the
+/// initiator's queue, and nothing sent later can precede it, so it is
+/// delivered at once; from its loop's start the mux's reader keeps each
+/// end inside a receive. The run completes on virtual time, and the
+/// backstop only turns a stopped clock into a failure instead of a hang.
+#[test]
+fn mux_started_after_both_simnet_handshakes_runs_on_virtual_time() {
+    use minshare_net::{sim_pair, FaultPlan, SimConfig};
+
+    let plain = plain_outcomes();
+    let sim = SimConfig {
+        latency_ms: 1,
+        run_deadline_ms: 1 << 40,
+        real_backstop_ms: 10_000,
+    };
+    let (server_end, client_end, _trace) = sim_pair(sim, &FaultPlan::from_seed(0x5ec_0000));
+    let responder = std::thread::spawn(move || secure(server_end, Role::Responder));
+    let client_t = secure(client_end, Role::Initiator);
+    let server_t = responder.join().expect("responder thread");
+    let started = std::time::Instant::now();
+    assert_eq!(four_sessions(server_t, client_t, false), plain);
+    assert!(
+        started.elapsed() < std::time::Duration::from_millis(sim.real_backstop_ms),
+        "a wait sat out the wall-clock backstop"
+    );
 }
 
 #[test]
@@ -731,7 +788,8 @@ fn records_sealed_by_one_side_are_traced_opened_by_the_other() {
             .expect("close");
         chan.send(&MuxFrame::control(MuxKind::Goaway, 0).encode())
             .expect("goaway");
-        // The daemon's CLOSE and GOAWAY, then the end of the connection.
+        // The daemon's CLOSE, then the end of the connection: a client
+        // that said GOAWAY gets no farewell.
         while chan.recv().is_ok() {}
         server.join().expect("server thread").expect("server loop");
     });
@@ -758,8 +816,8 @@ fn mux_client_traces_the_records_it_seals_and_opens() {
     // opens what arrives, so both must trace into the sink of the thread
     // that built the client. The handler echoes five frames and returns;
     // the client waits for the daemon's CLOSE before it closes, so every
-    // record the daemon seals reaches the client except, at most, the
-    // daemon's farewell GOAWAY, which crosses the client's own.
+    // record the daemon seals reaches the client. The client's GOAWAY is
+    // what ends the daemon's loop, so the daemon says none back.
     use minshare_trace::sink::RingSink;
     use minshare_trace::Tracer;
 
@@ -822,7 +880,7 @@ fn mux_client_traces_the_records_it_seals_and_opens() {
         client_sealed,
         "client to daemon"
     );
-    assert_eq!(server_sealed, 8, "ACCEPT, five DATA, CLOSE, GOAWAY");
+    assert_eq!(server_sealed, 7, "ACCEPT, five DATA, CLOSE");
     assert!(
         (server_sealed - 1..=server_sealed).contains(&client_opened),
         "daemon to client: opened {client_opened} of {server_sealed}"

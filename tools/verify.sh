@@ -179,13 +179,14 @@ daemon_smoke() {
 }
 daemon_smoke
 # One core. The mux loops are event-driven with a reader thread per
-# connection: nothing may depend on a second core to make progress, and
-# the round-trip test in crates/net/tests/mux_event_pump.rs prices a mux
-# hop against a raw TCP hop, which must hold when every thread shares a
-# CPU. (ROADMAP's single-core sweep, for the part of the stack where a
-# core count can change behaviour and not just speed.)
+# connection on every transport, the simulated link included, so the
+# simnet harnesses (multisession, secure_channel) run several threads
+# per endpoint: nothing may depend on a second core to make progress.
+# (ROADMAP's single-core sweep, for the part of the stack where a core
+# count can change behaviour and not just speed.)
 if command -v taskset > /dev/null 2>&1; then
     taskset -c 0 cargo test -q -p minshare-net
+    taskset -c 0 cargo test -q --test multisession --test secure_channel
     daemon_smoke taskset -c 0
 fi
 # Repo-benchmark correctness gate: every workload of `benchmark/` at
